@@ -54,6 +54,8 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
         n = int(parts[1])
     except ValueError:
         raise CliParseError(f"bad set size {parts[1]!r} in design spec {spec!r}")
+    if n < 1:
+        raise CliParseError(f"set size must be >= 1 in design spec {spec!r}")
     if kind == "srs":
         return Design("srs", n)
     if kind == "rss":
@@ -64,7 +66,7 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
             raise CliParseError(
                 f"imperfect design {spec!r} needs a matrix segment or --error-matrix"
             )
-        P = ranking_error.from_csv(matrix_path)
+        P = _load_matrix(matrix_path)
     else:
         P = parse_matrix(matrix_spec, n)
     if P.n != n:
@@ -87,19 +89,35 @@ def parse_matrix(spec: str, n: int) -> ranking_error.RankingErrorMatrix:
             return ranking_error.two_by_two(float(spec[len("p12=") :]))
     except ValueError as exc:
         raise CliParseError(f"bad matrix spec {spec!r}: {exc}") from exc
+    return _load_matrix(spec)
+
+
+def _load_matrix(path: str) -> ranking_error.RankingErrorMatrix:
     try:
-        return ranking_error.from_csv(spec)
+        return ranking_error.from_csv(path)
     except OSError as exc:
-        raise CliParseError(f"cannot read matrix file {spec!r}: {exc}") from exc
+        raise CliParseError(f"cannot read matrix file {path!r}: {exc}") from exc
     except ValueError as exc:
-        raise CliParseError(f"bad matrix file {spec!r}: {exc}") from exc
+        raise CliParseError(f"bad matrix file {path!r}: {exc}") from exc
+
+
+_CONFIG_KEYS = {
+    "quad.abs_tol": ("abs_tol", float),
+    "quad.rel_tol": ("rel_tol", float),
+    "quad.max_subdiv": ("max_subdiv", int),
+}
 
 
 def _quad_config(args) -> QuadratureConfig:
     cfg = {"abs_tol": 1e-10, "rel_tol": 1e-8, "max_subdiv": 2000}
     path = getattr(args, "config", None)
     if path:
-        for lineno, line in enumerate(open(path), start=1):
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise CliParseError(f"cannot read config file {path!r}: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -107,23 +125,25 @@ def _quad_config(args) -> QuadratureConfig:
                 raise CliParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key == "quad.abs_tol":
-                cfg["abs_tol"] = float(value)
-            elif key == "quad.rel_tol":
-                cfg["rel_tol"] = float(value)
-            elif key == "quad.max_subdiv":
-                cfg["max_subdiv"] = int(value)
-            else:
+            if key not in _CONFIG_KEYS:
                 raise CliParseError(f"{path}:{lineno}: unknown config key {key!r}")
+            name, convert = _CONFIG_KEYS[key]
+            try:
+                cfg[name] = convert(value)
+            except ValueError as exc:
+                raise CliParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     if getattr(args, "quad_abs_tol", None) is not None:
         cfg["abs_tol"] = args.quad_abs_tol
     if getattr(args, "quad_rel_tol", None) is not None:
         cfg["rel_tol"] = args.quad_rel_tol
     if getattr(args, "quad_max_subdiv", None) is not None:
         cfg["max_subdiv"] = args.quad_max_subdiv
-    return QuadratureConfig(
-        abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"], max_subdivisions=cfg["max_subdiv"]
-    )
+    try:
+        return QuadratureConfig(
+            abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"], max_subdivisions=cfg["max_subdiv"]
+        )
+    except ValueError as exc:
+        raise CliParseError(f"bad quadrature settings: {exc}") from exc
 
 
 def _emit(rows: list[dict], args) -> None:
@@ -200,11 +220,16 @@ def cmd_measure(args) -> int:
     cfg = _quad_config(args)
     design = parse_design(args.design, args.error_matrix)
     dist = parse_distribution(args.dist)
+    if args.measure == "renyi":
+        if args.alpha is None:
+            raise CliParseError("renyi needs --alpha")
+        if not args.alpha > 0 or args.alpha == 1.0:
+            raise CliParseError(f"--alpha must be positive and != 1 (1 is shannon), got {args.alpha}")
+    if args.measure == "kl" and args.design.strip().startswith("srs:"):
+        raise CliParseError("kl compares SRS against an rss or irss design, got --design srs")
     if args.measure == "shannon":
         res = measures.shannon(design, dist, cfg, force_numeric=args.force_numeric)
     elif args.measure == "renyi":
-        if args.alpha is None:
-            raise CliParseError("renyi needs --alpha")
         res = measures.renyi(design, dist, args.alpha, cfg, force_numeric=args.force_numeric)
     elif args.measure == "kl":
         res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
@@ -292,6 +317,8 @@ class ScanGrid:
     def __post_init__(self):
         if not (self.families and self.ns and self.alphas and self.matrices):
             raise CliParseError("scan grid axes must be non-empty")
+        if min(self.ns) < 1:
+            raise CliParseError(f"scan set sizes must be >= 1, got {list(self.ns)}")
         bad = [a for a in self.alphas if a <= 1.0]
         if bad:
             raise CliParseError(

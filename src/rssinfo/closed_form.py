@@ -17,6 +17,7 @@ import math
 import numpy as np
 from scipy import special
 
+from .order_stats import beta_order_log_pdf
 from .ranking_error import RankingErrorMatrix
 
 log_gamma = special.gammaln
@@ -82,15 +83,9 @@ def psi_bound(alpha: float, n: int) -> float:
         raise ValueError(f"psi_bound requires alpha > 1, got {alpha}")
     if n < 2:
         raise ValueError("psi_bound requires n >= 2")
-    i = np.arange(1, n + 1)
-    log_binom = log_gamma(n) - log_gamma(i) - log_gamma(n - i + 1)
-    terms = (
-        math.log(n)
-        + log_binom
-        + special.xlogy(i - 1, (i - 1) / (n - 1))
-        + special.xlogy(n - i, (n - i) / (n - 1))
-    )
-    return float(alpha / (1.0 - alpha) * np.sum(terms))
+    # the log Beta(i, n-i+1) density at its mode (i-1)/(n-1)
+    terms = [beta_order_log_pdf(n, i, (i - 1) / (n - 1)) for i in range(1, n + 1)]
+    return float(alpha / (1.0 - alpha) * math.fsum(terms))
 
 
 def eta(a: float) -> float:

@@ -1,10 +1,11 @@
 """Independent Monte Carlo verification layer.
 
 Simulates SRS / RSS / imperfect-RSS draws and estimates every measure
-without touching the quadrature engine.  Plug-in estimators reuse the
-order-statistic density formulas; the Vasicek spacing estimator is the
-formula-free cross-check that shares no density code with the rest of the
-package.
+without touching the quadrature engine.  Each design kind keeps its own
+sampler, which fixes the random streams; the plug-in estimators take the
+design's ranking-error matrix through the ``order_stats`` kernel.  The Vasicek
+spacing estimator is the formula-free cross-check that shares no density code
+with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
 own stream spawned from a single SeedSequence.
@@ -18,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .measures import IMPERFECT_RSS, PERFECT_RSS, SRS, Design
-from .order_stats import OrderStatSpec, order_stat_log_pdf, judged_pdf
+from .measures import PERFECT_RSS, SRS, Design
+from .order_stats import judged_log_pdf
 from .ranking_error import RankingErrorMatrix
+
+
+_BLOCK = 65_536  # draws per kernel evaluation
 
 
 class DivergentEstimateError(RuntimeError):
@@ -94,13 +98,14 @@ def _component_draw(design: Design, dist: Distribution, i: int, rng, size: int) 
     return sample_judged(dist, design.n, design.P, i, rng, size)
 
 
-def _component_log_density(design: Design, dist: Distribution, i: int, x) -> np.ndarray:
-    if design.kind == SRS:
-        return dist.log_pdf(x)
-    if design.kind == PERFECT_RSS:
-        return order_stat_log_pdf(OrderStatSpec(design.n, i, dist), x)
-    with np.errstate(divide="ignore"):
-        return np.log(judged_pdf(dist, design.n, design.P, i, x))
+def _component_log_density(design: Design, dist: Distribution, i: int, x: np.ndarray) -> np.ndarray:
+    """Log density of component i at the 1-d draws ``x``, a block at a time so
+    the kernel's (ranks x points) temporaries stay small."""
+    log_pdf = judged_log_pdf(dist, design.matrix.row(i))
+    out = np.empty(x.shape)
+    for start in range(0, x.size, _BLOCK):
+        out[start : start + _BLOCK] = log_pdf(x[start : start + _BLOCK])
+    return out
 
 
 def _spawned(seed: int, count: int) -> list[np.random.Generator]:

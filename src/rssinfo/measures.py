@@ -1,6 +1,10 @@
 """Shannon, Renyi and Kullback-Leibler measures for (distribution, design)
 pairs.
 
+A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
+uniform matrix, perfect RSS the identity.  Every numeric path integrates each
+distinct row once through the ``order_stats`` kernel, weighted by its count.
+
 Dispatch order: a closed form is used when one exists for the (family,
 design, measure) triple, otherwise the quadrature engine; ``force_numeric``
 bypasses closed forms so the two paths can be compared.
@@ -22,17 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from . import closed_form
+from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
 from .order_stats import (
-    OrderStatSpec,
     beta_order_log_pdf,
     beta_order_pdf,
-    judged_beta_mixture_pdf,
-    judged_pdf,
-    log_order_coeff,
-    order_stat_log_pdf,
-    order_stat_pdf,
+    judged_log_pdf,
+    judged_log_weight,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -86,6 +86,15 @@ class Design:
         elif self.P is not None:
             raise ValueError(f"design kind {self.kind!r} takes no error matrix")
 
+    @property
+    def matrix(self) -> RankingErrorMatrix:
+        """The ranking-error matrix: uniform for SRS, identity for perfect RSS."""
+        if self.kind == SRS:
+            return ranking_error.uniform(self.n)
+        if self.kind == PERFECT_RSS:
+            return ranking_error.identity(self.n)
+        return self.P
+
     def spec_string(self) -> str:
         base = f"{self.kind}:{self.n}"
         return base if self.m == 1 else f"{base} (m={self.m})"
@@ -122,13 +131,22 @@ def _from_quad(value: float, err: float, parts: list[QuadratureResult]) -> Measu
     )
 
 
-def _mixture_weight(design: Design, i: int, u):
-    """u-space density weight of component i relative to the parent density."""
-    if design.kind == SRS:
-        return np.ones_like(np.asarray(u, dtype=float))
-    if design.kind == PERFECT_RSS:
-        return beta_order_pdf(design.n, i, u)
-    return judged_beta_mixture_pdf(design.n, design.P, i, u)
+def _sum_over_rows(component, *designs: Design) -> MeasureResult:
+    """Sum ``component(i, *rows) -> (value, error, QuadratureResult)`` over
+    ranks i of the designs' matrices.  Ranks with equal rows in every matrix
+    have equal components: each is computed once, at its first rank."""
+    groups: dict[bytes, list] = {}
+    for i, rows in enumerate(zip(*(d.matrix.entries for d in designs)), start=1):
+        groups.setdefault(b"".join(row.tobytes() for row in rows), [i, rows, 0])[2] += 1
+    parts: list[QuadratureResult] = []
+    total = 0.0
+    err = 0.0
+    for i, rows, count in groups.values():
+        value, error, r = component(i, *rows)
+        parts.append(r)
+        total += count * value
+        err += count * error
+    return _from_quad(total, err, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -173,56 +191,33 @@ def _shannon_closed_form(design: Design, dist: Distribution) -> MeasureResult | 
 
 def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
     n = design.n
+    log_fq = dist.log_pdf_at_quantile
 
-    def log_fq(u):
-        return dist.log_pdf_at_quantile(u)
+    def component(i, row):
+        log_weight = judged_log_weight(row)
+        ranks = np.flatnonzero(row)
+        if ranks.size == 1:
+            # a true order statistic: its uniform entropy is known exactly
+            r = integrate(lambda u: np.exp(log_weight(u, 1.0 - u)) * log_fq(u), 0.0, 1.0, cfg)
+            return closed_form.h_uniform_order(n, int(ranks[0]) + 1) - r.value, r.error_estimate, r
 
-    parts: list[QuadratureResult] = []
-    total = 0.0
-    if design.kind == SRS:
-        r = integrate(lambda u: -log_fq(u), 0.0, 1.0, cfg)
-        parts.append(r)
-        total = n * r.value
-        err = n * r.error_estimate
-    elif design.kind == PERFECT_RSS:
-        err = 0.0
-        for i in range(1, n + 1):
-            r = integrate(lambda u, i=i: beta_order_pdf(n, i, u) * log_fq(u), 0.0, 1.0, cfg)
-            parts.append(r)
-            total += closed_form.h_uniform_order(n, i) - r.value
-            err += r.error_estimate
-    else:
-        err = 0.0
-        for i in range(1, n + 1):
+        def integrand(u):
+            lw = log_weight(u, 1.0 - u)
+            return -np.exp(lw) * (lw + log_fq(u))
 
-            def integrand(u, i=i):
-                w = judged_beta_mixture_pdf(n, design.P, i, u)
-                return -(special.xlogy(w, w) + w * log_fq(u))
+        r = integrate(integrand, 0.0, 1.0, cfg)
+        return r.value, r.error_estimate, r
 
-            r = integrate(integrand, 0.0, 1.0, cfg)
-            parts.append(r)
-            total += r.value
-            err += r.error_estimate
-    return _from_quad(total, err, parts)
+    return _sum_over_rows(component, design)
 
 
 def _shannon_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    n = design.n
-    parts: list[QuadratureResult] = []
-    total = 0.0
-    err = 0.0
-    for i in range(1, n + 1):
-        if design.kind == SRS:
-            density = dist.pdf
-        elif design.kind == PERFECT_RSS:
-            density = lambda x, i=i: order_stat_pdf(OrderStatSpec(n, i, dist), x)
-        else:
-            density = lambda x, i=i: judged_pdf(dist, n, design.P, i, x)
-        r = entropy_integral(density, dist.support, cfg)
-        parts.append(r)
-        total += r.value
-        err += r.error_estimate
-    return _from_quad(total, err, parts)
+    def component(i, row):
+        log_pdf = judged_log_pdf(dist, row)
+        r = entropy_integral(lambda x: np.exp(log_pdf(x)), dist.support, cfg)
+        return r.value, r.error_estimate, r
+
+    return _sum_over_rows(component, design)
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +258,22 @@ def _renyi_closed_form(design: Design, dist: Distribution, alpha: float) -> Meas
 
 
 def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: QuadratureConfig) -> MeasureResult:
-    n = design.n
     om = 1.0 - alpha
-    parts: list[QuadratureResult] = []
 
-    def component_log_density(i, x):
-        if design.kind == SRS:
-            return dist.log_pdf(x)
-        if design.kind == PERFECT_RSS:
-            return order_stat_log_pdf(OrderStatSpec(n, i, dist), x)
-        with np.errstate(divide="ignore"):
-            return np.log(judged_pdf(dist, n, design.P, i, x))
+    def component(i, row):
+        log_pdf = judged_log_pdf(dist, row)
 
-    total = 0.0
-    err = 0.0
-    ranks = [1] if design.kind == SRS else range(1, n + 1)
-    for i in ranks:
-
-        def integrand(x, i=i):
-            lg = component_log_density(i, x)
-            return np.where(np.isfinite(lg), np.exp(alpha * np.where(np.isfinite(lg), lg, 0.0)), 0.0)
+        def integrand(x):
+            lg = log_pdf(x)
+            finite = np.isfinite(lg)
+            return np.where(finite, np.exp(alpha * np.where(finite, lg, 0.0)), 0.0)
 
         r = integrate_support(integrand, dist.support, cfg)
-        parts.append(r)
         if r.value <= 0:
             raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
-        contrib = math.log(r.value) / om
-        total += contrib
-        err += r.error_estimate / (abs(om) * r.value)
-    if design.kind == SRS:
-        total *= n
-        err *= n
-    return _from_quad(total, err, parts)
+        return math.log(r.value) / om, r.error_estimate / (abs(om) * r.value), r
+
+    return _sum_over_rows(component, design)
 
 
 def renyi_gap_binomial(
@@ -328,13 +307,8 @@ def renyi_gap_binomial(
     for i in range(1, n + 1):
 
         def integrand(u, i=i):
-            log_pmf = (
-                special.gammaln(n)
-                - special.gammaln(i)
-                - special.gammaln(n - i + 1)
-                + special.xlogy(i - 1, u)
-                + special.xlogy(n - i, 1.0 - u)
-            )
+            # Binomial(n-1, u) pmf at i-1 is the Beta(i, n-i+1) density over n
+            log_pmf = beta_order_log_pdf(n, i, u) - math.log(n)
             return np.exp(alpha * log_pmf) * weight(u)
 
         r = integrate(integrand, 0.0, 1.0, cfg)
@@ -365,9 +339,8 @@ def kl_srs_vs_design(
     """
     if design.kind == SRS:
         raise ValueError("design must be an RSS kind (perfect or imperfect)")
-    n = design.n
     if design.kind == PERFECT_RSS and not force_numeric and mode == "u":
-        return _closed(closed_form.d_n(n)).scaled(design.m)
+        return _closed(closed_form.d_n(design.n)).scaled(design.m)
 
     if mode == "x":
         if dist is None:
@@ -379,71 +352,29 @@ def kl_srs_vs_design(
 
 
 def _kl_srs_u_space(design: Design, cfg: QuadratureConfig) -> MeasureResult:
-    n = design.n
-    parts: list[QuadratureResult] = []
-    total = 0.0
-    err = 0.0
-    for i in range(1, n + 1):
+    def component(i, row):
+        log_weight = judged_log_weight(row)
+        r = integrate(lambda u: -log_weight(u, 1.0 - u), 0.0, 1.0, cfg)
+        return r.value, r.error_estimate, r
 
-        def integrand(u, i=i):
-            w = _mixture_weight(design, i, u)
-            with np.errstate(divide="ignore"):
-                return -np.log(w)
-
-        r = integrate(integrand, 0.0, 1.0, cfg)
-        parts.append(r)
-        total += r.value
-        err += r.error_estimate
-    return _from_quad(total, err, parts)
-
-
-def _mixture_log_weight_tail_stable(design: Design, i: int, F, S):
-    """log of the u-space component weight, from cdf and survival separately
-    so the upper tail (where cdf rounds to 1) stays accurate."""
-    n = design.n
-
-    def log_beta_kernel(r):
-        with np.errstate(divide="ignore"):
-            return (
-                log_order_coeff(n, r)
-                + special.xlogy(r - 1, F)
-                + special.xlogy(n - r, S)
-            )
-
-    if design.kind == SRS:
-        return np.zeros_like(np.asarray(F, dtype=float))
-    if design.kind == PERFECT_RSS:
-        return log_beta_kernel(i)
-    weights = design.P.row(i)
-    logs = np.stack(
-        [
-            np.where(weights[r - 1] > 0.0, math.log(max(weights[r - 1], 1e-300)) + log_beta_kernel(r), -np.inf)
-            for r in range(1, n + 1)
-        ]
-    )
-    return special.logsumexp(logs, axis=0)
+    return _sum_over_rows(component, design)
 
 
 def _kl_srs_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    n = design.n
-    parts: list[QuadratureResult] = []
-    total = 0.0
-    err = 0.0
-    for i in range(1, n + 1):
+    def component(i, row):
+        log_weight = judged_log_weight(row)
 
-        def integrand(x, i=i):
+        def integrand(x):
             f = dist.pdf(x)
-            logw = _mixture_log_weight_tail_stable(design, i, dist.cdf(x), dist.survival(x))
+            logw = log_weight(dist.cdf(x), dist.survival(x))
             with np.errstate(invalid="ignore"):
                 # below ~1e-300 the density kills any log factor; avoid 0 * inf
-                val = np.where(f > 1e-300, -f * logw, 0.0)
-            return val
+                return np.where(f > 1e-300, -f * logw, 0.0)
 
         r = integrate_support(integrand, dist.support, cfg)
-        parts.append(r)
-        total += r.value
-        err += r.error_estimate
-    return _from_quad(total, err, parts)
+        return r.value, r.error_estimate, r
+
+    return _sum_over_rows(component, design)
 
 
 def kl_two_sample(
@@ -462,28 +393,17 @@ def kl_two_sample(
         raise ValueError("designs must share the set size n")
     if design_x.m != design_y.m:
         raise ValueError("designs must share the cycle count m")
-    n = design_x.n
-    parts: list[QuadratureResult] = []
-    total = 0.0
-    err = 0.0
-    for i in range(1, n + 1):
 
-        def integrand(u, i=i):
-            wx = _mixture_weight(design_x, i, u)
-            x = dist_f.quantile(u)
+    def component(i, row_x, row_y):
+        log_wx = judged_log_weight(row_x)
+        log_py = judged_log_pdf(dist_g, row_y)
+
+        def integrand(u):
+            lx = log_wx(u, 1.0 - u)
+            wx = np.exp(lx)
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_wx = np.log(wx)
-                log_wy = _mixture_log_weight_tail_stable(
-                    design_y, i, dist_g.cdf(x), dist_g.survival(x)
-                )
-                bracket = (
-                    log_wx
-                    + dist_f.log_pdf_at_quantile(u)
-                    - log_wy
-                    - dist_g.log_pdf(x)
-                )
-                val = np.where(wx > 0.0, wx * bracket, 0.0)
-            return val
+                bracket = lx + dist_f.log_pdf_at_quantile(u) - log_py(dist_f.quantile(u))
+                return np.where(wx > 0.0, wx * bracket, 0.0)
 
         try:
             r = integrate(integrand, 0.0, 1.0, cfg)
@@ -491,10 +411,9 @@ def kl_two_sample(
             raise DivergentIntegralError(
                 f"two-sample KL integrand is not integrable (component {i}, u = {exc.x})"
             ) from exc
-        parts.append(r)
-        total += r.value
-        err += r.error_estimate
-    return _from_quad(total, err, parts).scaled(design_x.m)
+        return r.value, r.error_estimate, r
+
+    return _sum_over_rows(component, design_x, design_y).scaled(design_x.m)
 
 
 def kld_symmetric(

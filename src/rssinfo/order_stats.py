@@ -1,13 +1,18 @@
 """Densities of order statistics and judged (imperfectly ranked) order
-statistics, plus the Beta(i, n-i+1) kernel they are built from.
+statistics, all built on one kernel, ``judged_log_weight(row)``: for a row p
+of a ranking-error matrix it gives, from the parent's cdf F and survival S,
 
-All coefficients go through log-gamma so set sizes well beyond 170 stay
-finite.  The convention 0**0 = 1 applies at the rank extremes i = 1 and
-i = n (handled via xlogy).
+    log sum_r p_r n! / ((r-1)! (n-r)!) F^(r-1) S^(n-r),
+
+the log density of the judged unit relative to the parent.  It is exactly 0
+for a uniform row, one xlogy kernel for a one-hot row, and otherwise one
+max-shifted log-sum-exp over the nonzero ranks, so large n stays finite.
+Coefficients go through log-gamma; 0**0 = 1 at the rank extremes (xlogy).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +35,74 @@ def log_order_coeff(n: int, i: int) -> float:
     return -special.betaln(i, n - i + 1)
 
 
+def _zero_log_weight(F, S):
+    return np.zeros(np.broadcast(F, S).shape)
+
+
+def _beta_log_kernel(c, a, b, F, S):
+    """c + a log F + b log S, with 0 log 0 = 0: log coefficient c plus the
+    Beta(a+1, b+1) kernel, for one rank or, broadcast, for many."""
+    with np.errstate(divide="ignore"):
+        return c + special.xlogy(a, F) + special.xlogy(b, S)
+
+
+def judged_log_weight(row):
+    """Analyse one row of a ranking-error matrix once; return the function
+    (F, S) -> log weight.  Taking the cdf and the survival separately keeps
+    the upper tail, where F rounds to 1, exact."""
+    row = np.asarray(row, dtype=float)
+    n = row.size
+    if np.all(row == row[0]):
+        return _zero_log_weight
+    ranks = np.flatnonzero(row)
+    if ranks.size == 1:
+        r = int(ranks[0]) + 1
+        return functools.partial(_beta_log_kernel, log_order_coeff(n, r), r - 1, n - r)
+    log_c = (np.log(row[ranks]) - special.betaln(ranks + 1, n - ranks))[:, None]
+    a = ranks[:, None].astype(float)
+    b = (n - 1 - ranks)[:, None].astype(float)
+
+    def log_weight(F, S):
+        F, S = np.broadcast_arrays(np.asarray(F, dtype=float), np.asarray(S, dtype=float))
+        terms = _beta_log_kernel(log_c, a, b, F.reshape(1, -1), S.reshape(1, -1))
+        with np.errstate(invalid="ignore"):
+            top = terms.max(axis=0)
+            top = np.where(np.isfinite(top), top, 0.0)
+            out = top + np.log(np.exp(terms - top).sum(axis=0))
+        return out.reshape(F.shape)
+
+    return log_weight
+
+
+def judged_log_pdf(dist: Distribution, row):
+    """x -> log density of the unit judged by ``row``: the kernel at the
+    parent's cdf and survival plus its log density, each evaluated once."""
+    log_weight = judged_log_weight(row)
+    if log_weight is _zero_log_weight:  # a uniform row leaves the parent law
+        return dist.log_pdf
+
+    def log_pdf(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lg = log_weight(dist.cdf(x), dist.survival(x)) + dist.log_pdf(x)
+        return np.where(np.isnan(lg), -np.inf, lg)
+
+    return log_pdf
+
+
+def _judged_row(n: int, P: RankingErrorMatrix, i: int) -> np.ndarray:
+    if P.n != n:
+        raise ValueError(f"error matrix dimension {P.n} does not match n = {n}")
+    return P.row(i)
+
+
 def beta_order_pdf(n: int, i: int, u):
     """Beta(i, n-i+1) density, the law of the i-th of n uniform order stats."""
     return np.exp(beta_order_log_pdf(n, i, u))
 
 
 def beta_order_log_pdf(n: int, i: int, u):
-    _check_rank(n, i)
     u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
-        lg = (
-            log_order_coeff(n, i)
-            + special.xlogy(i - 1, u)
-            + special.xlogy(n - i, 1.0 - u)
-        )
-    return lg
+    return _beta_log_kernel(log_order_coeff(n, i), i - 1, n - i, u, 1.0 - u)
 
 
 @dataclass(frozen=True)
@@ -63,45 +121,16 @@ def order_stat_pdf(spec: OrderStatSpec, x):
 
 
 def order_stat_log_pdf(spec: OrderStatSpec, x):
-    n, i, dist = spec.n, spec.i, spec.dist
-    F = dist.cdf(x)
-    S = dist.survival(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = (
-            log_order_coeff(n, i)
-            + special.xlogy(i - 1, F)
-            + special.xlogy(n - i, S)
-            + dist.log_pdf(x)
-        )
-    return np.where(np.isnan(lg), -np.inf, lg)
+    return judged_log_pdf(spec.dist, np.eye(spec.n)[spec.i - 1])(x)
 
 
 def judged_pdf(dist: Distribution, n: int, P: RankingErrorMatrix, i: int, x):
     """Density of the unit judged to have rank i: the p[i, r] mixture of the
     true order-statistic densities."""
-    if P.n != n:
-        raise ValueError(f"error matrix dimension {P.n} does not match n = {n}")
-    _check_rank(n, i)
-    weights = P.row(i)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for r in range(1, n + 1):
-        w = weights[r - 1]
-        if w > 0.0:
-            out = out + w * order_stat_pdf(OrderStatSpec(n, r, dist), x)
-    return out
+    return np.exp(judged_log_pdf(dist, _judged_row(n, P, i))(x))
 
 
 def judged_beta_mixture_pdf(n: int, P: RankingErrorMatrix, i: int, u):
     """u-space counterpart of ``judged_pdf``: sum_r p[i, r] Beta(r, n-r+1)(u)."""
-    if P.n != n:
-        raise ValueError(f"error matrix dimension {P.n} does not match n = {n}")
-    _check_rank(n, i)
-    weights = P.row(i)
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    for r in range(1, n + 1):
-        w = weights[r - 1]
-        if w > 0.0:
-            out = out + w * beta_order_pdf(n, r, u)
-    return out
+    return np.exp(judged_log_weight(_judged_row(n, P, i))(u, 1.0 - u))

@@ -127,6 +127,33 @@ def test_parse_errors_exit_two(capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--config", "{missing}"),
+        ("measure", "shannon", "--design", "irss:2", "--dist", "exp:1", "--error-matrix", "{missing}"),
+        ("measure", "shannon", "--design", "irss:2", "--dist", "exp:1", "--error-matrix", "{malformed}"),
+        ("measure", "kl", "--design", "srs:2", "--dist", "exp:1"),
+        ("measure", "renyi", "--alpha", "1", "--design", "rss:2", "--dist", "exp:1"),
+        ("measure", "renyi", "--alpha", "-1", "--design", "rss:2", "--dist", "exp:1"),
+        ("measure", "shannon", "--design", "rss:0", "--dist", "exp:1"),
+        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--quad-abs-tol", "-1"),
+        ("conjecture-scan", "--family", "exp:1", "--n-values", "0", "--alphas", "2"),
+    ],
+    ids=[
+        "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
+        "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
+    ],
+)
+def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("0.8,zero\n0.2,0.8\n")
+    paths = {"missing": str(tmp_path / "absent.csv"), "malformed": str(malformed)}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error:")
+
+
 def test_unknown_flag_exits_two(capsys):
     assert run(capsys, "table-k", "--bogus")[0] == cli.EXIT_PARSE
 

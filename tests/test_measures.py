@@ -25,6 +25,13 @@ def test_design_validation():
         Design("srs", 2, m=0)
 
 
+def test_design_matrix():
+    assert np.array_equal(Design("srs", 3).matrix.entries, np.full((3, 3), 1.0 / 3.0))
+    assert np.array_equal(Design("rss", 3).matrix.entries, np.eye(3))
+    P = re.blend(3, 0.5)
+    assert Design("irss", 3, P).matrix is P
+
+
 def test_shannon_closed_vs_numeric_both_modes():
     dist = Exponential(1.0)
     for design in [
@@ -59,14 +66,16 @@ def test_shannon_gap_is_distribution_free(families):
 
 
 def test_shannon_imperfect_limits():
+    # the identity and uniform matrices run through the same code as RSS and SRS
     dist = Weibull(2.0, 1.0)
-    n = 3
-    rss = M.shannon(Design("rss", n), dist, force_numeric=True).value
-    srs = M.shannon(Design("srs", n), dist, force_numeric=True).value
-    ident = M.shannon(Design("irss", n, re.identity(n)), dist).value
-    rand = M.shannon(Design("irss", n, re.uniform(n)), dist).value
-    assert abs(ident - rss) < 1e-7
-    assert abs(rand - srs) < 1e-7
+    for n in (2, 5, 8):
+        rss = M.shannon(Design("rss", n), dist, force_numeric=True).value
+        srs = M.shannon(Design("srs", n), dist, force_numeric=True).value
+        ident = M.shannon(Design("irss", n, re.identity(n)), dist).value
+        rand = M.shannon(Design("irss", n, re.uniform(n)), dist).value
+        assert ident == rss
+        assert rand == srs
+        assert abs(srs - n * dist.entropy()) < 1e-7
 
 
 def test_renyi_closed_vs_numeric():
@@ -126,14 +135,21 @@ def test_kl_perfect_is_distribution_free(families):
 
 
 def test_kl_imperfect_limits():
-    n = 3
-    ident = M.kl_srs_vs_design(Design("irss", n, re.identity(n)))
-    rand = M.kl_srs_vs_design(Design("irss", n, re.uniform(n)))
-    assert abs(ident.value - cf.d_n(n)) < 1e-8
-    assert abs(rand.value) < 1e-10
-    # imperfect ranking never exceeds the perfect-ranking divergence
-    mid = M.kl_srs_vs_design(Design("irss", n, re.blend(n, 0.5)))
-    assert 0.0 < mid.value < cf.d_n(n)
+    for n in (2, 5, 8):
+        ident = M.kl_srs_vs_design(Design("irss", n, re.identity(n)))
+        rand = M.kl_srs_vs_design(Design("irss", n, re.uniform(n)))
+        assert ident.value == M.kl_srs_vs_design(Design("rss", n), force_numeric=True).value
+        assert abs(ident.value - cf.d_n(n)) <= ident.error_estimate
+        assert rand.value == 0.0  # K(SRS, SRS)
+        # imperfect ranking never exceeds the perfect-ranking divergence
+        mid = M.kl_srs_vs_design(Design("irss", n, re.blend(n, 0.5)))
+        assert 0.0 < mid.value < cf.d_n(n)
+
+
+def test_kl_large_n_u_space_stays_finite():
+    res = M.kl_srs_vs_design(Design("rss", 50), force_numeric=True)
+    assert res.diagnostics["converged"]
+    assert abs(res.value - cf.d_n(50)) <= res.error_estimate
 
 
 def test_kl_srs_design_rejects_srs():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential
@@ -10,6 +11,7 @@ from rssinfo.order_stats import (
     beta_order_log_pdf,
     beta_order_pdf,
     judged_beta_mixture_pdf,
+    judged_log_weight,
     judged_pdf,
     log_order_coeff,
     order_stat_log_pdf,
@@ -102,16 +104,15 @@ def test_order_stat_log_pdf_outside_support():
 def test_judged_pdf_limits():
     dist = Exponential(1.0)
     x = np.linspace(0.1, 4.0, 17)
-    # identity matrix: judged = true order statistic
-    np.testing.assert_allclose(
-        judged_pdf(dist, 3, re.identity(3), 2, x),
-        order_stat_pdf(OrderStatSpec(3, 2, dist), x),
-        rtol=1e-12,
-    )
-    # uniform matrix: judged = parent
-    np.testing.assert_allclose(
-        judged_pdf(dist, 3, re.uniform(3), 2, x), dist.pdf(x), rtol=0, atol=1e-12
-    )
+    for n in (2, 5, 8):
+        for i in range(1, n + 1):
+            # identity matrix: judged = true order statistic, through the same kernel
+            ident = judged_pdf(dist, n, re.identity(n), i, x)
+            assert np.array_equal(ident, order_stat_pdf(OrderStatSpec(n, i, dist), x))
+            # uniform matrix: judged = parent, whose log density is used as is
+            rand = judged_pdf(dist, n, re.uniform(n), i, x)
+            assert np.array_equal(rand, np.exp(dist.log_pdf(x)))
+            np.testing.assert_allclose(rand, dist.pdf(x), rtol=0, atol=1e-12)
 
 
 def test_judged_beta_mixture_matches_x_space():
@@ -120,11 +121,20 @@ def test_judged_beta_mixture_matches_x_space():
     u = np.linspace(0.05, 0.95, 19)
     x = dist.quantile(u)
     for i in range(1, 4):
-        np.testing.assert_allclose(
-            judged_beta_mixture_pdf(3, P, i, u) * dist.pdf(x),
-            judged_pdf(dist, 3, P, i, x),
-            rtol=1e-10,
-        )
+        mixture = judged_beta_mixture_pdf(3, P, i, u)
+        np.testing.assert_allclose(mixture * dist.pdf(x), judged_pdf(dist, 3, P, i, x), rtol=1e-10)
+        reference = sum(P.row(i)[r - 1] * stats.beta.pdf(u, r, 3 - r + 1) for r in range(1, 4))
+        np.testing.assert_allclose(mixture, reference, rtol=1e-12)
+
+
+def test_judged_log_weight_large_n_tails_stay_finite():
+    P = re.blend(50, 0.5)
+    u = np.array([1e-9, 1.0 - 1e-9])
+    for i in (1, 2, 25, 49, 50):
+        lw = judged_log_weight(P.row(i))(u, 1.0 - u)
+        assert np.all(np.isfinite(lw)), (i, lw)
+        reference = sum(P.row(i)[r - 1] * stats.beta.pdf(u, r, 50 - r + 1) for r in range(1, 51))
+        np.testing.assert_allclose(lw, np.log(reference), rtol=1e-12)
 
 
 def test_rank_validation():

@@ -227,6 +227,10 @@ def cmd_measure(args) -> int:
             raise CliParseError(f"--alpha must be positive and != 1 (1 is shannon), got {args.alpha}")
     if args.measure == "kl" and args.design.strip().startswith("srs:"):
         raise CliParseError("kl compares SRS against an rss or irss design, got --design srs")
+    try:
+        sim = mc_oracle.SimConfig(replications=args.replications, seed=args.seed) if args.oracle else None
+    except ValueError as exc:
+        raise CliParseError(f"bad --replications: {exc}") from exc
     if args.measure == "shannon":
         res = measures.shannon(design, dist, cfg, force_numeric=args.force_numeric)
     elif args.measure == "renyi":
@@ -237,7 +241,6 @@ def cmd_measure(args) -> int:
         raise CliParseError(f"unknown measure {args.measure!r}")
     rec = measures.result_record(args.measure, design, dist, res, args.alpha)
     if args.oracle:
-        sim = mc_oracle.SimConfig(replications=args.replications, seed=args.seed)
         if args.measure == "shannon":
             est = mc_oracle.mc_entropy(design, dist, sim)
         elif args.measure == "renyi":
@@ -254,6 +257,10 @@ def cmd_measure(args) -> int:
 
 def cmd_figure(args) -> int:
     cfg = _quad_config(args)
+    if not args.rate > 0:
+        raise CliParseError(f"--rate must be positive, got {args.rate}")
+    if args.points < 1:
+        raise CliParseError(f"--points must be >= 1, got {args.points}")
     lam = args.rate
     if args.figure_id == "1":
         rows = []

@@ -11,9 +11,9 @@ bypasses closed forms so the two paths can be compared.
 
 Default numeric path for Shannon and KL is u-space (quantile substitution),
 which keeps every integral on the fixed domain (0, 1) with singularities only
-at the known endpoints.  Renyi integrals are done in x-space because the
-u-space weight f(F^-1(u))^(alpha-1) is not truncation-friendly for
-heavy-tailed families when alpha < 1.
+at the known endpoints.  Renyi integrals are done in x-space: for alpha < 1
+the u-space weight f(F^-1(u))^(alpha-1) has an endpoint power singularity,
+(1-u)^(alpha-1) for the exponential, that bisection cannot resolve.
 
 All values are in nats and scale additively with the cycle count m.
 """
@@ -268,7 +268,11 @@ def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: Quadra
             finite = np.isfinite(lg)
             return np.where(finite, np.exp(alpha * np.where(finite, lg, 0.0)), 0.0)
 
-        r = integrate_support(integrand, dist.support, cfg)
+        try:
+            with np.errstate(over="ignore"):  # an overflow is raised as divergence
+                r = integrate_support(integrand, dist.support, cfg)
+        except NonFiniteIntegrandError as exc:
+            raise DivergentIntegralError(f"renyi integrand overflows at x = {exc.x}") from exc
         if r.value <= 0:
             raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
         return math.log(r.value) / om, r.error_estimate / (abs(om) * r.value), r

@@ -49,20 +49,26 @@ def report(capsys):
 
 def test_criterion_01_shannon_gap_table(report):
     worst_table = worst_paths = 0.0
+    integrals = []
     for n, expected in zip(range(2, 11), K_TABLE):
         direct = cf.k_direct(n)
         recursive = cf.k_recursive(n)
-        from_quad = math.fsum(
-            entropy_integral(lambda u, n=n, i=i: beta_order_pdf(n, i, u), Uniform.support, TIGHT).value
+        parts = [
+            entropy_integral(lambda u, n=n, i=i: beta_order_pdf(n, i, u), Uniform.support, TIGHT)
             for i in range(1, n + 1)
-        )
+        ]
+        integrals += parts
+        from_quad = math.fsum(r.value for r in parts)
         worst_table = max(worst_table, abs(direct - expected))
         worst_paths = max(worst_paths, abs(direct - recursive), abs(direct - from_quad))
-    ok = worst_table <= 1e-3 and worst_paths <= 1e-8
+    unconverged = sum(not r.converged for r in integrals)
+    ok = worst_table <= 1e-3 and worst_paths <= 1e-8 and not unconverged
     report(1, ok, f"k(2..10) vs table |Δ|≤{worst_table:.1e} (tol 1e-3); "
-                  f"direct/recursive/quadrature spread ≤{worst_paths:.1e} (tol 1e-8)")
+                  f"direct/recursive/quadrature spread ≤{worst_paths:.1e} (tol 1e-8); "
+                  f"unconverged integrals: {unconverged}/{len(integrals)}")
     assert worst_table <= 1e-3
     assert worst_paths <= 1e-8
+    assert not unconverged
 
 
 def test_criterion_02_exponential_set_size_two(report):
@@ -193,15 +199,22 @@ def test_criterion_05_conjecture_scan_default_grid(report):
 
 def test_criterion_06_kl_suite(report):
     failures = []
+    calls = []
+
+    def track(fn, *args, **kwargs):
+        res = fn(*args, **kwargs)
+        calls.append(res)
+        return res
+
     # u-space quadrature vs the closed constant
     for n in GRID_NS:
-        v = M.kl_srs_vs_design(Design("rss", n), cfg=TIGHT, force_numeric=True)
+        v = track(M.kl_srs_vs_design, Design("rss", n), cfg=TIGHT, force_numeric=True)
         if abs(v.value - cf.d_n(n)) > 1e-8:
             failures.append(("u-space", n))
     # x-space distribution-freeness
     for dist in [Exponential(1.0), Normal(0.0, 1.0), Uniform()]:
         for n in range(2, 7):
-            v = M.kl_srs_vs_design(Design("rss", n), dist, mode="x", force_numeric=True)
+            v = track(M.kl_srs_vs_design, Design("rss", n), dist, mode="x", force_numeric=True)
             if abs(v.value - cf.d_n(n)) > 1e-6:
                 failures.append(("x-space", dist.spec_string(), n))
     dn = [cf.d_n(n) for n in range(1, 12)]
@@ -210,35 +223,38 @@ def test_criterion_06_kl_suite(report):
     # K(RSS, SRS) = -k(n)
     dist = Exponential(1.0)
     for n in range(2, 6):
-        v = M.kl_two_sample(Design("rss", n), dist, Design("srs", n), dist)
+        v = track(M.kl_two_sample, Design("rss", n), dist, Design("srs", n), dist)
         if abs(v.value - (-cf.k_direct(n))) > 1e-7:
             failures.append(("K(RSS,SRS)", n))
     # symmetric divergence: d_n - k(n), exactly 1 at n = 2
-    sym2 = M.kld_symmetric(Design("srs", 2), dist, Design("rss", 2), dist)
+    sym2 = track(M.kld_symmetric, Design("srs", 2), dist, Design("rss", 2), dist)
     if abs(sym2.value - 1.0) > 1e-7:
         failures.append(("KLD n=2",))
     for n in (3, 4):
-        sym = M.kld_symmetric(Design("srs", n), dist, Design("rss", n), dist)
+        sym = track(M.kld_symmetric, Design("srs", n), dist, Design("rss", n), dist)
         if abs(sym.value - (cf.d_n(n) - cf.k_direct(n))) > 1e-7:
             failures.append(("KLD identity", n))
     # convexity ordering: K(SRS,SRS) <= K(SRS,RSS) for unequal exponentials
     f, g = Exponential(1.0), Exponential(2.0)
     for n in (2, 3):
-        lo = M.kl_two_sample(Design("srs", n), f, Design("srs", n), g)
-        hi = M.kl_two_sample(Design("srs", n), f, Design("rss", n), g)
+        lo = track(M.kl_two_sample, Design("srs", n), f, Design("srs", n), g)
+        hi = track(M.kl_two_sample, Design("srs", n), f, Design("rss", n), g)
         if lo.value > hi.value + 1e-9:
             failures.append(("convexity ordering", n))
     # perfect ranking dominates imperfect ranking, and the matrix limits hold
     for n in GRID_NS:
         perfect = cf.d_n(n)
         for name, make in GRID_MATRICES:
-            v = M.kl_srs_vs_design(Design("irss", n, make(n)))
+            v = track(M.kl_srs_vs_design, Design("irss", n, make(n)))
             if v.value > perfect + v.error_estimate + 1e-9:
                 failures.append(("imperfect dominance", n, name))
-        ident = M.kl_srs_vs_design(Design("irss", n, re.identity(n)), cfg=TIGHT)
-        rand = M.kl_srs_vs_design(Design("irss", n, re.uniform(n)), cfg=TIGHT)
+        ident = track(M.kl_srs_vs_design, Design("irss", n, re.identity(n)), cfg=TIGHT)
+        rand = track(M.kl_srs_vs_design, Design("irss", n, re.uniform(n)), cfg=TIGHT)
         if abs(ident.value - perfect) > 1e-8 or abs(rand.value) > 1e-9:
             failures.append(("matrix limits", n))
+    unconverged = sum(not r.diagnostics["converged"] for r in calls)
+    if unconverged:
+        failures.append(("not converged", unconverged, len(calls)))
     ok = not failures
     report(6, ok, f"KL suite failures: {len(failures)}" + (f" {failures[:3]}" if failures else ""))
     assert not failures, failures

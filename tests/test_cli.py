@@ -139,10 +139,14 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "rss:0", "--dist", "exp:1"),
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--quad-abs-tol", "-1"),
         ("conjecture-scan", "--family", "exp:1", "--n-values", "0", "--alphas", "2"),
+        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--replications", "10"),
+        ("figure", "--id", "2a", "--rate", "-1"),
+        ("figure", "--id", "1", "--points", "-3"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
+        "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):

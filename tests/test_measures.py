@@ -104,6 +104,18 @@ def test_renyi_rejects_bad_alpha():
         M.renyi(Design("srs", 2), Exponential(1.0), -2.0)
 
 
+def test_renyi_weibull_unbounded_density():
+    # f ~ x^(k-1) at 0: f^2 is an x^-0.8 endpoint singularity for k = 0.6,
+    # integrable; for k = 0.3 it diverges and overflows before x reaches 0
+    k = 0.6
+    truth = -math.log(k * math.gamma(2.0 - 1.0 / k) / 2.0 ** (2.0 - 1.0 / k))
+    res = M.renyi(Design("srs", 1), Weibull(k, 1.0), 2.0)
+    assert res.diagnostics["converged"]
+    assert abs(res.value - truth) <= res.error_estimate
+    with pytest.raises(DivergentIntegralError):
+        M.renyi(Design("srs", 1), Weibull(0.3, 1.0), 2.0)
+
+
 def test_renyi_gap_binomial_matches_direct_route():
     for dist in [Uniform(), Exponential(1.0), Normal(0.0, 1.0)]:
         for n, alpha in [(2, 2.0), (3, 1.5), (4, 3.0)]:

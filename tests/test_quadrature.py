@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rssinfo.distributions import Support
+from rssinfo.closed_form import d_n, k_direct
+from rssinfo.distributions import Exponential, Support
+from rssinfo.measures import Design, kl_srs_vs_design, shannon
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
     NonFiniteIntegrandError,
@@ -79,8 +81,36 @@ def test_non_finite_integrand_raises_with_location():
             return 1.0 / (x - 0.5)
 
     with pytest.raises(NonFiniteIntegrandError) as err:
-        integrate(f, 0.0, 1.0, QuadratureConfig(endpoint_inset=0.0))
+        integrate(f, 0.0, 1.0)
     assert 0.0 < err.value.x < 1.0
+
+
+def test_unreachable_tolerance_stops_at_float_resolution():
+    # Bisection toward the log singularities reaches float resolution; it must
+    # stop there, not converged, without evaluating at u = 0.0 or u = 1.0.
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=1000)
+    cases = [
+        (integrate(lambda u: np.log1p(-u), 0.0, 1.0, cfg), -1.0),
+        (kl_srs_vs_design(Design("rss", 3), cfg=cfg, force_numeric=True), d_n(3)),
+        (shannon(Design("rss", 3), Exponential(1.0), cfg, force_numeric=True), 3.0 + k_direct(3)),
+    ]
+    for r, truth in cases:
+        converged = r.converged if isinstance(r, QuadratureResult) else r.diagnostics["converged"]
+        assert not converged
+        assert math.isfinite(r.value)
+        assert abs(r.value - truth) <= r.error_estimate, (r, truth)
+
+
+def test_endpoint_power_singularity_error_is_honest():
+    # |K15 - G7| under-reports the error of an x^-p endpoint panel for p
+    # above about 0.6; near u = 1 the nodes also run out of float resolution.
+    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+    for p in (0.6, 0.7, 0.8, 0.9):
+        for r in (
+            integrate(lambda x: x**-p, 0.0, 1.0, cfg),
+            integrate(lambda u: (1.0 - u) ** -p, 0.0, 1.0, cfg),
+        ):
+            assert abs(r.value - 1.0 / (1.0 - p)) <= r.error_estimate or not r.converged, (p, r)
 
 
 def test_subdivision_budget_marks_non_convergence():

@@ -47,7 +47,7 @@ from .ranking_error import RankingErrorMatrix
 
 
 class DivergentIntegralError(ValueError):
-    """The divergence integrand is not integrable (e.g. support mismatch)."""
+    """The integral is not integrable (e.g. support mismatch) or not representable in floats."""
 
 
 SRS = "srs"
@@ -269,10 +269,13 @@ def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: Quadra
             return np.where(finite, np.exp(alpha * np.where(finite, lg, 0.0)), 0.0)
 
         try:
-            with np.errstate(over="ignore"):  # an overflow is raised as divergence
+            with np.errstate(over="ignore"):  # an overflow is raised below
                 r = integrate_support(integrand, dist.support, cfg)
         except NonFiniteIntegrandError as exc:
-            raise DivergentIntegralError(f"renyi integrand overflows at x = {exc.x}") from exc
+            raise DivergentIntegralError(
+                f"renyi integrand exceeds the float range at x = {exc.x}; "
+                "the integral may be divergent or out of range"
+            ) from exc
         if r.value <= 0:
             raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
         return math.log(r.value) / om, r.error_estimate / (abs(om) * r.value), r

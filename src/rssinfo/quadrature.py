@@ -1,18 +1,23 @@
 """Adaptive numerical integration used by every measure integral.
 
-The engine is a deterministic adaptive Gauss-Kronrod (G7/K15) scheme: the
-worst panel is bisected until the global error estimate meets tolerance.  No
-randomness anywhere; sums use math.fsum, which rounds once, so identical
-inputs give bit-identical results.
+The engine is a deterministic adaptive Gauss-Kronrod (G7/K15) scheme:
+each panel is scored by the embedded-rule discrepancy, the worst panel is
+bisected until the global error estimate meets tolerance.  No randomness
+anywhere; identical inputs give bit-identical results (final sums are
+accumulated with math.fsum over panels ordered by left endpoint).
 
 Endpoint singularities need no inset: nodes lie strictly inside their panel,
-and a panel narrower than _MIN_SPLIT_ULPS ulps is not split, so f is never
-evaluated at a or b and no node is rounded far from its place; if the worst
-panel is that narrow, the loop stops, not converged.  A panel's error is
-|K15 - G7|, raised to resasc (the K15 integral of |f - mean|) once it exceeds
-a tenth of resasc, as |K15 - G7| under-reports x^-p endpoint singularities
-for p > 0.6; it is never below QUADPACK's rounding floor 50 eps * integral of
-|f| (Piessens et al., QUADPACK, 1983).
+and a panel narrower than _MIN_SPLIT_ULPS ulps (of its endpoints, or of
+_MIN_SPLIT_SCALE near 0) is not split, so f is never evaluated at a or b, no
+node is rounded far from its place and none is subnormal; if the worst panel
+is that narrow, the loop stops, not converged.  A panel's error is
+|K15 - G7|, which under-reports x^-p endpoint singularities for p > 0.6.  So
+a panel at a or b whose |K15 - G7| exceeds a tenth of resasc (the K15
+integral of |f - mean|) is also charged the rule's error on the power law
+c*d^-p through its two nodes nearest that end (infinite for p >= 1), twice
+over, as the fit is exact only for a pure power law.
+No panel's error is below QUADPACK's rounding floor 50 eps * integral of |f|
+(Piessens et al., QUADPACK, 1983).
 """
 
 from __future__ import annotations
@@ -121,23 +126,48 @@ class QuadratureResult:
 
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 _MIN_SPLIT_ULPS = 4096  # children's outermost nodes stay >= 8 ulps inside
+_MIN_SPLIT_SCALE = 2.0**-970  # 4096 ulps of it keep every node a normal float
 
 
-def _panel(f, a: float, b: float):
-    """Evaluate one G7/K15 panel; returns (k15, error)."""
+def _power_law_error(d, fd, width: float) -> float:
+    """Rule error on c*d^-p fitted through the two nodes nearest a panel end.
+
+    d holds the nodes' distances from that end, nearest first, and fd the
+    integrand there.  Only a growing end (0 < p) is modelled; a fitted p >= 1
+    is not integrable, so the error is infinite.
+    """
+    if fd[0] == 0.0 or fd[1] == 0.0 or not 0.0 < d[0] < d[1]:
+        return 0.0  # no power law to fit: a zero, or nodes merged by rounding
+    p = math.log(abs(fd[0] / fd[1])) / math.log(d[1] / d[0])
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return math.inf
+    exact = d[0] * (width / d[0]) ** (1.0 - p) / (1.0 - p)
+    rule = 0.5 * width * float(np.dot(_WK, (d / d[0]) ** -p))
+    return abs(fd[0]) * abs(exact - rule)
+
+
+def _panel(f, a: float, b: float, lo: float, hi: float):
+    """Evaluate one G7/K15 panel of the integral over (lo, hi); returns (k15, error)."""
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _XK
+    mid = 0.5 * (a + b)
+    x = mid + half * _XK
     fx = np.asarray(f(x), dtype=float)
     if fx.shape != x.shape:
         fx = np.broadcast_to(fx, x.shape)
     if not np.all(np.isfinite(fx)):
-        raise NonFiniteIntegrandError(float(x[~np.isfinite(fx)][0]))
+        bad = x[~np.isfinite(fx)][0]
+        raise NonFiniteIntegrandError(float(bad))
     mean = 0.5 * float(np.dot(_WK, fx))
     k15 = 2.0 * half * mean
     err = abs(k15 - half * float(np.dot(_WG, fx[_GAUSS_IDX])))
     resasc = half * float(np.dot(_WK, np.abs(fx - mean)))
-    if 10.0 * err > resasc:  # unresolved panel: |K15 - G7| may under-report
-        err = resasc
+    if 10.0 * err > resasc:  # unresolved panel: an endpoint power law may hide
+        if a == lo:
+            err = max(err, 2.0 * _power_law_error(x - a, fx, b - a))
+        if b == hi:
+            err = max(err, 2.0 * _power_law_error(b - x[::-1], fx[::-1], b - a))
     return k15, max(err, _ROUNDING_FLOOR * half * float(np.dot(_WK, np.abs(fx))))
 
 
@@ -149,9 +179,10 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
 
-    k15, err = _panel(f, a, b)
+    k15, err = _panel(f, a, b, a, b)
     # heap of (-err, seq, a, b, value, err); seq breaks ties deterministically
     heap = [(-err, 0, a, b, k15, err)]
+    seq = 1
     nsub = 0
     while nsub < cfg.max_subdivisions:
         total = math.fsum(p[4] for p in heap)
@@ -159,17 +190,19 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             break
         pa, pb = heap[0][2:4]
-        if pb - pa < _MIN_SPLIT_ULPS * math.ulp(max(abs(pa), abs(pb))):
+        if pb - pa < _MIN_SPLIT_ULPS * math.ulp(max(abs(pa), abs(pb), _MIN_SPLIT_SCALE)):
             break  # the worst panel is at float resolution: tolerance out of reach
         pm = 0.5 * (pa + pb)
-        kl, el = _panel(f, pa, pm)
-        kr, er = _panel(f, pm, pb)
+        kl, el = _panel(f, pa, pm, a, b)
+        kr, er = _panel(f, pm, pb, a, b)
+        heapq.heapreplace(heap, (-el, seq, pa, pm, kl, el))
+        heapq.heappush(heap, (-er, seq + 1, pm, pb, kr, er))
+        seq += 2
         nsub += 1
-        heapq.heapreplace(heap, (-el, 2 * nsub - 1, pa, pm, kl, el))
-        heapq.heappush(heap, (-er, 2 * nsub, pm, pb, kr, er))
 
-    value = math.fsum(p[4] for p in heap)
-    error = math.fsum(p[5] for p in heap)
+    panels = sorted(heap, key=lambda p: p[2])
+    value = math.fsum(p[4] for p in panels)
+    error = math.fsum(p[5] for p in panels)
     converged = error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadratureResult(value, error, nsub, converged)
 

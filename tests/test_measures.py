@@ -105,15 +105,37 @@ def test_renyi_rejects_bad_alpha():
 
 
 def test_renyi_weibull_unbounded_density():
-    # f ~ x^(k-1) at 0: f^2 is an x^-0.8 endpoint singularity for k = 0.6,
-    # integrable; for k = 0.3 it diverges and overflows before x reaches 0
-    k = 0.6
-    truth = -math.log(k * math.gamma(2.0 - 1.0 / k) / 2.0 ** (2.0 - 1.0 / k))
-    res = M.renyi(Design("srs", 1), Weibull(k, 1.0), 2.0)
-    assert res.diagnostics["converged"]
-    assert abs(res.value - truth) <= res.error_estimate
+    # f ~ x^(k-1) at 0: f^2 is an x^-0.8 endpoint singularity for k = 0.6 and
+    # an x^-0.99 one for k = 0.505, integrable but out of reach of bisection;
+    # for k = 0.3 it diverges and overflows before x reaches 0
+    for k, converges in ((0.6, True), (0.505, False)):
+        truth = -math.log(k * math.gamma(2.0 - 1.0 / k) / 2.0 ** (2.0 - 1.0 / k))
+        res = M.renyi(Design("srs", 1), Weibull(k, 1.0), 2.0)
+        assert res.diagnostics["converged"] == converges, k
+        assert abs(res.value - truth) <= res.error_estimate, k
     with pytest.raises(DivergentIntegralError):
         M.renyi(Design("srs", 1), Weibull(0.3, 1.0), 2.0)
+
+
+def test_renyi_overflow_is_not_called_divergent():
+    # int f^2 = 1/(2 sqrt(pi) sigma) is finite, but f^2 overflows at the mode
+    with pytest.raises(DivergentIntegralError, match="exceeds the float range"):
+        M.renyi(Design("srs", 1), Normal(0.0, 1e-160), 2.0, force_numeric=True)
+
+
+def test_renyi_far_from_unit_scale():
+    # x-space Renyi at large scale: the half-line map squeezes the mass
+    # against t = 1, where an unresolved end panel used to pass as converged
+    res = M.renyi(Design("rss", 2), Exponential(1e-6), 2.0, force_numeric=True)
+    truth = cf.exp_renyi("rss", 1e-6, 2.0)
+    assert res.diagnostics["converged"]
+    assert abs(res.value - truth) <= res.error_estimate + 1e-9 * abs(truth)
+    for design in (Design("srs", 3), Design("rss", 3)):
+        big = M.renyi(design, Weibull(2.0, 1e5), 2.0, force_numeric=True)
+        unit = M.renyi(design, Weibull(2.0, 1.0), 2.0, force_numeric=True)
+        assert big.diagnostics["converged"]
+        shifted = unit.value + 3 * math.log(1e5)
+        assert abs(big.value - shifted) <= big.error_estimate + unit.error_estimate + 1e-9 * abs(shifted)
 
 
 def test_renyi_gap_binomial_matches_direct_route():

@@ -2,8 +2,11 @@
 pairs.
 
 A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
-uniform matrix, perfect RSS the identity.  Every numeric path integrates each
-distinct row once through the ``order_stats`` kernel, weighted by its count.
+uniform matrix, perfect RSS the identity.  Every numeric path makes one
+vector-valued integral whose components are the distinct rows of the matrix,
+through the ``order_stats`` kernel, and weights each by its count; so
+``diagnostics["subdivisions"]`` counts the shared panel splits once per
+design, not once per row.
 
 Dispatch order: a closed form is used when one exists for the (family,
 design, measure) triple, otherwise the quadrature engine; ``force_numeric``
@@ -28,12 +31,7 @@ from scipy import special
 
 from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
-from .order_stats import (
-    beta_order_log_pdf,
-    beta_order_pdf,
-    judged_log_pdf,
-    judged_log_weight,
-)
+from .order_stats import judged_log_pdf, judged_log_weight
 from .quadrature import (
     DEFAULT_CONFIG,
     NonFiniteIntegrandError,
@@ -119,34 +117,28 @@ def _closed(value: float) -> MeasureResult:
     return MeasureResult(value, 0.0, "closed-form")
 
 
-def _from_quad(value: float, err: float, parts: list[QuadratureResult]) -> MeasureResult:
+def _from_quad(value: float, err: float, r: QuadratureResult) -> MeasureResult:
     return MeasureResult(
-        value,
-        err,
-        "quadrature",
-        {
-            "converged": all(p.converged for p in parts),
-            "subdivisions": sum(p.subdivisions_used for p in parts),
-        },
+        value, err, "quadrature", {"converged": r.converged, "subdivisions": r.subdivisions_used}
     )
 
 
-def _sum_over_rows(component, *designs: Design) -> MeasureResult:
-    """Sum ``component(i, *rows) -> (value, error, QuadratureResult)`` over
-    ranks i of the designs' matrices.  Ranks with equal rows in every matrix
-    have equal components: each is computed once, at its first rank."""
+def _distinct_rows(*designs: Design):
+    """The distinct rank rows of the designs' matrices, in rank order.
+
+    Returns (ranks, stacks, counts): the first rank with each row, one
+    (k, n) stack of rows per design, and how many ranks share each row.
+    Ranks with equal rows in every matrix have equal components."""
     groups: dict[bytes, list] = {}
     for i, rows in enumerate(zip(*(d.matrix.entries for d in designs)), start=1):
         groups.setdefault(b"".join(row.tobytes() for row in rows), [i, rows, 0])[2] += 1
-    parts: list[QuadratureResult] = []
-    total = 0.0
-    err = 0.0
-    for i, rows, count in groups.values():
-        value, error, r = component(i, *rows)
-        parts.append(r)
-        total += count * value
-        err += count * error
-    return _from_quad(total, err, parts)
+    ranks, rows, counts = zip(*groups.values())
+    return list(ranks), [np.array(stack) for stack in zip(*rows)], np.array(counts, dtype=float)
+
+
+def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
+    """Sum per-row component values and errors, each row times its count."""
+    return _from_quad(float(counts @ values), float(counts @ errors), r)
 
 
 # ---------------------------------------------------------------------------
@@ -190,34 +182,27 @@ def _shannon_closed_form(design: Design, dist: Distribution) -> MeasureResult | 
 
 
 def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    n = design.n
+    _, (rows,), counts = _distinct_rows(design)
+    log_weight = judged_log_weight(rows)
     log_fq = dist.log_pdf_at_quantile
+    # a true order statistic's uniform entropy -int w log w is known exactly
+    nonzero = [np.flatnonzero(row) for row in rows]
+    exact = np.array([[r.size == 1] for r in nonzero])
+    h = np.array([closed_form.h_uniform_order(design.n, r[0] + 1) if r.size == 1 else 0.0 for r in nonzero])
 
-    def component(i, row):
-        log_weight = judged_log_weight(row)
-        ranks = np.flatnonzero(row)
-        if ranks.size == 1:
-            # a true order statistic: its uniform entropy is known exactly
-            r = integrate(lambda u: np.exp(log_weight(u, 1.0 - u)) * log_fq(u), 0.0, 1.0, cfg)
-            return closed_form.h_uniform_order(n, int(ranks[0]) + 1) - r.value, r.error_estimate, r
+    def integrand(u):
+        lw = log_weight(u, 1.0 - u)
+        return -np.exp(lw) * (np.where(exact, 0.0, lw) + log_fq(u))
 
-        def integrand(u):
-            lw = log_weight(u, 1.0 - u)
-            return -np.exp(lw) * (lw + log_fq(u))
-
-        r = integrate(integrand, 0.0, 1.0, cfg)
-        return r.value, r.error_estimate, r
-
-    return _sum_over_rows(component, design)
+    r = integrate(integrand, 0.0, 1.0, cfg)
+    return _weighted(h + r.value, r.error_estimate, counts, r)
 
 
 def _shannon_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    def component(i, row):
-        log_pdf = judged_log_pdf(dist, row)
-        r = entropy_integral(lambda x: np.exp(log_pdf(x)), dist.support, cfg)
-        return r.value, r.error_estimate, r
-
-    return _sum_over_rows(component, design)
+    _, (rows,), counts = _distinct_rows(design)
+    log_pdf = judged_log_pdf(dist, rows)
+    r = entropy_integral(lambda x: np.exp(log_pdf(x)), dist.support, cfg)
+    return _weighted(r.value, r.error_estimate, counts, r)
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +244,25 @@ def _renyi_closed_form(design: Design, dist: Distribution, alpha: float) -> Meas
 
 def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: QuadratureConfig) -> MeasureResult:
     om = 1.0 - alpha
+    _, (rows,), counts = _distinct_rows(design)
+    log_pdf = judged_log_pdf(dist, rows)
 
-    def component(i, row):
-        log_pdf = judged_log_pdf(dist, row)
+    def integrand(x):
+        lg = log_pdf(x)
+        finite = np.isfinite(lg)
+        return np.where(finite, np.exp(alpha * np.where(finite, lg, 0.0)), 0.0)
 
-        def integrand(x):
-            lg = log_pdf(x)
-            finite = np.isfinite(lg)
-            return np.where(finite, np.exp(alpha * np.where(finite, lg, 0.0)), 0.0)
-
-        try:
-            with np.errstate(over="ignore"):  # an overflow is raised below
-                r = integrate_support(integrand, dist.support, cfg)
-        except NonFiniteIntegrandError as exc:
-            raise DivergentIntegralError(
-                f"renyi integrand exceeds the float range at x = {exc.x}; "
-                "the integral may be divergent or out of range"
-            ) from exc
-        if r.value <= 0:
-            raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
-        return math.log(r.value) / om, r.error_estimate / (abs(om) * r.value), r
-
-    return _sum_over_rows(component, design)
+    try:
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            r = integrate_support(integrand, dist.support, cfg)
+    except NonFiniteIntegrandError as exc:
+        raise DivergentIntegralError(
+            f"renyi integrand exceeds the float range at x = {exc.x}; "
+            "the integral may be divergent or out of range"
+        ) from exc
+    if np.any(r.value <= 0):
+        raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
+    return _weighted(np.log(r.value) / om, r.error_estimate / (abs(om) * r.value), counts, r)
 
 
 def renyi_gap_binomial(
@@ -302,28 +284,21 @@ def renyi_gap_binomial(
     if n == 1:
         return _closed(0.0)
     om = 1.0 - alpha
+    log_beta = judged_log_weight(np.eye(n))
 
-    def weight(u):
-        # f(F^-1(u))^(alpha-1); du-weight form of f^alpha dx
-        return np.exp((alpha - 1.0) * dist.log_pdf_at_quantile(u))
+    def integrand(u):
+        # row 0: f(F^-1(u))^(alpha-1), the du-weight form of f^alpha dx; row i:
+        # that times the Binomial(n-1, u) pmf at i-1, the Beta(i, n-i+1)
+        # density over n, to the power alpha
+        weight = np.exp((alpha - 1.0) * dist.log_pdf_at_quantile(u))
+        log_pmf = log_beta(u, 1.0 - u) - math.log(n)
+        return np.vstack([weight, np.exp(alpha * log_pmf) * weight])
 
-    z = integrate(weight, 0.0, 1.0, cfg)
-    parts = [z]
-    total = alpha / om * n * math.log(n)
-    err = 0.0
-    for i in range(1, n + 1):
-
-        def integrand(u, i=i):
-            # Binomial(n-1, u) pmf at i-1 is the Beta(i, n-i+1) density over n
-            log_pmf = beta_order_log_pdf(n, i, u) - math.log(n)
-            return np.exp(alpha * log_pmf) * weight(u)
-
-        r = integrate(integrand, 0.0, 1.0, cfg)
-        parts.append(r)
-        e_i = r.value / z.value
-        total += math.log(e_i) / om
-        err += (r.error_estimate / r.value + z.error_estimate / z.value) / abs(om)
-    return _from_quad(total, err, parts)
+    r = integrate(integrand, 0.0, 1.0, cfg)
+    (z, *e), (z_err, *e_err) = r.value.tolist(), r.error_estimate.tolist()
+    total = alpha / om * n * math.log(n) + sum(math.log(e_i / z) for e_i in e) / om
+    err = sum(e_i_err / e_i + z_err / z for e_i, e_i_err in zip(e, e_err)) / abs(om)
+    return _from_quad(total, err, r)
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +334,25 @@ def kl_srs_vs_design(
 
 
 def _kl_srs_u_space(design: Design, cfg: QuadratureConfig) -> MeasureResult:
-    def component(i, row):
-        log_weight = judged_log_weight(row)
-        r = integrate(lambda u: -log_weight(u, 1.0 - u), 0.0, 1.0, cfg)
-        return r.value, r.error_estimate, r
-
-    return _sum_over_rows(component, design)
+    _, (rows,), counts = _distinct_rows(design)
+    log_weight = judged_log_weight(rows)
+    r = integrate(lambda u: -log_weight(u, 1.0 - u), 0.0, 1.0, cfg)
+    return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def _kl_srs_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    def component(i, row):
-        log_weight = judged_log_weight(row)
+    _, (rows,), counts = _distinct_rows(design)
+    log_weight = judged_log_weight(rows)
 
-        def integrand(x):
-            f = dist.pdf(x)
-            logw = log_weight(dist.cdf(x), dist.survival(x))
-            with np.errstate(invalid="ignore"):
-                # below ~1e-300 the density kills any log factor; avoid 0 * inf
-                return np.where(f > 1e-300, -f * logw, 0.0)
+    def integrand(x):
+        f = dist.pdf(x)
+        logw = log_weight(dist.cdf(x), dist.survival(x))
+        with np.errstate(invalid="ignore"):
+            # below ~1e-300 the density kills any log factor; avoid 0 * inf
+            return np.where(f > 1e-300, -f * logw, 0.0)
 
-        r = integrate_support(integrand, dist.support, cfg)
-        return r.value, r.error_estimate, r
-
-    return _sum_over_rows(component, design)
+    r = integrate_support(integrand, dist.support, cfg)
+    return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def kl_two_sample(
@@ -401,26 +372,24 @@ def kl_two_sample(
     if design_x.m != design_y.m:
         raise ValueError("designs must share the cycle count m")
 
-    def component(i, row_x, row_y):
-        log_wx = judged_log_weight(row_x)
-        log_py = judged_log_pdf(dist_g, row_y)
+    ranks, (rows_x, rows_y), counts = _distinct_rows(design_x, design_y)
+    log_wx = judged_log_weight(rows_x)
+    log_py = judged_log_pdf(dist_g, rows_y)
 
-        def integrand(u):
-            lx = log_wx(u, 1.0 - u)
-            wx = np.exp(lx)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bracket = lx + dist_f.log_pdf_at_quantile(u) - log_py(dist_f.quantile(u))
-                return np.where(wx > 0.0, wx * bracket, 0.0)
+    def integrand(u):
+        lx = log_wx(u, 1.0 - u)
+        wx = np.exp(lx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bracket = lx + dist_f.log_pdf_at_quantile(u) - log_py(dist_f.quantile(u))
+            return np.where(wx > 0.0, wx * bracket, 0.0)
 
-        try:
-            r = integrate(integrand, 0.0, 1.0, cfg)
-        except NonFiniteIntegrandError as exc:
-            raise DivergentIntegralError(
-                f"two-sample KL integrand is not integrable (component {i}, u = {exc.x})"
-            ) from exc
-        return r.value, r.error_estimate, r
-
-    return _sum_over_rows(component, design_x, design_y).scaled(design_x.m)
+    try:
+        r = integrate(integrand, 0.0, 1.0, cfg)
+    except NonFiniteIntegrandError as exc:
+        raise DivergentIntegralError(
+            f"two-sample KL integrand is not integrable (component {ranks[exc.component]}, u = {exc.x})"
+        ) from exc
+    return _weighted(r.value, r.error_estimate, counts, r).scaled(design_x.m)
 
 
 def kld_symmetric(
@@ -483,41 +452,27 @@ def a_n(
                 f"A_n integrand is not integrable at u = {exc.x}"
             ) from exc
         c = n * (n - 1)
-        return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, [r])
+        return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
 
     if mode != "sum":
         raise ValueError(f"unknown mode {mode!r}")
-    parts: list[QuadratureResult] = []
-    total = 0.0
-    err = 0.0
-    for i in range(1, n + 1):
+    log_beta = judged_log_weight(np.eye(n))
+    below = np.arange(n)[:, None]  # ranks below and above rank i = 1..n
+    above = n - 1 - below
 
-        def integrand(u, i=i):
-            w = beta_order_pdf(n, i, u)
-            x = dist_f.quantile(u)
-            gv = dist_g.cdf(x)
-            sv = dist_g.survival(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bracket = np.zeros_like(u)
-                if i > 1:
-                    bracket = bracket + (i - 1) * (np.log(u) - np.log(gv))
-                if i < n:
-                    bracket = bracket + (n - i) * (np.log(1.0 - u) - np.log(sv))
-                val = np.where(w > 0.0, w * bracket, 0.0)
-            if not np.all(np.isfinite(val)):
-                raise NonFiniteIntegrandError(float(u[~np.isfinite(val)][0]))
-            return val
+    def integrand(u):
+        w = np.exp(log_beta(u, 1.0 - u))
+        x = dist_f.quantile(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lower = np.where(below > 0, below * (np.log(u) - np.log(dist_g.cdf(x))), 0.0)
+            upper = np.where(above > 0, above * (np.log(1.0 - u) - np.log(dist_g.survival(x))), 0.0)
+            return np.where(w > 0.0, w * (lower + upper), 0.0)
 
-        try:
-            r = integrate(integrand, 0.0, 1.0, cfg)
-        except NonFiniteIntegrandError as exc:
-            raise DivergentIntegralError(
-                f"A_n integrand is not integrable at u = {exc.x}"
-            ) from exc
-        parts.append(r)
-        total += r.value
-        err += r.error_estimate
-    return _from_quad(total, err, parts)
+    try:
+        r = integrate(integrand, 0.0, 1.0, cfg)
+    except NonFiniteIntegrandError as exc:
+        raise DivergentIntegralError(f"A_n integrand is not integrable at u = {exc.x}") from exc
+    return _from_quad(float(r.value.sum()), float(r.error_estimate.sum()), r)
 
 
 def a_n_printed_reduced(
@@ -542,7 +497,7 @@ def a_n_printed_reduced(
 
     r = integrate(integrand, 0.0, 1.0, cfg)
     c = n * (n - 1)
-    return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, [r])
+    return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
 
 
 def result_record(

@@ -1,6 +1,7 @@
 """Densities of order statistics and judged (imperfectly ranked) order
-statistics, all built on one kernel, ``judged_log_weight(row)``: for a row p
-of a ranking-error matrix it gives, from the parent's cdf F and survival S,
+statistics, all built on one kernel, ``judged_log_weight(rows)``: for each
+row p of a ranking-error matrix (one row, or a stack of k rows evaluated
+together) it gives, from the parent's cdf F and survival S,
 
     log sum_r p_r n! / ((r-1)! (n-r)!) F^(r-1) S^(n-r),
 
@@ -12,7 +13,6 @@ Coefficients go through log-gamma; 0**0 = 1 at the rank extremes (xlogy).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +35,6 @@ def log_order_coeff(n: int, i: int) -> float:
     return -special.betaln(i, n - i + 1)
 
 
-def _zero_log_weight(F, S):
-    return np.zeros(np.broadcast(F, S).shape)
-
-
 def _beta_log_kernel(c, a, b, F, S):
     """c + a log F + b log S, with 0 log 0 = 0: log coefficient c plus the
     Beta(a+1, b+1) kernel, for one rank or, broadcast, for many."""
@@ -46,40 +42,58 @@ def _beta_log_kernel(c, a, b, F, S):
         return c + special.xlogy(a, F) + special.xlogy(b, S)
 
 
-def judged_log_weight(row):
-    """Analyse one row of a ranking-error matrix once; return the function
-    (F, S) -> log weight.  Taking the cdf and the survival separately keeps
-    the upper tail, where F rounds to 1, exact."""
-    row = np.asarray(row, dtype=float)
-    n = row.size
-    if np.all(row == row[0]):
-        return _zero_log_weight
-    ranks = np.flatnonzero(row)
-    if ranks.size == 1:
-        r = int(ranks[0]) + 1
-        return functools.partial(_beta_log_kernel, log_order_coeff(n, r), r - 1, n - r)
-    log_c = (np.log(row[ranks]) - special.betaln(ranks + 1, n - ranks))[:, None]
-    a = ranks[:, None].astype(float)
-    b = (n - 1 - ranks)[:, None].astype(float)
+def judged_log_weight(rows):
+    """Analyse rows of a ranking-error matrix once; return the function
+    (F, S) -> log weight.  ``rows`` is one row, giving F's shape, or a stack
+    of k rows, giving (k,) + F's shape.  Taking the cdf and the survival
+    separately keeps the upper tail, where F rounds to 1, exact."""
+    rows = np.asarray(rows, dtype=float)
+    stack = np.atleast_2d(rows)
+    k, n = stack.shape
+    nonzero = stack != 0.0
+    # nonzero ranks per row; 0 marks a uniform row, whose weight is exactly 0
+    count = np.where((stack == stack[:, :1]).all(axis=1), 0, nonzero.sum(axis=1))
+    one_hot, mixed = (count == 1).nonzero()[0], (count > 1).nonzero()[0]
+    log_coeff = -special.betaln(np.arange(1, n + 1), np.arange(n, 0, -1))  # by 0-based rank
+    r = nonzero[one_hot].argmax(axis=1)[:, None]  # the true rank of each one-hot row
+    hot = (log_coeff[r], r, n - 1 - r)
+    ranks = nonzero[mixed].any(axis=0).nonzero()[0]  # every rank a mixed row mixes in
+    with np.errstate(divide="ignore"):
+        log_c = np.log(stack[mixed][:, ranks]) + log_coeff[ranks]  # log p_r + coefficient
+    kernel = (log_c[:, :, None], ranks[:, None], n - 1 - ranks[:, None])
 
     def log_weight(F, S):
-        F, S = np.broadcast_arrays(np.asarray(F, dtype=float), np.asarray(S, dtype=float))
-        terms = _beta_log_kernel(log_c, a, b, F.reshape(1, -1), S.reshape(1, -1))
-        with np.errstate(invalid="ignore"):
-            top = terms.max(axis=0)
-            top = np.where(np.isfinite(top), top, 0.0)
-            out = top + np.log(np.exp(terms - top).sum(axis=0))
-        return out.reshape(F.shape)
+        F, S = np.asarray(F, dtype=float), np.asarray(S, dtype=float)
+        if F.shape != S.shape:
+            F, S = np.broadcast_arrays(F, S)
+        shape = rows.shape[:-1] + F.shape
+        F, S = F.reshape(1, -1), S.reshape(1, -1)
+        if one_hot.size == k:
+            return _beta_log_kernel(*hot, F, S).reshape(shape)
+        out = np.zeros((k, F.size))
+        if one_hot.size:
+            out[one_hot] = _beta_log_kernel(*hot, F, S)
+        if mixed.size:
+            terms = _beta_log_kernel(*kernel, F, S)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                top = terms.max(axis=1)
+                top = np.where(np.isfinite(top), top, 0.0)
+                out[mixed] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        return out.reshape(shape)
 
     return log_weight
 
 
-def judged_log_pdf(dist: Distribution, row):
-    """x -> log density of the unit judged by ``row``: the kernel at the
-    parent's cdf and survival plus its log density, each evaluated once."""
-    log_weight = judged_log_weight(row)
-    if log_weight is _zero_log_weight:  # a uniform row leaves the parent law
-        return dist.log_pdf
+def judged_log_pdf(dist: Distribution, rows):
+    """x -> log density of the unit judged by ``rows`` (one row, or a stack
+    of k giving (k,) + x's shape): the kernel at the parent's cdf and
+    survival plus its log density, each evaluated once."""
+    rows = np.asarray(rows, dtype=float)
+    if np.all(rows == rows[..., :1]):  # uniform rows leave the parent law
+        if rows.ndim == 1:
+            return dist.log_pdf
+        return lambda x: np.broadcast_to(dist.log_pdf(x), rows.shape[:1] + np.shape(x))
+    log_weight = judged_log_weight(rows)
 
     def log_pdf(x):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,10 +1,15 @@
 """Adaptive numerical integration used by every measure integral.
 
-The engine is a deterministic adaptive Gauss-Kronrod (G7/K15) scheme:
-each panel is scored by the embedded-rule discrepancy, the worst panel is
-bisected until the global error estimate meets tolerance.  No randomness
-anywhere; identical inputs give bit-identical results (final sums are
-accumulated with math.fsum over panels ordered by left endpoint).
+The engine is a deterministic adaptive Gauss-Kronrod (G7/K15) scheme, and it
+is vector-valued: an integrand may return k components, which share one tree
+of panels.  Each panel is scored per component by the embedded-rule
+discrepancy; the panel whose largest error relative to its component's
+tolerance max(abs_tol, rel_tol |I_c|) is largest is bisected, both children
+in one call of the integrand, until every component meets its tolerance.
+Per-component running totals drive that stop test; it is confirmed, and the
+result taken, with math.fsum over the panels (ordered by left endpoint), and
+a panel leaving with an infinite error resets the totals the same way.  No
+randomness anywhere; identical inputs give bit-identical results.
 
 Endpoint singularities need no inset: nodes lie strictly inside their panel,
 and a panel narrower than _MIN_SPLIT_ULPS ulps (of its endpoints, or of
@@ -81,15 +86,24 @@ _WG = np.array(
         0.129484966168870,
     ]
 )
-_GAUSS_IDX = np.arange(1, 15, 2)  # Gauss nodes sit at the odd Kronrod slots
+# Gauss nodes sit at the odd Kronrod slots; one matmul with _KG gives a
+# panel's K15 sum and its K15 - G7 sum
+_KG = np.stack([_WK, _WK], axis=1)
+_KG[1::2, 1] -= _WG
 
 
 class NonFiniteIntegrandError(ValueError):
-    """Integrand returned NaN or +/-inf at an interior evaluation point."""
+    """Integrand returned NaN or +/-inf at an interior evaluation point.
 
-    def __init__(self, x: float):
+    ``component`` is the index of the offending row of a (k, m) integrand,
+    None for an (m,) one.
+    """
+
+    def __init__(self, x: float, component: int | None = None):
         self.x = x
-        super().__init__(f"integrand is not finite at x = {x!r}")
+        self.component = component
+        where = "" if component is None else f" (component {component})"
+        super().__init__(f"integrand is not finite at x = {x!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +124,8 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     subdivisions_used: int
     converged: bool
 
@@ -124,87 +138,128 @@ class QuadratureResult:
         )
 
 
-_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+_WK_FLOOR = 50.0 * np.finfo(float).eps * _WK  # rounding floor: 50 eps * K15 integral of |f|
 _MIN_SPLIT_ULPS = 4096  # children's outermost nodes stay >= 8 ulps inside
 _MIN_SPLIT_SCALE = 2.0**-970  # 4096 ulps of it keep every node a normal float
 
 
-def _power_law_error(d, fd, width: float) -> float:
-    """Rule error on c*d^-p fitted through the two nodes nearest a panel end.
+def _power_law_error(x, fx, end: float, width: float) -> float:
+    """Rule error on c*d^-p fitted through a panel's two nodes nearest
+    ``end``, one of its ends; x are the nodes, fx the integrand there.
 
-    d holds the nodes' distances from that end, nearest first, and fd the
-    integrand there.  Only a growing end (0 < p) is modelled; a fitted p >= 1
-    is not integrable, so the error is infinite.
+    Only a growing end (0 < p) is modelled; a fitted p >= 1 is not
+    integrable, so the error is infinite.
     """
-    if fd[0] == 0.0 or fd[1] == 0.0 or not 0.0 < d[0] < d[1]:
+    d = np.abs(x - end)
+    if end > x[0]:  # nearest first
+        d, fx = d[::-1], fx[::-1]
+    if fx[0] == 0.0 or fx[1] == 0.0 or not 0.0 < d[0] < d[1]:
         return 0.0  # no power law to fit: a zero, or nodes merged by rounding
-    p = math.log(abs(fd[0] / fd[1])) / math.log(d[1] / d[0])
+    p = math.log(abs(fx[0] / fx[1])) / math.log(d[1] / d[0])
     if p <= 0.0:
         return 0.0
     if p >= 1.0:
         return math.inf
     exact = d[0] * (width / d[0]) ** (1.0 - p) / (1.0 - p)
     rule = 0.5 * width * float(np.dot(_WK, (d / d[0]) ** -p))
-    return abs(fd[0]) * abs(exact - rule)
+    return abs(fx[0]) * abs(exact - rule)
 
 
-def _panel(f, a: float, b: float, lo: float, hi: float):
-    """Evaluate one G7/K15 panel of the integral over (lo, hi); returns (k15, error)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XK
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
-    if not np.all(np.isfinite(fx)):
-        bad = x[~np.isfinite(fx)][0]
-        raise NonFiniteIntegrandError(float(bad))
-    mean = 0.5 * float(np.dot(_WK, fx))
-    k15 = 2.0 * half * mean
-    err = abs(k15 - half * float(np.dot(_WG, fx[_GAUSS_IDX])))
-    resasc = half * float(np.dot(_WK, np.abs(fx - mean)))
-    if 10.0 * err > resasc:  # unresolved panel: an endpoint power law may hide
-        if a == lo:
-            err = max(err, 2.0 * _power_law_error(x - a, fx, b - a))
-        if b == hi:
-            err = max(err, 2.0 * _power_law_error(b - x[::-1], fx[::-1], b - a))
-    return k15, max(err, _ROUNDING_FLOOR * half * float(np.dot(_WK, np.abs(fx))))
+def _panels(f, edges, lo: float, hi: float):
+    """G7/K15 on the panels between consecutive ``edges`` of (lo, hi), all
+    nodes in one call of ``f``.  Returns (k15, err, vector): k15 and err have
+    shape (components, panels); vector is True when f's output is (k, m)."""
+    pairs = list(zip(edges, edges[1:]))
+    half = np.array([0.5 * (q - p) for p, q in pairs])
+    x = np.array([[0.5 * (p + q)] for p, q in pairs]) + half[:, None] * _XK
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    vector = fx.ndim == 2
+    if fx.shape[-1:] != (x.size,):  # a constant integrand
+        fx = np.broadcast_to(fx, (fx.shape[0] if vector else 1, x.size))
+    fx = fx.reshape(-1, *x.shape)
+    if not np.isfinite(fx).all():
+        c, p, j = np.argwhere(~np.isfinite(fx))[0]
+        raise NonFiniteIntegrandError(float(x[p, j]), int(c) if vector else None)
+    s = fx @ _KG
+    k15 = s[..., 0] * half
+    err = np.abs(s[..., 1]) * half
+    ends = [(j, end) for j, end in ((0, lo), (-1, hi)) if edges[j] == end]
+    if ends:
+        # a panel at a or b with K15 - G7 above a tenth of resasc may hide an
+        # endpoint power law
+        unresolved = 10.0 * err > (np.abs(fx - 0.5 * s[..., :1]) @ _WK) * half
+        for j, end in ends:
+            for c in unresolved[:, j].nonzero()[0]:
+                charge = 2.0 * _power_law_error(x[j], fx[c, j], end, 2.0 * half[j])
+                err[c, j] = max(err[c, j], charge)
+    err = np.maximum(err, (np.abs(fx) @ _WK_FLOOR) * half)
+    return k15.T.tolist(), err.T.tolist(), vector
+
+
+def _sums(panels):
+    """Per-component math.fsum of the panels' values and of their errors."""
+    return [math.fsum(c) for c in zip(*(p[4] for p in panels))], [
+        math.fsum(c) for c in zip(*(p[5] for p in panels))
+    ]
+
+
+def _tolerance(total, cfg: QuadratureConfig):
+    return [max(cfg.abs_tol, cfg.rel_tol * abs(t)) for t in total]
+
+
+def _within(err, tol) -> bool:
+    return all(e <= t for e, t in zip(err, tol))
+
+
+def _key(err, tol) -> float:
+    """Heap key of a panel: minus its largest error relative to tolerance."""
+    return -max(e / t for e, t in zip(err, tol))
 
 
 def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Adaptive integral of ``f`` over the finite interval (a, b).
 
-    ``f`` must accept a numpy array of evaluation points and return an array.
+    ``f`` takes a 1-D array of m points and returns shape (m,), or (k, m)
+    for k integrands on shared panels.  ``value`` and ``error_estimate`` are
+    floats for an (m,) output and (k,) arrays for a (k, m) one; ``converged``
+    holds only if every component meets max(abs_tol, rel_tol * |I_c|).
+    The panel split next is the one whose largest error relative to its
+    component's tolerance, taken when the panel was pushed, is largest.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
 
-    k15, err = _panel(f, a, b, a, b)
-    # heap of (-err, seq, a, b, value, err); seq breaks ties deterministically
-    heap = [(-err, 0, a, b, k15, err)]
-    seq = 1
+    (total,), (total_err,), vector = _panels(f, (a, b), a, b)
+    tol = _tolerance(total, cfg)
+    # heap of (key, seq, a, b, values, errors); seq breaks ties deterministically
+    heap = [(_key(total_err, tol), 0, a, b, total, total_err)]
     nsub = 0
     while nsub < cfg.max_subdivisions:
-        total = math.fsum(p[4] for p in heap)
-        total_err = math.fsum(p[5] for p in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            break
-        pa, pb = heap[0][2:4]
+        if _within(total_err, tol):
+            total, total_err = _sums(heap)  # stop on exact sums, not running ones
+            tol = _tolerance(total, cfg)
+            if _within(total_err, tol):
+                break
+        key, _, pa, pb, v, e = heap[0]
         if pb - pa < _MIN_SPLIT_ULPS * math.ulp(max(abs(pa), abs(pb), _MIN_SPLIT_SCALE)):
             break  # the worst panel is at float resolution: tolerance out of reach
         pm = 0.5 * (pa + pb)
-        kl, el = _panel(f, pa, pm, a, b)
-        kr, er = _panel(f, pm, pb, a, b)
-        heapq.heapreplace(heap, (-el, seq, pa, pm, kl, el))
-        heapq.heappush(heap, (-er, seq + 1, pm, pb, kr, er))
-        seq += 2
+        (vl, vr), (el, er), _ = _panels(f, (pa, pm, pb), a, b)
+        total = [t + (l + r - p) for t, l, r, p in zip(total, vl, vr, v)]
+        total_err = [t + (l + r - p) for t, l, r, p in zip(total_err, el, er, e)]
+        tol = _tolerance(total, cfg)
+        heapq.heapreplace(heap, (_key(el, tol), 2 * nsub + 1, pa, pm, vl, el))
+        heapq.heappush(heap, (_key(er, tol), 2 * nsub + 2, pm, pb, vr, er))
         nsub += 1
+        if key == -math.inf:  # an infinite error left: the running error is NaN
+            total, total_err = _sums(heap)
+            tol = _tolerance(total, cfg)
 
-    panels = sorted(heap, key=lambda p: p[2])
-    value = math.fsum(p[4] for p in panels)
-    error = math.fsum(p[5] for p in panels)
-    converged = error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return QuadratureResult(value, error, nsub, converged)
+    value, error = _sums(sorted(heap, key=lambda p: p[2]))
+    converged = _within(error, _tolerance(value, cfg))
+    if vector:
+        return QuadratureResult(np.array(value), np.array(error), nsub, converged)
+    return QuadratureResult(value[0], error[0], nsub, converged)
 
 
 def integrate_half_line(f, a: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:

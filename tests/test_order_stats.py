@@ -130,11 +130,13 @@ def test_judged_beta_mixture_matches_x_space():
 def test_judged_log_weight_large_n_tails_stay_finite():
     P = re.blend(50, 0.5)
     u = np.array([1e-9, 1.0 - 1e-9])
+    stacked = judged_log_weight(P.entries)(u, 1.0 - u)
+    assert stacked.shape == (50, 2)
     for i in (1, 2, 25, 49, 50):
-        lw = judged_log_weight(P.row(i))(u, 1.0 - u)
-        assert np.all(np.isfinite(lw)), (i, lw)
         reference = sum(P.row(i)[r - 1] * stats.beta.pdf(u, r, 50 - r + 1) for r in range(1, 51))
-        np.testing.assert_allclose(lw, np.log(reference), rtol=1e-12)
+        for lw in (judged_log_weight(P.row(i))(u, 1.0 - u), stacked[i - 1]):
+            assert np.all(np.isfinite(lw)), (i, lw)
+            np.testing.assert_allclose(lw, np.log(reference), rtol=1e-12)
 
 
 def test_rank_validation():
@@ -147,3 +149,16 @@ def test_rank_validation():
         beta_order_pdf(0, 1, 0.5)
     with pytest.raises(ValueError):
         judged_pdf(dist, 3, re.identity(2), 1, 0.5)
+
+
+def test_judged_log_weight_stack_matches_rows():
+    # uniform, one-hot and mixed rows in one stack give, row for row, exactly
+    # what each row gives alone
+    n = 4
+    rows = np.vstack([np.full(n, 1.0 / n), np.eye(n)[2], re.blend(n, 0.3).entries[:2], np.eye(n)[0]])
+    u = np.array([1e-9, 0.3, 0.7, 1.0 - 1e-9])
+    stacked = judged_log_weight(rows)(u, 1.0 - u)
+    assert stacked.shape == (len(rows), u.size)
+    assert np.all(stacked[0] == 0.0)
+    for row, lw in zip(rows, stacked):
+        np.testing.assert_array_equal(lw, judged_log_weight(row)(u, 1.0 - u))

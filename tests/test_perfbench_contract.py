@@ -1,0 +1,55 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps rssinfo's public
+functions by name and reads the quadrature result's fields.  A refactor that
+drops a name or changes those fields breaks ``perfbench/run.py --trace 1``;
+these tests catch it without running the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import rssinfo
+import rssinfo.cli  # noqa: F401  (the tracer wraps cli names; the package does not import cli)
+from rssinfo.distributions import Exponential
+from rssinfo.measures import Design, renyi
+from rssinfo.quadrature import integrate
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    tracer = _tracer_module()
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in tracer.PUBLIC.items()
+        for name in names
+        if not callable(getattr(getattr(rssinfo, layer), name, None))
+    ]
+    assert not missing
+
+
+def test_integrate_result_fields_the_tracer_reads():
+    for f in (lambda u: u * u, lambda u: np.stack([u, u * u])):
+        res = integrate(f, 0.0, 1.0)
+        assert type(res.converged) is bool
+        assert type(res.subdivisions_used) is int
+
+
+def test_traced_measure_runs_and_counts():
+    tracer = _tracer_module().Tracer(rssinfo)
+    tracer.install()
+    try:
+        res = renyi(Design("rss", 3), Exponential(1.0), 2.0, force_numeric=True)
+    finally:
+        tracer.uninstall()
+    assert res.diagnostics["converged"]
+    assert tracer.counts["quadrature.integrals"] == 1
+    assert tracer.counts["quadrature.integrand_points"] > 0
+    assert not hasattr(rssinfo.measures.integrate, "_perfbench_traced")  # uninstalled

@@ -5,7 +5,7 @@ import pytest
 
 from rssinfo.closed_form import d_n, k_direct
 from rssinfo.distributions import Exponential, Support
-from rssinfo.measures import Design, kl_srs_vs_design, shannon
+from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
     NonFiniteIntegrandError,
@@ -18,39 +18,42 @@ from rssinfo.quadrature import (
     integrate_support,
 )
 
-# Fixed accuracy battery: (label, runner, truth).  Known antiderivatives only.
+# Fixed accuracy battery: (label, integrand, domain, truth), the domain a
+# finite interval, "half" for (0, inf) or "full" for the real line.  Known
+# antiderivatives only.
 BATTERY = [
-    ("u log u", lambda: integrate(lambda u: u * np.log(u), 0.0, 1.0), -0.25),
-    ("u^2", lambda: integrate(lambda u: u * u, 0.0, 1.0), 1.0 / 3.0),
-    ("log u", lambda: integrate(np.log, 0.0, 1.0), -1.0),
-    ("log(1-u)", lambda: integrate(lambda u: np.log1p(-u), 0.0, 1.0), -1.0),
-    ("(log u)^2", lambda: integrate(lambda u: np.log(u) ** 2, 0.0, 1.0), 2.0),
-    ("u^3 log u", lambda: integrate(lambda u: u**3 * np.log(u), 0.0, 1.0), -1.0 / 16.0),
-    ("beta(3,4) kernel", lambda: integrate(lambda u: u**2 * (1 - u) ** 3, 0.0, 1.0), 1.0 / 60.0),
-    ("exp(-x) on [0,2]", lambda: integrate(lambda x: np.exp(-x), 0.0, 2.0), 1.0 - math.exp(-2.0)),
-    ("exp(-x) half line", lambda: integrate_half_line(lambda x: np.exp(-x), 0.0), 1.0),
-    ("x exp(-x) half line", lambda: integrate_half_line(lambda x: x * np.exp(-x), 0.0), 1.0),
-    (
-        "normal pdf full line",
-        lambda: integrate_full_line(
-            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        ),
-        1.0,
-    ),
+    ("u log u", lambda u: u * np.log(u), (0.0, 1.0), -0.25),
+    ("u^2", lambda u: u * u, (0.0, 1.0), 1.0 / 3.0),
+    ("log u", np.log, (0.0, 1.0), -1.0),
+    ("log(1-u)", lambda u: np.log1p(-u), (0.0, 1.0), -1.0),
+    ("(log u)^2", lambda u: np.log(u) ** 2, (0.0, 1.0), 2.0),
+    ("u^3 log u", lambda u: u**3 * np.log(u), (0.0, 1.0), -1.0 / 16.0),
+    ("beta(3,4) kernel", lambda u: u**2 * (1 - u) ** 3, (0.0, 1.0), 1.0 / 60.0),
+    ("exp(-x) on [0,2]", lambda x: np.exp(-x), (0.0, 2.0), 1.0 - math.exp(-2.0)),
+    ("exp(-x) half line", lambda x: np.exp(-x), "half", 1.0),
+    ("x exp(-x) half line", lambda x: x * np.exp(-x), "half", 1.0),
+    ("normal pdf full line", lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), "full", 1.0),
     (
         "x^2 normal pdf full line",
-        lambda: integrate_full_line(
-            lambda x: x * x * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        ),
+        lambda x: x * x * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
+        "full",
         1.0,
     ),
 ]
 
 
+def _run(f, domain):
+    if domain == "half":
+        return integrate_half_line(f, 0.0)
+    if domain == "full":
+        return integrate_full_line(f)
+    return integrate(f, *domain)
+
+
 def test_battery_accuracy():
     bound = 10.0 * max(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol)
-    for label, run, truth in BATTERY:
-        r = run()
+    for label, f, domain, truth in BATTERY:
+        r = _run(f, domain)
         assert r.converged, label
         assert abs(r.value - truth) <= 10.0 * max(
             DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * abs(truth)
@@ -60,8 +63,59 @@ def test_battery_accuracy():
 
 def test_battery_error_honesty():
     # reported error_estimate must dominate the actual error in >= 95% of cases
-    honest = sum(abs(run().value - truth) <= run().error_estimate for _, run, truth in BATTERY)
+    results = [(_run(f, domain), truth) for _, f, domain, truth in BATTERY]
+    honest = sum(abs(r.value - truth) <= r.error_estimate for r, truth in results)
     assert honest / len(BATTERY) >= 0.95
+
+
+def test_stacked_battery_components_converge_within_their_errors():
+    # the finite-interval integrands, each mapped onto (0, 1), as one (k, m)
+    # integrand on shared panels
+    finite = [(f, domain, truth) for _, f, domain, truth in BATTERY if isinstance(domain, tuple)]
+
+    def stacked(t):
+        return np.stack([(b - a) * f(a + (b - a) * t) for f, (a, b), _ in finite])
+
+    r = integrate(stacked, 0.0, 1.0)
+    assert r.converged
+    assert r.value.shape == r.error_estimate.shape == (len(finite),)
+    for value, error, (_, _, truth) in zip(r.value, r.error_estimate, finite):
+        assert abs(value - truth) <= error, (value, truth, error)
+        assert error <= max(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * abs(value))
+
+
+def test_result_shape_follows_the_integrand():
+    scalar = integrate(lambda u: u * u, 0.0, 1.0)
+    assert type(scalar.value) is float and type(scalar.error_estimate) is float
+    assert type(scalar.converged) is bool and type(scalar.subdivisions_used) is int
+    vector = integrate(lambda u: np.stack([u, u * u]), 0.0, 1.0)
+    np.testing.assert_allclose(vector.value, [0.5, 1.0 / 3.0], rtol=1e-12)
+    assert type(vector.converged) is bool and type(vector.subdivisions_used) is int
+
+
+def test_infinite_panel_error_does_not_stall_the_loop():
+    # The first panel's fitted endpoint power law has p >= 1, so its error is
+    # infinite; once that panel is split, the running error must not stay NaN.
+    c = 1e-4
+    truth = 2.0 * (c**-0.5 - (1.0 + c) ** -0.5)
+
+    def spike(u):
+        return (u + c) ** -1.5
+
+    alone = integrate(spike, 0.0, 1.0)
+    stacked = integrate(lambda u: np.stack([spike(u), np.log(u)]), 0.0, 1.0)
+    cases = [
+        (alone, alone.value, alone.error_estimate),
+        (stacked, stacked.value[0], stacked.error_estimate[0]),
+    ]
+    for r, value, error in cases:
+        assert r.converged and r.subdivisions_used < 100, r
+        assert abs(value - truth) <= error, (value, truth, error)
+    assert abs(stacked.value[1] + 1.0) <= stacked.error_estimate[1]
+    # the same in a measure: the first panel of the 50 Renyi components has an
+    # infinite error, and the integral must not then spend its whole budget
+    res = renyi(Design("rss", 50), Exponential(1.0), 3.0, force_numeric=True)
+    assert res.diagnostics["converged"] and res.diagnostics["subdivisions"] < 100
 
 
 def test_determinism_is_bitwise():

@@ -341,7 +341,8 @@ class ScanReport:
 
 def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) -> ScanReport:
     """Evaluate the three Renyi quantities over the grid and record ordering
-    margins; a violation needs a margin below minus (combined error + slack)."""
+    margins and whether all three converged; a violation needs a margin below
+    minus (combined error + slack)."""
     dists = [parse_distribution(f) for f in grid.families]
     points = [
         (fi, n, alpha, mi)
@@ -378,6 +379,7 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
             "margin_rss_irss": margin_lower,
             "margin_irss_srs": margin_upper,
             "error_budget": srs.error_estimate + rss.error_estimate + irss.error_estimate,
+            "converged": all(r.diagnostics.get("converged", True) for r in (srs, rss, irss)),
         }
 
     # warm the SRS/RSS cache serially so worker threads only do the irss leg

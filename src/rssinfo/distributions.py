@@ -2,12 +2,16 @@
 integral consumes: density, log-density, cdf, survival, quantile, and
 density-at-quantile.
 
-All operations accept scalars or numpy arrays and are pure; instances are
-immutable after construction.
+Each family is a standard shape moved by a location and stretched by a
+scale, and only ``Distribution`` applies that affine map; ``standard()``
+gives the same shape at location 0 and scale 1, the law every measure
+integrates.  All operations accept scalars or numpy arrays and are pure;
+instances are immutable after construction.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -40,39 +44,68 @@ class Support:
 
 
 class Distribution:
-    """Base class for continuous laws.
+    """A standard shape moved by ``loc`` and stretched by ``scale``: the law
+    of loc + scale * Z, with Z the family's standard law.
 
-    Subclasses must set ``name``, ``support`` and implement ``pdf``,
-    ``log_pdf``, ``cdf``, ``survival`` and ``quantile``.  ``pdf_at_quantile``
-    defaults to the composition but families override it with a closed form
-    where one exists.
+    Subclasses set ``name`` and ``support`` and give Z's functions only:
+    ``_log_pdf``, ``_cdf``, ``_quantile`` and ``_entropy``, plus
+    ``_survival`` and ``_log_pdf_at_quantile`` where a closed form beats
+    the default.  This class alone applies the affine map.  ``support`` is
+    the same for Z and X, as only a full-line family has a location.
     """
 
     name: str
     support: Support
+    loc = 0.0
+    scale = 1.0
 
-    def pdf(self, x):
-        raise NotImplementedError
+    def _z(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.loc == 0.0 and self.scale == 1.0:  # the law every measure integrates
+            return x
+        return (x - self.loc) / self.scale
+
+    def _per_x(self, log_f):
+        """A log density of Z as one of X: less log(scale)."""
+        return log_f if self.scale == 1.0 else log_f - math.log(self.scale)
 
     def log_pdf(self, x):
-        raise NotImplementedError
+        return self._per_x(self._log_pdf(self._z(x)))
+
+    def pdf(self, x):
+        return np.exp(self.log_pdf(x))
 
     def cdf(self, x):
-        raise NotImplementedError
+        return self._cdf(self._z(x))
 
     def survival(self, x):
-        return 1.0 - self.cdf(x)
+        return self._survival(self._z(x))
 
     def quantile(self, u):
-        raise NotImplementedError
-
-    def pdf_at_quantile(self, u):
         _check_unit_open(u)
-        return self.pdf(self.quantile(u))
+        return self.loc + self.scale * self._quantile(np.asarray(u, dtype=float))
 
     def log_pdf_at_quantile(self, u):
-        with np.errstate(divide="ignore"):
-            return np.log(self.pdf_at_quantile(u))
+        _check_unit_open(u)
+        return self._per_x(self._log_pdf_at_quantile(np.asarray(u, dtype=float)))
+
+    def pdf_at_quantile(self, u):
+        return np.exp(self.log_pdf_at_quantile(u))
+
+    def entropy(self) -> float:
+        return self._entropy() + math.log(self.scale)
+
+    def standard(self) -> "Distribution":
+        """The same shape at location 0 and scale 1."""
+        std = copy.copy(self)
+        std.loc, std.scale = 0.0, 1.0
+        return std
+
+    def _survival(self, z):
+        return 1.0 - self._cdf(z)
+
+    def _log_pdf_at_quantile(self, u):
+        return self._log_pdf(self._quantile(u))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -93,29 +126,16 @@ class Uniform(Distribution):
     name = "unif"
     support = Support(0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
+    def _log_pdf(self, z):
+        return np.where((z >= 0.0) & (z <= 1.0), 0.0, -np.inf)
 
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0.0) & (x <= 1.0), 0.0, -np.inf)
+    def _cdf(self, z):
+        return np.clip(z, 0.0, 1.0)
 
-    def cdf(self, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    def _quantile(self, u):
+        return u
 
-    def survival(self, x):
-        return 1.0 - self.cdf(x)
-
-    def quantile(self, u):
-        _check_unit_open(u)
-        return np.asarray(u, dtype=float)
-
-    def pdf_at_quantile(self, u):
-        _check_unit_open(u)
-        return np.ones_like(np.asarray(u, dtype=float))
-
-    def entropy(self) -> float:
+    def _entropy(self) -> float:
         return 0.0
 
     def spec_string(self) -> str:
@@ -123,42 +143,36 @@ class Uniform(Distribution):
 
 
 class Exponential(Distribution):
-    """Exponential with rate ``lam`` (density lam * exp(-lam * x), x > 0)."""
+    """Exponential with rate ``lam`` (density lam * exp(-lam * x), x > 0):
+    scale 1/lam."""
 
     name = "exp"
     support = Support(0.0, math.inf)
 
     def __init__(self, lam: float):
-        if not (lam > 0):
-            raise ValueError(f"exponential rate must be positive, got {lam}")
-        self.lam = float(lam)
+        if not (lam > 0 and 0.0 < 1.0 / lam < math.inf):
+            raise ValueError(f"exponential rate must be positive with a finite scale 1/rate, got {lam}")
+        self.scale = 1.0 / float(lam)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, self.lam * np.exp(-self.lam * x), 0.0)
+    lam = property(lambda self: 1.0 / self.scale)
 
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, math.log(self.lam) - self.lam * x, -np.inf)
+    def _log_pdf(self, z):
+        return np.where(z >= 0.0, -z, -np.inf)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, -np.expm1(-self.lam * x), 0.0)
+    def _cdf(self, z):
+        return np.where(z >= 0.0, -np.expm1(-z), 0.0)
 
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, np.exp(-self.lam * x), 1.0)
+    def _survival(self, z):
+        return np.where(z >= 0.0, np.exp(-z), 1.0)
 
-    def quantile(self, u):
-        _check_unit_open(u)
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.lam
+    def _quantile(self, u):
+        return -np.log1p(-u)
 
-    def pdf_at_quantile(self, u):
-        _check_unit_open(u)
-        return self.lam * (1.0 - np.asarray(u, dtype=float))
+    def _log_pdf_at_quantile(self, u):
+        return np.log1p(-u)
 
-    def entropy(self) -> float:
-        return 1.0 - math.log(self.lam)
+    def _entropy(self) -> float:
+        return 1.0
 
     def spec_string(self) -> str:
         return f"exp:{self.lam:g}"
@@ -173,37 +187,26 @@ class Normal(Distribution):
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
         if not (sigma > 0):
             raise ValueError(f"normal scale must be positive, got {sigma}")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
+        self.loc = float(mu)
+        self.scale = float(sigma)
 
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
+    mu = property(lambda self: self.loc)
+    sigma = property(lambda self: self.scale)
 
-    def pdf(self, x):
-        z = self._z(x)
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+    def _log_pdf(self, z):
+        return -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
 
-    def log_pdf(self, x):
-        z = self._z(x)
-        return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2.0 * math.pi)
+    def _cdf(self, z):
+        return special.ndtr(z)
 
-    def cdf(self, x):
-        return special.ndtr(self._z(x))
+    def _survival(self, z):
+        return special.ndtr(-z)
 
-    def survival(self, x):
-        return special.ndtr(-self._z(x))
+    def _quantile(self, u):
+        return special.ndtri(u)
 
-    def quantile(self, u):
-        _check_unit_open(u)
-        return self.mu + self.sigma * special.ndtri(np.asarray(u, dtype=float))
-
-    def pdf_at_quantile(self, u):
-        _check_unit_open(u)
-        z = special.ndtri(np.asarray(u, dtype=float))
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-
-    def entropy(self) -> float:
-        return 0.5 * math.log(2.0 * math.pi * math.e * self.sigma**2)
+    def _entropy(self) -> float:
+        return 0.5 * math.log(2.0 * math.pi * math.e)
 
     def spec_string(self) -> str:
         return f"norm:{self.mu:g},{self.sigma:g}"
@@ -221,53 +224,31 @@ class Weibull(Distribution):
         if not (theta > 0):
             raise ValueError(f"weibull scale must be positive, got {theta}")
         self.k = float(k)
-        self.theta = float(theta)
+        self.scale = float(theta)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = np.where(x > 0.0, x / self.theta, 1.0)
-            val = (self.k / self.theta) * y ** (self.k - 1.0) * np.exp(-(y**self.k))
-        return np.where(x > 0.0, val, 0.0)
+    theta = property(lambda self: self.scale)
 
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _log_pdf(self, z):
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.where(x > 0.0, x / self.theta, 1.0)
-            val = (
-                math.log(self.k / self.theta)
-                + (self.k - 1.0) * np.log(y)
-                - y**self.k
-            )
-        return np.where(x > 0.0, val, -np.inf)
+            y = np.where(z > 0.0, z, 1.0)
+            val = math.log(self.k) + (self.k - 1.0) * np.log(y) - y**self.k
+        return np.where(z > 0.0, val, -np.inf)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.where(x > 0.0, x / self.theta, 0.0)
-        return np.where(x > 0.0, -np.expm1(-(y**self.k)), 0.0)
+    def _cdf(self, z):
+        return np.where(z > 0.0, -np.expm1(-(np.maximum(z, 0.0) ** self.k)), 0.0)
 
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.where(x > 0.0, x / self.theta, 0.0)
-        return np.where(x > 0.0, np.exp(-(y**self.k)), 1.0)
+    def _survival(self, z):
+        return np.where(z > 0.0, np.exp(-(np.maximum(z, 0.0) ** self.k)), 1.0)
 
-    def quantile(self, u):
-        _check_unit_open(u)
-        y = -np.log1p(-np.asarray(u, dtype=float))
-        return self.theta * y ** (1.0 / self.k)
+    def _quantile(self, u):
+        return (-np.log1p(-u)) ** (1.0 / self.k)
 
-    def pdf_at_quantile(self, u):
-        _check_unit_open(u)
-        u = np.asarray(u, dtype=float)
+    def _log_pdf_at_quantile(self, u):
         y = -np.log1p(-u)
-        return (self.k / self.theta) * y ** (1.0 - 1.0 / self.k) * (1.0 - u)
+        return math.log(self.k) + (1.0 - 1.0 / self.k) * np.log(y) + np.log1p(-u)
 
-    def entropy(self) -> float:
-        return (
-            np.euler_gamma * (1.0 - 1.0 / self.k)
-            + math.log(self.theta / self.k)
-            + 1.0
-        )
+    def _entropy(self) -> float:
+        return np.euler_gamma * (1.0 - 1.0 / self.k) - math.log(self.k) + 1.0
 
     def spec_string(self) -> str:
         return f"weibull:{self.k:g},{self.theta:g}"

@@ -8,6 +8,11 @@ through the ``order_stats`` kernel, and weights each by its count; so
 ``diagnostics["subdivisions"]`` counts the shared panel splits once per
 design, not once per row.
 
+Every route, closed form or numeric, computes on the standard law
+``dist.standard()`` (location 0, scale 1).  Location and scale enter only in
+``MeasureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
+Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
+
 Dispatch order: a closed form is used when one exists for the (family,
 design, measure) triple, otherwise the quadrature engine; ``force_numeric``
 bypasses closed forms so the two paths can be compared.
@@ -105,11 +110,13 @@ class MeasureResult:
     method: str  # closed-form | quadrature | monte-carlo
     diagnostics: dict = field(default_factory=dict)
 
-    def scaled(self, m: int) -> "MeasureResult":
-        if m == 1:
+    def scaled(self, m: int, shift: float = 0.0) -> "MeasureResult":
+        """m cycles of this one-cycle result, each moved by ``shift``: the
+        n log(scale) a Shannon or Renyi value of the standard law lacks."""
+        if m == 1 and shift == 0.0:
             return self
         return MeasureResult(
-            self.value * m, self.error_estimate * m, self.method, self.diagnostics
+            (self.value + shift) * m, self.error_estimate * m, self.method, self.diagnostics
         )
 
 
@@ -159,25 +166,21 @@ def shannon(
     H(X_(i)) = H(U_(i)) - E[log f(F^-1(W_i))]; ``mode='x'`` integrates the
     component densities directly in x-space as a cross-check.
     """
-    if not force_numeric:
-        cf = _shannon_closed_form(design, dist)
-        if cf is not None:
-            return cf.scaled(design.m)
-    if mode == "x":
-        res = _shannon_x_space(design, dist, cfg)
-    else:
-        res = _shannon_u_space(design, dist, cfg)
-    return res.scaled(design.m)
+    std = dist.standard()
+    res = None if force_numeric else _shannon_closed_form(design, std)
+    if res is None:
+        res = (_shannon_x_space if mode == "x" else _shannon_u_space)(design, std, cfg)
+    return res.scaled(design.m, design.n * math.log(dist.scale))
 
 
-def _shannon_closed_form(design: Design, dist: Distribution) -> MeasureResult | None:
-    if design.kind == SRS and hasattr(dist, "entropy"):
-        return _closed(design.n * dist.entropy())
-    if isinstance(dist, Exponential) and design.n == 2:
+def _shannon_closed_form(design: Design, std: Distribution) -> MeasureResult | None:
+    if design.kind == SRS:
+        return _closed(design.n * std.entropy())
+    if isinstance(std, Exponential) and design.n == 2:  # the standard law has rate 1
         if design.kind == PERFECT_RSS:
-            return _closed(closed_form.exp_shannon("rss", dist.lam))
+            return _closed(closed_form.exp_shannon("rss", 1.0))
         if design.kind == IMPERFECT_RSS:
-            return _closed(closed_form.exp_shannon("irss", dist.lam, design.P))
+            return _closed(closed_form.exp_shannon("irss", 1.0, design.P))
     return None
 
 
@@ -222,30 +225,30 @@ def renyi(
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is the Shannon case; use shannon()")
-    if not force_numeric:
-        cf = _renyi_closed_form(design, dist, alpha)
-        if cf is not None:
-            return cf.scaled(design.m)
-    res = _renyi_numeric(design, dist, alpha, cfg)
-    return res.scaled(design.m)
+    std = dist.standard()
+    res = None if force_numeric else _renyi_closed_form(design, std, alpha)
+    if res is None:
+        res = _renyi_numeric(design, dist, alpha, cfg)
+    return res.scaled(design.m, design.n * math.log(dist.scale))
 
 
-def _renyi_closed_form(design: Design, dist: Distribution, alpha: float) -> MeasureResult | None:
+def _renyi_closed_form(design: Design, std: Distribution, alpha: float) -> MeasureResult | None:
+    # the standard exponential has rate 1
     if design.kind == SRS:
-        if isinstance(dist, Uniform):
+        if isinstance(std, Uniform):
             return _closed(0.0)
-        if isinstance(dist, Exponential):
-            per_draw = -math.log(dist.lam) - math.log(alpha) / (1.0 - alpha)
-            return _closed(design.n * per_draw)
-    if design.kind == PERFECT_RSS and isinstance(dist, Exponential) and design.n == 2:
-        return _closed(closed_form.exp_renyi("rss", dist.lam, alpha))
+        if isinstance(std, Exponential):
+            return _closed(design.n * (-math.log(alpha) / (1.0 - alpha)))
+    if design.kind == PERFECT_RSS and isinstance(std, Exponential) and design.n == 2:
+        return _closed(closed_form.exp_renyi("rss", 1.0, alpha))
     return None
 
 
 def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: QuadratureConfig) -> MeasureResult:
+    """The standard law's value; an error names x in ``dist``'s coordinates."""
     om = 1.0 - alpha
     _, (rows,), counts = _distinct_rows(design)
-    log_pdf = judged_log_pdf(dist, rows)
+    log_pdf = judged_log_pdf(dist.standard(), rows)
 
     def integrand(x):
         lg = log_pdf(x)
@@ -257,7 +260,7 @@ def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: Quadra
             r = integrate_support(integrand, dist.support, cfg)
     except NonFiniteIntegrandError as exc:
         raise DivergentIntegralError(
-            f"renyi integrand exceeds the float range at x = {exc.x}; "
+            f"renyi integrand exceeds the float range at x = {dist.loc + dist.scale * exc.x}; "
             "the integral may be divergent or out of range"
         ) from exc
     if np.any(r.value <= 0):
@@ -285,12 +288,13 @@ def renyi_gap_binomial(
         return _closed(0.0)
     om = 1.0 - alpha
     log_beta = judged_log_weight(np.eye(n))
+    log_fq = dist.standard().log_pdf_at_quantile  # the gap is scale-free
 
     def integrand(u):
         # row 0: f(F^-1(u))^(alpha-1), the du-weight form of f^alpha dx; row i:
         # that times the Binomial(n-1, u) pmf at i-1, the Beta(i, n-i+1)
         # density over n, to the power alpha
-        weight = np.exp((alpha - 1.0) * dist.log_pdf_at_quantile(u))
+        weight = np.exp((alpha - 1.0) * log_fq(u))
         log_pmf = log_beta(u, 1.0 - u) - math.log(n)
         return np.vstack([weight, np.exp(alpha * log_pmf) * weight])
 
@@ -317,7 +321,7 @@ def kl_srs_vs_design(
 
     The value is distribution-free; the default path computes it entirely in
     u-space (``dist`` is ignored there).  ``mode='x'`` runs the x-space
-    verification integral and requires ``dist``.
+    verification integral on ``dist.standard()`` and requires ``dist``.
     """
     if design.kind == SRS:
         raise ValueError("design must be an RSS kind (perfect or imperfect)")
@@ -327,7 +331,7 @@ def kl_srs_vs_design(
     if mode == "x":
         if dist is None:
             raise ValueError("x-space verification mode needs a distribution")
-        res = _kl_srs_x_space(design, dist, cfg)
+        res = _kl_srs_x_space(design, dist.standard(), cfg)
     else:
         res = _kl_srs_u_space(design, cfg)
     return res.scaled(design.m)

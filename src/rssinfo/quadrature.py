@@ -129,14 +129,6 @@ class QuadratureResult:
     subdivisions_used: int
     converged: bool
 
-    def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
-        return QuadratureResult(
-            value=self.value + other.value,
-            error_estimate=self.error_estimate + other.error_estimate,
-            subdivisions_used=self.subdivisions_used + other.subdivisions_used,
-            converged=self.converged and other.converged,
-        )
-
 
 _WK_FLOOR = 50.0 * np.finfo(float).eps * _WK  # rounding floor: 50 eps * K15 integral of |f|
 _MIN_SPLIT_ULPS = 4096  # children's outermost nodes stay >= 8 ulps inside
@@ -262,28 +254,32 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     return QuadratureResult(value[0], error[0], nsub, converged)
 
 
-def integrate_half_line(f, a: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integral of ``f`` over (a, inf) via the substitution x = a + t/(1-t)."""
+def _integrate_mapped(f, x_of_t, weigh, lo: float, hi: float, cfg: QuadratureConfig) -> QuadratureResult:
+    """Integral of ``f`` over x_of_t((lo, hi)); ``weigh(t, f(x))`` applies
+    dx/dt.  A non-finite integrand is reported at its x, not at its t."""
 
     def g(t):
         t = np.asarray(t, dtype=float)
-        omt = 1.0 - t
-        x = a + t / omt
-        return np.asarray(f(x), dtype=float) / (omt * omt)
+        return weigh(t, np.asarray(f(x_of_t(t)), dtype=float))
 
-    return integrate(g, 0.0, 1.0, cfg)
+    try:
+        return integrate(g, lo, hi, cfg)
+    except NonFiniteIntegrandError as exc:
+        raise NonFiniteIntegrandError(float(x_of_t(exc.x)), exc.component) from exc
+
+
+def integrate_half_line(f, a: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+    """Integral of ``f`` over (a, inf) via the substitution x = a + t/(1-t)."""
+    return _integrate_mapped(f, lambda t: a + t / (1.0 - t), lambda t, fx: fx / (1.0 - t) ** 2, 0.0, 1.0, cfg)
 
 
 def integrate_full_line(f, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Integral of ``f`` over the real line via x = t/(1-t^2) on (-1, 1)."""
 
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        omt2 = 1.0 - t * t
-        x = t / omt2
-        return np.asarray(f(x), dtype=float) * (1.0 + t * t) / (omt2 * omt2)
+    def weigh(t, fx):
+        return fx * (1.0 + t * t) / (1.0 - t * t) ** 2
 
-    return integrate(g, -1.0, 1.0, cfg)
+    return _integrate_mapped(f, lambda t: t / (1.0 - t * t), weigh, -1.0, 1.0, cfg)
 
 
 def integrate_support(f, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:

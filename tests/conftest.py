@@ -11,6 +11,14 @@ def families():
 
 
 @pytest.fixture
+def members(families):
+    """The families plus members off unit scale (1e-6 and 1e6) and off the
+    origin (+-1e4), for the pointwise checks."""
+    scaled = [m for s in (1e-6, 1e6) for m in (Exponential(1.0 / s), Normal(0.0, s), Weibull(2.0, s))]
+    return families + scaled + [Normal(1e4, 1.0), Normal(-1e4, 1.0)]
+
+
+@pytest.fixture
 def interior_u():
     """A grid of quantile levels strictly inside (0, 1), tails included."""
     return np.concatenate(

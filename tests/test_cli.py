@@ -237,7 +237,16 @@ def test_conjecture_scan_clean_grid_exits_zero(capsys):
     )
     assert code == cli.EXIT_OK
     assert len(rows_of(out)) == 4
+    assert all(r["converged"] == "True" for r in rows_of(out))
     assert "supports" in err and "prove" in err
+
+
+def test_conjecture_scan_records_flag_a_leg_that_did_not_converge(capsys):
+    _, out, _ = run(
+        capsys, "conjecture-scan", "--family", "norm:0,1", "--n-values", "3",
+        "--alphas", "2", "--matrix", "blend=0.5", "--quad-max-subdiv", "1",
+    )
+    assert rows_of(out)[0]["converged"] == "False"
 
 
 def test_conjecture_scan_reports_found_violation(capsys):

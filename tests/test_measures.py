@@ -1,12 +1,16 @@
 import math
+import re as re_
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rssinfo import closed_form as cf
 from rssinfo import measures as M
 from rssinfo import ranking_error as re
-from rssinfo.distributions import Exponential, Normal, Uniform, Weibull
+from rssinfo.cli import parse_design
+from rssinfo.distributions import Exponential, Normal, Uniform, Weibull, parse_distribution
 from rssinfo.measures import Design, DivergentIntegralError
 
 
@@ -118,9 +122,95 @@ def test_renyi_weibull_unbounded_density():
 
 
 def test_renyi_overflow_is_not_called_divergent():
-    # int f^2 = 1/(2 sqrt(pi) sigma) is finite, but f^2 overflows at the mode
+    # int f^2 = 1/(2 sqrt(pi) sigma) is finite though f^2 overflows at the mode
+    # of N(0, 1e-160); the integral is taken on the standard law
+    res = M.renyi(Design("srs", 1), Normal(0.0, 1e-160), 2.0, force_numeric=True)
+    truth = math.log(2.0 * math.sqrt(math.pi) * 1e-160)  # -367.148103
+    assert res.diagnostics["converged"]
+    assert abs(res.value - truth) <= res.error_estimate
+    # f^2 of Weibull(0.3) overflows before x reaches 0 even at unit scale
     with pytest.raises(DivergentIntegralError, match="exceeds the float range"):
-        M.renyi(Design("srs", 1), Normal(0.0, 1e-160), 2.0, force_numeric=True)
+        M.renyi(Design("srs", 1), Weibull(0.3, 1.0), 2.0)
+
+
+def test_renyi_error_names_x_in_the_callers_coordinates():
+    def location(theta):
+        with pytest.raises(DivergentIntegralError) as err:
+            M.renyi(Design("srs", 1), Weibull(0.3, theta), 2.0)
+        return float(re_.search(r"at x = (\S+);", str(err.value)).group(1))
+
+    assert location(1e3) == pytest.approx(1e3 * location(1.0), rel=1e-12)
+
+
+# The scale defects of the x-space routes before they ran on the standard law:
+# (measure, design, law, alpha, truth), the truth being the unit-scale value
+# plus n log(scale), to the digits printed.
+SCALE_DEFECTS = [
+    ("renyi", "rss:3", "weibull:3.68,0.00117096", 2.0, "-21.31835"),
+    ("renyi", "irss:3:blend=0.438", "norm:0,1e-4", 0.5, "-22.91378"),
+    ("renyi", "irss:4:uniform", "weibull:3.68,0.00117096", 0.2415, "-25.2585"),
+    ("renyi", "irss:3:blend=0.438", "exp:8.86e-6", 6.126, "35.97240"),
+    ("renyi", "rss:3", "norm:1e4,1", 2.0, "2.796825"),
+    ("shannon", "rss:3", "norm:0,1e-4", None, "-24.3631896"),
+    ("shannon", "rss:3", "norm:1e4,1", None, "3.2678316"),
+    ("shannon", "rss:3", "weibull:3.68,0.00117096", None, "-20.8864256"),
+    ("kl", "rss:3", "norm:0,1e-4", None, "2.011016"),
+    ("kl", "rss:3", "norm:1e4,1", None, "2.011016"),
+    ("kl", "rss:3", "weibull:3.68,0.00117096", None, "2.011016"),
+]
+
+
+@pytest.mark.parametrize("measure, design, law, alpha, truth", SCALE_DEFECTS)
+def test_scale_defects_are_right(measure, design, law, alpha, truth):
+    design, dist = parse_design(design), parse_distribution(law)
+    if measure == "renyi":
+        res = M.renyi(design, dist, alpha)
+    elif measure == "shannon":
+        res = M.shannon(design, dist, force_numeric=True, mode="x")
+    else:
+        res = M.kl_srs_vs_design(design, dist, force_numeric=True, mode="x")
+    assert res.diagnostics["converged"]
+    printed = 0.5 * 10.0 ** -len(truth.partition(".")[2])
+    assert abs(res.value - float(truth)) <= res.error_estimate + printed
+
+
+def _member(family: str, scale: float, loc: float, k: float):
+    """The family's member at ``scale``, and at ``loc`` for the normal."""
+    if family == "exp":
+        return Exponential(1.0 / scale)
+    if family == "norm":
+        return Normal(loc, scale)
+    return Weibull(k, scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["exp", "norm", "weibull"]),
+    magnitude=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    loc=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)).map(lambda t: t[0] * 10.0 ** t[1]),
+    k=st.floats(1.0, 4.0),
+    n=st.integers(2, 50),
+    blend=st.floats(0.05, 1.0),
+    alpha=st.floats(0.2, 10.0).filter(lambda a: abs(a - 1.0) > 1e-2),
+    route=st.sampled_from(["shannon-u", "shannon-x", "renyi", "kl-x"]),
+)
+def test_location_scale_equivariance(family, magnitude, loc, k, n, blend, alpha, route):
+    # H(aX + b) = H(X) + n log a for Shannon and Renyi; KL is invariant
+    design = Design("irss", n, re.blend(n, blend)) if blend < 1.0 else Design("rss", n)
+    dist, unit = _member(family, magnitude, loc, k), _member(family, 1.0, 0.0, k)
+    measure, _, mode = route.partition("-")
+
+    def run(d):
+        if measure == "renyi":
+            return M.renyi(design, d, alpha, force_numeric=True)
+        call = M.shannon if measure == "shannon" else M.kl_srs_vs_design
+        return call(design, d, force_numeric=True, mode=mode)
+
+    res, ref = run(dist), run(unit)
+    expected = ref.value + (0.0 if measure == "kl" else n * math.log(magnitude))
+    assert res.diagnostics["converged"] and ref.diagnostics["converged"]
+    slack = 1e-12 * abs(expected)  # rounding of the shift itself
+    assert abs(res.value - expected) <= res.error_estimate + ref.error_estimate + slack
 
 
 def test_renyi_far_from_unit_scale():
@@ -151,6 +241,9 @@ def test_renyi_gap_binomial_matches_direct_route():
 
 def test_renyi_gap_binomial_domain():
     assert M.renyi_gap_binomial(Exponential(1.0), 1, 2.0).value == 0.0
+    # the gap is scale-free; f^9 would overflow at scale 1e-40
+    tiny = M.renyi_gap_binomial(Weibull(2.0, 1e-40), 5, 10.0)
+    assert tiny.value == M.renyi_gap_binomial(Weibull(2.0, 1.0), 5, 10.0).value
     with pytest.raises(ValueError):
         M.renyi_gap_binomial(Exponential(1.0), 3, 0.8)
 

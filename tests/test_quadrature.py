@@ -137,6 +137,11 @@ def test_non_finite_integrand_raises_with_location():
     with pytest.raises(NonFiniteIntegrandError) as err:
         integrate(f, 0.0, 1.0)
     assert 0.0 < err.value.x < 1.0
+    # on a mapped line the location is the x of the failing node, not its t
+    for run in (lambda g: integrate_half_line(g, 0.0), integrate_full_line):
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            run(lambda x: np.where(x < 5.0, np.exp(-x * x), np.nan))
+        assert err.value.x >= 5.0
 
 
 def test_unreachable_tolerance_stops_at_float_resolution():
@@ -182,16 +187,6 @@ def test_subdivision_budget_marks_non_convergence():
     r = integrate(lambda u: np.log(u), 0.0, 1.0, cfg)
     assert not r.converged
     assert r.subdivisions_used <= 2
-
-
-def test_result_addition_combines_fields():
-    a = QuadratureResult(1.0, 1e-10, 3, True)
-    b = QuadratureResult(2.0, 2e-10, 4, False)
-    c = a + b
-    assert c.value == 3.0
-    assert c.error_estimate == pytest.approx(3e-10)
-    assert c.subdivisions_used == 7
-    assert not c.converged
 
 
 def test_integrate_support_dispatch():

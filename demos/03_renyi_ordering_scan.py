@@ -9,16 +9,16 @@ entropy of high order than the simple random sample.  The scan reports such
 points as violations (and the CLI exits with code 4).
 """
 
-from rssinfo import cli
+from rssinfo import reports
 from rssinfo.quadrature import QuadratureConfig
 
-grid = cli.ScanGrid(
+grid = reports.ScanGrid(
     families=("unif", "exp:1"),
     ns=(2, 3),
     alphas=(1.5, 2.0, 5.0, 10.0),
     matrices=("identity", "blend=0.5", "uniform"),
 )
-report = cli.run_conjecture_scan(grid, QuadratureConfig(), jobs=4)
+report = reports.run_conjecture_scan(grid, QuadratureConfig())
 
 print(f"{len(report.records)} grid points scanned, {len(report.violations)} violations\n")
 print("dist    n  alpha  matrix      lower margin  upper margin")

@@ -10,24 +10,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import closed_form, measures, mc_oracle, ranking_error
-from .distributions import Distribution, DistributionParseError, Exponential, parse_distribution
-from .measures import Design, MeasureResult
+from .distributions import DistributionParseError, parse_distribution
+from .measures import Design
 from .quadrature import QuadratureConfig
+from .ranking_error import parse_matrix
+from .reports import DEFAULT_SCAN_ALPHAS, DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, DEFAULT_SCAN_NS
+from .reports import ScanGrid, figure_curve, run_conjecture_scan, run_errata_checks
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VIOLATION = 4
-
-_SLACK = 1e-9
 
 
 class CliParseError(ValueError):
@@ -56,49 +52,17 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
         raise CliParseError(f"bad set size {parts[1]!r} in design spec {spec!r}")
     if n < 1:
         raise CliParseError(f"set size must be >= 1 in design spec {spec!r}")
-    if kind == "srs":
-        return Design("srs", n)
-    if kind == "rss":
-        return Design("rss", n)
-    matrix_spec = ":".join(parts[2:]) if len(parts) > 2 else None
-    if matrix_spec is None:
-        if matrix_path is None:
-            raise CliParseError(
-                f"imperfect design {spec!r} needs a matrix segment or --error-matrix"
-            )
-        P = _load_matrix(matrix_path)
+    if kind != "irss":
+        return Design(kind, n)
+    if len(parts) > 2:
+        P = parse_matrix(":".join(parts[2:]), n)
+    elif matrix_path is not None:
+        P = ranking_error.from_csv(matrix_path)
     else:
-        P = parse_matrix(matrix_spec, n)
+        raise CliParseError(f"imperfect design {spec!r} needs a matrix segment or --error-matrix")
     if P.n != n:
         raise CliParseError(f"error matrix dimension {P.n} does not match n = {n}")
     return Design("irss", n, P)
-
-
-def parse_matrix(spec: str, n: int) -> ranking_error.RankingErrorMatrix:
-    spec = spec.strip()
-    try:
-        if spec == "identity":
-            return ranking_error.identity(n)
-        if spec == "uniform":
-            return ranking_error.uniform(n)
-        if spec.startswith("blend="):
-            return ranking_error.blend(n, float(spec[len("blend=") :]))
-        if spec.startswith("p12="):
-            if n != 2:
-                raise CliParseError("p12=... matrices are 2x2 only")
-            return ranking_error.two_by_two(float(spec[len("p12=") :]))
-    except ValueError as exc:
-        raise CliParseError(f"bad matrix spec {spec!r}: {exc}") from exc
-    return _load_matrix(spec)
-
-
-def _load_matrix(path: str) -> ranking_error.RankingErrorMatrix:
-    try:
-        return ranking_error.from_csv(path)
-    except OSError as exc:
-        raise CliParseError(f"cannot read matrix file {path!r}: {exc}") from exc
-    except ValueError as exc:
-        raise CliParseError(f"bad matrix file {path!r}: {exc}") from exc
 
 
 _CONFIG_KEYS = {
@@ -132,12 +96,9 @@ def _quad_config(args) -> QuadratureConfig:
                 cfg[name] = convert(value)
             except ValueError as exc:
                 raise CliParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    if getattr(args, "quad_abs_tol", None) is not None:
-        cfg["abs_tol"] = args.quad_abs_tol
-    if getattr(args, "quad_rel_tol", None) is not None:
-        cfg["rel_tol"] = args.quad_rel_tol
-    if getattr(args, "quad_max_subdiv", None) is not None:
-        cfg["max_subdiv"] = args.quad_max_subdiv
+    for name in cfg:  # each --quad-* flag overrides the file
+        if getattr(args, "quad_" + name, None) is not None:
+            cfg[name] = getattr(args, "quad_" + name)
     try:
         return QuadratureConfig(
             abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"], max_subdivisions=cfg["max_subdiv"]
@@ -147,7 +108,11 @@ def _quad_config(args) -> QuadratureConfig:
 
 
 def _emit(rows: list[dict], args) -> None:
-    out = sys.stdout if getattr(args, "out", None) in (None, "-") else open(args.out, "w")
+    path = getattr(args, "out", None)
+    try:
+        out = sys.stdout if path in (None, "-") else open(path, "w")
+    except OSError as exc:
+        raise CliParseError(f"cannot write output file {path!r}: {exc}") from exc
     try:
         if getattr(args, "format", "csv") == "json":
             json.dump(rows, out, indent=2)
@@ -235,10 +200,8 @@ def cmd_measure(args) -> int:
         res = measures.shannon(design, dist, cfg, force_numeric=args.force_numeric)
     elif args.measure == "renyi":
         res = measures.renyi(design, dist, args.alpha, cfg, force_numeric=args.force_numeric)
-    elif args.measure == "kl":
-        res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
     else:
-        raise CliParseError(f"unknown measure {args.measure!r}")
+        res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
     rec = measures.result_record(args.measure, design, dist, res, args.alpha)
     if args.oracle:
         if args.measure == "shannon":
@@ -261,164 +224,27 @@ def cmd_figure(args) -> int:
         raise CliParseError(f"--rate must be positive, got {args.rate}")
     if args.points < 1:
         raise CliParseError(f"--points must be >= 1, got {args.points}")
-    lam = args.rate
-    if args.figure_id == "1":
-        rows = []
-        for p12 in np.linspace(0.0, 1.0, args.points):
-            p12 = float(p12)
-            h_srs = closed_form.exp_shannon("srs", lam)
-            h_rss = closed_form.exp_shannon("rss", lam)
-            h_irss = closed_form.exp_shannon("irss", lam, ranking_error.two_by_two(p12))
-            rows.append(
-                {
-                    "p12": p12,
-                    "irss_minus_srs": h_irss - h_srs,
-                    "rss_minus_srs": h_rss - h_srs,
-                    "rss_minus_irss": h_rss - h_irss,
-                }
-            )
-        _emit(rows, args)
-        return EXIT_OK
-    if args.figure_id not in ("2a", "2b"):
-        raise CliParseError(f"unknown figure id {args.figure_id!r}")
-    dist = Exponential(lam)
-    p11s = [0.8, 0.9, 0.95, 1.0]
-    alphas = [
-        float(a)
-        for a in np.linspace(args.alpha_min, args.alpha_max, args.points)
-        if abs(a - 1.0) > 1e-9
-    ]
-    rows = []
-    for alpha in alphas:
-        row = {"alpha": alpha}
-        if args.figure_id == "2a":
-            ref = measures.renyi(Design("srs", 2), dist, alpha, cfg).value
-        else:
-            ref = measures.renyi(Design("rss", 2), dist, alpha, cfg).value
-        for p11 in p11s:
-            design = Design("irss", 2, ranking_error.two_by_two(1.0 - p11))
-            val = measures.renyi(design, dist, alpha, cfg).value
-            row[f"p11_{p11:g}"] = val - ref
-        rows.append(row)
+    if args.figure_id != "1" and not (args.alpha_min > 0 and args.alpha_max > 0):
+        raise CliParseError(
+            f"--alpha-min and --alpha-max must be positive, got {args.alpha_min} and {args.alpha_max}"
+        )
+    rows = figure_curve(args.figure_id, args.points, args.rate, args.alpha_min, args.alpha_max, cfg)
     _emit(rows, args)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# conjecture scan
-# ---------------------------------------------------------------------------
-
-DEFAULT_SCAN_FAMILIES = ("unif", "exp:1", "norm:0,1", "weibull:2,1")
-DEFAULT_SCAN_NS = tuple(range(2, 9))
-DEFAULT_SCAN_ALPHAS = (1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
-DEFAULT_SCAN_MATRICES = ("identity", "blend=0.75", "blend=0.5", "blend=0.25", "uniform")
-
-
-@dataclass(frozen=True)
-class ScanGrid:
-    families: tuple[str, ...] = DEFAULT_SCAN_FAMILIES
-    ns: tuple[int, ...] = DEFAULT_SCAN_NS
-    alphas: tuple[float, ...] = DEFAULT_SCAN_ALPHAS
-    matrices: tuple[str, ...] = DEFAULT_SCAN_MATRICES
-
-    def __post_init__(self):
-        if not (self.families and self.ns and self.alphas and self.matrices):
-            raise CliParseError("scan grid axes must be non-empty")
-        if min(self.ns) < 1:
-            raise CliParseError(f"scan set sizes must be >= 1, got {list(self.ns)}")
-        bad = [a for a in self.alphas if a <= 1.0]
-        if bad:
-            raise CliParseError(
-                f"conjecture scan covers alpha > 1 only (alpha <= 1 is proved); got {bad}"
-            )
-
-
-@dataclass
-class ScanReport:
-    records: list[dict] = field(default_factory=list)
-    violations: list[dict] = field(default_factory=list)
-
-
-def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) -> ScanReport:
-    """Evaluate the three Renyi quantities over the grid and record ordering
-    margins and whether all three converged; a violation needs a margin below
-    minus (combined error + slack)."""
-    dists = [parse_distribution(f) for f in grid.families]
-    points = [
-        (fi, n, alpha, mi)
-        for fi in range(len(dists))
-        for n in grid.ns
-        for alpha in grid.alphas
-        for mi in range(len(grid.matrices))
-    ]
-    base_cache: dict[tuple[int, int, float], tuple[MeasureResult, MeasureResult]] = {}
-
-    def base(fi: int, n: int, alpha: float):
-        key = (fi, n, alpha)
-        if key not in base_cache:
-            srs = measures.renyi(Design("srs", n), dists[fi], alpha, cfg, force_numeric=True)
-            rss = measures.renyi(Design("rss", n), dists[fi], alpha, cfg, force_numeric=True)
-            base_cache[key] = (srs, rss)
-        return base_cache[key]
-
-    def evaluate(point):
-        fi, n, alpha, mi = point
-        srs, rss = base(fi, n, alpha)
-        P = parse_matrix(grid.matrices[mi], n)
-        irss = measures.renyi(Design("irss", n, P), dists[fi], alpha, cfg)
-        margin_lower = irss.value - rss.value  # conjecture: >= 0
-        margin_upper = srs.value - irss.value  # conjecture: >= 0
-        return {
-            "dist": grid.families[fi],
-            "n": n,
-            "alpha": alpha,
-            "matrix": grid.matrices[mi],
-            "renyi_srs": srs.value,
-            "renyi_rss": rss.value,
-            "renyi_irss": irss.value,
-            "margin_rss_irss": margin_lower,
-            "margin_irss_srs": margin_upper,
-            "error_budget": srs.error_estimate + rss.error_estimate + irss.error_estimate,
-            "converged": all(r.diagnostics.get("converged", True) for r in (srs, rss, irss)),
-        }
-
-    # warm the SRS/RSS cache serially so worker threads only do the irss leg
-    for fi, n, alpha, _ in points:
-        base(fi, n, alpha)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(evaluate, points))
-    else:
-        records = [evaluate(p) for p in points]
-
-    report = ScanReport(records=records)
-    for rec in records:
-        slack = rec["error_budget"] + _SLACK
-        for name in ("margin_rss_irss", "margin_irss_srs"):
-            if rec[name] < -slack:
-                report.violations.append(
-                    {
-                        "inequality": name,
-                        "dist": rec["dist"],
-                        "n": rec["n"],
-                        "alpha": rec["alpha"],
-                        "matrix": rec["matrix"],
-                        "margin": rec[name],
-                        "error_budget": rec["error_budget"],
-                    }
-                )
-    return report
-
-
 def cmd_conjecture_scan(args) -> int:
     cfg = _quad_config(args)
-    grid = ScanGrid(
-        families=tuple(args.family) if args.family else DEFAULT_SCAN_FAMILIES,
-        ns=tuple(_parse_int_list(args.n_values)) if args.n_values else DEFAULT_SCAN_NS,
-        alphas=tuple(_parse_float_list(args.alphas)) if args.alphas else DEFAULT_SCAN_ALPHAS,
-        matrices=tuple(args.matrix) if args.matrix else DEFAULT_SCAN_MATRICES,
-    )
-    report = run_conjecture_scan(grid, cfg, jobs=args.jobs)
+    try:
+        grid = ScanGrid(
+            families=tuple(args.family) if args.family else DEFAULT_SCAN_FAMILIES,
+            ns=tuple(_parse_int_list(args.n_values)) if args.n_values else DEFAULT_SCAN_NS,
+            alphas=tuple(_parse_float_list(args.alphas)) if args.alphas else DEFAULT_SCAN_ALPHAS,
+            matrices=tuple(args.matrix) if args.matrix else DEFAULT_SCAN_MATRICES,
+        )
+    except ValueError as exc:
+        raise CliParseError(str(exc)) from exc
+    report = run_conjecture_scan(grid, cfg)
     _emit(report.records, args)
     if report.violations:
         print(
@@ -434,78 +260,6 @@ def cmd_conjecture_scan(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# errata report
-# ---------------------------------------------------------------------------
-
-
-def run_errata_checks(cfg: QuadratureConfig | None = None) -> list[dict]:
-    """Compare each suspect printed formula against its corrected form and an
-    oracle value; returns one row per check with ok flags."""
-    from .quadrature import DEFAULT_CONFIG, integrate
-
-    cfg = cfg or DEFAULT_CONFIG
-    rows = []
-    tol = 1e-6
-
-    # 1. eta sign: the printed bracket vs the sign-corrected closed form,
-    #    against quadrature of the defining integral (sign fixed by eta(0)=1/2).
-    a = 0.25
-    printed = 0.5 + ((1 - a) ** 2 * math.log(1 - a) - a * a * math.log(a)) / (1 - 2 * a)
-    corrected = closed_form.eta(a)
-    raw = integrate(lambda u: u * np.log(u), a, 1 - a, cfg)
-    oracle = -2.0 / (1.0 - 2.0 * a) * raw.value
-    rows.append(_errata_row("eta_sign", printed, corrected, oracle, tol))
-
-    # 2. combined Renyi gap display vs the sum of its own components,
-    #    against the force-numeric quadrature gap (exponential, n=2, alpha=2).
-    alpha, lam = 2.0, 1.0
-    printed = alpha / (1 - alpha) * (1 - math.log(2)) + (
-        float(closed_form.log_gamma(alpha + 1) + closed_form.log_gamma(alpha) - closed_form.log_gamma(2 * alpha + 1))
-    ) / (1 - alpha)
-    corrected = closed_form.exp_renyi("rss", lam, alpha) - closed_form.exp_renyi("srs", lam, alpha)
-    dist = Exponential(lam)
-    oracle = (
-        measures.renyi(Design("rss", 2), dist, alpha, cfg, force_numeric=True).value
-        - measures.renyi(Design("srs", 2), dist, alpha, cfg, force_numeric=True).value
-    )
-    rows.append(_errata_row("renyi_gap_display", printed, corrected, oracle, tol))
-
-    # 3. imperfect-KL prefactor: with the printed leading -n the P=identity
-    #    limit misses d_n; without it the limit is exact.
-    n = 3
-    design = Design("irss", n, ranking_error.identity(n))
-    base = measures.kl_srs_vs_design(design, cfg=cfg).value
-    rows.append(_errata_row("kl_minus_n_prefactor", n * base, base, closed_form.d_n(n), tol))
-
-    # 4. A_n reduced form: the printed version (bare survival term, no log)
-    #    must vanish at F = G but does not; the corrected form does.
-    f = Exponential(1.0)
-    printed = measures.a_n_printed_reduced(f, f, 2, cfg).value
-    corrected = measures.a_n(f, f, 2, cfg).value
-    rows.append(_errata_row("a_n_missing_log", printed, corrected, 0.0, tol))
-
-    # 5. Psi(alpha, 2) display: the printed 2a/(1-a) omits the log 2 factor
-    #    carried by the definition (oracle: direct evaluation of the sum).
-    alpha = 2.0
-    printed = 2 * alpha / (1 - alpha)
-    corrected = closed_form.psi_bound(alpha, 2)
-    oracle = alpha / (1 - alpha) * 2 * math.log(2)
-    rows.append(_errata_row("psi_alpha_2_display", printed, corrected, oracle, tol))
-    return rows
-
-
-def _errata_row(check, printed, corrected, oracle, tol) -> dict:
-    return {
-        "check": check,
-        "printed": printed,
-        "corrected": corrected,
-        "oracle": oracle,
-        "printed_ok": str(abs(printed - oracle) <= tol),
-        "corrected_ok": str(abs(corrected - oracle) <= tol),
-    }
 
 
 def cmd_errata(args) -> int:
@@ -608,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-values", help="comma list / ranges, e.g. 2-8")
     p.add_argument("--alphas", help="comma list of alpha > 1 values")
     p.add_argument("--matrix", action="append", help="repeatable matrix spec")
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_conjecture_scan)
 

@@ -185,8 +185,8 @@ class Normal(Distribution):
     support = Support(-math.inf, math.inf)
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
-        if not (sigma > 0):
-            raise ValueError(f"normal scale must be positive, got {sigma}")
+        if not (math.isfinite(mu) and 0 < sigma < math.inf):
+            raise ValueError(f"normal location must be finite and scale positive and finite, got {mu}, {sigma}")
         self.loc = float(mu)
         self.scale = float(sigma)
 
@@ -219,10 +219,8 @@ class Weibull(Distribution):
     support = Support(0.0, math.inf)
 
     def __init__(self, k: float, theta: float = 1.0):
-        if not (k > 0):
-            raise ValueError(f"weibull shape must be positive, got {k}")
-        if not (theta > 0):
-            raise ValueError(f"weibull scale must be positive, got {theta}")
+        if not (0 < k < math.inf and 0 < theta < math.inf):
+            raise ValueError(f"weibull shape and scale must be positive and finite, got {k}, {theta}")
         self.k = float(k)
         self.scale = float(theta)
 

@@ -35,11 +35,13 @@ class DivergentEstimateError(RuntimeError):
 class SimConfig:
     replications: int = 1_000_000
     seed: int = 20240817
-    batch_size: int = 10_000
+    batch_size: int | None = None  # None: 10 000, or every replication if fewer
 
     def __post_init__(self):
         if self.replications < 100:
             raise ValueError("need at least 100 replications")
+        if self.batch_size is None:
+            object.__setattr__(self, "batch_size", min(10_000, self.replications))
         if not 1 <= self.batch_size <= self.replications:
             raise ValueError("batch size must lie in [1, replications]")
 

@@ -277,8 +277,9 @@ def renyi_gap_binomial(
     """H_a(RSS) - H_a(SRS) for alpha > 1 via the normalized f^alpha weight.
 
     Independent of the component route: the gap equals
-    a/(1-a) n log n + 1/(1-a) sum_i log E[P_{F(W)}(T = i-1)^alpha] with
-    T | W = w ~ Binomial(n-1, F(w)) and W distributed as f^alpha / int f^alpha.
+    1/(1-a) sum_i log E[b_i(F(W))^alpha], with b_i the Beta(i, n-i+1) density
+    (n times the Binomial(n-1, F(W)) pmf at i-1) and W distributed as
+    f^alpha / int f^alpha.
     """
     if alpha <= 1.0:
         raise ValueError(f"binomial-representation gap requires alpha > 1, got {alpha}")
@@ -291,17 +292,22 @@ def renyi_gap_binomial(
     log_fq = dist.standard().log_pdf_at_quantile  # the gap is scale-free
 
     def integrand(u):
-        # row 0: f(F^-1(u))^(alpha-1), the du-weight form of f^alpha dx; row i:
-        # that times the Binomial(n-1, u) pmf at i-1, the Beta(i, n-i+1)
-        # density over n, to the power alpha
+        # row 0: f(F^-1(u))^(alpha-1), the du-weight form of f^alpha dx;
+        # row i: that times the Beta(i, n-i+1) density to the power alpha
         weight = np.exp((alpha - 1.0) * log_fq(u))
-        log_pmf = log_beta(u, 1.0 - u) - math.log(n)
-        return np.vstack([weight, np.exp(alpha * log_pmf) * weight])
+        return np.vstack([weight, np.exp(alpha * log_beta(u, 1.0 - u)) * weight])
 
-    r = integrate(integrand, 0.0, 1.0, cfg)
-    (z, *e), (z_err, *e_err) = r.value.tolist(), r.error_estimate.tolist()
-    total = alpha / om * n * math.log(n) + sum(math.log(e_i / z) for e_i in e) / om
-    err = sum(e_i_err / e_i + z_err / z for e_i, e_i_err in zip(e, e_err)) / abs(om)
+    try:
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            r = integrate(integrand, 0.0, 1.0, cfg)
+    except NonFiniteIntegrandError as exc:
+        raise DivergentIntegralError(
+            f"binomial-route integrand exceeds the float range at u = {exc.x}; "
+            "the integral may be divergent or out of range"
+        ) from exc
+    (z, *b), (z_err, *b_err) = r.value.tolist(), r.error_estimate.tolist()
+    total = sum(math.log(b_i / z) for b_i in b) / om
+    err = sum(b_i_err / b_i + z_err / z for b_i, b_i_err in zip(b, b_err)) / abs(om)
     return _from_quad(total, err, r)
 
 

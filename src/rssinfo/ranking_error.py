@@ -15,7 +15,8 @@ _TOL = 1e-12
 
 
 class MatrixValidationError(ValueError):
-    """Raised when a raw matrix is not doubly stochastic."""
+    """Raised when a matrix spec, file or raw matrix is not a valid
+    ranking-error matrix."""
 
 
 @dataclass(frozen=True)
@@ -107,5 +108,33 @@ def blend(n: int, w: float) -> RankingErrorMatrix:
 
 def from_csv(path, renormalize: bool = False) -> RankingErrorMatrix:
     """Load an n x n matrix from a headerless CSV file."""
-    arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    return validate(arr, renormalize=renormalize)
+    try:
+        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        return validate(arr, renormalize=renormalize)
+    except OSError as exc:
+        raise MatrixValidationError(f"cannot read matrix file {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise MatrixValidationError(f"bad matrix file {path!r}: {exc}") from exc
+
+
+def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
+    """An n x n matrix from a spec: ``identity``, ``uniform``, ``blend=W``,
+    ``p12=V`` (2 x 2 only) or a CSV path."""
+    spec = spec.strip()
+    try:
+        if spec == "identity":
+            return identity(n)
+        if spec == "uniform":
+            return uniform(n)
+        if spec.startswith("blend="):
+            return blend(n, float(spec[len("blend=") :]))
+        if spec.startswith("p12="):
+            if n != 2:
+                raise MatrixValidationError("p12=... matrices are 2x2 only")
+            return two_by_two(float(spec[len("p12=") :]))
+    except ValueError as exc:
+        raise MatrixValidationError(f"bad matrix spec {spec!r}: {exc}") from exc
+    P = from_csv(spec)
+    if P.n != n:
+        raise MatrixValidationError(f"error matrix dimension {P.n} does not match n = {n}")
+    return P

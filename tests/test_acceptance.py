@@ -176,7 +176,7 @@ def test_criterion_05_conjecture_scan_default_grid(report):
                 worst_cross = max(worst_cross, abs(binom - direct))
     cross_ok = worst_cross <= 1e-6
 
-    scan = cli.run_conjecture_scan(cli.ScanGrid(), QuadratureConfig(), jobs=4)
+    scan = cli.run_conjecture_scan(cli.ScanGrid(), QuadratureConfig())
     n_viol = len(scan.violations)
     ok = cross_ok and n_viol == 0
     worst = min(scan.violations, key=lambda v: v["margin"]) if scan.violations else None

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from rssinfo import cli
+from rssinfo import cli, measures
 from rssinfo import closed_form as cf
+from rssinfo.quadrature import QuadratureConfig
 
 
 def run(capsys, *argv):
@@ -111,6 +112,15 @@ def test_measure_oracle_column_includes_std_error(capsys):
     assert abs(float(row["oracle"]) - float(row["value"])) < 4.0 * float(row["oracle_std_error"])
 
 
+def test_measure_oracle_runs_below_one_default_batch(capsys):
+    code, out, _ = run(
+        capsys, "measure", "shannon", "--design", "rss:2", "--dist", "exp:1",
+        "--oracle", "--replications", "1000", "--seed", "5",
+    )
+    assert code == cli.EXIT_OK
+    assert float(rows_of(out)[0]["oracle_std_error"]) > 0.0
+
+
 def test_parse_errors_exit_two(capsys):
     cases = [
         ("measure", "shannon", "--design", "xyz:2", "--dist", "exp:1"),
@@ -120,6 +130,9 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "irss:2", "--dist", "exp:1"),  # missing matrix
         ("measure", "shannon", "--design", "irss:2:blend=7", "--dist", "exp:1"),
         ("measure", "shannon", "--design", "irss:3:p12=0.2", "--dist", "exp:1"),
+    ] + [
+        ("measure", "shannon", "--design", "rss:2", "--dist", spec)
+        for spec in ("norm:nan,1", "norm:inf,1", "norm:0,inf", "weibull:2,inf", "weibull:inf")
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -142,17 +155,28 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--replications", "10"),
         ("figure", "--id", "2a", "--rate", "-1"),
         ("figure", "--id", "1", "--points", "-3"),
+        ("figure", "--id", "2a", "--alpha-min", "0"),
+        ("dn", "--out", "{missing_dir}"),
+        ("conjecture-scan", "--family", "exp:1", "--n-values", "2", "--alphas", "2", "--matrix", "{identity3}"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
         "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
+        "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("0.8,zero\n0.2,0.8\n")
-    paths = {"missing": str(tmp_path / "absent.csv"), "malformed": str(malformed)}
+    identity3 = tmp_path / "identity3.csv"
+    identity3.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    paths = {
+        "identity3": str(identity3),
+        "missing": str(tmp_path / "absent.csv"),
+        "malformed": str(malformed),
+        "missing_dir": str(tmp_path / "absent" / "out.csv"),
+    }
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == cli.EXIT_PARSE
     assert err.startswith("error:")
@@ -282,14 +306,32 @@ def test_conjecture_scan_n1_margins_are_zero(capsys):
     assert abs(float(row["margin_irss_srs"])) < 1e-9
 
 
-def test_conjecture_scan_jobs_flag_is_deterministic(capsys):
+def test_conjecture_scan_integrates_each_distinct_matrix_once(capsys, monkeypatch):
+    calls = []
+    renyi = measures.renyi
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return renyi(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "renyi", counted)
+    grid = cli.ScanGrid(families=("exp:1",), ns=(3,), alphas=(5.0,))  # the default matrices
+    report = cli.run_conjecture_scan(grid, QuadratureConfig())
+    assert len(calls) == 5  # SRS and RSS are the uniform and identity legs
+    for rec in report.records:
+        if rec["matrix"] == "identity":
+            assert rec["renyi_irss"] == rec["renyi_rss"]
+        if rec["matrix"] == "uniform":
+            assert rec["renyi_irss"] == rec["renyi_srs"]
+    with pytest.raises(ValueError):  # the scan is serial
+        cli.run_conjecture_scan(grid, QuadratureConfig(), jobs=2)
+
     argv = (
         "conjecture-scan", "--family", "exp:1", "--family", "unif", "--n-values",
         "2,3", "--alphas", "1.5", "--matrix", "identity", "--matrix", "blend=0.75",
     )
-    _, serial, _ = run(capsys, *argv)
-    _, parallel, _ = run(capsys, *argv, "--jobs", "4")
-    assert serial == parallel
+    assert run(capsys, *argv)[1] == run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--jobs", "2")[0] == cli.EXIT_PARSE
 
 
 def test_errata_flag_pattern(capsys):

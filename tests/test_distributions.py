@@ -131,10 +131,12 @@ def test_invalid_parameters():
     for rate in (0.0, 1e-310, math.inf):  # 1e-310 has no finite scale
         with pytest.raises(ValueError):
             Exponential(rate)
-    with pytest.raises(ValueError):
-        Normal(0.0, -1.0)
-    with pytest.raises(ValueError):
-        Weibull(-2.0, 1.0)
+    for mu, sigma in [(0.0, -1.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf)]:
+        with pytest.raises(ValueError):
+            Normal(mu, sigma)
+    for k, theta in [(-2.0, 1.0), (math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            Weibull(k, theta)
 
 
 @settings(max_examples=50, deadline=None)

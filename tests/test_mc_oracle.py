@@ -19,6 +19,9 @@ def test_sim_config_validation():
         mc.SimConfig(batch_size=0)
     with pytest.raises(ValueError):
         mc.SimConfig(replications=1000, batch_size=2000)
+    # the default batch is 10 000 draws, or every draw when there are fewer
+    assert mc.SimConfig(replications=1000).batch_size == 1000
+    assert mc.SimConfig(replications=20_000).batch_size == 10_000
 
 
 def test_sample_order_stat_means():

@@ -239,6 +239,19 @@ def test_renyi_gap_binomial_matches_direct_route():
             assert abs(binom.value - direct) < 1e-6, (dist.spec_string(), n, alpha)
 
 
+def test_renyi_gap_binomial_error_is_informative():
+    # rows of order n^-alpha used to let abs_tol decide: +-1.6e-3 after 1 split
+    for dist, n in [(Normal(0.0, 1.0), 5), (Normal(0.0, 1.0), 8), (Exponential(1.0), 8)]:
+        gap = M.renyi_gap_binomial(dist, n, 10.0)
+        rss = M.renyi(Design("rss", n), dist, 10.0, force_numeric=True)
+        srs = M.renyi(Design("srs", n), dist, 10.0, force_numeric=True)
+        assert gap.diagnostics["converged"] and gap.error_estimate < 1e-8
+        budget = gap.error_estimate + rss.error_estimate + srs.error_estimate
+        assert abs(gap.value - (rss.value - srs.value)) <= budget
+    with pytest.raises(M.DivergentIntegralError):
+        M.renyi_gap_binomial(Weibull(0.7, 1.0), 3, 10.0)
+
+
 def test_renyi_gap_binomial_domain():
     assert M.renyi_gap_binomial(Exponential(1.0), 1, 2.0).value == 0.0
     # the gap is scale-free; f^9 would overflow at scale 1e-40

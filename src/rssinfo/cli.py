@@ -3,12 +3,15 @@
 Subcommands: table-k, dn, psi, measure, figure, conjecture-scan, errata.
 Outputs CSV (default) or JSON to stdout or ``--out``.  Exit codes: 0 success,
 2 parse error, 3 quadrature non-convergence, 4 inequality violation found.
+The argument parser is built once per process and shared by every ``main``
+call, which dispatches subcommand ``x-y`` to the module's ``cmd_x_y``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -309,7 +312,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quad-max-subdiv", type=int, dest="quad_max_subdiv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; later calls return the same
+    object, so callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="rssinfo",
         description=(
@@ -322,18 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table-k", help="distribution-free Shannon gap k(n)")
     p.add_argument("--n-max", type=int, default=10)
     _add_common(p)
-    p.set_defaults(func=cmd_table_k)
 
     p = sub.add_parser("dn", help="distribution-free KL constant d_n")
     p.add_argument("--n-max", type=int, default=10)
     _add_common(p)
-    p.set_defaults(func=cmd_dn)
 
     p = sub.add_parser("psi", help="alpha > 1 Renyi gap lower bound")
     p.add_argument("--alphas", default="1.5,2,5")
     p.add_argument("--n-max", type=int, default=10)
     _add_common(p)
-    p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("measure", help="compute one measure for a design/dist pair")
     p.add_argument("measure", choices=("shannon", "renyi", "kl"))
@@ -346,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240817)
     p.add_argument("--replications", type=int, default=1_000_000)
     _add_common(p)
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("figure", help="emit curve data for the entropy/Renyi figures")
     p.add_argument("--id", dest="figure_id", required=True, choices=("1", "2a", "2b"))
@@ -355,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-min", type=float, default=0.2)
     p.add_argument("--alpha-max", type=float, default=5.0)
     _add_common(p)
-    p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("conjecture-scan", help="scan the alpha > 1 Renyi ordering")
     p.add_argument("--family", action="append", help="repeatable distribution spec")
@@ -363,11 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", help="comma list of alpha > 1 values")
     p.add_argument("--matrix", action="append", help="repeatable matrix spec")
     _add_common(p)
-    p.set_defaults(func=cmd_conjecture_scan)
 
     p = sub.add_parser("errata", help="oracle checks of the suspect printed formulas")
     _add_common(p)
-    p.set_defaults(func=cmd_errata)
 
     return parser
 
@@ -379,7 +378,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* (a tracer's wrapper) runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CliParseError, DistributionParseError, ranking_error.MatrixValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -116,7 +116,8 @@ class Distribution:
 
 def _check_unit_open(u) -> None:
     u = np.asarray(u)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    # a NaN fails both comparisons, so it is rejected too
+    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
 
 

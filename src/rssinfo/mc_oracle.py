@@ -8,7 +8,9 @@ spacing estimator is the formula-free cross-check that shares no density code
 with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
-own stream spawned from a single SeedSequence.
+own stream spawned from a single SeedSequence.  Standard errors are batch
+means over at least 20 batches of at most ``SimConfig.batch_size`` draws, so
+the default 10^6 draws give 100 batches of 10 000.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .ranking_error import RankingErrorMatrix
 
 
 _BLOCK = 65_536  # draws per kernel evaluation
+_MIN_BATCHES = 20  # batch means behind every standard error
 
 
 class DivergentEstimateError(RuntimeError):
@@ -35,7 +38,7 @@ class DivergentEstimateError(RuntimeError):
 class SimConfig:
     replications: int = 1_000_000
     seed: int = 20240817
-    batch_size: int | None = None  # None: 10 000, or every replication if fewer
+    batch_size: int | None = None  # longest batch; None: 10 000, or every replication if fewer
 
     def __post_init__(self):
         if self.replications < 100:
@@ -54,9 +57,10 @@ class EstimateResult:
 
 
 def _batch_stats(values: np.ndarray, batch_size: int) -> tuple[float, float]:
-    """Mean and batch-means standard error of a 1-d value array."""
+    """Mean and batch-means standard error of a 1-d value array: at least
+    _MIN_BATCHES batches, each at most ``batch_size`` long."""
     m = values.size
-    nb = max(m // batch_size, 2)
+    nb = max(-(-m // batch_size), _MIN_BATCHES)
     usable = (m // nb) * nb
     means = values[:usable].reshape(nb, -1).mean(axis=1)
     est = float(values.mean())
@@ -69,8 +73,9 @@ def sample_order_stat(dist: Distribution, n: int, i: int, rng: np.random.Generat
     if not 1 <= i <= n:
         raise ValueError(f"rank {i} out of range 1..{n}")
     m = 1 if size is None else size
-    u = np.sort(rng.random((m, n)), axis=1)[:, i - 1]
-    x = dist.quantile(u)
+    u = rng.random((m, n))
+    u.sort(axis=1)
+    x = dist.quantile(u[:, i - 1])
     return float(x[0]) if size is None else x
 
 
@@ -87,7 +92,8 @@ def sample_judged(
         raise ValueError(f"error matrix dimension {P.n} does not match n = {n}")
     m = 1 if size is None else size
     ranks = rng.choice(n, size=m, p=P.row(i))  # 0-based true rank
-    u = np.sort(rng.random((m, n)), axis=1)
+    u = rng.random((m, n))
+    u.sort(axis=1)
     x = dist.quantile(u[np.arange(m), ranks])
     return float(x[0]) if size is None else x
 

@@ -6,9 +6,12 @@ together) it gives, from the parent's cdf F and survival S,
     log sum_r p_r n! / ((r-1)! (n-r)!) F^(r-1) S^(n-r),
 
 the log density of the judged unit relative to the parent.  It is exactly 0
-for a uniform row, one xlogy kernel for a one-hot row, and otherwise one
-max-shifted log-sum-exp over the nonzero ranks, so large n stays finite.
-Coefficients go through log-gamma; 0**0 = 1 at the rank extremes (xlogy).
+for a uniform row.  Otherwise each call takes log F and log S once and builds
+the Beta log kernel (r-1) log F + (n-r) log S of every rank the rows use; a
+one-hot row adds its coefficient, and mixed rows add their log p_r plus
+coefficient in one broadcast and take a max-shifted log-sum-exp, so large n
+stays finite.  Coefficients go through log-gamma; 0**0 = 1 at the rank
+extremes, whose zero exponent is dropped when the rows are analysed.
 """
 
 from __future__ import annotations
@@ -35,13 +38,6 @@ def log_order_coeff(n: int, i: int) -> float:
     return -special.betaln(i, n - i + 1)
 
 
-def _beta_log_kernel(c, a, b, F, S):
-    """c + a log F + b log S, with 0 log 0 = 0: log coefficient c plus the
-    Beta(a+1, b+1) kernel, for one rank or, broadcast, for many."""
-    with np.errstate(divide="ignore"):
-        return c + special.xlogy(a, F) + special.xlogy(b, S)
-
-
 def judged_log_weight(rows):
     """Analyse rows of a ranking-error matrix once; return the function
     (F, S) -> log weight.  ``rows`` is one row, giving F's shape, or a stack
@@ -55,30 +51,49 @@ def judged_log_weight(rows):
     count = np.where((stack == stack[:, :1]).all(axis=1), 0, nonzero.sum(axis=1))
     one_hot, mixed = (count == 1).nonzero()[0], (count > 1).nonzero()[0]
     log_coeff = -special.betaln(np.arange(1, n + 1), np.arange(n, 0, -1))  # by 0-based rank
-    r = nonzero[one_hot].argmax(axis=1)[:, None]  # the true rank of each one-hot row
-    hot = (log_coeff[r], r, n - 1 - r)
-    ranks = nonzero[mixed].any(axis=0).nonzero()[0]  # every rank a mixed row mixes in
+    ranks = nonzero[count > 0].any(axis=0).nonzero()[0]  # the kernel's rows: every rank a row needs
+    # the Beta log kernel of 0-based rank r is r log F + (n-1-r) log S; 0 log 0 = 0, so
+    # rank 1's F term and rank n's S term are left out, not tested per point
+    r = ranks.tolist()
+    on_F, on_S = slice(int(r[:1] == [0]), len(r)), slice(0, len(r) - int(r[-1:] == [n - 1]))
+    a, b = np.array(r[on_F], dtype=float)[:, None], n - 1.0 - np.array(r[on_S], dtype=float)[:, None]
+    true = nonzero[one_hot].argmax(axis=1)  # the true rank of each one-hot row
+    hot_c = log_coeff[true][:, None]
+    mix = nonzero[mixed].any(axis=0).nonzero()[0]  # every rank a mixed row mixes in
     with np.errstate(divide="ignore"):
-        log_c = np.log(stack[mixed][:, ranks]) + log_coeff[ranks]  # log p_r + coefficient
-    kernel = (log_c[:, :, None], ranks[:, None], n - 1 - ranks[:, None])
+        log_c = (np.log(stack[mixed][:, mix]) + log_coeff[mix])[:, :, None]  # log p_r + coefficient
+    # the kernel rows each kind of row reads: a slice, not a copy, when that is all of them in order
+    hot_rows, mix_rows = (
+        slice(None) if idx.tolist() == r else np.searchsorted(ranks, idx) for idx in (true, mix)
+    )
 
     def log_weight(F, S):
         F, S = np.asarray(F, dtype=float), np.asarray(S, dtype=float)
         if F.shape != S.shape:
             F, S = np.broadcast_arrays(F, S)
         shape = rows.shape[:-1] + F.shape
-        F, S = F.reshape(1, -1), S.reshape(1, -1)
-        if one_hot.size == k:
-            return _beta_log_kernel(*hot, F, S).reshape(shape)
-        out = np.zeros((k, F.size))
-        if one_hot.size:
-            out[one_hot] = _beta_log_kernel(*hot, F, S)
-        if mixed.size:
-            terms = _beta_log_kernel(*kernel, F, S)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        if not ranks.size:
+            return np.zeros(shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_F, log_S = np.log(F).reshape(-1), np.log(S).reshape(-1)
+            beta = np.zeros((ranks.size, log_F.size))
+            np.multiply(a, log_F, out=beta[on_F])
+            beta[on_S] += b * log_S
+            if one_hot.size == k:  # no mixing: the kernel plus each row's coefficient
+                beta = beta[hot_rows]
+                beta += hot_c
+                return beta.reshape(shape)
+            if mixed.size:
+                terms = log_c + beta[mix_rows]
                 top = terms.max(axis=1)
                 top = np.where(np.isfinite(top), top, 0.0)
-                out[mixed] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+                lse = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+                if mixed.size == k:
+                    return lse.reshape(shape)
+        out = np.zeros((k, log_F.size))  # uniform rows stay 0
+        out[one_hot] = beta[hot_rows] + hot_c
+        if mixed.size:
+            out[mixed] = lse
         return out.reshape(shape)
 
     return log_weight
@@ -115,8 +130,15 @@ def beta_order_pdf(n: int, i: int, u):
 
 
 def beta_order_log_pdf(n: int, i: int, u):
+    """log Beta(i, n-i+1) density: log u and log(1-u) taken once each, and only
+    with a nonzero exponent, so 0 log 0 = 0 at u = 0 (i = 1) and u = 1 (i = n)."""
+    c = log_order_coeff(n, i)
     u = np.asarray(u, dtype=float)
-    return _beta_log_kernel(log_order_coeff(n, i), i - 1, n - i, u, 1.0 - u)
+    with np.errstate(divide="ignore"):
+        log_pdf = c + (i - 1) * np.log(u) if i > 1 else np.full(u.shape, c)
+        if i < n:
+            log_pdf = log_pdf + (n - i) * np.log(1.0 - u)
+    return log_pdf
 
 
 @dataclass(frozen=True)

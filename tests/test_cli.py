@@ -182,6 +182,21 @@ def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+def test_shared_parser_leaks_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    scan = ("--n-values", "2", "--alphas", "2", "--matrix", "blend=0.5", "--format", "json")
+    assert run(capsys, "conjecture-scan", "--family", "exp:1", *scan)[0] == cli.EXIT_OK
+    code, out, _ = run(capsys, "conjecture-scan", "--family", "unif", *scan)
+    assert code == cli.EXIT_OK
+    records = json.loads(out)  # append-lists start empty on every call
+    assert [(r["dist"], r["matrix"]) for r in records] == [("unif", "blend=0.5")]
+    # a call that fails to parse leaves nothing behind for the next one
+    assert run(capsys, "measure", "shannon", "--design", "rss:2")[0] == cli.EXIT_PARSE
+    code, out, _ = run(capsys, "measure", "shannon", "--design", "rss:2", "--dist", "exp:1")
+    assert code == cli.EXIT_OK
+    assert float(rows_of(out)[0]["value"]) == pytest.approx(3.0 - 2.0 * math.log(2.0), rel=1e-12)
+
+
 def test_unknown_flag_exits_two(capsys):
     assert run(capsys, "table-k", "--bogus")[0] == cli.EXIT_PARSE
 

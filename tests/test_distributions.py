@@ -106,6 +106,18 @@ def test_quantile_rejects_boundary(families):
             dist.quantile(1.0)
 
 
+def test_quantile_check_rejects_points_outside_the_open_interval(families):
+    bad = [0.0, 1.0, -0.5, 1.5, np.nan, np.inf, np.array([0.5, 0.0]), np.array([0.5, 1.0]),
+           np.array([0.2, np.nan]), np.array([[0.5], [-1e-300]])]
+    for dist in families:
+        for f in (dist.quantile, dist.log_pdf_at_quantile):
+            for u in bad:
+                with pytest.raises(ValueError):
+                    f(u)
+            assert f(np.array([])).shape == (0,)
+            assert np.all(np.isfinite(f(np.array([5e-324, 0.5, 1.0 - 2.0**-53]))))
+
+
 def test_outside_support_density_is_zero():
     for dist in [Exponential(1.0), Weibull(2.0, 1.0)]:
         assert dist.pdf(-1.0) == 0.0

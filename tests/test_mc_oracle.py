@@ -114,6 +114,40 @@ def test_seed_reproducibility_is_bitwise():
     assert other.estimate != a.estimate
 
 
+def test_samplers_follow_the_documented_recipe():
+    # the streams are fixed by: the true rank from rng.choice(n, p=row) (judged
+    # draws only), then np.sort(rng.random((m, n)), axis=1), then the selection
+    dist, n, m = Exponential(1.0), 4, 1000
+    P = re.blend(n, 0.5)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for i in (1, 3, 4):
+        x = mc.sample_order_stat(dist, n, i, rng, size=m)
+        assert np.array_equal(x, dist.quantile(np.sort(ref.random((m, n)), axis=1)[:, i - 1]))
+        x = mc.sample_judged(dist, n, P, i, rng, size=m)
+        ranks = ref.choice(n, size=m, p=P.row(i))
+        u = np.sort(ref.random((m, n)), axis=1)
+        assert np.array_equal(x, dist.quantile(u[np.arange(m), ranks]))
+    x = mc.sample_order_stat(dist, n, 2, rng)
+    assert x == dist.quantile(np.sort(ref.random((1, n)), axis=1)[:, 1])[0]
+
+
+def test_small_runs_take_their_error_from_twenty_batches():
+    # 1000 draws used to give 2 batch means, one degree of freedom, and a
+    # 2-sigma interval that held 33 times in 40
+    truth = 3.0 - 2.0 * math.log(2.0)  # Shannon entropy of rss:2 on Exp(1)
+    rss2, exp1 = Design("rss", 2), Exponential(1.0)
+    runs = [mc.mc_entropy(rss2, exp1, mc.SimConfig(1000, seed=s)) for s in range(1, 41)]
+    assert sum(abs(r.estimate - truth) <= 2.0 * r.std_error for r in runs) >= 36
+    # batch_size is the longest batch: the default 10^6 draws keep 100 of 10 000
+    values = np.random.default_rng(0).random(1_005_000)
+    cases = ((1_000_000, 10_000, 100), (1000, 1000, 20), (25_000, 10_000, 20), (1_005_000, 10_000, 101))
+    for m, batch_size, batches in cases:
+        v = values[:m]
+        means = v[: m // batches * batches].reshape(batches, -1).mean(axis=1)
+        se = float(means.std(ddof=1) / math.sqrt(batches))
+        assert mc._batch_stats(v, batch_size) == (float(v.mean()), se)
+
+
 def test_vasicek_battery():
     m = 100_000
     window = int(math.sqrt(m))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential
@@ -162,3 +162,43 @@ def test_judged_log_weight_stack_matches_rows():
     assert np.all(stacked[0] == 0.0)
     for row, lw in zip(rows, stacked):
         np.testing.assert_array_equal(lw, judged_log_weight(row)(u, 1.0 - u))
+
+
+KERNEL_U = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])
+
+
+def _beta_mixture_log_pdf(row, u):
+    """log sum_r p_r Beta(r, n-r+1)(u), summed in logs from scipy's Beta
+    log densities so that tiny densities do not underflow."""
+    n = len(row)
+    with np.errstate(divide="ignore"):
+        terms = [np.log(row[r]) + stats.beta.logpdf(u, r + 1, n - r) for r in np.flatnonzero(row)]
+        return special.logsumexp(terms, axis=0)
+
+
+def _assert_log_density(value, reference):
+    assert not np.any(np.isnan(value))
+    # -inf exactly where the density is 0 (a rank above 1 at u = 0, below n at
+    # u = 1); atol because a log density of 0 carries no relative precision
+    np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_kernel_endpoints_match_scipy_beta_mixtures(n):
+    # log F and log S are taken once per call, so at F = 0 or S = 0 the kernel
+    # must still give 0 log 0 = 0 for the zero exponents of ranks 1 and n
+    u, S = KERNEL_U, 1.0 - KERNEL_U
+    rows = [np.eye(n)[r] for r in sorted({0, n // 2, n - 1})] + [np.full(n, 1.0 / n)]
+    if n > 1:
+        ends = np.zeros(n)
+        ends[[0, -1]] = 0.3, 0.7  # mixes both zero-exponent ranks
+        rows += [ends, re.blend(n, 0.5).row(n // 2 + 1)]
+    for row in rows:
+        _assert_log_density(judged_log_weight(row)(u, S), _beta_mixture_log_pdf(row, u))
+    for stack in (rows, rows[:-1]):  # without the blend row, mixed rows skip some kernel ranks
+        stacked = judged_log_weight(np.vstack(stack))(u, S)
+        assert stacked.shape == (len(stack), u.size)
+        for row, lw in zip(stack, stacked):
+            _assert_log_density(lw, _beta_mixture_log_pdf(row, u))
+    for i in sorted({i for i in (1, 2, n // 2 + 1, n - 1, n) if 1 <= i <= n}):
+        _assert_log_density(beta_order_log_pdf(n, i, u), stats.beta.logpdf(u, i, n - i + 1))

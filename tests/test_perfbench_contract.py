@@ -53,3 +53,24 @@ def test_traced_measure_runs_and_counts():
     assert tracer.counts["quadrature.integrals"] == 1
     assert tracer.counts["quadrature.integrand_points"] > 0
     assert not hasattr(rssinfo.measures.integrate, "_perfbench_traced")  # uninstalled
+
+
+def test_tracer_wraps_the_cached_parser(capsys):
+    cli = rssinfo.cli
+    cached, parser = cli.build_parser, cli.build_parser()
+    tracer = _tracer_module().Tracer(rssinfo)
+    tracer.install()
+    try:
+        assert cli.build_parser is not cached
+        for _ in range(2):
+            assert cli.main(["measure", "shannon", "--design", "rss:2", "--dist", "exp:1"]) == cli.EXIT_OK
+        assert cli.build_parser() is parser  # the wrapper still runs the cached parser
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("cli.main") == 2
+    assert tracer.counts["cli.calls"] == 3  # the two main calls and the direct build_parser call
+    assert spans.count("cli.build_parser") == 3  # main reaches the wrapped name
+    assert spans.count("cli.cmd_measure") == 2  # and dispatches to the wrapped command
+    assert cli.build_parser is cached
+    assert cli.build_parser() is parser

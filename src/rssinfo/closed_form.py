@@ -17,6 +17,7 @@ import math
 import numpy as np
 from scipy import special
 
+from .errors import InputError
 from .order_stats import beta_order_log_pdf
 from .ranking_error import RankingErrorMatrix
 
@@ -79,10 +80,10 @@ def psi_bound(alpha: float, n: int) -> float:
     Built from the modes of the Beta(i, n-i+1) kernels, with 0**0 = 1 at the
     rank extremes.  Lies in [n*a/(1-a) log n, 0) and is nonincreasing in n.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"psi_bound requires alpha > 1, got {alpha}")
+    if not 1.0 < alpha < math.inf:
+        raise InputError(f"psi_bound requires a finite alpha > 1, got {alpha}")
     if n < 2:
-        raise ValueError("psi_bound requires n >= 2")
+        raise InputError("psi_bound requires n >= 2")
     # the log Beta(i, n-i+1) density at its mode (i-1)/(n-1)
     terms = [beta_order_log_pdf(n, i, (i - 1) / (n - 1)) for i in range(1, n + 1)]
     return float(alpha / (1.0 - alpha) * math.fsum(terms))
@@ -103,15 +104,13 @@ def eta(a: float) -> float:
     return float(0.5 + num / d)
 
 
-def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None, n: int = 2) -> float:
+def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None) -> float:
     """Shannon entropy of an exponential(lam) sample of set size 2.
 
     ``kind`` is 'srs', 'rss' or 'irss'; the imperfect case needs the 2x2
     ranking error matrix (whose double stochasticity makes p22 = p11, so the
     (p22 - p11) term of the printed formula vanishes).
     """
-    if n != 2:
-        raise ValueError("closed-form exponential Shannon entropy only covers n = 2")
     if not lam > 0:
         raise ValueError("rate must be positive")
     if kind == "srs":
@@ -127,14 +126,12 @@ def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None, n: i
     raise ValueError(f"unknown design kind {kind!r}")
 
 
-def exp_renyi(component: str, lam: float, alpha: float, n: int = 2) -> float:
+def exp_renyi(component: str, lam: float, alpha: float) -> float:
     """Renyi information pieces for an exponential(lam) sample of set size 2.
 
     ``component`` is 'srs' (total over both draws), 'order1', 'order2', or
     'rss' (sum of the two order-statistic pieces).
     """
-    if n != 2:
-        raise ValueError("closed-form exponential Renyi only covers n = 2")
     if not lam > 0:
         raise ValueError("rate must be positive")
     if alpha <= 0 or alpha == 1.0:

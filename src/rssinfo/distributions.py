@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .errors import InputError
 
-class DistributionParseError(ValueError):
+
+class DistributionParseError(InputError):
     """Raised when a textual distribution spec cannot be parsed."""
 
 
@@ -52,6 +54,10 @@ class Distribution:
     ``_survival`` and ``_log_pdf_at_quantile`` where a closed form beats
     the default.  This class alone applies the affine map.  ``support`` is
     the same for Z and X, as only a full-line family has a location.
+
+    ``quantile`` and ``log_pdf_at_quantile`` take the cdf level F and maybe
+    the survival S = 1 - F; given S, a family reads the smaller tail, so F
+    may round to 1, and without S it reads F alone.
     """
 
     name: str
@@ -81,16 +87,11 @@ class Distribution:
     def survival(self, x):
         return self._survival(self._z(x))
 
-    def quantile(self, u):
-        _check_unit_open(u)
-        return self.loc + self.scale * self._quantile(np.asarray(u, dtype=float))
+    def quantile(self, F, S=None):
+        return self.loc + self.scale * self._quantile(*_levels(F, S))
 
-    def log_pdf_at_quantile(self, u):
-        _check_unit_open(u)
-        return self._per_x(self._log_pdf_at_quantile(np.asarray(u, dtype=float)))
-
-    def pdf_at_quantile(self, u):
-        return np.exp(self.log_pdf_at_quantile(u))
+    def log_pdf_at_quantile(self, F, S=None):
+        return self._per_x(self._log_pdf_at_quantile(*_levels(F, S)))
 
     def entropy(self) -> float:
         return self._entropy() + math.log(self.scale)
@@ -104,8 +105,8 @@ class Distribution:
     def _survival(self, z):
         return 1.0 - self._cdf(z)
 
-    def _log_pdf_at_quantile(self, u):
-        return self._log_pdf(self._quantile(u))
+    def _log_pdf_at_quantile(self, F, S):
+        return self._log_pdf(self._quantile(F, S))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -114,11 +115,23 @@ class Distribution:
         raise NotImplementedError
 
 
-def _check_unit_open(u) -> None:
-    u = np.asarray(u)
-    # a NaN fails both comparisons, so it is rejected too
-    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
+def _levels(F, S):
+    """F and S as arrays, once checked to name a point inside (0, 1): 0 < F < 1,
+    or, with S given, F > 0 and S > 0."""
+    F = np.asarray(F, dtype=float)
+    S = None if S is None else np.asarray(S, dtype=float)
+    # a NaN fails every comparison, so it is rejected too
+    if F.size and not (F.min() > 0.0 and (F.max() < 1.0 if S is None else S.min() > 0.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    return F, S
+
+
+def _log_survival(F, S):
+    """log S from whichever of F and S is the smaller tail; log1p(-F) without S."""
+    if S is None:
+        return np.log1p(-F)
+    with np.errstate(divide="ignore"):  # log1p(-1) where F rounds to 1 is not the branch taken
+        return np.where(F < S, np.log1p(-F), np.log(S))
 
 
 class Uniform(Distribution):
@@ -133,8 +146,8 @@ class Uniform(Distribution):
     def _cdf(self, z):
         return np.clip(z, 0.0, 1.0)
 
-    def _quantile(self, u):
-        return u
+    def _quantile(self, F, S):
+        return F
 
     def _entropy(self) -> float:
         return 0.0
@@ -152,7 +165,7 @@ class Exponential(Distribution):
 
     def __init__(self, lam: float):
         if not (lam > 0 and 0.0 < 1.0 / lam < math.inf):
-            raise ValueError(f"exponential rate must be positive with a finite scale 1/rate, got {lam}")
+            raise InputError(f"exponential rate must be positive with a finite scale 1/rate, got {lam}")
         self.scale = 1.0 / float(lam)
 
     lam = property(lambda self: 1.0 / self.scale)
@@ -166,11 +179,8 @@ class Exponential(Distribution):
     def _survival(self, z):
         return np.where(z >= 0.0, np.exp(-z), 1.0)
 
-    def _quantile(self, u):
-        return -np.log1p(-u)
-
-    def _log_pdf_at_quantile(self, u):
-        return np.log1p(-u)
+    def _quantile(self, F, S):
+        return -_log_survival(F, S)
 
     def _entropy(self) -> float:
         return 1.0
@@ -187,7 +197,7 @@ class Normal(Distribution):
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
         if not (math.isfinite(mu) and 0 < sigma < math.inf):
-            raise ValueError(f"normal location must be finite and scale positive and finite, got {mu}, {sigma}")
+            raise InputError(f"normal location must be finite and scale positive and finite, got {mu}, {sigma}")
         self.loc = float(mu)
         self.scale = float(sigma)
 
@@ -203,8 +213,11 @@ class Normal(Distribution):
     def _survival(self, z):
         return special.ndtr(-z)
 
-    def _quantile(self, u):
-        return special.ndtri(u)
+    def _quantile(self, F, S):
+        if S is None:
+            return special.ndtri(F)
+        z = special.ndtri(np.minimum(F, S))
+        return np.where(F < S, z, -z)
 
     def _entropy(self) -> float:
         return 0.5 * math.log(2.0 * math.pi * math.e)
@@ -221,7 +234,7 @@ class Weibull(Distribution):
 
     def __init__(self, k: float, theta: float = 1.0):
         if not (0 < k < math.inf and 0 < theta < math.inf):
-            raise ValueError(f"weibull shape and scale must be positive and finite, got {k}, {theta}")
+            raise InputError(f"weibull shape and scale must be positive and finite, got {k}, {theta}")
         self.k = float(k)
         self.scale = float(theta)
 
@@ -239,12 +252,12 @@ class Weibull(Distribution):
     def _survival(self, z):
         return np.where(z > 0.0, np.exp(-(np.maximum(z, 0.0) ** self.k)), 1.0)
 
-    def _quantile(self, u):
-        return (-np.log1p(-u)) ** (1.0 / self.k)
+    def _quantile(self, F, S):
+        return (-_log_survival(F, S)) ** (1.0 / self.k)
 
-    def _log_pdf_at_quantile(self, u):
-        y = -np.log1p(-u)
-        return math.log(self.k) + (1.0 - 1.0 / self.k) * np.log(y) + np.log1p(-u)
+    def _log_pdf_at_quantile(self, F, S):
+        y = -_log_survival(F, S)
+        return math.log(self.k) + (1.0 - 1.0 / self.k) * np.log(y) - y
 
     def _entropy(self) -> float:
         return np.euler_gamma * (1.0 - 1.0 / self.k) - math.log(self.k) + 1.0

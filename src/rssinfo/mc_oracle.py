@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
+from .errors import InputError
 from .measures import PERFECT_RSS, SRS, Design
 from .order_stats import judged_log_pdf
 from .ranking_error import RankingErrorMatrix
@@ -42,11 +43,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.replications < 100:
-            raise ValueError("need at least 100 replications")
+            raise InputError("need at least 100 replications")
         if self.batch_size is None:
             object.__setattr__(self, "batch_size", min(10_000, self.replications))
         if not 1 <= self.batch_size <= self.replications:
-            raise ValueError("batch size must lie in [1, replications]")
+            raise InputError("batch size must lie in [1, replications]")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ Dispatch order: a closed form is used when one exists for the (family,
 design, measure) triple, otherwise the quadrature engine; ``force_numeric``
 bypasses closed forms so the two paths can be compared.
 
-Default numeric path for Shannon and KL is u-space (quantile substitution),
-which keeps every integral on the fixed domain (0, 1) with singularities only
-at the known endpoints.  Renyi integrals are done in x-space: for alpha < 1
-the u-space weight f(F^-1(u))^(alpha-1) has an endpoint power singularity,
-(1-u)^(alpha-1) for the exponential, that bisection cannot resolve.
+Every default numeric route integrates over u = F(x) through ``_fold``: it
+takes (0, 1) onto (0, 1/2) as g(s, 1-s) + g(1-s, s), with the kernel's (F, S)
+pair, so both ends and every endpoint singularity sit at s -> 0, where floats
+are dense; the map s = (t/T)^2 / 2 turns s^-p into t^(1-2p), which bisection
+resolves for alpha < 1 too (Piessens et al., QUADPACK, 1983).  x-space is
+left only to the ``mode="x"`` Shannon and KL verification routes.
 
 All values are in nats and scale additively with the cycle count m.
 """
@@ -29,17 +30,17 @@ All values are in nats and scale additively with the cycle count m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
 
 from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
+from .errors import InputError
 from .order_stats import judged_log_pdf, judged_log_weight
 from .quadrature import (
     DEFAULT_CONFIG,
-    NonFiniteIntegrandError,
     QuadratureConfig,
     QuadratureResult,
     entropy_integral,
@@ -74,20 +75,20 @@ class Design:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown design kind {self.kind!r}")
+            raise InputError(f"unknown design kind {self.kind!r}")
         if self.n < 1:
-            raise ValueError("set size must be >= 1")
+            raise InputError(f"set size must be >= 1, got {self.n}")
         if self.m < 1:
-            raise ValueError("cycle count must be >= 1")
+            raise InputError("cycle count must be >= 1")
         if self.kind == IMPERFECT_RSS:
             if self.P is None:
-                raise ValueError("imperfect RSS needs a ranking error matrix")
+                raise InputError("imperfect RSS needs a ranking error matrix")
             if self.P.n != self.n:
-                raise ValueError(
+                raise InputError(
                     f"error matrix dimension {self.P.n} does not match n = {self.n}"
                 )
         elif self.P is not None:
-            raise ValueError(f"design kind {self.kind!r} takes no error matrix")
+            raise InputError(f"design kind {self.kind!r} takes no error matrix")
 
     @property
     def matrix(self) -> RankingErrorMatrix:
@@ -133,19 +134,53 @@ def _from_quad(value: float, err: float, r: QuadratureResult) -> MeasureResult:
 def _distinct_rows(*designs: Design):
     """The distinct rank rows of the designs' matrices, in rank order.
 
-    Returns (ranks, stacks, counts): the first rank with each row, one
-    (k, n) stack of rows per design, and how many ranks share each row.
-    Ranks with equal rows in every matrix have equal components."""
+    Returns (stacks, counts): one (k, n) stack of rows per design, and how
+    many ranks share each row.  Ranks with equal rows in every matrix have
+    equal components."""
     groups: dict[bytes, list] = {}
-    for i, rows in enumerate(zip(*(d.matrix.entries for d in designs)), start=1):
-        groups.setdefault(b"".join(row.tobytes() for row in rows), [i, rows, 0])[2] += 1
-    ranks, rows, counts = zip(*groups.values())
-    return list(ranks), [np.array(stack) for stack in zip(*rows)], np.array(counts, dtype=float)
+    for rows in zip(*(d.matrix.entries for d in designs)):
+        groups.setdefault(b"".join(row.tobytes() for row in rows), [rows, 0])[1] += 1
+    rows, counts = zip(*groups.values())
+    return [np.array(stack) for stack in zip(*rows)], np.array(counts, dtype=float)
 
 
 def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
     """Sum per-row component values and errors, each row times its count."""
     return _from_quad(float(counts @ values), float(counts @ errors), r)
+
+
+# s = (t/T)^2 / 2 maps t in (0, T) onto (0, 1/2); T = 2^-510 keeps s a normal
+# float at the engine's smallest t, near 2^-1019
+_T = 2.0**-510
+
+
+def _fold(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
+    """int_0^1 g(F, S) du with F = u, S = 1 - u: g(s, 1-s) + g(1-s, s) over
+    s in (0, 1/2), both halves in one call of g, which returns (m,) or (k, m).
+
+    The engine integrates against t/T = T ds/dt, which cannot overflow, so it
+    sees T times the integral and takes abs_tol times T; both scale exactly.
+    A non-finite g raises DivergentIntegralError, ``what`` at its u, or at
+    x = ``at(F, S)``.
+    """
+
+    def integrand(t):
+        r = t / _T
+        s = 0.5 * r * r
+        c = 1.0 - s
+        F, S = np.concatenate([s, c]), np.concatenate([c, s])
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            v = g(F, S)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            j = np.argwhere(bad)[0][-1]
+            where = f"u = {F[j]}" if at is None else f"x = {at(F[j], S[j])}"
+            raise DivergentIntegralError(f"{what} at {where}; the integral may be divergent or out of range")
+        return (v[..., : t.size] + v[..., t.size :]) * r
+
+    # an abs_tol below 2^-564 has no float at this scale: the rel_tol alone decides
+    r = integrate(integrand, 0.0, _T, replace(cfg, abs_tol=max(cfg.abs_tol * _T, math.ulp(0.0))))
+    return replace(r, value=r.value / _T, error_estimate=r.error_estimate / _T)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +220,7 @@ def _shannon_closed_form(design: Design, std: Distribution) -> MeasureResult | N
 
 
 def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    _, (rows,), counts = _distinct_rows(design)
+    (rows,), counts = _distinct_rows(design)
     log_weight = judged_log_weight(rows)
     log_fq = dist.log_pdf_at_quantile
     # a true order statistic's uniform entropy -int w log w is known exactly
@@ -193,16 +228,16 @@ def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) 
     exact = np.array([[r.size == 1] for r in nonzero])
     h = np.array([closed_form.h_uniform_order(design.n, r[0] + 1) if r.size == 1 else 0.0 for r in nonzero])
 
-    def integrand(u):
-        lw = log_weight(u, 1.0 - u)
-        return -np.exp(lw) * (np.where(exact, 0.0, lw) + log_fq(u))
+    def integrand(F, S):
+        lw = log_weight(F, S)
+        return -np.exp(lw) * (np.where(exact, 0.0, lw) + log_fq(F, S))
 
-    r = integrate(integrand, 0.0, 1.0, cfg)
+    r = _fold(integrand, cfg, "shannon integrand is not finite")
     return _weighted(h + r.value, r.error_estimate, counts, r)
 
 
 def _shannon_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    _, (rows,), counts = _distinct_rows(design)
+    (rows,), counts = _distinct_rows(design)
     log_pdf = judged_log_pdf(dist, rows)
     r = entropy_integral(lambda x: np.exp(log_pdf(x)), dist.support, cfg)
     return _weighted(r.value, r.error_estimate, counts, r)
@@ -220,11 +255,11 @@ def renyi(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
 ) -> MeasureResult:
-    """Renyi information of order alpha (> 0, != 1) of the full sample."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """Renyi information of order alpha (finite, > 0, != 1) of the full sample."""
+    if not 0.0 < alpha < math.inf:
+        raise InputError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1.0:
-        raise ValueError("alpha = 1 is the Shannon case; use shannon()")
+        raise InputError("alpha = 1 is the Shannon case; use shannon()")
     std = dist.standard()
     res = None if force_numeric else _renyi_closed_form(design, std, alpha)
     if res is None:
@@ -247,22 +282,15 @@ def _renyi_closed_form(design: Design, std: Distribution, alpha: float) -> Measu
 def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: QuadratureConfig) -> MeasureResult:
     """The standard law's value; an error names x in ``dist``'s coordinates."""
     om = 1.0 - alpha
-    _, (rows,), counts = _distinct_rows(design)
-    log_pdf = judged_log_pdf(dist.standard(), rows)
+    (rows,), counts = _distinct_rows(design)
+    log_weight = judged_log_weight(rows)
+    log_fq = dist.standard().log_pdf_at_quantile
 
-    def integrand(x):
-        lg = log_pdf(x)
-        finite = np.isfinite(lg)
-        return np.where(finite, np.exp(alpha * np.where(finite, lg, 0.0)), 0.0)
+    def integrand(F, S):
+        # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du
+        return np.exp(alpha * log_weight(F, S) - om * log_fq(F, S))
 
-    try:
-        with np.errstate(over="ignore"):  # an overflow is raised below
-            r = integrate_support(integrand, dist.support, cfg)
-    except NonFiniteIntegrandError as exc:
-        raise DivergentIntegralError(
-            f"renyi integrand exceeds the float range at x = {dist.loc + dist.scale * exc.x}; "
-            "the integral may be divergent or out of range"
-        ) from exc
+    r = _fold(integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile)
     if np.any(r.value <= 0):
         raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
     return _weighted(np.log(r.value) / om, r.error_estimate / (abs(om) * r.value), counts, r)
@@ -291,20 +319,13 @@ def renyi_gap_binomial(
     log_beta = judged_log_weight(np.eye(n))
     log_fq = dist.standard().log_pdf_at_quantile  # the gap is scale-free
 
-    def integrand(u):
+    def integrand(F, S):
         # row 0: f(F^-1(u))^(alpha-1), the du-weight form of f^alpha dx;
         # row i: that times the Beta(i, n-i+1) density to the power alpha
-        weight = np.exp((alpha - 1.0) * log_fq(u))
-        return np.vstack([weight, np.exp(alpha * log_beta(u, 1.0 - u)) * weight])
+        weight = np.exp((alpha - 1.0) * log_fq(F, S))
+        return np.vstack([weight, np.exp(alpha * log_beta(F, S)) * weight])
 
-    try:
-        with np.errstate(over="ignore"):  # an overflow is raised below
-            r = integrate(integrand, 0.0, 1.0, cfg)
-    except NonFiniteIntegrandError as exc:
-        raise DivergentIntegralError(
-            f"binomial-route integrand exceeds the float range at u = {exc.x}; "
-            "the integral may be divergent or out of range"
-        ) from exc
+    r = _fold(integrand, cfg, "binomial-route integrand exceeds the float range")
     (z, *b), (z_err, *b_err) = r.value.tolist(), r.error_estimate.tolist()
     total = sum(math.log(b_i / z) for b_i in b) / om
     err = sum(b_i_err / b_i + z_err / z for b_i, b_i_err in zip(b, b_err)) / abs(om)
@@ -330,7 +351,7 @@ def kl_srs_vs_design(
     verification integral on ``dist.standard()`` and requires ``dist``.
     """
     if design.kind == SRS:
-        raise ValueError("design must be an RSS kind (perfect or imperfect)")
+        raise InputError("K(SRS, design) needs an rss or irss design, got srs")
     if design.kind == PERFECT_RSS and not force_numeric and mode == "u":
         return _closed(closed_form.d_n(design.n)).scaled(design.m)
 
@@ -344,14 +365,14 @@ def kl_srs_vs_design(
 
 
 def _kl_srs_u_space(design: Design, cfg: QuadratureConfig) -> MeasureResult:
-    _, (rows,), counts = _distinct_rows(design)
+    (rows,), counts = _distinct_rows(design)
     log_weight = judged_log_weight(rows)
-    r = integrate(lambda u: -log_weight(u, 1.0 - u), 0.0, 1.0, cfg)
+    r = _fold(lambda F, S: -log_weight(F, S), cfg, "KL integrand is not finite")
     return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def _kl_srs_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    _, (rows,), counts = _distinct_rows(design)
+    (rows,), counts = _distinct_rows(design)
     log_weight = judged_log_weight(rows)
 
     def integrand(x):
@@ -382,23 +403,18 @@ def kl_two_sample(
     if design_x.m != design_y.m:
         raise ValueError("designs must share the cycle count m")
 
-    ranks, (rows_x, rows_y), counts = _distinct_rows(design_x, design_y)
+    (rows_x, rows_y), counts = _distinct_rows(design_x, design_y)
     log_wx = judged_log_weight(rows_x)
     log_py = judged_log_pdf(dist_g, rows_y)
 
-    def integrand(u):
-        lx = log_wx(u, 1.0 - u)
+    def integrand(F, S):
+        lx = log_wx(F, S)
         wx = np.exp(lx)
         with np.errstate(divide="ignore", invalid="ignore"):
-            bracket = lx + dist_f.log_pdf_at_quantile(u) - log_py(dist_f.quantile(u))
+            bracket = lx + dist_f.log_pdf_at_quantile(F, S) - log_py(dist_f.quantile(F, S))
             return np.where(wx > 0.0, wx * bracket, 0.0)
 
-    try:
-        r = integrate(integrand, 0.0, 1.0, cfg)
-    except NonFiniteIntegrandError as exc:
-        raise DivergentIntegralError(
-            f"two-sample KL integrand is not integrable (component {ranks[exc.component]}, u = {exc.x})"
-        ) from exc
+    r = _fold(integrand, cfg, "two-sample KL integrand is not integrable")
     return _weighted(r.value, r.error_estimate, counts, r).scaled(design_x.m)
 
 
@@ -445,22 +461,12 @@ def a_n(
         return _closed(0.0)
     if mode == "reduced":
 
-        def integrand(u):
-            x = dist_f.quantile(u)
-            gv = dist_g.cdf(x)
-            sv = dist_g.survival(x)
+        def integrand(F, S):
+            x = dist_f.quantile(F, S)
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = special.xlogy(u, gv) + special.xlogy(1.0 - u, sv)
-            if not np.all(np.isfinite(val)):
-                raise NonFiniteIntegrandError(float(u[~np.isfinite(val)][0]))
-            return val
+                return special.xlogy(F, dist_g.cdf(x)) + special.xlogy(S, dist_g.survival(x))
 
-        try:
-            r = integrate(integrand, 0.0, 1.0, cfg)
-        except NonFiniteIntegrandError as exc:
-            raise DivergentIntegralError(
-                f"A_n integrand is not integrable at u = {exc.x}"
-            ) from exc
+        r = _fold(integrand, cfg, "A_n integrand is not integrable")
         c = n * (n - 1)
         return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
 
@@ -470,18 +476,15 @@ def a_n(
     below = np.arange(n)[:, None]  # ranks below and above rank i = 1..n
     above = n - 1 - below
 
-    def integrand(u):
-        w = np.exp(log_beta(u, 1.0 - u))
-        x = dist_f.quantile(u)
+    def integrand(F, S):
+        w = np.exp(log_beta(F, S))
+        x = dist_f.quantile(F, S)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lower = np.where(below > 0, below * (np.log(u) - np.log(dist_g.cdf(x))), 0.0)
-            upper = np.where(above > 0, above * (np.log(1.0 - u) - np.log(dist_g.survival(x))), 0.0)
+            lower = np.where(below > 0, below * (np.log(F) - np.log(dist_g.cdf(x))), 0.0)
+            upper = np.where(above > 0, above * (np.log(S) - np.log(dist_g.survival(x))), 0.0)
             return np.where(w > 0.0, w * (lower + upper), 0.0)
 
-    try:
-        r = integrate(integrand, 0.0, 1.0, cfg)
-    except NonFiniteIntegrandError as exc:
-        raise DivergentIntegralError(f"A_n integrand is not integrable at u = {exc.x}") from exc
+    r = _fold(integrand, cfg, "A_n integrand is not integrable")
     return _from_quad(float(r.value.sum()), float(r.error_estimate.sum()), r)
 
 
@@ -498,14 +501,12 @@ def a_n_printed_reduced(
     if n < 2:
         return _closed(0.0)
 
-    def integrand(u):
-        x = dist_f.quantile(u)
-        gv = dist_g.cdf(x)
-        sv = dist_g.survival(x)
+    def integrand(F, S):
+        x = dist_f.quantile(F, S)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return special.xlogy(u, gv) + (1.0 - u) * sv
+            return special.xlogy(F, dist_g.cdf(x)) + S * dist_g.survival(x)
 
-    r = integrate(integrand, 0.0, 1.0, cfg)
+    r = _fold(integrand, cfg, "printed A_n integrand is not finite")
     c = n * (n - 1)
     return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Support
+from .errors import InputError
 
 # 15-point Kronrod nodes on [-1, 1] and weights, with the embedded 7-point
 # Gauss weights on the shared nodes (standard QUADPACK constants).
@@ -114,9 +115,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+            raise InputError("tolerances must be positive")
         if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise InputError("max_subdivisions must be >= 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

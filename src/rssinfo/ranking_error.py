@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 _TOL = 1e-12
 
 
-class MatrixValidationError(ValueError):
+class MatrixValidationError(InputError):
     """Raised when a matrix spec, file or raw matrix is not a valid
     ranking-error matrix."""
 
@@ -37,9 +39,6 @@ class RankingErrorMatrix:
         if not 1 <= i <= self.n:
             raise ValueError(f"rank {i} out of range 1..{self.n}")
         return self.entries[i - 1]
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.entries, np.eye(self.n)))
 
 
 def validate(raw, renormalize: bool = False) -> RankingErrorMatrix:
@@ -119,7 +118,7 @@ def from_csv(path, renormalize: bool = False) -> RankingErrorMatrix:
 
 def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
     """An n x n matrix from a spec: ``identity``, ``uniform``, ``blend=W``,
-    ``p12=V`` (2 x 2 only) or a CSV path."""
+    ``p12=V`` (2 x 2 only), or a CSV path, whose size ``Design`` checks."""
     spec = spec.strip()
     try:
         if spec == "identity":
@@ -134,7 +133,4 @@ def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
             return two_by_two(float(spec[len("p12=") :]))
     except ValueError as exc:
         raise MatrixValidationError(f"bad matrix spec {spec!r}: {exc}") from exc
-    P = from_csv(spec)
-    if P.n != n:
-        raise MatrixValidationError(f"error matrix dimension {P.n} does not match n = {n}")
-    return P
+    return from_csv(spec)

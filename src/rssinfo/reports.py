@@ -11,6 +11,7 @@ import numpy as np
 
 from . import closed_form, measures, ranking_error
 from .distributions import Exponential, parse_distribution
+from .errors import InputError
 from .measures import Design
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
@@ -31,12 +32,12 @@ class ScanGrid:
 
     def __post_init__(self):
         if not (self.families and self.ns and self.alphas and self.matrices):
-            raise ValueError("scan grid axes must be non-empty")
+            raise InputError("scan grid axes must be non-empty")
         if min(self.ns) < 1:
-            raise ValueError(f"scan set sizes must be >= 1, got {list(self.ns)}")
+            raise InputError(f"scan set sizes must be >= 1, got {list(self.ns)}")
         bad = [a for a in self.alphas if a <= 1.0]
         if bad:
-            raise ValueError(
+            raise InputError(
                 f"conjecture scan covers alpha > 1 only (alpha <= 1 is proved); got {bad}"
             )
 
@@ -169,6 +170,7 @@ def figure_curve(
     """Curve data for figure 1 (Shannon gaps against the 2x2 misranking
     p12) or figure 2a / 2b (the 2x2 imperfect Renyi value less the SRS /
     perfect-RSS one, against alpha, one column per p11), exponential parent."""
+    dist = Exponential(rate)  # checks the rate for every figure
     if figure_id == "1":
         rows = []
         h_srs = closed_form.exp_shannon("srs", rate)
@@ -187,7 +189,6 @@ def figure_curve(
         return rows
     if figure_id not in ("2a", "2b"):
         raise ValueError(f"unknown figure id {figure_id!r}")
-    dist = Exponential(rate)
     reference = Design("srs" if figure_id == "2a" else "rss", 2)
     rows = []
     for alpha in np.linspace(alpha_min, alpha_max, points):

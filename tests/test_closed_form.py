@@ -135,8 +135,6 @@ def test_exp_shannon_values():
 
 def test_exp_shannon_validation():
     with pytest.raises(ValueError):
-        cf.exp_shannon("srs", 1.0, n=3)
-    with pytest.raises(ValueError):
         cf.exp_shannon("irss", 1.0)  # needs a matrix
     with pytest.raises(ValueError):
         cf.exp_shannon("srs", -1.0)
@@ -162,5 +160,3 @@ def test_exp_renyi_validation():
         cf.exp_renyi("srs", 1.0, -0.5)
     with pytest.raises(ValueError):
         cf.exp_renyi("nope", 1.0, 2.0)
-    with pytest.raises(ValueError):
-        cf.exp_renyi("srs", 1.0, 2.0, n=3)

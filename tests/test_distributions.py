@@ -48,8 +48,21 @@ def test_pdf_at_quantile_matches_composition(members, interior_u):
         # |z| ulp(loc) / scale, |z| < 8 on this grid
         rtol = 1e-12 + 8.0 * np.finfo(float).eps * abs(dist.loc) / dist.scale
         np.testing.assert_allclose(
-            dist.pdf_at_quantile(interior_u), composed, rtol=rtol, atol=1e-300
+            np.exp(dist.log_pdf_at_quantile(interior_u)), composed, rtol=rtol, atol=1e-300
         )
+
+
+def test_upper_tail_is_read_from_the_survival(members):
+    # F = 1 - S rounds to 1; the quantile and the log density there come from S
+    for dist in members:
+        for S in (1e-20, 1e-300):
+            x = dist.quantile(1.0 - S, S)
+            log_f = dist.log_pdf_at_quantile(1.0 - S, S)
+            if isinstance(dist, Uniform):  # x = 1 - S itself rounds to 1
+                assert (x, log_f) == (1.0, 0.0)
+                continue
+            assert dist.survival(x) == pytest.approx(S, rel=1e-9), dist
+            assert np.isfinite(log_f) and log_f == pytest.approx(dist.log_pdf(x), rel=1e-12), dist
 
 
 def test_log_pdf_consistent_with_pdf(members, interior_u):

@@ -12,6 +12,7 @@ from rssinfo import ranking_error as re
 from rssinfo.cli import parse_design
 from rssinfo.distributions import Exponential, Normal, Uniform, Weibull, parse_distribution
 from rssinfo.measures import Design, DivergentIntegralError
+from rssinfo.quadrature import QuadratureConfig
 
 
 def test_design_validation():
@@ -284,6 +285,15 @@ def test_kl_imperfect_limits():
         # imperfect ranking never exceeds the perfect-ranking divergence
         mid = M.kl_srs_vs_design(Design("irss", n, re.blend(n, 0.5)))
         assert 0.0 < mid.value < cf.d_n(n)
+
+
+def test_rows_singular_at_opposite_ends_share_one_folded_tree():
+    # rss:2's rows are singular at u = 0 and u = 1; folded, both sit at s -> 0,
+    # so together they take no more splits than one row alone (41 here)
+    tight = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
+    res = M.kl_srs_vs_design(Design("rss", 2), cfg=tight, force_numeric=True)
+    assert res.diagnostics["converged"] and res.diagnostics["subdivisions"] <= 41
+    assert abs(res.value - cf.d_n(2)) <= res.error_estimate
 
 
 def test_kl_large_n_u_space_stays_finite():

@@ -5,8 +5,7 @@ from rssinfo import ranking_error as re
 
 
 def test_identity_and_uniform():
-    assert re.identity(3).is_identity()
-    assert not re.uniform(3).is_identity()
+    np.testing.assert_array_equal(re.identity(3).entries, np.eye(3))
     np.testing.assert_allclose(re.uniform(4).entries, 0.25)
 
 

@@ -63,15 +63,18 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
     return Design("irss", n, P)
 
 
-_CONFIG_KEYS = {
-    "quad.abs_tol": ("abs_tol", float),
-    "quad.rel_tol": ("rel_tol", float),
-    "quad.max_subdiv": ("max_subdiv", int),
+# config-file key: (QuadratureConfig field, dest of its --quad-* flag, type)
+_QUAD_KEYS = {
+    "quad.abs_tol": ("abs_tol", "quad_abs_tol", float),
+    "quad.rel_tol": ("rel_tol", "quad_rel_tol", float),
+    "quad.max_subdiv": ("max_subdivisions", "quad_max_subdiv", int),
 }
 
 
 def _quad_config(args) -> QuadratureConfig:
-    cfg = {"abs_tol": 1e-10, "rel_tol": 1e-8, "max_subdiv": 2000}
+    """QuadratureConfig's defaults, overridden by the config file, then by
+    each --quad-* flag."""
+    cfg = {}
     path = getattr(args, "config", None)
     if path:
         try:
@@ -87,17 +90,17 @@ def _quad_config(args) -> QuadratureConfig:
                 raise CliParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _QUAD_KEYS:
                 raise CliParseError(f"{path}:{lineno}: unknown config key {key!r}")
-            name, convert = _CONFIG_KEYS[key]
+            name, _, convert = _QUAD_KEYS[key]
             try:
                 cfg[name] = convert(value)
             except ValueError as exc:
                 raise CliParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    for name in cfg:  # each --quad-* flag overrides the file
-        if getattr(args, "quad_" + name, None) is not None:
-            cfg[name] = getattr(args, "quad_" + name)
-    return QuadratureConfig(abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"], max_subdivisions=cfg["max_subdiv"])
+    for name, dest, _ in _QUAD_KEYS.values():
+        if getattr(args, dest, None) is not None:
+            cfg[name] = getattr(args, dest)
+    return QuadratureConfig(**cfg)
 
 
 def _emit(rows: list[dict], args) -> None:
@@ -205,7 +208,7 @@ def cmd_figure(args) -> int:
     cfg = _quad_config(args)
     if args.points < 1:
         raise CliParseError(f"--points must be >= 1, got {args.points}")
-    rows = figure_curve(args.figure_id, args.points, args.rate, args.alpha_min, args.alpha_max, cfg)
+    rows = figure_curve(args.figure_id, args.points, args.alpha_min, args.alpha_max, cfg)
     _emit(rows, args)
     return EXIT_OK
 
@@ -278,9 +281,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", help="key=value config file (quad.* keys)")
-    p.add_argument("--quad-abs-tol", type=float, dest="quad_abs_tol")
-    p.add_argument("--quad-rel-tol", type=float, dest="quad_rel_tol")
-    p.add_argument("--quad-max-subdiv", type=int, dest="quad_max_subdiv")
+    for _, dest, convert in _QUAD_KEYS.values():
+        p.add_argument("--" + dest.replace("_", "-"), type=convert, dest=dest)
 
 
 @functools.cache
@@ -324,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit curve data for the entropy/Renyi figures")
     p.add_argument("--id", dest="figure_id", required=True, choices=("1", "2a", "2b"))
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--rate", type=float, default=1.0, help="exponential rate lambda")
     p.add_argument("--alpha-min", type=float, default=0.2)
     p.add_argument("--alpha-max", type=float, default=5.0)
     _add_common(p)

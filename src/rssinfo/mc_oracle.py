@@ -1,16 +1,17 @@
 """Independent Monte Carlo verification layer.
 
 Simulates SRS / RSS / imperfect-RSS draws and estimates every measure
-without touching the quadrature engine.  Each design kind keeps its own
-sampler, which fixes the random streams; the plug-in estimators take the
-design's ranking-error matrix through the ``order_stats`` kernel.  The Vasicek
+without touching the quadrature engine.  A design is read only through its
+ranking-error matrix (SRS is the uniform matrix, perfect RSS the identity):
+the sampler takes its draw from the judged rank's row, and the plug-in
+estimators take that row through the ``order_stats`` kernel.  The Vasicek
 spacing estimator is the formula-free cross-check that shares no density code
 with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
 own stream spawned from a single SeedSequence.  Standard errors are batch
-means over at least 20 batches of at most ``SimConfig.batch_size`` draws, so
-the default 10^6 draws give 100 batches of 10 000.
+means over at least 20 batches of at most 10 000 draws, so the default 10^6
+draws give 100 batches of 10 000.
 """
 
 from __future__ import annotations
@@ -20,15 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ranking_error
 from .distributions import Distribution
 from .errors import InputError
-from .measures import PERFECT_RSS, SRS, Design
+from .measures import Design
 from .order_stats import judged_log_pdf
 from .ranking_error import RankingErrorMatrix
 
 
 _BLOCK = 65_536  # draws per kernel evaluation
 _MIN_BATCHES = 20  # batch means behind every standard error
+_BATCH_SIZE = 10_000  # longest batch
 
 
 class DivergentEstimateError(RuntimeError):
@@ -39,15 +42,10 @@ class DivergentEstimateError(RuntimeError):
 class SimConfig:
     replications: int = 1_000_000
     seed: int = 20240817
-    batch_size: int | None = None  # longest batch; None: 10 000, or every replication if fewer
 
     def __post_init__(self):
         if self.replications < 100:
             raise InputError("need at least 100 replications")
-        if self.batch_size is None:
-            object.__setattr__(self, "batch_size", min(10_000, self.replications))
-        if not 1 <= self.batch_size <= self.replications:
-            raise InputError("batch size must lie in [1, replications]")
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class EstimateResult:
     replications: int
 
 
-def _batch_stats(values: np.ndarray, batch_size: int) -> tuple[float, float]:
+def _batch_stats(values: np.ndarray, batch_size: int = _BATCH_SIZE) -> tuple[float, float]:
     """Mean and batch-means standard error of a 1-d value array: at least
     _MIN_BATCHES batches, each at most ``batch_size`` long."""
     m = values.size
@@ -70,14 +68,9 @@ def _batch_stats(values: np.ndarray, batch_size: int) -> tuple[float, float]:
 
 
 def sample_order_stat(dist: Distribution, n: int, i: int, rng: np.random.Generator, size: int | None = None):
-    """Draw the i-th smallest of n iid values from ``dist``."""
-    if not 1 <= i <= n:
-        raise ValueError(f"rank {i} out of range 1..{n}")
-    m = 1 if size is None else size
-    u = rng.random((m, n))
-    u.sort(axis=1)
-    x = dist.quantile(u[:, i - 1])
-    return float(x[0]) if size is None else x
+    """Draw the i-th smallest of n iid values from ``dist``: the judged draw
+    on row i of the identity."""
+    return sample_judged(dist, n, ranking_error.identity(n), i, rng, size)
 
 
 def sample_judged(
@@ -88,52 +81,57 @@ def sample_judged(
     rng: np.random.Generator,
     size: int | None = None,
 ):
-    """Draw from the judged rank-i law: true rank r ~ row i of P, then X_(r)."""
+    """Draw from the judged rank-i law: true rank r ~ row i of P, then X_(r).
+
+    A uniform row draws the parent itself and a one-hot row its order
+    statistic from the sorted (m, n) uniforms; only a mixed row first draws
+    the true rank with ``rng.choice``.
+    """
     if P.n != n:
         raise ValueError(f"error matrix dimension {P.n} does not match n = {n}")
+    row = P.row(i)
     m = 1 if size is None else size
-    ranks = rng.choice(n, size=m, p=P.row(i))  # 0-based true rank
-    u = rng.random((m, n))
-    u.sort(axis=1)
-    x = dist.quantile(u[np.arange(m), ranks])
+    if np.all(row == row[0]):  # uniform: the parent itself
+        x = dist.quantile(rng.random(m))
+    else:
+        ranks = np.flatnonzero(row)  # 0-based true ranks: the one, or one drawn
+        if ranks.size > 1:
+            ranks = rng.choice(n, size=m, p=row)
+        u = rng.random((m, n))
+        u.sort(axis=1)
+        x = dist.quantile(u[np.arange(m), ranks])
     return float(x[0]) if size is None else x
 
 
-def _component_draw(design: Design, dist: Distribution, i: int, rng, size: int) -> np.ndarray:
-    if design.kind == SRS:
-        return dist.quantile(rng.random(size))
-    if design.kind == PERFECT_RSS:
-        return sample_order_stat(dist, design.n, i, rng, size)
-    return sample_judged(dist, design.n, design.P, i, rng, size)
-
-
-def _component_log_density(design: Design, dist: Distribution, i: int, x: np.ndarray) -> np.ndarray:
-    """Log density of component i at the 1-d draws ``x``, a block at a time so
-    the kernel's (ranks x points) temporaries stay small."""
-    log_pdf = judged_log_pdf(dist, design.matrix.row(i))
+def _log_density(dist: Distribution, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Log density of the judged law with weights ``row`` at the 1-d draws
+    ``x``, a block at a time so the kernel's (ranks x points) temporaries stay
+    small."""
+    log_pdf = judged_log_pdf(dist, row)
     out = np.empty(x.shape)
     for start in range(0, x.size, _BLOCK):
         out[start : start + _BLOCK] = log_pdf(x[start : start + _BLOCK])
     return out
 
 
-def _spawned(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(count)]
+def _sum_components(design: Design, dist: Distribution, sim: SimConfig, score) -> EstimateResult:
+    """m times the sum over components i of ``score(i, x, log_f)``, an
+    (estimate, std_error) pair from the component's draws x, taken from its
+    own spawned stream, and their log density log_f; errors add in quadrature."""
+    P = design.matrix
+    total = var = 0.0
+    for i, seed in enumerate(np.random.SeedSequence(sim.seed).spawn(design.n), start=1):
+        x = sample_judged(dist, design.n, P, i, np.random.Generator(np.random.PCG64(seed)), sim.replications)
+        est, se = score(i, x, _log_density(dist, P.row(i), x))
+        total += est
+        var += se * se
+    return EstimateResult(design.m * total, design.m * math.sqrt(var), sim.replications)
 
 
 def mc_entropy(design: Design, dist: Distribution, sim: SimConfig = SimConfig()) -> EstimateResult:
     """Plug-in Shannon estimate: minus the mean log-density at simulated draws,
     summed over sample components."""
-    rngs = _spawned(sim.seed, design.n)
-    total = 0.0
-    var = 0.0
-    for i in range(1, design.n + 1):
-        x = _component_draw(design, dist, i, rngs[i - 1], sim.replications)
-        vals = -_component_log_density(design, dist, i, x)
-        est, se = _batch_stats(vals, sim.batch_size)
-        total += est
-        var += se * se
-    return EstimateResult(design.m * total, design.m * math.sqrt(var), sim.replications)
+    return _sum_components(design, dist, sim, lambda i, x, log_f: _batch_stats(-log_f))
 
 
 def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:
@@ -141,16 +139,12 @@ def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = 
     if alpha <= 0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1")
     om = 1.0 - alpha
-    rngs = _spawned(sim.seed, design.n)
-    total = 0.0
-    var = 0.0
-    for i in range(1, design.n + 1):
-        x = _component_draw(design, dist, i, rngs[i - 1], sim.replications)
-        vals = np.exp((alpha - 1.0) * _component_log_density(design, dist, i, x))
-        mhat, se = _batch_stats(vals, sim.batch_size)
-        total += math.log(mhat) / om
-        var += (se / (abs(om) * mhat)) ** 2
-    return EstimateResult(design.m * total, design.m * math.sqrt(var), sim.replications)
+
+    def score(i, x, log_f):
+        mhat, se = _batch_stats(np.exp((alpha - 1.0) * log_f))
+        return math.log(mhat) / om, se / (abs(om) * mhat)
+
+    return _sum_components(design, dist, sim, score)
 
 
 def mc_kl(
@@ -163,28 +157,20 @@ def mc_kl(
     """KL estimate: mean componentwise log-ratio under the X-side law."""
     if design_x.n != design_y.n:
         raise ValueError("designs must share the set size n")
-    rngs = _spawned(sim.seed, design_x.n)
-    total = 0.0
-    var = 0.0
-    for i in range(1, design_x.n + 1):
-        x = _component_draw(design_x, dist_f, i, rngs[i - 1], sim.replications)
-        vals = _component_log_density(design_x, dist_f, i, x) - _component_log_density(
-            design_y, dist_g, i, x
-        )
+    P_y = design_y.matrix
+
+    def score(i, x, log_f):
+        vals = log_f - _log_density(dist_g, P_y.row(i), x)
         if not np.all(np.isfinite(vals)):
-            raise DivergentEstimateError(
-                f"log-ratio is not finite for component {i} (support mismatch?)"
-            )
-        est, se = _batch_stats(vals, sim.batch_size)
+            raise DivergentEstimateError(f"log-ratio is not finite for component {i} (support mismatch?)")
+        est, se = _batch_stats(vals)
         half = vals.size // 2
         m1, m2 = float(vals[:half].mean()), float(vals[half:].mean())
         if se > 0 and abs(m1 - m2) > 10.0 * se * math.sqrt(2.0):
-            raise DivergentEstimateError(
-                f"running mean failed to stabilize for component {i}"
-            )
-        total += est
-        var += se * se
-    return EstimateResult(design_x.m * total, design_x.m * math.sqrt(var), sim.replications)
+            raise DivergentEstimateError(f"running mean failed to stabilize for component {i}")
+        return est, se
+
+    return _sum_components(design_x, dist_f, sim, score)
 
 
 def vasicek_entropy(samples, window: int) -> float:

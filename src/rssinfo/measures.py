@@ -131,6 +131,11 @@ def _from_quad(value: float, err: float, r: QuadratureResult) -> MeasureResult:
     )
 
 
+def _check_mode(mode: str, modes: tuple[str, ...]) -> None:
+    if mode not in modes:
+        raise InputError(f"unknown mode {mode!r}; expected one of {', '.join(modes)}")
+
+
 def _distinct_rows(*designs: Design):
     """The distinct rank rows of the designs' matrices, in rank order.
 
@@ -199,10 +204,12 @@ def shannon(
 
     ``mode='u'`` (default) uses the quantile-substitution decomposition
     H(X_(i)) = H(U_(i)) - E[log f(F^-1(W_i))]; ``mode='x'`` integrates the
-    component densities directly in x-space as a cross-check.
+    component densities directly in x-space as a cross-check, never a closed
+    form.
     """
+    _check_mode(mode, ("u", "x"))
     std = dist.standard()
-    res = None if force_numeric else _shannon_closed_form(design, std)
+    res = None if force_numeric or mode == "x" else _shannon_closed_form(design, std)
     if res is None:
         res = (_shannon_x_space if mode == "x" else _shannon_u_space)(design, std, cfg)
     return res.scaled(design.m, design.n * math.log(dist.scale))
@@ -350,6 +357,7 @@ def kl_srs_vs_design(
     u-space (``dist`` is ignored there).  ``mode='x'`` runs the x-space
     verification integral on ``dist.standard()`` and requires ``dist``.
     """
+    _check_mode(mode, ("u", "x"))
     if design.kind == SRS:
         raise InputError("K(SRS, design) needs an rss or irss design, got srs")
     if design.kind == PERFECT_RSS and not force_numeric and mode == "u":
@@ -455,23 +463,13 @@ def a_n(
     ``mode='sum'`` evaluates the defining sum over beta-weighted components as
     a verification route.  Both vanish at F = G and at n = 1.
     """
+    _check_mode(mode, ("reduced", "sum"))
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return _closed(0.0)
     if mode == "reduced":
-
-        def integrand(F, S):
-            x = dist_f.quantile(F, S)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return special.xlogy(F, dist_g.cdf(x)) + special.xlogy(S, dist_g.survival(x))
-
-        r = _fold(integrand, cfg, "A_n integrand is not integrable")
-        c = n * (n - 1)
-        return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
-
-    if mode != "sum":
-        raise ValueError(f"unknown mode {mode!r}")
+        return _a_n_reduced(dist_f, dist_g, n, cfg, special.xlogy, "A_n integrand is not integrable")
     log_beta = judged_log_weight(np.eye(n))
     below = np.arange(n)[:, None]  # ranks below and above rank i = 1..n
     above = n - 1 - below
@@ -500,13 +498,19 @@ def a_n_printed_reduced(
     """
     if n < 2:
         return _closed(0.0)
+    return _a_n_reduced(dist_f, dist_g, n, cfg, np.multiply, "printed A_n integrand is not finite")
+
+
+def _a_n_reduced(dist_f, dist_g, n: int, cfg: QuadratureConfig, survival_term, what: str) -> MeasureResult:
+    """-n(n-1)/2 - n(n-1) int_0^1 [u log G + survival_term(1-u, Gbar)] du,
+    G and Gbar taken at F^-1(u)."""
 
     def integrand(F, S):
         x = dist_f.quantile(F, S)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return special.xlogy(F, dist_g.cdf(x)) + S * dist_g.survival(x)
+            return special.xlogy(F, dist_g.cdf(x)) + survival_term(S, dist_g.survival(x))
 
-    r = _fold(integrand, cfg, "printed A_n integrand is not finite")
+    r = _fold(integrand, cfg, what)
     c = n * (n - 1)
     return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
 

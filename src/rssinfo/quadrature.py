@@ -7,9 +7,9 @@ discrepancy; the panel whose largest error relative to its component's
 tolerance max(abs_tol, rel_tol |I_c|) is largest is bisected, both children
 in one call of the integrand, until every component meets its tolerance.
 Per-component running totals drive that stop test; it is confirmed, and the
-result taken, with math.fsum over the panels (ordered by left endpoint), and
-a panel leaving with an infinite error resets the totals the same way.  No
-randomness anywhere; identical inputs give bit-identical results.
+result taken, with math.fsum over the panels, and a panel leaving with an
+infinite error resets the totals the same way.  No randomness anywhere;
+identical inputs give bit-identical results.
 
 Endpoint singularities need no inset: nodes lie strictly inside their panel,
 and a panel narrower than _MIN_SPLIT_ULPS ulps (of its endpoints, or of
@@ -248,7 +248,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
             total, total_err = _sums(heap)
             tol = _tolerance(total, cfg)
 
-    value, error = _sums(sorted(heap, key=lambda p: p[2]))
+    value, error = _sums(heap)  # fsum is correctly rounded in any order
     converged = _within(error, _tolerance(value, cfg))
     if vector:
         return QuadratureResult(np.array(value), np.array(error), nsub, converged)

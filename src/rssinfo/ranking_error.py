@@ -41,12 +41,9 @@ class RankingErrorMatrix:
         return self.entries[i - 1]
 
 
-def validate(raw, renormalize: bool = False) -> RankingErrorMatrix:
-    """Check (or lightly repair) a raw square matrix.
-
-    With ``renormalize=True`` rows and columns are alternately rescaled
-    (a few Sinkhorn sweeps) before checking, to absorb CSV rounding noise.
-    """
+def validate(raw) -> RankingErrorMatrix:
+    """Check a raw square matrix: entries in [0, 1], every row and column
+    summing to 1."""
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixValidationError(f"matrix must be square, got shape {arr.shape}")
@@ -56,10 +53,6 @@ def validate(raw, renormalize: bool = False) -> RankingErrorMatrix:
         raise MatrixValidationError(f"negative entry at ({i + 1}, {r + 1})")
     if np.any(arr > 1.0 + _TOL):
         raise MatrixValidationError("entries must lie in [0, 1]")
-    if renormalize:
-        for _ in range(50):
-            arr = arr / arr.sum(axis=1, keepdims=True)
-            arr = arr / arr.sum(axis=0, keepdims=True)
     rows = arr.sum(axis=1)
     cols = arr.sum(axis=0)
     bad_row = np.argwhere(np.abs(rows - 1.0) > _TOL)
@@ -105,11 +98,11 @@ def blend(n: int, w: float) -> RankingErrorMatrix:
     return RankingErrorMatrix(w * np.eye(n) + (1.0 - w) * np.full((n, n), 1.0 / n))
 
 
-def from_csv(path, renormalize: bool = False) -> RankingErrorMatrix:
+def from_csv(path) -> RankingErrorMatrix:
     """Load an n x n matrix from a headerless CSV file."""
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
-        return validate(arr, renormalize=renormalize)
+        return validate(arr)
     except OSError as exc:
         raise MatrixValidationError(f"cannot read matrix file {path!r}: {exc}") from exc
     except ValueError as exc:

@@ -162,22 +162,22 @@ def _errata_row(check, printed, corrected, oracle, tol) -> dict:
 def figure_curve(
     figure_id: str,
     points: int,
-    rate: float = 1.0,
     alpha_min: float = 0.2,
     alpha_max: float = 5.0,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> list[dict]:
     """Curve data for figure 1 (Shannon gaps against the 2x2 misranking
     p12) or figure 2a / 2b (the 2x2 imperfect Renyi value less the SRS /
-    perfect-RSS one, against alpha, one column per p11), exponential parent."""
-    dist = Exponential(rate)  # checks the rate for every figure
+    perfect-RSS one, against alpha, one column per p11), exponential parent.
+    Every column is a difference of two set-size-2 values, in which the
+    exponential's rate cancels, so the parent has rate 1."""
     if figure_id == "1":
         rows = []
-        h_srs = closed_form.exp_shannon("srs", rate)
-        h_rss = closed_form.exp_shannon("rss", rate)
+        h_srs = closed_form.exp_shannon("srs", 1.0)
+        h_rss = closed_form.exp_shannon("rss", 1.0)
         for p12 in np.linspace(0.0, 1.0, points):
             p12 = float(p12)
-            h_irss = closed_form.exp_shannon("irss", rate, ranking_error.two_by_two(p12))
+            h_irss = closed_form.exp_shannon("irss", 1.0, ranking_error.two_by_two(p12))
             rows.append(
                 {
                     "p12": p12,
@@ -189,6 +189,7 @@ def figure_curve(
         return rows
     if figure_id not in ("2a", "2b"):
         raise ValueError(f"unknown figure id {figure_id!r}")
+    dist = Exponential(1.0)
     reference = Design("srs" if figure_id == "2a" else "rss", 2)
     rows = []
     for alpha in np.linspace(alpha_min, alpha_max, points):

@@ -153,7 +153,6 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--quad-abs-tol", "-1"),
         ("conjecture-scan", "--family", "exp:1", "--n-values", "0", "--alphas", "2"),
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--replications", "10"),
-        ("figure", "--id", "2a", "--rate", "-1"),
         ("figure", "--id", "1", "--points", "-3"),
         ("figure", "--id", "2a", "--alpha-min", "0"),
         ("dn", "--out", "{missing_dir}"),
@@ -164,7 +163,7 @@ def test_parse_errors_exit_two(capsys):
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
-        "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
+        "oracle-few-replications", "figure-negative-points",
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",
         "psi-alpha-inf",
     ],
@@ -202,6 +201,8 @@ def test_shared_parser_leaks_no_state_between_calls(capsys):
 
 def test_unknown_flag_exits_two(capsys):
     assert run(capsys, "table-k", "--bogus")[0] == cli.EXIT_PARSE
+    # figure has no --rate: every figure column is rate-free
+    assert run(capsys, "figure", "--id", "2a", "--rate", "-1")[0] == cli.EXIT_PARSE
 
 
 def test_non_convergence_exits_three(capsys):
@@ -222,6 +223,13 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     )
     assert code == cli.EXIT_OK
     assert abs(float(rows_of(out)[0]["value"]) - cf.d_n(2)) < 1e-6
+    # the flags override the file's budget and tolerances
+    code, _, _ = run(
+        capsys, "measure", "shannon", "--design", "rss:3", "--dist", "norm:0,1",
+        "--force-numeric", "--config", str(path), "--quad-max-subdiv", "1",
+        "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14",
+    )
+    assert code == cli.EXIT_NO_CONVERGENCE
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("quad.unknown = 3\n")

@@ -15,13 +15,6 @@ FAST = mc.SimConfig(replications=200_000, seed=42)
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         mc.SimConfig(replications=10)
-    with pytest.raises(ValueError):
-        mc.SimConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        mc.SimConfig(replications=1000, batch_size=2000)
-    # the default batch is 10 000 draws, or every draw when there are fewer
-    assert mc.SimConfig(replications=1000).batch_size == 1000
-    assert mc.SimConfig(replications=20_000).batch_size == 10_000
 
 
 def test_sample_order_stat_means():
@@ -76,6 +69,20 @@ def test_mc_entropy_uniform_matrix_equals_srs():
     rnd = mc.mc_entropy(Design("irss", 2, re.uniform(2)), Exponential(1.0), FAST)
     combined = math.hypot(srs.std_error, rnd.std_error)
     assert abs(srs.estimate - rnd.estimate) < 3.0 * combined
+
+
+def test_design_is_read_only_through_its_matrix():
+    # SRS is the uniform matrix and perfect RSS the identity: the oracle
+    # draws the same streams for either spelling of a design
+    sim = mc.SimConfig(replications=2000, seed=9)
+    dist = Exponential(1.0)
+    for n in (1, 2, 3):
+        for kind, P in (("srs", re.uniform(n)), ("rss", re.identity(n))):
+            plain, irss = Design(kind, n), Design("irss", n, P)
+            assert mc.mc_entropy(plain, dist, sim) == mc.mc_entropy(irss, dist, sim)
+            assert mc.mc_renyi(plain, dist, 2.0, sim) == mc.mc_renyi(irss, dist, 2.0, sim)
+            srs = Design("srs", n)
+            assert mc.mc_kl(srs, dist, plain, dist, sim) == mc.mc_kl(srs, dist, irss, dist, sim)
 
 
 def test_mc_renyi_matches_closed_forms():

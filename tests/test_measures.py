@@ -11,6 +11,7 @@ from rssinfo import measures as M
 from rssinfo import ranking_error as re
 from rssinfo.cli import parse_design
 from rssinfo.distributions import Exponential, Normal, Uniform, Weibull, parse_distribution
+from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.quadrature import QuadratureConfig
 
@@ -367,6 +368,26 @@ def test_a_n_decomposes_rss_vs_rss():
     rss = M.kl_two_sample(Design("rss", n), f, Design("rss", n), g)
     srs = M.kl_two_sample(Design("srs", n), f, Design("srs", n), g)
     assert abs((rss.value - srs.value) - M.a_n(f, g, n).value) < 1e-6
+
+
+def test_mode_means_the_same_in_every_measure():
+    # mode="x" runs the x-space route even where a closed form exists, as
+    # force_numeric does; an unknown mode is an input error, not u-space
+    exp1 = Exponential(1.0)
+    for spec in ("srs:3", "rss:2"):
+        design = parse_design(spec)
+        x = M.shannon(design, exp1, mode="x")
+        assert x.method == "quadrature", spec
+        assert x == M.shannon(design, exp1, force_numeric=True, mode="x")
+    assert M.kl_srs_vs_design(Design("rss", 2), exp1, mode="x").method == "quadrature"
+    for call in (
+        lambda: M.shannon(Design("rss", 2), exp1, mode="bogus"),
+        lambda: M.kl_srs_vs_design(Design("rss", 2), exp1, mode="bogus"),
+        lambda: M.a_n(exp1, exp1, 2, mode="bogus"),
+        lambda: M.a_n(exp1, exp1, 1, mode="bogus"),
+    ):
+        with pytest.raises(InputError, match="unknown mode"):
+            call()
 
 
 def test_a_n_printed_form_fails_equal_law_oracle():

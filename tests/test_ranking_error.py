@@ -48,13 +48,6 @@ def test_validate_rejects_bad_matrices():
         re.validate([[0.7, 0.3], [0.7, 0.3]])  # column sums off
 
 
-def test_validate_renormalizes_rounding_noise():
-    raw = np.array([[0.667, 0.333], [0.333, 0.667]])
-    P = re.validate(raw + 1e-4, renormalize=True)
-    np.testing.assert_allclose(P.entries.sum(axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(P.entries.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_from_csv_round_trip(tmp_path):
     path = tmp_path / "mat.csv"
     path.write_text("0.75,0.25\n0.25,0.75\n")

@@ -34,6 +34,13 @@ class CliParseError(InputError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors lead with ``error:``, like every other exit-2 message."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"error: {message}\n{self.format_usage()}")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -289,7 +296,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call; later calls return the same
     object, so callers must not mutate it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rssinfo",
         description=(
             "Shannon, Renyi and Kullback-Leibler information measures of "

@@ -153,6 +153,7 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--quad-abs-tol", "-1"),
         ("conjecture-scan", "--family", "exp:1", "--n-values", "0", "--alphas", "2"),
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--replications", "10"),
+        ("figure", "--id", "2a", "--rate", "-1"),  # no such flag: argparse rejects it
         ("figure", "--id", "1", "--points", "-3"),
         ("figure", "--id", "2a", "--alpha-min", "0"),
         ("dn", "--out", "{missing_dir}"),
@@ -163,7 +164,7 @@ def test_parse_errors_exit_two(capsys):
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
-        "oracle-few-replications", "figure-negative-points",
+        "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",
         "psi-alpha-inf",
     ],
@@ -201,8 +202,6 @@ def test_shared_parser_leaks_no_state_between_calls(capsys):
 
 def test_unknown_flag_exits_two(capsys):
     assert run(capsys, "table-k", "--bogus")[0] == cli.EXIT_PARSE
-    # figure has no --rate: every figure column is rate-free
-    assert run(capsys, "figure", "--id", "2a", "--rate", "-1")[0] == cli.EXIT_PARSE
 
 
 def test_non_convergence_exits_three(capsys):

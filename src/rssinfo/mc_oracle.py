@@ -156,7 +156,9 @@ def mc_kl(
 ) -> EstimateResult:
     """KL estimate: mean componentwise log-ratio under the X-side law."""
     if design_x.n != design_y.n:
-        raise ValueError("designs must share the set size n")
+        raise InputError("designs must share the set size n")
+    if design_x.m != design_y.m:
+        raise InputError("designs must share the cycle count m")
     P_y = design_y.matrix
 
     def score(i, x, log_f):

@@ -17,12 +17,10 @@ Dispatch order: a closed form is used when one exists for the (family,
 design, measure) triple, otherwise the quadrature engine; ``force_numeric``
 bypasses closed forms so the two paths can be compared.
 
-Every default numeric route integrates over u = F(x) through ``_fold``: it
-takes (0, 1) onto (0, 1/2) as g(s, 1-s) + g(1-s, s), with the kernel's (F, S)
-pair, so both ends and every endpoint singularity sit at s -> 0, where floats
-are dense; the map s = (t/T)^2 / 2 turns s^-p into t^(1-2p), which bisection
-resolves for alpha < 1 too (Piessens et al., QUADPACK, 1983).  x-space is
-left only to the ``mode="x"`` Shannon and KL verification routes.
+Every default numeric route integrates over u = F(x), with the kernel's
+(F, S) pair, through ``quadrature.integrate_unit``, which folds (0, 1) onto
+(0, 1/2) so that both ends sit at 0.  Only the ``mode="x"`` Shannon and KL
+verification routes integrate over x, through the same fold.
 
 All values are in nats and scale additively with the cycle count m.
 """
@@ -30,28 +28,25 @@ All values are in nats and scale additively with the cycle count m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
-from .errors import InputError
+from .errors import DivergentIntegralError, InputError
 from .order_stats import judged_log_pdf, judged_log_weight
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
     entropy_integral,
-    integrate,
+    integrate,  # noqa: F401  (perfbench's tracer and its contract test read measures.integrate)
     integrate_support,
+    integrate_unit,
 )
 from .ranking_error import RankingErrorMatrix
-
-
-class DivergentIntegralError(ValueError):
-    """The integral is not integrable (e.g. support mismatch) or not representable in floats."""
 
 
 SRS = "srs"
@@ -154,40 +149,6 @@ def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
     return _from_quad(float(counts @ values), float(counts @ errors), r)
 
 
-# s = (t/T)^2 / 2 maps t in (0, T) onto (0, 1/2); T = 2^-510 keeps s a normal
-# float at the engine's smallest t, near 2^-1019
-_T = 2.0**-510
-
-
-def _fold(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
-    """int_0^1 g(F, S) du with F = u, S = 1 - u: g(s, 1-s) + g(1-s, s) over
-    s in (0, 1/2), both halves in one call of g, which returns (m,) or (k, m).
-
-    The engine integrates against t/T = T ds/dt, which cannot overflow, so it
-    sees T times the integral and takes abs_tol times T; both scale exactly.
-    A non-finite g raises DivergentIntegralError, ``what`` at its u, or at
-    x = ``at(F, S)``.
-    """
-
-    def integrand(t):
-        r = t / _T
-        s = 0.5 * r * r
-        c = 1.0 - s
-        F, S = np.concatenate([s, c]), np.concatenate([c, s])
-        with np.errstate(over="ignore"):  # an overflow is raised below
-            v = g(F, S)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            j = np.argwhere(bad)[0][-1]
-            where = f"u = {F[j]}" if at is None else f"x = {at(F[j], S[j])}"
-            raise DivergentIntegralError(f"{what} at {where}; the integral may be divergent or out of range")
-        return (v[..., : t.size] + v[..., t.size :]) * r
-
-    # an abs_tol below 2^-564 has no float at this scale: the rel_tol alone decides
-    r = integrate(integrand, 0.0, _T, replace(cfg, abs_tol=max(cfg.abs_tol * _T, math.ulp(0.0))))
-    return replace(r, value=r.value / _T, error_estimate=r.error_estimate / _T)
-
-
 # ---------------------------------------------------------------------------
 # Shannon entropy
 # ---------------------------------------------------------------------------
@@ -239,7 +200,7 @@ def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) 
         lw = log_weight(F, S)
         return -np.exp(lw) * (np.where(exact, 0.0, lw) + log_fq(F, S))
 
-    r = _fold(integrand, cfg, "shannon integrand is not finite")
+    r = integrate_unit(integrand, cfg, "shannon integrand is not finite")
     return _weighted(h + r.value, r.error_estimate, counts, r)
 
 
@@ -297,7 +258,7 @@ def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: Quadra
         # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du
         return np.exp(alpha * log_weight(F, S) - om * log_fq(F, S))
 
-    r = _fold(integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile)
+    r = integrate_unit(integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile)
     if np.any(r.value <= 0):
         raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
     return _weighted(np.log(r.value) / om, r.error_estimate / (abs(om) * r.value), counts, r)
@@ -317,9 +278,9 @@ def renyi_gap_binomial(
     f^alpha / int f^alpha.
     """
     if alpha <= 1.0:
-        raise ValueError(f"binomial-representation gap requires alpha > 1, got {alpha}")
+        raise InputError(f"binomial-representation gap requires alpha > 1, got {alpha}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if n == 1:
         return _closed(0.0)
     om = 1.0 - alpha
@@ -332,7 +293,7 @@ def renyi_gap_binomial(
         weight = np.exp((alpha - 1.0) * log_fq(F, S))
         return np.vstack([weight, np.exp(alpha * log_beta(F, S)) * weight])
 
-    r = _fold(integrand, cfg, "binomial-route integrand exceeds the float range")
+    r = integrate_unit(integrand, cfg, "binomial-route integrand exceeds the float range")
     (z, *b), (z_err, *b_err) = r.value.tolist(), r.error_estimate.tolist()
     total = sum(math.log(b_i / z) for b_i in b) / om
     err = sum(b_i_err / b_i + z_err / z for b_i, b_i_err in zip(b, b_err)) / abs(om)
@@ -365,7 +326,7 @@ def kl_srs_vs_design(
 
     if mode == "x":
         if dist is None:
-            raise ValueError("x-space verification mode needs a distribution")
+            raise InputError("x-space verification mode needs a distribution")
         res = _kl_srs_x_space(design, dist.standard(), cfg)
     else:
         res = _kl_srs_u_space(design, cfg)
@@ -375,7 +336,7 @@ def kl_srs_vs_design(
 def _kl_srs_u_space(design: Design, cfg: QuadratureConfig) -> MeasureResult:
     (rows,), counts = _distinct_rows(design)
     log_weight = judged_log_weight(rows)
-    r = _fold(lambda F, S: -log_weight(F, S), cfg, "KL integrand is not finite")
+    r = integrate_unit(lambda F, S: -log_weight(F, S), cfg, "KL integrand is not finite")
     return _weighted(r.value, r.error_estimate, counts, r)
 
 
@@ -407,9 +368,9 @@ def kl_two_sample(
     of the X-side law.  Raises DivergentIntegralError on support mismatch.
     """
     if design_x.n != design_y.n:
-        raise ValueError("designs must share the set size n")
+        raise InputError("designs must share the set size n")
     if design_x.m != design_y.m:
-        raise ValueError("designs must share the cycle count m")
+        raise InputError("designs must share the cycle count m")
 
     (rows_x, rows_y), counts = _distinct_rows(design_x, design_y)
     log_wx = judged_log_weight(rows_x)
@@ -422,7 +383,7 @@ def kl_two_sample(
             bracket = lx + dist_f.log_pdf_at_quantile(F, S) - log_py(dist_f.quantile(F, S))
             return np.where(wx > 0.0, wx * bracket, 0.0)
 
-    r = _fold(integrand, cfg, "two-sample KL integrand is not integrable")
+    r = integrate_unit(integrand, cfg, "two-sample KL integrand is not integrable")
     return _weighted(r.value, r.error_estimate, counts, r).scaled(design_x.m)
 
 
@@ -465,7 +426,7 @@ def a_n(
     """
     _check_mode(mode, ("reduced", "sum"))
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if n == 1:
         return _closed(0.0)
     if mode == "reduced":
@@ -482,7 +443,7 @@ def a_n(
             upper = np.where(above > 0, above * (np.log(S) - np.log(dist_g.survival(x))), 0.0)
             return np.where(w > 0.0, w * (lower + upper), 0.0)
 
-    r = _fold(integrand, cfg, "A_n integrand is not integrable")
+    r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
     return _from_quad(float(r.value.sum()), float(r.error_estimate.sum()), r)
 
 
@@ -496,7 +457,9 @@ def a_n_printed_reduced(
 
     Kept only for the errata report; it does not vanish at F = G.
     """
-    if n < 2:
+    if n < 1:
+        raise InputError("n must be >= 1")
+    if n == 1:
         return _closed(0.0)
     return _a_n_reduced(dist_f, dist_g, n, cfg, np.multiply, "printed A_n integrand is not finite")
 
@@ -510,7 +473,7 @@ def _a_n_reduced(dist_f, dist_g, n: int, cfg: QuadratureConfig, survival_term, w
         with np.errstate(divide="ignore", invalid="ignore"):
             return special.xlogy(F, dist_g.cdf(x)) + survival_term(S, dist_g.survival(x))
 
-    r = _fold(integrand, cfg, what)
+    r = integrate_unit(integrand, cfg, what)
     c = n * (n - 1)
     return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
 

@@ -23,18 +23,25 @@ c*d^-p through its two nodes nearest that end (infinite for p >= 1), twice
 over, as the fit is exact only for a pure power law.
 No panel's error is below QUADPACK's rounding floor 50 eps * integral of |f|
 (Piessens et al., QUADPACK, 1983).
+
+Every mapped integral is folded: ``integrate_unit`` takes int_0^1 g(F, S) du,
+F = u, S = 1 - u, onto (0, 1/2) as g(s, 1-s) + g(1-s, s), both ends at s -> 0
+where floats are dense, through s = (t/T)^2 / 2, which turns s^-p into
+t^(1-2p).  The half line, the real line and a finite (a, b) are the maps
+x = a + F/S, (F - S) / (4 F S) and a S + b F of u; near an end other than 0,
+x rounds onto that end and f is evaluated there.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import Support
-from .errors import InputError
+from .errors import DivergentIntegralError, InputError
 
 # 15-point Kronrod nodes on [-1, 1] and weights, with the embedded 7-point
 # Gauss weights on the shared nodes (standard QUADPACK constants).
@@ -91,20 +98,6 @@ _WG = np.array(
 # panel's K15 sum and its K15 - G7 sum
 _KG = np.stack([_WK, _WK], axis=1)
 _KG[1::2, 1] -= _WG
-
-
-class NonFiniteIntegrandError(ValueError):
-    """Integrand returned NaN or +/-inf at an interior evaluation point.
-
-    ``component`` is the index of the offending row of a (k, m) integrand,
-    None for an (m,) one.
-    """
-
-    def __init__(self, x: float, component: int | None = None):
-        self.x = x
-        self.component = component
-        where = "" if component is None else f" (component {component})"
-        super().__init__(f"integrand is not finite at x = {x!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,9 @@ def _panels(f, edges, lo: float, hi: float):
     fx = fx.reshape(-1, *x.shape)
     if not np.isfinite(fx).all():
         c, p, j = np.argwhere(~np.isfinite(fx))[0]
-        raise NonFiniteIntegrandError(float(x[p, j]), int(c) if vector else None)
+        at, c = float(x[p, j]), int(c) if vector else None
+        where = "" if c is None else f" (component {c})"
+        raise DivergentIntegralError(f"integrand is not finite at x = {at!r}{where}", at, c)
     s = fx @ _KG
     k15 = s[..., 0] * half
     err = np.abs(s[..., 1]) * half
@@ -255,40 +250,70 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     return QuadratureResult(value[0], error[0], nsub, converged)
 
 
-def _integrate_mapped(f, x_of_t, weigh, lo: float, hi: float, cfg: QuadratureConfig) -> QuadratureResult:
-    """Integral of ``f`` over x_of_t((lo, hi)); ``weigh(t, f(x))`` applies
-    dx/dt.  A non-finite integrand is reported at its x, not at its t."""
+# T = 2^-510 keeps s = (t/T)^2 / 2 a normal float at the engine's smallest t, near 2^-1019
+_T = 2.0**-510
 
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        return weigh(t, np.asarray(f(x_of_t(t)), dtype=float))
 
-    try:
-        return integrate(g, lo, hi, cfg)
-    except NonFiniteIntegrandError as exc:
-        raise NonFiniteIntegrandError(float(x_of_t(exc.x)), exc.component) from exc
+def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
+    """int_0^1 g(F, S) du, folded; g takes both halves in one call and
+    returns (m,) or (k, m).
+
+    The engine integrates against t/T = T ds/dt, which cannot overflow, so it
+    sees T times the integral and takes abs_tol times T; both scale exactly.
+    A non-finite g raises DivergentIntegralError, ``what`` at its u, or at
+    x = ``at(F, S)``.
+    """
+
+    def integrand(t):
+        r = t / _T
+        s = 0.5 * r * r
+        c = 1.0 - s
+        F, S = np.concatenate([s, c]), np.concatenate([c, s])
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            v = g(F, S)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            *row, j = np.argwhere(bad)[0]
+            x = None if at is None else float(at(F[j], S[j]))
+            where = f"u = {F[j]}" if x is None else f"x = {x}"
+            msg = f"{what} at {where}; the integral may be divergent or out of range"
+            raise DivergentIntegralError(msg, x, *map(int, row))
+        return (v[..., : t.size] + v[..., t.size :]) * r
+
+    # an abs_tol below 2^-564 has no float at this scale: the rel_tol alone decides
+    r = integrate(integrand, 0.0, _T, replace(cfg, abs_tol=max(cfg.abs_tol * _T, math.ulp(0.0))))
+    return replace(r, value=r.value / _T, error_estimate=r.error_estimate / _T)
+
+
+def _integrate_x(f, x, dx_dF, cfg: QuadratureConfig) -> QuadratureResult:
+    """Integral of ``f`` over x((0, 1)) as the folded one of f(x(F, S)) dx/dF;
+    where f is 0 so is that, even where dx/dF overflows at an end."""
+
+    def g(F, S):
+        fx = np.asarray(f(x(F, S)), dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(fx == 0.0, 0.0, fx * dx_dF(F, S))
+
+    return integrate_unit(g, cfg, "integrand is not finite", at=x)
 
 
 def integrate_half_line(f, a: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integral of ``f`` over (a, inf) via the substitution x = a + t/(1-t)."""
-    return _integrate_mapped(f, lambda t: a + t / (1.0 - t), lambda t, fx: fx / (1.0 - t) ** 2, 0.0, 1.0, cfg)
+    """Integral of ``f`` over (a, inf) via x = a + F/S."""
+    return _integrate_x(f, lambda F, S: a + F / S, lambda F, S: 1.0 / (S * S), cfg)
 
 
 def integrate_full_line(f, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integral of ``f`` over the real line via x = t/(1-t^2) on (-1, 1)."""
-
-    def weigh(t, fx):
-        return fx * (1.0 + t * t) / (1.0 - t * t) ** 2
-
-    return _integrate_mapped(f, lambda t: t / (1.0 - t * t), weigh, -1.0, 1.0, cfg)
+    """Integral of ``f`` over the real line via x = (F - S) / (4 F S)."""
+    return _integrate_x(f, lambda F, S: (F - S) / (4 * F * S), lambda F, S: (F * F + S * S) / (2 * F * S) ** 2, cfg)
 
 
 def integrate_support(f, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Dispatch on the support descriptor."""
+    """Dispatch on the support descriptor; a finite (a, b) maps as x = a S + b F."""
+    a, b = support.lower, support.upper
     if support.is_finite:
-        return integrate(f, support.lower, support.upper, cfg)
+        return _integrate_x(f, lambda F, S: a * S + b * F, lambda F, S: b - a, cfg)
     if support.is_half_line:
-        return integrate_half_line(f, support.lower, cfg)
+        return integrate_half_line(f, a, cfg)
     if support.is_full_line:
         return integrate_full_line(f, cfg)
     raise ValueError(f"unsupported support {support}")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssinfo import closed_form as cf
+from rssinfo import mc_oracle as mc
 from rssinfo import measures as M
 from rssinfo import ranking_error as re
 from rssinfo.cli import parse_design
@@ -54,11 +55,12 @@ def test_shannon_closed_vs_numeric_both_modes():
 
 
 def test_shannon_u_and_x_modes_agree_without_closed_form():
-    dist = Normal(0.0, 1.0)
-    for design in [Design("rss", 3), Design("irss", 3, re.blend(3, 0.5))]:
-        u = M.shannon(design, dist, force_numeric=True, mode="u")
-        x = M.shannon(design, dist, force_numeric=True, mode="x")
-        assert abs(u.value - x.value) < 1e-7
+    # Weibull(0.52)'s density has an x^-0.48 singularity at 0
+    for dist in (Normal(0.0, 1.0), Weibull(0.52, 1.0)):
+        for design in [Design("rss", 3), Design("irss", 3, re.blend(3, 0.5)), Design("rss", 8)]:
+            u = M.shannon(design, dist, force_numeric=True, mode="u")
+            x = M.shannon(design, dist, force_numeric=True, mode="x")
+            assert abs(u.value - x.value) < 1e-7, (dist.spec_string(), design.spec_string())
 
 
 def test_shannon_gap_is_distribution_free(families):
@@ -388,6 +390,32 @@ def test_mode_means_the_same_in_every_measure():
     ):
         with pytest.raises(InputError, match="unknown mode"):
             call()
+
+
+EXP1 = Exponential(1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: M.a_n(EXP1, EXP1, 0),
+        lambda: M.a_n_printed_reduced(EXP1, EXP1, 0),
+        lambda: M.kl_srs_vs_design(Design("rss", 2), mode="x"),
+        lambda: M.kl_two_sample(Design("rss", 2), EXP1, Design("rss", 3), EXP1),
+        lambda: M.kl_two_sample(Design("rss", 2), EXP1, Design("rss", 2, m=2), EXP1),
+        lambda: M.renyi_gap_binomial(EXP1, 3, 0.8),
+        lambda: M.renyi_gap_binomial(EXP1, 0, 2.0),
+        lambda: mc.mc_kl(Design("srs", 2), EXP1, Design("rss", 3), EXP1),
+        lambda: mc.mc_kl(Design("srs", 2), EXP1, Design("rss", 2, m=2), EXP1),
+    ],
+    ids=[
+        "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
+        "gap-alpha", "gap-n0", "mc_kl-n", "mc_kl-m",
+    ],
+)
+def test_measure_input_rules_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_a_n_printed_form_fails_equal_law_oracle():

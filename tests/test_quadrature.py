@@ -1,14 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from rssinfo import quadrature as Q
 from rssinfo.closed_form import d_n, k_direct
 from rssinfo.distributions import Exponential, Support
+from rssinfo.errors import DivergentIntegralError
 from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
-    NonFiniteIntegrandError,
     QuadratureConfig,
     QuadratureResult,
     entropy_integral,
@@ -134,14 +136,27 @@ def test_non_finite_integrand_raises_with_location():
         with np.errstate(divide="ignore"):
             return 1.0 / (x - 0.5)
 
-    with pytest.raises(NonFiniteIntegrandError) as err:
+    with pytest.raises(DivergentIntegralError) as err:
         integrate(f, 0.0, 1.0)
     assert 0.0 < err.value.x < 1.0
     # on a mapped line the location is the x of the failing node, not its t
     for run in (lambda g: integrate_half_line(g, 0.0), integrate_full_line):
-        with pytest.raises(NonFiniteIntegrandError) as err:
+        with pytest.raises(DivergentIntegralError) as err:
             run(lambda x: np.where(x < 5.0, np.exp(-x * x), np.nan))
         assert err.value.x >= 5.0
+    with pytest.raises(DivergentIntegralError) as err:
+        integrate_support(lambda x: np.where(x < 2.5, x, np.nan), Support(2.0, 3.0))
+    assert 2.0 < err.value.x < 3.0
+
+
+def test_smallest_folded_node_keeps_s_a_normal_float():
+    # the narrowest panel at 0 the engine splits is _MIN_SPLIT_ULPS ulps of
+    # _MIN_SPLIT_SCALE wide; its children are not split, so the smallest
+    # K15 node in (0, T) is the first one of the lower child
+    width = 0.5 * Q._MIN_SPLIT_ULPS * math.ulp(Q._MIN_SPLIT_SCALE)
+    t = 0.5 * width * (1.0 + Q._XK[0])
+    assert 0.0 < t < width < Q._T
+    assert 0.5 * (t / Q._T) ** 2 >= sys.float_info.min
 
 
 def test_unreachable_tolerance_stops_at_float_resolution():

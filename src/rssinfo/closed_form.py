@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import InputError
+from .errors import InputError, check_alpha
 from .order_stats import beta_order_log_pdf
 from .ranking_error import RankingErrorMatrix
 
@@ -134,8 +134,7 @@ def exp_renyi(component: str, lam: float, alpha: float) -> float:
     """
     if not lam > 0:
         raise ValueError("rate must be positive")
-    if alpha <= 0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and != 1 (use Shannon at alpha = 1)")
+    check_alpha(alpha)
     om = 1.0 - alpha
     if component == "srs":
         return -2.0 * math.log(lam) - 2.0 / om * math.log(alpha)

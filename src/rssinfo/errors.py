@@ -1,4 +1,6 @@
-"""The errors the library raises."""
+"""The errors the library raises, and the one input rule shared by several modules."""
+
+import math
 
 
 class InputError(ValueError):
@@ -12,3 +14,11 @@ class DivergentIntegralError(ValueError):
     def __init__(self, message: str, x: float | None = None, component: int | None = None):
         super().__init__(message)
         self.x, self.component = x, component
+
+
+def check_alpha(alpha: float) -> None:
+    """A Renyi order must be positive, finite and not 1, the Shannon case."""
+    if not 0.0 < alpha < math.inf:
+        raise InputError(f"alpha must be positive and finite, got {alpha}")
+    if alpha == 1.0:
+        raise InputError("alpha = 1 is the Shannon case; use shannon()")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ranking_error
 from .distributions import Distribution
-from .errors import InputError
+from .errors import InputError, check_alpha
 from .measures import Design
 from .order_stats import judged_log_pdf
 from .ranking_error import RankingErrorMatrix
@@ -136,8 +136,7 @@ def mc_entropy(design: Design, dist: Distribution, sim: SimConfig = SimConfig())
 
 def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:
     """Renyi estimate via E[g^(alpha-1)] per component (delta-method errors)."""
-    if alpha <= 0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and != 1")
+    check_alpha(alpha)
     om = 1.0 - alpha
 
     def score(i, x, log_f):

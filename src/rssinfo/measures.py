@@ -3,10 +3,10 @@ pairs.
 
 A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
 uniform matrix, perfect RSS the identity.  Every numeric path makes one
-vector-valued integral whose components are the distinct rows of the matrix,
-through the ``order_stats`` kernel, and weights each by its count; so
-``diagnostics["subdivisions"]`` counts the shared panel splits once per
-design, not once per row.
+vector-valued integral over the distinct rows of the matrices it is given
+(one design's, or several in ``renyi_designs``), through the ``order_stats``
+kernel, and weights each row by its count in each matrix; the designs share
+``diagnostics["subdivisions"]``, the panel splits of that one integral.
 
 Every route, closed form or numeric, computes on the standard law
 ``dist.standard()`` (location 0, scale 1).  Location and scale enter only in
@@ -35,7 +35,7 @@ from scipy import special
 
 from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
-from .errors import DivergentIntegralError, InputError
+from .errors import DivergentIntegralError, InputError, check_alpha
 from .order_stats import judged_log_pdf, judged_log_weight
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -131,17 +131,14 @@ def _check_mode(mode: str, modes: tuple[str, ...]) -> None:
         raise InputError(f"unknown mode {mode!r}; expected one of {', '.join(modes)}")
 
 
-def _distinct_rows(*designs: Design):
-    """The distinct rank rows of the designs' matrices, in rank order.
-
-    Returns (stacks, counts): one (k, n) stack of rows per design, and how
-    many ranks share each row.  Ranks with equal rows in every matrix have
-    equal components."""
-    groups: dict[bytes, list] = {}
-    for rows in zip(*(d.matrix.entries for d in designs)):
-        groups.setdefault(b"".join(row.tobytes() for row in rows), [rows, 0])[1] += 1
-    rows, counts = zip(*groups.values())
-    return [np.array(stack) for stack in zip(*rows)], np.array(counts, dtype=float)
+def _distinct_rows(*matrices):
+    """The distinct rows of the matrices' entries, first seen first, and a
+    (matrices, rows) array of how many times each matrix holds each row.
+    Ranks with equal rows have equal components."""
+    index: dict[bytes, int] = {}
+    ids = [[index.setdefault(row.tobytes(), len(index)) for row in P] for P in matrices]
+    rows = np.array([np.frombuffer(key) for key in index])
+    return rows, np.array([np.bincount(i, minlength=len(index)) for i in ids], dtype=float)
 
 
 def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
@@ -188,7 +185,7 @@ def _shannon_closed_form(design: Design, std: Distribution) -> MeasureResult | N
 
 
 def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    (rows,), counts = _distinct_rows(design)
+    rows, (counts,) = _distinct_rows(design.matrix.entries)
     log_weight = judged_log_weight(rows)
     log_fq = dist.log_pdf_at_quantile
     # a true order statistic's uniform entropy -int w log w is known exactly
@@ -205,7 +202,7 @@ def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) 
 
 
 def _shannon_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    (rows,), counts = _distinct_rows(design)
+    rows, (counts,) = _distinct_rows(design.matrix.entries)
     log_pdf = judged_log_pdf(dist, rows)
     r = entropy_integral(lambda x: np.exp(log_pdf(x)), dist.support, cfg)
     return _weighted(r.value, r.error_estimate, counts, r)
@@ -224,15 +221,28 @@ def renyi(
     force_numeric: bool = False,
 ) -> MeasureResult:
     """Renyi information of order alpha (finite, > 0, != 1) of the full sample."""
-    if not 0.0 < alpha < math.inf:
-        raise InputError(f"alpha must be positive and finite, got {alpha}")
-    if alpha == 1.0:
-        raise InputError("alpha = 1 is the Shannon case; use shannon()")
+    return renyi_designs([design], dist, alpha, cfg, force_numeric)[0]
+
+
+def renyi_designs(
+    designs: list[Design],
+    dist: Distribution,
+    alpha: float,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    force_numeric: bool = False,
+) -> list[MeasureResult]:
+    """``renyi`` of each design, all of one set size n: those without a closed
+    form share one integral over the distinct rows of their matrices."""
+    check_alpha(alpha)
+    if len({d.n for d in designs}) > 1:
+        raise InputError("designs must share the set size n")
     std = dist.standard()
-    res = None if force_numeric else _renyi_closed_form(design, std, alpha)
-    if res is None:
-        res = _renyi_numeric(design, dist, alpha, cfg)
-    return res.scaled(design.m, design.n * math.log(dist.scale))
+    results = [None if force_numeric else _renyi_closed_form(d, std, alpha) for d in designs]
+    numeric = [d.matrix.entries for d, res in zip(designs, results) if res is None]
+    if numeric:
+        legs = iter(_renyi_numeric(numeric, dist, alpha, cfg))
+        results = [next(legs) if res is None else res for res in results]
+    return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
 
 def _renyi_closed_form(design: Design, std: Distribution, alpha: float) -> MeasureResult | None:
@@ -247,10 +257,11 @@ def _renyi_closed_form(design: Design, std: Distribution, alpha: float) -> Measu
     return None
 
 
-def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: QuadratureConfig) -> MeasureResult:
-    """The standard law's value; an error names x in ``dist``'s coordinates."""
+def _renyi_numeric(matrices, dist: Distribution, alpha: float, cfg: QuadratureConfig) -> list[MeasureResult]:
+    """The standard law's value for each matrix, from one integral over their
+    distinct rows; an error names x in ``dist``'s coordinates."""
     om = 1.0 - alpha
-    (rows,), counts = _distinct_rows(design)
+    rows, counts = _distinct_rows(*matrices)
     log_weight = judged_log_weight(rows)
     log_fq = dist.standard().log_pdf_at_quantile
 
@@ -261,7 +272,8 @@ def _renyi_numeric(design: Design, dist: Distribution, alpha: float, cfg: Quadra
     r = integrate_unit(integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile)
     if np.any(r.value <= 0):
         raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
-    return _weighted(np.log(r.value) / om, r.error_estimate / (abs(om) * r.value), counts, r)
+    values, errors = np.log(r.value) / om, r.error_estimate / (abs(om) * r.value)
+    return [_weighted(values, errors, c, r) for c in counts]
 
 
 def renyi_gap_binomial(
@@ -270,34 +282,21 @@ def renyi_gap_binomial(
     alpha: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> MeasureResult:
-    """H_a(RSS) - H_a(SRS) for alpha > 1 via the normalized f^alpha weight.
-
-    Independent of the component route: the gap equals
+    """H_a(RSS) - H_a(SRS) for alpha > 1 in the binomial representation
     1/(1-a) sum_i log E[b_i(F(W))^alpha], with b_i the Beta(i, n-i+1) density
     (n times the Binomial(n-1, F(W)) pmf at i-1) and W distributed as
-    f^alpha / int f^alpha.
-    """
+    f^alpha / int f^alpha.  Its integrals are the identity and uniform rows
+    of ``renyi``'s, so this is the same route, not a second one; Monte Carlo
+    is Renyi's independent check."""
     if alpha <= 1.0:
         raise InputError(f"binomial-representation gap requires alpha > 1, got {alpha}")
     if n < 1:
         raise InputError("n must be >= 1")
     if n == 1:
         return _closed(0.0)
-    om = 1.0 - alpha
-    log_beta = judged_log_weight(np.eye(n))
-    log_fq = dist.standard().log_pdf_at_quantile  # the gap is scale-free
-
-    def integrand(F, S):
-        # row 0: f(F^-1(u))^(alpha-1), the du-weight form of f^alpha dx;
-        # row i: that times the Beta(i, n-i+1) density to the power alpha
-        weight = np.exp((alpha - 1.0) * log_fq(F, S))
-        return np.vstack([weight, np.exp(alpha * log_beta(F, S)) * weight])
-
-    r = integrate_unit(integrand, cfg, "binomial-route integrand exceeds the float range")
-    (z, *b), (z_err, *b_err) = r.value.tolist(), r.error_estimate.tolist()
-    total = sum(math.log(b_i / z) for b_i in b) / om
-    err = sum(b_i_err / b_i + z_err / z for b_i, b_i_err in zip(b, b_err)) / abs(om)
-    return _from_quad(total, err, r)
+    # the gap is scale-free
+    rss, srs = renyi_designs([Design(PERFECT_RSS, n), Design(SRS, n)], dist.standard(), alpha, cfg, True)
+    return MeasureResult(rss.value - srs.value, rss.error_estimate + srs.error_estimate, rss.method, rss.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +333,14 @@ def kl_srs_vs_design(
 
 
 def _kl_srs_u_space(design: Design, cfg: QuadratureConfig) -> MeasureResult:
-    (rows,), counts = _distinct_rows(design)
+    rows, (counts,) = _distinct_rows(design.matrix.entries)
     log_weight = judged_log_weight(rows)
     r = integrate_unit(lambda F, S: -log_weight(F, S), cfg, "KL integrand is not finite")
     return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def _kl_srs_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    (rows,), counts = _distinct_rows(design)
+    rows, (counts,) = _distinct_rows(design.matrix.entries)
     log_weight = judged_log_weight(rows)
 
     def integrand(x):
@@ -372,7 +371,8 @@ def kl_two_sample(
     if design_x.m != design_y.m:
         raise InputError("designs must share the cycle count m")
 
-    (rows_x, rows_y), counts = _distinct_rows(design_x, design_y)
+    rows, (counts,) = _distinct_rows(np.hstack([design_x.matrix.entries, design_y.matrix.entries]))
+    rows_x, rows_y = np.hsplit(rows, [design_x.n])
     log_wx = judged_log_weight(rows_x)
     log_py = judged_log_pdf(dist_g, rows_y)
 
@@ -397,17 +397,11 @@ def kld_symmetric(
     """Symmetrized divergence K(X, Y) + K(Y, X)."""
     fwd = kl_two_sample(design_x, dist_f, design_y, dist_g, cfg)
     bwd = kl_two_sample(design_y, dist_g, design_x, dist_f, cfg)
-    return MeasureResult(
-        fwd.value + bwd.value,
-        fwd.error_estimate + bwd.error_estimate,
-        "quadrature",
-        {
-            "converged": fwd.diagnostics.get("converged", True)
-            and bwd.diagnostics.get("converged", True),
-            "subdivisions": fwd.diagnostics.get("subdivisions", 0)
-            + bwd.diagnostics.get("subdivisions", 0),
-        },
-    )
+    diagnostics = {
+        "converged": fwd.diagnostics["converged"] and bwd.diagnostics["converged"],
+        "subdivisions": fwd.diagnostics["subdivisions"] + bwd.diagnostics["subdivisions"],
+    }
+    return MeasureResult(fwd.value + bwd.value, fwd.error_estimate + bwd.error_estimate, "quadrature", diagnostics)
 
 
 def a_n(

@@ -54,24 +54,21 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
     minus (combined error + slack).
 
     A design is its ranking-error matrix, so SRS is the ``uniform`` leg and
-    perfect RSS the ``identity`` leg; each (family, n, alpha) cell integrates
-    every distinct matrix once.  The scan is serial: ``jobs`` must be 1.
+    perfect RSS the ``identity`` leg; each (family, n, alpha) cell is one
+    integral over the distinct rows of all its matrices.  The scan is serial:
+    ``jobs`` must be 1.
     """
     if jobs != 1:
         raise ValueError(f"the conjecture scan runs serially; jobs must be 1, got {jobs}")
     dists = [parse_distribution(f) for f in grid.families]
-    specs = tuple(dict.fromkeys(("uniform", "identity", *grid.matrices)))
+    specs = ("uniform", "identity", *grid.matrices)
     report = ScanReport()
     for family, dist in zip(grid.families, dists):
         for n in grid.ns:
+            designs = [Design("irss", n, ranking_error.parse_matrix(spec, n)) for spec in specs]
             for alpha in grid.alphas:
-                legs = {
-                    spec: measures.renyi(Design("irss", n, ranking_error.parse_matrix(spec, n)), dist, alpha, cfg)
-                    for spec in specs
-                }
-                srs, rss = legs["uniform"], legs["identity"]
-                for matrix in grid.matrices:
-                    irss = legs[matrix]
+                srs, rss, *legs = measures.renyi_designs(designs, dist, alpha, cfg)
+                for matrix, irss in zip(grid.matrices, legs):
                     rec = {
                         "dist": family,
                         "n": n,
@@ -190,16 +187,14 @@ def figure_curve(
     if figure_id not in ("2a", "2b"):
         raise ValueError(f"unknown figure id {figure_id!r}")
     dist = Exponential(1.0)
-    reference = Design("srs" if figure_id == "2a" else "rss", 2)
+    reference = Design("srs" if figure_id == "2a" else "rss", 2)  # a closed form
+    p11s = (0.8, 0.9, 0.95, 1.0)
+    designs = [reference, *(Design("irss", 2, ranking_error.two_by_two(1.0 - p11)) for p11 in p11s)]
     rows = []
     for alpha in np.linspace(alpha_min, alpha_max, points):
         alpha = float(alpha)
         if abs(alpha - 1.0) <= 1e-9:
             continue
-        ref = measures.renyi(reference, dist, alpha, cfg).value
-        row = {"alpha": alpha}
-        for p11 in (0.8, 0.9, 0.95, 1.0):
-            design = Design("irss", 2, ranking_error.two_by_two(1.0 - p11))
-            row[f"p11_{p11:g}"] = measures.renyi(design, dist, alpha, cfg).value - ref
-        rows.append(row)
+        ref, *legs = measures.renyi_designs(designs, dist, alpha, cfg)
+        rows.append({"alpha": alpha, **{f"p11_{p11:g}": leg.value - ref.value for p11, leg in zip(p11s, legs)}})
     return rows

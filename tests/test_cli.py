@@ -333,16 +333,16 @@ def test_conjecture_scan_n1_margins_are_zero(capsys):
 
 def test_conjecture_scan_integrates_each_distinct_matrix_once(capsys, monkeypatch):
     calls = []
-    renyi = measures.renyi
+    integrate_unit = measures.integrate_unit
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return renyi(*args, **kwargs)
+        return integrate_unit(*args, **kwargs)
 
-    monkeypatch.setattr(measures, "renyi", counted)
+    monkeypatch.setattr(measures, "integrate_unit", counted)
     grid = cli.ScanGrid(families=("exp:1",), ns=(3,), alphas=(5.0,))  # the default matrices
     report = cli.run_conjecture_scan(grid, QuadratureConfig())
-    assert len(calls) == 5  # SRS and RSS are the uniform and identity legs
+    assert len(calls) == 1  # one integral over the rows of all five matrices of the cell
     for rec in report.records:
         if rec["matrix"] == "identity":
             assert rec["renyi_irss"] == rec["renyi_rss"]

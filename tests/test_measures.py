@@ -232,6 +232,27 @@ def test_renyi_far_from_unit_scale():
         assert abs(big.value - shifted) <= big.error_estimate + unit.error_estimate + 1e-9 * abs(shifted)
 
 
+def test_renyi_designs_share_one_integral():
+    # a law without Renyi closed forms, off unit scale
+    dist = Normal(1.0, 2.0)
+    designs = [
+        Design("srs", 3),
+        Design("rss", 3),
+        Design("irss", 3, re.identity(3)),
+        Design("irss", 3, re.blend(3, 0.5)),
+        Design("irss", 3, re.blend(3, 0.25), m=2),
+    ]
+    for alpha in (0.5, 3.0):
+        shared = M.renyi_designs(designs, dist, alpha)
+        for design, res in zip(designs, shared):
+            own = M.renyi(design, dist, alpha)
+            assert res.method == own.method == "quadrature"
+            assert abs(res.value - own.value) <= res.error_estimate + own.error_estimate, design
+            assert own == M.renyi_designs([design], dist, alpha)[0]
+        assert shared[2] == shared[1]  # irss:identity is the rss leg
+        assert len({r.diagnostics["subdivisions"] for r in shared}) == 1
+
+
 def test_renyi_gap_binomial_matches_direct_route():
     for dist in [Uniform(), Exponential(1.0), Normal(0.0, 1.0)]:
         for n, alpha in [(2, 2.0), (3, 1.5), (4, 3.0)]:
@@ -407,10 +428,15 @@ EXP1 = Exponential(1.0)
         lambda: M.renyi_gap_binomial(EXP1, 0, 2.0),
         lambda: mc.mc_kl(Design("srs", 2), EXP1, Design("rss", 3), EXP1),
         lambda: mc.mc_kl(Design("srs", 2), EXP1, Design("rss", 2, m=2), EXP1),
+        lambda: M.renyi_designs([Design("srs", 2), Design("rss", 3)], EXP1, 2.0),
+        *(lambda a=a: mc.mc_renyi(Design("rss", 2), EXP1, a) for a in (math.nan, math.inf, 1.0)),
+        *(lambda a=a: cf.exp_renyi("rss", 1.0, a) for a in (math.nan, math.inf)),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
-        "gap-alpha", "gap-n0", "mc_kl-n", "mc_kl-m",
+        "gap-alpha", "gap-n0", "mc_kl-n", "mc_kl-m", "renyi_designs-n",
+        "mc_renyi-alpha-nan", "mc_renyi-alpha-inf", "mc_renyi-alpha-1",
+        "exp_renyi-alpha-nan", "exp_renyi-alpha-inf",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

@@ -1,9 +1,11 @@
 """Distribution-free and exponential-family closed forms.
 
-Everything here is exact up to special-function accuracy: entropies of
-uniform order statistics, the distribution-free Shannon gap k(n) (direct and
-recursive), the distribution-free KL constant d_n, the alpha > 1 Renyi gap
-lower bound, and the exponential set-size-2 Shannon/Renyi formulas.
+Everything here is exact up to floating point: entropies of uniform order
+statistics, the distribution-free Shannon gap k(n) (direct and recursive), the
+distribution-free KL constant d_n, the alpha > 1 Renyi gap lower bound, and
+the exponential set-size-2 Shannon/Renyi formulas.  At integer arguments
+log-gamma is the log of an exact factorial or binomial, and digamma differences
+are harmonic sums, psi(m) - psi(k) = sum_{j=k}^{m-1} 1/j, taken with fsum.
 
 The eta helper is defined normatively so that eta(0) = 1/2, which is the sign
 making the imperfect-ranking entropy collapse to the perfect-RSS entropy when
@@ -15,26 +17,35 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import InputError, check_alpha
-from .order_stats import beta_order_log_pdf
+from .order_stats import beta_order_log_pdf, log_order_coeff
 from .ranking_error import RankingErrorMatrix
 
-log_gamma = special.gammaln
-digamma = special.digamma
-log_beta = special.betaln
+
+def xlogy(x, y):
+    """x log y, and 0 where x == 0 unless y is NaN (the rule of scipy.special.xlogy)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((x == 0.0) & ~np.isnan(y), 0.0, x * np.log(y))
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise InputError("n must be >= 1")
+
+
+def _harmonic(lo: int, hi: int) -> float:
+    """sum_{j=lo}^{hi} 1/j = psi(hi + 1) - psi(lo)."""
+    return math.fsum(1.0 / j for j in range(lo, hi + 1))
 
 
 def h_uniform_order(n: int, i: int) -> float:
-    """Shannon entropy of the i-th order statistic of n Uniform(0,1) draws."""
+    """Shannon entropy of the i-th order statistic of n Uniform(0,1) draws:
+    log B(i, n-i+1) - (i-1)(psi(i) - psi(n+1)) - (n-i)(psi(n-i+1) - psi(n+1))."""
     if not 1 <= i <= n:
-        raise ValueError(f"rank {i} out of range 1..{n}")
-    return float(
-        log_beta(i, n - i + 1)
-        - (i - 1) * (digamma(i) - digamma(n + 1))
-        - (n - i) * (digamma(n - i + 1) - digamma(n + 1))
-    )
+        raise InputError(f"rank {i} out of range 1..{n}")
+    return math.fsum((-log_order_coeff(n, i), (i - 1) * _harmonic(i, n), (n - i) * _harmonic(n - i + 1, n)))
 
 
 def k_direct(n: int) -> float:
@@ -42,36 +53,26 @@ def k_direct(n: int) -> float:
 
     Equals sum_j (n - 2j) log j - n log n - 2 sum_i (i-1) psi(i)
     + n(n-1) psi(n+1), i.e. the sum of the uniform order-statistic entropies.
+    With psi(k) = -gamma + H_{k-1} the digamma terms sum to exactly n(n-1)/2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    j = np.arange(1, n)
-    i = np.arange(1, n + 1)
-    return float(
-        np.sum((n - 2 * j) * np.log(j))
-        - n * math.log(n)
-        - 2.0 * np.sum((i - 1) * digamma(i))
-        + n * (n - 1) * digamma(n + 1)
-    )
+    _check_n(n)
+    return math.fsum([n * (n - 1) / 2, -n * math.log(n), *((n - 2 * j) * math.log(j) for j in range(2, n))])
 
 
 def k_recursive(n: int) -> float:
     """Same gap via the recursion k(m+1) = k(m) + m + log Gamma(m+1) - (m+1) log(m+1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     k = 0.0  # single draw: RSS is SRS
     for m in range(1, n):
-        k = k + m + float(log_gamma(m + 1)) - (m + 1) * math.log(m + 1)
+        k = k + m + math.log(math.factorial(m)) - (m + 1) * math.log(m + 1)
     return k
 
 
 def d_n(n: int) -> float:
-    """Distribution-free KL divergence K(SRS, RSS) = -sum log(i*C(n,i)) + n(n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    i = np.arange(1, n + 1)
-    log_binom = log_gamma(n + 1) - log_gamma(i + 1) - log_gamma(n - i + 1)
-    return float(-np.sum(np.log(i) + log_binom) + n * (n - 1))
+    """Distribution-free KL divergence K(SRS, RSS) = -sum log(i*C(n,i)) + n(n-1);
+    i C(n, i) is the order-statistic coefficient n! / ((i-1)! (n-i)!)."""
+    _check_n(n)
+    return math.fsum([n * (n - 1), *(-log_order_coeff(n, i) for i in range(1, n + 1))])
 
 
 def psi_bound(alpha: float, n: int) -> float:
@@ -95,12 +96,12 @@ def eta(a: float) -> float:
     Equals -(2/(1-2a)) * int_a^{1-a} u log u du; symmetric about a = 1/2.
     """
     if not 0.0 <= a <= 1.0:
-        raise ValueError(f"eta argument must lie in [0, 1], got {a}")
+        raise InputError(f"eta argument must lie in [0, 1], got {a}")
     d = 1.0 - 2.0 * a
     if abs(d) < 1e-4:
         # removable singularity; series about a = 1/2
         return math.log(2.0) - d * d / 6.0
-    num = special.xlogy(a * a, a) - special.xlogy((1.0 - a) ** 2, 1.0 - a)
+    num = xlogy(a * a, a) - xlogy((1.0 - a) ** 2, 1.0 - a)
     return float(0.5 + num / d)
 
 
@@ -112,18 +113,18 @@ def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None) -> f
     (p22 - p11) term of the printed formula vanishes).
     """
     if not lam > 0:
-        raise ValueError("rate must be positive")
+        raise InputError("rate must be positive")
     if kind == "srs":
         return 2.0 - 2.0 * math.log(lam)
     if kind == "rss":
         return 3.0 - 2.0 * math.log(2.0 * lam)
     if kind == "irss":
         if P is None or P.n != 2:
-            raise ValueError("imperfect case needs a 2x2 ranking error matrix")
+            raise InputError("imperfect case needs a 2x2 ranking error matrix")
         p11 = float(P.entries[0, 0])
         p22 = float(P.entries[1, 1])
         return 2.0 - 2.0 * math.log(2.0 * lam) + (p22 - p11) + eta(p11) + eta(p22)
-    raise ValueError(f"unknown design kind {kind!r}")
+    raise InputError(f"unknown design kind {kind!r}")
 
 
 def exp_renyi(component: str, lam: float, alpha: float) -> float:
@@ -133,7 +134,7 @@ def exp_renyi(component: str, lam: float, alpha: float) -> float:
     'rss' (sum of the two order-statistic pieces).
     """
     if not lam > 0:
-        raise ValueError("rate must be positive")
+        raise InputError("rate must be positive")
     check_alpha(alpha)
     om = 1.0 - alpha
     if component == "srs":
@@ -144,8 +145,8 @@ def exp_renyi(component: str, lam: float, alpha: float) -> float:
         return (
             -math.log(lam)
             + alpha / om * math.log(2.0)
-            + (log_gamma(alpha + 1.0) + log_gamma(alpha) - log_gamma(2.0 * alpha + 1.0)) / om
+            + (math.lgamma(alpha + 1.0) + math.lgamma(alpha) - math.lgamma(2.0 * alpha + 1.0)) / om
         )
     if component == "rss":
         return exp_renyi("order1", lam, alpha) + exp_renyi("order2", lam, alpha)
-    raise ValueError(f"unknown component {component!r}")
+    raise InputError(f"unknown component {component!r}")

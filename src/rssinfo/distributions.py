@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InputError
 
@@ -207,16 +206,21 @@ class Normal(Distribution):
     def _log_pdf(self, z):
         return -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
 
+    # scipy.special is imported on first use: no other family needs it, and
+    # importing it costs more than the rest of the package together
     def _cdf(self, z):
-        return special.ndtr(z)
+        from scipy.special import ndtr
+        return ndtr(z)
 
     def _survival(self, z):
-        return special.ndtr(-z)
+        from scipy.special import ndtr
+        return ndtr(-z)
 
     def _quantile(self, F, S):
+        from scipy.special import ndtri
         if S is None:
-            return special.ndtri(F)
-        z = special.ndtri(np.minimum(F, S))
+            return ndtri(F)
+        z = ndtri(np.minimum(F, S))
         return np.where(F < S, z, -z)
 
     def _entropy(self) -> float:

@@ -88,7 +88,7 @@ def sample_judged(
     the true rank with ``rng.choice``.
     """
     if P.n != n:
-        raise ValueError(f"error matrix dimension {P.n} does not match n = {n}")
+        raise InputError(f"error matrix dimension {P.n} does not match n = {n}")
     row = P.row(i)
     m = 1 if size is None else size
     if np.all(row == row[0]):  # uniform: the parent itself

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
@@ -424,7 +423,7 @@ def a_n(
     if n == 1:
         return _closed(0.0)
     if mode == "reduced":
-        return _a_n_reduced(dist_f, dist_g, n, cfg, special.xlogy, "A_n integrand is not integrable")
+        return _a_n_reduced(dist_f, dist_g, n, cfg, closed_form.xlogy, "A_n integrand is not integrable")
     log_beta = judged_log_weight(np.eye(n))
     below = np.arange(n)[:, None]  # ranks below and above rank i = 1..n
     above = n - 1 - below
@@ -465,7 +464,7 @@ def _a_n_reduced(dist_f, dist_g, n: int, cfg: QuadratureConfig, survival_term, w
     def integrand(F, S):
         x = dist_f.quantile(F, S)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return special.xlogy(F, dist_g.cdf(x)) + survival_term(S, dist_g.survival(x))
+            return closed_form.xlogy(F, dist_g.cdf(x)) + survival_term(S, dist_g.survival(x))
 
     r = integrate_unit(integrand, cfg, what)
     c = n * (n - 1)

@@ -10,32 +10,44 @@ for a uniform row.  Otherwise each call takes log F and log S once and builds
 the Beta log kernel (r-1) log F + (n-r) log S of every rank the rows use; a
 one-hot row adds its coefficient, and mixed rows add their log p_r plus
 coefficient in one broadcast and take a max-shifted log-sum-exp, so large n
-stays finite.  Coefficients go through log-gamma; 0**0 = 1 at the rank
-extremes, whose zero exponent is dropped when the rows are analysed.
+stays finite.  Coefficients are the logs of exact integers, tabled once per
+n; 0**0 = 1 at the rank extremes, whose zero exponent is dropped when the rows
+are analysed.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .distributions import Distribution
+from .errors import InputError
 from .ranking_error import RankingErrorMatrix
 
 
 def _check_rank(n: int, i: int) -> None:
     if n < 1:
-        raise ValueError(f"set size must be >= 1, got {n}")
+        raise InputError(f"set size must be >= 1, got {n}")
     if not 1 <= i <= n:
-        raise ValueError(f"rank {i} out of range 1..{n}")
+        raise InputError(f"rank {i} out of range 1..{n}")
+
+
+@functools.cache
+def _log_coeffs(n: int) -> np.ndarray:
+    """log n! / ((i-1)! (n-i)!) for i = 1..n, read-only: each the log of the
+    exact integer n C(n-1, i-1), so the log is its only rounding."""
+    table = np.array([math.log(n * math.comb(n - 1, r)) for r in range(n)])
+    table.flags.writeable = False
+    return table
 
 
 def log_order_coeff(n: int, i: int) -> float:
     """log of n! / ((i-1)! (n-i)!) = -log B(i, n-i+1)."""
     _check_rank(n, i)
-    return -special.betaln(i, n - i + 1)
+    return float(_log_coeffs(n)[i - 1])
 
 
 def judged_log_weight(rows):
@@ -50,7 +62,7 @@ def judged_log_weight(rows):
     # nonzero ranks per row; 0 marks a uniform row, whose weight is exactly 0
     count = np.where((stack == stack[:, :1]).all(axis=1), 0, nonzero.sum(axis=1))
     one_hot, mixed = (count == 1).nonzero()[0], (count > 1).nonzero()[0]
-    log_coeff = -special.betaln(np.arange(1, n + 1), np.arange(n, 0, -1))  # by 0-based rank
+    log_coeff = _log_coeffs(n)  # by 0-based rank
     ranks = nonzero[count > 0].any(axis=0).nonzero()[0]  # the kernel's rows: every rank a row needs
     # the Beta log kernel of 0-based rank r is r log F + (n-1-r) log S; 0 log 0 = 0, so
     # rank 1's F term and rank n's S term are left out, not tested per point
@@ -120,7 +132,7 @@ def judged_log_pdf(dist: Distribution, rows):
 
 def _judged_row(n: int, P: RankingErrorMatrix, i: int) -> np.ndarray:
     if P.n != n:
-        raise ValueError(f"error matrix dimension {P.n} does not match n = {n}")
+        raise InputError(f"error matrix dimension {P.n} does not match n = {n}")
     return P.row(i)
 
 

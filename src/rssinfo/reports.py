@@ -111,7 +111,7 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     #    against the force-numeric quadrature gap (exponential, n=2, alpha=2).
     alpha, lam = 2.0, 1.0
     printed = alpha / (1 - alpha) * (1 - math.log(2)) + (
-        float(closed_form.log_gamma(alpha + 1) + closed_form.log_gamma(alpha) - closed_form.log_gamma(2 * alpha + 1))
+        math.lgamma(alpha + 1) + math.lgamma(alpha) - math.lgamma(2 * alpha + 1)
     ) / (1 - alpha)
     corrected = closed_form.exp_renyi("rss", lam, alpha) - closed_form.exp_renyi("srs", lam, alpha)
     dist = Exponential(lam)

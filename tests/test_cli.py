@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +378,31 @@ def test_errata_flag_pattern(capsys):
     for name, row in rows.items():
         assert row["printed_ok"] == "False", name
         assert row["corrected_ok"] == "True", name
+
+
+# One-shot call in a fresh interpreter: the measure's records, and which scipy modules it loaded.
+ONE_SHOT = (
+    "import contextlib, io, json, sys\n"
+    "from rssinfo import cli\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = cli.main(['measure', 'shannon', '--design', 'rss:2', '--dist', sys.argv[1], '--format', 'json'])\n"
+    "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    "print(json.dumps({'code': code, 'records': json.loads(out.getvalue()), 'scipy': scipy}))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "dist, value, needs_scipy",
+    [("exp:1", 1.6137056388801094, False), ("norm:0,1", 2.451582705464112, True)],
+)
+def test_one_shot_measure_imports_scipy_only_for_the_normal_family(dist, value, needs_scipy):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", ONE_SHOT, dist], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)
+    assert res["code"] == cli.EXIT_OK
+    (rec,) = res["records"]
+    assert abs(rec["value"] - value) <= rec["error"]  # exp:1 is a closed form, with error 0
+    assert bool(res["scipy"]) == needs_scipy, res["scipy"]

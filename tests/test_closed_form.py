@@ -5,6 +5,7 @@ import pytest
 
 from rssinfo import closed_form as cf
 from rssinfo import ranking_error as re
+from rssinfo.order_stats import log_order_coeff
 from rssinfo.quadrature import integrate
 
 # Reference values of the distribution-free Shannon gap k(n), n = 2..10.
@@ -160,3 +161,70 @@ def test_exp_renyi_validation():
         cf.exp_renyi("srs", 1.0, -0.5)
     with pytest.raises(ValueError):
         cf.exp_renyi("nope", 1.0, 2.0)
+
+
+def test_closed_forms_match_a_40_digit_oracle():
+    mp = pytest.importorskip("mpmath")
+    worst = []
+
+    def check(got, ref, case):
+        err = abs(mp.mpf(got) - ref) / max(1, abs(ref))
+        worst.append((float(err), case))
+
+    with mp.workdps(40):
+
+        def h(n, i):
+            dn = mp.digamma(n + 1)
+            return (
+                mp.log(mp.beta(i, n - i + 1))
+                - (i - 1) * (mp.digamma(i) - dn)
+                - (n - i) * (mp.digamma(n - i + 1) - dn)
+            )
+
+        def log_mode_density(n, i):  # the log Beta(i, n-i+1) density at its mode
+            u = mp.mpf(i - 1) / (n - 1)
+            return (
+                -mp.log(mp.beta(i, n - i + 1))
+                + ((i - 1) * mp.log(u) if i > 1 else 0)
+                + ((n - i) * mp.log(1 - u) if i < n else 0)
+            )
+
+        for n in range(1, 51):
+            hs = [h(n, i) for i in range(1, n + 1)]
+            k = mp.fsum(hs)  # k(n) is the sum of the uniform order-statistic entropies
+            check(cf.k_direct(n), k, ("k_direct", n))
+            check(cf.k_recursive(n), k, ("k_recursive", n))
+            check(cf.d_n(n), n * (n - 1) - mp.fsum(mp.log(i * mp.binomial(n, i)) for i in range(1, n + 1)), ("d_n", n))
+            for i in range(1, n + 1):
+                check(cf.h_uniform_order(n, i), hs[i - 1], ("h_uniform_order", n, i))
+                check(log_order_coeff(n, i), -mp.log(mp.beta(i, n - i + 1)), ("log_order_coeff", n, i))
+            for alpha in (1.5, 2, 5, 10) if n > 1 else ():
+                a = mp.mpf(alpha)
+                check(cf.psi_bound(alpha, n), a / (1 - a) * mp.fsum(log_mode_density(n, i) for i in range(1, n + 1)),
+                      ("psi_bound", alpha, n))
+
+        for alpha in (0.2, 0.5, 1.1, 2, 10):
+            a, om = mp.mpf(alpha), 1 - mp.mpf(alpha)
+            for lam in (0.5, 1, 3):
+                log_lam = mp.log(lam)
+                order1 = -log_lam - mp.log(2) - mp.log(a) / om
+                order2 = -log_lam + a / om * mp.log(2) + (mp.loggamma(a + 1) + mp.loggamma(a) - mp.loggamma(2 * a + 1)) / om
+                refs = {"srs": -2 * log_lam - 2 / om * mp.log(a), "order1": order1, "order2": order2, "rss": order1 + order2}
+                for component, ref in refs.items():
+                    check(cf.exp_renyi(component, lam, alpha), ref, ("exp_renyi", component, lam, alpha))
+
+    assert all(math.isfinite(err) for err, _ in worst)
+    err, case = max(worst)
+    assert err < 5e-14, case
+    assert math.isfinite(log_order_coeff(500, 250))
+
+
+def test_xlogy_equals_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    x, y = np.meshgrid([0.0, 1e-300, 0.5, 1.0], [0.0, 1e-300, 0.5, 1.0, math.inf, math.nan])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = special.xlogy(x, y)
+    got = cf.xlogy(x, y)
+    assert got.tobytes() == expected.tobytes()
+    for a, b, e in zip(x.ravel(), y.ravel(), expected.ravel()):
+        assert np.float64(cf.xlogy(a, b)).tobytes() == e.tobytes(), (a, b)

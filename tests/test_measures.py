@@ -14,6 +14,7 @@ from rssinfo.cli import parse_design
 from rssinfo.distributions import Exponential, Normal, Uniform, Weibull, parse_distribution
 from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
+from rssinfo.order_stats import log_order_coeff
 from rssinfo.quadrature import QuadratureConfig
 
 
@@ -431,12 +432,28 @@ EXP1 = Exponential(1.0)
         lambda: M.renyi_designs([Design("srs", 2), Design("rss", 3)], EXP1, 2.0),
         *(lambda a=a: mc.mc_renyi(Design("rss", 2), EXP1, a) for a in (math.nan, math.inf, 1.0)),
         *(lambda a=a: cf.exp_renyi("rss", 1.0, a) for a in (math.nan, math.inf)),
+        lambda: cf.h_uniform_order(3, 4),
+        lambda: cf.k_direct(0),
+        lambda: cf.k_recursive(0),
+        lambda: cf.d_n(0),
+        lambda: cf.eta(1.5),
+        lambda: cf.exp_shannon("srs", 0.0),
+        lambda: cf.exp_shannon("irss", 1.0),
+        lambda: cf.exp_shannon("bogus", 1.0),
+        lambda: cf.exp_renyi("srs", -1.0, 2.0),
+        lambda: cf.exp_renyi("bogus", 1.0, 2.0),
+        lambda: log_order_coeff(0, 1),
+        lambda: log_order_coeff(3, 0),
+        lambda: mc.sample_judged(EXP1, 3, re.identity(2), 1, np.random.default_rng(0)),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
         "gap-alpha", "gap-n0", "mc_kl-n", "mc_kl-m", "renyi_designs-n",
         "mc_renyi-alpha-nan", "mc_renyi-alpha-inf", "mc_renyi-alpha-1",
         "exp_renyi-alpha-nan", "exp_renyi-alpha-inf",
+        "h_uniform_order-rank", "k_direct-n0", "k_recursive-n0", "d_n-n0", "eta-range",
+        "exp_shannon-rate", "exp_shannon-no-matrix", "exp_shannon-kind", "exp_renyi-rate",
+        "exp_renyi-component", "order_coeff-n0", "order_coeff-rank", "sample_judged-n",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

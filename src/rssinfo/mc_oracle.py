@@ -9,9 +9,10 @@ spacing estimator is the formula-free cross-check that shares no density code
 with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
-own stream spawned from a single SeedSequence.  Standard errors are batch
-means over at least 20 batches of at most 10 000 draws, so the default 10^6
-draws give 100 batches of 10 000.
+own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe
+fixes what is drawn from it; the draw is ordered _BLOCK rows at a time, so no
+(m, n) array is held.  Standard errors are batch means over at least 20
+batches of at most 10 000 draws, so the default 10^6 draws give 100 of 10 000.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .order_stats import judged_log_pdf
 from .ranking_error import RankingErrorMatrix
 
 
-_BLOCK = 65_536  # draws per kernel evaluation
+_BLOCK = 65_536  # draws per kernel evaluation and per ordered block
+_NETWORK_MAX_N = 6  # widest block ordered by the network, not numpy's sort
 _MIN_BATCHES = 20  # batch means behind every standard error
 _BATCH_SIZE = 10_000  # longest batch
 
@@ -85,7 +87,9 @@ def sample_judged(
 
     A uniform row draws the parent itself and a one-hot row its order
     statistic from the sorted (m, n) uniforms; only a mixed row first draws
-    the true rank with ``rng.choice``.
+    the true rank with ``rng.choice``.  The uniforms come in _BLOCK-row slices,
+    the same stream as one (m, n) draw, ordered by ``_ordered``: a
+    compare-exchange network up to _NETWORK_MAX_N columns, a row sort above.
     """
     if P.n != n:
         raise InputError(f"error matrix dimension {P.n} does not match n = {n}")
@@ -97,10 +101,30 @@ def sample_judged(
         ranks = np.flatnonzero(row)  # 0-based true ranks: the one, or one drawn
         if ranks.size > 1:
             ranks = rng.choice(n, size=m, p=row)
-        u = rng.random((m, n))
-        u.sort(axis=1)
-        x = dist.quantile(u[np.arange(m), ranks])
+        u = np.empty(m)
+        for start in range(0, m, _BLOCK):
+            cols = _ordered(rng.random((min(_BLOCK, m - start), n)))
+            b = cols.shape[1]
+            u[start : start + b] = cols[ranks[0]] if ranks.size == 1 else cols[ranks[start : start + b], np.arange(b)]
+        x = dist.quantile(u)
     return float(x[0]) if size is None else x
+
+
+def _ordered(block: np.ndarray) -> np.ndarray:
+    """The (n, b) order statistics of a (b, n) block, bitwise ``np.sort(block, axis=1).T``: up to
+    _NETWORK_MAX_N columns an odd-even transposition network (Knuth, TAOCP 3, 5.3.4) of n(n-1)/2
+    in-place compare-exchanges, exact as min and max return an input; numpy's row sort above."""
+    b, n = block.shape
+    if n > _NETWORK_MAX_N:
+        block.sort(axis=1)
+        return block.T
+    cols, tmp = block.T.copy(), np.empty(b)
+    for r in range(n):
+        for k in range(r % 2, n - 1, 2):
+            np.minimum(cols[k], cols[k + 1], out=tmp)
+            np.maximum(cols[k], cols[k + 1], out=cols[k + 1])
+            cols[k] = tmp
+    return cols
 
 
 def _log_density(dist: Distribution, row: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -180,12 +204,12 @@ def vasicek_entropy(samples, window: int) -> float:
     Uses no density formulas at all; ``window`` is the spacing half-width m,
     and the sample must have at least 2 m + 1 points.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
+    n = np.size(samples)
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise InputError("window must be >= 1")
     if n < 2 * window + 1:
-        raise ValueError(f"need at least {2 * window + 1} samples, got {n}")
+        raise InputError(f"need at least {2 * window + 1} samples, got {n}")
+    x = np.sort(np.asarray(samples, dtype=float))
     hi = np.minimum(np.arange(n) + window, n - 1)
     lo = np.maximum(np.arange(n) - window, 0)
     spacings = x[hi] - x[lo]

@@ -215,7 +215,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     component's tolerance, taken when the panel was pushed, is largest.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got ({a}, {b})")
+        raise InputError(f"need finite a < b, got ({a}, {b})")
 
     (total,), (total_err,), vector = _panels(f, (a, b), a, b)
     tol = _tolerance(total, cfg)

@@ -37,7 +37,7 @@ class RankingErrorMatrix:
     def row(self, i: int) -> np.ndarray:
         """Mixture weights for judged rank i (1-based)."""
         if not 1 <= i <= self.n:
-            raise ValueError(f"rank {i} out of range 1..{self.n}")
+            raise InputError(f"rank {i} out of range 1..{self.n}")
         return self.entries[i - 1]
 
 
@@ -67,23 +67,19 @@ def validate(raw) -> RankingErrorMatrix:
 
 
 def identity(n: int) -> RankingErrorMatrix:
-    """Perfect ranking."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return RankingErrorMatrix(np.eye(n))
+    """Perfect ranking: the blend of weight 1, exactly the identity."""
+    return blend(n, 1.0)
 
 
 def uniform(n: int) -> RankingErrorMatrix:
-    """Completely random ranking: every entry 1/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return RankingErrorMatrix(np.full((n, n), 1.0 / n))
+    """Completely random ranking, the blend of weight 0: every entry 1/n."""
+    return blend(n, 0.0)
 
 
 def two_by_two(p12: float) -> RankingErrorMatrix:
     """2x2 matrix with off-diagonal p12 (double stochasticity forces symmetry)."""
     if not 0.0 <= p12 <= 1.0:
-        raise ValueError(f"p12 must lie in [0, 1], got {p12}")
+        raise InputError(f"p12 must lie in [0, 1], got {p12}")
     return RankingErrorMatrix(
         np.array([[1.0 - p12, p12], [p12, 1.0 - p12]])
     )
@@ -92,9 +88,9 @@ def two_by_two(p12: float) -> RankingErrorMatrix:
 def blend(n: int, w: float) -> RankingErrorMatrix:
     """Convex combination w * identity + (1 - w) * uniform; doubly stochastic."""
     if not 0.0 <= w <= 1.0:
-        raise ValueError(f"blend weight must lie in [0, 1], got {w}")
+        raise InputError(f"blend weight must lie in [0, 1], got {w}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return RankingErrorMatrix(w * np.eye(n) + (1.0 - w) * np.full((n, n), 1.0 / n))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,21 +122,48 @@ def test_seed_reproducibility_is_bitwise():
     assert other.estimate != a.estimate
 
 
-def test_samplers_follow_the_documented_recipe():
-    # the streams are fixed by: the true rank from rng.choice(n, p=row) (judged
-    # draws only), then np.sort(rng.random((m, n)), axis=1), then the selection
-    dist, n, m = Exponential(1.0), 4, 1000
-    P = re.blend(n, 0.5)
+@pytest.mark.parametrize("m", [1000, mc._BLOCK + 1001, None])
+@pytest.mark.parametrize("n", range(1, mc._NETWORK_MAX_N + 3))
+def test_samplers_follow_the_documented_recipe(n, m):
+    # the recipe fixes the streams, whatever the sampler computes internally:
+    # the true rank from rng.choice(n, p=row) (mixed rows only), then
+    # np.sort(rng.random((m, n)), axis=1), then the selection; n runs across
+    # _NETWORK_MAX_N and m across a _BLOCK boundary
+    dist, P = Exponential(1.0), re.blend(n, 0.5)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    for i in (1, 3, 4):
+    k = 1 if m is None else m
+    for i in sorted({1, (n + 1) // 2, n}):
         x = mc.sample_order_stat(dist, n, i, rng, size=m)
-        assert np.array_equal(x, dist.quantile(np.sort(ref.random((m, n)), axis=1)[:, i - 1]))
+        want = dist.quantile(np.sort(ref.random((k, n)), axis=1)[:, i - 1])
+        assert np.array_equal(x, want[0] if m is None else want)
         x = mc.sample_judged(dist, n, P, i, rng, size=m)
-        ranks = ref.choice(n, size=m, p=P.row(i))
-        u = np.sort(ref.random((m, n)), axis=1)
-        assert np.array_equal(x, dist.quantile(u[np.arange(m), ranks]))
-    x = mc.sample_order_stat(dist, n, 2, rng)
-    assert x == dist.quantile(np.sort(ref.random((1, n)), axis=1)[:, 1])[0]
+        if n == 1:  # blend(1, w) is the uniform row: the parent itself
+            want = dist.quantile(ref.random(k))
+        else:
+            ranks = ref.choice(n, size=k, p=P.row(i))
+            u = np.sort(ref.random((k, n)), axis=1)
+            want = dist.quantile(u[np.arange(k), ranks])
+        assert np.array_equal(x, want[0] if m is None else want)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("mixed", [False, True], ids=["identity", "blend"])
+def test_sampler_never_holds_the_whole_draw(n, mixed):
+    # the peak's growth with m, not the peak itself: the quantile's own
+    # m-long temporaries would otherwise make the bound depend on the family
+    P = re.blend(n, 0.5) if mixed else re.identity(n)
+    m = 200_000
+
+    def peak(size):
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            mc.sample_judged(Exponential(1.0), n, P, 2, rng, size=size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2 * m) - peak(m) < n * 8 * m
 
 
 def test_small_runs_take_their_error_from_twenty_batches():

@@ -15,7 +15,7 @@ from rssinfo.distributions import Exponential, Normal, Uniform, Weibull, parse_d
 from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.order_stats import log_order_coeff
-from rssinfo.quadrature import QuadratureConfig
+from rssinfo.quadrature import QuadratureConfig, integrate
 
 
 def test_design_validation():
@@ -445,6 +445,20 @@ EXP1 = Exponential(1.0)
         lambda: log_order_coeff(0, 1),
         lambda: log_order_coeff(3, 0),
         lambda: mc.sample_judged(EXP1, 3, re.identity(2), 1, np.random.default_rng(0)),
+        lambda: re.identity(0),
+        lambda: re.uniform(0),
+        lambda: re.blend(3, 1.5),
+        lambda: re.blend(3, -0.5),
+        lambda: re.blend(0, 0.5),
+        lambda: re.two_by_two(2.0),
+        lambda: re.two_by_two(-0.1),
+        lambda: re.identity(2).row(0),
+        lambda: re.identity(2).row(3),
+        lambda: integrate(np.exp, 1.0, 0.0),
+        lambda: integrate(np.exp, 0.0, math.inf),
+        lambda: integrate(np.exp, -math.inf, 0.0),
+        lambda: mc.vasicek_entropy(np.arange(10.0), 0),
+        lambda: mc.vasicek_entropy([1.0, 2.0, 3.0], 5),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -454,6 +468,10 @@ EXP1 = Exponential(1.0)
         "h_uniform_order-rank", "k_direct-n0", "k_recursive-n0", "d_n-n0", "eta-range",
         "exp_shannon-rate", "exp_shannon-no-matrix", "exp_shannon-kind", "exp_renyi-rate",
         "exp_renyi-component", "order_coeff-n0", "order_coeff-rank", "sample_judged-n",
+        "identity-n0", "uniform-n0", "blend-w-high", "blend-w-low", "blend-n0",
+        "two_by_two-high", "two_by_two-low", "row-low", "row-high",
+        "integrate-reversed", "integrate-inf-upper", "integrate-inf-lower",
+        "vasicek-window0", "vasicek-few-samples",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

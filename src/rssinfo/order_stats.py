@@ -5,14 +5,15 @@ together) it gives, from the parent's cdf F and survival S,
 
     log sum_r p_r n! / ((r-1)! (n-r)!) F^(r-1) S^(n-r),
 
-the log density of the judged unit relative to the parent.  It is exactly 0
-for a uniform row.  Otherwise each call takes log F and log S once and builds
-the Beta log kernel (r-1) log F + (n-r) log S of every rank the rows use; a
-one-hot row adds its coefficient, and mixed rows add their log p_r plus
-coefficient in one broadcast and take a max-shifted log-sum-exp, so large n
-stays finite.  Coefficients are the logs of exact integers, tabled once per
-n; 0**0 = 1 at the rank extremes, whose zero exponent is dropped when the rows
-are analysed.
+the log density of the judged unit relative to the parent.  Each call takes
+log F and log S once and builds the Beta log kernel (r-1) log F + (n-r) log S
+of every rank the rows use.  A row is read by its least entry f.  A uniform
+row weighs 0.  As the n Beta densities B_r sum to n, f > 0 gives a sum of
+positive terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one matmul.
+With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
+max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
+exact integers, tabled once per n; 0**0 = 1 at the rank extremes, whose zero
+exponent is dropped when the rows are analysed.
 """
 
 from __future__ import annotations
@@ -58,54 +59,53 @@ def judged_log_weight(rows):
     rows = np.asarray(rows, dtype=float)
     stack = np.atleast_2d(rows)
     k, n = stack.shape
-    nonzero = stack != 0.0
-    # nonzero ranks per row; 0 marks a uniform row, whose weight is exactly 0
-    count = np.where((stack == stack[:, :1]).all(axis=1), 0, nonzero.sum(axis=1))
-    one_hot, mixed = (count == 1).nonzero()[0], (count > 1).nonzero()[0]
-    log_coeff = _log_coeffs(n)  # by 0-based rank
-    ranks = nonzero[count > 0].any(axis=0).nonzero()[0]  # the kernel's rows: every rank a row needs
-    # the Beta log kernel of 0-based rank r is r log F + (n-1-r) log S; 0 log 0 = 0, so
-    # rank 1's F term and rank n's S term are left out, not tested per point
+    floor = stack.min(axis=1, keepdims=True)
+    needs = stack != floor  # the ranks each row reads: none for a uniform row, whose weight is exactly 0
+    kind = np.minimum(needs.sum(axis=1), 2) + 3 * (floor[:, 0] > 0.0)  # 1 one-hot, 2 mixed, 3 uniform, 4-5 floored
+    one_hot, mixed, floored = (kind == 1).nonzero()[0], (kind == 2).nonzero()[0], (kind > 3).nonzero()[0]
+    ranks = needs.any(axis=0).nonzero()[0]  # the kernel's rows: every rank a row needs
+    p, log_c = stack[:, ranks], _log_coeffs(n)[ranks, None]  # by kernel row
+    # the Beta log kernel r log F + (n-1-r) log S of 0-based rank r, without rank 1's F term or rank n's S term
     r = ranks.tolist()
     on_F, on_S = slice(int(r[:1] == [0]), len(r)), slice(0, len(r) - int(r[-1:] == [n - 1]))
     a, b = np.array(r[on_F], dtype=float)[:, None], n - 1.0 - np.array(r[on_S], dtype=float)[:, None]
-    true = nonzero[one_hot].argmax(axis=1)  # the true rank of each one-hot row
-    hot_c = log_coeff[true][:, None]
-    mix = nonzero[mixed].any(axis=0).nonzero()[0]  # every rank a mixed row mixes in
-    with np.errstate(divide="ignore"):
-        log_c = (np.log(stack[mixed][:, mix]) + log_coeff[mix])[:, :, None]  # log p_r + coefficient
-    # the kernel rows each kind of row reads: a slice, not a copy, when that is all of them in order
-    hot_rows, mix_rows = (
-        slice(None) if idx.tolist() == r else np.searchsorted(ranks, idx) for idx in (true, mix)
-    )
+    parts = []  # (rows, their log weight from the kernel)
+    if mixed.size:
+        with np.errstate(divide="ignore"):
+            log_pc = np.log(p[mixed])[:, :, None] + log_c  # log p_r + coefficient
+
+        def log_sum_exp(beta):  # shifted by each point's finite max, so large n stays finite
+            terms = log_pc + beta
+            top = terms.max(axis=1)
+            top = np.where(np.isfinite(top), top, 0.0)
+            return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+        parts.append((mixed, log_sum_exp))
+    if floored.size:  # n f + sum_r (p_r - f) B_r: each Beta density B_r is at most n
+        f = floor[floored]
+        Q, nf = p[floored] - f, n * f
+        parts.append((floored, lambda beta: np.log(Q @ np.exp(beta + log_c) + nf)))
+    if one_hot.size:  # the kernel plus each row's coefficient, in place on a view of it: so it comes last
+        true = p[one_hot].argmax(axis=1)  # the kernel row of each one's true rank
+        hot, hot_c = slice(None) if true.tolist() == list(range(len(r))) else true, log_c[true]
+        parts.append((one_hot, lambda beta: np.add(beta[hot], hot_c, out=beta[hot])))
 
     def log_weight(F, S):
         F, S = np.asarray(F, dtype=float), np.asarray(S, dtype=float)
         if F.shape != S.shape:
             F, S = np.broadcast_arrays(F, S)
         shape = rows.shape[:-1] + F.shape
-        if not ranks.size:
-            return np.zeros(shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_F, log_S = np.log(F).reshape(-1), np.log(S).reshape(-1)
             beta = np.zeros((ranks.size, log_F.size))
             np.multiply(a, log_F, out=beta[on_F])
             beta[on_S] += b * log_S
-            if one_hot.size == k:  # no mixing: the kernel plus each row's coefficient
-                beta = beta[hot_rows]
-                beta += hot_c
-                return beta.reshape(shape)
-            if mixed.size:
-                terms = log_c + beta[mix_rows]
-                top = terms.max(axis=1)
-                top = np.where(np.isfinite(top), top, 0.0)
-                lse = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-                if mixed.size == k:
-                    return lse.reshape(shape)
+            values = [(idx, fn(beta)) for idx, fn in parts]
+        if len(values) == 1 and len(values[0][0]) == k:
+            return values[0][1].reshape(shape)
         out = np.zeros((k, log_F.size))  # uniform rows stay 0
-        out[one_hot] = beta[hot_rows] + hot_c
-        if mixed.size:
-            out[mixed] = lse
+        for idx, v in values:
+            out[idx] = v
         return out.reshape(shape)
 
     return log_weight

@@ -26,10 +26,10 @@ No panel's error is below QUADPACK's rounding floor 50 eps * integral of |f|
 
 Every mapped integral is folded: ``integrate_unit`` takes int_0^1 g(F, S) du,
 F = u, S = 1 - u, onto (0, 1/2) as g(s, 1-s) + g(1-s, s), both ends at s -> 0
-where floats are dense, through s = (t/T)^2 / 2, which turns s^-p into
-t^(1-2p).  The half line, the real line and a finite (a, b) are the maps
-x = a + F/S, (F - S) / (4 F S) and a S + b F of u; near an end other than 0,
-x rounds onto that end and f is evaluated there.
+where floats are dense, through s = (t/T)^4 / 2, which turns s^-p into
+t^(3-4p), bounded for p <= 3/4.  The half line, the real line and a finite
+(a, b) are the maps x = a + F/S, (F - S) / (4 F S) and a S + b F of u; near
+an end other than 0, x rounds onto that end and f is evaluated there.
 """
 
 from __future__ import annotations
@@ -250,23 +250,23 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
     return QuadratureResult(value[0], error[0], nsub, converged)
 
 
-# T = 2^-510 keeps s = (t/T)^2 / 2 a normal float at the engine's smallest t, near 2^-1019
-_T = 2.0**-510
+# T = 2^-764 keeps s = (t/T)^4 / 2 a normal float at the engine's smallest t, near 2^-1018.87
+_T = 2.0**-764
 
 
 def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
     """int_0^1 g(F, S) du, folded; g takes both halves in one call and
     returns (m,) or (k, m).
 
-    The engine integrates against t/T = T ds/dt, which cannot overflow, so it
-    sees T times the integral and takes abs_tol times T; both scale exactly.
+    The engine integrates against 2 (t/T)^3 = T ds/dt, which cannot overflow:
+    it sees T times the integral and takes abs_tol times T, both exactly.
     A non-finite g raises DivergentIntegralError, ``what`` at its u, or at
     x = ``at(F, S)``.
     """
 
     def integrand(t):
         r = t / _T
-        s = 0.5 * r * r
+        s = 0.5 * r**4
         c = 1.0 - s
         F, S = np.concatenate([s, c]), np.concatenate([c, s])
         with np.errstate(over="ignore"):  # an overflow is raised below
@@ -278,9 +278,9 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
             where = f"u = {F[j]}" if x is None else f"x = {x}"
             msg = f"{what} at {where}; the integral may be divergent or out of range"
             raise DivergentIntegralError(msg, x, *map(int, row))
-        return (v[..., : t.size] + v[..., t.size :]) * r
+        return (v[..., : t.size] + v[..., t.size :]) * (2.0 * r**3)
 
-    # an abs_tol below 2^-564 has no float at this scale: the rel_tol alone decides
+    # an abs_tol below 2^-310 has no float at this scale: the rel_tol alone decides
     r = integrate(integrand, 0.0, _T, replace(cfg, abs_tol=max(cfg.abs_tol * _T, math.ulp(0.0))))
     return replace(r, value=r.value / _T, error_estimate=r.error_estimate / _T)
 
@@ -316,7 +316,7 @@ def integrate_support(f, support: Support, cfg: QuadratureConfig = DEFAULT_CONFI
         return integrate_half_line(f, a, cfg)
     if support.is_full_line:
         return integrate_full_line(f, cfg)
-    raise ValueError(f"unsupported support {support}")
+    raise InputError(f"unsupported support {support}")
 
 
 def entropy_integral(density, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:

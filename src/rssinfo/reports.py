@@ -185,7 +185,7 @@ def figure_curve(
             )
         return rows
     if figure_id not in ("2a", "2b"):
-        raise ValueError(f"unknown figure id {figure_id!r}")
+        raise InputError(f"unknown figure id {figure_id!r}")
     dist = Exponential(1.0)
     reference = Design("srs" if figure_id == "2a" else "rss", 2)  # a closed form
     p11s = (0.8, 0.9, 0.95, 1.0)

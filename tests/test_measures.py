@@ -11,11 +11,12 @@ from rssinfo import mc_oracle as mc
 from rssinfo import measures as M
 from rssinfo import ranking_error as re
 from rssinfo.cli import parse_design
-from rssinfo.distributions import Exponential, Normal, Uniform, Weibull, parse_distribution
+from rssinfo.distributions import Exponential, Normal, Support, Uniform, Weibull, parse_distribution
 from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.order_stats import log_order_coeff
-from rssinfo.quadrature import QuadratureConfig, integrate
+from rssinfo.quadrature import QuadratureConfig, integrate, integrate_support
+from rssinfo.reports import figure_curve
 
 
 def test_design_validation():
@@ -459,6 +460,8 @@ EXP1 = Exponential(1.0)
         lambda: integrate(np.exp, -math.inf, 0.0),
         lambda: mc.vasicek_entropy(np.arange(10.0), 0),
         lambda: mc.vasicek_entropy([1.0, 2.0, 3.0], 5),
+        lambda: integrate_support(np.exp, Support(-math.inf, 0.0)),
+        lambda: figure_curve("3", 5),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -471,7 +474,8 @@ EXP1 = Exponential(1.0)
         "identity-n0", "uniform-n0", "blend-w-high", "blend-w-low", "blend-n0",
         "two_by_two-high", "two_by_two-low", "row-low", "row-high",
         "integrate-reversed", "integrate-inf-upper", "integrate-inf-lower",
-        "vasicek-window0", "vasicek-few-samples",
+        "vasicek-window0", "vasicek-few-samples", "integrate_support-lower-half-line",
+        "figure-id",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

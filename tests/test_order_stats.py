@@ -152,10 +152,11 @@ def test_rank_validation():
 
 
 def test_judged_log_weight_stack_matches_rows():
-    # uniform, one-hot and mixed rows in one stack give, row for row, exactly
-    # what each row gives alone
+    # uniform, one-hot, floored and zero-floor mixed rows in one stack give,
+    # row for row, exactly what each row gives alone
     n = 4
-    rows = np.vstack([np.full(n, 1.0 / n), np.eye(n)[2], re.blend(n, 0.3).entries[:2], np.eye(n)[0]])
+    mixed = [0.0, 0.3, 0.7, 0.0]
+    rows = np.vstack([np.full(n, 1.0 / n), np.eye(n)[2], re.blend(n, 0.3).entries[:2], np.eye(n)[0], mixed])
     u = np.array([1e-9, 0.3, 0.7, 1.0 - 1e-9])
     stacked = judged_log_weight(rows)(u, 1.0 - u)
     assert stacked.shape == (len(rows), u.size)
@@ -202,3 +203,41 @@ def test_kernel_endpoints_match_scipy_beta_mixtures(n):
             _assert_log_density(lw, _beta_mixture_log_pdf(row, u))
     for i in sorted({i for i in (1, 2, n // 2 + 1, n - 1, n) if 1 <= i <= n}):
         _assert_log_density(beta_order_log_pdf(n, i, u), stats.beta.logpdf(u, i, n - i + 1))
+
+
+def _oracle_matrices():
+    """The ranking-error matrices of the kernel oracle: a 2x2, blends up to
+    n = 600, a dense one with all entries distinct, and a tridiagonal one,
+    whose rows have a zero floor."""
+    yield "p12=0.3", re.two_by_two(0.3).entries
+    for n in (8, 50, 200, 600):
+        yield f"blend n={n}", re.blend(n, 0.5).entries
+    dense = np.array([[12, 37, 40, 11], [33, 3, 23, 41], [45, 44, 6, 5], [10, 16, 31, 43]]) / 100.0
+    assert np.unique(dense).size == dense.size
+    yield "dense", dense
+    yield "tridiagonal", 0.6 * np.eye(5) + 0.2 * (np.eye(5, k=1) + np.eye(5, k=-1)) + 0.2 * np.diag([1, 0, 0, 0, 1])
+
+
+def test_kernel_matches_a_40_digit_oracle():
+    mp = pytest.importorskip("mpmath")
+    # u = 1 - 0.7 makes 1 - u a float too, so F + S = 1 holds exactly and
+    # the kernel, not the rounding of S, is what is measured
+    us = (1e-300, 1e-30, 1.0 - 0.7, 0.5)
+    worst = []
+    with mp.workdps(40):
+        for name, P in _oracle_matrices():
+            n = P.shape[1]
+            coeff = [n * mp.binomial(n - 1, r) for r in range(n)]
+            rows = range(n) if n <= 8 else sorted({0, 1, n // 3, n // 2, n - 1})
+            log_weight = judged_log_weight(P[list(rows)])
+            for u in us:
+                small, big = mp.mpf(u), 1 - mp.mpf(u)
+                for F, S, mF, mS in ((u, 1.0 - u, small, big), (1.0 - u, u, big, small)):
+                    got = log_weight(np.array([F]), np.array([S]))[:, 0]
+                    assert np.all(np.isfinite(got)), (name, F)  # u-space KL reads an unweighted log w
+                    for i, v in zip(rows, got):
+                        terms = (mp.mpf(p) * c * mF**r * mS ** (n - 1 - r) for r, (p, c) in enumerate(zip(P[i], coeff)))
+                        ref = mp.log(mp.fsum(terms))
+                        worst.append((float(abs(v - ref) / max(1, abs(ref))), name, i, F))
+    err, *case = max(worst)
+    assert err < 1e-13, case

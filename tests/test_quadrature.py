@@ -156,7 +156,14 @@ def test_smallest_folded_node_keeps_s_a_normal_float():
     width = 0.5 * Q._MIN_SPLIT_ULPS * math.ulp(Q._MIN_SPLIT_SCALE)
     t = 0.5 * width * (1.0 + Q._XK[0])
     assert 0.0 < t < width < Q._T
-    assert 0.5 * (t / Q._T) ** 2 >= sys.float_info.min
+    assert 0.5 * (t / Q._T) ** 4 >= sys.float_info.min
+
+
+def test_quartic_fold_resolves_an_alpha_below_one_end_quickly():
+    # at alpha = 0.2 the exponential's upper tail is an s^-0.8 end: the square
+    # map left t^-0.6 and took 57 splits, the quartic map leaves t^-0.2
+    res = renyi(Design("rss", 5), Exponential(1.0), 0.2, force_numeric=True)
+    assert res.diagnostics["converged"] and res.diagnostics["subdivisions"] <= 30, res.diagnostics
 
 
 def test_unreachable_tolerance_stops_at_float_resolution():

@@ -98,9 +98,10 @@ def eta(a: float) -> float:
     if not 0.0 <= a <= 1.0:
         raise InputError(f"eta argument must lie in [0, 1], got {a}")
     d = 1.0 - 2.0 * a
-    if abs(d) < 1e-4:
-        # removable singularity; series about a = 1/2
-        return math.log(2.0) - d * d / 6.0
+    if abs(d) < 0.5:
+        # near a = 1/2 the closed form below cancels; its series there,
+        # log 2 - sum_k d^(2k) / ((2k+1) 2k (2k-1)), is converged by k = 30 for |d| < 1/2
+        return math.log(2.0) - math.fsum(d ** (2 * k) / ((2 * k + 1) * 2 * k * (2 * k - 1)) for k in range(1, 30))
     num = xlogy(a * a, a) - xlogy((1.0 - a) ** 2, 1.0 - a)
     return float(0.5 + num / d)
 

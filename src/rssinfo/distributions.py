@@ -121,7 +121,7 @@ def _levels(F, S):
     S = None if S is None else np.asarray(S, dtype=float)
     # a NaN fails every comparison, so it is rejected too
     if F.size and not (F.min() > 0.0 and (F.max() < 1.0 if S is None else S.min() > 0.0)):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+        raise InputError("quantile argument must lie strictly inside (0, 1)")
     return F, S
 
 

@@ -214,5 +214,5 @@ def vasicek_entropy(samples, window: int) -> float:
     lo = np.maximum(np.arange(n) - window, 0)
     spacings = x[hi] - x[lo]
     if np.any(spacings <= 0.0):
-        raise ValueError("degenerate sample: zero spacing encountered")
+        raise InputError("degenerate sample: zero spacing encountered")
     return float(np.mean(np.log(n / (2.0 * window) * spacings)))

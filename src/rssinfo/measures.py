@@ -13,9 +13,11 @@ Every route, closed form or numeric, computes on the standard law
 ``MeasureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
 Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
 
-Dispatch order: a closed form is used when one exists for the (family,
-design, measure) triple, otherwise the quadrature engine; ``force_numeric``
-bypasses closed forms so the two paths can be compared.
+Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
+judged weights alone: closed for the uniform matrix, the identity and every
+2 x 2, integrated otherwise, so no Shannon integrand reads the parent.
+Renyi has closed forms for a few (family, design) pairs.  ``force_numeric``
+bypasses every closed form so the two paths can be compared.
 
 Every default numeric route integrates over u = F(x), with the kernel's
 (F, S) pair, through ``quadrature.integrate_unit``, which folds (0, 1) onto
@@ -28,7 +30,7 @@ All values are in nats and scale additively with the cycle count m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,6 +147,14 @@ def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
     return _from_quad(float(counts @ values), float(counts @ errors), r)
 
 
+def _log_weight_integral(P: np.ndarray, g, cfg: QuadratureConfig, what: str) -> MeasureResult:
+    """sum_i int_0^1 g(log w_i) du over the rows of P, each distinct row integrated once."""
+    rows, (counts,) = _distinct_rows(P)
+    log_weight = judged_log_weight(rows)
+    r = integrate_unit(lambda F, S: g(log_weight(F, S)), cfg, what)
+    return _weighted(r.value, r.error_estimate, counts, r)
+
+
 # ---------------------------------------------------------------------------
 # Shannon entropy
 # ---------------------------------------------------------------------------
@@ -159,45 +169,38 @@ def shannon(
 ) -> MeasureResult:
     """Shannon entropy of the full sample under the given design.
 
-    ``mode='u'`` (default) uses the quantile-substitution decomposition
-    H(X_(i)) = H(U_(i)) - E[log f(F^-1(W_i))]; ``mode='x'`` integrates the
+    ``mode='u'`` (default) is n H(f) - D(P).  The columns of a doubly
+    stochastic P sum to 1, so the judged weights w_i sum to n at every u and
+    sum_i int w_i log f(F^-1(u)) du = -n H(f); what is left,
+    D(P) = sum_i int_0^1 w_i log w_i du = K(design || SRS) >= 0, reads the
+    matrix alone, and its error is the value's.  ``mode='x'`` integrates the
     component densities directly in x-space as a cross-check, never a closed
     form.
     """
     _check_mode(mode, ("u", "x"))
     std = dist.standard()
-    res = None if force_numeric or mode == "x" else _shannon_closed_form(design, std)
-    if res is None:
-        res = (_shannon_x_space if mode == "x" else _shannon_u_space)(design, std, cfg)
+    if mode == "x":
+        res = _shannon_x_space(design, std, cfg)
+    else:
+        P = design.matrix.entries
+        d = None if force_numeric else _divergence_closed_form(P)
+        if d is None:
+            d = _log_weight_integral(P, lambda lw: np.exp(lw) * lw, cfg, "shannon integrand is not finite")
+        res = replace(d, value=design.n * std.entropy() - d.value)
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
 
-def _shannon_closed_form(design: Design, std: Distribution) -> MeasureResult | None:
-    if design.kind == SRS:
-        return _closed(design.n * std.entropy())
-    if isinstance(std, Exponential) and design.n == 2:  # the standard law has rate 1
-        if design.kind == PERFECT_RSS:
-            return _closed(closed_form.exp_shannon("rss", 1.0))
-        if design.kind == IMPERFECT_RSS:
-            return _closed(closed_form.exp_shannon("irss", 1.0, design.P))
+def _divergence_closed_form(P: np.ndarray) -> MeasureResult | None:
+    """D(P) of the uniform matrix (0), the identity (-k(n)) and every 2x2
+    (2 log 2 - eta(p11) - eta(p22)); None for any other matrix."""
+    n = len(P)
+    if np.all(P == P[0, 0]):
+        return _closed(0.0)
+    if np.array_equal(P, np.eye(n)):
+        return _closed(-closed_form.k_direct(n))
+    if n == 2:
+        return _closed(2.0 * math.log(2.0) - closed_form.eta(P[0, 0]) - closed_form.eta(P[1, 1]))
     return None
-
-
-def _shannon_u_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    rows, (counts,) = _distinct_rows(design.matrix.entries)
-    log_weight = judged_log_weight(rows)
-    log_fq = dist.log_pdf_at_quantile
-    # a true order statistic's uniform entropy -int w log w is known exactly
-    nonzero = [np.flatnonzero(row) for row in rows]
-    exact = np.array([[r.size == 1] for r in nonzero])
-    h = np.array([closed_form.h_uniform_order(design.n, r[0] + 1) if r.size == 1 else 0.0 for r in nonzero])
-
-    def integrand(F, S):
-        lw = log_weight(F, S)
-        return -np.exp(lw) * (np.where(exact, 0.0, lw) + log_fq(F, S))
-
-    r = integrate_unit(integrand, cfg, "shannon integrand is not finite")
-    return _weighted(h + r.value, r.error_estimate, counts, r)
 
 
 def _shannon_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
@@ -327,15 +330,8 @@ def kl_srs_vs_design(
             raise InputError("x-space verification mode needs a distribution")
         res = _kl_srs_x_space(design, dist.standard(), cfg)
     else:
-        res = _kl_srs_u_space(design, cfg)
+        res = _log_weight_integral(design.matrix.entries, np.negative, cfg, "KL integrand is not finite")
     return res.scaled(design.m)
-
-
-def _kl_srs_u_space(design: Design, cfg: QuadratureConfig) -> MeasureResult:
-    rows, (counts,) = _distinct_rows(design.matrix.entries)
-    log_weight = judged_log_weight(rows)
-    r = integrate_unit(lambda F, S: -log_weight(F, S), cfg, "KL integrand is not finite")
-    return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def _kl_srs_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:

@@ -59,7 +59,7 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
     ``jobs`` must be 1.
     """
     if jobs != 1:
-        raise ValueError(f"the conjecture scan runs serially; jobs must be 1, got {jobs}")
+        raise InputError(f"the conjecture scan runs serially; jobs must be 1, got {jobs}")
     dists = [parse_distribution(f) for f in grid.families]
     specs = ("uniform", "identity", *grid.matrices)
     report = ScanReport()

@@ -386,23 +386,32 @@ ONE_SHOT = (
     "from rssinfo import cli\n"
     "out = io.StringIO()\n"
     "with contextlib.redirect_stdout(out):\n"
-    "    code = cli.main(['measure', 'shannon', '--design', 'rss:2', '--dist', sys.argv[1], '--format', 'json'])\n"
+    "    code = cli.main(['measure', *sys.argv[1:], '--format', 'json'])\n"
     "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     "print(json.dumps({'code': code, 'records': json.loads(out.getvalue()), 'scipy': scipy}))\n"
 )
 
 
 @pytest.mark.parametrize(
-    "dist, value, needs_scipy",
-    [("exp:1", 1.6137056388801094, False), ("norm:0,1", 2.451582705464112, True)],
+    "dist, value, needs_scipy, call",
+    [
+        # Shannon is n H(f) - D(P): rss:2 is a closed form with error 0 for every family
+        ("exp:1", 1.6137056388801094, False, "shannon --design rss:2"),
+        ("norm:0,1", 2.4515827052894545, False, "shannon --design rss:2"),
+        # and no Shannon integrand reads the parent; 3 H(norm) - D(blend(3, 0.5)) from 30-digit mpmath
+        ("norm:0,1", 4.0376305339001004544, False, "shannon --design irss:3:blend=0.5 --force-numeric"),
+        # a normal Renyi integrand reads the quantile, ndtri; -2 log(4 int phi^2 Phi^2) from mpmath
+        ("norm:0,1", 2.1393202087175163927, True, "renyi --design rss:2 --alpha 2"),
+    ],
 )
-def test_one_shot_measure_imports_scipy_only_for_the_normal_family(dist, value, needs_scipy):
+def test_one_shot_measure_imports_scipy_only_for_the_normal_family(dist, value, needs_scipy, call):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", ONE_SHOT, dist], env=env, capture_output=True, text=True, timeout=60)
+    argv = [sys.executable, "-c", ONE_SHOT, *call.split(), "--dist", dist]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout)
     assert res["code"] == cli.EXIT_OK
     (rec,) = res["records"]
-    assert abs(rec["value"] - value) <= rec["error"]  # exp:1 is a closed form, with error 0
+    assert abs(rec["value"] - value) <= rec["error"]  # a closed form has error 0
     assert bool(res["scipy"]) == needs_scipy, res["scipy"]

@@ -213,6 +213,15 @@ def test_closed_forms_match_a_40_digit_oracle():
                 for component, ref in refs.items():
                     check(cf.exp_renyi(component, lam, alpha), ref, ("exp_renyi", component, lam, alpha))
 
+        def u2_log_u(u):
+            return u * u * mp.log(u) if u > 0 else 0
+
+        # near a = 1/2, where the closed form cancels, and on both sides of the series branch
+        for a in (0.0, 1e-3, 0.1, 0.2499999, 0.25, 0.2500001, 0.3, 0.4998, 0.4999, 0.499949995, 0.5, 0.75, 1.0):
+            b = mp.mpf(a)
+            ref = mp.log(2) if a == 0.5 else mp.mpf(1) / 2 + (u2_log_u(b) - u2_log_u(1 - b)) / (1 - 2 * b)
+            check(cf.eta(a), ref, ("eta", a))
+
     assert all(math.isfinite(err) for err, _ in worst)
     err, case = max(worst)
     assert err < 5e-14, case

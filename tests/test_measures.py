@@ -16,7 +16,7 @@ from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.order_stats import log_order_coeff
 from rssinfo.quadrature import QuadratureConfig, integrate, integrate_support
-from rssinfo.reports import figure_curve
+from rssinfo.reports import ScanGrid, figure_curve, run_conjecture_scan
 
 
 def test_design_validation():
@@ -76,16 +76,24 @@ def test_shannon_gap_is_distribution_free(families):
 
 
 def test_shannon_imperfect_limits():
-    # the identity and uniform matrices run through the same code as RSS and SRS
+    # the identity and uniform matrices run through the same code as RSS and SRS:
+    # the same closed D(P) unforced, the same integral forced
     dist = Weibull(2.0, 1.0)
     for n in (2, 5, 8):
-        rss = M.shannon(Design("rss", n), dist, force_numeric=True).value
-        srs = M.shannon(Design("srs", n), dist, force_numeric=True).value
-        ident = M.shannon(Design("irss", n, re.identity(n)), dist).value
-        rand = M.shannon(Design("irss", n, re.uniform(n)), dist).value
-        assert ident == rss
-        assert rand == srs
-        assert abs(srs - n * dist.entropy()) < 1e-7
+        rss, srs = (M.shannon(Design(kind, n), dist) for kind in ("rss", "srs"))
+        ident = M.shannon(Design("irss", n, re.identity(n)), dist)
+        rand = M.shannon(Design("irss", n, re.uniform(n)), dist)
+        rss_f, srs_f = (M.shannon(Design(kind, n), dist, force_numeric=True) for kind in ("rss", "srs"))
+        ident_f = M.shannon(Design("irss", n, re.identity(n)), dist, force_numeric=True)
+        rand_f = M.shannon(Design("irss", n, re.uniform(n)), dist, force_numeric=True)
+        assert ident.value == rss.value
+        assert rand.value == srs.value
+        assert ident_f.value == rss_f.value
+        assert rand_f.value == srs_f.value
+        assert ident.method == rand.method == "closed-form"
+        assert abs(ident_f.value - ident.value) <= ident_f.error_estimate
+        assert abs(rand_f.value - rand.value) <= rand_f.error_estimate
+        assert abs(srs_f.value - n * dist.entropy()) < 1e-7
 
 
 def test_renyi_closed_vs_numeric():
@@ -481,6 +489,18 @@ EXP1 = Exponential(1.0)
 def test_measure_input_rules_raise_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_quantile_spacing_and_jobs_rules_raise_input_error():
+    calls = [
+        lambda: EXP1.quantile(1.5),
+        lambda: mc.vasicek_entropy(np.zeros(10), 1),
+        lambda: run_conjecture_scan(ScanGrid(), QuadratureConfig(), jobs=2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert isinstance(info.value, InputError), repr(info.value)
 
 
 def test_a_n_printed_form_fails_equal_law_oracle():

@@ -6,10 +6,12 @@ of panels.  Each panel is scored per component by the embedded-rule
 discrepancy; the panel whose largest error relative to its component's
 tolerance max(abs_tol, rel_tol |I_c|) is largest is bisected, both children
 in one call of the integrand, until every component meets its tolerance.
-Per-component running totals drive that stop test; it is confirmed, and the
-result taken, with math.fsum over the panels, and a panel leaving with an
-infinite error resets the totals the same way.  No randomness anywhere;
-identical inputs give bit-identical results.
+The first call may evaluate a fixed partition instead of one panel: the
+``breaks`` of ``integrate``, capped at the subdivision budget, each counted as
+one subdivision.  Per-component running totals drive the stop test; it is
+confirmed, and the result taken, with math.fsum over the panels, and a panel
+leaving with an infinite error resets the totals the same way.  No
+randomness anywhere; identical inputs give bit-identical results.
 
 Endpoint singularities need no inset: nodes lie strictly inside their panel,
 and a panel narrower than _MIN_SPLIT_ULPS ulps (of its endpoints, or of
@@ -22,19 +24,25 @@ integral of |f - mean|) is also charged the rule's error on the power law
 c*d^-p through its two nodes nearest that end (infinite for p >= 1), twice
 over, as the fit is exact only for a pure power law.
 No panel's error is below QUADPACK's rounding floor 50 eps * integral of |f|
-(Piessens et al., QUADPACK, 1983).
+(Piessens et al., QUADPACK, 1983), so the loop stops once every component's
+error is within twice its floor sum; ``converged`` is still judged against
+the tolerance asked for.
 
 Every mapped integral is folded: ``integrate_unit`` takes int_0^1 g(F, S) du,
 F = u, S = 1 - u, onto (0, 1/2) as g(s, 1-s) + g(1-s, s), both ends at s -> 0
 where floats are dense, through s = (t/T)^4 / 2, which turns s^-p into
-t^(3-4p), bounded for p <= 3/4.  The half line, the real line and a finite
-(a, b) are the maps x = a + F/S, (F - S) / (4 F S) and a S + b F of u; near
-an end other than 0, x rounds onto that end and f is evaluated there.
+t^(3-4p), bounded for p <= 3/4.  It puts u in (0.158, 1/2), the bulk of
+every law, in t > 3T/4, so its first call evaluates the four panels split at
+T (1/2, 3/4, 7/8), the splits bisection would make first.  The half line,
+the real line and a finite (a, b) are the maps x = a + F/S, (F - S) / (4 F S)
+and a S + b F of u; near an end other than 0, x rounds onto that end and f is
+evaluated there.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -153,8 +161,9 @@ def _power_law_error(x, fx, end: float, width: float) -> float:
 
 def _panels(f, edges, lo: float, hi: float):
     """G7/K15 on the panels between consecutive ``edges`` of (lo, hi), all
-    nodes in one call of ``f``.  Returns (k15, err, vector): k15 and err have
-    shape (components, panels); vector is True when f's output is (k, m)."""
+    nodes in one call of ``f``.  Returns (panels, vector): per panel, the
+    per-component lists (k15, err, rounding floor); vector is True when f's
+    output is (k, m)."""
     pairs = list(zip(edges, edges[1:]))
     half = np.array([0.5 * (q - p) for p, q in pairs])
     x = np.array([[0.5 * (p + q)] for p, q in pairs]) + half[:, None] * _XK
@@ -180,19 +189,20 @@ def _panels(f, edges, lo: float, hi: float):
             for c in unresolved[:, j].nonzero()[0]:
                 charge = 2.0 * _power_law_error(x[j], fx[c, j], end, 2.0 * half[j])
                 err[c, j] = max(err[c, j], charge)
-    err = np.maximum(err, (np.abs(fx) @ _WK_FLOOR) * half)
-    return k15.T.tolist(), err.T.tolist(), vector
+    floor = (np.abs(fx) @ _WK_FLOOR) * half
+    return list(zip(k15.T.tolist(), np.maximum(err, floor).T.tolist(), floor.T.tolist())), vector
 
 
 def _sums(panels):
-    """Per-component math.fsum of the panels' values and of their errors."""
-    return [math.fsum(c) for c in zip(*(p[4] for p in panels))], [
-        math.fsum(c) for c in zip(*(p[5] for p in panels))
-    ]
+    """Per-component math.fsum of the panels' values, errors and floors."""
+    return [[math.fsum(c) for c in zip(*column)] for column in zip(*panels)]
 
 
-def _tolerance(total, cfg: QuadratureConfig):
-    return [max(cfg.abs_tol, cfg.rel_tol * abs(t)) for t in total]
+def _tolerance(total, cfg: QuadratureConfig, floor=()):
+    """max(abs_tol, rel_tol |I_c|), raised to twice the floor sum if given:
+    no split brings a total error below the sum of its panels' floors."""
+    floor = floor or [0.0] * len(total)
+    return [max(cfg.abs_tol, cfg.rel_tol * abs(t), 2.0 * f) for t, f in zip(total, floor)]
 
 
 def _within(err, tol) -> bool:
@@ -204,46 +214,53 @@ def _key(err, tol) -> float:
     return -max(e / t for e, t in zip(err, tol))
 
 
-def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, breaks=()) -> QuadratureResult:
     """Adaptive integral of ``f`` over the finite interval (a, b).
 
     ``f`` takes a 1-D array of m points and returns shape (m,), or (k, m)
     for k integrands on shared panels.  ``value`` and ``error_estimate`` are
     floats for an (m,) output and (k,) arrays for a (k, m) one; ``converged``
     holds only if every component meets max(abs_tol, rel_tol * |I_c|).
-    The panel split next is the one whose largest error relative to its
-    component's tolerance, taken when the panel was pushed, is largest.
+    The first call of ``f`` evaluates the panels between a, the increasing
+    interior ``breaks`` (at most max_subdivisions of them, a prefix) and b;
+    each break counts as one subdivision.  The panel split next is the one
+    whose largest error relative to its component's tolerance, taken when
+    the panel was pushed, is largest.  A component's tolerance is raised to
+    twice the sum of its panels' rounding floors, so a tolerance out of reach
+    stops the loop near that floor, not converged.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise InputError(f"need finite a < b, got ({a}, {b})")
+    edges = (a, *breaks[: cfg.max_subdivisions], b)
+    if not (math.isfinite(a) and math.isfinite(b) and all(p < q for p, q in zip(edges, edges[1:]))):
+        raise InputError(f"need finite a < b, with increasing breaks between them, got {edges}")
 
-    (total,), (total_err,), vector = _panels(f, (a, b), a, b)
-    tol = _tolerance(total, cfg)
-    # heap of (key, seq, a, b, values, errors); seq breaks ties deterministically
-    heap = [(_key(total_err, tol), 0, a, b, total, total_err)]
-    nsub = 0
+    panels, vector = _panels(f, edges, a, b)
+    sums = _sums(panels)  # running per-component values, errors and floors
+    tol = _tolerance(sums[0], cfg, sums[2])
+    seq = itertools.count()  # heap of (key, seq, a, b, panel); seq breaks ties deterministically
+    heap = [(_key(s[1], tol), next(seq), pa, pb, s) for pa, pb, s in zip(edges, edges[1:], panels)]
+    heapq.heapify(heap)
+    nsub = len(edges) - 2
     while nsub < cfg.max_subdivisions:
-        if _within(total_err, tol):
-            total, total_err = _sums(heap)  # stop on exact sums, not running ones
-            tol = _tolerance(total, cfg)
-            if _within(total_err, tol):
+        if _within(sums[1], tol):
+            sums = _sums([p[4] for p in heap])  # stop on exact sums, not running ones
+            tol = _tolerance(sums[0], cfg, sums[2])
+            if _within(sums[1], tol):
                 break
-        key, _, pa, pb, v, e = heap[0]
+        key, _, pa, pb, old = heap[0]
         if pb - pa < _MIN_SPLIT_ULPS * math.ulp(max(abs(pa), abs(pb), _MIN_SPLIT_SCALE)):
             break  # the worst panel is at float resolution: tolerance out of reach
         pm = 0.5 * (pa + pb)
-        (vl, vr), (el, er), _ = _panels(f, (pa, pm, pb), a, b)
-        total = [t + (l + r - p) for t, l, r, p in zip(total, vl, vr, v)]
-        total_err = [t + (l + r - p) for t, l, r, p in zip(total_err, el, er, e)]
-        tol = _tolerance(total, cfg)
-        heapq.heapreplace(heap, (_key(el, tol), 2 * nsub + 1, pa, pm, vl, el))
-        heapq.heappush(heap, (_key(er, tol), 2 * nsub + 2, pm, pb, vr, er))
+        (left, right), _ = _panels(f, (pa, pm, pb), a, b)
+        sums = [[t + (l + r - p) for t, l, r, p in zip(*c)] for c in zip(sums, left, right, old)]
+        tol = _tolerance(sums[0], cfg, sums[2])
+        heapq.heapreplace(heap, (_key(left[1], tol), next(seq), pa, pm, left))
+        heapq.heappush(heap, (_key(right[1], tol), next(seq), pm, pb, right))
         nsub += 1
         if key == -math.inf:  # an infinite error left: the running error is NaN
-            total, total_err = _sums(heap)
-            tol = _tolerance(total, cfg)
+            sums = _sums([p[4] for p in heap])
+            tol = _tolerance(sums[0], cfg, sums[2])
 
-    value, error = _sums(heap)  # fsum is correctly rounded in any order
+    value, error, _ = _sums([p[4] for p in heap])  # fsum is correctly rounded in any order
     converged = _within(error, _tolerance(value, cfg))
     if vector:
         return QuadratureResult(np.array(value), np.array(error), nsub, converged)
@@ -252,11 +269,14 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> 
 
 # T = 2^-764 keeps s = (t/T)^4 / 2 a normal float at the engine's smallest t, near 2^-1018.87
 _T = 2.0**-764
+_BREAKS = (0.5 * _T, 0.75 * _T, 0.875 * _T)  # where bisection from (0, T) splits first
 
 
 def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
     """int_0^1 g(F, S) du, folded; g takes both halves in one call and
-    returns (m,) or (k, m).
+    returns (m,) or (k, m).  The first call evaluates the panels of (0, T)
+    split at T (1/2, 3/4, 7/8), 120 u points; a subdivision budget below 3
+    keeps a prefix of those splits, and each split counts as a subdivision.
 
     The engine integrates against 2 (t/T)^3 = T ds/dt, which cannot overflow:
     it sees T times the integral and takes abs_tol times T, both exactly.
@@ -281,7 +301,7 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
         return (v[..., : t.size] + v[..., t.size :]) * (2.0 * r**3)
 
     # an abs_tol below 2^-310 has no float at this scale: the rel_tol alone decides
-    r = integrate(integrand, 0.0, _T, replace(cfg, abs_tol=max(cfg.abs_tol * _T, math.ulp(0.0))))
+    r = integrate(integrand, 0.0, _T, replace(cfg, abs_tol=max(cfg.abs_tol * _T, math.ulp(0.0))), breaks=_BREAKS)
     return replace(r, value=r.value / _T, error_estimate=r.error_estimate / _T)
 
 

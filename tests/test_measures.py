@@ -16,7 +16,7 @@ from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.order_stats import log_order_coeff
 from rssinfo.quadrature import QuadratureConfig, integrate, integrate_support
-from rssinfo.reports import ScanGrid, figure_curve, run_conjecture_scan
+from rssinfo.reports import DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, ScanGrid, figure_curve, run_conjecture_scan
 
 
 def test_design_validation():
@@ -466,6 +466,8 @@ EXP1 = Exponential(1.0)
         lambda: integrate(np.exp, 1.0, 0.0),
         lambda: integrate(np.exp, 0.0, math.inf),
         lambda: integrate(np.exp, -math.inf, 0.0),
+        lambda: integrate(np.exp, 0.0, 1.0, breaks=(0.5, 0.25)),
+        lambda: integrate(np.exp, 0.0, 1.0, breaks=(1.0,)),
         lambda: mc.vasicek_entropy(np.arange(10.0), 0),
         lambda: mc.vasicek_entropy([1.0, 2.0, 3.0], 5),
         lambda: integrate_support(np.exp, Support(-math.inf, 0.0)),
@@ -482,6 +484,7 @@ EXP1 = Exponential(1.0)
         "identity-n0", "uniform-n0", "blend-w-high", "blend-w-low", "blend-n0",
         "two_by_two-high", "two_by_two-low", "row-low", "row-high",
         "integrate-reversed", "integrate-inf-upper", "integrate-inf-lower",
+        "integrate-breaks-unordered", "integrate-break-at-b",
         "vasicek-window0", "vasicek-few-samples", "integrate_support-lower-half-line",
         "figure-id",
     ],
@@ -538,3 +541,17 @@ def test_quadrature_results_report_convergence_diagnostics():
     assert res.diagnostics["converged"]
     assert res.diagnostics["subdivisions"] > 0
     assert res.error_estimate >= 0.0
+
+
+@pytest.mark.parametrize("family", DEFAULT_SCAN_FAMILIES)
+def test_scan_legs_lie_within_their_error_of_tight_values(family):
+    # the error a default-tolerance leg reports must cover its distance to
+    # the same leg integrated at a far tighter tolerance
+    tight = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
+    dist = parse_distribution(family)
+    for n in (2, 8):
+        designs = [Design("irss", n, re.parse_matrix(s, n)) for s in ("uniform", "identity", *DEFAULT_SCAN_MATRICES)]
+        for alpha in (1.1, 10.0):
+            for d, t in zip(M.renyi_designs(designs, dist, alpha), M.renyi_designs(designs, dist, alpha, tight)):
+                assert d.diagnostics.get("converged", True) and t.diagnostics.get("converged", True)
+                assert abs(d.value - t.value) <= d.error_estimate, (n, alpha, d, t)

@@ -8,6 +8,7 @@ from rssinfo import quadrature as Q
 from rssinfo.closed_form import d_n, k_direct
 from rssinfo.distributions import Exponential, Support
 from rssinfo.errors import DivergentIntegralError
+from rssinfo import ranking_error as re
 from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
@@ -18,6 +19,7 @@ from rssinfo.quadrature import (
     integrate_full_line,
     integrate_half_line,
     integrate_support,
+    integrate_unit,
 )
 
 # Fixed accuracy battery: (label, integrand, domain, truth), the domain a
@@ -180,6 +182,67 @@ def test_unreachable_tolerance_stops_at_float_resolution():
         assert not converged
         assert math.isfinite(r.value)
         assert abs(r.value - truth) <= r.error_estimate, (r, truth)
+
+
+def test_unreachable_tolerance_stops_near_the_rounding_floor():
+    # No split takes a total error below the sum of its panels' floors, 50 eps
+    # times the integral of |f|; a tolerance under twice that sum is reported
+    # as not converged within a few splits, not after the whole budget.
+    mp = pytest.importorskip("mpmath")
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-16)
+    P5, P4 = re.blend(5, 0.5), re.blend(4, 0.5)
+
+    def rows(P, h):  # sum over the rows of P of int_0^1 h(u, w(u)) du
+        coeff = [P.n * mp.binomial(P.n - 1, r) for r in range(P.n)]
+
+        def term(p):
+            def w(u):
+                return mp.fsum(mp.mpf(pr) * c * u**r * (1 - u) ** (P.n - 1 - r) for r, (pr, c) in enumerate(zip(p, coeff)))
+
+            return mp.quad(lambda u: h(u, w(u)), [0, 0.5, 1])
+
+        return [term(p) for p in P.entries]
+
+    with mp.workdps(30):
+        a = mp.mpf(0.5)  # the standard exponential's density at its u-quantile is 1 - u
+        h_renyi = mp.fsum(mp.log(v) for v in rows(P5, lambda u, w: w**a * (1 - u) ** (a - 1))) / (1 - a)
+        h_shannon = 5 - mp.fsum(rows(P5, lambda u, w: w * mp.log(w)))  # n H(exp) - D(P)
+        kl = -mp.fsum(rows(P4, lambda u, w: mp.log(w)))
+    cases = [
+        (renyi(Design("irss", 5, P5), Exponential(1.0), 0.5, cfg), h_renyi),
+        (shannon(Design("irss", 5, P5), Exponential(1.0), cfg), h_shannon),
+        (kl_srs_vs_design(Design("irss", 4, P4), cfg=cfg), kl),
+    ]
+    for r, truth in cases:
+        assert not r.diagnostics["converged"] and r.diagnostics["subdivisions"] <= 50, r
+        assert abs(r.value - float(truth)) <= r.error_estimate, (r, truth)
+
+
+def _first_call(cfg):
+    """Size of the first call of a folded integrand, and the result."""
+    sizes = []
+
+    def g(F, S):
+        sizes.append(F.size)
+        return np.stack([np.log(F) * np.log(S), F * S])
+
+    return sizes, integrate_unit(g, cfg, "test")
+
+
+def test_folded_first_call_evaluates_four_panels():
+    # the panels between 0, T/2, 3T/4, 7T/8 and T, 15 nodes each, every node
+    # a u in both fold halves; each later call splits one panel
+    sizes, r = _first_call(DEFAULT_CONFIG)
+    assert sizes[0] == 4 * 15 * 2 and set(sizes[1:]) <= {2 * 15 * 2}
+    assert r.subdivisions_used == 3 + len(sizes) - 1  # leaves - 1
+    # the breaks are a prefix capped by the budget, each one a subdivision
+    for budget, panels in ((1, 2), (2, 3), (3, 4)):
+        sizes, r = _first_call(QuadratureConfig(max_subdivisions=budget))
+        assert sizes == [panels * 15 * 2] and r.subdivisions_used == budget, (budget, sizes)
+    # a direct call starts from the one panel (a, b)
+    seen = []
+    integrate(lambda u: seen.append(u.size) or np.log(u), 0.0, 1.0)
+    assert seen[0] == 15 and set(seen[1:]) == {30}
 
 
 def test_endpoint_power_singularity_error_is_honest():

@@ -3,21 +3,25 @@
 Simulates SRS / RSS / imperfect-RSS draws and estimates every measure
 without touching the quadrature engine.  A design is read only through its
 ranking-error matrix (SRS is the uniform matrix, perfect RSS the identity):
-the sampler takes its draw from the judged rank's row, and the plug-in
-estimators take that row through the ``order_stats`` kernel.  The Vasicek
+the sampler takes its uniform level from the judged rank's row, and the
+plug-in estimators score each level where it is drawn: the ``order_stats``
+kernel read at the level u and 1 - u themselves, plus the parent's log density
+at the draw x = Q(u), so no cdf or survival is taken of x.  The Vasicek
 spacing estimator is the formula-free cross-check that shares no density code
 with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
 own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe
-fixes what is drawn from it; the draw is ordered _BLOCK rows at a time, so no
-(m, n) array is held.  Standard errors are batch means over at least 20
-batches of at most 10 000 draws, so the default 10^6 draws give 100 of 10 000.
+fixes what is drawn from it.  The levels are drawn, ordered and scored _BLOCK
+rows at a time, and a component keeps one m-long array: the values its
+estimator averages.  Standard errors are batch means over at least 20 batches
+of at most 10 000 draws, so the default 10^6 draws give 100 of 10 000.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,7 @@ from . import ranking_error
 from .distributions import Distribution
 from .errors import InputError, check_alpha
 from .measures import Design
-from .order_stats import judged_log_pdf
+from .order_stats import judged_log_pdf, judged_log_weight
 from .ranking_error import RankingErrorMatrix
 
 
@@ -40,14 +44,18 @@ class DivergentEstimateError(RuntimeError):
     """Running mean failed to stabilize (likely non-integrable log-ratio)."""
 
 
+def _check_count(what: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     replications: int = 1_000_000
     seed: int = 20240817
 
     def __post_init__(self):
-        if self.replications < 100:
-            raise InputError("need at least 100 replications")
+        _check_count("replications", self.replications, 100)
 
 
 @dataclass(frozen=True)
@@ -83,31 +91,41 @@ def sample_judged(
     rng: np.random.Generator,
     size: int | None = None,
 ):
-    """Draw from the judged rank-i law: true rank r ~ row i of P, then X_(r).
-
-    A uniform row draws the parent itself and a one-hot row its order
-    statistic from the sorted (m, n) uniforms; only a mixed row first draws
-    the true rank with ``rng.choice``.  The uniforms come in _BLOCK-row slices,
-    the same stream as one (m, n) draw, ordered by ``_ordered``: a
-    compare-exchange network up to _NETWORK_MAX_N columns, a row sort above.
-    """
+    """Draw from the judged rank-i law: true rank r ~ row i of P, then X_(r),
+    the quantile of the levels ``_levels`` draws on row i."""
     if P.n != n:
         raise InputError(f"error matrix dimension {P.n} does not match n = {n}")
-    row = P.row(i)
-    m = 1 if size is None else size
-    if np.all(row == row[0]):  # uniform: the parent itself
-        x = dist.quantile(rng.random(m))
-    else:
-        ranks = np.flatnonzero(row)  # 0-based true ranks: the one, or one drawn
-        if ranks.size > 1:
-            ranks = rng.choice(n, size=m, p=row)
-        u = np.empty(m)
-        for start in range(0, m, _BLOCK):
-            cols = _ordered(rng.random((min(_BLOCK, m - start), n)))
-            b = cols.shape[1]
-            u[start : start + b] = cols[ranks[0]] if ranks.size == 1 else cols[ranks[start : start + b], np.arange(b)]
-        x = dist.quantile(u)
+    if size is not None:
+        _check_count("size", size, 0)
+    u = np.empty(1 if size is None else size)
+    for start, level in _levels(P.row(i), rng, u.size):
+        u[start : start + level.size] = level
+    x = dist.quantile(u)
     return float(x[0]) if size is None else x
+
+
+def _levels(row: np.ndarray, rng: np.random.Generator, m: int):
+    """Yield (start, u): the uniform levels of m judged draws on ``row``, _BLOCK
+    at a time.  A uniform row takes the parent's level, a one-hot row its order
+    statistic of the (m, n) uniforms, drawn and ordered (``_ordered``) in
+    _BLOCK-row slices of the one stream; a mixed row first draws its true ranks,
+    in the stream of ``rng.choice(n, size=m, p=row)``, in the narrowest dtype."""
+    n, blocks = row.size, range(0, m, _BLOCK)
+    if np.all(row == row[0]):  # uniform: the parent itself
+        for start in blocks:
+            yield start, rng.random(min(_BLOCK, m - start))
+        return
+    ranks = np.flatnonzero(row)  # 0-based true ranks: the one, or one drawn per draw
+    if ranks.size > 1:
+        cdf = row.cumsum()
+        cdf /= cdf[-1]
+        ranks = np.empty(m, np.min_scalar_type(n - 1))
+        for start in blocks:
+            ranks[start : start + _BLOCK] = cdf.searchsorted(rng.random(min(_BLOCK, m - start)), side="right")
+    for start in blocks:
+        cols = _ordered(rng.random((min(_BLOCK, m - start), n)))
+        b = cols.shape[1]
+        yield start, cols[ranks[0]] if ranks.size == 1 else cols[ranks[start : start + b], np.arange(b)]
 
 
 def _ordered(block: np.ndarray) -> np.ndarray:
@@ -127,35 +145,45 @@ def _ordered(block: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _log_density(dist: Distribution, row: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Log density of the judged law with weights ``row`` at the 1-d draws
-    ``x``, a block at a time so the kernel's (ranks x points) temporaries stay
-    small."""
-    log_pdf = judged_log_pdf(dist, row)
-    out = np.empty(x.shape)
-    for start in range(0, x.size, _BLOCK):
-        out[start : start + _BLOCK] = log_pdf(x[start : start + _BLOCK])
-    return out
+def _log_weight(row: np.ndarray):
+    """u -> log weight of the judged law on ``row`` relative to the parent at
+    the level u: the kernel read at u and 1 - u, both exact, as ``rng.random``
+    gives multiples of 2**-53.  A uniform row weighs 0 and builds no kernel."""
+    if np.all(row == row[0]):
+        return lambda u: 0.0
+    log_weight = judged_log_weight(row)
+    return lambda u: log_weight(u, 1.0 - u)
 
 
-def _sum_components(design: Design, dist: Distribution, sim: SimConfig, score) -> EstimateResult:
-    """m times the sum over components i of ``score(i, x, log_f)``, an
-    (estimate, std_error) pair from the component's draws x, taken from its
-    own spawned stream, and their log density log_f; errors add in quadrature."""
-    P = design.matrix
+def _log_pdf(dist: Distribution, row: np.ndarray):
+    """u -> log density of the judged law on ``row`` at its draw x = Q(u)."""
+    log_weight = _log_weight(row)
+    return lambda u: log_weight(u) + dist.log_pdf(dist.quantile(u))
+
+
+def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, values: _batch_stats(values)):
+    """m times the sum over components i of ``summary(i, values)``, an
+    (estimate, std_error) pair from the per-draw values ``value(i, row)``
+    gives at the levels drawn from the component's own spawned stream; errors
+    add in quadrature.  Each component refills the one m-long array."""
+    P, m = design.matrix, sim.replications
+    values = np.empty(m)
     total = var = 0.0
     for i, seed in enumerate(np.random.SeedSequence(sim.seed).spawn(design.n), start=1):
-        x = sample_judged(dist, design.n, P, i, np.random.Generator(np.random.PCG64(seed)), sim.replications)
-        est, se = score(i, x, _log_density(dist, P.row(i), x))
+        per_draw = value(i, P.row(i))
+        for start, u in _levels(P.row(i), np.random.Generator(np.random.PCG64(seed)), m):
+            values[start : start + u.size] = per_draw(u)
+        est, se = summary(i, values)
         total += est
         var += se * se
-    return EstimateResult(design.m * total, design.m * math.sqrt(var), sim.replications)
+    return EstimateResult(design.m * total, design.m * math.sqrt(var), m)
 
 
 def mc_entropy(design: Design, dist: Distribution, sim: SimConfig = SimConfig()) -> EstimateResult:
     """Plug-in Shannon estimate: minus the mean log-density at simulated draws,
     summed over sample components."""
-    return _sum_components(design, dist, sim, lambda i, x, log_f: _batch_stats(-log_f))
+    mean_log_f = _sum_components(design, sim, lambda i, row: _log_pdf(dist, row))
+    return EstimateResult(-mean_log_f.estimate, mean_log_f.std_error, mean_log_f.replications)
 
 
 def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:
@@ -163,11 +191,15 @@ def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = 
     check_alpha(alpha)
     om = 1.0 - alpha
 
-    def score(i, x, log_f):
-        mhat, se = _batch_stats(np.exp((alpha - 1.0) * log_f))
+    def value(i, row):
+        log_f = _log_pdf(dist, row)
+        return lambda u: np.exp((alpha - 1.0) * log_f(u))
+
+    def summary(i, values):
+        mhat, se = _batch_stats(values)
         return math.log(mhat) / om, se / (abs(om) * mhat)
 
-    return _sum_components(design, dist, sim, score)
+    return _sum_components(design, sim, value, summary)
 
 
 def mc_kl(
@@ -177,39 +209,56 @@ def mc_kl(
     dist_g: Distribution,
     sim: SimConfig = SimConfig(),
 ) -> EstimateResult:
-    """KL estimate: mean componentwise log-ratio under the X-side law."""
+    """KL estimate: mean componentwise log-ratio under the X-side law.  When
+    both sides have one law (family and parameters), its density cancels and
+    the two kernels read the same level; otherwise g's reads G and its
+    survival at the draw."""
     if design_x.n != design_y.n:
         raise InputError("designs must share the set size n")
     if design_x.m != design_y.m:
         raise InputError("designs must share the cycle count m")
     P_y = design_y.matrix
+    same_law = type(dist_f) is type(dist_g) and vars(dist_f) == vars(dist_g)
 
-    def score(i, x, log_f):
-        vals = log_f - _log_density(dist_g, P_y.row(i), x)
-        if not np.all(np.isfinite(vals)):
-            raise DivergentEstimateError(f"log-ratio is not finite for component {i} (support mismatch?)")
-        est, se = _batch_stats(vals)
+    def value(i, row):
+        log_w = _log_weight(row)
+        if same_law:
+            log_v = _log_weight(P_y.row(i))
+            return lambda u: log_w(u) - log_v(u)
+        log_g = judged_log_pdf(dist_g, P_y.row(i))
+
+        def log_ratio(u):
+            x = dist_f.quantile(u)
+            return log_w(u) + dist_f.log_pdf(x) - log_g(x)
+
+        return log_ratio
+
+    def summary(i, vals):
         half = vals.size // 2
         m1, m2 = float(vals[:half].mean()), float(vals[half:].mean())
+        if not math.isfinite(m1 + m2):  # a NaN or an infinite log-ratio among the draws
+            raise DivergentEstimateError(f"log-ratio is not finite for component {i} (support mismatch?)")
+        est, se = _batch_stats(vals)
         if se > 0 and abs(m1 - m2) > 10.0 * se * math.sqrt(2.0):
             raise DivergentEstimateError(f"running mean failed to stabilize for component {i}")
         return est, se
 
-    return _sum_components(design_x, dist_f, sim, score)
+    return _sum_components(design_x, sim, value, summary)
 
 
 def vasicek_entropy(samples, window: int) -> float:
-    """Spacing-based (Vasicek) entropy estimate from a raw sample.
+    """Spacing-based (Vasicek) entropy estimate from a raw, finite sample.
 
     Uses no density formulas at all; ``window`` is the spacing half-width m,
-    and the sample must have at least 2 m + 1 points.
+    an integer, and the sample must have at least 2 m + 1 points.
     """
     n = np.size(samples)
-    if window < 1:
-        raise InputError("window must be >= 1")
+    _check_count("window", window, 1)
     if n < 2 * window + 1:
         raise InputError(f"need at least {2 * window + 1} samples, got {n}")
     x = np.sort(np.asarray(samples, dtype=float))
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):  # sorting puts a NaN or an inf at an end
+        raise InputError("sample holds a NaN or an infinite value")
     hi = np.minimum(np.arange(n) + window, n - 1)
     lo = np.maximum(np.arange(n) - window, 0)
     spacings = x[hi] - x[lo]

@@ -6,6 +6,7 @@ import pytest
 
 from rssinfo import closed_form as cf
 from rssinfo import mc_oracle as mc
+from rssinfo import measures as M
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential, Normal, Uniform
 from rssinfo.measures import Design
@@ -111,6 +112,40 @@ def test_mc_kl_support_mismatch_raises():
         mc.mc_kl(Design("srs", 2), Normal(0.0, 1.0), Design("srs", 2), Exponential(1.0), FAST)
 
 
+@pytest.mark.parametrize("dist", [Exponential(1.0), Normal(0.0, 1.0)], ids=["exp", "norm"])
+def test_estimators_above_the_network(dist):
+    # n = 8 orders each block by numpy's row sort, not the network
+    assert mc._NETWORK_MAX_N < 8
+    est = mc.mc_kl(Design("srs", 8), dist, Design("rss", 8), dist, FAST)
+    assert abs(est.estimate - cf.d_n(8)) < 4.0 * est.std_error
+    if isinstance(dist, Normal):
+        est = mc.mc_entropy(Design("rss", 8), dist, FAST)
+        assert abs(est.estimate - M.shannon(Design("rss", 8), dist).value) < 4.0 * est.std_error
+
+
+def test_same_law_draws_are_scored_at_their_levels(monkeypatch):
+    # the kernel reads the drawn level u and 1 - u, so no cdf or survival is taken of the draws
+    def unused(self, z):
+        raise AssertionError("cdf or survival taken of a draw")
+
+    monkeypatch.setattr(Normal, "_cdf", unused)
+    monkeypatch.setattr(Normal, "_survival", unused)
+    sim, norm = mc.SimConfig(replications=20_000, seed=3), Normal(1.0, 2.0)
+    for design in (Design("rss", 3), Design("irss", 3, re.blend(3, 0.5))):
+        assert math.isfinite(mc.mc_entropy(design, norm, sim).estimate)
+        assert math.isfinite(mc.mc_renyi(design, norm, 2.0, sim).estimate)
+        assert math.isfinite(mc.mc_kl(Design("srs", 3), norm, design, Normal(1.0, 2.0), sim).estimate)
+
+
+def test_same_law_kl_matches_the_draw_route():
+    # a g side one ulp of scale away is another law: its kernel reads G and its survival at the draws
+    srs, rss = Design("srs", 3), Design("rss", 3)
+    levels = mc.mc_kl(srs, Normal(0.0, 1.0), rss, Normal(0.0, 1.0), FAST)
+    draws = mc.mc_kl(srs, Normal(0.0, 1.0), rss, Normal(0.0, 1.0 + 2.0**-52), FAST)
+    assert abs(levels.estimate - draws.estimate) < 1e-9 * levels.std_error
+    assert levels.std_error == pytest.approx(draws.std_error, rel=1e-9)
+
+
 def test_seed_reproducibility_is_bitwise():
     a = mc.mc_entropy(Design("rss", 2), Exponential(1.0), FAST)
     b = mc.mc_entropy(Design("rss", 2), Exponential(1.0), FAST)
@@ -164,6 +199,32 @@ def test_sampler_never_holds_the_whole_draw(n, mixed):
             tracemalloc.stop()
 
     assert peak(2 * m) - peak(m) < n * 8 * m
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda sim: mc.mc_entropy(Design("irss", 4, re.blend(4, 0.5)), Normal(0.0, 1.0), sim),
+        lambda sim: mc.mc_renyi(Design("rss", 3), Normal(0.0, 1.0), 2.0, sim),
+        lambda sim: mc.mc_kl(Design("srs", 3), Normal(0.0, 1.0), Design("rss", 3), Normal(0.0, 1.0), sim),
+    ],
+    ids=["entropy-irss4-blend", "renyi-rss3", "kl-rss3"],
+)
+def test_estimators_keep_one_array_per_component(estimate):
+    # each component scores its draws a block at a time into one m-long array of
+    # 8-byte values; a mixed row adds its true ranks at one byte each
+    mc.mc_entropy(Design("srs", 2), Normal(0.0, 1.0), mc.SimConfig(replications=100))  # imports scipy
+    m = 200_000  # both runs span at least two whole blocks, whose temporaries do not grow with m
+
+    def peak(replications):
+        tracemalloc.start()
+        try:
+            estimate(mc.SimConfig(replications=replications, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2 * m) - peak(m) < 16 * m
 
 
 def test_small_runs_take_their_error_from_twenty_batches():

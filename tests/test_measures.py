@@ -470,6 +470,10 @@ EXP1 = Exponential(1.0)
         lambda: integrate(np.exp, 0.0, 1.0, breaks=(1.0,)),
         lambda: mc.vasicek_entropy(np.arange(10.0), 0),
         lambda: mc.vasicek_entropy([1.0, 2.0, 3.0], 5),
+        lambda: mc.vasicek_entropy(np.arange(10.0), 2.5),
+        *(lambda v=v: mc.vasicek_entropy(np.r_[np.arange(10.0), v], 1) for v in (math.nan, math.inf, -math.inf)),
+        lambda: mc.SimConfig(replications=1000.5),
+        lambda: mc.sample_judged(EXP1, 2, re.identity(2), 1, np.random.default_rng(0), size=-1),
         lambda: integrate_support(np.exp, Support(-math.inf, 0.0)),
         lambda: figure_curve("3", 5),
     ],
@@ -485,8 +489,9 @@ EXP1 = Exponential(1.0)
         "two_by_two-high", "two_by_two-low", "row-low", "row-high",
         "integrate-reversed", "integrate-inf-upper", "integrate-inf-lower",
         "integrate-breaks-unordered", "integrate-break-at-b",
-        "vasicek-window0", "vasicek-few-samples", "integrate_support-lower-half-line",
-        "figure-id",
+        "vasicek-window0", "vasicek-few-samples", "vasicek-window-float",
+        "vasicek-nan", "vasicek-inf", "vasicek-minus-inf", "sim-replications-float", "sample_judged-size",
+        "integrate_support-lower-half-line", "figure-id",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

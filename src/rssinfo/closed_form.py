@@ -2,8 +2,9 @@
 
 Everything here is exact up to floating point: entropies of uniform order
 statistics, the distribution-free Shannon gap k(n) (direct and recursive), the
-distribution-free KL constant d_n, the alpha > 1 Renyi gap lower bound, and
-the exponential set-size-2 Shannon/Renyi formulas.  At integer arguments
+distribution-free KL constant d_n and its 2 x 2 rows, perfect-RSS Renyi
+information on a uniform or exponential parent, the alpha > 1 Renyi gap lower
+bound, and the exponential set-size-2 Shannon/Renyi formulas.  At integer arguments
 log-gamma is the log of an exact factorial or binomial, and digamma differences
 are harmonic sums, psi(m) - psi(k) = sum_{j=k}^{m-1} 1/j, taken with fsum.
 
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import InputError, check_alpha
-from .order_stats import beta_order_log_pdf, log_order_coeff
+from .order_stats import _log_coeffs, beta_order_log_pdf, log_order_coeff
 from .ranking_error import RankingErrorMatrix
 
 
@@ -75,6 +76,52 @@ def d_n(n: int) -> float:
     return math.fsum([n * (n - 1), *(-log_order_coeff(n, i) for i in range(1, n + 1))])
 
 
+# B_2k / (2k (2k-1)), the coefficients of Stirling's series for log Gamma
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360), (1, 156))
+
+
+def _rss_lgamma_c(n: int, alpha: float, tail: float) -> list[float]:
+    """n log Gamma(c), c = alpha (n-1) + 1 + tail, as two floats whose sum is
+    right to about 30 digits, in 34-digit decimals: Stirling's series at
+    c + m >= 20, less log c (c+1) ... (c+m-1).  A log is one Newton step,
+    y + x exp(-y) - 1, from the float log y."""
+    from decimal import Decimal, localcontext  # imported on first use, as only this needs it
+
+    with localcontext() as ctx:
+        ctx.prec = 34
+
+        def log(x):
+            y = Decimal(math.log(float(x)))
+            return y + x * (-y).exp() - 1
+
+        c, prod = Decimal(alpha) * (n - 1) + 1 + Decimal(tail), Decimal(1)
+        while c < 20:
+            prod, c = prod * c, c + 1
+        inv, series = 1 / c, Decimal(0)
+        for p, q in reversed(_STIRLING):
+            series = series * inv * inv + Decimal(p) / q
+        half_log_2pi = Decimal("0.9189385332046727417803297364056176399")
+        total = n * ((c - Decimal("0.5")) * log(c) - c + half_log_2pi + series * inv - log(prod))
+        hi = float(total)
+        return [hi, float(total - Decimal(hi))]
+
+
+def rss_renyi(n: int, alpha: float, tail: float) -> float:
+    """Renyi information of order alpha of perfect RSS(n) whose rank-i
+    u-space integrand is c_i^alpha u^(alpha(i-1)) (1-u)^(alpha(n-i) + tail - 1):
+    sum_i [alpha log c_i + log B(alpha(i-1) + 1, alpha(n-i) + tail)] / (1 - alpha).
+    ``tail`` is 1 for the standard uniform parent and alpha for the standard
+    exponential, whose f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)."""
+    _check_n(n)
+    check_alpha(alpha)
+    terms = []
+    for i, log_c in enumerate(_log_coeffs(n).tolist()):
+        a, b = alpha * i + 1.0, alpha * (n - 1 - i) + tail
+        terms += [alpha * log_c, math.lgamma(a), math.lgamma(b)]
+    # every rank's a + b is the same c: its log Gamma in floats would carry one rounding n times
+    return math.fsum(terms + [-v for v in _rss_lgamma_c(n, alpha, tail)]) / (1.0 - alpha)
+
+
 def psi_bound(alpha: float, n: int) -> float:
     """Lower bound on the alpha > 1 Renyi gap H_a(RSS) - H_a(SRS).
 
@@ -104,6 +151,20 @@ def eta(a: float) -> float:
         return math.log(2.0) - math.fsum(d ** (2 * k) / ((2 * k + 1) * 2 * k * (2 * k - 1)) for k in range(1, 30))
     num = xlogy(a * a, a) - xlogy((1.0 - a) ** 2, 1.0 - a)
     return float(0.5 + num / d)
+
+
+def kl_row_2x2(a: float) -> float:
+    """-log 2 - int_0^1 log(a + (1-2a) u) du, a row's share of K(SRS || P)
+    for a 2 x 2 P with that diagonal entry: 1 - log 2 - [(1-a) log(1-a) -
+    a log a] / (1-2a), 0 at a = 1/2 and 1 - log 2 at a = 0 or 1."""
+    if not 0.0 <= a <= 1.0:
+        raise InputError(f"2x2 row entry must lie in [0, 1], got {a}")
+    d = 1.0 - 2.0 * a
+    if abs(d) < 0.5:
+        # near a = 1/2 the closed form below cancels; its series there,
+        # sum_k d^(2k) / (2k (2k+1)), is converged by k = 30 for |d| < 1/2
+        return math.fsum(d ** (2 * k) / (2 * k * (2 * k + 1)) for k in range(1, 30))
+    return float(1.0 - math.log(2.0) - (xlogy(1.0 - a, 1.0 - a) - xlogy(a, a)) / d)
 
 
 def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None) -> float:

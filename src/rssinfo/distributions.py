@@ -49,10 +49,11 @@ class Distribution:
     of loc + scale * Z, with Z the family's standard law.
 
     Subclasses set ``name`` and ``support`` and give Z's functions only:
-    ``_log_pdf``, ``_cdf``, ``_quantile`` and ``_entropy``, plus
-    ``_survival`` and ``_log_pdf_at_quantile`` where a closed form beats
-    the default.  This class alone applies the affine map.  ``support`` is
-    the same for Z and X, as only a full-line family has a location.
+    ``_log_pdf``, ``_cdf``, ``_quantile``, ``_entropy`` and
+    ``_renyi_entropy``, plus ``_survival`` and ``_log_pdf_at_quantile`` where
+    a closed form beats the default.  This class alone applies the affine
+    map.  ``support`` is the same for Z and X, as only a full-line family has
+    a location.
 
     ``quantile`` and ``log_pdf_at_quantile`` take the cdf level F and maybe
     the survival S = 1 - F; given S, a family reads the smaller tail, so F
@@ -94,6 +95,11 @@ class Distribution:
 
     def entropy(self) -> float:
         return self._entropy() + math.log(self.scale)
+
+    def renyi_entropy(self, alpha: float) -> float | None:
+        """Renyi entropy of order alpha, or None where int f^alpha diverges."""
+        h = self._renyi_entropy(alpha)
+        return None if h is None else h + math.log(self.scale)
 
     def standard(self) -> "Distribution":
         """The same shape at location 0 and scale 1."""
@@ -151,6 +157,9 @@ class Uniform(Distribution):
     def _entropy(self) -> float:
         return 0.0
 
+    def _renyi_entropy(self, alpha: float) -> float:
+        return 0.0
+
     def spec_string(self) -> str:
         return "unif"
 
@@ -183,6 +192,9 @@ class Exponential(Distribution):
 
     def _entropy(self) -> float:
         return 1.0
+
+    def _renyi_entropy(self, alpha: float) -> float:
+        return -math.log(alpha) / (1.0 - alpha)
 
     def spec_string(self) -> str:
         return f"exp:{self.lam:g}"
@@ -226,6 +238,9 @@ class Normal(Distribution):
     def _entropy(self) -> float:
         return 0.5 * math.log(2.0 * math.pi * math.e)
 
+    def _renyi_entropy(self, alpha: float) -> float:
+        return 0.5 * math.log(2.0 * math.pi) - math.log(alpha) / (2.0 * (1.0 - alpha))
+
     def spec_string(self) -> str:
         return f"norm:{self.mu:g},{self.sigma:g}"
 
@@ -265,6 +280,13 @@ class Weibull(Distribution):
 
     def _entropy(self) -> float:
         return np.euler_gamma * (1.0 - 1.0 / self.k) - math.log(self.k) + 1.0
+
+    def _renyi_entropy(self, alpha: float) -> float | None:
+        # int f^alpha = k^(alpha-1) Gamma(s) alpha^-s, finite only for s > 0
+        s = (alpha * (self.k - 1.0) + 1.0) / self.k
+        if s <= 0.0:
+            return None
+        return ((alpha - 1.0) * math.log(self.k) + math.lgamma(s) - s * math.log(alpha)) / (1.0 - alpha)
 
     def spec_string(self) -> str:
         return f"weibull:{self.k:g},{self.theta:g}"

@@ -13,11 +13,15 @@ Every route, closed form or numeric, computes on the standard law
 ``MeasureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
 Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
 
+Every closed form is keyed on the matrix, never on the design's kind.
 Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
 judged weights alone: closed for the uniform matrix, the identity and every
-2 x 2, integrated otherwise, so no Shannon integrand reads the parent.
-Renyi has closed forms for a few (family, design) pairs.  ``force_numeric``
-bypasses every closed form so the two paths can be compared.
+2 x 2, integrated otherwise, so no Shannon integrand reads the parent.  KL
+K(SRS || design) is closed for the same three classes.  Renyi is closed for
+the uniform matrix, n H_a(f), wherever int f^alpha is finite, and for the
+identity on a uniform or exponential parent, a sum of Beta integrals at every
+real alpha.  ``force_numeric`` bypasses every closed form so the two paths can
+be compared.
 
 Every default numeric route integrates over u = F(x), with the kernel's
 (F, S) pair, through ``quadrature.integrate_unit``, which folds (0, 1) onto
@@ -118,7 +122,7 @@ class MeasureResult:
 
 
 def _closed(value: float) -> MeasureResult:
-    return MeasureResult(value, 0.0, "closed-form")
+    return MeasureResult(value, 0.0, "closed-form", {"converged": True, "subdivisions": 0})
 
 
 def _from_quad(value: float, err: float, r: QuadratureResult) -> MeasureResult:
@@ -190,15 +194,25 @@ def shannon(
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
 
+def _matrix_class(P: np.ndarray) -> str:
+    """'uniform', 'identity' or '': the matrices with closed forms in every
+    measure.  A first entry rules most matrices out before the full test."""
+    if P[0, 0] == P[0, -1] and (P == P[0, 0]).all():
+        return "uniform"
+    if P[0, 0] == 1.0 and (P == np.eye(len(P))).all():
+        return "identity"
+    return ""
+
+
 def _divergence_closed_form(P: np.ndarray) -> MeasureResult | None:
     """D(P) of the uniform matrix (0), the identity (-k(n)) and every 2x2
     (2 log 2 - eta(p11) - eta(p22)); None for any other matrix."""
-    n = len(P)
-    if np.all(P == P[0, 0]):
+    kind = _matrix_class(P)
+    if kind == "uniform":
         return _closed(0.0)
-    if np.array_equal(P, np.eye(n)):
-        return _closed(-closed_form.k_direct(n))
-    if n == 2:
+    if kind == "identity":
+        return _closed(-closed_form.k_direct(len(P)))
+    if len(P) == 2:
         return _closed(2.0 * math.log(2.0) - closed_form.eta(P[0, 0]) - closed_form.eta(P[1, 1]))
     return None
 
@@ -238,24 +252,29 @@ def renyi_designs(
     check_alpha(alpha)
     if len({d.n for d in designs}) > 1:
         raise InputError("designs must share the set size n")
-    std = dist.standard()
-    results = [None if force_numeric else _renyi_closed_form(d, std, alpha) for d in designs]
-    numeric = [d.matrix.entries for d, res in zip(designs, results) if res is None]
+    std, matrices = dist.standard(), [d.matrix.entries for d in designs]
+    # one closed form per distinct matrix: with n shared, its bytes name it
+    distinct = {} if force_numeric else {P.tobytes(): P for P in matrices}
+    closed = {key: _renyi_closed_form(P, std, alpha) for key, P in distinct.items()}
+    results = [closed.get(P.tobytes()) for P in matrices]
+    numeric = [P for P, res in zip(matrices, results) if res is None]
     if numeric:
         legs = iter(_renyi_numeric(numeric, dist, alpha, cfg))
         results = [next(legs) if res is None else res for res in results]
     return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
 
-def _renyi_closed_form(design: Design, std: Distribution, alpha: float) -> MeasureResult | None:
-    # the standard exponential has rate 1
-    if design.kind == SRS:
-        if isinstance(std, Uniform):
-            return _closed(0.0)
-        if isinstance(std, Exponential):
-            return _closed(design.n * (-math.log(alpha) / (1.0 - alpha)))
-    if design.kind == PERFECT_RSS and isinstance(std, Exponential) and design.n == 2:
-        return _closed(closed_form.exp_renyi("rss", 1.0, alpha))
+def _renyi_closed_form(P: np.ndarray, std: Distribution, alpha: float) -> MeasureResult | None:
+    """n H_a(f) for the uniform matrix where int f^alpha is finite, and the
+    Beta sum of ``closed_form.rss_renyi`` for the identity on a uniform or
+    exponential parent; None otherwise."""
+    kind = _matrix_class(P)
+    if kind == "uniform":
+        h = std.renyi_entropy(alpha)
+        return None if h is None else _closed(len(P) * h)
+    if kind == "identity" and isinstance(std, (Uniform, Exponential)):
+        # the standard exponential's f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)
+        return _closed(closed_form.rss_renyi(len(P), alpha, alpha if isinstance(std, Exponential) else 1.0))
     return None
 
 
@@ -315,23 +334,38 @@ def kl_srs_vs_design(
 ) -> MeasureResult:
     """K(SRS, design) for an RSS-kind design of the same size and law.
 
-    The value is distribution-free; the default path computes it entirely in
-    u-space (``dist`` is ignored there).  ``mode='x'`` runs the x-space
-    verification integral on ``dist.standard()`` and requires ``dist``.
+    The value is distribution-free; the default path is closed for the
+    uniform matrix, the identity and every 2x2 and otherwise computes it
+    entirely in u-space (``dist`` is ignored there).  ``mode='x'`` runs the
+    x-space verification integral on ``dist.standard()`` and requires
+    ``dist``.
     """
     _check_mode(mode, ("u", "x"))
     if design.kind == SRS:
         raise InputError("K(SRS, design) needs an rss or irss design, got srs")
-    if design.kind == PERFECT_RSS and not force_numeric and mode == "u":
-        return _closed(closed_form.d_n(design.n)).scaled(design.m)
-
     if mode == "x":
         if dist is None:
             raise InputError("x-space verification mode needs a distribution")
         res = _kl_srs_x_space(design, dist.standard(), cfg)
     else:
-        res = _log_weight_integral(design.matrix.entries, np.negative, cfg, "KL integrand is not finite")
+        P = design.matrix.entries
+        res = None if force_numeric else _kl_closed_form(P)
+        if res is None:
+            res = _log_weight_integral(P, np.negative, cfg, "KL integrand is not finite")
     return res.scaled(design.m)
+
+
+def _kl_closed_form(P: np.ndarray) -> MeasureResult | None:
+    """K(SRS || P) of the uniform matrix (0), the identity (d_n) and every
+    2x2 (a closed form per row); None for any other matrix."""
+    kind = _matrix_class(P)
+    if kind == "uniform":
+        return _closed(0.0)
+    if kind == "identity":
+        return _closed(closed_form.d_n(len(P)))
+    if len(P) == 2:
+        return _closed(closed_form.kl_row_2x2(P[0, 0]) + closed_form.kl_row_2x2(P[1, 1]))
+    return None
 
 
 def _kl_srs_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,6 +235,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
 
     panels, vector = _panels(f, edges, a, b)
     sums = _sums(panels)  # running per-component values, errors and floors
+    exact = True  # sums are the fsums of the panels in the heap
     tol = _tolerance(sums[0], cfg, sums[2])
     seq = itertools.count()  # heap of (key, seq, a, b, panel); seq breaks ties deterministically
     heap = [(_key(s[1], tol), next(seq), pa, pb, s) for pa, pb, s in zip(edges, edges[1:], panels)]
@@ -242,8 +243,9 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
     nsub = len(edges) - 2
     while nsub < cfg.max_subdivisions:
         if _within(sums[1], tol):
-            sums = _sums([p[4] for p in heap])  # stop on exact sums, not running ones
-            tol = _tolerance(sums[0], cfg, sums[2])
+            if not exact:  # stop on exact sums, not running ones
+                sums, exact = _sums([p[4] for p in heap]), True
+                tol = _tolerance(sums[0], cfg, sums[2])
             if _within(sums[1], tol):
                 break
         key, _, pa, pb, old = heap[0]
@@ -252,15 +254,17 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
         pm = 0.5 * (pa + pb)
         (left, right), _ = _panels(f, (pa, pm, pb), a, b)
         sums = [[t + (l + r - p) for t, l, r, p in zip(*c)] for c in zip(sums, left, right, old)]
+        exact = False
         tol = _tolerance(sums[0], cfg, sums[2])
         heapq.heapreplace(heap, (_key(left[1], tol), next(seq), pa, pm, left))
         heapq.heappush(heap, (_key(right[1], tol), next(seq), pm, pb, right))
         nsub += 1
         if key == -math.inf:  # an infinite error left: the running error is NaN
-            sums = _sums([p[4] for p in heap])
+            sums, exact = _sums([p[4] for p in heap]), True
             tol = _tolerance(sums[0], cfg, sums[2])
 
-    value, error, _ = _sums([p[4] for p in heap])  # fsum is correctly rounded in any order
+    # fsum is correctly rounded in any order, so exact sums are the heap's
+    value, error, _ = sums if exact else _sums([p[4] for p in heap])
     converged = _within(error, _tolerance(value, cfg))
     if vector:
         return QuadratureResult(np.array(value), np.array(error), nsub, converged)
@@ -301,8 +305,9 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
         return (v[..., : t.size] + v[..., t.size :]) * (2.0 * r**3)
 
     # an abs_tol below 2^-310 has no float at this scale: the rel_tol alone decides
-    r = integrate(integrand, 0.0, _T, replace(cfg, abs_tol=max(cfg.abs_tol * _T, math.ulp(0.0))), breaks=_BREAKS)
-    return replace(r, value=r.value / _T, error_estimate=r.error_estimate / _T)
+    scaled = QuadratureConfig(max(cfg.abs_tol * _T, math.ulp(0.0)), cfg.rel_tol, cfg.max_subdivisions)
+    r = integrate(integrand, 0.0, _T, scaled, breaks=_BREAKS)
+    return QuadratureResult(r.value / _T, r.error_estimate / _T, r.subdivisions_used, r.converged)
 
 
 def _integrate_x(f, x, dx_dF, cfg: QuadratureConfig) -> QuadratureResult:

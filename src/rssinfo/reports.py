@@ -122,10 +122,11 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     rows.append(_errata_row("renyi_gap_display", printed, corrected, oracle, tol))
 
     # 3. imperfect-KL prefactor: with the printed leading -n the P=identity
-    #    limit misses d_n; without it the limit is exact.
+    #    limit misses d_n; without it the limit is exact.  The identity's
+    #    closed form is d_n itself, so the limit is integrated.
     n = 3
     design = Design("irss", n, ranking_error.identity(n))
-    base = measures.kl_srs_vs_design(design, cfg=cfg).value
+    base = measures.kl_srs_vs_design(design, cfg=cfg, force_numeric=True).value
     rows.append(_errata_row("kl_minus_n_prefactor", n * base, base, closed_form.d_n(n), tol))
 
     # 4. A_n reduced form: the printed version (bare survival term, no log)

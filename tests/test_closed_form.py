@@ -5,6 +5,7 @@ import pytest
 
 from rssinfo import closed_form as cf
 from rssinfo import ranking_error as re
+from rssinfo.distributions import Exponential, Normal, Uniform, Weibull
 from rssinfo.order_stats import log_order_coeff
 from rssinfo.quadrature import integrate
 
@@ -221,6 +222,37 @@ def test_closed_forms_match_a_40_digit_oracle():
             b = mp.mpf(a)
             ref = mp.log(2) if a == 0.5 else mp.mpf(1) / 2 + (u2_log_u(b) - u2_log_u(1 - b)) / (1 - 2 * b)
             check(cf.eta(a), ref, ("eta", a))
+
+        # the parent's Renyi entropy, log(int f^alpha) / (1 - alpha), at unit scale
+        for alpha in (0.2, 0.5, 2, 10):
+            a = mp.mpf(alpha)
+            refs = [(Uniform(), 0), (Exponential(1.0), -mp.log(a) / (1 - a)),
+                    (Normal(), mp.log(2 * mp.pi) / 2 - mp.log(a) / (2 * (1 - a)))]
+            for k in (0.6, 2, 3.68):
+                s = (a * (k - 1) + 1) / k  # int f^alpha = k^(alpha-1) Gamma(s) alpha^-s
+                ref = ((a - 1) * mp.log(k) + mp.loggamma(s) - s * mp.log(a)) / (1 - a) if s > 0 else None
+                refs.append((Weibull(k, 1.0), ref))
+            for dist, ref in refs:
+                if ref is None:
+                    assert dist.renyi_entropy(alpha) is None, (dist, alpha)
+                else:
+                    check(dist.renyi_entropy(alpha), ref, ("renyi_entropy", dist.spec_string(), alpha))
+            # perfect RSS on the uniform (tail 1) and exponential (tail alpha) parents
+            for n in (2, 3, 5, 8, 20, 50):
+                for tail in (1, alpha):
+                    terms = (a * mp.log(n * mp.binomial(n - 1, i)) + mp.log(mp.beta(a * i + 1, a * (n - 1 - i) + tail))
+                             for i in range(n))
+                    ref = mp.fsum(terms) / (1 - a)
+                    check(cf.rss_renyi(n, alpha, tail), ref, ("rss_renyi", n, alpha, tail))
+
+        # K(SRS || P) of a 2x2 P, -2 [log 2 + int_0^1 log(p + (1-2p) u) du], two equal rows
+        def u_log_u(u):
+            return u * mp.log(u) if u > 0 else 0
+
+        for p in (0.0, 0.25, 0.2499999, 0.3, 0.45, 0.5, 0.55, 0.7500001, 1.0):
+            b = mp.mpf(p)
+            mean_log = -mp.log(2) if p == 0.5 else (u_log_u(1 - b) - u_log_u(b)) / (1 - 2 * b) - 1
+            check(2 * cf.kl_row_2x2(p), -2 * (mp.log(2) + mean_log), ("kl_row_2x2", p))
 
     assert all(math.isfinite(err) for err, _ in worst)
     err, case = max(worst)

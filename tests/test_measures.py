@@ -128,7 +128,7 @@ def test_renyi_weibull_unbounded_density():
     # for k = 0.3 it diverges and overflows before x reaches 0
     for k, converges in ((0.6, True), (0.505, False)):
         truth = -math.log(k * math.gamma(2.0 - 1.0 / k) / 2.0 ** (2.0 - 1.0 / k))
-        res = M.renyi(Design("srs", 1), Weibull(k, 1.0), 2.0)
+        res = M.renyi(Design("srs", 1), Weibull(k, 1.0), 2.0, force_numeric=True)
         assert res.diagnostics["converged"] == converges, k
         assert abs(res.value - truth) <= res.error_estimate, k
     with pytest.raises(DivergentIntegralError):
@@ -243,7 +243,7 @@ def test_renyi_far_from_unit_scale():
 
 
 def test_renyi_designs_share_one_integral():
-    # a law without Renyi closed forms, off unit scale
+    # a law off unit scale; forced, so no leg takes a closed form
     dist = Normal(1.0, 2.0)
     designs = [
         Design("srs", 3),
@@ -253,12 +253,12 @@ def test_renyi_designs_share_one_integral():
         Design("irss", 3, re.blend(3, 0.25), m=2),
     ]
     for alpha in (0.5, 3.0):
-        shared = M.renyi_designs(designs, dist, alpha)
+        shared = M.renyi_designs(designs, dist, alpha, force_numeric=True)
         for design, res in zip(designs, shared):
-            own = M.renyi(design, dist, alpha)
+            own = M.renyi(design, dist, alpha, force_numeric=True)
             assert res.method == own.method == "quadrature"
             assert abs(res.value - own.value) <= res.error_estimate + own.error_estimate, design
-            assert own == M.renyi_designs([design], dist, alpha)[0]
+            assert own == M.renyi_designs([design], dist, alpha, force_numeric=True)[0]
         assert shared[2] == shared[1]  # irss:identity is the rss leg
         assert len({r.diagnostics["subdivisions"] for r in shared}) == 1
 
@@ -311,7 +311,7 @@ def test_kl_perfect_is_distribution_free(families):
 
 def test_kl_imperfect_limits():
     for n in (2, 5, 8):
-        ident = M.kl_srs_vs_design(Design("irss", n, re.identity(n)))
+        ident = M.kl_srs_vs_design(Design("irss", n, re.identity(n)), force_numeric=True)
         rand = M.kl_srs_vs_design(Design("irss", n, re.uniform(n)))
         assert ident.value == M.kl_srs_vs_design(Design("rss", n), force_numeric=True).value
         assert abs(ident.value - cf.d_n(n)) <= ident.error_estimate
@@ -319,6 +319,52 @@ def test_kl_imperfect_limits():
         # imperfect ranking never exceeds the perfect-ranking divergence
         mid = M.kl_srs_vs_design(Design("irss", n, re.blend(n, 0.5)))
         assert 0.0 < mid.value < cf.d_n(n)
+
+
+def test_identity_and_uniform_matrices_are_rss_and_srs(families):
+    # closed forms are keyed on the matrix, so irss:n:identity and
+    # irss:n:uniform take the very route of rss:n and srs:n, closed or not
+    for dist in [*families, Weibull(0.6, 1.0)]:
+        for n in (1, 2, 5):
+            rss, srs = Design("rss", n), Design("srs", n)
+            ident, rand = Design("irss", n, re.identity(n)), Design("irss", n, re.uniform(n))
+            assert M.shannon(ident, dist) == M.shannon(rss, dist)
+            assert M.shannon(rand, dist) == M.shannon(srs, dist)
+            for alpha in (0.5, 2.0):
+                assert M.renyi(ident, dist, alpha) == M.renyi(rss, dist, alpha)
+                assert M.renyi(rand, dist, alpha) == M.renyi(srs, dist, alpha)
+            if n > 1:
+                assert M.kl_srs_vs_design(ident) == M.kl_srs_vs_design(rss)
+            assert M.kl_srs_vs_design(rand).value == 0.0  # K(SRS, SRS)
+
+
+def test_closed_forms_agree_with_the_integrals(families):
+    # every closed form lies within the error of the integral it replaces
+    cases = []
+    for dist in [*families, Weibull(0.6, 1.0), Weibull(3.68, 1.0)]:
+        for n in (1, 2, 5):
+            for alpha in (0.2, 0.5, 2.0, 10.0):
+                for design in (Design("srs", n), Design("rss", n)):
+                    cases.append(lambda force, d=design, dist=dist, a=alpha: M.renyi(d, dist, a, force_numeric=force))
+    for n in (2, 5):
+        for P in (re.identity(n), re.uniform(n)):
+            cases.append(lambda force, d=Design("irss", n, P): M.kl_srs_vs_design(d, force_numeric=force))
+    for p12 in (0.0, 0.3, 0.45, 0.5, 0.55, 0.7, 1.0):
+        cases.append(lambda force, d=Design("irss", 2, re.two_by_two(p12)): M.kl_srs_vs_design(d, force_numeric=force))
+    closed_forms = 0
+    for case in cases:
+        try:
+            closed = case(False)
+        except DivergentIntegralError:  # no closed form where int f^alpha diverges
+            continue
+        if closed.method != "closed-form":
+            continue
+        closed_forms += 1
+        numeric = case(True)
+        assert numeric.method == "quadrature" and numeric.diagnostics["converged"]
+        # a few ulps of slack: a folded integrand's halves can cancel below the rounding floor
+        assert abs(closed.value - numeric.value) <= numeric.error_estimate + 1e-15, (closed, numeric)
+    assert closed_forms >= 60
 
 
 def test_rows_singular_at_opposite_ends_share_one_folded_tree():

@@ -17,7 +17,7 @@ import sys
 
 from . import closed_form, measures, mc_oracle, ranking_error
 from .distributions import parse_distribution
-from .errors import InputError
+from .errors import InputError, check_count
 from .measures import Design
 from .quadrature import QuadratureConfig
 from .ranking_error import parse_matrix
@@ -143,8 +143,7 @@ def _emit(rows: list[dict], args) -> None:
 
 
 def cmd_table_k(args) -> int:
-    if args.n_max < 2:
-        raise CliParseError("--n-max must be >= 2")
+    check_count("--n-max", args.n_max, 2)
     rows = []
     for n in range(2, args.n_max + 1):
         direct = closed_form.k_direct(n)
@@ -162,8 +161,7 @@ def cmd_table_k(args) -> int:
 
 
 def cmd_dn(args) -> int:
-    if args.n_max < 1:
-        raise CliParseError("--n-max must be >= 1")
+    check_count("--n-max", args.n_max, 1)
     rows = [{"n": n, "d_n": closed_form.d_n(n)} for n in range(1, args.n_max + 1)]
     _emit(rows, args)
     return EXIT_OK
@@ -171,8 +169,7 @@ def cmd_dn(args) -> int:
 
 def cmd_psi(args) -> int:
     alphas = _parse_float_list(args.alphas)
-    if args.n_max < 2:
-        raise CliParseError("--n-max must be >= 2")
+    check_count("--n-max", args.n_max, 2)
     rows = [
         {"alpha": a, "n": n, "psi": closed_form.psi_bound(a, n)}
         for a in alphas
@@ -213,8 +210,6 @@ def cmd_measure(args) -> int:
 
 def cmd_figure(args) -> int:
     cfg = _quad_config(args)
-    if args.points < 1:
-        raise CliParseError(f"--points must be >= 1, got {args.points}")
     rows = figure_curve(args.figure_id, args.points, args.alpha_min, args.alpha_max, cfg)
     _emit(rows, args)
     return EXIT_OK

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, check_alpha
+from .errors import InputError, check_alpha, check_count
 from .order_stats import _log_coeffs, beta_order_log_pdf, log_order_coeff
 from .ranking_error import RankingErrorMatrix
 
@@ -31,11 +31,6 @@ def xlogy(x, y):
         return np.where((x == 0.0) & ~np.isnan(y), 0.0, x * np.log(y))
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InputError("n must be >= 1")
-
-
 def _harmonic(lo: int, hi: int) -> float:
     """sum_{j=lo}^{hi} 1/j = psi(hi + 1) - psi(lo)."""
     return math.fsum(1.0 / j for j in range(lo, hi + 1))
@@ -44,8 +39,6 @@ def _harmonic(lo: int, hi: int) -> float:
 def h_uniform_order(n: int, i: int) -> float:
     """Shannon entropy of the i-th order statistic of n Uniform(0,1) draws:
     log B(i, n-i+1) - (i-1)(psi(i) - psi(n+1)) - (n-i)(psi(n-i+1) - psi(n+1))."""
-    if not 1 <= i <= n:
-        raise InputError(f"rank {i} out of range 1..{n}")
     return math.fsum((-log_order_coeff(n, i), (i - 1) * _harmonic(i, n), (n - i) * _harmonic(n - i + 1, n)))
 
 
@@ -56,13 +49,13 @@ def k_direct(n: int) -> float:
     + n(n-1) psi(n+1), i.e. the sum of the uniform order-statistic entropies.
     With psi(k) = -gamma + H_{k-1} the digamma terms sum to exactly n(n-1)/2.
     """
-    _check_n(n)
+    check_count("n", n, 1)
     return math.fsum([n * (n - 1) / 2, -n * math.log(n), *((n - 2 * j) * math.log(j) for j in range(2, n))])
 
 
 def k_recursive(n: int) -> float:
     """Same gap via the recursion k(m+1) = k(m) + m + log Gamma(m+1) - (m+1) log(m+1)."""
-    _check_n(n)
+    check_count("n", n, 1)
     k = 0.0  # single draw: RSS is SRS
     for m in range(1, n):
         k = k + m + math.log(math.factorial(m)) - (m + 1) * math.log(m + 1)
@@ -72,7 +65,7 @@ def k_recursive(n: int) -> float:
 def d_n(n: int) -> float:
     """Distribution-free KL divergence K(SRS, RSS) = -sum log(i*C(n,i)) + n(n-1);
     i C(n, i) is the order-statistic coefficient n! / ((i-1)! (n-i)!)."""
-    _check_n(n)
+    check_count("n", n, 1)
     return math.fsum([n * (n - 1), *(-log_order_coeff(n, i) for i in range(1, n + 1))])
 
 
@@ -112,7 +105,7 @@ def rss_renyi(n: int, alpha: float, tail: float) -> float:
     sum_i [alpha log c_i + log B(alpha(i-1) + 1, alpha(n-i) + tail)] / (1 - alpha).
     ``tail`` is 1 for the standard uniform parent and alpha for the standard
     exponential, whose f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)."""
-    _check_n(n)
+    check_count("n", n, 1)
     check_alpha(alpha)
     terms = []
     for i, log_c in enumerate(_log_coeffs(n).tolist()):
@@ -130,8 +123,7 @@ def psi_bound(alpha: float, n: int) -> float:
     """
     if not 1.0 < alpha < math.inf:
         raise InputError(f"psi_bound requires a finite alpha > 1, got {alpha}")
-    if n < 2:
-        raise InputError("psi_bound requires n >= 2")
+    check_count("n", n, 2)
     # the log Beta(i, n-i+1) density at its mode (i-1)/(n-1)
     terms = [beta_order_log_pdf(n, i, (i - 1) / (n - 1)) for i in range(1, n + 1)]
     return float(alpha / (1.0 - alpha) * math.fsum(terms))

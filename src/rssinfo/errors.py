@@ -1,6 +1,7 @@
-"""The errors the library raises, and the one input rule shared by several modules."""
+"""The errors the library raises, and the input rules shared by several modules."""
 
 import math
+import numbers
 
 
 class InputError(ValueError):
@@ -22,3 +23,9 @@ def check_alpha(alpha: float) -> None:
         raise InputError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1.0:
         raise InputError("alpha = 1 is the Shannon case; use shannon()")
+
+
+def check_count(what: str, value, least: int) -> None:
+    """A count (size, cycle count, budget, seed, window) is an integer >= ``least``; an int skips the slow ABC test."""
+    if not (type(value) is int or isinstance(value, numbers.Integral)) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")

@@ -21,14 +21,13 @@ of at most 10 000 draws, so the default 10^6 draws give 100 of 10 000.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ranking_error
 from .distributions import Distribution
-from .errors import InputError, check_alpha
+from .errors import InputError, check_alpha, check_count
 from .measures import Design
 from .order_stats import judged_log_pdf, judged_log_weight
 from .ranking_error import RankingErrorMatrix
@@ -44,18 +43,14 @@ class DivergentEstimateError(RuntimeError):
     """Running mean failed to stabilize (likely non-integrable log-ratio)."""
 
 
-def _check_count(what: str, value, least: int) -> None:
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     replications: int = 1_000_000
     seed: int = 20240817
 
     def __post_init__(self):
-        _check_count("replications", self.replications, 100)
+        check_count("replications", self.replications, 100)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ def sample_judged(
     if P.n != n:
         raise InputError(f"error matrix dimension {P.n} does not match n = {n}")
     if size is not None:
-        _check_count("size", size, 0)
+        check_count("size", size, 0)
     u = np.empty(1 if size is None else size)
     for start, level in _levels(P.row(i), rng, u.size):
         u[start : start + level.size] = level
@@ -253,7 +248,7 @@ def vasicek_entropy(samples, window: int) -> float:
     an integer, and the sample must have at least 2 m + 1 points.
     """
     n = np.size(samples)
-    _check_count("window", window, 1)
+    check_count("window", window, 1)
     if n < 2 * window + 1:
         raise InputError(f"need at least {2 * window + 1} samples, got {n}")
     x = np.sort(np.asarray(samples, dtype=float))

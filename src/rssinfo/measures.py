@@ -2,32 +2,27 @@
 pairs.
 
 A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
-uniform matrix, perfect RSS the identity.  Every numeric path makes one
-vector-valued integral over the distinct rows of the matrices it is given
-(one design's, or several in ``renyi_designs``), through the ``order_stats``
-kernel, and weights each row by its count in each matrix; the designs share
-``diagnostics["subdivisions"]``, the panel splits of that one integral.
+uniform matrix, perfect RSS the identity.  Every u-space measure hands one
+route, ``_route``, its own pieces: a closed form keyed on the matrix, never on
+the design's kind; an integrand of the distinct rows; and a ``finish``.  Each
+distinct matrix takes its closed form where it has one (``force_numeric``
+skips them, to compare the paths); the rest share one ``integrate_unit`` call,
+and so ``diagnostics["subdivisions"]``, each row weighted by its count.
 
-Every route, closed form or numeric, computes on the standard law
-``dist.standard()`` (location 0, scale 1).  Location and scale enter only in
-``MeasureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
-Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
-
-Every closed form is keyed on the matrix, never on the design's kind.
 Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
 judged weights alone: closed for the uniform matrix, the identity and every
-2 x 2, integrated otherwise, so no Shannon integrand reads the parent.  KL
-K(SRS || design) is closed for the same three classes.  Renyi is closed for
-the uniform matrix, n H_a(f), wherever int f^alpha is finite, and for the
-identity on a uniform or exponential parent, a sum of Beta integrals at every
-real alpha.  ``force_numeric`` bypasses every closed form so the two paths can
-be compared.
+2 x 2, so no Shannon integrand reads the parent.  KL K(SRS || design) is
+closed for the same three classes.  Renyi is closed for the uniform matrix,
+n H_a(f), wherever int f^alpha is finite, and for the identity on a uniform
+or exponential parent, a sum of Beta integrals at every real alpha.
+``kl_two_sample`` and ``a_n(mode="sum")`` have no closed form.  The
+``mode="x"`` Shannon and KL verification routes integrate over x instead,
+through one x-space helper.
 
-Every default numeric route integrates over u = F(x), with the kernel's
-(F, S) pair, through ``quadrature.integrate_unit``, which folds (0, 1) onto
-(0, 1/2) so that both ends sit at 0.  Only the ``mode="x"`` Shannon and KL
-verification routes integrate over x, through the same fold.
-
+The one-law measures compute on the standard law ``dist.standard()``
+(location 0, scale 1).  Location and scale enter only in
+``MeasureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
+Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
 All values are in nats and scale additively with the cycle count m.
 """
 
@@ -35,18 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
-from .errors import DivergentIntegralError, InputError, check_alpha
+from .errors import DivergentIntegralError, InputError, check_alpha, check_count
 from .order_stats import judged_log_pdf, judged_log_weight
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureResult,
-    entropy_integral,
     integrate,  # noqa: F401  (perfbench's tracer and its contract test read measures.integrate)
     integrate_support,
     integrate_unit,
@@ -76,10 +71,8 @@ class Design:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"unknown design kind {self.kind!r}")
-        if self.n < 1:
-            raise InputError(f"set size must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise InputError("cycle count must be >= 1")
+        check_count("set size", self.n, 1)
+        check_count("cycle count", self.m, 1)
         if self.kind == IMPERFECT_RSS:
             if self.P is None:
                 raise InputError("imperfect RSS needs a ranking error matrix")
@@ -108,7 +101,7 @@ class Design:
 class MeasureResult:
     value: float
     error_estimate: float
-    method: str  # closed-form | quadrature | monte-carlo
+    method: str  # closed-form | quadrature
     diagnostics: dict = field(default_factory=dict)
 
     def scaled(self, m: int, shift: float = 0.0) -> "MeasureResult":
@@ -151,11 +144,43 @@ def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
     return _from_quad(float(counts @ values), float(counts @ errors), r)
 
 
-def _log_weight_integral(P: np.ndarray, g, cfg: QuadratureConfig, what: str) -> MeasureResult:
-    """sum_i int_0^1 g(log w_i) du over the rows of P, each distinct row integrated once."""
-    rows, (counts,) = _distinct_rows(P)
+def _route(matrices, closed, integrand, cfg, what, *, force_numeric, at=None, finish=None) -> list[MeasureResult]:
+    """Each matrix's one-cycle value: ``closed(P)`` once per distinct matrix
+    (all of one shape, so its bytes name it) unless ``force_numeric``; the
+    matrices it leaves None share one ``integrate_unit`` of ``integrand(rows)``
+    over their distinct rows, whose (value, error) arrays ``finish`` maps
+    before each row is weighted by its count in each matrix."""
+    distinct = {} if force_numeric else {P.tobytes(): P for P in matrices}
+    known = {key: closed(P) for key, P in distinct.items()}
+    results = [known.get(P.tobytes()) for P in matrices]
+    numeric = [P for P, res in zip(matrices, results) if res is None]
+    if numeric:
+        rows, counts = _distinct_rows(*numeric)
+        r = integrate_unit(integrand(rows), cfg, what, at)
+        values, errors = (r.value, r.error_estimate) if finish is None else finish(r.value, r.error_estimate)
+        legs = (_weighted(values, errors, c, r) for c in counts)
+        results = [next(legs) if res is None else res for res in results]
+    return results
+
+
+def _of_log_weight(g, rows):
+    """(F, S) -> g(log w_i(F, S), F, S) on ``rows``: ``partial(_of_log_weight, g)``
+    is the ``_route`` integrand of a term in the judged log weight."""
     log_weight = judged_log_weight(rows)
-    r = integrate_unit(lambda F, S: g(log_weight(F, S)), cfg, what)
+    return lambda F, S: g(log_weight(F, S), F, S)
+
+
+def _x_space(design: Design, dist: Distribution, g, cfg: QuadratureConfig) -> MeasureResult:
+    """sum_i int g(f(x), log w_i(x)) dx over ``dist``'s support, each distinct
+    row integrated once: the x-space verification route of Shannon and KL."""
+    rows, (counts,) = _distinct_rows(design.matrix.entries)
+    log_weight = judged_log_weight(rows)
+
+    def integrand(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return g(dist.pdf(x), log_weight(dist.cdf(x), dist.survival(x)))
+
+    r = integrate_support(integrand, dist.support, cfg)
     return _weighted(r.value, r.error_estimate, counts, r)
 
 
@@ -184,12 +209,10 @@ def shannon(
     _check_mode(mode, ("u", "x"))
     std = dist.standard()
     if mode == "x":
-        res = _shannon_x_space(design, std, cfg)
+        res = _x_space(design, std, _entropy_term, cfg)
     else:
-        P = design.matrix.entries
-        d = None if force_numeric else _divergence_closed_form(P)
-        if d is None:
-            d = _log_weight_integral(P, lambda lw: np.exp(lw) * lw, cfg, "shannon integrand is not finite")
+        integrand, what = partial(_of_log_weight, lambda lw, F, S: np.exp(lw) * lw), "shannon integrand is not finite"
+        (d,) = _route([design.matrix.entries], _shannon_closed_form, integrand, cfg, what, force_numeric=force_numeric)
         res = replace(d, value=design.n * std.entropy() - d.value)
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
@@ -204,24 +227,35 @@ def _matrix_class(P: np.ndarray) -> str:
     return ""
 
 
-def _divergence_closed_form(P: np.ndarray) -> MeasureResult | None:
-    """D(P) of the uniform matrix (0), the identity (-k(n)) and every 2x2
-    (2 log 2 - eta(p11) - eta(p22)); None for any other matrix."""
-    kind = _matrix_class(P)
-    if kind == "uniform":
-        return _closed(0.0)
-    if kind == "identity":
-        return _closed(-closed_form.k_direct(len(P)))
-    if len(P) == 2:
-        return _closed(2.0 * math.log(2.0) - closed_form.eta(P[0, 0]) - closed_form.eta(P[1, 1]))
-    return None
+def _divergence_closed_form(identity, two_by_two):
+    """The closed form of a divergence between a design and SRS, per matrix:
+    0 for the uniform matrix, identity(n) for the identity and
+    two_by_two(p11, p22) for every 2x2; None for any other matrix."""
+
+    def closed(P: np.ndarray) -> MeasureResult | None:
+        kind = _matrix_class(P)
+        if kind == "uniform":
+            return _closed(0.0)
+        if kind == "identity":
+            return _closed(identity(len(P)))
+        return _closed(two_by_two(P[0, 0], P[1, 1])) if len(P) == 2 else None
+
+    return closed
 
 
-def _shannon_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    rows, (counts,) = _distinct_rows(design.matrix.entries)
-    log_pdf = judged_log_pdf(dist, rows)
-    r = entropy_integral(lambda x: np.exp(log_pdf(x)), dist.support, cfg)
-    return _weighted(r.value, r.error_estimate, counts, r)
+# Shannon's D(P) = K(design || SRS), and K(SRS || design)
+_shannon_closed_form = _divergence_closed_form(
+    lambda n: -closed_form.k_direct(n), lambda a, b: 2.0 * math.log(2.0) - closed_form.eta(a) - closed_form.eta(b)
+)
+_kl_closed_form = _divergence_closed_form(
+    lambda n: closed_form.d_n(n), lambda a, b: closed_form.kl_row_2x2(a) + closed_form.kl_row_2x2(b)
+)
+
+
+def _entropy_term(f, log_w):
+    """-f_i log f_i of the component density f_i = w_i f, with 0 log 0 = 0."""
+    log_fi = log_w + np.log(f)
+    return np.where(log_fi > -np.inf, -np.exp(log_fi) * log_fi, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +286,20 @@ def renyi_designs(
     check_alpha(alpha)
     if len({d.n for d in designs}) > 1:
         raise InputError("designs must share the set size n")
-    std, matrices = dist.standard(), [d.matrix.entries for d in designs]
-    # one closed form per distinct matrix: with n shared, its bytes name it
-    distinct = {} if force_numeric else {P.tobytes(): P for P in matrices}
-    closed = {key: _renyi_closed_form(P, std, alpha) for key, P in distinct.items()}
-    results = [closed.get(P.tobytes()) for P in matrices]
-    numeric = [P for P, res in zip(matrices, results) if res is None]
-    if numeric:
-        legs = iter(_renyi_numeric(numeric, dist, alpha, cfg))
-        results = [next(legs) if res is None else res for res in results]
+    std, om = dist.standard(), 1.0 - alpha
+    # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du
+    integrand = partial(_of_log_weight, lambda lw, F, S: np.exp(alpha * lw - om * std.log_pdf_at_quantile(F, S)))
+
+    def finish(value, error):
+        if np.any(value <= 0):
+            raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
+        return np.log(value) / om, error / (abs(om) * value)
+
+    # the standard law's values; an error names x in ``dist``'s coordinates
+    results = _route(
+        [d.matrix.entries for d in designs], lambda P: _renyi_closed_form(P, std, alpha), integrand, cfg,
+        "renyi integrand exceeds the float range", force_numeric=force_numeric, at=dist.quantile, finish=finish,
+    )
     return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
 
@@ -278,25 +317,6 @@ def _renyi_closed_form(P: np.ndarray, std: Distribution, alpha: float) -> Measur
     return None
 
 
-def _renyi_numeric(matrices, dist: Distribution, alpha: float, cfg: QuadratureConfig) -> list[MeasureResult]:
-    """The standard law's value for each matrix, from one integral over their
-    distinct rows; an error names x in ``dist``'s coordinates."""
-    om = 1.0 - alpha
-    rows, counts = _distinct_rows(*matrices)
-    log_weight = judged_log_weight(rows)
-    log_fq = dist.standard().log_pdf_at_quantile
-
-    def integrand(F, S):
-        # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du
-        return np.exp(alpha * log_weight(F, S) - om * log_fq(F, S))
-
-    r = integrate_unit(integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile)
-    if np.any(r.value <= 0):
-        raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
-    values, errors = np.log(r.value) / om, r.error_estimate / (abs(om) * r.value)
-    return [_weighted(values, errors, c, r) for c in counts]
-
-
 def renyi_gap_binomial(
     dist: Distribution,
     n: int,
@@ -311,8 +331,7 @@ def renyi_gap_binomial(
     is Renyi's independent check."""
     if alpha <= 1.0:
         raise InputError(f"binomial-representation gap requires alpha > 1, got {alpha}")
-    if n < 1:
-        raise InputError("n must be >= 1")
+    check_count("n", n, 1)
     if n == 1:
         return _closed(0.0)
     # the gap is scale-free
@@ -346,41 +365,12 @@ def kl_srs_vs_design(
     if mode == "x":
         if dist is None:
             raise InputError("x-space verification mode needs a distribution")
-        res = _kl_srs_x_space(design, dist.standard(), cfg)
+        # below ~1e-300 the density kills any log factor; avoid 0 * inf
+        res = _x_space(design, dist.standard(), lambda f, log_w: np.where(f > 1e-300, -f * log_w, 0.0), cfg)
     else:
-        P = design.matrix.entries
-        res = None if force_numeric else _kl_closed_form(P)
-        if res is None:
-            res = _log_weight_integral(P, np.negative, cfg, "KL integrand is not finite")
+        integrand, what = partial(_of_log_weight, lambda lw, F, S: -lw), "KL integrand is not finite"
+        (res,) = _route([design.matrix.entries], _kl_closed_form, integrand, cfg, what, force_numeric=force_numeric)
     return res.scaled(design.m)
-
-
-def _kl_closed_form(P: np.ndarray) -> MeasureResult | None:
-    """K(SRS || P) of the uniform matrix (0), the identity (d_n) and every
-    2x2 (a closed form per row); None for any other matrix."""
-    kind = _matrix_class(P)
-    if kind == "uniform":
-        return _closed(0.0)
-    if kind == "identity":
-        return _closed(closed_form.d_n(len(P)))
-    if len(P) == 2:
-        return _closed(closed_form.kl_row_2x2(P[0, 0]) + closed_form.kl_row_2x2(P[1, 1]))
-    return None
-
-
-def _kl_srs_x_space(design: Design, dist: Distribution, cfg: QuadratureConfig) -> MeasureResult:
-    rows, (counts,) = _distinct_rows(design.matrix.entries)
-    log_weight = judged_log_weight(rows)
-
-    def integrand(x):
-        f = dist.pdf(x)
-        logw = log_weight(dist.cdf(x), dist.survival(x))
-        with np.errstate(invalid="ignore"):
-            # below ~1e-300 the density kills any log factor; avoid 0 * inf
-            return np.where(f > 1e-300, -f * logw, 0.0)
-
-    r = integrate_support(integrand, dist.support, cfg)
-    return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def kl_two_sample(
@@ -400,20 +390,21 @@ def kl_two_sample(
     if design_x.m != design_y.m:
         raise InputError("designs must share the cycle count m")
 
-    rows, (counts,) = _distinct_rows(np.hstack([design_x.matrix.entries, design_y.matrix.entries]))
-    rows_x, rows_y = np.hsplit(rows, [design_x.n])
-    log_wx = judged_log_weight(rows_x)
-    log_py = judged_log_pdf(dist_g, rows_y)
+    def integrand(rows):  # each row: the X side's, then the Y side's
+        rows_x, rows_y = np.hsplit(rows, [design_x.n])
+        log_py = judged_log_pdf(dist_g, rows_y)
 
-    def integrand(F, S):
-        lx = log_wx(F, S)
-        wx = np.exp(lx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bracket = lx + dist_f.log_pdf_at_quantile(F, S) - log_py(dist_f.quantile(F, S))
-            return np.where(wx > 0.0, wx * bracket, 0.0)
+        def term(lx, F, S):
+            wx = np.exp(lx)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bracket = lx + dist_f.log_pdf_at_quantile(F, S) - log_py(dist_f.quantile(F, S))
+                return np.where(wx > 0.0, wx * bracket, 0.0)
 
-    r = integrate_unit(integrand, cfg, "two-sample KL integrand is not integrable")
-    return _weighted(r.value, r.error_estimate, counts, r).scaled(design_x.m)
+        return _of_log_weight(term, rows_x)
+
+    P = np.hstack([design_x.matrix.entries, design_y.matrix.entries])
+    (res,) = _route([P], None, integrand, cfg, "two-sample KL integrand is not integrable", force_numeric=True)
+    return res.scaled(design_x.m)
 
 
 def kld_symmetric(
@@ -448,26 +439,24 @@ def a_n(
     a verification route.  Both vanish at F = G and at n = 1.
     """
     _check_mode(mode, ("reduced", "sum"))
-    if n < 1:
-        raise InputError("n must be >= 1")
+    check_count("n", n, 1)
     if n == 1:
         return _closed(0.0)
     if mode == "reduced":
         return _a_n_reduced(dist_f, dist_g, n, cfg, closed_form.xlogy, "A_n integrand is not integrable")
-    log_beta = judged_log_weight(np.eye(n))
     below = np.arange(n)[:, None]  # ranks below and above rank i = 1..n
     above = n - 1 - below
 
-    def integrand(F, S):
-        w = np.exp(log_beta(F, S))
+    def term(log_beta, F, S):  # the identity's distinct rows are its rows, rank i = 1..n in order
+        w = np.exp(log_beta)
         x = dist_f.quantile(F, S)
         with np.errstate(divide="ignore", invalid="ignore"):
             lower = np.where(below > 0, below * (np.log(F) - np.log(dist_g.cdf(x))), 0.0)
             upper = np.where(above > 0, above * (np.log(S) - np.log(dist_g.survival(x))), 0.0)
             return np.where(w > 0.0, w * (lower + upper), 0.0)
 
-    r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
-    return _from_quad(float(r.value.sum()), float(r.error_estimate.sum()), r)
+    what = "A_n integrand is not integrable"
+    return _route([np.eye(n)], None, partial(_of_log_weight, term), cfg, what, force_numeric=True)[0]
 
 
 def a_n_printed_reduced(
@@ -480,8 +469,7 @@ def a_n_printed_reduced(
 
     Kept only for the errata report; it does not vanish at F = G.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
+    check_count("n", n, 1)
     if n == 1:
         return _closed(0.0)
     return _a_n_reduced(dist_f, dist_g, n, cfg, np.multiply, "printed A_n integrand is not finite")

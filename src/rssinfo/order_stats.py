@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import InputError
+from .errors import InputError, check_count
 from .ranking_error import RankingErrorMatrix
 
 
 def _check_rank(n: int, i: int) -> None:
-    if n < 1:
-        raise InputError(f"set size must be >= 1, got {n}")
+    check_count("set size", n, 1)
     if not 1 <= i <= n:
         raise InputError(f"rank {i} out of range 1..{n}")
 

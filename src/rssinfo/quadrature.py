@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Support
-from .errors import DivergentIntegralError, InputError
+from .errors import DivergentIntegralError, InputError, check_count
 
 # 15-point Kronrod nodes on [-1, 1] and weights, with the embedded 7-point
 # Gauss weights on the shared nodes (standard QUADPACK constants).
@@ -117,8 +117,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise InputError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise InputError("max_subdivisions must be >= 1")
+        check_count("max_subdivisions", self.max_subdivisions, 1)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

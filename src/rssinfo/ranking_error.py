@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 
 _TOL = 1e-12
 
@@ -89,8 +89,7 @@ def blend(n: int, w: float) -> RankingErrorMatrix:
     """Convex combination w * identity + (1 - w) * uniform; doubly stochastic."""
     if not 0.0 <= w <= 1.0:
         raise InputError(f"blend weight must lie in [0, 1], got {w}")
-    if n < 1:
-        raise InputError("n must be >= 1")
+    check_count("n", n, 1)
     return RankingErrorMatrix(w * np.eye(n) + (1.0 - w) * np.full((n, n), 1.0 / n))
 
 

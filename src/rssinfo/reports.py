@@ -11,7 +11,7 @@ import numpy as np
 
 from . import closed_form, measures, ranking_error
 from .distributions import Exponential, parse_distribution
-from .errors import InputError
+from .errors import InputError, check_count
 from .measures import Design
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
@@ -33,8 +33,8 @@ class ScanGrid:
     def __post_init__(self):
         if not (self.families and self.ns and self.alphas and self.matrices):
             raise InputError("scan grid axes must be non-empty")
-        if min(self.ns) < 1:
-            raise InputError(f"scan set sizes must be >= 1, got {list(self.ns)}")
+        for n in self.ns:
+            check_count("scan set size", n, 1)
         bad = [a for a in self.alphas if a <= 1.0]
         if bad:
             raise InputError(
@@ -169,6 +169,7 @@ def figure_curve(
     perfect-RSS one, against alpha, one column per p11), exponential parent.
     Every column is a difference of two set-size-2 values, in which the
     exponential's rate cancels, so the parent has rate 1."""
+    check_count("points", points, 1)
     if figure_id == "1":
         rows = []
         h_srs = closed_form.exp_shannon("srs", 1.0)

@@ -164,13 +164,14 @@ def test_parse_errors_exit_two(capsys):
         ("conjecture-scan", "--family", "exp:1", "--n-values", "2", "--alphas", "2", "--matrix", "{identity3}"),
         ("measure", "renyi", "--alpha", "inf", "--design", "rss:2", "--dist", "exp:1"),
         ("psi", "--alphas", "inf"),
+        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--seed", "-1"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
         "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",
-        "psi-alpha-inf",
+        "psi-alpha-inf", "oracle-negative-seed",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):

@@ -522,6 +522,19 @@ EXP1 = Exponential(1.0)
         lambda: mc.sample_judged(EXP1, 2, re.identity(2), 1, np.random.default_rng(0), size=-1),
         lambda: integrate_support(np.exp, Support(-math.inf, 0.0)),
         lambda: figure_curve("3", 5),
+        lambda: Design("rss", 2, m=1.5),
+        lambda: M.a_n(EXP1, Exponential(2.0), 2.5),
+        lambda: Design("srs", 2.5),
+        lambda: QuadratureConfig(max_subdivisions=10.5),
+        lambda: cf.d_n(2.5),
+        lambda: cf.psi_bound(2.0, 2.5),
+        lambda: ScanGrid(ns=(2.5,)),
+        lambda: mc.SimConfig(seed=-1),
+        lambda: M.a_n_printed_reduced(EXP1, EXP1, 2.5),
+        lambda: M.renyi_gap_binomial(EXP1, 2.5, 2.0),
+        lambda: cf.k_direct(2.5),
+        lambda: re.blend(2.5, 0.5),
+        lambda: figure_curve("1", 2.5),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -538,6 +551,9 @@ EXP1 = Exponential(1.0)
         "vasicek-window0", "vasicek-few-samples", "vasicek-window-float",
         "vasicek-nan", "vasicek-inf", "vasicek-minus-inf", "sim-replications-float", "sample_judged-size",
         "integrate_support-lower-half-line", "figure-id",
+        "design-m-float", "a_n-n-float", "design-n-float", "quad-budget-float", "d_n-n-float",
+        "psi-n-float", "scan-n-float", "sim-seed-negative", "a_n_printed-n-float", "gap-n-float",
+        "k_direct-n-float", "blend-n-float", "figure-points-float",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):
@@ -560,6 +576,47 @@ def test_quantile_spacing_and_jobs_rules_raise_input_error():
 def test_a_n_printed_form_fails_equal_law_oracle():
     f = Exponential(1.0)
     assert abs(M.a_n_printed_reduced(f, f, 2).value) > 0.1
+
+
+_NORM = Normal(0.0, 1.0)
+_BLEND3 = Design("irss", 3, re.blend(3, 0.5))
+_CLOSED_DIVERGENCE = ("rss:3", "irss:3:uniform", "irss:3:identity", "irss:2:p12=0.3")
+
+
+@pytest.mark.parametrize(
+    "call, integrals",
+    [
+        *((lambda d=d: M.shannon(parse_design(d), _NORM), 0) for d in ("srs:3", *_CLOSED_DIVERGENCE)),
+        *((lambda d=d: M.kl_srs_vs_design(parse_design(d)), 0) for d in _CLOSED_DIVERGENCE),
+        *((lambda d=d: M.renyi(parse_design(d), Weibull(2.0), 2.5), 0) for d in ("srs:3", "irss:3:uniform")),
+        *((lambda f=f: M.renyi(Design("rss", 4), f, 0.4), 0) for f in (Uniform(), EXP1)),
+        (lambda: M.renyi_designs([Design("srs", 3), Design("rss", 3), Design("irss", 3, re.uniform(3))], EXP1, 3.0), 0),
+        (lambda: M.shannon(Design("rss", 3), _NORM, force_numeric=True), 1),
+        (lambda: M.kl_srs_vs_design(Design("irss", 2, re.two_by_two(0.3)), force_numeric=True), 1),
+        (lambda: M.renyi(Design("srs", 3), EXP1, 2.0, force_numeric=True), 1),
+        (lambda: M.shannon(_BLEND3, _NORM), 1),
+        (lambda: M.kl_srs_vs_design(_BLEND3), 1),
+        (lambda: M.renyi(_BLEND3, EXP1, 2.0), 1),
+        (lambda: M.renyi(Design("rss", 3), _NORM, 2.0), 1),  # the identity is closed only on unif and exp
+        (lambda: M.renyi_designs([Design("srs", 3), Design("rss", 3), _BLEND3, _BLEND3], _NORM, 2.0), 1),
+        (lambda: M.renyi_designs([Design("srs", 3), _BLEND3, Design("irss", 3, re.blend(3, 0.25))], EXP1, 2.0), 1),
+    ],
+)
+def test_closed_forms_are_fast_paths_on_one_integral(monkeypatch, call, integrals):
+    # every unforced closed-form matrix skips the integrator; everything else,
+    # however many designs, makes exactly one integral
+    calls = []
+    integrate_unit = M.integrate_unit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_unit(*args, **kwargs)
+
+    monkeypatch.setattr(M, "integrate_unit", counted)
+    results = call()
+    assert len(calls) == integrals
+    methods = {r.method for r in (results if isinstance(results, list) else [results])}
+    assert methods <= ({"closed-form"} if integrals == 0 else {"closed-form", "quadrature"})
 
 
 def test_cycle_scaling_is_exact():

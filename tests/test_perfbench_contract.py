@@ -1,9 +1,12 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps rssinfo's public
-functions by name and reads the quadrature result's fields.  A refactor that
-drops a name or changes those fields breaks ``perfbench/run.py --trace 1``;
-these tests catch it without running the benchmark."""
+functions by name and reads the quadrature result's fields, and its workloads
+(perfbench/workloads.py) call the package's public API.  A refactor that drops
+a name or changes those fields breaks ``perfbench/run.py``; these tests catch
+it without running the benchmark, reading perfbench/ and changing nothing there."""
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +17,19 @@ from rssinfo.distributions import Exponential
 from rssinfo.measures import Design, renyi
 from rssinfo.quadrature import integrate
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _perfbench_module("tracer")
 
 
 def test_every_traced_name_exists():
@@ -74,3 +82,25 @@ def test_tracer_wraps_the_cached_parser(capsys):
     assert spans.count("cli.cmd_measure") == 2  # and dispatches to the wrapped command
     assert cli.build_parser is cached
     assert cli.build_parser() is parser
+
+
+def _label_kind(label: str) -> str:
+    """An operation label's words before the first that holds a digit:
+    'scan', 'tight', 'measure kl --design', 'crosscheck renyi', 'vasicek uniform'."""
+    words = label.split()
+    return " ".join(words[: next((i for i, w in enumerate(words) if re.search(r"\d", w)), len(words))])
+
+
+def test_every_workload_builds_warms_up_and_runs_one_op_of_each_kind(monkeypatch):
+    monkeypatch.syspath_prepend(str(_PERFBENCH))  # workloads imports its references module by name
+    workloads = _perfbench_module("workloads")
+    for name, build in workloads.BUILDERS.items():
+        workload = build(1, rssinfo)
+        workload.warmup()
+        first = {}
+        for op in workload.ops:
+            first.setdefault(_label_kind(op.label), op)
+        for kind, op in first.items():
+            outcomes = op.judge(op.run())
+            assert outcomes, (name, op.label)
+            assert not any(o.error or o.gate for o in outcomes), (name, op.label, outcomes)

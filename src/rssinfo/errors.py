@@ -29,3 +29,24 @@ def check_count(what: str, value, least: int) -> None:
     """A count (size, cycle count, budget, seed, window) is an integer >= ``least``; an int skips the slow ABC test."""
     if not (type(value) is int or isinstance(value, numbers.Integral)) or value < least:
         raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def check_rank(n: int, i) -> None:
+    """A rank i is an integer in 1..n."""
+    check_count("rank", i, 1)
+    if i > n:
+        raise InputError(f"rank {i} out of range 1..{n}")
+
+
+def check_dimension(dim: int, n: int) -> None:
+    """The error matrix of a set-size-n design is n x n."""
+    if dim != n:
+        raise InputError(f"error matrix dimension {dim} does not match n = {n}")
+
+
+def check_shared(designs, cycles: bool = True) -> None:
+    """Designs measured together share the set size n and, when ``cycles``, the cycle count m."""
+    if len({d.n for d in designs}) > 1:
+        raise InputError("designs must share the set size n")
+    if cycles and len({d.m for d in designs}) > 1:
+        raise InputError("designs must share the cycle count m")

@@ -12,14 +12,19 @@ with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
 own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe
-fixes what is drawn from it.  The levels are drawn, ordered and scored _BLOCK
-rows at a time, and a component keeps one m-long array: the values its
-estimator averages.  Standard errors are batch means over at least 20 batches
-of at most 10 000 draws, so the default 10^6 draws give 100 of 10 000.
+fixes what is drawn from it: a mixed row's true ranks as ``rng.choice`` draws
+them, then rows of n uniforms, ordered as ``np.sort`` orders them.  The levels
+are drawn and scored _BLOCK rows at a time.  A block selects only the order
+statistics its row reads, by min, max and masked copies, which return their
+inputs, so each level is bitwise the recipe's.  A component keeps one m-long
+array: the values its estimator averages.  Standard errors are batch means
+over at least 20 batches of at most 10 000 draws, so the default 10^6 draws
+give 100 of 10 000.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import ranking_error
 from .distributions import Distribution
-from .errors import InputError, check_alpha, check_count
+from .errors import InputError, check_alpha, check_count, check_dimension, check_shared
 from .measures import Design
 from .order_stats import judged_log_pdf, judged_log_weight
 from .ranking_error import RankingErrorMatrix
@@ -88,8 +93,7 @@ def sample_judged(
 ):
     """Draw from the judged rank-i law: true rank r ~ row i of P, then X_(r),
     the quantile of the levels ``_levels`` draws on row i."""
-    if P.n != n:
-        raise InputError(f"error matrix dimension {P.n} does not match n = {n}")
+    check_dimension(P.n, n)
     if size is not None:
         check_count("size", size, 0)
     u = np.empty(1 if size is None else size)
@@ -101,43 +105,66 @@ def sample_judged(
 
 def _levels(row: np.ndarray, rng: np.random.Generator, m: int):
     """Yield (start, u): the uniform levels of m judged draws on ``row``, _BLOCK
-    at a time.  A uniform row takes the parent's level, a one-hot row its order
-    statistic of the (m, n) uniforms, drawn and ordered (``_ordered``) in
-    _BLOCK-row slices of the one stream; a mixed row first draws its true ranks,
-    in the stream of ``rng.choice(n, size=m, p=row)``, in the narrowest dtype."""
+    at a time.  A uniform row takes the parent's level; any other, each draw's
+    true rank's order statistic of its row of n uniforms, selected by
+    ``_ordered`` from _BLOCK-row slices of the one stream.  A mixed row first
+    draws its true ranks in the stream of ``rng.choice(n, size=m, p=row)``:
+    the count of cdf entries at or below each uniform, which is
+    ``searchsorted(side="right")``.  Each block then starts from the first
+    rank's order statistic and copies in each other rank's where it is drawn."""
     n, blocks = row.size, range(0, m, _BLOCK)
     if np.all(row == row[0]):  # uniform: the parent itself
         for start in blocks:
             yield start, rng.random(min(_BLOCK, m - start))
         return
-    ranks = np.flatnonzero(row)  # 0-based true ranks: the one, or one drawn per draw
-    if ranks.size > 1:
+    ranks = tuple(np.flatnonzero(row).tolist())  # the 0-based true ranks the row reads
+    if len(ranks) > 1:
         cdf = row.cumsum()
         cdf /= cdf[-1]
-        ranks = np.empty(m, np.min_scalar_type(n - 1))
+        true = np.zeros(m, np.min_scalar_type(n - 1))
         for start in blocks:
-            ranks[start : start + _BLOCK] = cdf.searchsorted(rng.random(min(_BLOCK, m - start)), side="right")
+            u, t = rng.random(min(_BLOCK, m - start)), true[start : start + _BLOCK]
+            for c in cdf[:-1]:  # the last entry is 1, above every u
+                t += u >= c
     for start in blocks:
-        cols = _ordered(rng.random((min(_BLOCK, m - start), n)))
-        b = cols.shape[1]
-        yield start, cols[ranks[0]] if ranks.size == 1 else cols[ranks[start : start + b], np.arange(b)]
+        level, *others = _ordered(rng.random((min(_BLOCK, m - start), n)), ranks)
+        if others:
+            t = true[start : start + level.size]
+            for r, col in zip(ranks[1:], others):
+                np.copyto(level, col, where=t == r)
+        yield start, level
 
 
-def _ordered(block: np.ndarray) -> np.ndarray:
-    """The (n, b) order statistics of a (b, n) block, bitwise ``np.sort(block, axis=1).T``: up to
-    _NETWORK_MAX_N columns an odd-even transposition network (Knuth, TAOCP 3, 5.3.4) of n(n-1)/2
-    in-place compare-exchanges, exact as min and max return an input; numpy's row sort above."""
-    b, n = block.shape
+@functools.cache
+def _network(n: int, ranks: tuple[int, ...]) -> tuple[tuple[int, bool, bool], ...]:
+    """The (k, min?, max?) compare-exchanges of the n-wide odd-even transposition network (Knuth,
+    TAOCP 3, 5.3.4) that the outputs ``ranks`` read, in order, each with the outputs it must give."""
+    need, plan = set(ranks), []
+    for r in reversed(range(n)):
+        for k in range(r % 2, n - 1, 2):
+            low, high = k in need, k + 1 in need
+            if low or high:
+                plan.append((k, low, high))
+                need |= {k, k + 1}
+    return tuple(reversed(plan))
+
+
+def _ordered(block: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray]:
+    """The order statistics ``ranks`` (0-based) of each row of a (b, n) block, bitwise columns of
+    ``np.sort(block, axis=1)``: up to _NETWORK_MAX_N columns the pruned network ``_network`` on
+    the block's column views, exact as min and max return an input; numpy's row sort above."""
+    n = block.shape[1]
     if n > _NETWORK_MAX_N:
         block.sort(axis=1)
-        return block.T
-    cols, tmp = block.T.copy(), np.empty(b)
-    for r in range(n):
-        for k in range(r % 2, n - 1, 2):
-            np.minimum(cols[k], cols[k + 1], out=tmp)
-            np.maximum(cols[k], cols[k + 1], out=cols[k + 1])
-            cols[k] = tmp
-    return cols
+        return [block[:, r] for r in ranks]
+    cols = list(block.T)
+    for k, low, high in _network(n, ranks):
+        x, y = cols[k], cols[k + 1]
+        if low:
+            cols[k] = np.minimum(x, y)
+        if high:
+            cols[k + 1] = np.maximum(x, y)
+    return [cols[r] for r in ranks]
 
 
 def _log_weight(row: np.ndarray):
@@ -208,10 +235,7 @@ def mc_kl(
     both sides have one law (family and parameters), its density cancels and
     the two kernels read the same level; otherwise g's reads G and its
     survival at the draw."""
-    if design_x.n != design_y.n:
-        raise InputError("designs must share the set size n")
-    if design_x.m != design_y.m:
-        raise InputError("designs must share the cycle count m")
+    check_shared((design_x, design_y))
     P_y = design_y.matrix
     same_law = type(dist_f) is type(dist_g) and vars(dist_f) == vars(dist_g)
 

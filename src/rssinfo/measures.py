@@ -36,7 +36,7 @@ import numpy as np
 
 from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
-from .errors import DivergentIntegralError, InputError, check_alpha, check_count
+from .errors import DivergentIntegralError, InputError, check_alpha, check_count, check_dimension, check_shared
 from .order_stats import judged_log_pdf, judged_log_weight
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -76,10 +76,7 @@ class Design:
         if self.kind == IMPERFECT_RSS:
             if self.P is None:
                 raise InputError("imperfect RSS needs a ranking error matrix")
-            if self.P.n != self.n:
-                raise InputError(
-                    f"error matrix dimension {self.P.n} does not match n = {self.n}"
-                )
+            check_dimension(self.P.n, self.n)
         elif self.P is not None:
             raise InputError(f"design kind {self.kind!r} takes no error matrix")
 
@@ -284,8 +281,7 @@ def renyi_designs(
     """``renyi`` of each design, all of one set size n: those without a closed
     form share one integral over the distinct rows of their matrices."""
     check_alpha(alpha)
-    if len({d.n for d in designs}) > 1:
-        raise InputError("designs must share the set size n")
+    check_shared(designs, cycles=False)
     std, om = dist.standard(), 1.0 - alpha
     # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du
     integrand = partial(_of_log_weight, lambda lw, F, S: np.exp(alpha * lw - om * std.log_pdf_at_quantile(F, S)))
@@ -385,10 +381,7 @@ def kl_two_sample(
     Componentwise: sum_i int px_i log(px_i / py_i), computed in the u-space
     of the X-side law.  Raises DivergentIntegralError on support mismatch.
     """
-    if design_x.n != design_y.n:
-        raise InputError("designs must share the set size n")
-    if design_x.m != design_y.m:
-        raise InputError("designs must share the cycle count m")
+    check_shared((design_x, design_y))
 
     def integrand(rows):  # each row: the X side's, then the Y side's
         rows_x, rows_y = np.hsplit(rows, [design_x.n])

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import InputError, check_count
+from .errors import check_count, check_dimension, check_rank
 from .ranking_error import RankingErrorMatrix
 
 
 def _check_rank(n: int, i: int) -> None:
     check_count("set size", n, 1)
-    if not 1 <= i <= n:
-        raise InputError(f"rank {i} out of range 1..{n}")
+    check_rank(n, i)
 
 
 @functools.cache
@@ -130,8 +129,7 @@ def judged_log_pdf(dist: Distribution, rows):
 
 
 def _judged_row(n: int, P: RankingErrorMatrix, i: int) -> np.ndarray:
-    if P.n != n:
-        raise InputError(f"error matrix dimension {P.n} does not match n = {n}")
+    check_dimension(P.n, n)
     return P.row(i)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_count
+from .errors import InputError, check_count, check_rank
 
 _TOL = 1e-12
 
@@ -36,8 +36,7 @@ class RankingErrorMatrix:
 
     def row(self, i: int) -> np.ndarray:
         """Mixture weights for judged rank i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise InputError(f"rank {i} out of range 1..{self.n}")
+        check_rank(self.n, i)
         return self.entries[i - 1]
 
 

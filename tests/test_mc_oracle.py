@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -157,17 +158,28 @@ def test_seed_reproducibility_is_bitwise():
     assert other.estimate != a.estimate
 
 
+_ZERO_ENTRIES = re.validate([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+
+
 @pytest.mark.parametrize("m", [1000, mc._BLOCK + 1001, None])
-@pytest.mark.parametrize("n", range(1, mc._NETWORK_MAX_N + 3))
-def test_samplers_follow_the_documented_recipe(n, m):
+@pytest.mark.parametrize(
+    "n, P, ranks",
+    [
+        *(pytest.param(n, re.blend(n, 0.5), {1, (n + 1) // 2, n}, id=str(n)) for n in range(1, mc._NETWORK_MAX_N + 3)),
+        pytest.param(mc._NETWORK_MAX_N, re.blend(mc._NETWORK_MAX_N, 0.5), range(1, mc._NETWORK_MAX_N + 1), id="every-rank"),
+        pytest.param(3, _ZERO_ENTRIES, range(1, 4), id="zero-entries"),
+    ],
+)
+def test_samplers_follow_the_documented_recipe(n, P, ranks, m):
     # the recipe fixes the streams, whatever the sampler computes internally:
     # the true rank from rng.choice(n, p=row) (mixed rows only), then
     # np.sort(rng.random((m, n)), axis=1), then the selection; n runs across
-    # _NETWORK_MAX_N and m across a _BLOCK boundary
-    dist, P = Exponential(1.0), re.blend(n, 0.5)
+    # _NETWORK_MAX_N and m across a _BLOCK boundary.  Each rank of the widest
+    # network, and rows with zero entries, get their own pruned network
+    dist = Exponential(1.0)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     k = 1 if m is None else m
-    for i in sorted({1, (n + 1) // 2, n}):
+    for i in sorted(ranks):
         x = mc.sample_order_stat(dist, n, i, rng, size=m)
         want = dist.quantile(np.sort(ref.random((k, n)), axis=1)[:, i - 1])
         assert np.array_equal(x, want[0] if m is None else want)
@@ -175,10 +187,21 @@ def test_samplers_follow_the_documented_recipe(n, m):
         if n == 1:  # blend(1, w) is the uniform row: the parent itself
             want = dist.quantile(ref.random(k))
         else:
-            ranks = ref.choice(n, size=k, p=P.row(i))
+            ranks_drawn = ref.choice(n, size=k, p=P.row(i))
             u = np.sort(ref.random((k, n)), axis=1)
-            want = dist.quantile(u[np.arange(k), ranks])
+            want = dist.quantile(u[np.arange(k), ranks_drawn])
         assert np.array_equal(x, want[0] if m is None else want)
+
+
+@pytest.mark.parametrize("n", range(2, mc._NETWORK_MAX_N + 2))
+def test_ordered_selects_any_ranks_as_a_sort_does(n):
+    # every set of ranks a row can read, each with its own pruned network; ties included
+    block = np.random.default_rng(n).integers(0, 4, (500, n)).astype(float)
+    want = np.sort(block, axis=1)
+    for size in range(1, n + 1):
+        for ranks in itertools.combinations(range(n), size):
+            got = mc._ordered(block.copy(), ranks)
+            assert len(got) == size and all(np.array_equal(g, want[:, r]) for g, r in zip(got, ranks))
 
 
 @pytest.mark.parametrize("n", [4, 8])

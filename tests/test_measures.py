@@ -14,7 +14,7 @@ from rssinfo.cli import parse_design
 from rssinfo.distributions import Exponential, Normal, Support, Uniform, Weibull, parse_distribution
 from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
-from rssinfo.order_stats import log_order_coeff
+from rssinfo.order_stats import beta_order_log_pdf, log_order_coeff
 from rssinfo.quadrature import QuadratureConfig, integrate, integrate_support
 from rssinfo.reports import DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, ScanGrid, figure_curve, run_conjecture_scan
 
@@ -535,6 +535,12 @@ EXP1 = Exponential(1.0)
         lambda: cf.k_direct(2.5),
         lambda: re.blend(2.5, 0.5),
         lambda: figure_curve("1", 2.5),
+        lambda: cf.h_uniform_order(3, 1.5),
+        lambda: log_order_coeff(3, 2.5),
+        lambda: beta_order_log_pdf(3, 1.5, 0.5),
+        lambda: re.identity(3).row(1.5),
+        lambda: mc.sample_judged(EXP1, 3, re.identity(3), 1.5, np.random.default_rng(0)),
+        lambda: mc.sample_order_stat(EXP1, 3, 1.5, np.random.default_rng(0)),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -554,6 +560,8 @@ EXP1 = Exponential(1.0)
         "design-m-float", "a_n-n-float", "design-n-float", "quad-budget-float", "d_n-n-float",
         "psi-n-float", "scan-n-float", "sim-seed-negative", "a_n_printed-n-float", "gap-n-float",
         "k_direct-n-float", "blend-n-float", "figure-points-float",
+        "h_uniform_order-rank-float", "order_coeff-rank-float", "beta_order-rank-float", "row-float",
+        "sample_judged-rank-float", "sample_order_stat-rank-float",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

@@ -48,7 +48,7 @@ class Distribution:
     """A standard shape moved by ``loc`` and stretched by ``scale``: the law
     of loc + scale * Z, with Z the family's standard law.
 
-    Subclasses set ``name`` and ``support`` and give Z's functions only:
+    Subclasses set ``support`` and give Z's functions only:
     ``_log_pdf``, ``_cdf``, ``_quantile``, ``_entropy`` and
     ``_renyi_entropy``, plus ``_survival`` and ``_log_pdf_at_quantile`` where
     a closed form beats the default.  This class alone applies the affine
@@ -60,7 +60,6 @@ class Distribution:
     may round to 1, and without S it reads F alone.
     """
 
-    name: str
     support: Support
     loc = 0.0
     scale = 1.0
@@ -117,7 +116,10 @@ class Distribution:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """The spec ``parse_distribution`` reads: the family's prefix, then its parameters."""
+        prefix, fields = _SPECS[type(self)]
+        params = ",".join(f"{getattr(self, f):g}" for f in fields)
+        return f"{prefix}:{params}" if params else prefix
 
 
 def _levels(F, S):
@@ -142,7 +144,6 @@ def _log_survival(F, S):
 class Uniform(Distribution):
     """Uniform(0, 1)."""
 
-    name = "unif"
     support = Support(0.0, 1.0)
 
     def _log_pdf(self, z):
@@ -160,15 +161,11 @@ class Uniform(Distribution):
     def _renyi_entropy(self, alpha: float) -> float:
         return 0.0
 
-    def spec_string(self) -> str:
-        return "unif"
-
 
 class Exponential(Distribution):
     """Exponential with rate ``lam`` (density lam * exp(-lam * x), x > 0):
     scale 1/lam."""
 
-    name = "exp"
     support = Support(0.0, math.inf)
 
     def __init__(self, lam: float):
@@ -196,14 +193,10 @@ class Exponential(Distribution):
     def _renyi_entropy(self, alpha: float) -> float:
         return -math.log(alpha) / (1.0 - alpha)
 
-    def spec_string(self) -> str:
-        return f"exp:{self.lam:g}"
-
 
 class Normal(Distribution):
     """Normal with location ``mu`` and scale ``sigma``."""
 
-    name = "norm"
     support = Support(-math.inf, math.inf)
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
@@ -241,14 +234,10 @@ class Normal(Distribution):
     def _renyi_entropy(self, alpha: float) -> float:
         return 0.5 * math.log(2.0 * math.pi) - math.log(alpha) / (2.0 * (1.0 - alpha))
 
-    def spec_string(self) -> str:
-        return f"norm:{self.mu:g},{self.sigma:g}"
-
 
 class Weibull(Distribution):
     """Weibull with shape ``k`` and scale ``theta``."""
 
-    name = "weibull"
     support = Support(0.0, math.inf)
 
     def __init__(self, k: float, theta: float = 1.0):
@@ -288,8 +277,15 @@ class Weibull(Distribution):
             return None
         return ((alpha - 1.0) * math.log(self.k) + math.lgamma(s) - s * math.log(alpha)) / (1.0 - alpha)
 
-    def spec_string(self) -> str:
-        return f"weibull:{self.k:g},{self.theta:g}"
+
+# prefix: the family, the parameters its spec string names, the counts a spec may give, and their usage
+_FAMILIES = {
+    "unif": (Uniform, (), (0,), "no parameters"),
+    "exp": (Exponential, ("lam",), (1,), "one parameter: rate"),
+    "norm": (Normal, ("mu", "sigma"), (0, 2), "two parameters: mu,sigma"),
+    "weibull": (Weibull, ("k", "theta"), (1, 2), "parameters: shape[,scale]"),
+}
+_SPECS = {family: (prefix, fields) for prefix, (family, fields, _, _) in _FAMILIES.items()}
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -304,25 +300,12 @@ def parse_distribution(spec: str) -> Distribution:
             raise DistributionParseError(
                 f"bad parameter list {rest!r} in distribution spec {spec!r}"
             ) from exc
+    if name not in _FAMILIES:
+        raise DistributionParseError(f"unknown distribution family {name!r} in {spec!r}")
+    family, _, counts, usage = _FAMILIES[name]
+    if len(params) not in counts:
+        raise DistributionParseError(f"{name} takes {usage}")
     try:
-        if name == "unif":
-            if params:
-                raise DistributionParseError("unif takes no parameters")
-            return Uniform()
-        if name == "exp":
-            if len(params) != 1:
-                raise DistributionParseError("exp takes one parameter: rate")
-            return Exponential(params[0])
-        if name == "norm":
-            if len(params) not in (0, 2):
-                raise DistributionParseError("norm takes two parameters: mu,sigma")
-            return Normal(*params)
-        if name == "weibull":
-            if len(params) not in (1, 2):
-                raise DistributionParseError(
-                    "weibull takes parameters: shape[,scale]"
-                )
-            return Weibull(*params)
+        return family(*params)
     except ValueError as exc:
         raise DistributionParseError(str(exc)) from exc
-    raise DistributionParseError(f"unknown distribution family {name!r} in {spec!r}")

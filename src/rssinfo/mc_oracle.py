@@ -15,11 +15,11 @@ own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe
 fixes what is drawn from it: a mixed row's true ranks as ``rng.choice`` draws
 them, then rows of n uniforms, ordered as ``np.sort`` orders them.  The levels
 are drawn and scored _BLOCK rows at a time.  A block selects only the order
-statistics its row reads, by min, max and masked copies, which return their
-inputs, so each level is bitwise the recipe's.  A component keeps one m-long
-array: the values its estimator averages.  Standard errors are batch means
-over at least 20 batches of at most 10 000 draws, so the default 10^6 draws
-give 100 of 10 000.
+statistics its row reads, by min, max and a bitwise select, which return
+their inputs, so each level is bitwise the recipe's.  A component keeps one
+m-long array: the values its estimator averages.  Standard errors are batch
+means over at least 20 batches of at most 10 000 draws, so the default 10^6
+draws give 100 of 10 000.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ def _levels(row: np.ndarray, rng: np.random.Generator, m: int):
     draws its true ranks in the stream of ``rng.choice(n, size=m, p=row)``:
     the count of cdf entries at or below each uniform, which is
     ``searchsorted(side="right")``.  Each block then starts from the first
-    rank's order statistic and copies in each other rank's where it is drawn."""
+    rank's order statistic and takes each other rank's where it is drawn, by
+    a bitwise select on the float64 bits: an exact copy, mask by mask."""
     n, blocks = row.size, range(0, m, _BLOCK)
     if np.all(row == row[0]):  # uniform: the parent itself
         for start in blocks:
@@ -129,16 +130,22 @@ def _levels(row: np.ndarray, rng: np.random.Generator, m: int):
     for start in blocks:
         level, *others = _ordered(rng.random((min(_BLOCK, m - start), n)), ranks)
         if others:
-            t = true[start : start + level.size]
-            for r, col in zip(ranks[1:], others):
-                np.copyto(level, col, where=t == r)
+            t, bits = true[start : start + level.size], level.view(np.int64)
+            for r, col in zip(ranks[1:], others):  # bits of col where t == r: the mask -1 keeps all 64
+                bits ^= (bits ^ col.view(np.int64)) & -(t == r).view(np.int8)
         yield start, level
 
 
 @functools.cache
 def _network(n: int, ranks: tuple[int, ...]) -> tuple[tuple[int, bool, bool], ...]:
     """The (k, min?, max?) compare-exchanges of the n-wide odd-even transposition network (Knuth,
-    TAOCP 3, 5.3.4) that the outputs ``ranks`` read, in order, each with the outputs it must give."""
+    TAOCP 3, 5.3.4) that the outputs ``ranks`` read, in order, each with the outputs it must give.
+    The least or the greatest alone is a chain of n - 1 minima or maxima, which the pruned
+    network exceeds from n = 3."""
+    if ranks == (0,):
+        return tuple((k, True, False) for k in reversed(range(n - 1)))
+    if ranks == (n - 1,):
+        return tuple((k, False, True) for k in range(n - 1))
     need, plan = set(ranks), []
     for r in reversed(range(n)):
         for k in range(r % 2, n - 1, 2):

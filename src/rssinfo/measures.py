@@ -24,6 +24,11 @@ The one-law measures compute on the standard law ``dist.standard()``
 ``MeasureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
 Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
 All values are in nats and scale additively with the cycle count m.
+
+The distinct rows of a set of matrices and their counts read neither the
+parent law nor alpha, so ``_distinct_rows`` is memoized on the (shape, bytes)
+of each matrix under ``ranking_error.memo``'s bound, and hands out read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -128,12 +133,21 @@ def _check_mode(mode: str, modes: tuple[str, ...]) -> None:
 
 def _distinct_rows(*matrices):
     """The distinct rows of the matrices' entries, first seen first, and a
-    (matrices, rows) array of how many times each matrix holds each row.
-    Ranks with equal rows have equal components."""
+    (matrices, rows) array of how many times each matrix holds each row, both
+    read-only.  Ranks with equal rows have equal components."""
+    return _distinct_rows_of(tuple((P.shape, P.tobytes()) for P in matrices))
+
+
+@ranking_error.memo(lambda matrices: sum(len(data) for _, data in matrices))
+def _distinct_rows_of(matrices):
+    """``_distinct_rows`` of the (shape, bytes) of each matrix."""
     index: dict[bytes, int] = {}
-    ids = [[index.setdefault(row.tobytes(), len(index)) for row in P] for P in matrices]
+    entries = (np.frombuffer(data).reshape(shape) for shape, data in matrices)
+    ids = [[index.setdefault(row.tobytes(), len(index)) for row in P] for P in entries]
     rows = np.array([np.frombuffer(key) for key in index])
-    return rows, np.array([np.bincount(i, minlength=len(index)) for i in ids], dtype=float)
+    counts = np.array([np.bincount(i, minlength=len(index)) for i in ids], dtype=float)
+    rows.flags.writeable = counts.flags.writeable = False
+    return rows, counts
 
 
 def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:

@@ -14,6 +14,11 @@ With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
 max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
 exact integers, tabled once per n; 0**0 = 1 at the rank extremes, whose zero
 exponent is dropped when the rows are analysed.
+
+The analysis reads neither the parent law nor alpha, so it is memoized on the
+(shape, bytes) of the float64 rows under ``ranking_error.memo``'s bound: every
+alpha and every parent of a scan cell reads one kernel.  The key is a copy of
+the rows, so changing an array after a call never reaches its kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import check_count, check_dimension, check_rank
-from .ranking_error import RankingErrorMatrix
+from .ranking_error import RankingErrorMatrix, memo
 
 
 def _check_rank(n: int, i: int) -> None:
@@ -55,6 +60,13 @@ def judged_log_weight(rows):
     of k rows, giving (k,) + F's shape.  Taking the cdf and the survival
     separately keeps the upper tail, where F rounds to 1, exact."""
     rows = np.asarray(rows, dtype=float)
+    return _kernel(rows.shape, rows.tobytes())
+
+
+@memo(lambda shape, data: len(data))
+def _kernel(shape: tuple[int, ...], data: bytes):
+    """``judged_log_weight`` of the read-only rows ``data`` of ``shape``."""
+    rows = np.frombuffer(data).reshape(shape)
     stack = np.atleast_2d(rows)
     k, n = stack.shape
     floor = stack.min(axis=1, keepdims=True)

@@ -3,10 +3,18 @@
 Rows index the judged rank i, columns the true rank r; entry p[i, r] is the
 probability that the unit judged to have rank i is truly the r-th order
 statistic.  Valid matrices are doubly stochastic.
+
+``blend`` (so ``identity`` and ``uniform``) is memoized on (n, w); ``two_by_two``
+and ``from_csv`` are not.  Entries are read-only, so callers share them.
+
+``memo`` is the one bound of every memo of a matrix's alpha-free work, here
+and in ``order_stats`` and ``measures``: the last MEMO_SIZE entries, each of
+at most MEMO_BYTES of matrix data, so a memo's keys hold at most 8 MiB.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +22,25 @@ import numpy as np
 from .errors import InputError, check_count, check_rank
 
 _TOL = 1e-12
+MEMO_SIZE = 256  # entries a memo keeps; the default scan needs 35 blends, 14 row sets and 14 kernels
+MEMO_BYTES = 1 << 15  # the most matrix data an entry keeps: a 64 x 64 matrix; larger ones are built anew
+
+
+def memo(nbytes):
+    """Decorate a builder with an LRU memo of MEMO_SIZE entries, passed over
+    for the arguments whose matrix data, ``nbytes(*args)``, exceeds MEMO_BYTES."""
+
+    def wrap(build):
+        memoized = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(build)
+
+        @functools.wraps(build)
+        def call(*args):
+            return (memoized if nbytes(*args) <= MEMO_BYTES else build)(*args)
+
+        call.cache_info, call.cache_clear = memoized.cache_info, memoized.cache_clear
+        return call
+
+    return wrap
 
 
 class MatrixValidationError(InputError):
@@ -89,6 +116,11 @@ def blend(n: int, w: float) -> RankingErrorMatrix:
     if not 0.0 <= w <= 1.0:
         raise InputError(f"blend weight must lie in [0, 1], got {w}")
     check_count("n", n, 1)
+    return _blend(n, w)
+
+
+@memo(lambda n, w: 8 * n * n)
+def _blend(n: int, w: float) -> RankingErrorMatrix:
     return RankingErrorMatrix(w * np.eye(n) + (1.0 - w) * np.full((n, n), 1.0 / n))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssinfo.distributions import (
+    Distribution,
     DistributionParseError,
     Exponential,
     Normal,
@@ -140,10 +141,28 @@ def test_outside_support_density_is_zero():
 
 
 def test_parse_round_trip():
-    for spec in ["unif", "exp:1", "exp:2.5", "norm:0,1", "norm:1,2", "weibull:2,1"]:
+    specs = ["unif", "exp:1", "exp:2.5", "norm:0,1", "norm:-1.5,3", "weibull:2,1", "weibull:0.7,2"]
+    for spec in specs:
         dist = parse_distribution(spec)
+        assert dist.spec_string() == spec  # the CLI's JSON ``dist`` field, byte for byte
         again = parse_distribution(dist.spec_string())
-        assert type(again) is type(dist)
+        assert type(again) is type(dist) and vars(again) == vars(dist)
+    assert {type(parse_distribution(spec)) for spec in specs} == set(Distribution.__subclasses__())
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("unif:3", "unif takes no parameters"),
+        ("exp:1,2", "exp takes one parameter: rate"),
+        ("norm:1", "norm takes two parameters: mu,sigma"),
+        ("weibull:1,2,3", r"weibull takes parameters: shape\[,scale\]"),
+        ("gamma:1", "unknown distribution family 'gamma' in 'gamma:1'"),
+    ],
+)
+def test_parse_errors_name_the_family_usage(spec, message):
+    with pytest.raises(DistributionParseError, match=message):
+        parse_distribution(spec)
 
 
 def test_parse_errors():

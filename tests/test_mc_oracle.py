@@ -202,6 +202,10 @@ def test_ordered_selects_any_ranks_as_a_sort_does(n):
         for ranks in itertools.combinations(range(n), size):
             got = mc._ordered(block.copy(), ranks)
             assert len(got) == size and all(np.array_equal(g, want[:, r]) for g, r in zip(got, ranks))
+    for extreme in (0, n - 1):  # the least or the greatest alone: a chain of n - 1 minima or maxima
+        assert sum(low + high for _, low, high in mc._network(n, (extreme,))) == n - 1
+        (got,) = mc._ordered(block.copy(), (extreme,))
+        assert np.array_equal(got, want[:, extreme])
 
 
 @pytest.mark.parametrize("n", [4, 8])

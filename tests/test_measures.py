@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from rssinfo import closed_form as cf
 from rssinfo import mc_oracle as mc
 from rssinfo import measures as M
+from rssinfo import order_stats
 from rssinfo import ranking_error as re
 from rssinfo.cli import parse_design
 from rssinfo.distributions import Exponential, Normal, Support, Uniform, Weibull, parse_distribution
 from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.order_stats import beta_order_log_pdf, log_order_coeff
-from rssinfo.quadrature import QuadratureConfig, integrate, integrate_support
+from rssinfo.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_support
 from rssinfo.reports import DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, ScanGrid, figure_curve, run_conjecture_scan
 
 
@@ -671,3 +672,46 @@ def test_scan_legs_lie_within_their_error_of_tight_values(family):
             for d, t in zip(M.renyi_designs(designs, dist, alpha), M.renyi_designs(designs, dist, alpha, tight)):
                 assert d.diagnostics.get("converged", True) and t.diagnostics.get("converged", True)
                 assert abs(d.value - t.value) <= d.error_estimate, (n, alpha, d, t)
+
+
+def test_memoized_matrices_rows_and_counts_are_read_only():
+    matrices = [
+        re.identity(3), re.uniform(3), re.blend(3, 0.5), re.two_by_two(0.3),
+        Design("srs", 3).matrix, Design("rss", 3).matrix, re.parse_matrix("blend=0.25", 3), re.parse_matrix("p12=0.2", 2),
+    ]
+    assert re.blend(3, 0.5) is re.blend(3, 0.5) and Design("rss", 3).matrix is re.identity(3)
+    rows, counts = M._distinct_rows(re.blend(3, 0.5).entries, re.identity(3).entries)
+    assert M._distinct_rows(re.blend(3, 0.5).entries, re.identity(3).entries)[0] is rows
+    for arr in [P.entries for P in matrices] + [rows, counts]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.5
+
+
+def test_each_kernel_is_built_once_per_scan_and_figure():
+    # the kernel and the distinct rows read neither the parent nor alpha: the default scan's
+    # numeric matrices at each n are the three blends, with or without the identity
+    # (closed on unif and exp only), so 7 n x 2 row sets serve all 168 cells
+    order_stats._kernel.cache_clear()
+    M._distinct_rows_of.cache_clear()
+    report = run_conjecture_scan(ScanGrid(), DEFAULT_CONFIG)
+    assert len(report.records) == 840
+    assert order_stats._kernel.cache_info().misses == 14
+    assert M._distinct_rows_of.cache_info().misses == 14
+    # figure 2a: one kernel over the three 2x2 misrankings (p11 = 1 is the identity, closed) at every alpha
+    order_stats._kernel.cache_clear()
+    rows = figure_curve("2a", 48)
+    assert len(rows) == 48 and order_stats._kernel.cache_info()[:2] == (47, 1)  # hits, misses
+
+
+def test_memos_pass_over_matrices_above_their_byte_bound():
+    # a 64 x 64 matrix is the largest a memo keeps, so n = 65 is built on every call
+    big = re.blend(65, 0.5)
+    assert big.entries.nbytes > re.MEMO_BYTES >= re.blend(64, 0.5).entries.nbytes
+    assert re.blend(65, 0.5) is not big and re.blend(64, 0.5) is re.blend(64, 0.5)
+    assert np.array_equal(re.blend(65, 0.5).entries, big.entries)
+    order_stats._kernel.cache_clear()
+    M._distinct_rows_of.cache_clear()
+    assert order_stats.judged_log_weight(big.entries) is not order_stats.judged_log_weight(big.entries)
+    assert M._distinct_rows(big.entries)[0] is not M._distinct_rows(big.entries)[0]
+    assert order_stats._kernel.cache_info().currsize == M._distinct_rows_of.cache_info().currsize == 0

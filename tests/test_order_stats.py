@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from rssinfo import order_stats
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential
 from rssinfo.order_stats import (
@@ -166,6 +167,47 @@ def test_judged_log_weight_stack_matches_rows():
 
 
 KERNEL_U = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])
+
+MEMO_ROWS = {
+    "one-hot": np.eye(4)[1],
+    "mixed": np.array([0.0, 0.3, 0.7, 0.0]),
+    "floored": re.blend(4, 0.3).row(2),
+    "uniform": np.full(4, 0.25),
+}
+
+
+def _fresh_log_weight(rows):
+    """The kernel of ``rows`` built now, past the memo."""
+    rows = np.asarray(rows, dtype=float)
+    return order_stats._kernel.__wrapped__(rows.shape, rows.tobytes())
+
+
+@pytest.mark.parametrize("kind", [*MEMO_ROWS, "stacked"])
+def test_memoized_kernel_is_bitwise_a_fresh_one(kind):
+    rows = np.vstack(list(MEMO_ROWS.values())) if kind == "stacked" else MEMO_ROWS[kind]
+    u, S = KERNEL_U, 1.0 - KERNEL_U
+    order_stats._kernel.cache_clear()
+    memo = judged_log_weight(rows)
+    first = memo(u, S)
+    memo(np.array([0.25, 0.75]), np.array([0.75, 0.25]))  # no call leaves a trace in the kernel
+    assert judged_log_weight(rows.copy()) is memo  # equal rows share one analysis
+    assert order_stats._kernel.cache_info()[:2] == (1, 1)  # hits, misses
+    for again in (memo(u, S), _fresh_log_weight(rows)(u, S)):
+        assert again.shape == first.shape and again.tobytes() == first.tobytes()
+
+
+def test_kernel_memo_keeps_a_copy_of_its_rows():
+    rows = MEMO_ROWS["mixed"].copy()
+    u, S = KERNEL_U, 1.0 - KERNEL_U
+    order_stats._kernel.cache_clear()
+    log_weight = judged_log_weight(rows)
+    before = log_weight(u, S)
+    rows[1:3] = rows[2:0:-1]  # the caller's array changes after the call
+    assert log_weight(u, S).tobytes() == before.tobytes()
+    changed = judged_log_weight(rows)
+    assert changed is not log_weight and order_stats._kernel.cache_info().misses == 2
+    assert changed(u, S).tobytes() == _fresh_log_weight(rows)(u, S).tobytes()
+    assert not np.array_equal(changed(u, S), before)
 
 
 def _beta_mixture_log_pdf(row, u):

@@ -21,17 +21,13 @@ from .errors import InputError, check_count
 from .measures import Design
 from .quadrature import QuadratureConfig
 from .ranking_error import parse_matrix
-from .reports import DEFAULT_SCAN_ALPHAS, DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, DEFAULT_SCAN_NS
+from .reports import DEFAULT_SCAN_ALPHAS, DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, DEFAULT_SCAN_NS  # noqa: F401  (perfbench reads cli.DEFAULT_SCAN_*)
 from .reports import ScanGrid, figure_curve, run_conjecture_scan, run_errata_checks
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VIOLATION = 4
-
-
-class CliParseError(InputError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,28 +42,27 @@ def _fmt(x: float) -> str:
 
 
 def parse_design(spec: str, matrix_path: str | None = None) -> Design:
-    """Parse ``srs:N | rss:N | irss:N[:matrix]`` design specs.
+    """Parse ``kind:N[:matrix]`` design specs, e.g. ``rss:3`` or ``irss:2:p12=0.25``.
 
-    The irss matrix segment is a builtin (identity, uniform, blend=W, p12=V)
-    or a CSV path; ``--error-matrix`` supplies it when the segment is absent.
+    The matrix segment is a builtin (identity, uniform, blend=W, p12=V) or a
+    CSV path; ``--error-matrix`` supplies it when the segment is absent.
+    ``Design`` decides which kinds take a matrix: irss needs one, srs and rss
+    take none.
     """
-    parts = spec.strip().split(":")
-    kind = parts[0]
-    if len(parts) < 2:
-        raise CliParseError(f"design spec {spec!r} is missing the set size")
+    kind, *parts = spec.strip().split(":", 2)
+    if not parts:
+        raise InputError(f"design spec {spec!r} is missing the set size")
     try:
-        n = int(parts[1])
+        n = int(parts[0])
     except ValueError:
-        raise CliParseError(f"bad set size {parts[1]!r} in design spec {spec!r}")
-    if kind != "irss":
-        return Design(kind, n)
-    if len(parts) > 2:
-        P = parse_matrix(":".join(parts[2:]), n)
+        raise InputError(f"bad set size {parts[0]!r} in design spec {spec!r}")
+    if len(parts) > 1:
+        P = parse_matrix(parts[1], n)
     elif matrix_path is not None:
         P = ranking_error.from_csv(matrix_path)
     else:
-        raise CliParseError(f"imperfect design {spec!r} needs a matrix segment or --error-matrix")
-    return Design("irss", n, P)
+        P = None
+    return Design(kind, n, P)
 
 
 # config-file key: (QuadratureConfig field, dest of its --quad-* flag, type)
@@ -88,22 +83,22 @@ def _quad_config(args) -> QuadratureConfig:
             with open(path) as fh:
                 lines = fh.readlines()
         except OSError as exc:
-            raise CliParseError(f"cannot read config file {path!r}: {exc}") from exc
+            raise InputError(f"cannot read config file {path!r}: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise CliParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in _QUAD_KEYS:
-                raise CliParseError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
             name, _, convert = _QUAD_KEYS[key]
             try:
                 cfg[name] = convert(value)
             except ValueError as exc:
-                raise CliParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+                raise InputError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     for name, dest, _ in _QUAD_KEYS.values():
         if getattr(args, dest, None) is not None:
             cfg[name] = getattr(args, dest)
@@ -115,23 +110,16 @@ def _emit(rows: list[dict], args) -> None:
     try:
         out = sys.stdout if path in (None, "-") else open(path, "w")
     except OSError as exc:
-        raise CliParseError(f"cannot write output file {path!r}: {exc}") from exc
+        raise InputError(f"cannot write output file {path!r}: {exc}") from exc
     try:
         if getattr(args, "format", "csv") == "json":
             json.dump(rows, out, indent=2)
             out.write("\n")
-        else:
-            if rows:
-                cols = list(rows[0].keys())
-                writer = csv.writer(out, lineterminator="\n")
-                writer.writerow(cols)
-                for row in rows:
-                    writer.writerow(
-                        [
-                            _fmt(v) if isinstance(v, float) else str(v)
-                            for v in (row[c] for c in cols)
-                        ]
-                    )
+        elif rows:
+            writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({c: _fmt(v) if isinstance(v, float) else str(v) for c, v in row.items()})
     finally:
         if out is not sys.stdout:
             out.close()
@@ -148,7 +136,7 @@ def cmd_table_k(args) -> int:
     for n in range(2, args.n_max + 1):
         direct = closed_form.k_direct(n)
         recursive = closed_form.k_recursive(n)
-        if abs(direct - recursive) > 1e-9:
+        if abs(direct - recursive) > 1e-9 * max(1.0, abs(direct)):
             print(
                 f"k({n}): direct and recursive paths disagree "
                 f"({direct!r} vs {recursive!r})",
@@ -168,11 +156,10 @@ def cmd_dn(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    alphas = _parse_float_list(args.alphas)
     check_count("--n-max", args.n_max, 2)
     rows = [
         {"alpha": a, "n": n, "psi": closed_form.psi_bound(a, n)}
-        for a in alphas
+        for a in args.alphas
         for n in range(2, args.n_max + 1)
     ]
     _emit(rows, args)
@@ -184,7 +171,7 @@ def cmd_measure(args) -> int:
     design = parse_design(args.design, args.error_matrix)
     dist = parse_distribution(args.dist)
     if args.measure == "renyi" and args.alpha is None:
-        raise CliParseError("renyi needs --alpha")
+        raise InputError("renyi needs --alpha")
     sim = mc_oracle.SimConfig(replications=args.replications, seed=args.seed) if args.oracle else None
     if args.measure == "shannon":
         res = measures.shannon(design, dist, cfg, force_numeric=args.force_numeric)
@@ -217,12 +204,9 @@ def cmd_figure(args) -> int:
 
 def cmd_conjecture_scan(args) -> int:
     cfg = _quad_config(args)
-    grid = ScanGrid(
-        families=tuple(args.family) if args.family else DEFAULT_SCAN_FAMILIES,
-        ns=tuple(_parse_int_list(args.n_values)) if args.n_values else DEFAULT_SCAN_NS,
-        alphas=tuple(_parse_float_list(args.alphas)) if args.alphas else DEFAULT_SCAN_ALPHAS,
-        matrices=tuple(args.matrix) if args.matrix else DEFAULT_SCAN_MATRICES,
-    )
+    # only the axes given on the command line; ScanGrid's defaults fill the rest
+    axes = {"families": args.family, "ns": args.n_values, "alphas": args.alphas, "matrices": args.matrix}
+    grid = ScanGrid(**{axis: tuple(v) for axis, v in axes.items() if v is not None})
     report = run_conjecture_scan(grid, cfg)
     _emit(report.records, args)
     if report.violations:
@@ -252,31 +236,20 @@ def cmd_errata(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise CliParseError(f"bad number list {text!r}")
+# argparse type= converters; a ValueError becomes its "invalid <name> value" error
+def float_list(text: str) -> tuple[float, ...]:
+    """A comma list of numbers, e.g. ``1.5,2``."""
+    return tuple(float(t) for t in text.split(",") if t.strip())
 
 
-def _parse_int_list(text: str) -> list[int]:
+def int_list(text: str) -> tuple[int, ...]:
+    """A comma list of integers and inclusive ranges, e.g. ``2,4-8``; a
+    leading minus is a sign, not a range."""
     out: list[int] = []
-    for t in text.split(","):
-        t = t.strip()
-        if not t:
-            continue
-        if "-" in t[1:]:
-            lo, _, hi = t.partition("-")
-            try:
-                out.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise CliParseError(f"bad integer range {t!r}")
-        else:
-            try:
-                out.append(int(t))
-            except ValueError:
-                raise CliParseError(f"bad integer {t!r}")
-    return out
+    for t in filter(None, map(str.strip, text.split(","))):
+        lo, _, hi = t.partition("-") if "-" in t[1:] else (t, "", t)
+        out.extend(range(int(lo), int(hi) + 1))
+    return tuple(out)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -309,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("psi", help="alpha > 1 Renyi gap lower bound")
-    p.add_argument("--alphas", default="1.5,2,5")
+    p.add_argument("--alphas", type=float_list, default="1.5,2,5", help="comma list, e.g. 1.5,2")
     p.add_argument("--n-max", type=int, default=10)
     _add_common(p)
 
@@ -318,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True, help="srs:N | rss:N | irss:N:<matrix>")
     p.add_argument("--dist", required=True, help="e.g. exp:1, unif, norm:0,1, weibull:2,1")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--error-matrix", help="CSV matrix file for irss designs")
+    p.add_argument("--error-matrix", help="CSV matrix file for irss designs only")
     p.add_argument("--force-numeric", action="store_true")
     p.add_argument("--oracle", action="store_true", help="add a Monte Carlo column")
     p.add_argument("--seed", type=int, default=20240817)
@@ -334,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture-scan", help="scan the alpha > 1 Renyi ordering")
     p.add_argument("--family", action="append", help="repeatable distribution spec")
-    p.add_argument("--n-values", help="comma list / ranges, e.g. 2-8")
-    p.add_argument("--alphas", help="comma list of alpha > 1 values")
+    p.add_argument("--n-values", type=int_list, help="comma list / ranges, e.g. 2-8")
+    p.add_argument("--alphas", type=float_list, help="comma list of alpha > 1 values")
     p.add_argument("--matrix", action="append", help="repeatable matrix spec")
     _add_common(p)
 

@@ -58,7 +58,7 @@ def k_recursive(n: int) -> float:
     check_count("n", n, 1)
     k = 0.0  # single draw: RSS is SRS
     for m in range(1, n):
-        k = k + m + math.log(math.factorial(m)) - (m + 1) * math.log(m + 1)
+        k = k + m + math.lgamma(m + 1) - (m + 1) * math.log(m + 1)
     return k
 
 

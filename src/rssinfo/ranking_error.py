@@ -53,7 +53,7 @@ class RankingErrorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = np.array(self.entries, dtype=float)  # a copy: freezing must not reach the caller's array
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,24 @@ def rows_of(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def readme_commands():
+    """The ``sh`` block under "Command line" in README.md: each line's argv
+    after ``rssinfo``, and the exit code its comment documents (0 if none)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "rssinfo", line
+        documented = re.search(r"exits (\d)", comment)
+        yield pytest.param(argv, int(documented[1]) if documented else 0, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv, code", list(readme_commands()))
+def test_readme_commands_exit_as_documented(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
 def test_table_k_values_and_cross_check(capsys):
     code, out, _ = run(capsys, "table-k", "--n-max", "10")
     assert code == cli.EXIT_OK
@@ -31,6 +51,18 @@ def test_table_k_values_and_cross_check(capsys):
     assert [int(r["n"]) for r in rows] == list(range(2, 11))
     assert abs(float(rows[0]["k"]) - (-0.386)) < 1e-3
     assert abs(float(rows[-1]["k"]) - (-8.121)) < 1e-3
+
+
+def test_table_k_cross_check_is_relative(capsys, monkeypatch):
+    k_recursive = cf.k_recursive
+    # a rounding-level gap passes where |k(n)| is large: 1e-12 of |k(600)| ~ 1700 is above 1e-9
+    monkeypatch.setattr(cf, "k_recursive", lambda n: k_recursive(n) * (1.0 + 1e-12))
+    assert run(capsys, "table-k", "--n-max", "600")[0] == cli.EXIT_OK
+    # a real disagreement still fails, also where |k(n)| < 1
+    monkeypatch.setattr(cf, "k_recursive", lambda n: k_recursive(n) + 1e-6)
+    code, _, err = run(capsys, "table-k", "--n-max", "3")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert "disagree" in err
 
 
 def test_table_k_single_row(capsys):
@@ -165,13 +197,19 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "renyi", "--alpha", "inf", "--design", "rss:2", "--dist", "exp:1"),
         ("psi", "--alphas", "inf"),
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--seed", "-1"),
+        ("measure", "shannon", "--design", "rss:3:blend=0.5", "--dist", "exp:1"),
+        ("measure", "shannon", "--design", "srs:2:identity", "--dist", "exp:1"),
+        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--error-matrix", "{two_by_two}"),
+        ("conjecture-scan", "--n-values", "2-x"),
+        ("psi", "--alphas", "1,x"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
         "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",
-        "psi-alpha-inf", "oracle-negative-seed",
+        "psi-alpha-inf", "oracle-negative-seed", "rss-matrix-segment", "srs-matrix-segment",
+        "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
@@ -179,8 +217,11 @@ def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
     malformed.write_text("0.8,zero\n0.2,0.8\n")
     identity3 = tmp_path / "identity3.csv"
     identity3.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    two_by_two = tmp_path / "two_by_two.csv"
+    two_by_two.write_text("0.8,0.2\n0.2,0.8\n")
     paths = {
         "identity3": str(identity3),
+        "two_by_two": str(two_by_two),
         "missing": str(tmp_path / "absent.csv"),
         "malformed": str(malformed),
         "missing_dir": str(tmp_path / "absent" / "out.csv"),

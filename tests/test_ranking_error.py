@@ -37,6 +37,16 @@ def test_entries_are_read_only():
         P.entries[0, 0] = 0.5
 
 
+@pytest.mark.parametrize("build", [re.validate, re.RankingErrorMatrix])
+def test_the_callers_array_stays_writable(build):
+    a = np.array([[0.75, 0.25], [0.25, 0.75]])
+    P = build(a)
+    a[0, 0] = 0.6  # the matrix froze its own copy, not the caller's array
+    assert P.entries[0, 0] == 0.75
+    with pytest.raises(ValueError):
+        P.entries[0, 0] = 0.5
+
+
 def test_validate_rejects_bad_matrices():
     with pytest.raises(re.MatrixValidationError):
         re.validate([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])  # not square

@@ -45,7 +45,7 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
     """Parse ``kind:N[:matrix]`` design specs, e.g. ``rss:3`` or ``irss:2:p12=0.25``.
 
     The matrix segment is a builtin (identity, uniform, blend=W, p12=V) or a
-    CSV path; ``--error-matrix`` supplies it when the segment is absent.
+    CSV path; ``--error-matrix`` supplies it instead, never as well.
     ``Design`` decides which kinds take a matrix: irss needs one, srs and rss
     take none.
     """
@@ -57,6 +57,8 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
     except ValueError:
         raise InputError(f"bad set size {parts[0]!r} in design spec {spec!r}")
     if len(parts) > 1:
+        if matrix_path is not None:
+            raise InputError(f"design spec {spec!r} has a matrix segment, so --error-matrix would be ignored")
         P = parse_matrix(parts[1], n)
     elif matrix_path is not None:
         P = ranking_error.from_csv(matrix_path)
@@ -238,15 +240,15 @@ def cmd_errata(args) -> int:
 
 # argparse type= converters; a ValueError becomes its "invalid <name> value" error
 def float_list(text: str) -> tuple[float, ...]:
-    """A comma list of numbers, e.g. ``1.5,2``."""
-    return tuple(float(t) for t in text.split(",") if t.strip())
+    """A comma list of numbers, e.g. ``1.5,2``; an empty entry is an error."""
+    return tuple(float(t) for t in text.split(","))
 
 
 def int_list(text: str) -> tuple[int, ...]:
     """A comma list of integers and inclusive ranges, e.g. ``2,4-8``; a
-    leading minus is a sign, not a range."""
+    leading minus is a sign, not a range; an empty entry is an error."""
     out: list[int] = []
-    for t in filter(None, map(str.strip, text.split(","))):
+    for t in map(str.strip, text.split(",")):
         lo, _, hi = t.partition("-") if "-" in t[1:] else (t, "", t)
         out.extend(range(int(lo), int(hi) + 1))
     return tuple(out)

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import InputError, check_alpha, check_count
+from .distributions import Exponential
+from .errors import InputError, check_alpha, check_count, check_unit
 from .order_stats import _log_coeffs, beta_order_log_pdf, log_order_coeff
 from .ranking_error import RankingErrorMatrix
 
@@ -121,8 +122,7 @@ def psi_bound(alpha: float, n: int) -> float:
     Built from the modes of the Beta(i, n-i+1) kernels, with 0**0 = 1 at the
     rank extremes.  Lies in [n*a/(1-a) log n, 0) and is nonincreasing in n.
     """
-    if not 1.0 < alpha < math.inf:
-        raise InputError(f"psi_bound requires a finite alpha > 1, got {alpha}")
+    check_alpha(alpha, 1)
     check_count("n", n, 2)
     # the log Beta(i, n-i+1) density at its mode (i-1)/(n-1)
     terms = [beta_order_log_pdf(n, i, (i - 1) / (n - 1)) for i in range(1, n + 1)]
@@ -134,8 +134,7 @@ def eta(a: float) -> float:
 
     Equals -(2/(1-2a)) * int_a^{1-a} u log u du; symmetric about a = 1/2.
     """
-    if not 0.0 <= a <= 1.0:
-        raise InputError(f"eta argument must lie in [0, 1], got {a}")
+    check_unit("eta argument", a)
     d = 1.0 - 2.0 * a
     if abs(d) < 0.5:
         # near a = 1/2 the closed form below cancels; its series there,
@@ -149,8 +148,7 @@ def kl_row_2x2(a: float) -> float:
     """-log 2 - int_0^1 log(a + (1-2a) u) du, a row's share of K(SRS || P)
     for a 2 x 2 P with that diagonal entry: 1 - log 2 - [(1-a) log(1-a) -
     a log a] / (1-2a), 0 at a = 1/2 and 1 - log 2 at a = 0 or 1."""
-    if not 0.0 <= a <= 1.0:
-        raise InputError(f"2x2 row entry must lie in [0, 1], got {a}")
+    check_unit("2x2 row entry", a)
     d = 1.0 - 2.0 * a
     if abs(d) < 0.5:
         # near a = 1/2 the closed form below cancels; its series there,
@@ -166,8 +164,7 @@ def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None) -> f
     ranking error matrix (whose double stochasticity makes p22 = p11, so the
     (p22 - p11) term of the printed formula vanishes).
     """
-    if not lam > 0:
-        raise InputError("rate must be positive")
+    Exponential(lam)  # checks the rate
     if kind == "srs":
         return 2.0 - 2.0 * math.log(lam)
     if kind == "rss":
@@ -187,8 +184,7 @@ def exp_renyi(component: str, lam: float, alpha: float) -> float:
     ``component`` is 'srs' (total over both draws), 'order1', 'order2', or
     'rss' (sum of the two order-statistic pieces).
     """
-    if not lam > 0:
-        raise InputError("rate must be positive")
+    Exponential(lam)  # checks the rate
     check_alpha(alpha)
     om = 1.0 - alpha
     if component == "srs":

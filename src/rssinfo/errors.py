@@ -17,12 +17,19 @@ class DivergentIntegralError(ValueError):
         self.x, self.component = x, component
 
 
-def check_alpha(alpha: float) -> None:
-    """A Renyi order must be positive, finite and not 1, the Shannon case."""
-    if not 0.0 < alpha < math.inf:
-        raise InputError(f"alpha must be positive and finite, got {alpha}")
+def check_alpha(alpha: float, above: int = 0) -> None:
+    """A Renyi order must be finite, above ``above`` (0, or 1 where only alpha > 1
+    is meant) and not 1, the Shannon case."""
+    if not above < alpha < math.inf:
+        raise InputError(f"alpha must be finite and above {above}, got {alpha}")
     if alpha == 1.0:
         raise InputError("alpha = 1 is the Shannon case; use shannon()")
+
+
+def check_unit(what: str, x: float) -> None:
+    """A weight or probability lies in [0, 1]."""
+    if not 0.0 <= x <= 1.0:
+        raise InputError(f"{what} must lie in [0, 1], got {x}")
 
 
 def check_count(what: str, value, least: int) -> None:

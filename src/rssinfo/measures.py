@@ -339,8 +339,7 @@ def renyi_gap_binomial(
     f^alpha / int f^alpha.  Its integrals are the identity and uniform rows
     of ``renyi``'s, so this is the same route, not a second one; Monte Carlo
     is Renyi's independent check."""
-    if alpha <= 1.0:
-        raise InputError(f"binomial-representation gap requires alpha > 1, got {alpha}")
+    check_alpha(alpha, 1)
     check_count("n", n, 1)
     if n == 1:
         return _closed(0.0)

@@ -2,7 +2,8 @@
 
 Rows index the judged rank i, columns the true rank r; entry p[i, r] is the
 probability that the unit judged to have rank i is truly the r-th order
-statistic.  Valid matrices are doubly stochastic.
+statistic.  Every matrix is doubly stochastic: construction checks it, so
+each builder here hands out a checked matrix.
 
 ``blend`` (so ``identity`` and ``uniform``) is memoized on (n, w); ``two_by_two``
 and ``from_csv`` are not.  Entries are read-only, so callers share them.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_count, check_rank
+from .errors import InputError, check_count, check_rank, check_unit
 
 _TOL = 1e-12
 MEMO_SIZE = 256  # entries a memo keeps; the default scan needs 35 blends, 14 row sets and 14 kernels
@@ -50,10 +51,23 @@ class MatrixValidationError(InputError):
 
 @dataclass(frozen=True)
 class RankingErrorMatrix:
+    """A non-empty square matrix with entries in [0, 1], every row and column
+    summing to 1; construction checks the copy it freezes."""
+
     entries: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)  # a copy: freezing must not reach the caller's array
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise MatrixValidationError(f"matrix must be square and non-empty, got shape {arr.shape}")
+        outside = np.argwhere(~((arr >= 0.0) & (arr <= 1.0 + _TOL)))  # NaN included
+        if outside.size:
+            i, r = outside[0]
+            raise MatrixValidationError(f"entry ({i + 1}, {r + 1}) is {float(arr[i, r])}, outside [0, 1]")
+        for what, sums in (("row", arr.sum(axis=1)), ("column", arr.sum(axis=0))):
+            bad = np.flatnonzero(np.abs(sums - 1.0) > _TOL)
+            if bad.size:
+                raise MatrixValidationError(f"{what} {bad[0] + 1} sums to {float(sums[bad[0]])}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -67,29 +81,7 @@ class RankingErrorMatrix:
         return self.entries[i - 1]
 
 
-def validate(raw) -> RankingErrorMatrix:
-    """Check a raw square matrix: entries in [0, 1], every row and column
-    summing to 1."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise MatrixValidationError(f"matrix must be square, got shape {arr.shape}")
-    neg = np.argwhere(arr < 0.0)
-    if neg.size:
-        i, r = neg[0]
-        raise MatrixValidationError(f"negative entry at ({i + 1}, {r + 1})")
-    if np.any(arr > 1.0 + _TOL):
-        raise MatrixValidationError("entries must lie in [0, 1]")
-    rows = arr.sum(axis=1)
-    cols = arr.sum(axis=0)
-    bad_row = np.argwhere(np.abs(rows - 1.0) > _TOL)
-    if bad_row.size:
-        i = int(bad_row[0][0])
-        raise MatrixValidationError(f"row {i + 1} sums to {rows[i]!r}, expected 1")
-    bad_col = np.argwhere(np.abs(cols - 1.0) > _TOL)
-    if bad_col.size:
-        r = int(bad_col[0][0])
-        raise MatrixValidationError(f"column {r + 1} sums to {cols[r]!r}, expected 1")
-    return RankingErrorMatrix(arr)
+validate = RankingErrorMatrix  # the constructor is the check, under the name that says so
 
 
 def identity(n: int) -> RankingErrorMatrix:
@@ -104,8 +96,7 @@ def uniform(n: int) -> RankingErrorMatrix:
 
 def two_by_two(p12: float) -> RankingErrorMatrix:
     """2x2 matrix with off-diagonal p12 (double stochasticity forces symmetry)."""
-    if not 0.0 <= p12 <= 1.0:
-        raise InputError(f"p12 must lie in [0, 1], got {p12}")
+    check_unit("p12", p12)
     return RankingErrorMatrix(
         np.array([[1.0 - p12, p12], [p12, 1.0 - p12]])
     )
@@ -113,8 +104,7 @@ def two_by_two(p12: float) -> RankingErrorMatrix:
 
 def blend(n: int, w: float) -> RankingErrorMatrix:
     """Convex combination w * identity + (1 - w) * uniform; doubly stochastic."""
-    if not 0.0 <= w <= 1.0:
-        raise InputError(f"blend weight must lie in [0, 1], got {w}")
+    check_unit("blend weight", w)
     check_count("n", n, 1)
     return _blend(n, w)
 
@@ -137,7 +127,7 @@ def from_csv(path) -> RankingErrorMatrix:
 
 def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
     """An n x n matrix from a spec: ``identity``, ``uniform``, ``blend=W``,
-    ``p12=V`` (2 x 2 only), or a CSV path, whose size ``Design`` checks."""
+    ``p12=V`` (2 x 2), or a CSV path; ``Design`` checks its size."""
     spec = spec.strip()
     try:
         if spec == "identity":
@@ -147,8 +137,6 @@ def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
         if spec.startswith("blend="):
             return blend(n, float(spec[len("blend=") :]))
         if spec.startswith("p12="):
-            if n != 2:
-                raise MatrixValidationError("p12=... matrices are 2x2 only")
             return two_by_two(float(spec[len("p12=") :]))
     except ValueError as exc:
         raise MatrixValidationError(f"bad matrix spec {spec!r}: {exc}") from exc

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import closed_form, measures, ranking_error
 from .distributions import Exponential, parse_distribution
-from .errors import InputError, check_count
+from .errors import InputError, check_alpha, check_count
 from .measures import Design
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 
@@ -35,11 +35,8 @@ class ScanGrid:
             raise InputError("scan grid axes must be non-empty")
         for n in self.ns:
             check_count("scan set size", n, 1)
-        bad = [a for a in self.alphas if a <= 1.0]
-        if bad:
-            raise InputError(
-                f"conjecture scan covers alpha > 1 only (alpha <= 1 is proved); got {bad}"
-            )
+        for alpha in self.alphas:
+            check_alpha(alpha, 1)  # the scan covers alpha > 1 only: alpha <= 1 is proved
 
 
 @dataclass

@@ -148,6 +148,24 @@ def test_measure_oracle_column_includes_std_error(capsys):
     assert abs(float(row["oracle"]) - float(row["value"])) < 4.0 * float(row["oracle_std_error"])
 
 
+def test_measure_kl_oracle_agrees_with_d2(capsys):
+    code, out, _ = run(
+        capsys, "measure", "kl", "--design", "rss:2", "--dist", "exp:1",
+        "--oracle", "--replications", "20000",
+    )
+    assert code == cli.EXIT_OK
+    row = rows_of(out)[0]
+    assert abs(float(row["oracle"]) - cf.d_n(2)) < 4.0 * float(row["oracle_std_error"])
+
+
+def test_divergent_integral_exits_three_without_traceback(capsys):
+    # int f^5 of weibull(0.3) diverges at 0: s = (alpha (k - 1) + 1) / k < 0
+    code, _, err = run(capsys, "measure", "renyi", "--design", "rss:3", "--dist", "weibull:0.3", "--alpha", "5")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert err.startswith("error: renyi integrand exceeds the float range")
+    assert "Traceback" not in err
+
+
 def test_measure_oracle_runs_below_one_default_batch(capsys):
     code, out, _ = run(
         capsys, "measure", "shannon", "--design", "rss:2", "--dist", "exp:1",
@@ -202,6 +220,9 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--error-matrix", "{two_by_two}"),
         ("conjecture-scan", "--n-values", "2-x"),
         ("psi", "--alphas", "1,x"),
+        ("measure", "shannon", "--design", "irss:2:identity", "--dist", "exp:1", "--error-matrix", "{two_by_two}"),
+        ("psi", "--alphas", ","),
+        ("conjecture-scan", "--n-values", ""),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
@@ -209,7 +230,8 @@ def test_parse_errors_exit_two(capsys):
         "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",
         "psi-alpha-inf", "oracle-negative-seed", "rss-matrix-segment", "srs-matrix-segment",
-        "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list",
+        "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list", "irss-segment-and-error-matrix",
+        "psi-empty-alphas", "scan-empty-n-values",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):

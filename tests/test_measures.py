@@ -542,6 +542,10 @@ EXP1 = Exponential(1.0)
         lambda: re.identity(3).row(1.5),
         lambda: mc.sample_judged(EXP1, 3, re.identity(3), 1.5, np.random.default_rng(0)),
         lambda: mc.sample_order_stat(EXP1, 3, 1.5, np.random.default_rng(0)),
+        *(lambda lam=lam: cf.exp_shannon("srs", lam) for lam in (math.inf, math.nan, 0.0, -1.0)),
+        *(lambda lam=lam: cf.exp_renyi("srs", lam, 2.0) for lam in (math.inf, math.nan, 0.0, -1.0)),
+        lambda: ScanGrid(alphas=(math.nan,)),
+        lambda: cf.psi_bound(math.nan, 3),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -563,6 +567,9 @@ EXP1 = Exponential(1.0)
         "k_direct-n-float", "blend-n-float", "figure-points-float",
         "h_uniform_order-rank-float", "order_coeff-rank-float", "beta_order-rank-float", "row-float",
         "sample_judged-rank-float", "sample_order_stat-rank-float",
+        "exp_shannon-rate-inf", "exp_shannon-rate-nan", "exp_shannon-rate-zero", "exp_shannon-rate-negative",
+        "exp_renyi-rate-inf", "exp_renyi-rate-nan", "exp_renyi-rate-zero", "exp_renyi-rate-negative",
+        "scan-alpha-nan", "psi-alpha-nan",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

@@ -97,6 +97,14 @@ def test_result_shape_follows_the_integrand():
     assert type(vector.converged) is bool and type(vector.subdivisions_used) is int
 
 
+def test_constant_integrand_is_broadcast_over_the_nodes():
+    scalar = integrate(lambda u: 2.0, 0.0, 1.0)
+    assert scalar.converged and abs(scalar.value - 2.0) <= scalar.error_estimate
+    vector = integrate(lambda u: np.array([[1.0], [2.0]]), 0.0, 1.0)
+    assert vector.converged
+    np.testing.assert_allclose(vector.value, [1.0, 2.0], rtol=1e-14)
+
+
 def test_infinite_panel_error_does_not_stall_the_loop():
     # The first panel's fitted endpoint power law has p >= 1, so its error is
     # infinite; once that panel is split, the running error must not stay NaN.

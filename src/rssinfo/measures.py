@@ -15,9 +15,12 @@ judged weights alone: closed for the uniform matrix, the identity and every
 closed for the same three classes.  Renyi is closed for the uniform matrix,
 n H_a(f), wherever int f^alpha is finite, and for the identity on a uniform
 or exponential parent, a sum of Beta integrals at every real alpha.
-``kl_two_sample`` and ``a_n(mode="sum")`` have no closed form.  The
-``mode="x"`` Shannon and KL verification routes integrate over x instead,
-through one x-space helper.
+``kl_two_sample`` has no closed form.  The derived measures keep no
+integrand of their own: ``a_n(mode="sum")`` is K(RSS_F || RSS_G) less
+K(SRS_F || SRS_G), two ``kl_two_sample`` calls, and ``kld_symmetric`` the sum
+of two.  The ``mode="x"`` verification routes integrate over x instead:
+Shannon is ``entropy_integral`` of the judged densities, KL its own
+integrand of the judged log weights.
 
 The one-law measures compute on the standard law ``dist.standard()``
 (location 0, scale 1).  Location and scale enter only in
@@ -43,14 +46,7 @@ from . import closed_form, ranking_error
 from .distributions import Distribution, Exponential, Uniform
 from .errors import DivergentIntegralError, InputError, check_alpha, check_count, check_dimension, check_shared
 from .order_stats import judged_log_pdf, judged_log_weight
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    QuadratureResult,
-    integrate,  # noqa: F401  (perfbench's tracer and its contract test read measures.integrate)
-    integrate_support,
-    integrate_unit,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, entropy_integral, integrate_support, integrate_unit
 from .ranking_error import RankingErrorMatrix
 
 
@@ -126,6 +122,16 @@ def _from_quad(value: float, err: float, r: QuadratureResult) -> MeasureResult:
     )
 
 
+def _joined(a: MeasureResult, b: MeasureResult, sign: float) -> MeasureResult:
+    """a + sign * b of two quadrature results: errors and subdivisions add,
+    and it converged only if both did."""
+    diagnostics = {
+        "converged": a.diagnostics["converged"] and b.diagnostics["converged"],
+        "subdivisions": a.diagnostics["subdivisions"] + b.diagnostics["subdivisions"],
+    }
+    return MeasureResult(a.value + sign * b.value, a.error_estimate + b.error_estimate, "quadrature", diagnostics)
+
+
 def _check_mode(mode: str, modes: tuple[str, ...]) -> None:
     if mode not in modes:
         raise InputError(f"unknown mode {mode!r}; expected one of {', '.join(modes)}")
@@ -181,20 +187,6 @@ def _of_log_weight(g, rows):
     return lambda F, S: g(log_weight(F, S), F, S)
 
 
-def _x_space(design: Design, dist: Distribution, g, cfg: QuadratureConfig) -> MeasureResult:
-    """sum_i int g(f(x), log w_i(x)) dx over ``dist``'s support, each distinct
-    row integrated once: the x-space verification route of Shannon and KL."""
-    rows, (counts,) = _distinct_rows(design.matrix.entries)
-    log_weight = judged_log_weight(rows)
-
-    def integrand(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return g(dist.pdf(x), log_weight(dist.cdf(x), dist.survival(x)))
-
-    r = integrate_support(integrand, dist.support, cfg)
-    return _weighted(r.value, r.error_estimate, counts, r)
-
-
 # ---------------------------------------------------------------------------
 # Shannon entropy
 # ---------------------------------------------------------------------------
@@ -220,7 +212,10 @@ def shannon(
     _check_mode(mode, ("u", "x"))
     std = dist.standard()
     if mode == "x":
-        res = _x_space(design, std, _entropy_term, cfg)
+        rows, (counts,) = _distinct_rows(design.matrix.entries)
+        log_pdf = judged_log_pdf(std, rows)
+        r = entropy_integral(lambda x: np.exp(log_pdf(x)), std.support, cfg)
+        res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         integrand, what = partial(_of_log_weight, lambda lw, F, S: np.exp(lw) * lw), "shannon integrand is not finite"
         (d,) = _route([design.matrix.entries], _shannon_closed_form, integrand, cfg, what, force_numeric=force_numeric)
@@ -261,12 +256,6 @@ _shannon_closed_form = _divergence_closed_form(
 _kl_closed_form = _divergence_closed_form(
     lambda n: closed_form.d_n(n), lambda a, b: closed_form.kl_row_2x2(a) + closed_form.kl_row_2x2(b)
 )
-
-
-def _entropy_term(f, log_w):
-    """-f_i log f_i of the component density f_i = w_i f, with 0 log 0 = 0."""
-    log_fi = log_w + np.log(f)
-    return np.where(log_fi > -np.inf, -np.exp(log_fi) * log_fi, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +363,17 @@ def kl_srs_vs_design(
     if mode == "x":
         if dist is None:
             raise InputError("x-space verification mode needs a distribution")
-        # below ~1e-300 the density kills any log factor; avoid 0 * inf
-        res = _x_space(design, dist.standard(), lambda f, log_w: np.where(f > 1e-300, -f * log_w, 0.0), cfg)
+        std = dist.standard()
+        rows, (counts,) = _distinct_rows(design.matrix.entries)
+        log_weight = judged_log_weight(rows)
+
+        def integrand(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = std.pdf(x)  # below ~1e-300 it kills any log factor; avoid 0 * inf
+                return np.where(f > 1e-300, -f * log_weight(std.cdf(x), std.survival(x)), 0.0)
+
+        r = integrate_support(integrand, std.support, cfg)
+        res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         integrand, what = partial(_of_log_weight, lambda lw, F, S: -lw), "KL integrand is not finite"
         (res,) = _route([design.matrix.entries], _kl_closed_form, integrand, cfg, what, force_numeric=force_numeric)
@@ -422,12 +420,7 @@ def kld_symmetric(
 ) -> MeasureResult:
     """Symmetrized divergence K(X, Y) + K(Y, X)."""
     fwd = kl_two_sample(design_x, dist_f, design_y, dist_g, cfg)
-    bwd = kl_two_sample(design_y, dist_g, design_x, dist_f, cfg)
-    diagnostics = {
-        "converged": fwd.diagnostics["converged"] and bwd.diagnostics["converged"],
-        "subdivisions": fwd.diagnostics["subdivisions"] + bwd.diagnostics["subdivisions"],
-    }
-    return MeasureResult(fwd.value + bwd.value, fwd.error_estimate + bwd.error_estimate, "quadrature", diagnostics)
+    return _joined(fwd, kl_two_sample(design_y, dist_g, design_x, dist_f, cfg), 1.0)
 
 
 def a_n(
@@ -441,8 +434,9 @@ def a_n(
 
     ``mode='reduced'`` (default) evaluates
     -n(n-1)/2 - n(n-1) int_0^1 [u log G(F^-1(u)) + (1-u) log Gbar(F^-1(u))] du;
-    ``mode='sum'`` evaluates the defining sum over beta-weighted components as
-    a verification route.  Both vanish at F = G and at n = 1.
+    ``mode='sum'`` evaluates the definition, K(RSS_F, RSS_G) - K(SRS_F, SRS_G),
+    by two ``kl_two_sample`` calls as a verification route.  Both vanish at
+    F = G and at n = 1.
     """
     _check_mode(mode, ("reduced", "sum"))
     check_count("n", n, 1)
@@ -450,19 +444,8 @@ def a_n(
         return _closed(0.0)
     if mode == "reduced":
         return _a_n_reduced(dist_f, dist_g, n, cfg, closed_form.xlogy, "A_n integrand is not integrable")
-    below = np.arange(n)[:, None]  # ranks below and above rank i = 1..n
-    above = n - 1 - below
-
-    def term(log_beta, F, S):  # the identity's distinct rows are its rows, rank i = 1..n in order
-        w = np.exp(log_beta)
-        x = dist_f.quantile(F, S)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lower = np.where(below > 0, below * (np.log(F) - np.log(dist_g.cdf(x))), 0.0)
-            upper = np.where(above > 0, above * (np.log(S) - np.log(dist_g.survival(x))), 0.0)
-            return np.where(w > 0.0, w * (lower + upper), 0.0)
-
-    what = "A_n integrand is not integrable"
-    return _route([np.eye(n)], None, partial(_of_log_weight, term), cfg, what, force_numeric=True)[0]
+    rss, srs = (kl_two_sample(Design(kind, n), dist_f, Design(kind, n), dist_g, cfg) for kind in (PERFECT_RSS, SRS))
+    return _joined(rss, srs, -1.0)
 
 
 def a_n_printed_reduced(

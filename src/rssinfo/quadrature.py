@@ -169,6 +169,8 @@ def _panels(f, edges, lo: float, hi: float):
     fx = np.asarray(f(x.ravel()), dtype=float)
     vector = fx.ndim == 2
     if fx.shape[-1:] != (x.size,):  # a constant integrand
+        if fx.ndim and fx.shape[1:] != (1,):
+            raise InputError(f"integrand shape {fx.shape} at {x.size} points is not (m,), (k, m), a constant scalar or (k, 1)")
         fx = np.broadcast_to(fx, (fx.shape[0] if vector else 1, x.size))
     fx = fx.reshape(-1, *x.shape)
     if not np.isfinite(fx).all():
@@ -217,9 +219,11 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
     """Adaptive integral of ``f`` over the finite interval (a, b).
 
     ``f`` takes a 1-D array of m points and returns shape (m,), or (k, m)
-    for k integrands on shared panels.  ``value`` and ``error_estimate`` are
-    floats for an (m,) output and (k,) arrays for a (k, m) one; ``converged``
-    holds only if every component meets max(abs_tol, rel_tol * |I_c|).
+    for k integrands on shared panels; a constant may return a scalar or
+    (k, 1), and any other shape raises InputError.  ``value`` and
+    ``error_estimate`` are floats for an (m,) output and (k,) arrays for a
+    (k, m) one; ``converged`` holds only if every component meets
+    max(abs_tol, rel_tol * |I_c|).
     The first call of ``f`` evaluates the panels between a, the increasing
     interior ``breaks`` (at most max_subdivisions of them, a prefix) and b;
     each break counts as one subdivision.  The panel split next is the one

@@ -26,6 +26,13 @@ def rows_of(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def run_python(*argv):
+    """A fresh interpreter on ``argv``, with this checkout's ``src`` first on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
 def readme_commands():
     """The ``sh`` block under "Command line" in README.md: each line's argv
     after ``rssinfo``, and the exit code its comment documents (0 if none)."""
@@ -223,6 +230,8 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "irss:2:identity", "--dist", "exp:1", "--error-matrix", "{two_by_two}"),
         ("psi", "--alphas", ","),
         ("conjecture-scan", "--n-values", ""),
+        ("measure", "shannon", "--design", "rss", "--dist", "exp:1"),
+        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--config", "{bad_value_config}"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
@@ -231,7 +240,7 @@ def test_parse_errors_exit_two(capsys):
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",
         "psi-alpha-inf", "oracle-negative-seed", "rss-matrix-segment", "srs-matrix-segment",
         "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list", "irss-segment-and-error-matrix",
-        "psi-empty-alphas", "scan-empty-n-values",
+        "psi-empty-alphas", "scan-empty-n-values", "design-missing-set-size", "config-bad-value",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
@@ -241,7 +250,10 @@ def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
     identity3.write_text("1,0,0\n0,1,0\n0,0,1\n")
     two_by_two = tmp_path / "two_by_two.csv"
     two_by_two.write_text("0.8,0.2\n0.2,0.8\n")
+    bad_value_config = tmp_path / "bad_value.cfg"
+    bad_value_config.write_text("quad.abs_tol = x\n")
     paths = {
+        "bad_value_config": str(bad_value_config),
         "identity3": str(identity3),
         "two_by_two": str(two_by_two),
         "missing": str(tmp_path / "absent.csv"),
@@ -341,6 +353,14 @@ def test_figure_two_a_perfect_column_matches_gap(capsys):
         alpha = float(row["alpha"])
         gap = cf.exp_renyi("rss", 1.0, alpha) - cf.exp_renyi("srs", 1.0, alpha)
         assert abs(float(row["p11_1"]) - gap) < 1e-6
+
+
+def test_figure_two_a_drops_the_alpha_one_row(capsys):
+    code, out, _ = run(capsys, "figure", "--id", "2a", "--points", "25")  # alpha steps by 0.2 from 0.2
+    assert code == cli.EXIT_OK
+    alphas = [float(row["alpha"]) for row in rows_of(out)]
+    assert len(alphas) == 24
+    assert all(abs(alpha - 1.0) > 1e-9 for alpha in alphas)
 
 
 def test_figure_bad_id(capsys):
@@ -469,13 +489,19 @@ ONE_SHOT = (
     ],
 )
 def test_one_shot_measure_imports_scipy_only_for_the_normal_family(dist, value, needs_scipy, call):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-c", ONE_SHOT, *call.split(), "--dist", dist]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", ONE_SHOT, *call.split(), "--dist", dist)
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout)
     assert res["code"] == cli.EXIT_OK
     (rec,) = res["records"]
     assert abs(rec["value"] - value) <= rec["error"]  # a closed form has error 0
     assert bool(res["scipy"]) == needs_scipy, res["scipy"]
+
+
+def test_module_entry_point_runs_as_documented():
+    proc = run_python("-m", "rssinfo.cli", "table-k", "--n-max", "3")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    rows = rows_of(proc.stdout)
+    assert [row["n"] for row in rows] == ["2", "3"]
+    for row in rows:
+        assert float(row["k"]) == pytest.approx(cf.k_direct(int(row["n"])), rel=1e-11)

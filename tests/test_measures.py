@@ -442,6 +442,22 @@ def test_a_n_reduced_equals_sum_and_vanishes_at_equal_laws():
     assert M.a_n(f, g, 1).value == 0.0
 
 
+def test_a_n_sum_is_two_two_sample_kls():
+    f, g = Exponential(1.0), Exponential(2.0)
+    for cfg in (DEFAULT_CONFIG, QuadratureConfig(max_subdivisions=1)):
+        for n in (2, 3, 8):
+            rss, srs = (M.kl_two_sample(Design(kind, n), f, Design(kind, n), g, cfg) for kind in ("rss", "srs"))
+            summed = M.a_n(f, g, n, cfg, mode="sum")
+            assert summed.value == rss.value - srs.value, (cfg, n)
+            assert summed.error_estimate == rss.error_estimate + srs.error_estimate
+            assert summed.diagnostics == {
+                "converged": rss.diagnostics["converged"] and srs.diagnostics["converged"],
+                "subdivisions": rss.diagnostics["subdivisions"] + srs.diagnostics["subdivisions"],
+            }
+    # a starved leg makes the difference not converged
+    assert not M.a_n(f, g, 3, QuadratureConfig(max_subdivisions=1), mode="sum").diagnostics["converged"]
+
+
 def test_a_n_decomposes_rss_vs_rss():
     f, g = Exponential(1.0), Exponential(2.0)
     n = 3
@@ -546,6 +562,7 @@ EXP1 = Exponential(1.0)
         *(lambda lam=lam: cf.exp_renyi("srs", lam, 2.0) for lam in (math.inf, math.nan, 0.0, -1.0)),
         lambda: ScanGrid(alphas=(math.nan,)),
         lambda: cf.psi_bound(math.nan, 3),
+        lambda: ScanGrid(ns=()),
     ],
     ids=[
         "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -569,7 +586,7 @@ EXP1 = Exponential(1.0)
         "sample_judged-rank-float", "sample_order_stat-rank-float",
         "exp_shannon-rate-inf", "exp_shannon-rate-nan", "exp_shannon-rate-zero", "exp_shannon-rate-negative",
         "exp_renyi-rate-inf", "exp_renyi-rate-nan", "exp_renyi-rate-zero", "exp_renyi-rate-negative",
-        "scan-alpha-nan", "psi-alpha-nan",
+        "scan-alpha-nan", "psi-alpha-nan", "scan-empty-ns",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):

@@ -60,7 +60,7 @@ def test_traced_measure_runs_and_counts():
     assert res.diagnostics["converged"]
     assert tracer.counts["quadrature.integrals"] == 1
     assert tracer.counts["quadrature.integrand_points"] > 0
-    assert not hasattr(rssinfo.measures.integrate, "_perfbench_traced")  # uninstalled
+    assert not hasattr(rssinfo.quadrature.integrate, "_perfbench_traced")  # uninstalled
 
 
 def test_tracer_wraps_the_cached_parser(capsys):

@@ -7,7 +7,7 @@ import pytest
 from rssinfo import quadrature as Q
 from rssinfo.closed_form import d_n, k_direct
 from rssinfo.distributions import Exponential, Support
-from rssinfo.errors import DivergentIntegralError
+from rssinfo.errors import DivergentIntegralError, InputError
 from rssinfo import ranking_error as re
 from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
 from rssinfo.quadrature import (
@@ -103,6 +103,12 @@ def test_constant_integrand_is_broadcast_over_the_nodes():
     vector = integrate(lambda u: np.array([[1.0], [2.0]]), 0.0, 1.0)
     assert vector.converged
     np.testing.assert_allclose(vector.value, [1.0, 2.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 1, 1)])
+def test_integrand_of_no_accepted_shape_raises_input_error(shape):
+    with pytest.raises(InputError, match=r"\(m,\), \(k, m\), a constant scalar or \(k, 1\)"):
+        integrate(lambda u: np.ones(shape), 0.0, 1.0)
 
 
 def test_infinite_panel_error_does_not_stall_the_loop():

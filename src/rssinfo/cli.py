@@ -67,11 +67,11 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
     return Design(kind, n, P)
 
 
-# config-file key: (QuadratureConfig field, dest of its --quad-* flag, type)
+# config-file key quad.x_y and its flag --quad-x-y: (QuadratureConfig field, also the flag's dest; type)
 _QUAD_KEYS = {
-    "quad.abs_tol": ("abs_tol", "quad_abs_tol", float),
-    "quad.rel_tol": ("rel_tol", "quad_rel_tol", float),
-    "quad.max_subdiv": ("max_subdivisions", "quad_max_subdiv", int),
+    "quad.abs_tol": ("abs_tol", float),
+    "quad.rel_tol": ("rel_tol", float),
+    "quad.max_subdiv": ("max_subdivisions", int),
 }
 
 
@@ -79,8 +79,7 @@ def _quad_config(args) -> QuadratureConfig:
     """QuadratureConfig's defaults, overridden by the config file, then by
     each --quad-* flag."""
     cfg = {}
-    path = getattr(args, "config", None)
-    if path:
+    if path := args.config:
         try:
             with open(path) as fh:
                 lines = fh.readlines()
@@ -96,25 +95,33 @@ def _quad_config(args) -> QuadratureConfig:
             key = key.strip()
             if key not in _QUAD_KEYS:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            name, _, convert = _QUAD_KEYS[key]
+            name, convert = _QUAD_KEYS[key]
             try:
                 cfg[name] = convert(value)
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    for name, dest, _ in _QUAD_KEYS.values():
-        if getattr(args, dest, None) is not None:
-            cfg[name] = getattr(args, dest)
+    cfg.update(_given(args, *(name for name, _ in _QUAD_KEYS.values())))
     return QuadratureConfig(**cfg)
 
 
+def _given(args, *dests: str) -> dict:
+    """The options of ``dests`` given: argparse leaves the others None, so the library's defaults hold."""
+    return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
+
+
+def _reject(args, why: str, *dests: str) -> None:
+    if given := _given(args, *dests):
+        raise InputError(" and ".join("--" + d.replace("_", "-") for d in given) + f" would be ignored {why}")
+
+
 def _emit(rows: list[dict], args) -> None:
-    path = getattr(args, "out", None)
+    path = args.out
     try:
         out = sys.stdout if path in (None, "-") else open(path, "w")
     except OSError as exc:
         raise InputError(f"cannot write output file {path!r}: {exc}") from exc
     try:
-        if getattr(args, "format", "csv") == "json":
+        if args.format == "json":
             json.dump(rows, out, indent=2)
             out.write("\n")
         elif rows:
@@ -172,43 +179,45 @@ def cmd_measure(args) -> int:
     cfg = _quad_config(args)
     design = parse_design(args.design, args.error_matrix)
     dist = parse_distribution(args.dist)
-    if args.measure == "renyi" and args.alpha is None:
+    if args.measure != "renyi":
+        _reject(args, f"by {args.measure}", "alpha")
+    elif args.alpha is None:
         raise InputError("renyi needs --alpha")
-    sim = mc_oracle.SimConfig(replications=args.replications, seed=args.seed) if args.oracle else None
+    if args.oracle:
+        sim = mc_oracle.SimConfig(**_given(args, "replications", "seed"))
+    else:
+        _reject(args, "without --oracle", "seed", "replications")
     if args.measure == "shannon":
         res = measures.shannon(design, dist, cfg, force_numeric=args.force_numeric)
+        oracle = functools.partial(mc_oracle.mc_entropy, design, dist)
     elif args.measure == "renyi":
         res = measures.renyi(design, dist, args.alpha, cfg, force_numeric=args.force_numeric)
+        oracle = functools.partial(mc_oracle.mc_renyi, design, dist, args.alpha)
     else:
         res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
+        oracle = functools.partial(mc_oracle.mc_kl, Design("srs", design.n, m=design.m), dist, design, dist)
     rec = measures.result_record(args.measure, design, dist, res, args.alpha)
     if args.oracle:
-        if args.measure == "shannon":
-            est = mc_oracle.mc_entropy(design, dist, sim)
-        elif args.measure == "renyi":
-            est = mc_oracle.mc_renyi(design, dist, args.alpha, sim)
-        else:
-            est = mc_oracle.mc_kl(Design("srs", design.n, m=design.m), dist, design, dist, sim)
+        est = oracle(sim)
         rec["oracle"] = est.estimate
         rec["oracle_std_error"] = est.std_error
     _emit([rec], args)
-    if res.method == "quadrature" and not res.diagnostics.get("converged", True):
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return EXIT_OK if res.diagnostics["converged"] else EXIT_NO_CONVERGENCE
 
 
 def cmd_figure(args) -> int:
     cfg = _quad_config(args)
-    rows = figure_curve(args.figure_id, args.points, args.alpha_min, args.alpha_max, cfg)
+    if args.figure_id == "1":
+        _reject(args, "by figure 1", "alpha_min", "alpha_max")
+    rows = figure_curve(args.figure_id, args.points, cfg=cfg, **_given(args, "alpha_min", "alpha_max"))
     _emit(rows, args)
     return EXIT_OK
 
 
 def cmd_conjecture_scan(args) -> int:
     cfg = _quad_config(args)
-    # only the axes given on the command line; ScanGrid's defaults fill the rest
-    axes = {"families": args.family, "ns": args.n_values, "alphas": args.alphas, "matrices": args.matrix}
-    grid = ScanGrid(**{axis: tuple(v) for axis, v in axes.items() if v is not None})
+    axes = _given(args, "families", "ns", "alphas", "matrices")
+    grid = ScanGrid(**{axis: tuple(v) for axis, v in axes.items()})
     report = run_conjecture_scan(grid, cfg)
     _emit(report.records, args)
     if report.violations:
@@ -254,18 +263,16 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--config", help="key=value config file (quad.* keys)")
-    for _, dest, convert in _QUAD_KEYS.values():
-        p.add_argument("--" + dest.replace("_", "-"), type=convert, dest=dest)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call; later calls return the same
     object, so callers must not mutate it."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", help="write output to this path instead of stdout")
+    shared.add_argument("--format", choices=("csv", "json"), default="csv")
+    shared.add_argument("--config", help="key=value config file (quad.* keys)")
+    for key, (name, convert) in _QUAD_KEYS.items():
+        shared.add_argument("--" + key.replace(".", "-").replace("_", "-"), type=convert, dest=name)
     parser = _Parser(
         prog="rssinfo",
         description=(
@@ -274,48 +281,42 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[shared])
 
-    p = sub.add_parser("table-k", help="distribution-free Shannon gap k(n)")
+    p = add("table-k", help="distribution-free Shannon gap k(n)")
     p.add_argument("--n-max", type=int, default=10)
-    _add_common(p)
 
-    p = sub.add_parser("dn", help="distribution-free KL constant d_n")
+    p = add("dn", help="distribution-free KL constant d_n")
     p.add_argument("--n-max", type=int, default=10)
-    _add_common(p)
 
-    p = sub.add_parser("psi", help="alpha > 1 Renyi gap lower bound")
+    p = add("psi", help="alpha > 1 Renyi gap lower bound")
     p.add_argument("--alphas", type=float_list, default="1.5,2,5", help="comma list, e.g. 1.5,2")
     p.add_argument("--n-max", type=int, default=10)
-    _add_common(p)
 
-    p = sub.add_parser("measure", help="compute one measure for a design/dist pair")
+    p = add("measure", help="compute one measure for a design/dist pair")
     p.add_argument("measure", choices=("shannon", "renyi", "kl"))
     p.add_argument("--design", required=True, help="srs:N | rss:N | irss:N:<matrix>")
     p.add_argument("--dist", required=True, help="e.g. exp:1, unif, norm:0,1, weibull:2,1")
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, help="renyi only")
     p.add_argument("--error-matrix", help="CSV matrix file for irss designs only")
     p.add_argument("--force-numeric", action="store_true")
     p.add_argument("--oracle", action="store_true", help="add a Monte Carlo column")
-    p.add_argument("--seed", type=int, default=20240817)
-    p.add_argument("--replications", type=int, default=1_000_000)
-    _add_common(p)
+    p.add_argument("--seed", type=int, help="--oracle only")
+    p.add_argument("--replications", type=int, help="--oracle only")
 
-    p = sub.add_parser("figure", help="emit curve data for the entropy/Renyi figures")
+    p = add("figure", help="emit curve data for the entropy/Renyi figures")
     p.add_argument("--id", dest="figure_id", required=True, choices=("1", "2a", "2b"))
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--alpha-min", type=float, default=0.2)
-    p.add_argument("--alpha-max", type=float, default=5.0)
-    _add_common(p)
+    p.add_argument("--alpha-min", type=float, help="figures 2a and 2b only")
+    p.add_argument("--alpha-max", type=float, help="figures 2a and 2b only")
 
-    p = sub.add_parser("conjecture-scan", help="scan the alpha > 1 Renyi ordering")
-    p.add_argument("--family", action="append", help="repeatable distribution spec")
-    p.add_argument("--n-values", type=int_list, help="comma list / ranges, e.g. 2-8")
+    p = add("conjecture-scan", help="scan the alpha > 1 Renyi ordering")
+    p.add_argument("--family", action="append", dest="families", help="repeatable distribution spec")
+    p.add_argument("--n-values", type=int_list, dest="ns", help="comma list / ranges, e.g. 2-8")
     p.add_argument("--alphas", type=float_list, help="comma list of alpha > 1 values")
-    p.add_argument("--matrix", action="append", help="repeatable matrix spec")
-    _add_common(p)
+    p.add_argument("--matrix", action="append", dest="matrices", help="repeatable matrix spec")
 
-    p = sub.add_parser("errata", help="oracle checks of the suspect printed formulas")
-    _add_common(p)
+    add("errata", help="oracle checks of the suspect printed formulas")
 
     return parser
 

@@ -31,18 +31,6 @@ class Support:
     lower: float
     upper: float
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.lower) and math.isfinite(self.upper)
-
-    @property
-    def is_half_line(self) -> bool:
-        return math.isfinite(self.lower) and not math.isfinite(self.upper)
-
-    @property
-    def is_full_line(self) -> bool:
-        return not math.isfinite(self.lower) and not math.isfinite(self.upper)
-
 
 class Distribution:
     """A standard shape moved by ``loc`` and stretched by ``scale``: the law

@@ -124,12 +124,7 @@ def _kernel(shape: tuple[int, ...], data: bytes):
 def judged_log_pdf(dist: Distribution, rows):
     """x -> log density of the unit judged by ``rows`` (one row, or a stack
     of k giving (k,) + x's shape): the kernel at the parent's cdf and
-    survival plus its log density, each evaluated once."""
-    rows = np.asarray(rows, dtype=float)
-    if np.all(rows == rows[..., :1]):  # uniform rows leave the parent law
-        if rows.ndim == 1:
-            return dist.log_pdf
-        return lambda x: np.broadcast_to(dist.log_pdf(x), rows.shape[:1] + np.shape(x))
+    survival plus its log density, each evaluated once (a uniform row's is 0)."""
     log_weight = judged_log_weight(rows)
 
     def log_pdf(x):

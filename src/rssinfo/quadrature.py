@@ -336,15 +336,16 @@ def integrate_full_line(f, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Quadrature
 
 
 def integrate_support(f, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Dispatch on the support descriptor; a finite (a, b) maps as x = a S + b F."""
+    """Integral of ``f`` over the support, mapped as its ends say: a finite (a, b) as
+    x = a S + b F, (a, inf) or the real line; other ends, NaN ones included, raise."""
     a, b = support.lower, support.upper
-    if support.is_finite:
+    if -math.inf < a < b < math.inf:
         return _integrate_x(f, lambda F, S: a * S + b * F, lambda F, S: b - a, cfg)
-    if support.is_half_line:
+    if -math.inf < a < b == math.inf:
         return integrate_half_line(f, a, cfg)
-    if support.is_full_line:
+    if a == -math.inf and b == math.inf:
         return integrate_full_line(f, cfg)
-    raise InputError(f"unsupported support {support}")
+    raise InputError(f"unsupported support {support}: not a finite (a, b), an (a, inf) or the real line")
 
 
 def entropy_integral(density, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:

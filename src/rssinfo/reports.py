@@ -77,7 +77,7 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
                         "margin_rss_irss": irss.value - rss.value,  # conjecture: >= 0
                         "margin_irss_srs": srs.value - irss.value,  # conjecture: >= 0
                         "error_budget": srs.error_estimate + rss.error_estimate + irss.error_estimate,
-                        "converged": all(r.diagnostics.get("converged", True) for r in (srs, rss, irss)),
+                        "converged": all(r.diagnostics["converged"] for r in (srs, rss, irss)),
                     }
                     report.records.append(rec)
                     for name in ("margin_rss_irss", "margin_irss_srs"):
@@ -192,4 +192,6 @@ def figure_curve(
             continue
         ref, *legs = measures.renyi_designs(designs, dist, alpha, cfg)
         rows.append({"alpha": alpha, **{f"p11_{p11:g}": leg.value - ref.value for p11, leg in zip(p11s, legs)}})
+    if not rows:
+        raise InputError(f"figure {figure_id}'s alpha grid holds no alpha other than 1")
     return rows

@@ -232,6 +232,13 @@ def test_parse_errors_exit_two(capsys):
         ("conjecture-scan", "--n-values", ""),
         ("measure", "shannon", "--design", "rss", "--dist", "exp:1"),
         ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--config", "{bad_value_config}"),
+        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--alpha", "2"),
+        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--alpha", "2"),
+        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--seed", "5"),
+        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--replications", "1000"),
+        ("figure", "--id", "1", "--alpha-min", "0.5"),
+        ("figure", "--id", "1", "--alpha-max", "3"),
+        ("figure", "--id", "2a", "--points", "1", "--alpha-min", "1", "--alpha-max", "1"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
@@ -241,6 +248,8 @@ def test_parse_errors_exit_two(capsys):
         "psi-alpha-inf", "oracle-negative-seed", "rss-matrix-segment", "srs-matrix-segment",
         "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list", "irss-segment-and-error-matrix",
         "psi-empty-alphas", "scan-empty-n-values", "design-missing-set-size", "config-bad-value",
+        "shannon-alpha", "kl-alpha", "seed-without-oracle", "replications-without-oracle",
+        "figure-1-alpha-min", "figure-1-alpha-max", "figure-alpha-grid-only-one",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
@@ -278,6 +287,22 @@ def test_shared_parser_leaks_no_state_between_calls(capsys):
     code, out, _ = run(capsys, "measure", "shannon", "--design", "rss:2", "--dist", "exp:1")
     assert code == cli.EXIT_OK
     assert float(rows_of(out)[0]["value"]) == pytest.approx(3.0 - 2.0 * math.log(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["table-k", "dn", "psi", "measure", "figure", "conjecture-scan", "errata"])
+def test_every_subcommand_takes_the_shared_options(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == cli.EXIT_OK
+    for flag in ("--out", "--format", "--config", "--quad-abs-tol", "--quad-rel-tol", "--quad-max-subdiv"):
+        assert flag in out, flag
+
+
+def test_options_not_given_parse_to_none_so_the_library_defaults_hold():
+    parse = cli.build_parser().parse_args
+    args = parse(["measure", "shannon", "--design", "rss:2", "--dist", "exp:1"])
+    assert (args.seed, args.replications) == (None, None)
+    args = parse(["figure", "--id", "2a"])
+    assert (args.alpha_min, args.alpha_max) == (None, None)
 
 
 def test_unknown_flag_exits_two(capsys):

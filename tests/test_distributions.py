@@ -15,14 +15,26 @@ from rssinfo.distributions import (
     Weibull,
     parse_distribution,
 )
+from rssinfo.errors import InputError
 from rssinfo.quadrature import entropy_integral, integrate_support
 
 
-def test_support_classification():
-    assert Support(0.0, 1.0).is_finite
-    assert Support(0.0, math.inf).is_half_line
-    assert Support(-math.inf, math.inf).is_full_line
-    assert not Support(0.0, math.inf).is_finite
+def test_support_ends_pick_the_map(families):
+    # the families' supports are a finite interval, a half-line and the real
+    # line, so test_density_normalization integrates through each map
+    ends = {(math.isfinite(d.support.lower), math.isfinite(d.support.upper)) for d in families}
+    assert ends == {(True, True), (True, False), (False, False)}
+    # any other ends raise, rather than integrate over some other set
+    laplace = lambda x: np.exp(-np.abs(x))  # integrates to 2 over the real line
+    for f, lower, upper in (
+        (laplace, 1.0, -math.inf),
+        (laplace, 0.0, math.nan),
+        (laplace, math.inf, math.inf),
+        (laplace, math.nan, math.nan),
+        (np.ones_like, 1.0, 0.0),
+    ):
+        with pytest.raises(InputError):
+            integrate_support(f, Support(lower, upper))
 
 
 def test_quantile_cdf_round_trip(members, interior_u):

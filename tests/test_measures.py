@@ -609,6 +609,8 @@ def test_quantile_spacing_and_jobs_rules_raise_input_error():
 def test_a_n_printed_form_fails_equal_law_oracle():
     f = Exponential(1.0)
     assert abs(M.a_n_printed_reduced(f, f, 2).value) > 0.1
+    one = M.a_n_printed_reduced(f, Exponential(2.0), 1)  # one unit: no pair, as for a_n
+    assert (one.value, one.method) == (0.0, "closed-form")
 
 
 _NORM = Normal(0.0, 1.0)

@@ -164,6 +164,9 @@ def test_judged_log_weight_stack_matches_rows():
     assert np.all(stacked[0] == 0.0)
     for row, lw in zip(rows, stacked):
         np.testing.assert_array_equal(lw, judged_log_weight(row)(u, 1.0 - u))
+    # a scalar survival broadcasts against the cdf's grid
+    half = judged_log_weight(rows)(u, 0.5)
+    np.testing.assert_array_equal(half, judged_log_weight(rows)(u, np.full_like(u, 0.5)))
 
 
 KERNEL_U = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])

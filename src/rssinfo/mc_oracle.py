@@ -216,17 +216,20 @@ def mc_entropy(design: Design, dist: Distribution, sim: SimConfig = SimConfig())
 
 
 def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:
-    """Renyi estimate via E[g^(alpha-1)] per component (delta-method errors)."""
+    """Renyi estimate via E[g^(alpha-1)] per component (delta-method errors), on a
+    log scale: each draw keeps (alpha - 1) log g, less the component's largest."""
     check_alpha(alpha)
     om = 1.0 - alpha
 
     def value(i, row):
         log_f = _log_pdf(dist, row)
-        return lambda u: np.exp((alpha - 1.0) * log_f(u))
+        return lambda u: (alpha - 1.0) * log_f(u)
 
     def summary(i, values):
+        top = float(values.max())
+        np.exp(np.subtract(values, top, out=values), out=values)
         mhat, se = _batch_stats(values)
-        return math.log(mhat) / om, se / (abs(om) * mhat)
+        return (top + math.log(mhat)) / om, se / (abs(om) * mhat)
 
     return _sum_components(design, sim, value, summary)
 

@@ -51,57 +51,38 @@ import numpy as np
 from .distributions import Support
 from .errors import DivergentIntegralError, InputError, check_count
 
-# 15-point Kronrod nodes on [-1, 1] and weights, with the embedded 7-point
-# Gauss weights on the shared nodes (standard QUADPACK constants).
-_XK = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
+# QUADPACK's qk15 (Piessens et al., 1983), each half of the symmetric rule
+# written once: the 15-point Kronrod nodes on [-1, 1] from the end in to 0,
+# their weights, and the 7-point Gauss weights on the odd nodes
+_HALF_XK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
 )
-_WK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
+_HALF_WK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
-_WG = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-        0.381830050505119,
-        0.279705391489277,
-        0.129484966168870,
-    ]
+_HALF_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
+_XK = np.array([-x for x in _HALF_XK[:-1]] + list(_HALF_XK[::-1]))  # the centre node is +0.0
+_WK = np.array(_HALF_WK + _HALF_WK[-2::-1])
+_WG = np.array(_HALF_WG + _HALF_WG[-2::-1])
 # Gauss nodes sit at the odd Kronrod slots; one matmul with _KG gives a
 # panel's K15 sum and its K15 - G7 sum
 _KG = np.stack([_WK, _WK], axis=1)

@@ -159,7 +159,9 @@ def test_parse_round_trip():
         assert dist.spec_string() == spec  # the CLI's JSON ``dist`` field, byte for byte
         again = parse_distribution(dist.spec_string())
         assert type(again) is type(dist) and vars(again) == vars(dist)
+        assert repr(dist) == f"{type(dist).__name__}({spec!r})"
     assert {type(parse_distribution(spec)) for spec in specs} == set(Distribution.__subclasses__())
+    assert repr(Normal(1, 2)) == "Normal('norm:1,2')"
 
 
 @pytest.mark.parametrize(

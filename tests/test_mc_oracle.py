@@ -97,6 +97,19 @@ def test_mc_renyi_matches_closed_forms():
         mc.mc_renyi(Design("srs", 2), Exponential(1.0), 1.0, FAST)
 
 
+@pytest.mark.parametrize(
+    "dist, alpha",
+    [(Exponential(1e-6), 30.0), (Exponential(1e-6), 60.0), (Exponential(1.0), 800.0)],
+    ids=["exp1e-6-alpha30", "exp1e-6-alpha60", "exp1-alpha800"],
+)
+def test_mc_renyi_averages_on_a_log_scale(dist, alpha):
+    # g^(alpha - 1) over- or underflows at these draws; (alpha - 1) log g does not
+    design = Design("rss", 2)
+    est = mc.mc_renyi(design, dist, alpha, FAST)
+    assert math.isfinite(est.std_error) and est.std_error > 0.0
+    assert abs(est.estimate - M.renyi(design, dist, alpha).value) < 4.0 * est.std_error
+
+
 def test_mc_kl_distribution_free_constant():
     for dist in [Exponential(1.0), Normal(0.0, 1.0)]:
         est = mc.mc_kl(Design("srs", 3), dist, Design("rss", 3), dist, FAST)
@@ -111,6 +124,19 @@ def test_mc_kl_identical_laws_vanish():
 def test_mc_kl_support_mismatch_raises():
     with pytest.raises(mc.DivergentEstimateError):
         mc.mc_kl(Design("srs", 2), Normal(0.0, 1.0), Design("srs", 2), Exponential(1.0), FAST)
+
+
+def test_mc_kl_unstable_running_mean_raises(monkeypatch):
+    # levels whose first half lies below 1/2 and second above: the two halves'
+    # means of the log-ratio differ by far more than their batch-means error
+    def halves(row, rng, m):
+        u = 0.5 * rng.random(m)
+        u[m // 2 :] += 0.5
+        yield 0, u
+
+    monkeypatch.setattr(mc, "_levels", halves)
+    with pytest.raises(mc.DivergentEstimateError, match="failed to stabilize"):
+        mc.mc_kl(Design("srs", 2), Exponential(1.0), Design("rss", 2), Exponential(1.0), mc.SimConfig(10**6))
 
 
 @pytest.mark.parametrize("dist", [Exponential(1.0), Normal(0.0, 1.0)], ids=["exp", "norm"])

@@ -88,6 +88,22 @@ def test_stacked_battery_components_converge_within_their_errors():
         assert error <= max(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * abs(value))
 
 
+def test_rule_is_qk15_at_full_precision():
+    # each half of QUADPACK's symmetric rule is written once, at its printed
+    # precision, and mirrored: the weights sum to 2 and the rules are exact
+    # on the polynomials they integrate, to the rounding of the sum
+    assert math.fsum(Q._WK) == 2.0 == math.fsum(Q._WG)
+    gauss = Q._XK[1::2]
+    for k in range(23):
+        truth = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(Q._WK * Q._XK**k) - truth) <= 3e-16, k
+        if k <= 13:
+            assert abs(math.fsum(Q._WG * gauss**k) - truth) <= 3e-16, k
+    np.testing.assert_array_equal(Q._XK, -Q._XK[::-1])
+    assert Q._XK[7] == 0.0 and math.copysign(1.0, Q._XK[7]) == 1.0
+    assert integrate(lambda x: np.ones_like(x), 0.0, 3.0).value == 3.0
+
+
 def test_result_shape_follows_the_integrand():
     scalar = integrate(lambda u: u * u, 0.0, 1.0)
     assert type(scalar.value) is float and type(scalar.error_estimate) is float

@@ -40,8 +40,9 @@ class Distribution:
     ``_log_pdf``, ``_cdf``, ``_quantile``, ``_entropy`` and
     ``_renyi_entropy``, plus ``_survival`` and ``_log_pdf_at_quantile`` where
     a closed form beats the default.  This class alone applies the affine
-    map.  ``support`` is the same for Z and X, as only a full-line family has
-    a location.
+    map, and the standard law, the one every measure integrates, skips it in
+    ``_z``, ``_per_x`` and ``quantile``.  ``support`` is the same for Z and X,
+    as only a full-line family has a location.
 
     ``quantile`` and ``log_pdf_at_quantile`` take the cdf level F and maybe
     the survival S = 1 - F; given S, a family reads the smaller tail, so F
@@ -75,7 +76,10 @@ class Distribution:
         return self._survival(self._z(x))
 
     def quantile(self, F, S=None):
-        return self.loc + self.scale * self._quantile(*_levels(F, S))
+        q = self._quantile(*_levels(F, S))
+        if self.loc == 0.0 and self.scale == 1.0:  # the law every measure integrates
+            return q[()]  # a 0-d result as a scalar, as the map gives it
+        return self.loc + self.scale * q
 
     def log_pdf_at_quantile(self, F, S=None):
         return self._per_x(self._log_pdf_at_quantile(*_levels(F, S)))
@@ -141,7 +145,7 @@ class Uniform(Distribution):
         return np.clip(z, 0.0, 1.0)
 
     def _quantile(self, F, S):
-        return F
+        return np.positive(F)  # a new array, as every family's quantile is
 
     def _entropy(self) -> float:
         return 0.0

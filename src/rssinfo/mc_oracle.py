@@ -185,23 +185,25 @@ def _log_weight(row: np.ndarray):
 
 
 def _log_pdf(dist: Distribution, row: np.ndarray):
-    """u -> log density of the judged law on ``row`` at its draw x = Q(u)."""
+    """(u, out) -> out, holding the log density of the judged law on ``row``
+    at its draw x = Q(u)."""
     log_weight = _log_weight(row)
-    return lambda u: log_weight(u) + dist.log_pdf(dist.quantile(u))
+    return lambda u, out: np.add(log_weight(u), dist.log_pdf(dist.quantile(u)), out=out)
 
 
 def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, values: _batch_stats(values)):
     """m times the sum over components i of ``summary(i, values)``, an
-    (estimate, std_error) pair from the per-draw values ``value(i, row)``
-    gives at the levels drawn from the component's own spawned stream; errors
-    add in quadrature.  Each component refills the one m-long array."""
+    (estimate, std_error) pair from the per-draw values that ``value(i, row)``,
+    called as (u, out), writes at the levels drawn from the component's own
+    spawned stream; errors add in quadrature.  Each component refills the one
+    m-long array, each block written once, in place."""
     P, m = design.matrix, sim.replications
     values = np.empty(m)
     total = var = 0.0
     for i, seed in enumerate(np.random.SeedSequence(sim.seed).spawn(design.n), start=1):
-        per_draw = value(i, P.row(i))
+        score = value(i, P.row(i))
         for start, u in _levels(P.row(i), np.random.Generator(np.random.PCG64(seed)), m):
-            values[start : start + u.size] = per_draw(u)
+            score(u, values[start : start + u.size])
         est, se = summary(i, values)
         total += est
         var += se * se
@@ -223,7 +225,7 @@ def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = 
 
     def value(i, row):
         log_f = _log_pdf(dist, row)
-        return lambda u: (alpha - 1.0) * log_f(u)
+        return lambda u, out: np.multiply(alpha - 1.0, log_f(u, out), out=out)
 
     def summary(i, values):
         top = float(values.max())
@@ -253,12 +255,12 @@ def mc_kl(
         log_w = _log_weight(row)
         if same_law:
             log_v = _log_weight(P_y.row(i))
-            return lambda u: log_w(u) - log_v(u)
+            return lambda u, out: np.subtract(log_w(u), log_v(u), out=out)
         log_g = judged_log_pdf(dist_g, P_y.row(i))
 
-        def log_ratio(u):
+        def log_ratio(u, out):
             x = dist_f.quantile(u)
-            return log_w(u) + dist_f.log_pdf(x) - log_g(x)
+            return np.subtract(np.add(log_w(u), dist_f.log_pdf(x), out=out), log_g(x), out=out)
 
         return log_ratio
 
@@ -279,13 +281,16 @@ def vasicek_entropy(samples, window: int) -> float:
     """Spacing-based (Vasicek) entropy estimate from a raw, finite sample.
 
     Uses no density formulas at all; ``window`` is the spacing half-width m,
-    an integer, and the sample must have at least 2 m + 1 points.
+    an integer, and the sample must be 1-D with at least 2 m + 1 points.
     """
-    n = np.size(samples)
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise InputError(f"sample must be 1-D, got shape {x.shape}")
+    n = x.size
     check_count("window", window, 1)
     if n < 2 * window + 1:
         raise InputError(f"need at least {2 * window + 1} samples, got {n}")
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(x)
     if not (math.isfinite(x[0]) and math.isfinite(x[-1])):  # sorting puts a NaN or an inf at an end
         raise InputError("sample holds a NaN or an infinite value")
     hi = np.minimum(np.arange(n) + window, n - 1)

@@ -6,9 +6,10 @@ together) it gives, from the parent's cdf F and survival S,
     log sum_r p_r n! / ((r-1)! (n-r)!) F^(r-1) S^(n-r),
 
 the log density of the judged unit relative to the parent.  Each call takes
-log F and log S once and builds the Beta log kernel (r-1) log F + (n-r) log S
-of every rank the rows use.  A row is read by its least entry f.  A uniform
-row weighs 0.  As the n Beta densities B_r sum to n, f > 0 gives a sum of
+log F and log S once each, and only if a rank reads it (rank 1 reads S alone,
+rank n F alone), and builds the Beta log kernel (r-1) log F + (n-r) log S of
+every rank the rows use.  A row is read by its least entry f.  A uniform row
+weighs 0.  As the n Beta densities B_r sum to n, f > 0 gives a sum of
 positive terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one matmul.
 With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
 max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
@@ -75,10 +76,11 @@ def _kernel(shape: tuple[int, ...], data: bytes):
     one_hot, mixed, floored = (kind == 1).nonzero()[0], (kind == 2).nonzero()[0], (kind > 3).nonzero()[0]
     ranks = needs.any(axis=0).nonzero()[0]  # the kernel's rows: every rank a row needs
     p, log_c = stack[:, ranks], _log_coeffs(n)[ranks, None]  # by kernel row
-    # the Beta log kernel r log F + (n-1-r) log S of 0-based rank r, without rank 1's F term or rank n's S term
+    # the Beta log kernel r log F + (n-1-r) log S of 0-based rank r, without rank 1's F term or rank n's S term:
+    # kernel rows [0, lo) read S alone, [lo, hi) both and [hi, len) F alone
     r = ranks.tolist()
-    on_F, on_S = slice(int(r[:1] == [0]), len(r)), slice(0, len(r) - int(r[-1:] == [n - 1]))
-    a, b = np.array(r[on_F], dtype=float)[:, None], n - 1.0 - np.array(r[on_S], dtype=float)[:, None]
+    lo, hi = int(r[:1] == [0]), len(r) - int(r[-1:] == [n - 1])
+    a, b = np.array(r[lo:], dtype=float)[:, None], n - 1.0 - np.array(r[:hi], dtype=float)[:, None]
     parts = []  # (rows, their log weight from the kernel)
     if mixed.size:
         with np.errstate(divide="ignore"):
@@ -105,15 +107,20 @@ def _kernel(shape: tuple[int, ...], data: bytes):
         if F.shape != S.shape:
             F, S = np.broadcast_arrays(F, S)
         shape = rows.shape[:-1] + F.shape
+        beta = np.empty((ranks.size, F.size))
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_F, log_S = np.log(F).reshape(-1), np.log(S).reshape(-1)
-            beta = np.zeros((ranks.size, log_F.size))
-            np.multiply(a, log_F, out=beta[on_F])
-            beta[on_S] += b * log_S
+            if a.size:
+                np.multiply(a, np.log(F).reshape(-1), out=beta[lo:])
+            if b.size:
+                log_S = np.log(S).reshape(-1)
+                if lo:
+                    np.multiply(b[0], log_S, out=beta[0])
+                if hi > lo:
+                    beta[lo:hi] += b[lo:] * log_S
             values = [(idx, fn(beta)) for idx, fn in parts]
         if len(values) == 1 and len(values[0][0]) == k:
             return values[0][1].reshape(shape)
-        out = np.zeros((k, log_F.size))  # uniform rows stay 0
+        out = np.zeros((k, F.size))  # uniform rows stay 0
         for idx, v in values:
             out[idx] = v
         return out.reshape(shape)

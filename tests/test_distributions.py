@@ -43,6 +43,20 @@ def test_quantile_cdf_round_trip(members, interior_u):
         np.testing.assert_allclose(dist.cdf(x), interior_u, rtol=0, atol=1e-10)
 
 
+def test_standard_quantile_skips_the_affine_map(families, interior_u):
+    # at location 0 and scale 1 the quantile is the family's own, with the values 0 + 1 * q gives:
+    # the only sign it may change is the Normal's zero at F = S = 1/2, where -(+0) is -0
+    for dist in families:
+        for S in (None, 1.0 - interior_u):
+            got, want = dist.quantile(interior_u, S), 0.0 + 1.0 * dist._quantile(interior_u, S)
+            assert np.array_equal(got, want)
+            flipped = np.signbit(got) != np.signbit(want)
+            assert not flipped.any() or (isinstance(dist, Normal) and S is not None and np.all(got[flipped] == 0.0))
+            assert not any(np.shares_memory(got, level) for level in (interior_u, S) if level is not None)
+            scalar = dist.quantile(interior_u[3], None if S is None else S[3])
+            assert type(scalar) is np.float64 and scalar == want[3]
+
+
 def test_pdf_matches_cdf_derivative(members):
     # central differences at interior points, relative error <= 1e-6; the
     # step follows the law's spread, and the quotient takes the step made

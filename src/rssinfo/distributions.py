@@ -93,7 +93,10 @@ class Distribution:
         return None if h is None else h + math.log(self.scale)
 
     def standard(self) -> "Distribution":
-        """The same shape at location 0 and scale 1."""
+        """The same shape at location 0 and scale 1: the law itself if standard
+        (instances are immutable), else a standard copy."""
+        if self.loc == 0.0 and self.scale == 1.0:
+            return self
         std = copy.copy(self)
         std.loc, std.scale = 0.0, 1.0
         return std

@@ -28,10 +28,10 @@ The one-law measures compute on the standard law ``dist.standard()``
 Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
 All values are in nats and scale additively with the cycle count m.
 
-The distinct rows of a set of matrices and their counts read neither the
-parent law nor alpha, so ``_distinct_rows`` is memoized on the (shape, bytes)
-of each matrix under ``ranking_error.memo``'s bound, and hands out read-only
-arrays.
+A matrix's class and the distinct rows of a set of matrices read neither the
+parent law nor alpha, so ``_matrix_class`` and ``_distinct_rows`` are memoized
+on the (shape, bytes) of each matrix under ``ranking_error.memo``'s bound; the
+rows and their counts are handed out read-only.
 """
 
 from __future__ import annotations
@@ -223,14 +223,12 @@ def shannon(
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
 
-def _matrix_class(P: np.ndarray) -> str:
-    """'uniform', 'identity' or '': the matrices with closed forms in every
-    measure.  A first entry rules most matrices out before the full test."""
-    if P[0, 0] == P[0, -1] and (P == P[0, 0]).all():
-        return "uniform"
-    if P[0, 0] == 1.0 and (P == np.eye(len(P))).all():
-        return "identity"
-    return ""
+@ranking_error.memo(lambda shape, data: len(data))
+def _matrix_class(shape, data) -> str:
+    """'uniform', 'identity' or '' for the (shape, bytes) of a matrix: the
+    matrices with closed forms in every measure, memoized like ``_distinct_rows``."""
+    P = np.frombuffer(data).reshape(shape)
+    return "uniform" if (P == P[0, 0]).all() else "identity" if (P == np.eye(len(P))).all() else ""
 
 
 def _divergence_closed_form(identity, two_by_two):
@@ -239,7 +237,7 @@ def _divergence_closed_form(identity, two_by_two):
     two_by_two(p11, p22) for every 2x2; None for any other matrix."""
 
     def closed(P: np.ndarray) -> MeasureResult | None:
-        kind = _matrix_class(P)
+        kind = _matrix_class(P.shape, P.tobytes())
         if kind == "uniform":
             return _closed(0.0)
         if kind == "identity":
@@ -306,7 +304,7 @@ def _renyi_closed_form(P: np.ndarray, std: Distribution, alpha: float) -> Measur
     """n H_a(f) for the uniform matrix where int f^alpha is finite, and the
     Beta sum of ``closed_form.rss_renyi`` for the identity on a uniform or
     exponential parent; None otherwise."""
-    kind = _matrix_class(P)
+    kind = _matrix_class(P.shape, P.tobytes())
     if kind == "uniform":
         h = std.renyi_entropy(alpha)
         return None if h is None else _closed(len(P) * h)

@@ -9,8 +9,9 @@ the log density of the judged unit relative to the parent.  Each call takes
 log F and log S once each, and only if a rank reads it (rank 1 reads S alone,
 rank n F alone), and builds the Beta log kernel (r-1) log F + (n-r) log S of
 every rank the rows use.  A row is read by its least entry f.  A uniform row
-weighs 0.  As the n Beta densities B_r sum to n, f > 0 gives a sum of
-positive terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one matmul.
+weighs 0.  As the n Beta densities B_r sum to n, f > 0 gives a sum of positive
+terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one matmul, or a
+product where the rows read one rank.
 With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
 max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
 exact integers, tabled once per n; 0**0 = 1 at the rank extremes, whose zero
@@ -96,7 +97,8 @@ def _kernel(shape: tuple[int, ...], data: bytes):
     if floored.size:  # n f + sum_r (p_r - f) B_r: each Beta density B_r is at most n
         f = floor[floored]
         Q, nf = p[floored] - f, n * f
-        parts.append((floored, lambda beta: np.log(Q @ np.exp(beta + log_c) + nf)))
+        mul = np.multiply if Q.shape[1] == 1 else np.matmul  # one rank: a product, bit for bit the matmul
+        parts.append((floored, lambda beta: np.log(mul(Q, np.exp(beta + log_c)) + nf)))
     if one_hot.size:  # the kernel plus each row's coefficient, in place on a view of it: so it comes last
         true = p[one_hot].argmax(axis=1)  # the kernel row of each one's true rank
         hot, hot_c = slice(None) if true.tolist() == list(range(len(r))) else true, log_c[true]

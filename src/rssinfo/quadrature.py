@@ -211,7 +211,8 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
     whose largest error relative to its component's tolerance, taken when
     the panel was pushed, is largest.  A component's tolerance is raised to
     twice the sum of its panels' rounding floors, so a tolerance out of reach
-    stops the loop near that floor, not converged.
+    stops the loop near that floor, not converged.  A first call that meets
+    the tolerance or spends the budget is the result, and builds no heap.
     """
     edges = (a, *breaks[: cfg.max_subdivisions], b)
     if not (math.isfinite(a) and math.isfinite(b) and all(p < q for p, q in zip(edges, edges[1:]))):
@@ -221,10 +222,12 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
     sums = _sums(panels)  # running per-component values, errors and floors
     exact = True  # sums are the fsums of the panels in the heap
     tol = _tolerance(sums[0], cfg, sums[2])
-    seq = itertools.count()  # heap of (key, seq, a, b, panel); seq breaks ties deterministically
-    heap = [(_key(s[1], tol), next(seq), pa, pb, s) for pa, pb, s in zip(edges, edges[1:], panels)]
-    heapq.heapify(heap)
     nsub = len(edges) - 2
+    seq = itertools.count()  # heap of (key, seq, a, b, panel); seq breaks ties deterministically
+    # a first call that meets the tolerance or spends the budget is the result: the loop stops at once
+    decided = nsub >= cfg.max_subdivisions or _within(sums[1], tol)
+    heap = [] if decided else [(_key(s[1], tol), next(seq), pa, pb, s) for pa, pb, s in zip(edges, edges[1:], panels)]
+    heapq.heapify(heap)
     while nsub < cfg.max_subdivisions:
         if _within(sums[1], tol):
             if not exact:  # stop on exact sums, not running ones

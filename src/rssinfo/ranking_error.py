@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InputError, check_count, check_rank, check_unit
 
 _TOL = 1e-12
-MEMO_SIZE = 256  # entries a memo keeps; the default scan needs 35 blends, 14 row sets and 14 kernels
+MEMO_SIZE = 256  # entries a memo keeps; the default scan needs 35 blends, 35 classes, 14 row sets and 14 kernels
 MEMO_BYTES = 1 << 15  # the most matrix data an entry keeps: a 64 x 64 matrix; larger ones are built anew
 
 

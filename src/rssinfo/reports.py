@@ -52,20 +52,24 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
 
     A design is its ranking-error matrix, so SRS is the ``uniform`` leg and
     perfect RSS the ``identity`` leg; each (family, n, alpha) cell is one
-    integral over the distinct rows of all its matrices.  The scan is serial:
-    ``jobs`` must be 1.
+    integral over the distinct rows of its designs, one per distinct spec, and
+    each record reads its leg by spec.  The scan is serial: ``jobs`` must be 1.
     """
     if jobs != 1:
         raise InputError(f"the conjecture scan runs serially; jobs must be 1, got {jobs}")
     dists = [parse_distribution(f) for f in grid.families]
-    specs = ("uniform", "identity", *grid.matrices)
+    specs = tuple(dict.fromkeys(("uniform", "identity", *grid.matrices)))
     report = ScanReport()
     for family, dist in zip(grid.families, dists):
         for n in grid.ns:
             designs = [Design("irss", n, ranking_error.parse_matrix(spec, n)) for spec in specs]
             for alpha in grid.alphas:
-                srs, rss, *legs = measures.renyi_designs(designs, dist, alpha, cfg)
-                for matrix, irss in zip(grid.matrices, legs):
+                leg = dict(zip(specs, measures.renyi_designs(designs, dist, alpha, cfg)))
+                srs, rss = leg["uniform"], leg["identity"]
+                budget = srs.error_estimate + rss.error_estimate  # each record adds its own leg's
+                converged = srs.diagnostics["converged"] and rss.diagnostics["converged"]
+                for matrix in grid.matrices:
+                    irss = leg[matrix]
                     rec = {
                         "dist": family,
                         "n": n,
@@ -76,8 +80,8 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
                         "renyi_irss": irss.value,
                         "margin_rss_irss": irss.value - rss.value,  # conjecture: >= 0
                         "margin_irss_srs": srs.value - irss.value,  # conjecture: >= 0
-                        "error_budget": srs.error_estimate + rss.error_estimate + irss.error_estimate,
-                        "converged": all(r.diagnostics["converged"] for r in (srs, rss, irss)),
+                        "error_budget": budget + irss.error_estimate,
+                        "converged": converged and irss.diagnostics["converged"],
                     }
                     report.records.append(rec)
                     for name in ("margin_rss_irss", "margin_irss_srs"):

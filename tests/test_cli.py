@@ -523,6 +523,14 @@ def test_one_shot_measure_imports_scipy_only_for_the_normal_family(dist, value, 
     assert bool(res["scipy"]) == needs_scipy, res["scipy"]
 
 
+def test_import_loads_neither_decimal_nor_scipy():
+    # decimal serves only the perfect-RSS Renyi closed form, scipy only the normal family: both on first use
+    probe = "import sys, rssinfo, rssinfo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('decimal', 'scipy')))"
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point_runs_as_documented():
     proc = run_python("-m", "rssinfo.cli", "table-k", "--n-max", "3")
     assert proc.returncode == cli.EXIT_OK, proc.stderr

@@ -138,6 +138,16 @@ def test_standard_keeps_the_shape():
     assert Weibull(0.5, 1e6).spec_string() == "weibull:0.5,1e+06"
 
 
+def test_standard_is_the_law_itself_only_when_standard():
+    for dist in (Uniform(), Exponential(1.0), Normal(0.0, 1.0), Weibull(2.0)):
+        assert dist.standard() is dist
+    for dist in (Exponential(2.0), Normal(1.0, 1.0), Normal(0.0, 3.0), Weibull(2.0, 5.0)):
+        before = (dist.loc, dist.scale, dist.spec_string())
+        std = dist.standard()
+        assert std is not dist and (std.loc, std.scale) == (0.0, 1.0)
+        assert (dist.loc, dist.scale, dist.spec_string()) == before  # the caller's law is untouched
+
+
 def test_quantile_rejects_boundary(families):
     for dist in families:
         with pytest.raises(ValueError):

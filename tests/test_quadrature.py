@@ -304,6 +304,31 @@ def test_subdivision_budget_marks_non_convergence():
     assert r.subdivisions_used <= 2
 
 
+@pytest.mark.parametrize(
+    "f, b, cfg, breaks, value, error, converged",
+    [
+        (np.cos, 1.0, DEFAULT_CONFIG, (), ("0x1.aed548f090cefp-1",), ("0x1.5096a0fbf121bp-47",), True),
+        (
+            lambda x: np.stack([np.exp(x), x**2, np.sin(x)]), 2.0, DEFAULT_CONFIG, (0.5, 1.0),
+            ("0x1.98e64b8d4ddaep+2", "0x1.5555555555557p+1", "0x1.6a88995d4dc82p+0"),
+            ("0x1.3f73eb0664d30p-44", "0x1.0aaaaaaaaaaabp-45", "0x1.1b3ab7d0e4c45p-46"),
+            True,
+        ),
+        (
+            np.log, 1.0, QuadratureConfig(max_subdivisions=3), (0.25, 0.5, 0.75),
+            ("-0x1.ffc888d4332cbp-1",), ("0x1.398996e8fd522p-9",), False,
+        ),
+    ],
+    ids=["scalar-converges", "vector-converges", "budget-spent"],
+)
+def test_first_call_that_decides_is_pinned_bit_for_bit(f, b, cfg, breaks, value, error, converged):
+    # a first call that converges or spends the budget is the result, with the bits the loop gave
+    r = integrate(f, 0.0, b, cfg, breaks=breaks)
+    assert tuple(float(v).hex() for v in np.atleast_1d(r.value)) == value
+    assert tuple(float(e).hex() for e in np.atleast_1d(r.error_estimate)) == error
+    assert (r.subdivisions_used, r.converged) == (len(breaks), converged)
+
+
 def test_integrate_support_dispatch():
     finite = integrate_support(lambda u: 2 * u, Support(0.0, 1.0))
     half = integrate_support(lambda x: np.exp(-x), Support(0.0, math.inf))

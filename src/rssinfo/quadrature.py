@@ -50,6 +50,7 @@ import numpy as np
 
 from .distributions import Support
 from .errors import DivergentIntegralError, InputError, check_count
+from .ranking_error import memo
 
 # QUADPACK's qk15 (Piessens et al., 1983), each half of the symmetric rule
 # written once: the 15-point Kronrod nodes on [-1, 1] from the end in to 0,
@@ -96,8 +97,8 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise InputError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise InputError(f"tolerances must be finite and positive, got {self.abs_tol} and {self.rel_tol}")
         check_count("max_subdivisions", self.max_subdivisions, 1)
 
 
@@ -139,15 +140,24 @@ def _power_law_error(x, fx, end: float, width: float) -> float:
     return abs(fx[0]) * abs(exact - rule)
 
 
+@memo(lambda edges: 128 * (len(edges) - 1))
+def _nodes(edges):
+    """The (panels, 15) nodes between consecutive ``edges``, their flat view and
+    the half widths, read-only: built once per distinct edges, as bisection repeats them."""
+    pairs = list(zip(edges, edges[1:]))
+    half = np.array([0.5 * (q - p) for p, q in pairs])
+    x = np.array([[0.5 * (p + q)] for p, q in pairs]) + half[:, None] * _XK
+    x.flags.writeable = half.flags.writeable = False
+    return x, x.reshape(-1), half
+
+
 def _panels(f, edges, lo: float, hi: float):
     """G7/K15 on the panels between consecutive ``edges`` of (lo, hi), all
     nodes in one call of ``f``.  Returns (panels, vector): per panel, the
     per-component lists (k15, err, rounding floor); vector is True when f's
     output is (k, m)."""
-    pairs = list(zip(edges, edges[1:]))
-    half = np.array([0.5 * (q - p) for p, q in pairs])
-    x = np.array([[0.5 * (p + q)] for p, q in pairs]) + half[:, None] * _XK
-    fx = np.asarray(f(x.ravel()), dtype=float)
+    x, nodes, half = _nodes(edges)
+    fx = np.asarray(f(nodes), dtype=float)
     vector = fx.ndim == 2
     if fx.shape[-1:] != (x.size,):  # a constant integrand
         if fx.ndim and fx.shape[1:] != (1,):
@@ -160,17 +170,17 @@ def _panels(f, edges, lo: float, hi: float):
         where = "" if c is None else f" (component {c})"
         raise DivergentIntegralError(f"integrand is not finite at x = {at!r}{where}", at, c)
     s = fx @ _KG
-    k15 = s[..., 0] * half
-    err = np.abs(s[..., 1]) * half
+    s_half = s * half[:, None]
+    k15, err = s_half[..., 0], np.abs(s_half[..., 1])
     ends = [(j, end) for j, end in ((0, lo), (-1, hi)) if edges[j] == end]
     if ends:
         # a panel at a or b with K15 - G7 above a tenth of resasc may hide an
-        # endpoint power law
-        unresolved = 10.0 * err > (np.abs(fx - 0.5 * s[..., :1]) @ _WK) * half
+        # endpoint power law; only those panels are tested, as a slice of one or both
+        at = slice(0 if edges[0] == lo else -1, None if edges[-1] == hi else 1, max(len(half) - 1, 1))
+        unresolved = 10.0 * err[:, at] > (np.abs(fx[:, at] - 0.5 * s[:, at, :1]) @ _WK) * half[at]
         for j, end in ends:
             for c in unresolved[:, j].nonzero()[0]:
-                charge = 2.0 * _power_law_error(x[j], fx[c, j], end, 2.0 * half[j])
-                err[c, j] = max(err[c, j], charge)
+                err[c, j] = max(err[c, j], 2.0 * _power_law_error(x[j], fx[c, j], end, 2.0 * half[j]))
     floor = (np.abs(fx) @ _WK_FLOOR) * half
     return list(zip(k15.T.tolist(), np.maximum(err, floor).T.tolist(), floor.T.tolist())), vector
 
@@ -199,12 +209,12 @@ def _key(err, tol) -> float:
 def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, breaks=()) -> QuadratureResult:
     """Adaptive integral of ``f`` over the finite interval (a, b).
 
-    ``f`` takes a 1-D array of m points and returns shape (m,), or (k, m)
-    for k integrands on shared panels; a constant may return a scalar or
-    (k, 1), and any other shape raises InputError.  ``value`` and
-    ``error_estimate`` are floats for an (m,) output and (k,) arrays for a
-    (k, m) one; ``converged`` holds only if every component meets
-    max(abs_tol, rel_tol * |I_c|).
+    ``f`` takes a read-only 1-D array of m points, shared by every call on
+    the same panels, and returns shape (m,), or (k, m) for k integrands on
+    shared panels; a constant may return a scalar or (k, 1), and any other
+    shape raises InputError.  ``value`` and ``error_estimate`` are floats for
+    an (m,) output and (k,) arrays for a (k, m) one; ``converged`` holds only
+    if every component meets max(abs_tol, rel_tol * |I_c|).
     The first call of ``f`` evaluates the panels between a, the increasing
     interior ``breaks`` (at most max_subdivisions of them, a prefix) and b;
     each break counts as one subdivision.  The panel split next is the one
@@ -214,7 +224,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
     stops the loop near that floor, not converged.  A first call that meets
     the tolerance or spends the budget is the result, and builds no heap.
     """
-    edges = (a, *breaks[: cfg.max_subdivisions], b)
+    edges = tuple(map(float, (a, *breaks[: cfg.max_subdivisions], b)))  # the nodes' memo key
     if not (math.isfinite(a) and math.isfinite(b) and all(p < q for p, q in zip(edges, edges[1:]))):
         raise InputError(f"need finite a < b, with increasing breaks between them, got {edges}")
 
@@ -263,37 +273,49 @@ _T = 2.0**-764
 _BREAKS = (0.5 * _T, 0.75 * _T, 0.875 * _T)  # where bisection from (0, T) splits first
 
 
+@memo(lambda data: 5 * len(data))
+def _fold(data):
+    """Read-only F, S and Jacobian 2 (t/T)^3 at the folded nodes t of bytes ``data``, built once per panel set."""
+    r = np.frombuffer(data) / _T
+    s = 0.5 * r**4
+    F, S, jacobian = np.concatenate([s, 1.0 - s]), np.concatenate([1.0 - s, s]), 2.0 * r**3
+    F.flags.writeable = S.flags.writeable = jacobian.flags.writeable = False
+    return F, S, jacobian
+
+
 def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
     """int_0^1 g(F, S) du, folded; g takes both halves in one call and
     returns (m,) or (k, m).  The first call evaluates the panels of (0, T)
     split at T (1/2, 3/4, 7/8), 120 u points; a subdivision budget below 3
     keeps a prefix of those splits, and each split counts as a subdivision.
+    F and S are read-only arrays shared by every integral on the same panels.
 
     The engine integrates against 2 (t/T)^3 = T ds/dt, which cannot overflow:
     it sees T times the integral and takes abs_tol times T, both exactly.
-    A non-finite g raises DivergentIntegralError, ``what`` at its u, or at
-    x = ``at(F, S)``.
+    g runs with floating-point warnings off: a non-finite g raises
+    DivergentIntegralError, ``what`` at its u, or at x = ``at(F, S)``.
     """
 
+    last = []  # F, S and g(F, S) of the latest call: the engine tests their folded sum, an error is located in g
+
     def integrand(t):
-        r = t / _T
-        s = 0.5 * r**4
-        c = 1.0 - s
-        F, S = np.concatenate([s, c]), np.concatenate([c, s])
-        with np.errstate(over="ignore"):  # an overflow is raised below
-            v = g(F, S)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            *row, j = np.argwhere(bad)[0]
-            x = None if at is None else float(at(F[j], S[j]))
-            where = f"u = {F[j]}" if x is None else f"x = {x}"
-            msg = f"{what} at {where}; the integral may be divergent or out of range"
-            raise DivergentIntegralError(msg, x, *map(int, row))
-        return (v[..., : t.size] + v[..., t.size :]) * (2.0 * r**3)
+        F, S, jacobian = _fold(t.tobytes())
+        last[:] = F, S, g(F, S)
+        return (last[2][..., : t.size] + last[2][..., t.size :]) * jacobian
 
     # an abs_tol below 2^-310 has no float at this scale: the rel_tol alone decides
     scaled = QuadratureConfig(max(cfg.abs_tol * _T, math.ulp(0.0)), cfg.rel_tol, cfg.max_subdivisions)
-    r = integrate(integrand, 0.0, _T, scaled, breaks=_BREAKS)
+    with np.errstate(all="ignore"):  # a non-finite value is raised, not warned of
+        try:
+            r = integrate(integrand, 0.0, _T, scaled, breaks=_BREAKS)
+        except DivergentIntegralError:
+            if not last or np.isfinite(last[2]).all():
+                raise  # g raised it, or its finite halves overflowed when summed
+            F, S, v = last
+            *row, j = np.argwhere(~np.isfinite(v))[0]
+            x = None if at is None else float(at(F[j], S[j]))
+            msg = f"{what} at {f'u = {F[j]}' if x is None else f'x = {x}'}; the integral may be divergent or out of range"
+            raise DivergentIntegralError(msg, x, *map(int, row)) from None
     return QuadratureResult(r.value / _T, r.error_estimate / _T, r.subdivisions_used, r.converged)
 
 
@@ -303,8 +325,7 @@ def _integrate_x(f, x, dx_dF, cfg: QuadratureConfig) -> QuadratureResult:
 
     def g(F, S):
         fx = np.asarray(f(x(F, S)), dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(fx == 0.0, 0.0, fx * dx_dF(F, S))
+        return np.where(fx == 0.0, 0.0, fx * dx_dF(F, S))
 
     return integrate_unit(g, cfg, "integrand is not finite", at=x)
 
@@ -337,8 +358,6 @@ def entropy_integral(density, support: Support, cfg: QuadratureConfig = DEFAULT_
 
     def integrand(x):
         g = np.asarray(density(x), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(g > 0.0, -g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
-        return v
+        return np.where(g > 0.0, -g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
 
     return integrate_support(integrand, support, cfg)

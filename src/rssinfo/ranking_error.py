@@ -8,9 +8,9 @@ each builder here hands out a checked matrix.
 ``blend`` (so ``identity`` and ``uniform``) is memoized on (n, w); ``two_by_two``
 and ``from_csv`` are not.  Entries are read-only, so callers share them.
 
-``memo`` is the one bound of every memo of a matrix's alpha-free work, here
-and in ``order_stats`` and ``measures``: the last MEMO_SIZE entries, each of
-at most MEMO_BYTES of matrix data, so a memo's keys hold at most 8 MiB.
+``memo`` is the one bound of every memo, of a matrix's alpha-free work here and
+in ``order_stats`` and ``measures`` and of ``quadrature``'s panel tables: the
+last MEMO_SIZE entries, each of at most MEMO_BYTES of data, so at most 8 MiB.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import InputError, check_count, check_rank, check_unit
 
 _TOL = 1e-12
 MEMO_SIZE = 256  # entries a memo keeps; the default scan needs 35 blends, 35 classes, 14 row sets and 14 kernels
-MEMO_BYTES = 1 << 15  # the most matrix data an entry keeps: a 64 x 64 matrix; larger ones are built anew
+MEMO_BYTES = 1 << 15  # the most data an entry keeps: a 64 x 64 matrix or 256 panels' nodes; larger ones are built anew
 
 
 def memo(nbytes):

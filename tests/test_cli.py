@@ -239,6 +239,8 @@ def test_parse_errors_exit_two(capsys):
         ("figure", "--id", "1", "--alpha-min", "0.5"),
         ("figure", "--id", "1", "--alpha-max", "3"),
         ("figure", "--id", "2a", "--points", "1", "--alpha-min", "1", "--alpha-max", "1"),
+        ("measure", "shannon", "--design", "rss:3", "--dist", "exp:1", "--force-numeric",
+         "--quad-abs-tol", "inf", "--quad-rel-tol", "inf"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
@@ -249,7 +251,7 @@ def test_parse_errors_exit_two(capsys):
         "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list", "irss-segment-and-error-matrix",
         "psi-empty-alphas", "scan-empty-n-values", "design-missing-set-size", "config-bad-value",
         "shannon-alpha", "kl-alpha", "seed-without-oracle", "replications-without-oracle",
-        "figure-1-alpha-min", "figure-1-alpha-max", "figure-alpha-grid-only-one",
+        "figure-1-alpha-min", "figure-1-alpha-max", "figure-alpha-grid-only-one", "infinite-tolerance",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):

@@ -6,10 +6,12 @@ import pytest
 
 from rssinfo import quadrature as Q
 from rssinfo.closed_form import d_n, k_direct
-from rssinfo.distributions import Exponential, Support
+from rssinfo import measures
+from rssinfo.distributions import Exponential, Support, Uniform, parse_distribution
 from rssinfo.errors import DivergentIntegralError, InputError
 from rssinfo import ranking_error as re
 from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
+from rssinfo.order_stats import beta_order_pdf
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -181,6 +183,23 @@ def test_non_finite_integrand_raises_with_location():
     assert 2.0 < err.value.x < 3.0
 
 
+def test_folded_non_finite_g_is_located_without_a_warning():
+    # the engine's one finiteness test finds the folded sum; the error names g's
+    # first non-finite value, by component then u, and no RuntimeWarning is raised
+    def opposite_ends(F, S):
+        return np.where(F < 1e-3, -np.inf, np.where(S < 1e-3, np.inf, F * S))
+
+    with pytest.raises(DivergentIntegralError, match=r"^w at u = ") as err:
+        integrate_unit(lambda F, S: np.stack([F * S, opposite_ends(F, S)]), DEFAULT_CONFIG, "w")
+    assert (err.value.x, err.value.component) == (None, 1)
+    with pytest.raises(DivergentIntegralError, match=r"^w at x = ") as err:
+        integrate_unit(lambda F, S: np.exp(800.0 * F), DEFAULT_CONFIG, "w", at=lambda F, S: F / S)
+    assert err.value.x > 1e10 and err.value.component is None
+    # finite halves whose sum overflows are the engine's own non-finite integrand
+    with pytest.raises(DivergentIntegralError, match="^integrand is not finite at x = "):
+        integrate_unit(lambda F, S: np.full(F.shape, 1.5e308), DEFAULT_CONFIG, "w")
+
+
 def test_smallest_folded_node_keeps_s_a_normal_float():
     # the narrowest panel at 0 the engine splits is _MIN_SPLIT_ULPS ulps of
     # _MIN_SPLIT_SCALE wide; its children are not split, so the smallest
@@ -329,6 +348,121 @@ def test_first_call_that_decides_is_pinned_bit_for_bit(f, b, cfg, breaks, value,
     assert (r.subdivisions_used, r.converged) == (len(breaks), converged)
 
 
+def _engine_of(monkeypatch, measure):
+    """The one integrate_unit result a measure call makes."""
+    seen = []
+    monkeypatch.setattr(measures, "integrate_unit", lambda *a, **k: seen.append(integrate_unit(*a, **k)) or seen[-1])
+    measure()
+    (r,) = seen
+    return r
+
+
+_TIGHT = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
+# (value, error_estimate, subdivisions_used, converged) of engine cases, as
+# float.hex: a change to the engine that moves any bit of them fails here
+_ENGINE_PINS = {
+    "tight H(U(1:8))": (
+        lambda mp: entropy_integral(lambda u: beta_order_pdf(8, 1, u), Uniform.support, _TIGHT),
+        ("-0x1.345647e7756e5p+0",), ("0x1.3bc50fd0b7e1ap-41",), 4, True,
+    ),
+    "tight H(U(4:8))": (
+        lambda mp: entropy_integral(lambda u: beta_order_pdf(8, 4, u), Uniform.support, _TIGHT),
+        ("-0x1.c5c204e18b579p-2",), ("0x1.98ab948ae2e25p-43",), 5, True,
+    ),
+    "forced d_2": (
+        lambda mp: _engine_of(mp, lambda: kl_srs_vs_design(Design("rss", 2), cfg=_TIGHT, force_numeric=True)),
+        ("0x1.3a37a020b8c21p-2",) * 2, ("0x1.308412f82713bp-44",) * 2, 8, True,
+    ),
+    "vector renyi": (
+        lambda mp: _engine_of(mp, lambda: renyi(Design("irss", 3, re.blend(3, 0.5)), parse_distribution("norm:0,1"), 2.0)),
+        ("0x1.2d4c3a310db14p-2", "0x1.5e0d424cd4ba0p-2", "0x1.2d4c3a310db14p-2"),
+        ("0x1.1dde41b4b68d2p-37", "0x1.e4491209db627p-37", "0x1.1dde41b4b68d2p-37"), 3, True,
+    ),
+    "25-split renyi": (
+        lambda mp: _engine_of(
+            mp, lambda: renyi(Design("irss", 2, re.two_by_two(0.7182)), parse_distribution("exp:0.00579263"), 0.2026)
+        ),
+        ("0x1.4b99d613fcd00p+2", "0x1.24e981676e481p+2"), ("0x1.94c0c01d56038p-25", "0x1.4ede06d456138p-25"), 25, True,
+    ),
+    "direct with breaks": (
+        lambda mp: integrate(lambda x: np.stack([np.log(x), np.sqrt(x) * np.cos(3 * x)]), 0.0, 2.0, breaks=(0.5, 1.0, 1.5)),
+        ("-0x1.3a37a019c9dcap-1", "-0x1.ba93d32392822p-3"), ("0x1.39ad3ad908645p-28", "0x1.9c46f8f061c79p-43"), 23, True,
+    ),
+    "half line": (
+        lambda mp: integrate_half_line(lambda x: x**2 * np.exp(-x) / (1 + x), 1.0),
+        ("0x1.00697cf866dcdp-1",), ("0x1.136c5779ed98ep-38",), 4, True,
+    ),
+    "full line": (
+        lambda mp: integrate_full_line(lambda x: np.exp(-0.5 * x * x) * np.cos(x) ** 2),
+        ("0x1.6c45418240249p+0",), ("0x1.19026499a9901p-27",), 5, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_PINS))
+def test_engine_cases_are_pinned_bit_for_bit(monkeypatch, case):
+    run, value, error, subdivisions, converged = _ENGINE_PINS[case]
+    r = run(monkeypatch)
+    assert tuple(float(v).hex() for v in np.atleast_1d(r.value)) == value
+    assert tuple(float(e).hex() for e in np.atleast_1d(r.error_estimate)) == error
+    assert (r.subdivisions_used, r.converged) == (subdivisions, converged)
+
+
+def test_smooth_unit_integral_calls_g_once_and_builds_its_tables_once():
+    calls = []
+
+    def g(F, S):
+        calls.append(F.size)
+        return F * S * (1.0 + F)
+
+    first = integrate_unit(g, DEFAULT_CONFIG, "test")
+    assert calls == [120] and first.subdivisions_used == 3 and first.converged
+    nodes, fold = Q._nodes.cache_info(), Q._fold.cache_info()
+    again = integrate_unit(g, DEFAULT_CONFIG, "test")
+    assert calls == [120, 120] and again == first
+    for before, after in ((nodes, Q._nodes.cache_info()), (fold, Q._fold.cache_info())):
+        assert after.misses == before.misses and after.hits > before.hits
+
+
+def test_shared_tables_are_read_only_and_bounded():
+    def g(F, S):
+        return np.log(F) * np.log(S)
+
+    before = integrate_unit(g, DEFAULT_CONFIG, "test")
+    for write in (lambda F, S: F.__setitem__(0, 0.5), lambda F, S: S.__imul__(2.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_unit(lambda F, S: write(F, S) or g(F, S), DEFAULT_CONFIG, "test")
+    assert integrate_unit(g, DEFAULT_CONFIG, "test") == before
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(lambda x: x.__setitem__(0, 0.5) or x, 0.0, 1.0)
+    # an entry keeps at most MEMO_BYTES: 2000 breaks' 240 KB of nodes are built anew and not kept
+    assert Q._nodes.cache_info().maxsize == Q._fold.cache_info().maxsize == re.MEMO_SIZE
+    kept = Q._nodes.cache_info()
+    r = integrate(np.cos, 0.0, 1.0, breaks=np.linspace(0.0, 1.0, 2002)[1:-1])
+    assert r.subdivisions_used == 2000 and Q._nodes.cache_info() == kept
+
+
+def test_integrals_on_other_intervals_never_share_nodes():
+    seen = {}
+
+    def on(b):
+        def f(x):
+            seen.setdefault(b, []).append(x.copy())
+            return np.exp(-x) * np.log(x)
+
+        return f
+
+    Q._nodes.cache_clear()
+    wide = integrate(on(2.0), 0.0, 2.0)
+    narrow = integrate(on(1.0), 0.0, 1.0)
+    assert integrate(on(2.0), 0.0, 2.0) == wide != narrow
+    # halving is exact, so the (0, 2) nodes are twice the (0, 1) ones, and none is shared
+    assert np.array_equal(seen[2.0][0], 2.0 * seen[1.0][0])
+    assert all(0.0 < x.min() and x.max() < b for b, calls in seen.items() for x in calls)
+    # equal edges of another float type give the float64 nodes
+    assert integrate(on(1.0), 0.0, 1.0, breaks=np.array([0.5], dtype=np.float32)) == integrate(on(1.0), 0.0, 1.0, breaks=(0.5,))
+
+
 def test_integrate_support_dispatch():
     finite = integrate_support(lambda u: 2 * u, Support(0.0, 1.0))
     half = integrate_support(lambda x: np.exp(-x), Support(0.0, math.inf))
@@ -363,3 +497,8 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
+    # any value meets an infinite tolerance, so a result judged against one would be "converged" unchecked
+    for field in ("abs_tol", "rel_tol"):
+        for tolerance in (math.inf, math.nan, -math.inf, 0.0, -1e-8):
+            with pytest.raises(InputError, match="finite and positive"):
+                QuadratureConfig(**{field: tolerance})

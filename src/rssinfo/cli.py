@@ -196,13 +196,14 @@ def cmd_measure(args) -> int:
     else:
         res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
         oracle = functools.partial(mc_oracle.mc_kl, Design("srs", design.n, m=design.m), dist, design, dist)
-    rec = measures.result_record(args.measure, design, dist, res, args.alpha)
+    spec = args.design if args.error_matrix is None else f"{args.design}:{args.error_matrix}"
+    rec = measures.result_record(args.measure, spec, dist, res, args.alpha)
     if args.oracle:
         est = oracle(sim)
         rec["oracle"] = est.estimate
         rec["oracle_std_error"] = est.std_error
     _emit([rec], args)
-    return EXIT_OK if res.diagnostics["converged"] else EXIT_NO_CONVERGENCE
+    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_figure(args) -> int:

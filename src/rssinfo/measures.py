@@ -7,7 +7,7 @@ route, ``_route``, its own pieces: a closed form keyed on the matrix, never on
 the design's kind; an integrand of the distinct rows; and a ``finish``.  Each
 distinct matrix takes its closed form where it has one (``force_numeric``
 skips them, to compare the paths); the rest share one ``integrate_unit`` call,
-and so ``diagnostics["subdivisions"]``, each row weighted by its count.
+and so ``subdivisions_used``, each row weighted by its count.
 
 Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
 judged weights alone: closed for the uniform matrix, the identity and every
@@ -37,7 +37,7 @@ rows and their counts are handed out read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -100,36 +100,32 @@ class MeasureResult:
     value: float
     error_estimate: float
     method: str  # closed-form | quadrature
-    diagnostics: dict = field(default_factory=dict)
+    converged: bool
+    subdivisions_used: int
 
     def scaled(self, m: int, shift: float = 0.0) -> "MeasureResult":
         """m cycles of this one-cycle result, each moved by ``shift``: the
         n log(scale) a Shannon or Renyi value of the standard law lacks."""
         if m == 1 and shift == 0.0:
             return self
-        return MeasureResult(
-            (self.value + shift) * m, self.error_estimate * m, self.method, self.diagnostics
-        )
+        return replace(self, value=(self.value + shift) * m, error_estimate=self.error_estimate * m)
 
 
 def _closed(value: float) -> MeasureResult:
-    return MeasureResult(value, 0.0, "closed-form", {"converged": True, "subdivisions": 0})
+    return MeasureResult(value, 0.0, "closed-form", True, 0)
 
 
 def _from_quad(value: float, err: float, r: QuadratureResult) -> MeasureResult:
-    return MeasureResult(
-        value, err, "quadrature", {"converged": r.converged, "subdivisions": r.subdivisions_used}
-    )
+    return MeasureResult(value, err, "quadrature", r.converged, r.subdivisions_used)
 
 
 def _joined(a: MeasureResult, b: MeasureResult, sign: float) -> MeasureResult:
     """a + sign * b of two quadrature results: errors and subdivisions add,
     and it converged only if both did."""
-    diagnostics = {
-        "converged": a.diagnostics["converged"] and b.diagnostics["converged"],
-        "subdivisions": a.diagnostics["subdivisions"] + b.diagnostics["subdivisions"],
-    }
-    return MeasureResult(a.value + sign * b.value, a.error_estimate + b.error_estimate, "quadrature", diagnostics)
+    return MeasureResult(
+        a.value + sign * b.value, a.error_estimate + b.error_estimate, "quadrature",
+        a.converged and b.converged, a.subdivisions_used + b.subdivisions_used,
+    )
 
 
 def _check_mode(mode: str, modes: tuple[str, ...]) -> None:
@@ -332,7 +328,7 @@ def renyi_gap_binomial(
         return _closed(0.0)
     # the gap is scale-free
     rss, srs = renyi_designs([Design(PERFECT_RSS, n), Design(SRS, n)], dist.standard(), alpha, cfg, True)
-    return MeasureResult(rss.value - srs.value, rss.error_estimate + srs.error_estimate, rss.method, rss.diagnostics)
+    return replace(rss, value=rss.value - srs.value, error_estimate=rss.error_estimate + srs.error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +362,8 @@ def kl_srs_vs_design(
         log_weight = judged_log_weight(rows)
 
         def integrand(x):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f = std.pdf(x)  # below ~1e-300 it kills any log factor; avoid 0 * inf
-                return np.where(f > 1e-300, -f * log_weight(std.cdf(x), std.survival(x)), 0.0)
+            f = std.pdf(x)  # below ~1e-300 it kills any log factor; avoid 0 * inf
+            return np.where(f > 1e-300, -f * log_weight(std.cdf(x), std.survival(x)), 0.0)
 
         r = integrate_support(integrand, std.support, cfg)
         res = _weighted(r.value, r.error_estimate, counts, r)
@@ -398,9 +393,8 @@ def kl_two_sample(
 
         def term(lx, F, S):
             wx = np.exp(lx)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bracket = lx + dist_f.log_pdf_at_quantile(F, S) - log_py(dist_f.quantile(F, S))
-                return np.where(wx > 0.0, wx * bracket, 0.0)
+            bracket = lx + dist_f.log_pdf_at_quantile(F, S) - log_py(dist_f.quantile(F, S))
+            return np.where(wx > 0.0, wx * bracket, 0.0)
 
         return _of_log_weight(term, rows_x)
 
@@ -468,8 +462,7 @@ def _a_n_reduced(dist_f, dist_g, n: int, cfg: QuadratureConfig, survival_term, w
 
     def integrand(F, S):
         x = dist_f.quantile(F, S)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return closed_form.xlogy(F, dist_g.cdf(x)) + survival_term(S, dist_g.survival(x))
+        return closed_form.xlogy(F, dist_g.cdf(x)) + survival_term(S, dist_g.survival(x))
 
     r = integrate_unit(integrand, cfg, what)
     c = n * (n - 1)
@@ -478,19 +471,20 @@ def _a_n_reduced(dist_f, dist_g, n: int, cfg: QuadratureConfig, survival_term, w
 
 def result_record(
     measure: str,
-    design: Design,
+    design: str,
     dist: Distribution,
     result: MeasureResult,
     alpha: float | None = None,
 ) -> dict:
-    """JSON-serializable record of a measure evaluation."""
+    """JSON-serializable record of a measure evaluation of ``design``, the spec as given."""
     rec = {
         "measure": measure,
-        "design": design.spec_string(),
+        "design": design,
         "dist": dist.spec_string(),
         "value": result.value,
         "error": result.error_estimate,
         "method": result.method,
+        "converged": result.converged,
     }
     if alpha is not None:
         rec["alpha"] = alpha

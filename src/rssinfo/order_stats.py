@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, Uniform
 from .errors import check_count, check_dimension, check_rank
 from .ranking_error import RankingErrorMatrix, memo
 
@@ -137,16 +137,10 @@ def judged_log_pdf(dist: Distribution, rows):
     log_weight = judged_log_weight(rows)
 
     def log_pdf(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = log_weight(dist.cdf(x), dist.survival(x)) + dist.log_pdf(x)
+        lg = log_weight(dist.cdf(x), dist.survival(x)) + dist.log_pdf(x)
         return np.where(np.isnan(lg), -np.inf, lg)
 
     return log_pdf
-
-
-def _judged_row(n: int, P: RankingErrorMatrix, i: int) -> np.ndarray:
-    check_dimension(P.n, n)
-    return P.row(i)
 
 
 def beta_order_pdf(n: int, i: int, u):
@@ -188,10 +182,10 @@ def order_stat_log_pdf(spec: OrderStatSpec, x):
 def judged_pdf(dist: Distribution, n: int, P: RankingErrorMatrix, i: int, x):
     """Density of the unit judged to have rank i: the p[i, r] mixture of the
     true order-statistic densities."""
-    return np.exp(judged_log_pdf(dist, _judged_row(n, P, i))(x))
+    check_dimension(P.n, n)
+    return np.exp(judged_log_pdf(dist, P.row(i))(x))
 
 
 def judged_beta_mixture_pdf(n: int, P: RankingErrorMatrix, i: int, u):
-    """u-space counterpart of ``judged_pdf``: sum_r p[i, r] Beta(r, n-r+1)(u)."""
-    u = np.asarray(u, dtype=float)
-    return np.exp(judged_log_weight(_judged_row(n, P, i))(u, 1.0 - u))
+    """``judged_pdf`` on the uniform law: sum_r p[i, r] Beta(r, n-r+1)(u) on [0, 1], 0 outside."""
+    return judged_pdf(Uniform(), n, P, i, u)

@@ -354,10 +354,10 @@ def integrate_support(f, support: Support, cfg: QuadratureConfig = DEFAULT_CONFI
 
 
 def entropy_integral(density, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """-integral of g log g over the support, with the 0*log(0) = 0 convention."""
+    """-integral of g log g over the support, 0 log 0 = 0; a NaN or negative g raises at its x."""
 
     def integrand(x):
         g = np.asarray(density(x), dtype=float)
-        return np.where(g > 0.0, -g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
+        return np.where(g == 0.0, 0.0, -g * np.log(g))
 
     return integrate_support(integrand, support, cfg)

@@ -67,7 +67,7 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
                 leg = dict(zip(specs, measures.renyi_designs(designs, dist, alpha, cfg)))
                 srs, rss = leg["uniform"], leg["identity"]
                 budget = srs.error_estimate + rss.error_estimate  # each record adds its own leg's
-                converged = srs.diagnostics["converged"] and rss.diagnostics["converged"]
+                converged = srs.converged and rss.converged
                 for matrix in grid.matrices:
                     irss = leg[matrix]
                     rec = {
@@ -81,7 +81,7 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
                         "margin_rss_irss": irss.value - rss.value,  # conjecture: >= 0
                         "margin_irss_srs": srs.value - irss.value,  # conjecture: >= 0
                         "error_budget": budget + irss.error_estimate,
-                        "converged": converged and irss.diagnostics["converged"],
+                        "converged": converged and irss.converged,
                     }
                     report.records.append(rec)
                     for name in ("margin_rss_irss", "margin_irss_srs"):

@@ -252,7 +252,7 @@ def test_criterion_06_kl_suite(report):
         rand = track(M.kl_srs_vs_design, Design("irss", n, re.uniform(n)), cfg=TIGHT)
         if abs(ident.value - perfect) > 1e-8 or abs(rand.value) > 1e-9:
             failures.append(("matrix limits", n))
-    unconverged = sum(not r.diagnostics["converged"] for r in calls)
+    unconverged = sum(not r.converged for r in calls)
     if unconverged:
         failures.append(("not converged", unconverged, len(calls)))
     ok = not failures

@@ -141,7 +141,26 @@ def test_measure_error_matrix_file(capsys, tmp_path):
         "--error-matrix", str(path),
     )
     assert code == cli.EXIT_OK
-    assert rows_of(out)[0]["design"] == "irss:2"
+    assert rows_of(out)[0]["design"] == f"irss:2:{path}"
+
+
+def test_measure_record_names_its_matrix(capsys):
+    designs = set()
+    for spec in ("irss:3:blend=0.5", "irss:3:blend=0.75"):
+        code, out, _ = run(capsys, "measure", "shannon", "--design", spec, "--dist", "exp:1")
+        assert code == cli.EXIT_OK
+        designs.add(rows_of(out)[0]["design"])
+    assert designs == {"irss:3:blend=0.5", "irss:3:blend=0.75"}
+
+
+def test_measure_record_says_it_did_not_converge(capsys):
+    code, out, _ = run(
+        capsys, "measure", "shannon", "--design", "rss:3", "--dist", "exp:1",
+        "--quad-max-subdiv", "1", "--force-numeric", "--format", "json",
+    )
+    assert code == cli.EXIT_NO_CONVERGENCE
+    (rec,) = json.loads(out)
+    assert rec["converged"] is False and rec["design"] == "rss:3"
 
 
 def test_measure_oracle_column_includes_std_error(capsys):

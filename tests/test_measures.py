@@ -130,7 +130,7 @@ def test_renyi_weibull_unbounded_density():
     for k, converges in ((0.6, True), (0.505, False)):
         truth = -math.log(k * math.gamma(2.0 - 1.0 / k) / 2.0 ** (2.0 - 1.0 / k))
         res = M.renyi(Design("srs", 1), Weibull(k, 1.0), 2.0, force_numeric=True)
-        assert res.diagnostics["converged"] == converges, k
+        assert res.converged == converges, k
         assert abs(res.value - truth) <= res.error_estimate, k
     with pytest.raises(DivergentIntegralError):
         M.renyi(Design("srs", 1), Weibull(0.3, 1.0), 2.0)
@@ -141,7 +141,7 @@ def test_renyi_overflow_is_not_called_divergent():
     # of N(0, 1e-160); the integral is taken on the standard law
     res = M.renyi(Design("srs", 1), Normal(0.0, 1e-160), 2.0, force_numeric=True)
     truth = math.log(2.0 * math.sqrt(math.pi) * 1e-160)  # -367.148103
-    assert res.diagnostics["converged"]
+    assert res.converged
     assert abs(res.value - truth) <= res.error_estimate
     # f^2 of Weibull(0.3) overflows before x reaches 0 even at unit scale
     with pytest.raises(DivergentIntegralError, match="exceeds the float range"):
@@ -184,7 +184,7 @@ def test_scale_defects_are_right(measure, design, law, alpha, truth):
         res = M.shannon(design, dist, force_numeric=True, mode="x")
     else:
         res = M.kl_srs_vs_design(design, dist, force_numeric=True, mode="x")
-    assert res.diagnostics["converged"]
+    assert res.converged
     printed = 0.5 * 10.0 ** -len(truth.partition(".")[2])
     assert abs(res.value - float(truth)) <= res.error_estimate + printed
 
@@ -223,7 +223,7 @@ def test_location_scale_equivariance(family, magnitude, loc, k, n, blend, alpha,
 
     res, ref = run(dist), run(unit)
     expected = ref.value + (0.0 if measure == "kl" else n * math.log(magnitude))
-    assert res.diagnostics["converged"] and ref.diagnostics["converged"]
+    assert res.converged and ref.converged
     slack = 1e-12 * abs(expected)  # rounding of the shift itself
     assert abs(res.value - expected) <= res.error_estimate + ref.error_estimate + slack
 
@@ -233,12 +233,12 @@ def test_renyi_far_from_unit_scale():
     # against t = 1, where an unresolved end panel used to pass as converged
     res = M.renyi(Design("rss", 2), Exponential(1e-6), 2.0, force_numeric=True)
     truth = cf.exp_renyi("rss", 1e-6, 2.0)
-    assert res.diagnostics["converged"]
+    assert res.converged
     assert abs(res.value - truth) <= res.error_estimate + 1e-9 * abs(truth)
     for design in (Design("srs", 3), Design("rss", 3)):
         big = M.renyi(design, Weibull(2.0, 1e5), 2.0, force_numeric=True)
         unit = M.renyi(design, Weibull(2.0, 1.0), 2.0, force_numeric=True)
-        assert big.diagnostics["converged"]
+        assert big.converged
         shifted = unit.value + 3 * math.log(1e5)
         assert abs(big.value - shifted) <= big.error_estimate + unit.error_estimate + 1e-9 * abs(shifted)
 
@@ -261,7 +261,7 @@ def test_renyi_designs_share_one_integral():
             assert abs(res.value - own.value) <= res.error_estimate + own.error_estimate, design
             assert own == M.renyi_designs([design], dist, alpha, force_numeric=True)[0]
         assert shared[2] == shared[1]  # irss:identity is the rss leg
-        assert len({r.diagnostics["subdivisions"] for r in shared}) == 1
+        assert len({r.subdivisions_used for r in shared}) == 1
 
 
 def test_renyi_gap_binomial_matches_direct_route():
@@ -281,7 +281,7 @@ def test_renyi_gap_binomial_error_is_informative():
         gap = M.renyi_gap_binomial(dist, n, 10.0)
         rss = M.renyi(Design("rss", n), dist, 10.0, force_numeric=True)
         srs = M.renyi(Design("srs", n), dist, 10.0, force_numeric=True)
-        assert gap.diagnostics["converged"] and gap.error_estimate < 1e-8
+        assert gap.converged and gap.error_estimate < 1e-8
         budget = gap.error_estimate + rss.error_estimate + srs.error_estimate
         assert abs(gap.value - (rss.value - srs.value)) <= budget
     with pytest.raises(M.DivergentIntegralError):
@@ -362,7 +362,7 @@ def test_closed_forms_agree_with_the_integrals(families):
             continue
         closed_forms += 1
         numeric = case(True)
-        assert numeric.method == "quadrature" and numeric.diagnostics["converged"]
+        assert numeric.method == "quadrature" and numeric.converged
         # a few ulps of slack: a folded integrand's halves can cancel below the rounding floor
         assert abs(closed.value - numeric.value) <= numeric.error_estimate + 1e-15, (closed, numeric)
     assert closed_forms >= 60
@@ -373,13 +373,13 @@ def test_rows_singular_at_opposite_ends_share_one_folded_tree():
     # so together they take no more splits than one row alone (41 here)
     tight = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
     res = M.kl_srs_vs_design(Design("rss", 2), cfg=tight, force_numeric=True)
-    assert res.diagnostics["converged"] and res.diagnostics["subdivisions"] <= 41
+    assert res.converged and res.subdivisions_used <= 41
     assert abs(res.value - cf.d_n(2)) <= res.error_estimate
 
 
 def test_kl_large_n_u_space_stays_finite():
     res = M.kl_srs_vs_design(Design("rss", 50), force_numeric=True)
-    assert res.diagnostics["converged"]
+    assert res.converged
     assert abs(res.value - cf.d_n(50)) <= res.error_estimate
 
 
@@ -450,12 +450,10 @@ def test_a_n_sum_is_two_two_sample_kls():
             summed = M.a_n(f, g, n, cfg, mode="sum")
             assert summed.value == rss.value - srs.value, (cfg, n)
             assert summed.error_estimate == rss.error_estimate + srs.error_estimate
-            assert summed.diagnostics == {
-                "converged": rss.diagnostics["converged"] and srs.diagnostics["converged"],
-                "subdivisions": rss.diagnostics["subdivisions"] + srs.diagnostics["subdivisions"],
-            }
+            assert summed.converged == (rss.converged and srs.converged)
+            assert summed.subdivisions_used == rss.subdivisions_used + srs.subdivisions_used
     # a starved leg makes the difference not converged
-    assert not M.a_n(f, g, 3, QuadratureConfig(max_subdivisions=1), mode="sum").diagnostics["converged"]
+    assert not M.a_n(f, g, 3, QuadratureConfig(max_subdivisions=1), mode="sum").converged
 
 
 def test_a_n_decomposes_rss_vs_rss():
@@ -670,9 +668,10 @@ def test_cycle_scaling_is_exact():
 def test_result_record_shape():
     dist = Exponential(1.0)
     res = M.renyi(Design("srs", 2), dist, 2.0)
-    rec = M.result_record("renyi", Design("srs", 2), dist, res, alpha=2.0)
+    rec = M.result_record("renyi", "srs:2", dist, res, alpha=2.0)
     assert rec["measure"] == "renyi"
     assert rec["design"] == "srs:2"
+    assert rec["converged"] is True
     assert rec["dist"] == "exp:1"
     assert rec["alpha"] == 2.0
     assert math.isfinite(rec["value"]) and rec["error"] >= 0.0
@@ -681,8 +680,8 @@ def test_result_record_shape():
 def test_quadrature_results_report_convergence_diagnostics():
     res = M.shannon(Design("rss", 3), Normal(), force_numeric=True)
     assert res.method == "quadrature"
-    assert res.diagnostics["converged"]
-    assert res.diagnostics["subdivisions"] > 0
+    assert res.converged
+    assert res.subdivisions_used > 0
     assert res.error_estimate >= 0.0
 
 
@@ -696,7 +695,7 @@ def test_scan_legs_lie_within_their_error_of_tight_values(family):
         designs = [Design("irss", n, re.parse_matrix(s, n)) for s in ("uniform", "identity", *DEFAULT_SCAN_MATRICES)]
         for alpha in (1.1, 10.0):
             for d, t in zip(M.renyi_designs(designs, dist, alpha), M.renyi_designs(designs, dist, alpha, tight)):
-                assert d.diagnostics.get("converged", True) and t.diagnostics.get("converged", True)
+                assert d.converged and t.converged
                 assert abs(d.value - t.value) <= d.error_estimate, (n, alpha, d, t)
 
 

@@ -128,6 +128,15 @@ def test_judged_beta_mixture_matches_x_space():
         np.testing.assert_allclose(mixture, reference, rtol=1e-12)
 
 
+def test_judged_beta_mixture_vanishes_outside_the_unit_interval():
+    # the polynomial read off [0, 1] once gave 2.315 at u = -0.1 and NaN at u = 1.1
+    P = re.blend(3, 0.5)
+    outside = np.array([-np.inf, -0.1, -1e-300, 1.0 + 2**-52, 1.1, np.inf])
+    for i in range(1, 4):
+        assert np.array_equal(judged_beta_mixture_pdf(3, P, i, outside), np.zeros(outside.size)), i
+        assert judged_beta_mixture_pdf(3, P, i, -0.1) == 0.0 == judged_beta_mixture_pdf(3, P, i, 1.1)
+
+
 def test_judged_log_weight_large_n_tails_stay_finite():
     P = re.blend(50, 0.5)
     u = np.array([1e-9, 1.0 - 1e-9])

@@ -14,8 +14,8 @@ import numpy as np
 import rssinfo
 import rssinfo.cli  # noqa: F401  (the tracer wraps cli names; the package does not import cli)
 from rssinfo.distributions import Exponential
-from rssinfo.measures import Design, renyi
-from rssinfo.quadrature import integrate
+from rssinfo.measures import Design, renyi, shannon
+from rssinfo.quadrature import QuadratureConfig, integrate
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,6 +50,21 @@ def test_integrate_result_fields_the_tracer_reads():
         assert type(res.subdivisions_used) is int
 
 
+def test_measure_result_fields_the_judges_read(monkeypatch):
+    # workloads._converged counts a result with neither field as converged, so a rename would pass unseen
+    design, law = Design("rss", 3), Exponential(1.0)
+    closed, numeric = shannon(design, law), shannon(design, law, force_numeric=True)
+    assert (closed.method, numeric.method) == ("closed-form", "quadrature")
+    for res in (closed, numeric):
+        assert type(res.converged) is bool
+        assert type(res.subdivisions_used) is int
+    monkeypatch.syspath_prepend(str(_PERFBENCH))  # workloads imports its references module by name
+    workloads = _perfbench_module("workloads")
+    starved = shannon(design, law, QuadratureConfig(max_subdivisions=1), force_numeric=True)
+    assert workloads._converged(numeric) is True
+    assert workloads._converged(starved) is False
+
+
 def test_traced_measure_runs_and_counts():
     tracer = _tracer_module().Tracer(rssinfo)
     tracer.install()
@@ -57,7 +72,7 @@ def test_traced_measure_runs_and_counts():
         res = renyi(Design("rss", 3), Exponential(1.0), 2.0, force_numeric=True)
     finally:
         tracer.uninstall()
-    assert res.diagnostics["converged"]
+    assert res.converged
     assert tracer.counts["quadrature.integrals"] == 1
     assert tracer.counts["quadrature.integrand_points"] > 0
     assert not hasattr(rssinfo.quadrature.integrate, "_perfbench_traced")  # uninstalled

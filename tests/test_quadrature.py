@@ -7,7 +7,7 @@ import pytest
 from rssinfo import quadrature as Q
 from rssinfo.closed_form import d_n, k_direct
 from rssinfo import measures
-from rssinfo.distributions import Exponential, Support, Uniform, parse_distribution
+from rssinfo.distributions import Exponential, Normal, Support, Uniform, parse_distribution
 from rssinfo.errors import DivergentIntegralError, InputError
 from rssinfo import ranking_error as re
 from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
@@ -15,7 +15,6 @@ from rssinfo.order_stats import beta_order_pdf
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    QuadratureResult,
     entropy_integral,
     integrate,
     integrate_full_line,
@@ -151,7 +150,7 @@ def test_infinite_panel_error_does_not_stall_the_loop():
     # the same in a measure: the first panel of the 50 Renyi components has an
     # infinite error, and the integral must not then spend its whole budget
     res = renyi(Design("rss", 50), Exponential(1.0), 3.0, force_numeric=True)
-    assert res.diagnostics["converged"] and res.diagnostics["subdivisions"] < 100
+    assert res.converged and res.subdivisions_used < 100
 
 
 def test_determinism_is_bitwise():
@@ -214,7 +213,7 @@ def test_quartic_fold_resolves_an_alpha_below_one_end_quickly():
     # at alpha = 0.2 the exponential's upper tail is an s^-0.8 end: the square
     # map left t^-0.6 and took 57 splits, the quartic map leaves t^-0.2
     res = renyi(Design("rss", 5), Exponential(1.0), 0.2, force_numeric=True)
-    assert res.diagnostics["converged"] and res.diagnostics["subdivisions"] <= 30, res.diagnostics
+    assert res.converged and res.subdivisions_used <= 30, res
 
 
 def test_unreachable_tolerance_stops_at_float_resolution():
@@ -227,8 +226,7 @@ def test_unreachable_tolerance_stops_at_float_resolution():
         (shannon(Design("rss", 3), Exponential(1.0), cfg, force_numeric=True), 3.0 + k_direct(3)),
     ]
     for r, truth in cases:
-        converged = r.converged if isinstance(r, QuadratureResult) else r.diagnostics["converged"]
-        assert not converged
+        assert not r.converged
         assert math.isfinite(r.value)
         assert abs(r.value - truth) <= r.error_estimate, (r, truth)
 
@@ -263,7 +261,7 @@ def test_unreachable_tolerance_stops_near_the_rounding_floor():
         (kl_srs_vs_design(Design("irss", 4, P4), cfg=cfg), kl),
     ]
     for r, truth in cases:
-        assert not r.diagnostics["converged"] and r.diagnostics["subdivisions"] <= 50, r
+        assert not r.converged and r.subdivisions_used <= 50, r
         assert abs(r.value - float(truth)) <= r.error_estimate, (r, truth)
 
 
@@ -483,6 +481,18 @@ def test_entropy_integral_zero_log_zero_convention():
 
     r = entropy_integral(density, Support(0.0, 1.0))
     assert abs(r.value - (-math.log(2.0))) < 1e-6
+
+
+def test_entropy_integral_raises_on_a_nan_or_negative_density():
+    # counted as 0, either once gave 0.0 +- 0.0, converged, after 3 subdivisions
+    cases = [
+        (lambda x: np.full(np.shape(x), np.nan), Normal().support),
+        (lambda u: np.where(np.asarray(u) < 0.5, -1.0, 1.0), Uniform.support),
+    ]
+    for density, support in cases:
+        with pytest.raises(DivergentIntegralError, match="^integrand is not finite at x = ") as err:
+            entropy_integral(density, support)
+        assert err.value.x is not None and math.isfinite(err.value.x)
 
 
 def test_invalid_interval_rejected():

@@ -68,7 +68,7 @@ def d_n(n: int) -> float:
     """Distribution-free KL divergence K(SRS, RSS) = -sum log(i*C(n,i)) + n(n-1);
     i C(n, i) is the order-statistic coefficient n! / ((i-1)! (n-i)!)."""
     check_count("n", n, 1)
-    return math.fsum([n * (n - 1), *(-log_order_coeff(n, i) for i in range(1, n + 1))])
+    return math.fsum([n * (n - 1), *(-log_c for log_c in _log_coeffs(n).tolist())])
 
 
 # B_2k / (2k (2k-1)), the coefficients of Stirling's series for log Gamma

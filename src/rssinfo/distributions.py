@@ -6,7 +6,9 @@ Each family is a standard shape moved by a location and stretched by a
 scale, and only ``Distribution`` applies that affine map; ``standard()``
 gives the same shape at location 0 and scale 1, the law every measure
 integrates.  All operations accept scalars or numpy arrays and are pure;
-instances are immutable after construction.
+instances are immutable after construction.  ``log_pdf``, ``pdf``, ``cdf`` and
+``survival`` give NaN at a NaN x, and their limit, without a warning, at +-inf
+and where z = x / scale, a normal's z * z or a Weibull's z**k overflows.
 """
 
 from __future__ import annotations
@@ -64,16 +66,19 @@ class Distribution:
         return log_f if self.scale == 1.0 else log_f - math.log(self.scale)
 
     def log_pdf(self, x):
-        return self._per_x(self._log_pdf(self._z(x)))
+        with np.errstate(over="ignore"):
+            return self._per_x(self._log_pdf(self._z(x)))
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
     def cdf(self, x):
-        return self._cdf(self._z(x))
+        with np.errstate(over="ignore"):
+            return self._cdf(self._z(x))
 
     def survival(self, x):
-        return self._survival(self._z(x))
+        with np.errstate(over="ignore"):
+            return self._survival(self._z(x))
 
     def quantile(self, F, S=None):
         q = self._quantile(*_levels(F, S))
@@ -142,7 +147,7 @@ class Uniform(Distribution):
     support = Support(0.0, 1.0)
 
     def _log_pdf(self, z):
-        return np.where((z >= 0.0) & (z <= 1.0), 0.0, -np.inf)
+        return np.where((z < 0.0) | (z > 1.0), -np.inf, np.where(np.isnan(z), z, 0.0))
 
     def _cdf(self, z):
         return np.clip(z, 0.0, 1.0)
@@ -171,13 +176,13 @@ class Exponential(Distribution):
     lam = property(lambda self: 1.0 / self.scale)
 
     def _log_pdf(self, z):
-        return np.where(z >= 0.0, -z, -np.inf)
+        return np.where(z < 0.0, -np.inf, -z)
 
     def _cdf(self, z):
-        return np.where(z >= 0.0, -np.expm1(-z), 0.0)
+        return -np.expm1(-np.maximum(z, 0.0))
 
     def _survival(self, z):
-        return np.where(z >= 0.0, np.exp(-z), 1.0)
+        return np.exp(-np.maximum(z, 0.0))
 
     def _quantile(self, F, S):
         return -_log_survival(F, S)
@@ -244,16 +249,15 @@ class Weibull(Distribution):
     theta = property(lambda self: self.scale)
 
     def _log_pdf(self, z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.where(z > 0.0, z, 1.0)
-            val = math.log(self.k) + (self.k - 1.0) * np.log(y) - y**self.k
-        return np.where(z > 0.0, val, -np.inf)
+        outside = (z <= 0.0) | (z == np.inf)  # the formula holds on 0 < z < inf, and takes a NaN
+        y = np.where(outside, 1.0, z)
+        return np.where(outside, -np.inf, math.log(self.k) + (self.k - 1.0) * np.log(y) - y**self.k)
 
     def _cdf(self, z):
-        return np.where(z > 0.0, -np.expm1(-(np.maximum(z, 0.0) ** self.k)), 0.0)
+        return -np.expm1(-(np.maximum(z, 0.0) ** self.k))
 
     def _survival(self, z):
-        return np.where(z > 0.0, np.exp(-(np.maximum(z, 0.0) ** self.k)), 1.0)
+        return np.exp(-(np.maximum(z, 0.0) ** self.k))
 
     def _quantile(self, F, S):
         return (-_log_survival(F, S)) ** (1.0 / self.k)

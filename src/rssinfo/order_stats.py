@@ -27,18 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Distribution, Uniform
 from .errors import check_count, check_dimension, check_rank
-from .ranking_error import RankingErrorMatrix, memo
-
-
-def _check_rank(n: int, i: int) -> None:
-    check_count("set size", n, 1)
-    check_rank(n, i)
+from .ranking_error import RankingErrorMatrix, identity, memo
 
 
 @functools.cache
@@ -52,7 +46,8 @@ def _log_coeffs(n: int) -> np.ndarray:
 
 def log_order_coeff(n: int, i: int) -> float:
     """log of n! / ((i-1)! (n-i)!) = -log B(i, n-i+1)."""
-    _check_rank(n, i)
+    check_count("set size", n, 1)
+    check_rank(n, i)
     return float(_log_coeffs(n)[i - 1])
 
 
@@ -135,12 +130,7 @@ def judged_log_pdf(dist: Distribution, rows):
     of k giving (k,) + x's shape): the kernel at the parent's cdf and
     survival plus its log density, each evaluated once (a uniform row's is 0)."""
     log_weight = judged_log_weight(rows)
-
-    def log_pdf(x):
-        lg = log_weight(dist.cdf(x), dist.survival(x)) + dist.log_pdf(x)
-        return np.where(np.isnan(lg), -np.inf, lg)
-
-    return log_pdf
+    return lambda x: log_weight(dist.cdf(x), dist.survival(x)) + dist.log_pdf(x)
 
 
 def beta_order_pdf(n: int, i: int, u):
@@ -160,23 +150,14 @@ def beta_order_log_pdf(n: int, i: int, u):
     return log_pdf
 
 
-@dataclass(frozen=True)
-class OrderStatSpec:
-    n: int
-    i: int
-    dist: Distribution
-
-    def __post_init__(self):
-        _check_rank(self.n, self.i)
-
-
-def order_stat_pdf(spec: OrderStatSpec, x):
+def order_stat_pdf(dist: Distribution, n: int, i: int, x):
     """Density of the i-th order statistic of n iid draws from ``dist``."""
-    return np.exp(order_stat_log_pdf(spec, x))
+    return np.exp(order_stat_log_pdf(dist, n, i, x))
 
 
-def order_stat_log_pdf(spec: OrderStatSpec, x):
-    return judged_log_pdf(spec.dist, np.eye(spec.n)[spec.i - 1])(x)
+def order_stat_log_pdf(dist: Distribution, n: int, i: int, x):
+    """Its log: the judged density on row i of the identity, where ``mc_oracle.sample_order_stat`` draws."""
+    return judged_log_pdf(dist, identity(n).row(i))(x)
 
 
 def judged_pdf(dist: Distribution, n: int, P: RankingErrorMatrix, i: int, x):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rssinfo import ranking_error as re
 from rssinfo.distributions import (
     Distribution,
     DistributionParseError,
@@ -16,6 +17,7 @@ from rssinfo.distributions import (
     parse_distribution,
 )
 from rssinfo.errors import InputError
+from rssinfo.order_stats import judged_pdf, order_stat_pdf
 from rssinfo.quadrature import entropy_integral, integrate_support
 
 
@@ -174,6 +176,27 @@ def test_outside_support_density_is_zero():
         assert dist.log_pdf(-1.0) == -np.inf
         assert dist.cdf(-1.0) == 0.0
         assert dist.survival(-1.0) == 1.0
+
+
+EDGES = np.array([-np.inf, -1e303, -1e155, 0.0, 1e155, 1e303, np.inf])
+
+
+def test_edges_give_the_limits_and_nan_gives_nan(members):
+    # the suite turns a RuntimeWarning into a failure: an overflow on the way
+    # to a right limit (z = x / 1e-6, a normal's z * z, a Weibull's z**k) is silent
+    far = np.abs(EDGES) > 1e100
+    P = re.blend(3, 0.5)
+    for dist in members:
+        log_f, f, F, S = dist.log_pdf(EDGES), dist.pdf(EDGES), dist.cdf(EDGES), dist.survival(EDGES)
+        assert np.all(log_f[far] < -1e100) and np.all(f[far] == 0.0), dist
+        assert np.array_equal(F[far], (EDGES[far] > 0.0) * 1.0) and np.array_equal(S[far], 1.0 - F[far]), dist
+        assert np.array_equal(f, np.exp(log_f)) and F[3] + S[3] == 1.0, dist
+        for fn in (dist.log_pdf, dist.pdf, dist.cdf, dist.survival):
+            assert np.isnan(fn(np.nan)), (dist, fn.__name__)
+        for i in (1, 2, 3):
+            for density in (order_stat_pdf(dist, 3, i, EDGES), judged_pdf(dist, 3, P, i, EDGES)):
+                assert np.array_equal(density[far], np.zeros(far.sum())), (dist, i)
+            assert np.isnan(order_stat_pdf(dist, 3, i, np.nan)) and np.isnan(judged_pdf(dist, 3, P, i, np.nan))
 
 
 def test_parse_round_trip():

@@ -8,7 +8,6 @@ from rssinfo import order_stats
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential
 from rssinfo.order_stats import (
-    OrderStatSpec,
     beta_order_log_pdf,
     beta_order_pdf,
     judged_beta_mixture_pdf,
@@ -62,9 +61,7 @@ def test_uniform_mixture_identity(families, interior_u):
     for dist in families:
         x = dist.quantile(np.linspace(0.02, 0.98, 25))
         for n in [2, 4, 6]:
-            total = sum(
-                order_stat_pdf(OrderStatSpec(n, i, dist), x) for i in range(1, n + 1)
-            )
+            total = sum(order_stat_pdf(dist, n, i, x) for i in range(1, n + 1))
             np.testing.assert_allclose(total / n, dist.pdf(x), rtol=0, atol=1e-10)
 
 
@@ -81,7 +78,7 @@ def test_order_stat_density_normalizes():
     dist = Exponential(1.0)
     for n, i in [(2, 1), (3, 2), (5, 5)]:
         r = integrate_support(
-            lambda x, n=n, i=i: order_stat_pdf(OrderStatSpec(n, i, dist), x),
+            lambda x, n=n, i=i: order_stat_pdf(dist, n, i, x),
             dist.support,
         )
         assert abs(r.value - 1.0) < 1e-8
@@ -90,16 +87,16 @@ def test_order_stat_density_normalizes():
 def test_known_exponential_order_stat_values():
     dist = Exponential(1.0)
     # min of two Exp(1) is Exp(2): density 2 at the origin
-    assert order_stat_pdf(OrderStatSpec(2, 1, dist), 0.0) == pytest.approx(2.0)
+    assert order_stat_pdf(dist, 2, 1, 0.0) == pytest.approx(2.0)
     # middle of three at x = 1: 6 e^-1 (1 - e^-1) e^-1
     expected = 6.0 * math.exp(-1.0) * (1.0 - math.exp(-1.0)) * math.exp(-1.0)
-    assert order_stat_pdf(OrderStatSpec(3, 2, dist), 1.0) == pytest.approx(expected, rel=1e-12)
+    assert order_stat_pdf(dist, 3, 2, 1.0) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.5133, abs=5e-4)
 
 
 def test_order_stat_log_pdf_outside_support():
     dist = Exponential(1.0)
-    assert order_stat_log_pdf(OrderStatSpec(3, 2, dist), -1.0) == -np.inf
+    assert order_stat_log_pdf(dist, 3, 2, -1.0) == -np.inf
 
 
 def test_judged_pdf_limits():
@@ -109,7 +106,7 @@ def test_judged_pdf_limits():
         for i in range(1, n + 1):
             # identity matrix: judged = true order statistic, through the same kernel
             ident = judged_pdf(dist, n, re.identity(n), i, x)
-            assert np.array_equal(ident, order_stat_pdf(OrderStatSpec(n, i, dist), x))
+            assert np.array_equal(ident, order_stat_pdf(dist, n, i, x))
             # uniform matrix: judged = parent, whose log density is used as is
             rand = judged_pdf(dist, n, re.uniform(n), i, x)
             assert np.array_equal(rand, np.exp(dist.log_pdf(x)))
@@ -152,9 +149,9 @@ def test_judged_log_weight_large_n_tails_stay_finite():
 def test_rank_validation():
     dist = Exponential(1.0)
     with pytest.raises(ValueError):
-        OrderStatSpec(3, 0, dist)
+        order_stat_pdf(dist, 3, 0, 0.5)
     with pytest.raises(ValueError):
-        OrderStatSpec(3, 4, dist)
+        order_stat_pdf(dist, 3, 4, 0.5)
     with pytest.raises(ValueError):
         beta_order_pdf(0, 1, 0.5)
     with pytest.raises(ValueError):

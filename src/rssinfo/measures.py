@@ -4,10 +4,10 @@ pairs.
 A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
 uniform matrix, perfect RSS the identity.  Every u-space measure hands one
 route, ``_route``, its own pieces: a closed form keyed on the matrix, never on
-the design's kind; an integrand of the distinct rows; and a ``finish``.  Each
-distinct matrix takes its closed form where it has one (``force_numeric``
-skips them, to compare the paths); the rest share one ``integrate_unit`` call,
-and so ``subdivisions_used``, each row weighted by its count.
+the design's kind, or None for the integral (``force_numeric``, to compare the
+paths); an integrand of the distinct rows; and a ``finish``.  Each matrix
+takes its closed form where it has one; the rest share one ``integrate_unit``
+call, and so ``subdivisions_used``, each row weighted by its count.
 
 Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
 judged weights alone: closed for the uniform matrix, the identity and every
@@ -157,15 +157,12 @@ def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
     return _from_quad(float(counts @ values), float(counts @ errors), r)
 
 
-def _route(matrices, closed, integrand, cfg, what, *, force_numeric, at=None, finish=None) -> list[MeasureResult]:
-    """Each matrix's one-cycle value: ``closed(P)`` once per distinct matrix
-    (all of one shape, so its bytes name it) unless ``force_numeric``; the
-    matrices it leaves None share one ``integrate_unit`` of ``integrand(rows)``
-    over their distinct rows, whose (value, error) arrays ``finish`` maps
-    before each row is weighted by its count in each matrix."""
-    distinct = {} if force_numeric else {P.tobytes(): P for P in matrices}
-    known = {key: closed(P) for key, P in distinct.items()}
-    results = [known.get(P.tobytes()) for P in matrices]
+def _route(matrices, closed, integrand, cfg, what, *, at=None, finish=None) -> list[MeasureResult]:
+    """Each matrix's one-cycle value: ``closed(P)``, unless ``closed`` is None;
+    the matrices it leaves None share one ``integrate_unit`` of
+    ``integrand(rows)`` over their distinct rows, whose (value, error) arrays
+    ``finish`` maps before each row is weighted by its count in each matrix."""
+    results = [None if closed is None else closed(P) for P in matrices]
     numeric = [P for P, res in zip(matrices, results) if res is None]
     if numeric:
         rows, counts = _distinct_rows(*numeric)
@@ -214,7 +211,7 @@ def shannon(
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         integrand, what = partial(_of_log_weight, lambda lw, F, S: np.exp(lw) * lw), "shannon integrand is not finite"
-        (d,) = _route([design.matrix.entries], _shannon_closed_form, integrand, cfg, what, force_numeric=force_numeric)
+        (d,) = _route([design.matrix.entries], None if force_numeric else _shannon_closed_form, integrand, cfg, what)
         res = replace(d, value=design.n * std.entropy() - d.value)
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
@@ -290,8 +287,8 @@ def renyi_designs(
 
     # the standard law's values; an error names x in ``dist``'s coordinates
     results = _route(
-        [d.matrix.entries for d in designs], lambda P: _renyi_closed_form(P, std, alpha), integrand, cfg,
-        "renyi integrand exceeds the float range", force_numeric=force_numeric, at=dist.quantile, finish=finish,
+        [d.matrix.entries for d in designs], None if force_numeric else lambda P: _renyi_closed_form(P, std, alpha),
+        integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=finish,
     )
     return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
@@ -369,7 +366,7 @@ def kl_srs_vs_design(
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         integrand, what = partial(_of_log_weight, lambda lw, F, S: -lw), "KL integrand is not finite"
-        (res,) = _route([design.matrix.entries], _kl_closed_form, integrand, cfg, what, force_numeric=force_numeric)
+        (res,) = _route([design.matrix.entries], None if force_numeric else _kl_closed_form, integrand, cfg, what)
     return res.scaled(design.m)
 
 
@@ -399,7 +396,7 @@ def kl_two_sample(
         return _of_log_weight(term, rows_x)
 
     P = np.hstack([design_x.matrix.entries, design_y.matrix.entries])
-    (res,) = _route([P], None, integrand, cfg, "two-sample KL integrand is not integrable", force_numeric=True)
+    (res,) = _route([P], None, integrand, cfg, "two-sample KL integrand is not integrable")
     return res.scaled(design_x.m)
 
 
@@ -435,38 +432,15 @@ def a_n(
     if n == 1:
         return _closed(0.0)
     if mode == "reduced":
-        return _a_n_reduced(dist_f, dist_g, n, cfg, closed_form.xlogy, "A_n integrand is not integrable")
+        def integrand(F, S):
+            x = dist_f.quantile(F, S)
+            return closed_form.xlogy(F, dist_g.cdf(x)) + closed_form.xlogy(S, dist_g.survival(x))
+
+        r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
+        c = n * (n - 1)
+        return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
     rss, srs = (kl_two_sample(Design(kind, n), dist_f, Design(kind, n), dist_g, cfg) for kind in (PERFECT_RSS, SRS))
     return _joined(rss, srs, -1.0)
-
-
-def a_n_printed_reduced(
-    dist_f: Distribution,
-    dist_g: Distribution,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
-    """The reduced A_n form as printed, with the bare Gbar term (no log).
-
-    Kept only for the errata report; it does not vanish at F = G.
-    """
-    check_count("n", n, 1)
-    if n == 1:
-        return _closed(0.0)
-    return _a_n_reduced(dist_f, dist_g, n, cfg, np.multiply, "printed A_n integrand is not finite")
-
-
-def _a_n_reduced(dist_f, dist_g, n: int, cfg: QuadratureConfig, survival_term, what: str) -> MeasureResult:
-    """-n(n-1)/2 - n(n-1) int_0^1 [u log G + survival_term(1-u, Gbar)] du,
-    G and Gbar taken at F^-1(u)."""
-
-    def integrand(F, S):
-        x = dist_f.quantile(F, S)
-        return closed_form.xlogy(F, dist_g.cdf(x)) + survival_term(S, dist_g.survival(x))
-
-    r = integrate_unit(integrand, cfg, what)
-    c = n * (n - 1)
-    return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
 
 
 def result_record(

@@ -14,8 +14,8 @@ terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one matmul, or a
 product where the rows read one rank.
 With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
 max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
-exact integers, tabled once per n; 0**0 = 1 at the rank extremes, whose zero
-exponent is dropped when the rows are analysed.
+exact integers, tabled per n under ``ranking_error.memo``'s bound; 0**0 = 1 at
+the rank extremes, whose zero exponent is dropped when the rows are analysed.
 
 The analysis reads neither the parent law nor alpha, so it is memoized on the
 (shape, bytes) of the float64 rows under ``ranking_error.memo``'s bound: every
@@ -25,7 +25,6 @@ the rows, so changing an array after a call never reaches its kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -35,11 +34,14 @@ from .errors import check_count, check_dimension, check_rank
 from .ranking_error import RankingErrorMatrix, identity, memo
 
 
-@functools.cache
+@memo(lambda n: 8 * n)
 def _log_coeffs(n: int) -> np.ndarray:
     """log n! / ((i-1)! (n-i)!) for i = 1..n, read-only: each the log of the
-    exact integer n C(n-1, i-1), so the log is its only rounding."""
-    table = np.array([math.log(n * math.comb(n - 1, r)) for r in range(n)])
+    exact integer c = n C(n-1, i-1), stepped from c = n by exact integer
+    division, so the log is its only rounding."""
+    table, c = np.empty(n), n
+    for r in range(n):
+        table[r], c = math.log(c), c * (n - 1 - r) // (r + 1)
     table.flags.writeable = False
     return table
 

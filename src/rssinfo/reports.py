@@ -13,7 +13,7 @@ from . import closed_form, measures, ranking_error
 from .distributions import Exponential, parse_distribution
 from .errors import InputError, check_alpha, check_count
 from .measures import Design
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_unit
 
 DEFAULT_SCAN_FAMILIES = ("unif", "exp:1", "norm:0,1", "weibull:2,1")
 DEFAULT_SCAN_NS = tuple(range(2, 9))
@@ -94,8 +94,8 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
 
 
 def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
-    """Compare each suspect printed formula against its corrected form and an
-    oracle value; returns one row per check with ok flags."""
+    """Compare each suspect printed formula, computed here, against its
+    corrected form and an oracle value; one row per check with ok flags."""
     rows = []
     tol = 1e-6
 
@@ -126,10 +126,16 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     base = measures.kl_srs_vs_design(design, cfg=cfg, force_numeric=True).value
     rows.append(_errata_row("kl_minus_n_prefactor", n * base, base, closed_form.d_n(n), tol))
 
-    # 4. A_n reduced form: the printed version (bare survival term, no log)
-    #    must vanish at F = G but does not; the corrected form does.
+    # 4. A_n reduced form at n = 2: the printed -1 - 2 int_0^1 [u log G +
+    #    (1-u) Gbar] du, G and Gbar at F^-1(u), with a bare survival term (no
+    #    log), must vanish at F = G but does not; the corrected form does.
     f = Exponential(1.0)
-    printed = measures.a_n_printed_reduced(f, f, 2, cfg).value
+
+    def printed_integrand(F, S):
+        x = f.quantile(F, S)
+        return closed_form.xlogy(F, f.cdf(x)) + S * f.survival(x)
+
+    printed = -1.0 - 2.0 * integrate_unit(printed_integrand, cfg, "printed A_n integrand is not finite").value
     corrected = measures.a_n(f, f, 2, cfg).value
     rows.append(_errata_row("a_n_missing_log", printed, corrected, 0.0, tol))
 

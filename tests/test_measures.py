@@ -17,7 +17,14 @@ from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.order_stats import beta_order_log_pdf, log_order_coeff
 from rssinfo.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_support
-from rssinfo.reports import DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, ScanGrid, figure_curve, run_conjecture_scan
+from rssinfo.reports import (
+    DEFAULT_SCAN_FAMILIES,
+    DEFAULT_SCAN_MATRICES,
+    ScanGrid,
+    figure_curve,
+    run_conjecture_scan,
+    run_errata_checks,
+)
 
 
 def test_design_validation():
@@ -264,6 +271,20 @@ def test_renyi_designs_share_one_integral():
         assert len({r.subdivisions_used for r in shared}) == 1
 
 
+def test_renyi_designs_give_a_repeated_design_its_own_equal_leg():
+    # rss:3 on a unit exponential is closed; forced, it shares the integral with the blend
+    dist, d, e = Exponential(1.0), Design("rss", 3), Design("irss", 3, re.blend(3, 0.5))
+
+    def bits(r):
+        return r.value.hex(), r.error_estimate.hex(), r.method, r.converged, r.subdivisions_used
+
+    for force, method in ((False, "closed-form"), (True, "quadrature")):
+        first, again, other = map(bits, M.renyi_designs([d, d, e], dist, 2.0, force_numeric=force))
+        assert first == again == bits(M.renyi(d, dist, 2.0, force_numeric=force))
+        assert first[2] == method
+        assert (first, other) == tuple(map(bits, M.renyi_designs([d, e], dist, 2.0, force_numeric=force)))
+
+
 def test_renyi_gap_binomial_matches_direct_route():
     for dist in [Uniform(), Exponential(1.0), Normal(0.0, 1.0)]:
         for n, alpha in [(2, 2.0), (3, 1.5), (4, 3.0)]:
@@ -491,7 +512,6 @@ EXP1 = Exponential(1.0)
     "call",
     [
         lambda: M.a_n(EXP1, EXP1, 0),
-        lambda: M.a_n_printed_reduced(EXP1, EXP1, 0),
         lambda: M.kl_srs_vs_design(Design("rss", 2), mode="x"),
         lambda: M.kl_two_sample(Design("rss", 2), EXP1, Design("rss", 3), EXP1),
         lambda: M.kl_two_sample(Design("rss", 2), EXP1, Design("rss", 2, m=2), EXP1),
@@ -545,7 +565,6 @@ EXP1 = Exponential(1.0)
         lambda: cf.psi_bound(2.0, 2.5),
         lambda: ScanGrid(ns=(2.5,)),
         lambda: mc.SimConfig(seed=-1),
-        lambda: M.a_n_printed_reduced(EXP1, EXP1, 2.5),
         lambda: M.renyi_gap_binomial(EXP1, 2.5, 2.0),
         lambda: cf.k_direct(2.5),
         lambda: re.blend(2.5, 0.5),
@@ -563,7 +582,7 @@ EXP1 = Exponential(1.0)
         lambda: ScanGrid(ns=()),
     ],
     ids=[
-        "a_n-n0", "a_n_printed-n0", "kl-x-no-law", "kl2-n", "kl2-m",
+        "a_n-n0", "kl-x-no-law", "kl2-n", "kl2-m",
         "gap-alpha", "gap-n0", "mc_kl-n", "mc_kl-m", "renyi_designs-n",
         "mc_renyi-alpha-nan", "mc_renyi-alpha-inf", "mc_renyi-alpha-1",
         "exp_renyi-alpha-nan", "exp_renyi-alpha-inf",
@@ -578,7 +597,7 @@ EXP1 = Exponential(1.0)
         "vasicek-nan", "vasicek-inf", "vasicek-minus-inf", "sim-replications-float", "sample_judged-size",
         "integrate_support-lower-half-line", "figure-id",
         "design-m-float", "a_n-n-float", "design-n-float", "quad-budget-float", "d_n-n-float",
-        "psi-n-float", "scan-n-float", "sim-seed-negative", "a_n_printed-n-float", "gap-n-float",
+        "psi-n-float", "scan-n-float", "sim-seed-negative", "gap-n-float",
         "k_direct-n-float", "blend-n-float", "figure-points-float",
         "h_uniform_order-rank-float", "order_coeff-rank-float", "beta_order-rank-float", "row-float",
         "sample_judged-rank-float", "sample_order_stat-rank-float",
@@ -605,10 +624,9 @@ def test_quantile_spacing_and_jobs_rules_raise_input_error():
 
 
 def test_a_n_printed_form_fails_equal_law_oracle():
-    f = Exponential(1.0)
-    assert abs(M.a_n_printed_reduced(f, f, 2).value) > 0.1
-    one = M.a_n_printed_reduced(f, Exponential(2.0), 1)  # one unit: no pair, as for a_n
-    assert (one.value, one.method) == (0.0, "closed-form")
+    (row,) = (row for row in run_errata_checks() if row["check"] == "a_n_missing_log")
+    assert abs(row["printed"]) > 0.1
+    assert row["corrected"] == 0.0
 
 
 _NORM = Normal(0.0, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from rssinfo import order_stats
+from rssinfo import closed_form, order_stats
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential
 from rssinfo.order_stats import (
@@ -292,3 +292,14 @@ def test_kernel_matches_a_40_digit_oracle():
                         worst.append((float(abs(v - ref) / max(1, abs(ref))), name, i, F))
     err, *case = max(worst)
     assert err < 1e-13, case
+
+
+def test_coefficient_tables_stay_under_the_memo_bound():
+    for n in range(1, 301):
+        closed_form.d_n(n)
+    assert order_stats._log_coeffs.cache_info().currsize <= re.MEMO_SIZE
+    # 4097 and 5000 pass the memo's byte bound and are built on every call
+    for n in (1, 2, 50, 4096, 4097, 5000):
+        table = order_stats._log_coeffs(n)
+        assert [v.hex() for v in table.tolist()] == [math.log(n * math.comb(n - 1, r)).hex() for r in range(n)], n
+        assert not table.flags.writeable

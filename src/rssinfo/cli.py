@@ -255,11 +255,13 @@ def float_list(text: str) -> tuple[float, ...]:
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    """A comma list of integers and inclusive ranges, e.g. ``2,4-8``; a
-    leading minus is a sign, not a range; an empty entry is an error."""
+    """A comma list of integers and inclusive ranges, e.g. ``2,4-8``; a leading
+    minus is a sign, not a range; an empty entry or an inverted range is an error."""
     out: list[int] = []
     for t in map(str.strip, text.split(",")):
         lo, _, hi = t.partition("-") if "-" in t[1:] else (t, "", t)
+        if int(hi) < int(lo):
+            raise ValueError(f"inverted range {t!r}")
         out.extend(range(int(lo), int(hi) + 1))
     return tuple(out)
 

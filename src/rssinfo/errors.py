@@ -33,8 +33,8 @@ def check_unit(what: str, x: float) -> None:
 
 
 def check_count(what: str, value, least: int) -> None:
-    """A count (size, cycle count, budget, seed, window) is an integer >= ``least``; an int skips the slow ABC test."""
-    if not (type(value) is int or isinstance(value, numbers.Integral)) or value < least:
+    """A count (size, cycle count, budget, seed, window) is an integer >= ``least``, not a bool; an int skips the slow ABC test."""
+    if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)) or value < least:
         raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
 
 

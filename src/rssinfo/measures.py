@@ -24,7 +24,7 @@ integrand of the judged log weights.
 
 The one-law measures compute on the standard law ``dist.standard()``
 (location 0, scale 1).  Location and scale enter only in
-``MeasureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
+``QuadratureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
 Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
 All values are in nats and scale additively with the cycle count m.
 
@@ -95,36 +95,19 @@ class Design:
         return base if self.m == 1 else f"{base} (m={self.m})"
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    value: float
-    error_estimate: float
-    method: str  # closed-form | quadrature
-    converged: bool
-    subdivisions_used: int
-
-    def scaled(self, m: int, shift: float = 0.0) -> "MeasureResult":
-        """m cycles of this one-cycle result, each moved by ``shift``: the
-        n log(scale) a Shannon or Renyi value of the standard law lacks."""
-        if m == 1 and shift == 0.0:
-            return self
-        return replace(self, value=(self.value + shift) * m, error_estimate=self.error_estimate * m)
+MeasureResult = QuadratureResult  # the measures' one result type is the engine's
 
 
-def _closed(value: float) -> MeasureResult:
-    return MeasureResult(value, 0.0, "closed-form", True, 0)
+def _closed(value: float) -> QuadratureResult:
+    return QuadratureResult(value, 0.0, 0, True, "closed-form")
 
 
-def _from_quad(value: float, err: float, r: QuadratureResult) -> MeasureResult:
-    return MeasureResult(value, err, "quadrature", r.converged, r.subdivisions_used)
-
-
-def _joined(a: MeasureResult, b: MeasureResult, sign: float) -> MeasureResult:
+def _joined(a: QuadratureResult, b: QuadratureResult, sign: float) -> QuadratureResult:
     """a + sign * b of two quadrature results: errors and subdivisions add,
     and it converged only if both did."""
-    return MeasureResult(
-        a.value + sign * b.value, a.error_estimate + b.error_estimate, "quadrature",
-        a.converged and b.converged, a.subdivisions_used + b.subdivisions_used,
+    return QuadratureResult(
+        a.value + sign * b.value, a.error_estimate + b.error_estimate,
+        a.subdivisions_used + b.subdivisions_used, a.converged and b.converged,
     )
 
 
@@ -152,12 +135,12 @@ def _distinct_rows_of(matrices):
     return rows, counts
 
 
-def _weighted(values, errors, counts, r: QuadratureResult) -> MeasureResult:
+def _weighted(values, errors, counts, r: QuadratureResult) -> QuadratureResult:
     """Sum per-row component values and errors, each row times its count."""
-    return _from_quad(float(counts @ values), float(counts @ errors), r)
+    return QuadratureResult(float(counts @ values), float(counts @ errors), r.subdivisions_used, r.converged)
 
 
-def _route(matrices, closed, integrand, cfg, what, *, at=None, finish=None) -> list[MeasureResult]:
+def _route(matrices, closed, integrand, cfg, what, *, at=None, finish=None) -> list[QuadratureResult]:
     """Each matrix's one-cycle value: ``closed(P)``, unless ``closed`` is None;
     the matrices it leaves None share one ``integrate_unit`` of
     ``integrand(rows)`` over their distinct rows, whose (value, error) arrays
@@ -191,7 +174,7 @@ def shannon(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
     mode: str = "u",
-) -> MeasureResult:
+) -> QuadratureResult:
     """Shannon entropy of the full sample under the given design.
 
     ``mode='u'`` (default) is n H(f) - D(P).  The columns of a doubly
@@ -229,7 +212,7 @@ def _divergence_closed_form(identity, two_by_two):
     0 for the uniform matrix, identity(n) for the identity and
     two_by_two(p11, p22) for every 2x2; None for any other matrix."""
 
-    def closed(P: np.ndarray) -> MeasureResult | None:
+    def closed(P: np.ndarray) -> QuadratureResult | None:
         kind = _matrix_class(P.shape, P.tobytes())
         if kind == "uniform":
             return _closed(0.0)
@@ -260,7 +243,7 @@ def renyi(
     alpha: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
-) -> MeasureResult:
+) -> QuadratureResult:
     """Renyi information of order alpha (finite, > 0, != 1) of the full sample."""
     return renyi_designs([design], dist, alpha, cfg, force_numeric)[0]
 
@@ -271,7 +254,7 @@ def renyi_designs(
     alpha: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
-) -> list[MeasureResult]:
+) -> list[QuadratureResult]:
     """``renyi`` of each design, all of one set size n: those without a closed
     form share one integral over the distinct rows of their matrices."""
     check_alpha(alpha)
@@ -293,7 +276,7 @@ def renyi_designs(
     return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
 
-def _renyi_closed_form(P: np.ndarray, std: Distribution, alpha: float) -> MeasureResult | None:
+def _renyi_closed_form(P: np.ndarray, std: Distribution, alpha: float) -> QuadratureResult | None:
     """n H_a(f) for the uniform matrix where int f^alpha is finite, and the
     Beta sum of ``closed_form.rss_renyi`` for the identity on a uniform or
     exponential parent; None otherwise."""
@@ -312,7 +295,7 @@ def renyi_gap_binomial(
     n: int,
     alpha: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
+) -> QuadratureResult:
     """H_a(RSS) - H_a(SRS) for alpha > 1 in the binomial representation
     1/(1-a) sum_i log E[b_i(F(W))^alpha], with b_i the Beta(i, n-i+1) density
     (n times the Binomial(n-1, F(W)) pmf at i-1) and W distributed as
@@ -339,7 +322,7 @@ def kl_srs_vs_design(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
     mode: str = "u",
-) -> MeasureResult:
+) -> QuadratureResult:
     """K(SRS, design) for an RSS-kind design of the same size and law.
 
     The value is distribution-free; the default path is closed for the
@@ -376,7 +359,7 @@ def kl_two_sample(
     design_y: Design,
     dist_g: Distribution,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
+) -> QuadratureResult:
     """K between the joint laws of two same-size samples.
 
     Componentwise: sum_i int px_i log(px_i / py_i), computed in the u-space
@@ -406,7 +389,7 @@ def kld_symmetric(
     design_y: Design,
     dist_g: Distribution,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> MeasureResult:
+) -> QuadratureResult:
     """Symmetrized divergence K(X, Y) + K(Y, X)."""
     fwd = kl_two_sample(design_x, dist_f, design_y, dist_g, cfg)
     return _joined(fwd, kl_two_sample(design_y, dist_g, design_x, dist_f, cfg), 1.0)
@@ -418,7 +401,7 @@ def a_n(
     n: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     mode: str = "reduced",
-) -> MeasureResult:
+) -> QuadratureResult:
     """Correction term with K(RSS_F, RSS_G) = n K(f, g) + A_n(F, G).
 
     ``mode='reduced'`` (default) evaluates
@@ -438,7 +421,7 @@ def a_n(
 
         r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
         c = n * (n - 1)
-        return _from_quad(-0.5 * c - c * r.value, c * r.error_estimate, r)
+        return QuadratureResult(-0.5 * c - c * r.value, c * r.error_estimate, r.subdivisions_used, r.converged)
     rss, srs = (kl_two_sample(Design(kind, n), dist_f, Design(kind, n), dist_g, cfg) for kind in (PERFECT_RSS, SRS))
     return _joined(rss, srs, -1.0)
 
@@ -447,7 +430,7 @@ def result_record(
     measure: str,
     design: str,
     dist: Distribution,
-    result: MeasureResult,
+    result: QuadratureResult,
     alpha: float | None = None,
 ) -> dict:
     """JSON-serializable record of a measure evaluation of ``design``, the spec as given."""

@@ -5,8 +5,8 @@ probability that the unit judged to have rank i is truly the r-th order
 statistic.  Every matrix is doubly stochastic: construction checks it, so
 each builder here hands out a checked matrix.
 
-``blend`` (so ``identity`` and ``uniform``) is memoized on (n, w); ``two_by_two``
-and ``from_csv`` are not.  Entries are read-only, so callers share them.
+``blend`` (so ``identity`` and ``uniform``) is memoized on (n, w) for n <= 64, under
+MEMO_BYTES; ``two_by_two`` and ``from_csv`` are not.  Entries are read-only and shared.
 
 ``memo`` is the one bound of every memo, of a matrix's alpha-free work here and
 in ``order_stats`` and ``measures`` and of ``quadrature``'s panel tables: the

@@ -260,6 +260,7 @@ def test_parse_errors_exit_two(capsys):
         ("figure", "--id", "2a", "--points", "1", "--alpha-min", "1", "--alpha-max", "1"),
         ("measure", "shannon", "--design", "rss:3", "--dist", "exp:1", "--force-numeric",
          "--quad-abs-tol", "inf", "--quad-rel-tol", "inf"),
+        ("conjecture-scan", "--family", "unif", "--n-values", "2,5-3", "--alphas", "2"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
@@ -271,6 +272,7 @@ def test_parse_errors_exit_two(capsys):
         "psi-empty-alphas", "scan-empty-n-values", "design-missing-set-size", "config-bad-value",
         "shannon-alpha", "kl-alpha", "seed-without-oracle", "replications-without-oracle",
         "figure-1-alpha-min", "figure-1-alpha-max", "figure-alpha-grid-only-one", "infinite-tolerance",
+        "scan-inverted-n-range",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rssinfo
 from rssinfo import closed_form as cf
 from rssinfo import mc_oracle as mc
 from rssinfo import measures as M
@@ -580,6 +581,9 @@ EXP1 = Exponential(1.0)
         lambda: ScanGrid(alphas=(math.nan,)),
         lambda: cf.psi_bound(math.nan, 3),
         lambda: ScanGrid(ns=()),
+        lambda: Design("rss", True),
+        lambda: QuadratureConfig(max_subdivisions=True),
+        lambda: mc.SimConfig(seed=True),
     ],
     ids=[
         "a_n-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -604,6 +608,7 @@ EXP1 = Exponential(1.0)
         "exp_shannon-rate-inf", "exp_shannon-rate-nan", "exp_shannon-rate-zero", "exp_shannon-rate-negative",
         "exp_renyi-rate-inf", "exp_renyi-rate-nan", "exp_renyi-rate-zero", "exp_renyi-rate-negative",
         "scan-alpha-nan", "psi-alpha-nan", "scan-empty-ns",
+        "design-n-bool", "quad-budget-bool", "sim-seed-bool",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):
@@ -693,6 +698,19 @@ def test_result_record_shape():
     assert rec["dist"] == "exp:1"
     assert rec["alpha"] == 2.0
     assert math.isfinite(rec["value"]) and rec["error"] >= 0.0
+
+
+def test_measures_and_integrals_return_the_one_result_type():
+    assert rssinfo.MeasureResult is rssinfo.QuadratureResult
+    closed = M.shannon(Design("rss", 3), EXP1)
+    forced = M.shannon(Design("rss", 3), EXP1, force_numeric=True)
+    r = integrate(np.exp, 0.0, 1.0)
+    for res, method in ((closed, "closed-form"), (forced, "quadrature"), (r, "quadrature")):
+        assert type(res) is rssinfo.QuadratureResult
+        assert res.method == method
+    twice = r.scaled(2, 1.0)
+    assert (twice.value, twice.error_estimate) == ((r.value + 1.0) * 2, r.error_estimate * 2)
+    assert (twice.subdivisions_used, twice.converged, twice.method) == (r.subdivisions_used, r.converged, "quadrature")
 
 
 def test_quadrature_results_report_convergence_diagnostics():

@@ -80,7 +80,7 @@ def _batch_stats(values: np.ndarray, batch_size: int = _BATCH_SIZE) -> tuple[flo
 def sample_order_stat(dist: Distribution, n: int, i: int, rng: np.random.Generator, size: int | None = None):
     """Draw the i-th smallest of n iid values from ``dist``: the judged draw
     on row i of the identity."""
-    return sample_judged(dist, n, ranking_error.identity(n), i, rng, size)
+    return _sample(dist, ranking_error.identity_row(n, i), rng, size)
 
 
 def sample_judged(
@@ -94,10 +94,15 @@ def sample_judged(
     """Draw from the judged rank-i law: true rank r ~ row i of P, then X_(r),
     the quantile of the levels ``_levels`` draws on row i."""
     check_dimension(P.n, n)
+    return _sample(dist, P.row(i), rng, size)
+
+
+def _sample(dist: Distribution, row: np.ndarray, rng: np.random.Generator, size: int | None):
+    """``sample_judged`` on a checked row."""
     if size is not None:
         check_count("size", size, 0)
     u = np.empty(1 if size is None else size)
-    for start, level in _levels(P.row(i), rng, u.size):
+    for start, level in _levels(row, rng, u.size):
         u[start : start + level.size] = level
     x = dist.quantile(u)
     return float(x[0]) if size is None else x

@@ -31,7 +31,11 @@ All values are in nats and scale additively with the cycle count m.
 A matrix's class and the distinct rows of a set of matrices read neither the
 parent law nor alpha, so ``_matrix_class`` and ``_distinct_rows`` are memoized
 on the (shape, bytes) of each matrix under ``ranking_error.memo``'s bound; the
-rows and their counts are handed out read-only.
+rows and their counts are handed out read-only.  So are the alpha-free halves
+of the u-space integrands, the judged log weights of a row set and the
+parent's log f(F^-1(u)): ``_alpha_free`` evaluates each once per panel set of
+the fold, keyed on the values of the engine's read-only F and S, and a
+Renyi cell computes only exp(alpha lw - (1 - alpha) lf) on them.
 """
 
 from __future__ import annotations
@@ -158,9 +162,50 @@ def _route(matrices, closed, integrand, cfg, what, *, at=None, finish=None) -> l
 
 def _of_log_weight(g, rows):
     """(F, S) -> g(log w_i(F, S), F, S) on ``rows``: ``partial(_of_log_weight, g)``
-    is the ``_route`` integrand of a term in the judged log weight."""
+    is the ``_route`` integrand of a term in the judged log weight, whose
+    values are ``_alpha_free`` on the rows."""
+    rows = np.asarray(rows, dtype=float)
     log_weight = judged_log_weight(rows)
-    return lambda F, S: g(log_weight(F, S), F, S)
+    key = ("weights", rows.shape, rows.tobytes()) if rows.nbytes <= ranking_error.MEMO_BYTES else None
+    count = rows.size // rows.shape[-1]  # values per point
+    return lambda F, S: g(_alpha_free(log_weight, key, F, S, count), F, S)
+
+
+def _log_pdf_at_quantile(law: Distribution, F, S):
+    """``law.log_pdf_at_quantile(F, S)`` through ``_alpha_free``, keyed on the
+    law's family and fields, the only state log f(F^-1) reads.  A location,
+    the one field that may be -0.0 and so key as 0.0, is not read."""
+    key = ("law", type(law), *sorted(vars(law).items()))
+    return _alpha_free(law.log_pdf_at_quantile, key, F, S)
+
+
+def _alpha_free(term, key, F, S, count: int = 1):
+    """term(F, S), read-only and memoized on (key, F, S) where F and S are
+    read-only float64 arrays of one shape whose value, ``count`` floats a
+    point, fits MEMO_BYTES: the fold tables every integral on the same panels
+    shares.  Writable arrays (Monte Carlo's, the x-space routes'), larger ones
+    and a None key are evaluated anew and not kept; sizes are checked before
+    the key is built.  ``key`` names term's values exactly."""
+    if not (key is not None and _is_table(F) and _is_table(S) and F.shape == S.shape
+            and 8 * count * F.size <= ranking_error.MEMO_BYTES):
+        return term(F, S)
+    slot = _alpha_free_slot(key, F.shape, F.tobytes(), S.tobytes())
+    if not slot:
+        value = np.asarray(term(F, S))
+        value.flags.writeable = False
+        slot.append(value)
+    return slot[0]
+
+
+def _is_table(a) -> bool:
+    return isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
+
+
+@ranking_error.memo(lambda *key: 0)  # ``_alpha_free`` bounds the value before the key is built
+def _alpha_free_slot(key, shape, F, S) -> list:
+    """The memo of ``_alpha_free``: a slot per (key, shape, F bytes, S bytes),
+    empty until its first caller fills it with the value."""
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +306,7 @@ def renyi_designs(
     check_shared(designs, cycles=False)
     std, om = dist.standard(), 1.0 - alpha
     # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du
-    integrand = partial(_of_log_weight, lambda lw, F, S: np.exp(alpha * lw - om * std.log_pdf_at_quantile(F, S)))
+    integrand = partial(_of_log_weight, lambda lw, F, S: np.exp(alpha * lw - om * _log_pdf_at_quantile(std, F, S)))
 
     def finish(value, error):
         if np.any(value <= 0):
@@ -373,7 +418,7 @@ def kl_two_sample(
 
         def term(lx, F, S):
             wx = np.exp(lx)
-            bracket = lx + dist_f.log_pdf_at_quantile(F, S) - log_py(dist_f.quantile(F, S))
+            bracket = lx + _log_pdf_at_quantile(dist_f, F, S) - log_py(dist_f.quantile(F, S))
             return np.where(wx > 0.0, wx * bracket, 0.0)
 
         return _of_log_weight(term, rows_x)

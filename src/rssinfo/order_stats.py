@@ -31,7 +31,7 @@ import numpy as np
 
 from .distributions import Distribution, Uniform
 from .errors import check_count, check_dimension, check_rank
-from .ranking_error import RankingErrorMatrix, identity, memo
+from .ranking_error import RankingErrorMatrix, identity_row, memo
 
 
 @memo(lambda n: 8 * n)
@@ -159,7 +159,7 @@ def order_stat_pdf(dist: Distribution, n: int, i: int, x):
 
 def order_stat_log_pdf(dist: Distribution, n: int, i: int, x):
     """Its log: the judged density on row i of the identity, where ``mc_oracle.sample_order_stat`` draws."""
-    return judged_log_pdf(dist, identity(n).row(i))(x)
+    return judged_log_pdf(dist, identity_row(n, i))(x)
 
 
 def judged_pdf(dist: Distribution, n: int, P: RankingErrorMatrix, i: int, x):

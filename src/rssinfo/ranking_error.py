@@ -7,10 +7,14 @@ each builder here hands out a checked matrix.
 
 ``blend`` (so ``identity`` and ``uniform``) is memoized on (n, w) for n <= 64, under
 MEMO_BYTES; ``two_by_two`` and ``from_csv`` are not.  Entries are read-only and shared.
+``identity_row`` is row i of the identity without the matrix, so at any n.
 
 ``memo`` is the one bound of every memo, of a matrix's alpha-free work here and
-in ``order_stats`` and ``measures`` and of ``quadrature``'s panel tables: the
-last MEMO_SIZE entries, each of at most MEMO_BYTES of data, so at most 8 MiB.
+in ``order_stats`` and ``measures``, of ``quadrature``'s panel tables and of
+``measures``' alpha-free integrand values on them: the last MEMO_SIZE entries,
+each of at most MEMO_BYTES of data, so at most 8 MiB a memo.  The default scan
+fills 35 blends, 35 matrix classes, 14 row sets, 14 kernels, 6 panel sets and
+68 alpha-free values on them: 49 of a row set's kernel, 19 of a parent law.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .errors import InputError, check_count, check_rank, check_unit
 
 _TOL = 1e-12
-MEMO_SIZE = 256  # entries a memo keeps; the default scan needs 35 blends, 35 classes, 14 row sets and 14 kernels
+MEMO_SIZE = 256  # entries a memo keeps; the default scan needs at most 68, its alpha-free values
 MEMO_BYTES = 1 << 15  # the most data an entry keeps: a 64 x 64 matrix or 256 panels' nodes; larger ones are built anew
 
 
@@ -87,6 +91,15 @@ validate = RankingErrorMatrix  # the constructor is the check, under the name th
 def identity(n: int) -> RankingErrorMatrix:
     """Perfect ranking: the blend of weight 1, exactly the identity."""
     return blend(n, 1.0)
+
+
+def identity_row(n: int, i: int) -> np.ndarray:
+    """Row i of ``identity(n)``, one-hot, with its checks and bytes but no n x n matrix."""
+    check_count("n", n, 1)
+    check_rank(n, i)
+    row = np.zeros(n)
+    row[i - 1] = 1.0
+    return row
 
 
 def uniform(n: int) -> RankingErrorMatrix:

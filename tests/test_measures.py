@@ -767,6 +767,74 @@ def test_each_kernel_is_built_once_per_scan_and_figure():
     assert len(rows) == 48 and order_stats._kernel.cache_info()[:2] == (47, 1)  # hits, misses
 
 
+def test_alpha_free_values_are_computed_once_per_panel_set():
+    # the default scan's 168 integrals make 266 integrand calls (168 first calls on one
+    # shared panel set, 98 splits on 5 more), each reading the kernel values and the
+    # parent's once: 532 lookups of 49 (row set, panel set) pairs (14 row sets on the
+    # first panel set, 35 on split ones) and 19 (family, panel set) pairs (4 first, 15 split)
+    M._alpha_free_slot.cache_clear()
+    run_conjecture_scan(ScanGrid(), DEFAULT_CONFIG)
+    assert M._alpha_free_slot.cache_info()[:2] == (532 - 68, 49 + 19)  # hits, misses
+    # figure 2a: one row set and one law over 48 integrals, 104 calls on 24 panel sets
+    M._alpha_free_slot.cache_clear()
+    figure_curve("2a", 48)
+    assert M._alpha_free_slot.cache_info()[:2] == (208 - 48, 24 + 24)
+
+
+def _fold_tables():
+    from rssinfo import quadrature as Q
+
+    edges = (0.0, *Q._BREAKS, Q._T)
+    return Q._fold(Q._nodes(edges)[1].tobytes())[:2]
+
+
+def test_memoized_alpha_free_values_are_read_only_and_shared():
+    F, S = _fold_tables()
+    rows = re.blend(3, 0.5).entries
+    integrand = M._of_log_weight(lambda lw, F, S: lw, rows)
+    M._alpha_free_slot.cache_clear()
+    first = integrand(F, S)
+    assert integrand(F, S) is first and M._of_log_weight(lambda lw, F, S: lw, rows.copy())(F, S) is first
+    law = M._log_pdf_at_quantile(Normal(), F, S)
+    assert M._log_pdf_at_quantile(Normal(0.0, 1.0), F, S) is law  # a law keys on its fields
+    assert M._log_pdf_at_quantile(Normal(0.0, 2.0), F, S) is not law
+    assert M._alpha_free_slot.cache_info()[:2] == (3, 3)  # hits, misses
+    for arr in (first, law):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[0] = 0.5
+    assert first.tobytes() == order_stats.judged_log_weight(rows)(F, S).tobytes()
+    assert law.tobytes() == Normal().log_pdf_at_quantile(F, S).tobytes()
+
+
+def test_writable_or_large_arrays_leave_the_alpha_free_memo_untouched():
+    # Monte Carlo levels and the x-space routes' cdf values are writable: evaluated anew, not kept
+    F, S = _fold_tables()
+    rows = re.blend(4, 0.25).entries
+    integrand = M._of_log_weight(lambda lw, F, S: lw, rows)
+    expected = integrand(F, S).tobytes()
+    M._alpha_free_slot.cache_clear()
+    for args in ((F.copy(), S.copy()), (F, S.copy()), (F.tolist(), S.tolist())):
+        assert integrand(*args).tobytes() == expected
+        assert M._log_pdf_at_quantile(Normal(), *args).tobytes() == Normal().log_pdf_at_quantile(F, S).tobytes()
+    big = np.linspace(0.01, 0.99, 1 << 12)  # 32 KiB each, so 4 rows' values pass the bound
+    big.flags.writeable = False
+    integrand(big, big[::-1])
+    M._of_log_weight(lambda lw, F, S: lw, re.blend(65, 0.5).entries)(F, S)  # rows above the bound: no key
+    assert M._alpha_free_slot.cache_info().currsize == 0
+
+
+def test_a_cell_recomputed_after_clearing_the_memo_keeps_its_bits():
+    designs = [Design("irss", 5, re.parse_matrix(s, 5)) for s in ("uniform", "identity", *DEFAULT_SCAN_MATRICES)]
+    for dist in (Normal(), Weibull(2.0, 3.0)):
+        def cell():
+            return [(r.value.hex(), r.error_estimate.hex(), r.subdivisions_used) for r in M.renyi_designs(designs, dist, 3.0)]
+
+        first, warm = cell(), cell()
+        M._alpha_free_slot.cache_clear()
+        assert first == warm == cell()
+
+
 # (family, n, alpha): renyi_srs, renyi_rss, then renyi_irss and error_budget in DEFAULT_SCAN_MATRICES
 # order, as float.hex, recorded when each cell built a design per named spec; every record converged
 SCAN_PINS = {

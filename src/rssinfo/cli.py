@@ -197,7 +197,7 @@ def cmd_measure(args) -> int:
         res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
         oracle = functools.partial(mc_oracle.mc_kl, Design("srs", design.n, m=design.m), dist, design, dist)
     spec = args.design if args.error_matrix is None else f"{args.design}:{args.error_matrix}"
-    rec = measures.result_record(args.measure, spec, dist, res, args.alpha)
+    rec = measures.result_record(args.measure, spec, args.dist, res, args.alpha)
     if args.oracle:
         est = oracle(sim)
         rec["oracle"] = est.estimate

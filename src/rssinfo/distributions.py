@@ -98,13 +98,20 @@ class Distribution:
         return None if h is None else h + math.log(self.scale)
 
     def standard(self) -> "Distribution":
-        """The same shape at location 0 and scale 1: the law itself if standard
-        (instances are immutable), else a standard copy."""
+        """The same shape at location 0 and scale 1: the law itself if standard (instances
+        are immutable), else a copy with the same fields, equal to the standard member."""
         if self.loc == 0.0 and self.scale == 1.0:
             return self
         std = copy.copy(self)
-        std.loc, std.scale = 0.0, 1.0
+        vars(std).update((f, v) for f, v in (("loc", 0.0), ("scale", 1.0)) if f in vars(self))
         return std
+
+    def __eq__(self, other):
+        """One law: the same family and fields (a location of -0.0 is 0.0)."""
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((type(self), frozenset(vars(self).items())))
 
     def _survival(self, z):
         return 1.0 - self._cdf(z)

@@ -254,11 +254,10 @@ def mc_kl(
     survival at the draw."""
     check_shared((design_x, design_y))
     P_y = design_y.matrix
-    same_law = type(dist_f) is type(dist_g) and vars(dist_f) == vars(dist_g)
 
     def value(i, row):
         log_w = _log_weight(row)
-        if same_law:
+        if dist_f == dist_g:
             log_v = _log_weight(P_y.row(i))
             return lambda u, out: np.subtract(log_w(u), log_v(u), out=out)
         log_g = judged_log_pdf(dist_g, P_y.row(i))

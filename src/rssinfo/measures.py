@@ -30,12 +30,13 @@ All values are in nats and scale additively with the cycle count m.
 
 A matrix's class and the distinct rows of a set of matrices read neither the
 parent law nor alpha, so ``_matrix_class`` and ``_distinct_rows`` are memoized
-on the (shape, bytes) of each matrix under ``ranking_error.memo``'s bound; the
-rows and their counts are handed out read-only.  So are the alpha-free halves
-of the u-space integrands, the judged log weights of a row set and the
-parent's log f(F^-1(u)): ``_alpha_free`` evaluates each once per panel set of
-the fold, keyed on the values of the engine's read-only F and S, and a
-Renyi cell computes only exp(alpha lw - (1 - alpha) lf) on them.
+on the matrices' values by ``ranking_error.memo``, which hands out the rows and
+their counts read-only.  So are the alpha-free halves of the u-space
+integrands, ``_log_weights``, the judged log weights of a row set, and
+``_log_pdf_at_quantile``, the parent's log f(F^-1(u)) keyed on the law, which
+compares by family and fields.  Each is evaluated once per panel set of the
+fold, keyed on the values of the engine's F and S, so a Renyi cell computes
+only exp(alpha lw - (1 - alpha) lf) on them.
 """
 
 from __future__ import annotations
@@ -120,22 +121,15 @@ def _check_mode(mode: str, modes: tuple[str, ...]) -> None:
         raise InputError(f"unknown mode {mode!r}; expected one of {', '.join(modes)}")
 
 
+@ranking_error.memo()
 def _distinct_rows(*matrices):
     """The distinct rows of the matrices' entries, first seen first, and a
-    (matrices, rows) array of how many times each matrix holds each row, both
-    read-only.  Ranks with equal rows have equal components."""
-    return _distinct_rows_of(tuple((P.shape, P.tobytes()) for P in matrices))
-
-
-@ranking_error.memo(lambda matrices: sum(len(data) for _, data in matrices))
-def _distinct_rows_of(matrices):
-    """``_distinct_rows`` of the (shape, bytes) of each matrix."""
+    (matrices, rows) array of how many times each matrix holds each row.
+    Ranks with equal rows have equal components."""
     index: dict[bytes, int] = {}
-    entries = (np.frombuffer(data).reshape(shape) for shape, data in matrices)
-    ids = [[index.setdefault(row.tobytes(), len(index)) for row in P] for P in entries]
-    rows = np.array([np.frombuffer(key) for key in index])
+    ids = [[index.setdefault(row.tobytes(), len(index)) for row in P] for P in matrices]
+    rows = np.array([np.frombuffer(row) for row in index])
     counts = np.array([np.bincount(i, minlength=len(index)) for i in ids], dtype=float)
-    rows.flags.writeable = counts.flags.writeable = False
     return rows, counts
 
 
@@ -162,50 +156,26 @@ def _route(matrices, closed, integrand, cfg, what, *, at=None, finish=None) -> l
 
 def _of_log_weight(g, rows):
     """(F, S) -> g(log w_i(F, S), F, S) on ``rows``: ``partial(_of_log_weight, g)``
-    is the ``_route`` integrand of a term in the judged log weight, whose
-    values are ``_alpha_free`` on the rows."""
-    rows = np.asarray(rows, dtype=float)
-    log_weight = judged_log_weight(rows)
-    key = ("weights", rows.shape, rows.tobytes()) if rows.nbytes <= ranking_error.MEMO_BYTES else None
-    count = rows.size // rows.shape[-1]  # values per point
-    return lambda F, S: g(_alpha_free(log_weight, key, F, S, count), F, S)
+    is the ``_route`` integrand of a term in the judged log weight.  Rows above
+    MEMO_BYTES, which no memo keeps, are analysed once here for all its calls."""
+    if rows.nbytes > ranking_error.MEMO_BYTES:
+        log_weight = judged_log_weight(rows)
+        return lambda F, S: g(log_weight(F, S), F, S)
+    return lambda F, S: g(_log_weights(rows, F, S), F, S)
 
 
+# the halves of a u-space integrand that read no alpha, shared by every integral on the
+# same panels; a weights entry is bounded by its value, a parent's by its F and S
+@ranking_error.memo(lambda rows, F, S: rows.nbytes // rows.shape[-1] * F.size)
+def _log_weights(rows, F, S):
+    """The judged log weights of ``rows`` at (F, S)."""
+    return judged_log_weight(rows)(F, S)
+
+
+@ranking_error.memo()
 def _log_pdf_at_quantile(law: Distribution, F, S):
-    """``law.log_pdf_at_quantile(F, S)`` through ``_alpha_free``, keyed on the
-    law's family and fields, the only state log f(F^-1) reads.  A location,
-    the one field that may be -0.0 and so key as 0.0, is not read."""
-    key = ("law", type(law), *sorted(vars(law).items()))
-    return _alpha_free(law.log_pdf_at_quantile, key, F, S)
-
-
-def _alpha_free(term, key, F, S, count: int = 1):
-    """term(F, S), read-only and memoized on (key, F, S) where F and S are
-    read-only float64 arrays of one shape whose value, ``count`` floats a
-    point, fits MEMO_BYTES: the fold tables every integral on the same panels
-    shares.  Writable arrays (Monte Carlo's, the x-space routes'), larger ones
-    and a None key are evaluated anew and not kept; sizes are checked before
-    the key is built.  ``key`` names term's values exactly."""
-    if not (key is not None and _is_table(F) and _is_table(S) and F.shape == S.shape
-            and 8 * count * F.size <= ranking_error.MEMO_BYTES):
-        return term(F, S)
-    slot = _alpha_free_slot(key, F.shape, F.tobytes(), S.tobytes())
-    if not slot:
-        value = np.asarray(term(F, S))
-        value.flags.writeable = False
-        slot.append(value)
-    return slot[0]
-
-
-def _is_table(a) -> bool:
-    return isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
-
-
-@ranking_error.memo(lambda *key: 0)  # ``_alpha_free`` bounds the value before the key is built
-def _alpha_free_slot(key, shape, F, S) -> list:
-    """The memo of ``_alpha_free``: a slot per (key, shape, F bytes, S bytes),
-    empty until its first caller fills it with the value."""
-    return []
+    """``law.log_pdf_at_quantile(F, S)``."""
+    return law.log_pdf_at_quantile(F, S)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +214,10 @@ def shannon(
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
 
-@ranking_error.memo(lambda shape, data: len(data))
-def _matrix_class(shape, data) -> str:
-    """'uniform', 'identity' or '' for the (shape, bytes) of a matrix: the
-    matrices with closed forms in every measure, memoized like ``_distinct_rows``."""
-    P = np.frombuffer(data).reshape(shape)
+@ranking_error.memo()
+def _matrix_class(P) -> str:
+    """'uniform', 'identity' or '' for a matrix's entries: the matrices with
+    closed forms in every measure."""
     return "uniform" if (P == P[0, 0]).all() else "identity" if (P == np.eye(len(P))).all() else ""
 
 
@@ -258,7 +227,7 @@ def _divergence_closed_form(identity, two_by_two):
     two_by_two(p11, p22) for every 2x2; None for any other matrix."""
 
     def closed(P: np.ndarray) -> QuadratureResult | None:
-        kind = _matrix_class(P.shape, P.tobytes())
+        kind = _matrix_class(P)
         if kind == "uniform":
             return _closed(0.0)
         if kind == "identity":
@@ -325,7 +294,7 @@ def _renyi_closed_form(P: np.ndarray, std: Distribution, alpha: float) -> Quadra
     """n H_a(f) for the uniform matrix where int f^alpha is finite, and the
     Beta sum of ``closed_form.rss_renyi`` for the identity on a uniform or
     exponential parent; None otherwise."""
-    kind = _matrix_class(P.shape, P.tobytes())
+    kind = _matrix_class(P)
     if kind == "uniform":
         h = std.renyi_entropy(alpha)
         return None if h is None else _closed(len(P) * h)
@@ -474,15 +443,16 @@ def a_n(
 def result_record(
     measure: str,
     design: str,
-    dist: Distribution,
+    dist: str,
     result: QuadratureResult,
     alpha: float | None = None,
 ) -> dict:
-    """JSON-serializable record of a measure evaluation of ``design``, the spec as given."""
+    """JSON-serializable record of a measure evaluation of ``design`` on
+    ``dist``, each the spec as given, so the record names the law computed."""
     rec = {
         "measure": measure,
         "design": design,
-        "dist": dist.spec_string(),
+        "dist": dist,
         "value": result.value,
         "error": result.error_estimate,
         "method": result.method,

@@ -18,9 +18,9 @@ exact integers, tabled per n under ``ranking_error.memo``'s bound; 0**0 = 1 at
 the rank extremes, whose zero exponent is dropped when the rows are analysed.
 
 The analysis reads neither the parent law nor alpha, so it is memoized on the
-(shape, bytes) of the float64 rows under ``ranking_error.memo``'s bound: every
-alpha and every parent of a scan cell reads one kernel.  The key is a copy of
-the rows, so changing an array after a call never reaches its kernel.
+values of the float64 rows by ``ranking_error.memo``: every alpha and every
+parent of a scan cell reads one kernel.  The memo keys a copy of the rows, so
+changing an array after a call never reaches its kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def _log_coeffs(n: int) -> np.ndarray:
     table, c = np.empty(n), n
     for r in range(n):
         table[r], c = math.log(c), c * (n - 1 - r) // (r + 1)
-    table.flags.writeable = False
     return table
 
 
@@ -58,14 +57,12 @@ def judged_log_weight(rows):
     (F, S) -> log weight.  ``rows`` is one row, giving F's shape, or a stack
     of k rows, giving (k,) + F's shape.  Taking the cdf and the survival
     separately keeps the upper tail, where F rounds to 1, exact."""
-    rows = np.asarray(rows, dtype=float)
-    return _kernel(rows.shape, rows.tobytes())
+    return _kernel(np.asarray(rows, dtype=float))
 
 
-@memo(lambda shape, data: len(data))
-def _kernel(shape: tuple[int, ...], data: bytes):
-    """``judged_log_weight`` of the read-only rows ``data`` of ``shape``."""
-    rows = np.frombuffer(data).reshape(shape)
+@memo()
+def _kernel(rows):
+    """``judged_log_weight`` of the float64 ``rows``."""
     stack = np.atleast_2d(rows)
     k, n = stack.shape
     floor = stack.min(axis=1, keepdims=True)

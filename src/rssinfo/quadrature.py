@@ -158,7 +158,6 @@ def _nodes(edges):
     pairs = list(zip(edges, edges[1:]))
     half = np.array([0.5 * (q - p) for p, q in pairs])
     x = np.array([[0.5 * (p + q)] for p, q in pairs]) + half[:, None] * _XK
-    x.flags.writeable = half.flags.writeable = False
     return x, x.reshape(-1), half
 
 
@@ -284,14 +283,12 @@ _T = 2.0**-764
 _BREAKS = (0.5 * _T, 0.75 * _T, 0.875 * _T)  # where bisection from (0, T) splits first
 
 
-@memo(lambda data: 5 * len(data))
-def _fold(data):
-    """Read-only F, S and Jacobian 2 (t/T)^3 at the folded nodes t of bytes ``data``, built once per panel set."""
-    r = np.frombuffer(data) / _T
+@memo(lambda t: 5 * t.nbytes)
+def _fold(t):
+    """Read-only F, S and Jacobian 2 (t/T)^3 at the folded nodes t, built once per panel set: the memo keys t's values."""
+    r = t / _T
     s = 0.5 * r**4
-    F, S, jacobian = np.concatenate([s, 1.0 - s]), np.concatenate([1.0 - s, s]), 2.0 * r**3
-    F.flags.writeable = S.flags.writeable = jacobian.flags.writeable = False
-    return F, S, jacobian
+    return np.concatenate([s, 1.0 - s]), np.concatenate([1.0 - s, s]), 2.0 * r**3
 
 
 def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
@@ -310,7 +307,7 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
     last = []  # F, S and g(F, S) of the latest call: the engine tests their folded sum, an error is located in g
 
     def integrand(t):
-        F, S, jacobian = _fold(t.tobytes())
+        F, S, jacobian = _fold(t)
         last[:] = F, S, g(F, S)
         return (last[2][..., : t.size] + last[2][..., t.size :]) * jacobian
 

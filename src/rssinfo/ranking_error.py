@@ -9,12 +9,12 @@ each builder here hands out a checked matrix.
 MEMO_BYTES; ``two_by_two`` and ``from_csv`` are not.  Entries are read-only and shared.
 ``identity_row`` is row i of the identity without the matrix, so at any n.
 
-``memo`` is the one bound of every memo, of a matrix's alpha-free work here and
-in ``order_stats`` and ``measures``, of ``quadrature``'s panel tables and of
-``measures``' alpha-free integrand values on them: the last MEMO_SIZE entries,
-each of at most MEMO_BYTES of data, so at most 8 MiB a memo.  The default scan
-fills 35 blends, 35 matrix classes, 14 row sets, 14 kernels, 6 panel sets and
-68 alpha-free values on them: 49 of a row set's kernel, 19 of a parent law.
+``memo`` is the one rule of every memo, of a matrix's alpha-free work here and in
+``order_stats`` and ``measures``, of ``quadrature``'s panel tables and of the alpha-free
+integrand values on them: keyed by value, read-only values, the last MEMO_SIZE entries,
+each of at most MEMO_BYTES of data, so at most 8 MiB a memo.  The default scan fills 35
+blends, 35 matrix classes, 14 row sets, 14 kernels, 6 panel sets and, on them, 49 row
+sets' log weights and 19 parent laws' log densities.
 """
 
 from __future__ import annotations
@@ -27,25 +27,53 @@ import numpy as np
 from .errors import InputError, check_count, check_rank, check_unit
 
 _TOL = 1e-12
-MEMO_SIZE = 256  # entries a memo keeps; the default scan needs at most 68, its alpha-free values
+MEMO_SIZE = 256  # entries a memo keeps; the default scan needs at most 49, its log weights
 MEMO_BYTES = 1 << 15  # the most data an entry keeps: a 64 x 64 matrix or 256 panels' nodes; larger ones are built anew
 
 
-def memo(nbytes):
-    """Decorate a builder with an LRU memo of MEMO_SIZE entries, passed over
-    for the arguments whose matrix data, ``nbytes(*args)``, exceeds MEMO_BYTES."""
+def memo(nbytes=None):
+    """Decorate a builder with an LRU memo of MEMO_SIZE entries, keyed by value.
+    An ndarray argument is keyed on its dtype, shape and bytes, and the builder
+    gets a read-only copy of it, so a later write to the caller's array never
+    reaches an entry; every array the builder returns, alone or in a tuple, is
+    read-only.  Arguments whose data, ``nbytes(*args)`` or by default the bytes
+    of their arrays, exceed MEMO_BYTES are built anew from them and not kept."""
 
     def wrap(build):
-        memoized = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(build)
+        @functools.lru_cache(maxsize=MEMO_SIZE)
+        def memoized(*key):
+            return _read_only(build(*map(_from_key, key)))
+
+        ndarray = np.ndarray  # a local name: lookups sit on their callers' hot paths
 
         @functools.wraps(build)
         def call(*args):
-            return (memoized if nbytes(*args) <= MEMO_BYTES else build)(*args)
+            key, size = [], 0
+            for a in args:
+                if type(a) is ndarray:
+                    size += a.nbytes
+                    a = (a.dtype, a.shape, a.tobytes())
+                key.append(a)
+            if (nbytes(*args) if nbytes else size) > MEMO_BYTES:
+                return _read_only(build(*args))
+            return memoized(*key)
 
         call.cache_info, call.cache_clear = memoized.cache_info, memoized.cache_clear
         return call
 
     return wrap
+
+
+def _from_key(k):
+    """An argument from its key: an ndarray's (dtype, shape, bytes) gives a read-only copy."""
+    return np.frombuffer(k[2], k[0]).reshape(k[1]) if type(k) is tuple and k and isinstance(k[0], np.dtype) else k
+
+
+def _read_only(value):
+    for a in value if type(value) is tuple else (value,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return value
 
 
 class MatrixValidationError(InputError):

@@ -153,6 +153,14 @@ def test_measure_record_names_its_matrix(capsys):
     assert designs == {"irss:3:blend=0.5", "irss:3:blend=0.75"}
 
 
+def test_measure_record_names_its_law_as_given(capsys):
+    # six significant digits would name another law: norm:0.123457,2.5, and exp:0.333333
+    for spec in ("norm:0.123456789,2.5", "exp:0.3333333333", "exp:1", "norm:0,1", "weibull:2,1", "unif"):
+        code, out, _ = run(capsys, "measure", "kl", "--design", "rss:3", "--dist", spec, "--format", "json")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)[0]["dist"] == spec
+
+
 def test_measure_record_says_it_did_not_converge(capsys):
     code, out, _ = run(
         capsys, "measure", "shannon", "--design", "rss:3", "--dist", "exp:1",

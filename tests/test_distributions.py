@@ -150,6 +150,29 @@ def test_standard_is_the_law_itself_only_when_standard():
         assert (dist.loc, dist.scale, dist.spec_string()) == before  # the caller's law is untouched
 
 
+def test_laws_compare_and_hash_by_family_and_fields():
+    assert Normal(-0.0, 1.0) == Normal() and hash(Normal(-0.0, 1.0)) == hash(Normal())
+    assert Normal(0.0, 3.0).standard() == Normal() and Weibull(2.0, 5.0).standard() == Weibull(2.0)
+    assert len({Normal(), Normal(-0.0, 1.0), Normal(0.0, 1.0)}) == 1
+    # the same law in another family, or another member of the family, is another key
+    assert Exponential(1.0) != Weibull(1.0) and Normal() != Uniform() and Normal() != Normal(0.0, 2.0)
+    assert Normal() != "norm:0,1"
+    # a standard copy holds its family's fields only: no location on a family without one
+    for dist, std in ((Exponential(3.0), Exponential(1.0)), (Weibull(2.0, 5.0), Weibull(2.0))):
+        assert vars(dist.standard()) == vars(std) and hash(dist.standard()) == hash(std)
+
+
+def test_a_law_and_its_standard_copy_share_one_parent_memo_entry():
+    from rssinfo import measures as M
+    from rssinfo import quadrature as Q
+
+    F, S = Q._fold(Q._nodes((0.0, *Q._BREAKS, Q._T))[1])[:2]
+    M._log_pdf_at_quantile.cache_clear()
+    for law in (Exponential(3.0).standard(), Exponential(1.0)):
+        M._log_pdf_at_quantile(law, F, S)
+    assert M._log_pdf_at_quantile.cache_info()[:2] == (1, 1)  # hits, misses
+
+
 def test_quantile_rejects_boundary(families):
     for dist in families:
         with pytest.raises(ValueError):

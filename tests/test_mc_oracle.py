@@ -302,6 +302,18 @@ _blend = lambda n: Design("irss", n, re.blend(n, 0.5))
             ("0x1.6e8bf83557a2fp+2", "0x1.bb8712c72d2ccp-8"),
             id="kl-rss8-srs8-exp",
         ),
+        pytest.param(  # equal laws, not one object: a -0.0 location and standard copies take the same-law path
+            lambda s: mc.mc_kl(Design("srs", 3), Normal(-0.0, 1.0), Design("irss", 3, _ZERO_ENTRIES), Normal(0.0, 3.0).standard(), s),
+            ("0x1.c195eb990734ep-2", "0x1.0107753157244p-8"),
+            ("0x1.c605b697c1100p-2", "0x1.340686330657bp-8"),
+            id="kl-srs3-zero3-norm-equal-laws",
+        ),
+        pytest.param(
+            lambda s: mc.mc_kl(Design("rss", _WIDE), Exponential(3.0).standard(), Design("srs", _WIDE), Exponential(1.0), s),
+            ("0x1.6e4596ec8f73fp+2", "0x1.f34ef74fdb9e4p-8"),
+            ("0x1.6e8bf83557a2fp+2", "0x1.bb8712c72d2ccp-8"),
+            id="kl-rss8-srs8-exp-equal-laws",
+        ),
         pytest.param(
             lambda s: mc.mc_kl(Design("srs", 2), Weibull(2.0, 1.0), Design("rss", 2), Exponential(1.0), s),
             ("0x1.8cc57b68c15fep-1", "0x1.838edc1e8f63ap-9"),

@@ -691,7 +691,7 @@ def test_cycle_scaling_is_exact():
 def test_result_record_shape():
     dist = Exponential(1.0)
     res = M.renyi(Design("srs", 2), dist, 2.0)
-    rec = M.result_record("renyi", "srs:2", dist, res, alpha=2.0)
+    rec = M.result_record("renyi", "srs:2", "exp:1", res, alpha=2.0)
     assert rec["measure"] == "renyi"
     assert rec["design"] == "srs:2"
     assert rec["converged"] is True
@@ -752,53 +752,62 @@ def test_memoized_matrices_rows_and_counts_are_read_only():
 def test_each_kernel_is_built_once_per_scan_and_figure():
     # the kernel and the distinct rows read neither the parent nor alpha: the default scan's
     # numeric matrices at each n are the three blends, with or without the identity
-    # (closed on unif and exp only), so 7 n x 2 row sets serve all 168 cells
+    # (closed on unif and exp only), so 7 n x 2 row sets serve all 168 cells; a kernel is
+    # fetched only where its row set's log weights miss
     order_stats._kernel.cache_clear()
-    M._distinct_rows_of.cache_clear()
+    M._log_weights.cache_clear()
+    M._distinct_rows.cache_clear()
     M._matrix_class.cache_clear()
     report = run_conjecture_scan(ScanGrid(), DEFAULT_CONFIG)
     assert len(report.records) == 840
     assert order_stats._kernel.cache_info().misses == 14
-    assert M._distinct_rows_of.cache_info().misses == 14
+    assert M._distinct_rows.cache_info().misses == 14
     assert M._matrix_class.cache_info().misses == 35  # 5 matrices at each n
-    # figure 2a: one kernel over the three 2x2 misrankings (p11 = 1 is the identity, closed) at every alpha
+    # figure 2a: one kernel over the three 2x2 misrankings (p11 = 1 is the identity, closed) at every
+    # alpha, fetched once per panel set, 24 of them
     order_stats._kernel.cache_clear()
+    M._log_weights.cache_clear()
     rows = figure_curve("2a", 48)
-    assert len(rows) == 48 and order_stats._kernel.cache_info()[:2] == (47, 1)  # hits, misses
+    assert len(rows) == 48 and order_stats._kernel.cache_info()[:2] == (23, 1)  # hits, misses
 
 
 def test_alpha_free_values_are_computed_once_per_panel_set():
     # the default scan's 168 integrals make 266 integrand calls (168 first calls on one
     # shared panel set, 98 splits on 5 more), each reading the kernel values and the
-    # parent's once: 532 lookups of 49 (row set, panel set) pairs (14 row sets on the
-    # first panel set, 35 on split ones) and 19 (family, panel set) pairs (4 first, 15 split)
-    M._alpha_free_slot.cache_clear()
+    # parent's once: 266 lookups each of 49 (row set, panel set) pairs (14 row sets on the
+    # first panel set, 35 on split ones) and of 19 (family, panel set) pairs (4 first, 15 split)
+    M._log_weights.cache_clear()
+    M._log_pdf_at_quantile.cache_clear()
     run_conjecture_scan(ScanGrid(), DEFAULT_CONFIG)
-    assert M._alpha_free_slot.cache_info()[:2] == (532 - 68, 49 + 19)  # hits, misses
+    assert M._log_weights.cache_info()[:2] == (266 - 49, 49)  # hits, misses
+    assert M._log_pdf_at_quantile.cache_info()[:2] == (266 - 19, 19)
     # figure 2a: one row set and one law over 48 integrals, 104 calls on 24 panel sets
-    M._alpha_free_slot.cache_clear()
+    M._log_weights.cache_clear()
+    M._log_pdf_at_quantile.cache_clear()
     figure_curve("2a", 48)
-    assert M._alpha_free_slot.cache_info()[:2] == (208 - 48, 24 + 24)
+    assert M._log_weights.cache_info()[:2] == M._log_pdf_at_quantile.cache_info()[:2] == (104 - 24, 24)
 
 
 def _fold_tables():
     from rssinfo import quadrature as Q
 
     edges = (0.0, *Q._BREAKS, Q._T)
-    return Q._fold(Q._nodes(edges)[1].tobytes())[:2]
+    return Q._fold(Q._nodes(edges)[1])[:2]
 
 
 def test_memoized_alpha_free_values_are_read_only_and_shared():
     F, S = _fold_tables()
     rows = re.blend(3, 0.5).entries
     integrand = M._of_log_weight(lambda lw, F, S: lw, rows)
-    M._alpha_free_slot.cache_clear()
+    M._log_weights.cache_clear()
+    M._log_pdf_at_quantile.cache_clear()
     first = integrand(F, S)
     assert integrand(F, S) is first and M._of_log_weight(lambda lw, F, S: lw, rows.copy())(F, S) is first
     law = M._log_pdf_at_quantile(Normal(), F, S)
     assert M._log_pdf_at_quantile(Normal(0.0, 1.0), F, S) is law  # a law keys on its fields
     assert M._log_pdf_at_quantile(Normal(0.0, 2.0), F, S) is not law
-    assert M._alpha_free_slot.cache_info()[:2] == (3, 3)  # hits, misses
+    assert M._log_weights.cache_info()[:2] == (2, 1)  # hits, misses
+    assert M._log_pdf_at_quantile.cache_info()[:2] == (1, 2)
     for arr in (first, law):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -808,20 +817,27 @@ def test_memoized_alpha_free_values_are_read_only_and_shared():
 
 
 def test_writable_or_large_arrays_leave_the_alpha_free_memo_untouched():
-    # Monte Carlo levels and the x-space routes' cdf values are writable: evaluated anew, not kept
+    # writable copies of the fold's tables are keyed by value: they reach the tables' entries, so
+    # they add none; arrays whose values pass the bound are evaluated anew and not kept
     F, S = _fold_tables()
     rows = re.blend(4, 0.25).entries
     integrand = M._of_log_weight(lambda lw, F, S: lw, rows)
+    M._log_weights.cache_clear()
+    M._log_pdf_at_quantile.cache_clear()
     expected = integrand(F, S).tobytes()
-    M._alpha_free_slot.cache_clear()
-    for args in ((F.copy(), S.copy()), (F, S.copy()), (F.tolist(), S.tolist())):
+    parent = M._log_pdf_at_quantile(Normal(), F, S).tobytes()
+    for args in ((F.copy(), S.copy()), (F, S.copy())):
         assert integrand(*args).tobytes() == expected
-        assert M._log_pdf_at_quantile(Normal(), *args).tobytes() == Normal().log_pdf_at_quantile(F, S).tobytes()
+        assert M._log_pdf_at_quantile(Normal(), *args).tobytes() == parent == Normal().log_pdf_at_quantile(F, S).tobytes()
+    assert M._log_weights.cache_info().currsize == M._log_pdf_at_quantile.cache_info().currsize == 1
+    M._log_weights.cache_clear()
+    M._log_pdf_at_quantile.cache_clear()
     big = np.linspace(0.01, 0.99, 1 << 12)  # 32 KiB each, so 4 rows' values pass the bound
     big.flags.writeable = False
     integrand(big, big[::-1])
-    M._of_log_weight(lambda lw, F, S: lw, re.blend(65, 0.5).entries)(F, S)  # rows above the bound: no key
-    assert M._alpha_free_slot.cache_info().currsize == 0
+    M._of_log_weight(lambda lw, F, S: lw, re.blend(65, 0.5).entries)(F, S)  # rows above the bound
+    M._log_pdf_at_quantile(Normal(), big, big[::-1])
+    assert M._log_weights.cache_info().currsize == M._log_pdf_at_quantile.cache_info().currsize == 0
 
 
 def test_a_cell_recomputed_after_clearing_the_memo_keeps_its_bits():
@@ -831,7 +847,8 @@ def test_a_cell_recomputed_after_clearing_the_memo_keeps_its_bits():
             return [(r.value.hex(), r.error_estimate.hex(), r.subdivisions_used) for r in M.renyi_designs(designs, dist, 3.0)]
 
         first, warm = cell(), cell()
-        M._alpha_free_slot.cache_clear()
+        M._log_weights.cache_clear()
+        M._log_pdf_at_quantile.cache_clear()
         assert first == warm == cell()
 
 
@@ -991,7 +1008,71 @@ def test_memos_pass_over_matrices_above_their_byte_bound():
     assert re.blend(65, 0.5) is not big and re.blend(64, 0.5) is re.blend(64, 0.5)
     assert np.array_equal(re.blend(65, 0.5).entries, big.entries)
     order_stats._kernel.cache_clear()
-    M._distinct_rows_of.cache_clear()
+    M._distinct_rows.cache_clear()
     assert order_stats.judged_log_weight(big.entries) is not order_stats.judged_log_weight(big.entries)
     assert M._distinct_rows(big.entries)[0] is not M._distinct_rows(big.entries)[0]
-    assert order_stats._kernel.cache_info().currsize == M._distinct_rows_of.cache_info().currsize == 0
+    assert order_stats._kernel.cache_info().currsize == M._distinct_rows.cache_info().currsize == 0
+
+
+def test_rows_above_the_bound_are_analysed_once_per_integral(monkeypatch):
+    # no memo keeps them, so the integrand holds their kernel for all its calls
+    calls = []
+
+    def counted(rows):
+        calls.append(np.shape(rows))
+        return order_stats.judged_log_weight(rows)
+
+    monkeypatch.setattr(M, "judged_log_weight", counted)
+    r = M.renyi(Design("irss", 65, re.blend(65, 0.5)), Normal(), 2.0)
+    assert r.converged and r.subdivisions_used > 3 and calls == [(65, 65)]
+
+
+def _array_memo_cases():
+    """Each memo keyed on ndarray arguments, with a builder of its arguments: fresh
+    writable arrays, below or above MEMO_BYTES."""
+    from rssinfo import quadrature as Q
+
+    F, S = _fold_tables()
+    t = Q._nodes((0.0, *Q._BREAKS, Q._T))[1]
+    wide = np.linspace(0.01, 0.99, 1 << 12)
+    return {
+        "kernel": (order_stats._kernel, lambda big: (re.blend(65 if big else 4, 0.5).entries.copy(),)),
+        "distinct_rows": (M._distinct_rows, lambda big: (re.blend(65 if big else 3, 0.5).entries.copy(), re.identity(65 if big else 3).entries.copy())),
+        "matrix_class": (M._matrix_class, lambda big: (re.blend(65 if big else 3, 0.5).entries.copy(),)),
+        "fold": (Q._fold, lambda big: ((Q._T * wide[::4] if big else t).copy(),)),
+        "log_weights": (M._log_weights, lambda big: (re.blend(3, 0.5).entries.copy(), *((wide, 1.0 - wide) if big else (F.copy(), S.copy())))),
+        "log_pdf_at_quantile": (M._log_pdf_at_quantile, lambda big: (Normal(), *((wide, 1.0 - wide) if big else (F.copy(), S.copy())))),
+    }
+
+
+def _parts(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _bits(result):
+    """A memo's result as comparable values: a kernel at three levels, each array as its bytes."""
+    if callable(result):
+        u = np.array([1e-9, 0.3, 0.7])
+        result = result(u, 1.0 - u)
+    return [a.tobytes() if isinstance(a, np.ndarray) else a for a in _parts(result)]
+
+
+@pytest.mark.parametrize("name", list(_array_memo_cases()))
+def test_array_keyed_memos_copy_their_keys_freeze_their_values_and_pass_over_large_ones(name):
+    memo, make = _array_memo_cases()[name]
+    memo.cache_clear()
+    args = make(False)
+    first = memo(*args)
+    for a in args:
+        if isinstance(a, np.ndarray):
+            a *= 0.5  # the caller's arrays change after the call
+    assert memo(*make(False)) is first and memo.cache_info()[:2] == (1, 1)  # hits, misses
+    memo(*args)
+    assert memo.cache_info()[:2] == (1, 2)  # the changed arrays are another key
+    assert _bits(first) == _bits(memo.__wrapped__(*make(False)))  # the entry is what its values build
+    memo.cache_clear()
+    large = [memo(*make(True)) for _ in range(2)]
+    assert memo.cache_info().currsize == 0
+    assert large[0] is not large[1] or isinstance(large[0], str)  # built anew on each call
+    for a in _parts(first) + _parts(large[0]):
+        assert not (isinstance(a, np.ndarray) and a.flags.writeable)

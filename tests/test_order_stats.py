@@ -233,8 +233,7 @@ MEMO_ROWS = {
 
 def _fresh_log_weight(rows):
     """The kernel of ``rows`` built now, past the memo."""
-    rows = np.asarray(rows, dtype=float)
-    return order_stats._kernel.__wrapped__(rows.shape, rows.tobytes())
+    return order_stats._kernel.__wrapped__(np.asarray(rows, dtype=float))
 
 
 @pytest.mark.parametrize("kind", [*MEMO_ROWS, "stacked"])

@@ -123,9 +123,12 @@ class Distribution:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
     def spec_string(self) -> str:
-        """The spec ``parse_distribution`` reads: the family's prefix, then its parameters."""
+        """The spec ``parse_distribution`` reads as this law: the family's prefix, then its
+        parameters, each as ``:g`` prints it where that reads back as the same float, else
+        in full (an exponential's rate reads back as the same scale, 1 / rate)."""
         prefix, fields = _SPECS[type(self)]
-        params = ",".join(f"{getattr(self, f):g}" for f in fields)
+        values = (getattr(self, f) for f in fields)
+        params = ",".join(f"{v:g}" if float(f"{v:g}") == v else repr(v) for v in values)
         return f"{prefix}:{params}" if params else prefix
 
 

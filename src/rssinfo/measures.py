@@ -3,11 +3,12 @@ pairs.
 
 A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
 uniform matrix, perfect RSS the identity.  Every u-space measure hands one
-route, ``_route``, its own pieces: a closed form keyed on the matrix, never on
-the design's kind, or None for the integral (``force_numeric``, to compare the
-paths); an integrand of the distinct rows; and a ``finish``.  Each matrix
-takes its closed form where it has one; the rest share one ``integrate_unit``
-call, and so ``subdivisions_used``, each row weighted by its count.
+route, ``_route``, its designs' matrices and its own pieces: a closed form
+keyed on the matrix's ``name``, never on the design's kind, or None for the
+integral (``force_numeric``, to compare the paths); an integrand of the
+distinct rows; and a ``finish``.  Each matrix takes its closed form where it
+has one; the rest share one ``integrate_unit`` call, and so
+``subdivisions_used``, each row weighted by its count.
 
 Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
 judged weights alone: closed for the uniform matrix, the identity and every
@@ -15,8 +16,9 @@ judged weights alone: closed for the uniform matrix, the identity and every
 closed for the same three classes.  Renyi is closed for the uniform matrix,
 n H_a(f), wherever int f^alpha is finite, and for the identity on a uniform
 or exponential parent, a sum of Beta integrals at every real alpha.
-``kl_two_sample`` has no closed form.  The derived measures keep no
-integrand of their own: ``a_n(mode="sum")`` is K(RSS_F || RSS_G) less
+``kl_two_sample`` has no closed form, and its paired rows are no ranking-error
+matrix, so it integrates their distinct pairs itself.  The derived measures
+keep no integrand of their own: ``a_n(mode="sum")`` is K(RSS_F || RSS_G) less
 K(SRS_F || SRS_G), two ``kl_two_sample`` calls, and ``kld_symmetric`` the sum
 of two.  The ``mode="x"`` verification routes integrate over x instead:
 Shannon is ``entropy_integral`` of the judged densities, KL its own
@@ -28,21 +30,21 @@ The one-law measures compute on the standard law ``dist.standard()``
 Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
 All values are in nats and scale additively with the cycle count m.
 
-A matrix's class and the distinct rows of a set of matrices read neither the
-parent law nor alpha, so ``_matrix_class`` and ``_distinct_rows`` are memoized
-on the matrices' values by ``ranking_error.memo``, which hands out the rows and
-their counts read-only.  So are the alpha-free halves of the u-space
-integrands, ``_log_weights``, the judged log weights of a row set, and
-``_log_pdf_at_quantile``, the parent's log f(F^-1(u)) keyed on the law, which
-compares by family and fields.  Each is evaluated once per panel set of the
-fold, keyed on the values of the engine's F and S, so a Renyi cell computes
-only exp(alpha lw - (1 - alpha) lf) on them.
+The distinct rows of a set of matrices read neither the parent law nor alpha,
+so ``_distinct_rows`` is memoized on the matrices' values by
+``ranking_error.memo``, which hands out the rows and their counts read-only.
+So are the alpha-free halves of the u-space integrands, ``_log_weights``, the
+judged log weights of a row set, and ``_log_pdf_at_quantile``, the parent's
+log f(F^-1(u)) keyed on the law, which compares by family and fields.  Each
+is evaluated once per panel set of the fold, keyed on the values of the
+engine's F and S, so a Renyi cell computes only exp(alpha lw - (1 - alpha) lf)
+on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -66,13 +68,16 @@ _KINDS = (SRS, PERFECT_RSS, IMPERFECT_RSS)
 class Design:
     """Sampling design: SRS(n), perfect RSS(n), or imperfect RSS(n, P).
 
-    ``m`` is the cycle count; measures scale additively in m.
+    ``m`` is the cycle count; measures scale additively in m.  ``matrix`` is
+    the ranking-error matrix, set once: uniform for SRS, identity for perfect
+    RSS, P for imperfect RSS.  Designs compare and hash by kind, n, P and m.
     """
 
     kind: str
     n: int
     P: RankingErrorMatrix | None = None
     m: int = 1
+    matrix: RankingErrorMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -85,15 +90,8 @@ class Design:
             check_dimension(self.P.n, self.n)
         elif self.P is not None:
             raise InputError(f"design kind {self.kind!r} takes no error matrix")
-
-    @property
-    def matrix(self) -> RankingErrorMatrix:
-        """The ranking-error matrix: uniform for SRS, identity for perfect RSS."""
-        if self.kind == SRS:
-            return ranking_error.uniform(self.n)
-        if self.kind == PERFECT_RSS:
-            return ranking_error.identity(self.n)
-        return self.P
+        build = ranking_error.uniform if self.kind == SRS else ranking_error.identity
+        object.__setattr__(self, "matrix", self.P if self.kind == IMPERFECT_RSS else build(self.n))
 
     def spec_string(self) -> str:
         base = f"{self.kind}:{self.n}"
@@ -139,12 +137,13 @@ def _weighted(values, errors, counts, r: QuadratureResult) -> QuadratureResult:
 
 
 def _route(matrices, closed, integrand, cfg, what, *, at=None, finish=None) -> list[QuadratureResult]:
-    """Each matrix's one-cycle value: ``closed(P)``, unless ``closed`` is None;
-    the matrices it leaves None share one ``integrate_unit`` of
-    ``integrand(rows)`` over their distinct rows, whose (value, error) arrays
-    ``finish`` maps before each row is weighted by its count in each matrix."""
+    """Each ranking-error matrix's one-cycle value: ``closed(P)``, unless
+    ``closed`` is None; the matrices it leaves None share one
+    ``integrate_unit`` of ``integrand(rows)`` over their distinct rows, whose
+    (value, error) arrays ``finish`` maps before each row is weighted by its
+    count in each matrix."""
     results = [None if closed is None else closed(P) for P in matrices]
-    numeric = [P for P, res in zip(matrices, results) if res is None]
+    numeric = [P.entries for P, res in zip(matrices, results) if res is None]
     if numeric:
         rows, counts = _distinct_rows(*numeric)
         r = integrate_unit(integrand(rows), cfg, what, at)
@@ -209,16 +208,9 @@ def shannon(
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         integrand, what = partial(_of_log_weight, lambda lw, F, S: np.exp(lw) * lw), "shannon integrand is not finite"
-        (d,) = _route([design.matrix.entries], None if force_numeric else _shannon_closed_form, integrand, cfg, what)
+        (d,) = _route([design.matrix], None if force_numeric else _shannon_closed_form, integrand, cfg, what)
         res = replace(d, value=design.n * std.entropy() - d.value)
     return res.scaled(design.m, design.n * math.log(dist.scale))
-
-
-@ranking_error.memo()
-def _matrix_class(P) -> str:
-    """'uniform', 'identity' or '' for a matrix's entries: the matrices with
-    closed forms in every measure."""
-    return "uniform" if (P == P[0, 0]).all() else "identity" if (P == np.eye(len(P))).all() else ""
 
 
 def _divergence_closed_form(identity, two_by_two):
@@ -226,13 +218,12 @@ def _divergence_closed_form(identity, two_by_two):
     0 for the uniform matrix, identity(n) for the identity and
     two_by_two(p11, p22) for every 2x2; None for any other matrix."""
 
-    def closed(P: np.ndarray) -> QuadratureResult | None:
-        kind = _matrix_class(P)
-        if kind == "uniform":
+    def closed(P: RankingErrorMatrix) -> QuadratureResult | None:
+        if P.name == "uniform":
             return _closed(0.0)
-        if kind == "identity":
-            return _closed(identity(len(P)))
-        return _closed(two_by_two(P[0, 0], P[1, 1])) if len(P) == 2 else None
+        if P.name == "identity":
+            return _closed(identity(P.n))
+        return _closed(two_by_two(P.entries[0, 0], P.entries[1, 1])) if P.n == 2 else None
 
     return closed
 
@@ -284,23 +275,22 @@ def renyi_designs(
 
     # the standard law's values; an error names x in ``dist``'s coordinates
     results = _route(
-        [d.matrix.entries for d in designs], None if force_numeric else lambda P: _renyi_closed_form(P, std, alpha),
+        [d.matrix for d in designs], None if force_numeric else lambda P: _renyi_closed_form(P, std, alpha),
         integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=finish,
     )
     return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
 
-def _renyi_closed_form(P: np.ndarray, std: Distribution, alpha: float) -> QuadratureResult | None:
+def _renyi_closed_form(P: RankingErrorMatrix, std: Distribution, alpha: float) -> QuadratureResult | None:
     """n H_a(f) for the uniform matrix where int f^alpha is finite, and the
     Beta sum of ``closed_form.rss_renyi`` for the identity on a uniform or
     exponential parent; None otherwise."""
-    kind = _matrix_class(P)
-    if kind == "uniform":
+    if P.name == "uniform":
         h = std.renyi_entropy(alpha)
-        return None if h is None else _closed(len(P) * h)
-    if kind == "identity" and isinstance(std, (Uniform, Exponential)):
+        return None if h is None else _closed(P.n * h)
+    if P.name == "identity" and isinstance(std, (Uniform, Exponential)):
         # the standard exponential's f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)
-        return _closed(closed_form.rss_renyi(len(P), alpha, alpha if isinstance(std, Exponential) else 1.0))
+        return _closed(closed_form.rss_renyi(P.n, alpha, alpha if isinstance(std, Exponential) else 1.0))
     return None
 
 
@@ -363,7 +353,7 @@ def kl_srs_vs_design(
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         integrand, what = partial(_of_log_weight, lambda lw, F, S: -lw), "KL integrand is not finite"
-        (res,) = _route([design.matrix.entries], None if force_numeric else _kl_closed_form, integrand, cfg, what)
+        (res,) = _route([design.matrix], None if force_numeric else _kl_closed_form, integrand, cfg, what)
     return res.scaled(design.m)
 
 
@@ -380,21 +370,18 @@ def kl_two_sample(
     of the X-side law.  Raises DivergentIntegralError on support mismatch.
     """
     check_shared((design_x, design_y))
+    # each distinct pair of rows, the X side's then the Y side's, is one component
+    rows, (counts,) = _distinct_rows(np.hstack([design_x.matrix.entries, design_y.matrix.entries]))
+    rows_x, rows_y = np.hsplit(rows, [design_x.n])
+    log_py = judged_log_pdf(dist_g, rows_y)
 
-    def integrand(rows):  # each row: the X side's, then the Y side's
-        rows_x, rows_y = np.hsplit(rows, [design_x.n])
-        log_py = judged_log_pdf(dist_g, rows_y)
+    def term(lx, F, S):
+        wx = np.exp(lx)
+        bracket = lx + _log_pdf_at_quantile(dist_f, F, S) - log_py(dist_f.quantile(F, S))
+        return np.where(wx > 0.0, wx * bracket, 0.0)
 
-        def term(lx, F, S):
-            wx = np.exp(lx)
-            bracket = lx + _log_pdf_at_quantile(dist_f, F, S) - log_py(dist_f.quantile(F, S))
-            return np.where(wx > 0.0, wx * bracket, 0.0)
-
-        return _of_log_weight(term, rows_x)
-
-    P = np.hstack([design_x.matrix.entries, design_y.matrix.entries])
-    (res,) = _route([P], None, integrand, cfg, "two-sample KL integrand is not integrable")
-    return res.scaled(design_x.m)
+    r = integrate_unit(_of_log_weight(term, rows_x), cfg, "two-sample KL integrand is not integrable")
+    return _weighted(r.value, r.error_estimate, counts, r).scaled(design_x.m)
 
 
 def kld_symmetric(

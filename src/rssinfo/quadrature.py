@@ -300,30 +300,26 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
 
     The engine integrates against 2 (t/T)^3 = T ds/dt, which cannot overflow:
     it sees T times the integral and takes abs_tol times T, both exactly.
-    g runs with floating-point warnings off: a non-finite g raises
-    DivergentIntegralError, ``what`` at its u, or at x = ``at(F, S)``.
+    g runs with floating-point warnings off.  A non-finite folded value raises
+    DivergentIntegralError: where g is not finite, ``what`` at the u of its first
+    such value, or at x = ``at(F, S)``; where g's finite halves' sum overflows, the engine's.
     """
-
-    last = []  # F, S and g(F, S) of the latest call: the engine tests their folded sum, an error is located in g
 
     def integrand(t):
         F, S, jacobian = _fold(t)
-        last[:] = F, S, g(F, S)
-        return (last[2][..., : t.size] + last[2][..., t.size :]) * jacobian
+        v = g(F, S)
+        folded = (v[..., : t.size] + v[..., t.size :]) * jacobian
+        if not np.isfinite(folded).all() and not np.isfinite(v).all():
+            *row, j = np.argwhere(~np.isfinite(v))[0]
+            x = None if at is None else float(at(F[j], S[j]))
+            msg = f"{what} at {f'u = {F[j]}' if x is None else f'x = {x}'}; the integral may be divergent or out of range"
+            raise DivergentIntegralError(msg, x, *map(int, row))
+        return folded
 
     # an abs_tol below 2^-310 has no float at this scale: the rel_tol alone decides
     scaled = QuadratureConfig(max(cfg.abs_tol * _T, math.ulp(0.0)), cfg.rel_tol, cfg.max_subdivisions)
     with np.errstate(all="ignore"):  # a non-finite value is raised, not warned of
-        try:
-            r = integrate(integrand, 0.0, _T, scaled, breaks=_BREAKS)
-        except DivergentIntegralError:
-            if not last or np.isfinite(last[2]).all():
-                raise  # g raised it, or its finite halves overflowed when summed
-            F, S, v = last
-            *row, j = np.argwhere(~np.isfinite(v))[0]
-            x = None if at is None else float(at(F[j], S[j]))
-            msg = f"{what} at {f'u = {F[j]}' if x is None else f'x = {x}'}; the integral may be divergent or out of range"
-            raise DivergentIntegralError(msg, x, *map(int, row)) from None
+        r = integrate(integrand, 0.0, _T, scaled, breaks=_BREAKS)
     return QuadratureResult(r.value / _T, r.error_estimate / _T, r.subdivisions_used, r.converged)
 
 

@@ -13,14 +13,14 @@ MEMO_BYTES; ``two_by_two`` and ``from_csv`` are not.  Entries are read-only and 
 ``order_stats`` and ``measures``, of ``quadrature``'s panel tables and of the alpha-free
 integrand values on them: keyed by value, read-only values, the last MEMO_SIZE entries,
 each of at most MEMO_BYTES of data, so at most 8 MiB a memo.  The default scan fills 35
-blends, 35 matrix classes, 14 row sets, 14 kernels, 6 panel sets and, on them, 49 row
-sets' log weights and 19 parent laws' log densities.
+blends, 14 row sets, 14 kernels, 6 panel sets and, on them, 49 row sets' log weights and
+19 parent laws' log densities.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,9 +84,13 @@ class MatrixValidationError(InputError):
 @dataclass(frozen=True)
 class RankingErrorMatrix:
     """A non-empty square matrix with entries in [0, 1], every row and column
-    summing to 1; construction checks the copy it freezes."""
+    summing to 1; construction checks the copy it freezes and names it, as
+    ``parse_matrix`` spells the two every measure has closed forms for:
+    "uniform" (1 x 1 included), "identity" or "".  It compares and hashes by
+    its entries' shape and values."""
 
     entries: np.ndarray
+    name: str = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)  # a copy: freezing must not reach the caller's array
@@ -102,6 +106,14 @@ class RankingErrorMatrix:
                 raise MatrixValidationError(f"{what} {bad[0] + 1} sums to {float(sums[bad[0]])}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        name = "uniform" if (arr == arr[0, 0]).all() else "identity" if (arr == np.eye(len(arr))).all() else ""
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        return isinstance(other, RankingErrorMatrix) and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        return hash((self.entries.shape, (self.entries + 0.0).tobytes()))  # + 0.0 makes -0.0 into 0.0
 
     @property
     def n(self) -> int:

@@ -234,6 +234,19 @@ def test_parse_round_trip():
     assert repr(Normal(1, 2)) == "Normal('norm:1,2')"
 
 
+def test_spec_string_reads_back_as_the_same_law():
+    rng = np.random.default_rng(7)
+    laws = [Exponential(0.3333333333), Normal(0.123456789, 2.5), Normal(-0.0, 1.0), Weibull(1.0 / 3.0, 1e6 / 7.0)]
+    for r, loc in zip(np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 3000)), rng.uniform(-1e6, 1e6, 3000)):
+        laws += [Exponential(r), Normal(loc, r), Weibull(r, 1.0 / r)]
+    for law in laws:
+        assert parse_distribution(law.spec_string()) == law, law.spec_string()
+    # a field prints as :g prints it where that reads back, else in full
+    assert repr(Exponential(0.3333333333)) == "Exponential('exp:0.3333333333')"
+    assert Normal(0.123456789, 2.5).spec_string() == "norm:0.123456789,2.5"
+    assert Normal(-0.0, 1.0).spec_string() == "norm:-0,1"
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

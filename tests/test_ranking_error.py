@@ -31,6 +31,17 @@ def test_row_access_is_one_based():
         P.row(3)
 
 
+def test_matrices_compare_and_hash_by_their_entries():
+    a, b = re.two_by_two(0.2), re.two_by_two(0.2)
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    assert a != re.two_by_two(0.3) and a != re.identity(2) and re.uniform(2) != re.uniform(3)
+    assert re.RankingErrorMatrix(np.eye(3)) == re.identity(3) and a != "p12=0.2"
+    # a -0.0 entry is 0.0
+    zero = re.RankingErrorMatrix([[-0.0, 1.0], [1.0, -0.0]])
+    assert zero == re.two_by_two(1.0) and hash(zero) == hash(re.two_by_two(1.0))
+    assert len({a, b, re.two_by_two(0.3), zero, re.two_by_two(1.0)}) == 3
+
+
 def test_entries_are_read_only():
     P = re.identity(2)
     with pytest.raises(ValueError):

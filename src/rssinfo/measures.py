@@ -284,13 +284,17 @@ def renyi_designs(
 def _renyi_closed_form(P: RankingErrorMatrix, std: Distribution, alpha: float) -> QuadratureResult | None:
     """n H_a(f) for the uniform matrix where int f^alpha is finite, and the
     Beta sum of ``closed_form.rss_renyi`` for the identity on a uniform or
-    exponential parent; None otherwise."""
-    if P.name == "uniform":
-        h = std.renyi_entropy(alpha)
-        return None if h is None else _closed(P.n * h)
-    if P.name == "identity" and isinstance(std, (Uniform, Exponential)):
-        # the standard exponential's f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)
-        return _closed(closed_form.rss_renyi(P.n, alpha, alpha if isinstance(std, Exponential) else 1.0))
+    exponential parent; None otherwise, and where the float evaluation
+    overflows (lgamma at an extreme alpha): the integral then decides."""
+    try:
+        if P.name == "uniform":
+            h = std.renyi_entropy(alpha)
+            return None if h is None else _closed(P.n * h)
+        if P.name == "identity" and isinstance(std, (Uniform, Exponential)):
+            # the standard exponential's f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)
+            return _closed(closed_form.rss_renyi(P.n, alpha, alpha if isinstance(std, Exponential) else 1.0))
+    except OverflowError:
+        pass
     return None
 
 

@@ -293,9 +293,10 @@ def _fold(t):
 
 def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
     """int_0^1 g(F, S) du, folded; g takes both halves in one call and
-    returns (m,) or (k, m).  The first call evaluates the panels of (0, T)
-    split at T (1/2, 3/4, 7/8), 120 u points; a subdivision budget below 3
-    keeps a prefix of those splits, and each split counts as a subdivision.
+    returns (m,) or (k, m), and any other shape raises InputError.  The first
+    call evaluates the panels of (0, T) split at T (1/2, 3/4, 7/8), 120 u
+    points; a subdivision budget below 3 keeps a prefix of those splits, and
+    each split counts as a subdivision.
     F and S are read-only arrays shared by every integral on the same panels.
 
     The engine integrates against 2 (t/T)^3 = T ds/dt, which cannot overflow:
@@ -307,7 +308,9 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
 
     def integrand(t):
         F, S, jacobian = _fold(t)
-        v = g(F, S)
+        v = np.asarray(g(F, S), dtype=float)
+        if v.shape[-1:] != F.shape:
+            raise InputError(f"integrand shape {v.shape} at {F.size} points is not (m,) or (k, m)")
         folded = (v[..., : t.size] + v[..., t.size :]) * jacobian
         if not np.isfinite(folded).all() and not np.isfinite(v).all():
             *row, j = np.argwhere(~np.isfinite(v))[0]

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import pins
 from rssinfo import cli
 from rssinfo import closed_form as cf
 from rssinfo import measures as M
@@ -21,7 +22,7 @@ from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential, Normal, Uniform, Weibull
 from rssinfo.measures import Design
 from rssinfo.order_stats import beta_order_pdf
-from rssinfo.quadrature import QuadratureConfig, entropy_integral, integrate
+from rssinfo.quadrature import QuadratureConfig, entropy_integral
 
 GRID_FAMILIES = [Uniform(), Exponential(1.0), Normal(0.0, 1.0), Weibull(2.0, 1.0)]
 GRID_NS = range(2, 9)
@@ -390,17 +391,5 @@ def test_criterion_10_errata_flag_pattern(report):
     assert pattern_ok, rows
 
 
-# (printed, corrected, oracle) of each errata row as float.hex: the printed forms are computed in the report
-_ERRATA_BITS = {
-    "eta_sign": ("0x1.660932c21a5f4p-2", "0x1.4cfb669ef2d06p-1", "0x1.4cfb669ef2d06p-1"),
-    "renyi_gap_display": ("0x1.df07078a176e7p+0", "-0x1.269621134db98p-2", "-0x1.269621134db98p-2"),
-    "kl_minus_n_prefactor": ("0x1.821d74c5cd6b4p+2", "0x1.0168f883de478p+1", "0x1.0168f883decf4p+1"),
-    "a_n_missing_log": ("-0x1.2aaaaaaaaaaabp+0", "0x0.0p+0", "0x0.0p+0"),
-    "psi_alpha_2_display": ("-0x1.0000000000000p+2", "-0x1.62e42fefa39efp+1", "-0x1.62e42fefa39efp+1"),
-}
-
-
 def test_errata_rows_keep_their_bits():
-    rows = cli.run_errata_checks()
-    got = {row["check"]: tuple(float(row[k]).hex() for k in ("printed", "corrected", "oracle")) for row in rows}
-    assert got == _ERRATA_BITS
+    assert pins.CASES["errata"]["rows"]() == pins.stored("errata", "rows")

@@ -193,11 +193,20 @@ def test_measure_kl_oracle_agrees_with_d2(capsys):
 
 
 def test_divergent_integral_exits_three_without_traceback(capsys):
-    # int f^5 of weibull(0.3) diverges at 0: s = (alpha (k - 1) + 1) / k < 0
-    code, _, err = run(capsys, "measure", "renyi", "--design", "rss:3", "--dist", "weibull:0.3", "--alpha", "5")
-    assert code == cli.EXIT_NO_CONVERGENCE
-    assert err.startswith("error: renyi integrand exceeds the float range")
-    assert "Traceback" not in err
+    cases = [
+        # int f^5 of weibull(0.3) diverges at 0: s = (alpha (k - 1) + 1) / k < 0
+        ("measure renyi --design rss:3 --dist weibull:0.3 --alpha 5", "integrand exceeds the float range"),
+        # lgamma overflows at these alphas, so the closed forms decline and the integral decides
+        ("measure renyi --design rss:2 --dist unif --alpha 1e308", "integrand exceeds the float range"),
+        ("measure renyi --design rss:2 --dist exp:1 --alpha 1e308", "integrand exceeds the float range"),
+        ("measure renyi --design srs:2 --dist weibull:2 --alpha 1e306", "integral evaluated to a non-positive value"),
+        ("conjecture-scan --family unif --n-values 2 --alphas 1e308", "integrand exceeds the float range"),
+    ]
+    for argv, message in cases:
+        code, _, err = run(capsys, *argv.split())
+        assert code == cli.EXIT_NO_CONVERGENCE, argv
+        assert err.startswith(f"error: renyi {message}"), (argv, err)
+        assert "Traceback" not in err
 
 
 def test_measure_oracle_runs_below_one_default_batch(capsys):

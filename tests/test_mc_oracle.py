@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pins
 from rssinfo import closed_form as cf
 from rssinfo import mc_oracle as mc
 from rssinfo import measures as M
 from rssinfo import ranking_error as re
-from rssinfo.distributions import Exponential, Normal, Uniform, Weibull
+from rssinfo.distributions import Exponential, Normal, Uniform
 from rssinfo.errors import InputError
 from rssinfo.measures import Design
 
@@ -220,120 +221,9 @@ def test_samplers_follow_the_documented_recipe(n, P, ranks, m):
         assert np.array_equal(x, want[0] if m is None else want)
 
 
-_WIDE = mc._NETWORK_MAX_N + 2  # ordered by numpy's row sort, not the network
-_blend = lambda n: Design("irss", n, re.blend(n, 0.5))
-
-
-# (estimate, std_error) as float.hex at SimConfig(_BLOCK + 1001, seed) for seeds 7 and 2024: each
-# case was run once on the oracle that took both logs in every kernel call, mapped the standard law
-# by 0 + 1 * q and copied each block's scores, and each field printed with float.hex
-@pytest.mark.parametrize(
-    "estimate, seed_7, seed_2024",
-    [
-        pytest.param(
-            lambda s: mc.mc_entropy(Design("rss", 2), Exponential(1.0), s),
-            ("0x1.9d83d52fda838p+0", "0x1.10186f02c7a85p-8"),
-            ("0x1.9bd01965f3f97p+0", "0x1.3418791abb30bp-8"),
-            id="entropy-rss2-exp",
-        ),
-        pytest.param(
-            lambda s: mc.mc_entropy(Design("srs", 3), Weibull(2.0, 1.0), s),
-            ("0x1.c9f59bba3205fp+0", "0x1.127879bf79629p-8"),
-            ("0x1.ca916a7758214p+0", "0x1.2e00f9b9b83bep-8"),
-            id="entropy-srs3-weibull",
-        ),
-        pytest.param(
-            lambda s: mc.mc_entropy(_blend(3), Normal(0.0, 1.0), s),
-            ("0x1.026628158a6a4p+2", "0x1.5f334eed362c4p-8"),
-            ("0x1.024aebf20031bp+2", "0x1.6aa195370354ep-8"),
-            id="entropy-blend3-norm",
-        ),
-        pytest.param(
-            lambda s: mc.mc_entropy(Design("irss", 3, _ZERO_ENTRIES), Weibull(2.0, 1.0), s),
-            ("0x1.821423ea21538p+0", "0x1.11abc64a640e8p-8"),
-            ("0x1.83053d5f5e2cap+0", "0x1.05c76654ebb62p-8"),
-            id="entropy-zero3-weibull",
-        ),
-        pytest.param(
-            lambda s: mc.mc_entropy(Design("rss", _WIDE), Normal(1.0, 2.0), s),
-            ("0x1.6533659c8b139p+3", "0x1.fc02f8447eb79p-8"),
-            ("0x1.654910e554f27p+3", "0x1.c228907a948c7p-8"),
-            id="entropy-rss8-norm12",
-        ),
-        pytest.param(
-            lambda s: mc.mc_renyi(Design("rss", 3), Normal(0.0, 1.0), 0.5, s),
-            ("0x1.ee5fc8ba02b80p+1", "0x1.099ddfc58c702p-6"),
-            ("0x1.edf02090355acp+1", "0x1.b3956be8477cep-7"),
-            id="renyi0.5-rss3-norm",
-        ),
-        pytest.param(
-            lambda s: mc.mc_renyi(_blend(_WIDE), Exponential(1.0), 2.0, s),
-            ("0x1.0a603c0248588p+2", "0x1.9f0e789e0fe5ep-8"),
-            ("0x1.0abcf0030b8cfp+2", "0x1.a4b8d387ae84fp-8"),
-            id="renyi2-blend8-exp",
-        ),
-        pytest.param(
-            lambda s: mc.mc_renyi(Design("srs", 2), Weibull(2.0, 1.0), 2.0, s),
-            ("0x1.ddf220d8ad3efp-1", "0x1.ee3d5ef3b8152p-10"),
-            ("0x1.df78521376afdp-1", "0x1.1e956d8229c5ap-9"),
-            id="renyi2-srs2-weibull",
-        ),
-        pytest.param(
-            lambda s: mc.mc_renyi(Design("irss", 3, _ZERO_ENTRIES), Uniform(), 5.0, s),
-            ("-0x1.44610eec858f8p-1", "0x1.dc952c5f3568fp-11"),
-            ("-0x1.436d69488ddc2p-1", "0x1.18d65a74d3d5fp-10"),
-            id="renyi5-zero3-unif",
-        ),
-        pytest.param(
-            lambda s: mc.mc_renyi(Design("rss", 2), Exponential(2.0), 5.0, s),
-            ("-0x1.8407c2a7695fap-1", "0x1.5c5b78c43a940p-10"),
-            ("-0x1.856e1f31a2cb4p-1", "0x1.adea6f5566f37p-10"),
-            id="renyi5-rss2-exp2",
-        ),
-        pytest.param(
-            lambda s: mc.mc_kl(Design("srs", 3), Normal(0.0, 1.0), Design("irss", 3, _ZERO_ENTRIES), Normal(0.0, 1.0), s),
-            ("0x1.c195eb990734ep-2", "0x1.0107753157244p-8"),
-            ("0x1.c605b697c1100p-2", "0x1.340686330657bp-8"),
-            id="kl-srs3-zero3-norm",
-        ),
-        pytest.param(
-            lambda s: mc.mc_kl(Design("rss", _WIDE), Exponential(1.0), Design("srs", _WIDE), Exponential(1.0), s),
-            ("0x1.6e4596ec8f73fp+2", "0x1.f34ef74fdb9e4p-8"),
-            ("0x1.6e8bf83557a2fp+2", "0x1.bb8712c72d2ccp-8"),
-            id="kl-rss8-srs8-exp",
-        ),
-        pytest.param(  # equal laws, not one object: a -0.0 location and standard copies take the same-law path
-            lambda s: mc.mc_kl(Design("srs", 3), Normal(-0.0, 1.0), Design("irss", 3, _ZERO_ENTRIES), Normal(0.0, 3.0).standard(), s),
-            ("0x1.c195eb990734ep-2", "0x1.0107753157244p-8"),
-            ("0x1.c605b697c1100p-2", "0x1.340686330657bp-8"),
-            id="kl-srs3-zero3-norm-equal-laws",
-        ),
-        pytest.param(
-            lambda s: mc.mc_kl(Design("rss", _WIDE), Exponential(3.0).standard(), Design("srs", _WIDE), Exponential(1.0), s),
-            ("0x1.6e4596ec8f73fp+2", "0x1.f34ef74fdb9e4p-8"),
-            ("0x1.6e8bf83557a2fp+2", "0x1.bb8712c72d2ccp-8"),
-            id="kl-rss8-srs8-exp-equal-laws",
-        ),
-        pytest.param(
-            lambda s: mc.mc_kl(Design("srs", 2), Weibull(2.0, 1.0), Design("rss", 2), Exponential(1.0), s),
-            ("0x1.8cc57b68c15fep-1", "0x1.838edc1e8f63ap-9"),
-            ("0x1.8b8c46b14cccbp-1", "0x1.dd9f351f109a5p-9"),
-            id="kl-srs2-weibull-rss2-exp",
-        ),
-        pytest.param(
-            lambda s: mc.mc_kl(_blend(3), Normal(0.0, 1.0), Design("rss", 3), Normal(0.5, 2.0), s),
-            ("0x1.5376cac0ece2bp+0", "0x1.2c452d4118c72p-8"),
-            ("0x1.5487063fb66b5p+0", "0x1.1832e4e9bde50p-8"),
-            id="kl-blend3-norm-rss3-norm0.5,2",
-        ),
-    ],
-)
-def test_estimates_are_pinned_bit_for_bit(estimate, seed_7, seed_2024):
-    # identity, uniform, blend and zero-entry rows; n = 2, 3 and above the network; all four
-    # families, standard and not; two blocks per component.  Any changed bit of the scoring fails
-    for seed, pinned in ((7, seed_7), (2024, seed_2024)):
-        got = estimate(mc.SimConfig(replications=mc._BLOCK + 1001, seed=seed))
-        assert (got.estimate.hex(), got.std_error.hex()) == pinned, seed
+@pytest.mark.parametrize("case", list(pins.CASES["mc"]))
+def test_estimates_are_pinned_bit_for_bit(case):
+    assert pins.CASES["mc"][case]() == pins.stored("mc", case)
 
 
 @pytest.mark.parametrize("n", range(2, mc._NETWORK_MAX_N + 2))

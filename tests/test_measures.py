@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pins
 import rssinfo
 from rssinfo import closed_form as cf
 from rssinfo import mc_oracle as mc
@@ -17,7 +18,7 @@ from rssinfo.distributions import Exponential, Normal, Support, Uniform, Weibull
 from rssinfo.errors import InputError
 from rssinfo.measures import Design, DivergentIntegralError
 from rssinfo.order_stats import beta_order_log_pdf, log_order_coeff
-from rssinfo.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_support
+from rssinfo.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_support, integrate_unit
 from rssinfo.reports import (
     DEFAULT_SCAN_FAMILIES,
     DEFAULT_SCAN_MATRICES,
@@ -553,6 +554,8 @@ def test_mode_means_the_same_in_every_measure():
 
 
 EXP1 = Exponential(1.0)
+# integrands for integrate_unit whose last axis does not hold its u points: a scalar, a list, (2, 1), (7,)
+_WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones((2, 1)), lambda F, S: np.ones(7))
 
 
 @pytest.mark.parametrize(
@@ -630,6 +633,7 @@ EXP1 = Exponential(1.0)
         lambda: Design("rss", True),
         lambda: QuadratureConfig(max_subdivisions=True),
         lambda: mc.SimConfig(seed=True),
+        *(lambda g=g: integrate_unit(g, DEFAULT_CONFIG, "g") for g in _WRONG_SHAPES),
     ],
     ids=[
         "a_n-n0", "kl-x-no-law", "kl2-n", "kl2-m",
@@ -655,6 +659,7 @@ EXP1 = Exponential(1.0)
         "exp_renyi-rate-inf", "exp_renyi-rate-nan", "exp_renyi-rate-zero", "exp_renyi-rate-negative",
         "scan-alpha-nan", "psi-alpha-nan", "scan-empty-ns",
         "design-n-bool", "quad-budget-bool", "sim-seed-bool",
+        "unit-scalar", "unit-list", "unit-2x1", "unit-7",
     ],
 )
 def test_measure_input_rules_raise_input_error(call):
@@ -896,140 +901,9 @@ def test_a_cell_recomputed_after_clearing_the_memo_keeps_its_bits():
         assert first == warm == cell()
 
 
-# (family, n, alpha): renyi_srs, renyi_rss, then renyi_irss and error_budget in DEFAULT_SCAN_MATRICES
-# order, as float.hex, recorded when each cell built a design per named spec; every record converged
-SCAN_PINS = {
-    ("unif", 2, 1.1): (
-        "0x0.0p+0", "-0x1.a457c5e89f314p-2",
-        ("-0x1.a457c5e89f314p-2", "-0x1.bc5b953769580p-3", "-0x1.7f326eb8f5c41p-4", "-0x1.794a58fe99fbfp-6", "0x0.0p+0"),
-        ("0x0.0p+0", "0x1.fdd2be13401e3p-39", "0x1.75ec2ac102253p-42", "0x1.f3ffffffffff8p-43", "0x0.0p+0"),
-    ),
-    ("unif", 2, 10.0): (
-        "0x0.0p+0", "-0x1.01e8fe632d275p+0",
-        ("-0x1.01e8fe632d275p+0", "-0x1.7d6e1d40acdb6p-1", "-0x1.d544bf26e2279p-2", "-0x1.539a2eae9460ep-3", "0x0.0p+0"),
-        ("0x0.0p+0", "0x1.1f251cadd69d1p-35", "0x1.26cddaf8583e3p-37", "0x1.dbb51e4088b3ep-42", "0x0.0p+0"),
-    ),
-    ("unif", 5, 1.1): (
-        "0x0.0p+0", "-0x1.5b438c20ee335p+1",
-        ("-0x1.5b438c20ee335p+1", "-0x1.7070db2fbd1a2p+0", "-0x1.483bb716df7dep-1", "-0x1.530a3250e7392p-3", "0x0.0p+0"),
-        ("0x0.0p+0", "0x1.dfe03e70d7b0ap-30", "0x1.3ba283535017bp-34", "0x1.81fe928a1b102p-34", "0x0.0p+0"),
-    ),
-    ("unif", 5, 10.0): (
-        "0x0.0p+0", "-0x1.2201998fc6b5dp+2",
-        ("-0x1.2201998fc6b5dp+2", "-0x1.d032cce149cfap+1", "-0x1.44d9893e6a276p+1", "-0x1.2f32b91aa86b1p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x1.e2a44353ae0ddp-33", "0x1.d14e53cf91b0dp-35", "0x1.a8a51848c241ep-38", "0x0.0p+0"),
-    ),
-    ("unif", 8, 1.1): (
-        "0x0.0p+0", "-0x1.79ddacaf44eddp+2",
-        ("-0x1.79ddacaf44eddp+2", "-0x1.94afcc1b8e750p+1", "-0x1.6eb903a9470eap+0", "-0x1.841d439b0519ap-2", "0x0.0p+0"),
-        ("0x0.0p+0", "0x1.97c57cb99c256p-26", "0x1.267685882b963p-27", "0x1.de706322505e6p-29", "0x0.0p+0"),
-    ),
-    ("unif", 8, 10.0): (
-        "0x0.0p+0", "-0x1.1af7f80dacf54p+3",
-        ("-0x1.1af7f80dacf54p+3", "-0x1.cdf64eb1c6d6fp+2", "-0x1.4e00f9d9a93a4p+2", "-0x1.4feb8ec775d3ep+1", "0x0.0p+0"),
-        ("0x0.0p+0", "0x1.d4ace5c838190p-30", "0x1.622a3060858d2p-31", "0x1.80b533b9fa11ep-34", "0x0.0p+0"),
-    ),
-    ("exp:1", 2, 1.1): (
-        "0x1.e7fcf578b5877p+0", "0x1.88a2971953e68p+0",
-        ("0x1.88a2971953e68p+0", "0x1.b5d94f60e2b8fp+0", "0x1.d2709345910abp+0", "0x1.e2b1a3351b8e7p+0", "0x1.e7fcf578b5877p+0"),
-        ("0x0.0p+0", "0x1.8ae6ab9e98ee8p-26", "0x1.7f0bca9753f5ep-26", "0x1.78251e1a6fec9p-26", "0x0.0p+0"),
-    ),
-    ("exp:1", 2, 10.0): (
-        "0x1.05fba6df68485p-1", "0x1.954b93e9f41fcp-2",
-        ("0x1.954b93e9f41fcp-2", "0x1.06749d36aa48ep-1", "0x1.22a34d953bcf3p-1", "0x1.133c1db7e3edcp-1", "0x1.05fba6df68485p-1"),
-        ("0x0.0p+0", "0x1.461097cb41781p-31", "0x1.945fa6ed16befp-32", "0x1.545f8404ca5c2p-33", "0x0.0p+0"),
-    ),
-    ("exp:1", 5, 1.1): (
-        "0x1.30fe196b7174ap+2", "0x1.1cbe67217940cp+1",
-        ("0x1.1cbe67217940cp+1", "0x1.b7209f24cd6e4p+1", "0x1.0b224bb2beefcp+2", "0x1.273d8b538527cp+2", "0x1.30fe196b7174ap+2"),
-        ("0x0.0p+0", "0x1.027587e4a722ep-24", "0x1.f236c60289fd7p-25", "0x1.dc652d300021ep-25", "0x0.0p+0"),
-    ),
-    ("exp:1", 5, 10.0): (
-        "0x1.477a9097425a6p+0", "-0x1.518ea135a3d29p-4",
-        ("-0x1.518ea135a3d29p-4", "0x1.548692db23198p-1", "0x1.2dd0a21e9df90p+0", "0x1.41890f7fb784ep+0", "0x1.477a9097425a6p+0"),
-        ("0x0.0p+0", "0x1.4ea3d57cf2a3cp-30", "0x1.5e1b08cc98b32p-33", "0x1.019a5049b9e64p-37", "0x0.0p+0"),
-    ),
-    ("exp:1", 8, 1.1): (
-        "0x1.e7fcf578b5877p+2", "0x1.040a9ee825d3bp+1",
-        ("0x1.040a9ee825d3bp+1", "0x1.2a257d995db44p+2", "0x1.92672e0c3e364p+2", "0x1.d166fbdee9b8ap+2", "0x1.e7fcf578b5877p+2"),
-        ("0x0.0p+0", "0x1.e2feb9e22fcc3p-24", "0x1.79cb10fc67258p-24", "0x1.7d77a9f19601ap-24", "0x0.0p+0"),
-    ),
-    ("exp:1", 8, 10.0): (
-        "0x1.05fba6df68485p+1", "-0x1.627650e59c608p+0",
-        ("-0x1.627650e59c608p+0", "0x1.97ffffbac2d30p-4", "0x1.4e1e08c298996p+0", "0x1.ce720bc3ac953p+0", "0x1.05fba6df68485p+1"),
-        ("0x0.0p+0", "0x1.8d4354b4af132p-29", "0x1.a762cad4059b5p-31", "0x1.03736256e891ap-33", "0x0.0p+0"),
-    ),
-    ("norm:0,1", 2, 1.1): (
-        "0x1.653ecba153578p+1", "0x1.33af2d0248126p+1",
-        ("0x1.33af2d0248126p+1", "0x1.4af731bf1213ap+1", "0x1.59e6d08257e85p+1", "0x1.6273a2dcf9692p+1", "0x1.653ecba153578p+1"),
-        ("0x1.e2a81c7d37d37p-24", "0x1.dc57aae37d753p-24", "0x1.d9285ce48b7a6p-24", "0x1.d77382cec105ap-24", "0x1.e2a81c7d37d37p-25"),
-    ),
-    ("norm:0,1", 2, 10.0): (
-        "0x1.0bff031f12febp+1", "0x1.b25d809ba067cp+0",
-        ("0x1.b25d809ba067cp+0", "0x1.d6c895f643c0ep+0", "0x1.f7482bcf717b9p+0", "0x1.0784b748fdcccp+1", "0x1.0bff031f12febp+1"),
-        ("0x1.8d91a9cef2fcfp-30", "0x1.08ab7b5360edap-30", "0x1.e795ae410159dp-31", "0x1.b224417d5f0f0p-31", "0x1.8d91a9cef2fcfp-31"),
-    ),
-    ("norm:0,1", 5, 1.1): (
-        "0x1.be8e7e89a82d6p+2", "0x1.173364a3166f7p+2",
-        ("0x1.173364a3166f7p+2", "0x1.664d12b72ba1fp+2", "0x1.9780ce8a5eabbp+2", "0x1.b48bf15f2c5eep+2", "0x1.be8e7e89a82d6p+2"),
-        ("0x1.44ac40819ec1ap-22", "0x1.3abbb0ce551cap-22", "0x1.375c694425d6ap-22", "0x1.337ff53af84c1p-22", "0x1.44ac40819ec1ap-23"),
-    ),
-    ("norm:0,1", 5, 10.0): (
-        "0x1.4efec3e6d7be6p+2", "0x1.4ad63186d00d2p+1",
-        ("0x1.4ad63186d00d2p+1", "0x1.add99771716f6p+1", "0x1.0d0be3b8a6564p+2", "0x1.3defa1dd0cb6bp+2", "0x1.4efec3e6d7be6p+2"),
-        ("0x1.86f5d1d4265fap-31", "0x1.3e7f03bae8920p-31", "0x1.f1746fb236cf9p-32", "0x1.95fa2f2c99a18p-32", "0x1.86f5d1d4265fap-32"),
-    ),
-    ("norm:0,1", 8, 1.1): (
-        "0x1.653ecba153578p+3", "0x1.5b9e2e9e393f8p+2",
-        ("0x1.5b9e2e9e393f8p+2", "0x1.03bd3d3f8cb76p+3", "0x1.396a77388ca62p+3", "0x1.59c212afde577p+3", "0x1.653ecba153578p+3"),
-        ("0x1.9d575c4d0376ap-26", "0x1.92bc5f024de93p-26", "0x1.892358a17a5d8p-26", "0x1.815bbfc698e92p-26", "0x1.9d575c4d0376ap-27"),
-    ),
-    ("norm:0,1", 8, 10.0): (
-        "0x1.0bff031f12febp+3", "0x1.4b7934f2c614cp+1",
-        ("0x1.4b7934f2c614cp+1", "0x1.060a0b80e6da5p+2", "0x1.76dca9f165ba3p+2", "0x1.eb840b73de1bdp+2", "0x1.0bff031f12febp+3"),
-        ("0x1.69a014161ed9ep-28", "0x1.11313dcedc542p-28", "0x1.8ac67596ca6a1p-29", "0x1.6ece68a410d98p-29", "0x1.69a014161ed9ep-29"),
-    ),
-    ("weibull:2,1", 2, 1.1): (
-        "0x1.26fbe0f631221p+0", "0x1.86bcdd99a02e1p-1",
-        ("0x1.86bcdd99a02e1p-1", "0x1.e473d7a87dbf0p-1", "0x1.103924ce98a97p+0", "0x1.216155178d8dfp+0", "0x1.26fbe0f631221p+0"),
-        ("0x1.dc8e0f4a232b4p-24", "0x1.d65c3453f0e92p-24", "0x1.d33ed63bd8a6ap-24", "0x1.d19409458550ap-24", "0x1.dc8e0f4a232b4p-25"),
-    ),
-    ("weibull:2,1", 2, 10.0): (
-        "0x1.18d00601a6bcbp-1", "0x1.fc73017a20aacp-4",
-        ("0x1.fc73017a20aacp-4", "0x1.1a188d1cdcb5ap-2", "0x1.a56460947e3a2p-2", "0x1.05af55b50e38dp-1", "0x1.18d00601a6bcbp-1"),
-        ("0x1.aa98a03d0f686p-32", "0x1.40f22434eef56p-32", "0x1.00916f870ab00p-32", "0x1.d12c1a2fbc56bp-33", "0x1.aa98a03d0f686p-33"),
-    ),
-    ("weibull:2,1", 5, 1.1): (
-        "0x1.70bad933bd6a9p+1", "0x1.05735e18f4b57p-2",
-        ("0x1.05735e18f4b57p-2", "0x1.7ec866306f455p+0", "0x1.222ad39a5b6f8p+1", "0x1.5c90198d5603dp+1", "0x1.70bad933bd6a9p+1"),
-        ("0x1.3e2bae8200c33p-22", "0x1.34e065639682ap-22", "0x1.31e8a35a534dcp-22", "0x1.2e61f3e89ec3ep-22", "0x1.3e2bae8200c33p-23"),
-    ),
-    ("weibull:2,1", 5, 10.0): (
-        "0x1.5f040782106bep+0", "-0x1.6b19f06e2622dp+0",
-        ("-0x1.6b19f06e2622dp+0", "-0x1.408eb301fef68p-1", "0x1.008bc62d5f56bp-2", "0x1.0e7988be146e8p+0", "0x1.5f040782106bep+0"),
-        ("0x1.b0c511999744cp-31", "0x1.553744bfbfd5ap-31", "0x1.0fe08e34db2b0p-31", "0x1.c1a19ae19f994p-32", "0x1.b0c511999744cp-32"),
-    ),
-    ("weibull:2,1", 8, 1.1): (
-        "0x1.26fbe0f631221p+2", "-0x1.24ca6cd6f4c36p+0",
-        ("-0x1.24ca6cd6f4c36p+0", "0x1.8c4087aea8be3p+0", "0x1.9d9381cd205c2p+1", "0x1.0fd30f318f649p+2", "0x1.26fbe0f631221p+2"),
-        ("0x1.ae7c088e530d4p-26", "0x1.a4ac21640ec1ap-26", "0x1.9ba51e1e75b63p-26", "0x1.942b8b30abdb0p-26", "0x1.ae7c088e530d4p-27"),
-    ),
-    ("weibull:2,1", 8, 10.0): (
-        "0x1.18d00601a6bcbp+1", "-0x1.ee06147dfaca7p+1",
-        ("-0x1.ee06147dfaca7p+1", "-0x1.2ad0565a63ec6p+1", "-0x1.113d19bb57e7dp-1", "0x1.57d02ee658184p+0", "0x1.18d00601a6bcbp+1"),
-        ("0x1.bd72a23df3ff4p-32", "0x1.6f894e4d38d2ep-32", "0x1.17da67f4d6b3ep-32", "0x1.d163e5bd33a46p-33", "0x1.bd72a23df3ff4p-33"),
-    ),
-}
-
-
-@pytest.mark.parametrize("cell", list(SCAN_PINS), ids=str)
+@pytest.mark.parametrize("cell", list(pins.CASES["scan"]))
 def test_scan_cells_are_pinned_bit_for_bit(cell):
-    family, n, alpha = cell
-    srs, rss, irss, budget = SCAN_PINS[cell]
-    report = run_conjecture_scan(ScanGrid(families=(family,), ns=(n,), alphas=(alpha,)), DEFAULT_CONFIG)
-    got = [(r["matrix"], r["renyi_srs"].hex(), r["renyi_rss"].hex(), r["renyi_irss"].hex(), r["error_budget"].hex(), r["converged"])
-           for r in report.records]
-    assert got == [(m, srs, rss, i, b, True) for m, i, b in zip(DEFAULT_SCAN_MATRICES, irss, budget)]
+    assert pins.CASES["scan"][cell]() == pins.stored("scan", cell)
 
 
 def test_scan_keeps_a_record_for_each_name_of_a_matrix():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+import pins
 from rssinfo import closed_form, mc_oracle, order_stats
 from rssinfo import ranking_error as re
-from rssinfo.distributions import Exponential, Normal
+from rssinfo.distributions import Exponential
 from rssinfo.errors import InputError
 from rssinfo.order_stats import (
     beta_order_log_pdf,
@@ -159,36 +160,10 @@ def test_rank_validation():
         judged_pdf(dist, 3, re.identity(2), 1, 0.5)
 
 
-# (n, i): order_stat_pdf of exp:1 at IDENTITY_X, then sample_order_stat of norm:0,1 from
-# default_rng(7), size 3, as float.hex, recorded when both read row i of identity(n)
-IDENTITY_X = np.array([0.01, 0.5, 2.0, 6.0])
-IDENTITY_ROW_PINS = {
-    (64, 1): (
-        ("0x1.0df945c9630bbp+5", "0x1.c8464f761646cp-41", "0x1.42eb9f39afafap-179", "0x1.00e8476d3d270p-548"),
-        ("-0x1.566cee1d6e753p+1", "-0x1.4825c04313a19p+1", "-0x1.06500352581b8p+1"),
-    ),
-    (64, 40): (
-        ("0x1.4a6f1db8f4ac1p-197", "0x1.8572d181deb66p-8", "0x1.beef2ff8e94e0p-18", "0x1.7dbf968cee6cbp-154"),
-        ("0x1.10da0757bafd4p-2", "0x1.4fa6389b4090fp-2", "0x1.52cb1743b0feap-2"),
-    ),
-    (65, 33): (
-        ("0x1.4d577c3e8e860p-147", "0x1.c577c363a71b9p-1", "0x1.b1825e2f6fca0p-36", "0x1.e551abf082b86p-220"),
-        ("0x1.3f370cdce4f09p-6", "0x1.0b1116df5caebp-5", "0x1.dece92171fc68p-5"),
-    ),
-    (65, 65): (
-        ("0x1.4400fa7e8a81ap-420", "0x1.218e6f4bad64ap-81", "0x1.a2f011ec5755cp-11", "0x1.1982a599c05d5p-3"),
-        ("0x1.4e587ee69de20p+1", "0x1.d98bcda2e8b0ep+0", "0x1.07eeaa51d7d3fp+1"),
-    ),
-}
-
-
-@pytest.mark.parametrize("n, i", list(IDENTITY_ROW_PINS))
+@pytest.mark.parametrize("n, i", pins.IDENTITY_ROWS)
 def test_identity_row_keeps_the_bits_of_the_matrix_row(n, i):
-    pdf, draws = IDENTITY_ROW_PINS[n, i]
     assert re.identity_row(n, i).tobytes() == re.blend(n, 1.0).row(i).tobytes()
-    assert [float(v).hex() for v in order_stat_pdf(Exponential(1.0), n, i, IDENTITY_X)] == list(pdf)
-    x = mc_oracle.sample_order_stat(Normal(), n, i, np.random.default_rng(7), size=3)
-    assert [float(v).hex() for v in x] == list(draws)
+    assert pins.CASES["identity_row"][f"{n}-{i}"]() == pins.stored("identity_row", f"{n}-{i}")
 
 
 def test_order_statistics_build_no_matrix_above_the_blend_memo(monkeypatch):

@@ -4,14 +4,13 @@ import sys
 import numpy as np
 import pytest
 
+import pins
 from rssinfo import quadrature as Q
 from rssinfo.closed_form import d_n, k_direct
-from rssinfo import measures
-from rssinfo.distributions import Exponential, Normal, Support, Uniform, parse_distribution
+from rssinfo.distributions import Exponential, Normal, Support, Uniform
 from rssinfo.errors import DivergentIntegralError, InputError
 from rssinfo import ranking_error as re
 from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
-from rssinfo.order_stats import beta_order_pdf
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -321,89 +320,14 @@ def test_subdivision_budget_marks_non_convergence():
     assert r.subdivisions_used <= 2
 
 
-@pytest.mark.parametrize(
-    "f, b, cfg, breaks, value, error, converged",
-    [
-        (np.cos, 1.0, DEFAULT_CONFIG, (), ("0x1.aed548f090cefp-1",), ("0x1.5096a0fbf121bp-47",), True),
-        (
-            lambda x: np.stack([np.exp(x), x**2, np.sin(x)]), 2.0, DEFAULT_CONFIG, (0.5, 1.0),
-            ("0x1.98e64b8d4ddaep+2", "0x1.5555555555557p+1", "0x1.6a88995d4dc82p+0"),
-            ("0x1.3f73eb0664d30p-44", "0x1.0aaaaaaaaaaabp-45", "0x1.1b3ab7d0e4c45p-46"),
-            True,
-        ),
-        (
-            np.log, 1.0, QuadratureConfig(max_subdivisions=3), (0.25, 0.5, 0.75),
-            ("-0x1.ffc888d4332cbp-1",), ("0x1.398996e8fd522p-9",), False,
-        ),
-    ],
-    ids=["scalar-converges", "vector-converges", "budget-spent"],
-)
-def test_first_call_that_decides_is_pinned_bit_for_bit(f, b, cfg, breaks, value, error, converged):
-    # a first call that converges or spends the budget is the result, with the bits the loop gave
-    r = integrate(f, 0.0, b, cfg, breaks=breaks)
-    assert tuple(float(v).hex() for v in np.atleast_1d(r.value)) == value
-    assert tuple(float(e).hex() for e in np.atleast_1d(r.error_estimate)) == error
-    assert (r.subdivisions_used, r.converged) == (len(breaks), converged)
+@pytest.mark.parametrize("case", list(pins.CASES["first_call"]))
+def test_first_call_that_decides_is_pinned_bit_for_bit(case):
+    assert pins.CASES["first_call"][case]() == pins.stored("first_call", case)
 
 
-def _engine_of(monkeypatch, measure):
-    """The one integrate_unit result a measure call makes."""
-    seen = []
-    monkeypatch.setattr(measures, "integrate_unit", lambda *a, **k: seen.append(integrate_unit(*a, **k)) or seen[-1])
-    measure()
-    (r,) = seen
-    return r
-
-
-_TIGHT = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
-# (value, error_estimate, subdivisions_used, converged) of engine cases, as
-# float.hex: a change to the engine that moves any bit of them fails here
-_ENGINE_PINS = {
-    "tight H(U(1:8))": (
-        lambda mp: entropy_integral(lambda u: beta_order_pdf(8, 1, u), Uniform.support, _TIGHT),
-        ("-0x1.345647e7756e5p+0",), ("0x1.3bc50fd0b7e1ap-41",), 4, True,
-    ),
-    "tight H(U(4:8))": (
-        lambda mp: entropy_integral(lambda u: beta_order_pdf(8, 4, u), Uniform.support, _TIGHT),
-        ("-0x1.c5c204e18b579p-2",), ("0x1.98ab948ae2e25p-43",), 5, True,
-    ),
-    "forced d_2": (
-        lambda mp: _engine_of(mp, lambda: kl_srs_vs_design(Design("rss", 2), cfg=_TIGHT, force_numeric=True)),
-        ("0x1.3a37a020b8c21p-2",) * 2, ("0x1.308412f82713bp-44",) * 2, 8, True,
-    ),
-    "vector renyi": (
-        lambda mp: _engine_of(mp, lambda: renyi(Design("irss", 3, re.blend(3, 0.5)), parse_distribution("norm:0,1"), 2.0)),
-        ("0x1.2d4c3a310db14p-2", "0x1.5e0d424cd4ba0p-2", "0x1.2d4c3a310db14p-2"),
-        ("0x1.1dde41b4b68d2p-37", "0x1.e4491209db627p-37", "0x1.1dde41b4b68d2p-37"), 3, True,
-    ),
-    "25-split renyi": (
-        lambda mp: _engine_of(
-            mp, lambda: renyi(Design("irss", 2, re.two_by_two(0.7182)), parse_distribution("exp:0.00579263"), 0.2026)
-        ),
-        ("0x1.4b99d613fcd00p+2", "0x1.24e981676e481p+2"), ("0x1.94c0c01d56038p-25", "0x1.4ede06d456138p-25"), 25, True,
-    ),
-    "direct with breaks": (
-        lambda mp: integrate(lambda x: np.stack([np.log(x), np.sqrt(x) * np.cos(3 * x)]), 0.0, 2.0, breaks=(0.5, 1.0, 1.5)),
-        ("-0x1.3a37a019c9dcap-1", "-0x1.ba93d32392822p-3"), ("0x1.39ad3ad908645p-28", "0x1.9c46f8f061c79p-43"), 23, True,
-    ),
-    "half line": (
-        lambda mp: integrate_half_line(lambda x: x**2 * np.exp(-x) / (1 + x), 1.0),
-        ("0x1.00697cf866dcdp-1",), ("0x1.136c5779ed98ep-38",), 4, True,
-    ),
-    "full line": (
-        lambda mp: integrate_full_line(lambda x: np.exp(-0.5 * x * x) * np.cos(x) ** 2),
-        ("0x1.6c45418240249p+0",), ("0x1.19026499a9901p-27",), 5, True,
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(_ENGINE_PINS))
-def test_engine_cases_are_pinned_bit_for_bit(monkeypatch, case):
-    run, value, error, subdivisions, converged = _ENGINE_PINS[case]
-    r = run(monkeypatch)
-    assert tuple(float(v).hex() for v in np.atleast_1d(r.value)) == value
-    assert tuple(float(e).hex() for e in np.atleast_1d(r.error_estimate)) == error
-    assert (r.subdivisions_used, r.converged) == (subdivisions, converged)
+@pytest.mark.parametrize("case", list(pins.CASES["engine"]))
+def test_engine_cases_are_pinned_bit_for_bit(case):
+    assert pins.CASES["engine"][case]() == pins.stored("engine", case)
 
 
 def test_smooth_unit_integral_calls_g_once_and_builds_its_tables_once():

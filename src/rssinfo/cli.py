@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 from . import closed_form, measures, mc_oracle, ranking_error
@@ -121,8 +122,9 @@ def _emit(rows: list[dict], args) -> None:
     except OSError as exc:
         raise InputError(f"cannot write output file {path!r}: {exc}") from exc
     try:
-        if args.format == "json":
-            json.dump(rows, out, indent=2)
+        if args.format == "json":  # RFC 8259 has no Infinity or NaN: a non-finite float is null
+            finite = [{c: None if isinstance(v, float) and not math.isfinite(v) else v for c, v in row.items()} for row in rows]
+            json.dump(finite, out, indent=2)
             out.write("\n")
         elif rows:
             writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")

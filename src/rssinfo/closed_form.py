@@ -110,20 +110,24 @@ def _rss_lgamma_c(n: int, alpha: float, tail: float) -> list[float]:
         return [hi, float(total - Decimal(hi))]
 
 
-def rss_renyi(n: int, alpha: float, tail: float) -> float:
+def rss_renyi(n: int, alpha: float, tail: float) -> float | None:
     """Renyi information of order alpha of perfect RSS(n) whose rank-i
     u-space integrand is c_i^alpha u^(alpha(i-1)) (1-u)^(alpha(n-i) + tail - 1):
     sum_i [alpha log c_i + log B(alpha(i-1) + 1, alpha(n-i) + tail)] / (1 - alpha).
     ``tail`` is 1 for the standard uniform parent and alpha for the standard
-    exponential, whose f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)."""
+    exponential, whose f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1).  None where
+    the float evaluation overflows: a log Gamma or the sum, near alpha = 1e305."""
     check_count("n", n, 1)
     check_alpha(alpha)
     terms = []
-    for i, log_c in enumerate(_log_coeffs(n).tolist()):
-        a, b = alpha * i + 1.0, alpha * (n - 1 - i) + tail
-        terms += [alpha * log_c, math.lgamma(a), math.lgamma(b)]
-    # every rank's a + b is the same c: its log Gamma in floats would carry one rounding n times
-    return math.fsum(terms + [-v for v in _rss_lgamma_c(n, alpha, tail)]) / (1.0 - alpha)
+    try:
+        for i, log_c in enumerate(_log_coeffs(n).tolist()):
+            a, b = alpha * i + 1.0, alpha * (n - 1 - i) + tail
+            terms += [alpha * log_c, math.lgamma(a), math.lgamma(b)]
+        # every rank's a + b is the same c: its log Gamma in floats would carry one rounding n times
+        return math.fsum(terms + [-v for v in _rss_lgamma_c(n, alpha, tail)]) / (1.0 - alpha)
+    except OverflowError:
+        return None
 
 
 def psi_bound(alpha: float, n: int) -> float:
@@ -188,12 +192,12 @@ def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None) -> f
     raise InputError(f"unknown design kind {kind!r}")
 
 
-def exp_renyi(component: str, lam: float, alpha: float) -> float:
+def exp_renyi(component: str, lam: float, alpha: float) -> float | None:
     """Renyi information pieces for an exponential(lam) sample of set size 2.
 
     ``component`` is 'srs' (total over both draws), 'order1', 'order2', or
-    'rss' (sum of the two order-statistic pieces).
-    """
+    'rss' (sum of the two order-statistic pieces).  'order2', and so 'rss',
+    is None where its log Gamma overflows the float range (alpha near 1e306)."""
     Exponential(lam)  # checks the rate
     check_alpha(alpha)
     om = 1.0 - alpha
@@ -202,11 +206,12 @@ def exp_renyi(component: str, lam: float, alpha: float) -> float:
     if component == "order1":
         return -math.log(lam) - math.log(2.0) - math.log(alpha) / om
     if component == "order2":
-        return (
-            -math.log(lam)
-            + alpha / om * math.log(2.0)
-            + (math.lgamma(alpha + 1.0) + math.lgamma(alpha) - math.lgamma(2.0 * alpha + 1.0)) / om
-        )
+        try:
+            log_beta = math.lgamma(alpha + 1.0) + math.lgamma(alpha) - math.lgamma(2.0 * alpha + 1.0)
+        except OverflowError:
+            return None
+        return -math.log(lam) + alpha / om * math.log(2.0) + log_beta / om
     if component == "rss":
-        return exp_renyi("order1", lam, alpha) + exp_renyi("order2", lam, alpha)
+        order2 = exp_renyi("order2", lam, alpha)
+        return None if order2 is None else exp_renyi("order1", lam, alpha) + order2
     raise InputError(f"unknown component {component!r}")

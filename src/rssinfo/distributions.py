@@ -93,8 +93,11 @@ class Distribution:
         return self._entropy() + math.log(self.scale)
 
     def renyi_entropy(self, alpha: float) -> float | None:
-        """Renyi entropy of order alpha, or None where int f^alpha diverges."""
-        h = self._renyi_entropy(alpha)
+        """Renyi entropy of order alpha, or None where int f^alpha diverges or overflows a float."""
+        try:
+            h = self._renyi_entropy(alpha)
+        except OverflowError:
+            return None
         return None if h is None else h + math.log(self.scale)
 
     def standard(self) -> "Distribution":

@@ -3,12 +3,12 @@ pairs.
 
 A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
 uniform matrix, perfect RSS the identity.  Every u-space measure hands one
-route, ``_route``, its designs' matrices and its own pieces: a closed form
-keyed on the matrix's ``name``, never on the design's kind, or None for the
-integral (``force_numeric``, to compare the paths); an integrand of the
-distinct rows; and a ``finish``.  Each matrix takes its closed form where it
-has one; the rest share one ``integrate_unit`` call, and so
-``subdivisions_used``, each row weighted by its count.
+route, ``_route``, its designs' matrices, a closed form keyed on the matrix's
+``name`` (never on the design's kind) or None for the integral
+(``force_numeric``, to compare the paths), its term g(log w, F, S) in the
+judged log weight and a ``finish``.  The matrices without a closed form share
+one integral, and so ``subdivisions_used``, over their distinct rows, each
+weighted by its count: ``_of_term``, which analyses the rows once per integral.
 
 Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
 judged weights alone: closed for the uniform matrix, the identity and every
@@ -17,7 +17,7 @@ closed for the same three classes.  Renyi is closed for the uniform matrix,
 n H_a(f), wherever int f^alpha is finite, and for the identity on a uniform
 or exponential parent, a sum of Beta integrals at every real alpha.
 ``kl_two_sample`` has no closed form, and its paired rows are no ranking-error
-matrix, so it integrates their distinct pairs itself.  The derived measures
+matrix, so it hands ``_of_term`` their X sides itself.  The derived measures
 keep no integrand of their own: ``a_n(mode="sum")`` is K(RSS_F || RSS_G) less
 K(SRS_F || SRS_G), two ``kl_two_sample`` calls, and ``kld_symmetric`` the sum
 of two.  The ``mode="x"`` verification routes integrate over x instead:
@@ -33,19 +33,18 @@ All values are in nats and scale additively with the cycle count m.
 The distinct rows of a set of matrices read neither the parent law nor alpha,
 so ``_distinct_rows`` is memoized on the matrices' values by
 ``ranking_error.memo``, which hands out the rows and their counts read-only.
-So are the alpha-free halves of the u-space integrands, ``_log_weights``, the
-judged log weights of a row set, and ``_log_pdf_at_quantile``, the parent's
-log f(F^-1(u)) keyed on the law, which compares by family and fields.  Each
-is evaluated once per panel set of the fold, keyed on the values of the
-engine's F and S, so a Renyi cell computes only exp(alpha lw - (1 - alpha) lf)
-on them.
+So are the alpha-free halves of the u-space integrands, ``_log_weights``, a
+row set's judged log weights keyed on its kernel beside it, and
+``_log_pdf_at_quantile``, the parent's log f(F^-1(u)) keyed on the law (by
+family and fields), each once per panel set, keyed on the values of the fold's
+F and S: a Renyi cell computes only exp(alpha lw - (1 - alpha) lf) on them.
+Only the memo knows its byte bound; no entry keeps a large kernel alive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -101,8 +100,9 @@ class Design:
 MeasureResult = QuadratureResult  # the measures' one result type is the engine's
 
 
-def _closed(value: float) -> QuadratureResult:
-    return QuadratureResult(value, 0.0, 0, True, "closed-form")
+def _closed(value: float | None) -> QuadratureResult | None:
+    """A closed form's value as a result, or None where the closed form declines."""
+    return None if value is None else QuadratureResult(value, 0.0, 0, True, "closed-form")
 
 
 def _joined(a: QuadratureResult, b: QuadratureResult, sign: float) -> QuadratureResult:
@@ -136,42 +136,35 @@ def _weighted(values, errors, counts, r: QuadratureResult) -> QuadratureResult:
     return QuadratureResult(float(counts @ values), float(counts @ errors), r.subdivisions_used, r.converged)
 
 
-def _route(matrices, closed, integrand, cfg, what, *, at=None, finish=None) -> list[QuadratureResult]:
-    """Each ranking-error matrix's one-cycle value: ``closed(P)``, unless
-    ``closed`` is None; the matrices it leaves None share one
-    ``integrate_unit`` of ``integrand(rows)`` over their distinct rows, whose
-    (value, error) arrays ``finish`` maps before each row is weighted by its
-    count in each matrix."""
+def _route(matrices, closed, term, cfg, what, *, at=None, finish=None) -> list[QuadratureResult]:
+    """Each ranking-error matrix's one-cycle value: ``closed(P)``, unless ``closed`` is
+    None; those it leaves None share one ``_of_term`` integral over their distinct rows,
+    whose (value, error) arrays ``finish`` maps before each row is weighted by its count."""
     results = [None if closed is None else closed(P) for P in matrices]
     numeric = [P.entries for P, res in zip(matrices, results) if res is None]
     if numeric:
         rows, counts = _distinct_rows(*numeric)
-        r = integrate_unit(integrand(rows), cfg, what, at)
+        r = _of_term(term, rows, cfg, what, at)
         values, errors = (r.value, r.error_estimate) if finish is None else finish(r.value, r.error_estimate)
         legs = (_weighted(values, errors, c, r) for c in counts)
         results = [next(legs) if res is None else res for res in results]
     return results
 
 
-def _of_log_weight(g, rows):
-    """(F, S) -> g(log w_i(F, S), F, S) on ``rows``: ``partial(_of_log_weight, g)``
-    is the ``_route`` integrand of a term in the judged log weight.  Rows above
-    MEMO_BYTES, which no memo keeps, are analysed once here for all its calls."""
-    if rows.nbytes > ranking_error.MEMO_BYTES:
-        log_weight = judged_log_weight(rows)
-        return lambda F, S: g(log_weight(F, S), F, S)
-    return lambda F, S: g(_log_weights(rows, F, S), F, S)
+def _of_term(term, rows, cfg, what, at=None) -> QuadratureResult:
+    """``integrate_unit`` of term(log w_i(F, S), F, S) over ``rows``, analysed once for the integral."""
+    log_weight = judged_log_weight(rows)
+    return integrate_unit(lambda F, S: term(_log_weights(log_weight, rows, F, S), F, S), cfg, what, at)
 
 
-# the halves of a u-space integrand that read no alpha, shared by every integral on the
-# same panels; a weights entry is bounded by its value, a parent's by its F and S
-@ranking_error.memo(lambda rows, F, S: rows.nbytes // rows.shape[-1] * F.size)
-def _log_weights(rows, F, S):
-    """The judged log weights of ``rows`` at (F, S)."""
-    return judged_log_weight(rows)(F, S)
+# alpha-free halves shared by every integral on the same panels: a weights entry is bounded by its rows or value
+@ranking_error.memo(lambda log_weight, rows, F, S: max(rows.nbytes, rows.nbytes // rows.shape[-1] * F.size))
+def _log_weights(log_weight, rows, F, S):
+    """``log_weight(F, S)``, ``rows``' kernel: one rebuilt after an eviction is a new key."""
+    return log_weight(F, S)
 
 
-@ranking_error.memo()
+@ranking_error.memo()  # bounded by its F and S
 def _log_pdf_at_quantile(law: Distribution, F, S):
     """``law.log_pdf_at_quantile(F, S)``."""
     return law.log_pdf_at_quantile(F, S)
@@ -207,8 +200,8 @@ def shannon(
         r = entropy_integral(lambda x: np.exp(log_pdf(x)), std.support, cfg)
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
-        integrand, what = partial(_of_log_weight, lambda lw, F, S: np.exp(lw) * lw), "shannon integrand is not finite"
-        (d,) = _route([design.matrix], None if force_numeric else _shannon_closed_form, integrand, cfg, what)
+        term, what = lambda lw, F, S: np.exp(lw) * lw, "shannon integrand is not finite"
+        (d,) = _route([design.matrix], None if force_numeric else _shannon_closed_form, term, cfg, what)
         res = replace(d, value=design.n * std.entropy() - d.value)
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
@@ -265,18 +258,17 @@ def renyi_designs(
     check_alpha(alpha)
     check_shared(designs, cycles=False)
     std, om = dist.standard(), 1.0 - alpha
-    # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du
-    integrand = partial(_of_log_weight, lambda lw, F, S: np.exp(alpha * lw - om * _log_pdf_at_quantile(std, F, S)))
 
     def finish(value, error):
         if np.any(value <= 0):
             raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
         return np.log(value) / om, error / (abs(om) * value)
 
-    # the standard law's values; an error names x in ``dist``'s coordinates
+    # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du of the standard law; an error names x in ``dist``'s coordinates
     results = _route(
         [d.matrix for d in designs], None if force_numeric else lambda P: _renyi_closed_form(P, std, alpha),
-        integrand, cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=finish,
+        lambda lw, F, S: np.exp(alpha * lw - om * _log_pdf_at_quantile(std, F, S)),
+        cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=finish,
     )
     return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
@@ -284,17 +276,14 @@ def renyi_designs(
 def _renyi_closed_form(P: RankingErrorMatrix, std: Distribution, alpha: float) -> QuadratureResult | None:
     """n H_a(f) for the uniform matrix where int f^alpha is finite, and the
     Beta sum of ``closed_form.rss_renyi`` for the identity on a uniform or
-    exponential parent; None otherwise, and where the float evaluation
-    overflows (lgamma at an extreme alpha): the integral then decides."""
-    try:
-        if P.name == "uniform":
-            h = std.renyi_entropy(alpha)
-            return None if h is None else _closed(P.n * h)
-        if P.name == "identity" and isinstance(std, (Uniform, Exponential)):
-            # the standard exponential's f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)
-            return _closed(closed_form.rss_renyi(P.n, alpha, alpha if isinstance(std, Exponential) else 1.0))
-    except OverflowError:
-        pass
+    exponential parent; None otherwise, and where either declines (its float
+    evaluation overflows at an extreme alpha): the integral then decides."""
+    if P.name == "uniform":
+        h = std.renyi_entropy(alpha)
+        return None if h is None else _closed(P.n * h)
+    if P.name == "identity" and isinstance(std, (Uniform, Exponential)):
+        # the standard exponential's f(F^-1(u))^(alpha-1) is (1-u)^(alpha-1)
+        return _closed(closed_form.rss_renyi(P.n, alpha, alpha if isinstance(std, Exponential) else 1.0))
     return None
 
 
@@ -356,8 +345,8 @@ def kl_srs_vs_design(
         r = integrate_support(integrand, std.support, cfg)
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
-        integrand, what = partial(_of_log_weight, lambda lw, F, S: -lw), "KL integrand is not finite"
-        (res,) = _route([design.matrix], None if force_numeric else _kl_closed_form, integrand, cfg, what)
+        term, what = lambda lw, F, S: -lw, "KL integrand is not finite"
+        (res,) = _route([design.matrix], None if force_numeric else _kl_closed_form, term, cfg, what)
     return res.scaled(design.m)
 
 
@@ -384,7 +373,7 @@ def kl_two_sample(
         bracket = lx + _log_pdf_at_quantile(dist_f, F, S) - log_py(dist_f.quantile(F, S))
         return np.where(wx > 0.0, wx * bracket, 0.0)
 
-    r = integrate_unit(_of_log_weight(term, rows_x), cfg, "two-sample KL integrand is not integrable")
+    r = _of_term(term, rows_x, cfg, "two-sample KL integrand is not integrable")
     return _weighted(r.value, r.error_estimate, counts, r).scaled(design_x.m)
 
 

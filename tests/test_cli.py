@@ -171,6 +171,21 @@ def test_measure_record_says_it_did_not_converge(capsys):
     assert rec["converged"] is False and rec["design"] == "rss:3"
 
 
+def test_json_writes_a_non_finite_value_as_null(capsys):
+    # RFC 8259 has no Infinity or NaN; CSV keeps inf
+    argv = ("measure", "renyi", "--design", "irss:2:p12=0.3", "--dist", "exp:1", "--alpha", "1e-300")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == cli.EXIT_NO_CONVERGENCE
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    (rec,) = json.loads(out, parse_constant=refuse)
+    assert rec["error"] is None and rec["converged"] is False and math.isfinite(rec["value"])
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_NO_CONVERGENCE and rows_of(out)[0]["error"] == "inf"
+
+
 def test_measure_oracle_column_includes_std_error(capsys):
     code, out, _ = run(
         capsys, "measure", "shannon", "--design", "rss:2", "--dist", "exp:1",

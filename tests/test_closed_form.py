@@ -156,6 +156,15 @@ def test_exp_renyi_values():
     )
 
 
+def test_closed_forms_decline_where_their_float_evaluation_overflows():
+    # a log Gamma at alpha near 1e306, or the Beta sum near 1e305, leaves the float range
+    assert cf.exp_renyi("rss", 1.0, 1e308) is None and cf.exp_renyi("order2", 1.0, 1e308) is None
+    assert cf.rss_renyi(2, 1e308, 1.0) is None
+    assert cf.rss_renyi(3, 1e305, 1.0) is None
+    assert Weibull(2.0).renyi_entropy(1e306) is None
+    assert cf.exp_renyi("order1", 1.0, 1e308) == -math.log(2.0)
+
+
 def test_exp_renyi_validation():
     with pytest.raises(ValueError):
         cf.exp_renyi("srs", 1.0, 1.0)

@@ -804,7 +804,7 @@ def test_each_kernel_is_built_once_per_scan_and_figure():
     # the kernel and the distinct rows read neither the parent nor alpha: the default scan's
     # numeric matrices at each n are the three blends, with or without the identity
     # (closed on unif and exp only), so 7 n x 2 row sets serve all 168 cells; a kernel is
-    # fetched only where its row set's log weights miss
+    # fetched once per integral and built once per row set
     order_stats._kernel.cache_clear()
     M._log_weights.cache_clear()
     M._distinct_rows.cache_clear()
@@ -813,11 +813,11 @@ def test_each_kernel_is_built_once_per_scan_and_figure():
     assert order_stats._kernel.cache_info().misses == 14
     assert M._distinct_rows.cache_info().misses == 14
     # figure 2a: one kernel over the three 2x2 misrankings (p11 = 1 is the identity, closed) at every
-    # alpha, fetched once per panel set, 24 of them
+    # alpha, fetched once per integral, 48 of them
     order_stats._kernel.cache_clear()
     M._log_weights.cache_clear()
     rows = figure_curve("2a", 48)
-    assert len(rows) == 48 and order_stats._kernel.cache_info()[:2] == (23, 1)  # hits, misses
+    assert len(rows) == 48 and order_stats._kernel.cache_info()[:2] == (47, 1)  # hits, misses
 
 
 def test_alpha_free_values_are_computed_once_per_panel_set():
@@ -847,11 +847,12 @@ def _fold_tables():
 def test_memoized_alpha_free_values_are_read_only_and_shared():
     F, S = _fold_tables()
     rows = re.blend(3, 0.5).entries
-    integrand = M._of_log_weight(lambda lw, F, S: lw, rows)
+    log_weight = order_stats.judged_log_weight(rows)
     M._log_weights.cache_clear()
     M._log_pdf_at_quantile.cache_clear()
-    first = integrand(F, S)
-    assert integrand(F, S) is first and M._of_log_weight(lambda lw, F, S: lw, rows.copy())(F, S) is first
+    first = M._log_weights(log_weight, rows, F, S)
+    assert M._log_weights(log_weight, rows, F, S) is first
+    assert M._log_weights(order_stats.judged_log_weight(rows.copy()), rows.copy(), F, S) is first
     law = M._log_pdf_at_quantile(Normal(), F, S)
     assert M._log_pdf_at_quantile(Normal(0.0, 1.0), F, S) is law  # a law keys on its fields
     assert M._log_pdf_at_quantile(Normal(0.0, 2.0), F, S) is not law
@@ -870,7 +871,11 @@ def test_writable_or_large_arrays_leave_the_alpha_free_memo_untouched():
     # they add none; arrays whose values pass the bound are evaluated anew and not kept
     F, S = _fold_tables()
     rows = re.blend(4, 0.25).entries
-    integrand = M._of_log_weight(lambda lw, F, S: lw, rows)
+    log_weight = order_stats.judged_log_weight(rows)
+
+    def integrand(F, S):
+        return M._log_weights(log_weight, rows, F, S)
+
     M._log_weights.cache_clear()
     M._log_pdf_at_quantile.cache_clear()
     expected = integrand(F, S).tobytes()
@@ -884,7 +889,8 @@ def test_writable_or_large_arrays_leave_the_alpha_free_memo_untouched():
     big = np.linspace(0.01, 0.99, 1 << 12)  # 32 KiB each, so 4 rows' values pass the bound
     big.flags.writeable = False
     integrand(big, big[::-1])
-    M._of_log_weight(lambda lw, F, S: lw, re.blend(65, 0.5).entries)(F, S)  # rows above the bound
+    big_rows = re.blend(65, 0.5).entries  # rows above the bound
+    M._log_weights(order_stats.judged_log_weight(big_rows), big_rows, F, S)
     M._log_pdf_at_quantile(Normal(), big, big[::-1])
     assert M._log_weights.cache_info().currsize == M._log_pdf_at_quantile.cache_info().currsize == 0
 
@@ -932,8 +938,19 @@ def test_memos_pass_over_matrices_above_their_byte_bound():
     assert order_stats._kernel.cache_info().currsize == M._distinct_rows.cache_info().currsize == 0
 
 
-def test_rows_above_the_bound_are_analysed_once_per_integral(monkeypatch):
-    # no memo keeps them, so the integrand holds their kernel for all its calls
+_ONE_INTEGRAL = {
+    "shannon": lambda d: M.shannon(d, Normal(), force_numeric=True),
+    "renyi": lambda d: M.renyi(d, Normal(), 2.0),
+    "kl_srs_vs_design": lambda d: M.kl_srs_vs_design(d, force_numeric=True),
+    "kl_two_sample": lambda d: M.kl_two_sample(d, Exponential(1.0), Design("rss", d.n), Exponential(2.0)),
+}
+
+
+@pytest.mark.parametrize("n", [5, 65])
+@pytest.mark.parametrize("measure", list(_ONE_INTEGRAL))
+def test_rows_above_the_bound_are_analysed_once_per_integral(monkeypatch, measure, n):
+    # no memo keeps rows above the bound, and rows below it may miss the log weights memo on
+    # every panel set: either way the integral holds their kernel for all its calls
     calls = []
 
     def counted(rows):
@@ -941,8 +958,10 @@ def test_rows_above_the_bound_are_analysed_once_per_integral(monkeypatch):
         return order_stats.judged_log_weight(rows)
 
     monkeypatch.setattr(M, "judged_log_weight", counted)
-    r = M.renyi(Design("irss", 65, re.blend(65, 0.5)), Normal(), 2.0)
-    assert r.converged and r.subdivisions_used > 3 and calls == [(65, 65)]
+    M._log_weights.cache_clear()
+    r = _ONE_INTEGRAL[measure](Design("irss", n, re.blend(n, 0.5)))
+    assert r.converged and calls == [(n, n)]
+    assert n < 65 or r.subdivisions_used > 3  # above the bound, each splits past its first panels
 
 
 def _array_memo_cases():
@@ -953,11 +972,13 @@ def _array_memo_cases():
     F, S = _fold_tables()
     t = Q._nodes((0.0, *Q._BREAKS, Q._T))[1]
     wide = np.linspace(0.01, 0.99, 1 << 12)
+    rows = re.blend(3, 0.5).entries
+    log_weight = order_stats.judged_log_weight(rows)
     return {
         "kernel": (order_stats._kernel, lambda big: (re.blend(65 if big else 4, 0.5).entries.copy(),)),
         "distinct_rows": (M._distinct_rows, lambda big: (re.blend(65 if big else 3, 0.5).entries.copy(), re.identity(65 if big else 3).entries.copy())),
         "fold": (Q._fold, lambda big: ((Q._T * wide[::4] if big else t).copy(),)),
-        "log_weights": (M._log_weights, lambda big: (re.blend(3, 0.5).entries.copy(), *((wide, 1.0 - wide) if big else (F.copy(), S.copy())))),
+        "log_weights": (M._log_weights, lambda big: (log_weight, rows.copy(), *((wide, 1.0 - wide) if big else (F.copy(), S.copy())))),
         "log_pdf_at_quantile": (M._log_pdf_at_quantile, lambda big: (Normal(), *((wide, 1.0 - wide) if big else (F.copy(), S.copy())))),
     }
 

@@ -14,12 +14,13 @@ Estimates are deterministic given the seed: each sample component gets its
 own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe
 fixes what is drawn from it: a mixed row's true ranks as ``rng.choice`` draws
 them, then rows of n uniforms, ordered as ``np.sort`` orders them.  The levels
-are drawn and scored _BLOCK rows at a time.  A block selects only the order
-statistics its row reads, by min, max and a bitwise select, which return
-their inputs, so each level is bitwise the recipe's.  A component keeps one
-m-long array: the values its estimator averages.  Standard errors are batch
-means over at least 20 batches of at most 10 000 draws, so the default 10^6
-draws give 100 of 10 000.
+are drawn and scored in blocks of whole batches, at most _BLOCK rows.  A block
+selects only the order statistics its row reads, by min, max and a bitwise
+select, which return their inputs, so each level is bitwise the recipe's.  Each
+block is scored into one reused buffer and reduced at once, so a component
+keeps no m-long array: only a mixed row's true ranks, one byte per draw.
+Standard errors are batch means over at least 20 batches of at most 10 000
+draws, so the default 10^6 draws give 100 of 10 000.
 """
 
 from __future__ import annotations
@@ -65,16 +66,33 @@ class EstimateResult:
     replications: int
 
 
-def _batch_stats(values: np.ndarray, batch_size: int = _BATCH_SIZE) -> tuple[float, float]:
-    """Mean and batch-means standard error of a 1-d value array: at least
-    _MIN_BATCHES batches, each at most ``batch_size`` long."""
-    m = values.size
-    nb = max(-(-m // batch_size), _MIN_BATCHES)
-    usable = (m // nb) * nb
-    means = values[:usable].reshape(nb, -1).mean(axis=1)
-    est = float(values.mean())
-    se = float(means.std(ddof=1) / math.sqrt(nb))
-    return est, se
+def _batches(m: int, batch_size: int = _BATCH_SIZE) -> tuple[int, int]:
+    """(count, length) of the batches behind the standard error of m draws: at least
+    _MIN_BATCHES, each at most ``batch_size`` long; the draws past the last enter the mean only."""
+    count = max(-(-m // batch_size), _MIN_BATCHES)
+    return count, m // count
+
+
+def _reduce(blocks, m: int, log_scale: bool = False, batch_size: int = _BATCH_SIZE):
+    """(mean, std_error, halves, top) of the m values that ``blocks`` yields in order as (start,
+    block), blocks of any length: each adds its batches' sums and its shares of the sums of the
+    two halves, the first m // 2 values and the rest.  A batch within one block is summed as
+    ``values[a:b].sum()``.  On a log scale the values are logs and the statistics are those of
+    exp(value - top), top the largest value; the running sums are rescaled whenever it rises."""
+    nb, size = _batches(m, batch_size)
+    sums, top = np.zeros(nb + 2), -math.inf if log_scale else 0.0  # the batches', then the halves'
+    for start, v in blocks:
+        if log_scale:
+            top, was = max(top, float(v.max())), top
+            sums *= math.exp(was - top)
+            np.exp(np.subtract(v, top, out=v), out=v)
+        half = max(m // 2 - start, 0)
+        for k in range(start // size, min(-(-(start + v.size) // size), nb)):
+            sums[k] += v[max(k * size - start, 0) : (k + 1) * size - start].sum()
+        sums[nb:] += v[:half].sum(), v[half:].sum()
+    mean = float(sums[nb:].sum() / m)  # a NaN or an infinite value among the m gives no error
+    se = float((sums[:nb] / size).std(ddof=1) / math.sqrt(nb)) if math.isfinite(mean) else math.nan
+    return mean, se, (sums[nb:] / (m // 2, m - m // 2)).tolist(), top
 
 
 def sample_order_stat(dist: Distribution, n: int, i: int, rng: np.random.Generator, size: int | None = None):
@@ -109,19 +127,20 @@ def _sample(dist: Distribution, row: np.ndarray, rng: np.random.Generator, size:
 
 
 def _levels(row: np.ndarray, rng: np.random.Generator, m: int):
-    """Yield (start, u): the uniform levels of m judged draws on ``row``, _BLOCK
-    at a time.  A uniform row takes the parent's level; any other, each draw's
-    true rank's order statistic of its row of n uniforms, selected by
-    ``_ordered`` from _BLOCK-row slices of the one stream.  A mixed row first
-    draws its true ranks in the stream of ``rng.choice(n, size=m, p=row)``:
-    the count of cdf entries at or below each uniform, which is
-    ``searchsorted(side="right")``.  Each block then starts from the first
-    rank's order statistic and takes each other rank's where it is drawn, by
-    a bitwise select on the float64 bits: an exact copy, mask by mask."""
-    n, blocks = row.size, range(0, m, _BLOCK)
+    """Yield (start, u): the uniform levels of m judged draws on ``row``, in
+    blocks of the most whole batches of ``_batches(m)`` within _BLOCK draws.  A
+    uniform row takes the parent's level; any other, each draw's true rank's
+    order statistic of its row of n uniforms, selected by ``_ordered`` from
+    block-row slices of the one stream.  A mixed row first draws its true ranks
+    in the stream of ``rng.choice(n, size=m, p=row)``: the count of cdf entries
+    at or below each uniform, which is ``searchsorted(side="right")``.  Each
+    block then starts from the first rank's order statistic and takes each
+    other rank's where it is drawn, by a bitwise select on the float64 bits:
+    an exact copy, mask by mask."""
+    n, blocks = row.size, range(0, m, _BLOCK - _BLOCK % max(_batches(m)[1], 1))
     if np.all(row == row[0]):  # uniform: the parent itself
         for start in blocks:
-            yield start, rng.random(min(_BLOCK, m - start))
+            yield start, rng.random(min(blocks.step, m - start))
         return
     ranks = tuple(np.flatnonzero(row).tolist())  # the 0-based true ranks the row reads
     if len(ranks) > 1:
@@ -129,11 +148,12 @@ def _levels(row: np.ndarray, rng: np.random.Generator, m: int):
         cdf /= cdf[-1]
         true = np.zeros(m, np.min_scalar_type(n - 1))
         for start in blocks:
-            u, t = rng.random(min(_BLOCK, m - start)), true[start : start + _BLOCK]
+            u, t = rng.random(min(blocks.step, m - start)), true[start : start + blocks.step]
             for c in cdf[:-1]:  # the last entry is 1, above every u
                 t += u >= c
+        del u  # not held while the levels are drawn
     for start in blocks:
-        level, *others = _ordered(rng.random((min(_BLOCK, m - start), n)), ranks)
+        level, *others = _ordered(rng.random((min(blocks.step, m - start), n)), ranks)
         if others:
             t, bits = true[start : start + level.size], level.view(np.int64)
             for r, col in zip(ranks[1:], others):  # bits of col where t == r: the mask -1 keeps all 64
@@ -196,20 +216,20 @@ def _log_pdf(dist: Distribution, row: np.ndarray):
     return lambda u, out: np.add(log_weight(u), dist.log_pdf(dist.quantile(u)), out=out)
 
 
-def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, values: _batch_stats(values)):
-    """m times the sum over components i of ``summary(i, values)``, an
-    (estimate, std_error) pair from the per-draw values that ``value(i, row)``,
-    called as (u, out), writes at the levels drawn from the component's own
-    spawned stream; errors add in quadrature.  Each component refills the one
-    m-long array, each block written once, in place."""
+def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, *stats: stats[:2], log_scale=False):
+    """m times the sum over components i of ``summary(i, *stats)``, an
+    (estimate, std_error) pair from the ``_reduce`` stats of the per-draw values
+    that ``value(i, row)``, called as (u, out), writes at the levels drawn from
+    the component's own spawned stream; errors add in quadrature.  Each block is
+    scored into the one reused buffer, or its own array if longer, and reduced
+    before the next is drawn."""
     P, m = design.matrix, sim.replications
-    values = np.empty(m)
+    buf = np.empty(min(m, _BLOCK))
     total = var = 0.0
     for i, seed in enumerate(np.random.SeedSequence(sim.seed).spawn(design.n), start=1):
-        score = value(i, P.row(i))
-        for start, u in _levels(P.row(i), np.random.Generator(np.random.PCG64(seed)), m):
-            score(u, values[start : start + u.size])
-        est, se = summary(i, values)
+        score, levels = value(i, P.row(i)), _levels(P.row(i), np.random.Generator(np.random.PCG64(seed)), m)
+        scored = ((start, score(u, buf[: u.size] if u.size <= buf.size else None)) for start, u in levels)
+        est, se = summary(i, *_reduce(scored, m, log_scale))
         total += est
         var += se * se
     return EstimateResult(design.m * total, design.m * math.sqrt(var), m)
@@ -224,7 +244,7 @@ def mc_entropy(design: Design, dist: Distribution, sim: SimConfig = SimConfig())
 
 def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:
     """Renyi estimate via E[g^(alpha-1)] per component (delta-method errors), on a
-    log scale: each draw keeps (alpha - 1) log g, less the component's largest."""
+    log scale: each draw keeps (alpha - 1) log g, less the largest so far."""
     check_alpha(alpha)
     om = 1.0 - alpha
 
@@ -232,13 +252,10 @@ def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = 
         log_f = _log_pdf(dist, row)
         return lambda u, out: np.multiply(alpha - 1.0, log_f(u, out), out=out)
 
-    def summary(i, values):
-        top = float(values.max())
-        np.exp(np.subtract(values, top, out=values), out=values)
-        mhat, se = _batch_stats(values)
+    def summary(i, mhat, se, halves, top):
         return (top + math.log(mhat)) / om, se / (abs(om) * mhat)
 
-    return _sum_components(design, sim, value, summary)
+    return _sum_components(design, sim, value, summary, log_scale=True)
 
 
 def mc_kl(
@@ -268,12 +285,10 @@ def mc_kl(
 
         return log_ratio
 
-    def summary(i, vals):
-        half = vals.size // 2
-        m1, m2 = float(vals[:half].mean()), float(vals[half:].mean())
+    def summary(i, est, se, halves, top):
+        m1, m2 = halves
         if not math.isfinite(m1 + m2):  # a NaN or an infinite log-ratio among the draws
             raise DivergentEstimateError(f"log-ratio is not finite for component {i} (support mismatch?)")
-        est, se = _batch_stats(vals)
         if se > 0 and abs(m1 - m2) > 10.0 * se * math.sqrt(2.0):
             raise DivergentEstimateError(f"running mean failed to stabilize for component {i}")
         return est, se

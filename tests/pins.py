@@ -3,9 +3,9 @@
 A case is a named callable returning its record, a dict of fields: float.hex
 strings, counts, labels, bools or lists of them.  The pin tests compare each
 case's record with its entry in pins.json, bit for bit.  ``python tests/pins.py``
-recomputes every case and rewrites pins.json only if each moved field stays
-within its bar (``refusals``); a case new to the table is added and one gone
-from it dropped.  Otherwise it writes nothing, prints each refusal and exits 1.
+recomputes every case, prints one line per moved field (``moves``) and rewrites
+pins.json only if each moved field stays within its bar; a case new to the table
+is added and one gone from it dropped.  Otherwise it writes nothing and exits 1.
 """
 
 import json
@@ -163,8 +163,9 @@ def _list(field) -> list:
     return field if isinstance(field, list) else [field]
 
 
-def refusals(old: dict, new: dict) -> list[str]:
-    """One line for each move from ``old`` to ``new`` (table -> case -> record) that leaves its bar."""
+def moves(old: dict, new: dict) -> list[tuple[str, bool]]:
+    """(line, refused) for each field of ``old`` (table -> case -> record) that ``new`` moves,
+    refused if the move leaves its bar."""
     out = []
     for table, cases in old.items():
         for name, was in cases.items():
@@ -172,24 +173,26 @@ def refusals(old: dict, new: dict) -> list[str]:
             if now is None:
                 continue
             if now.keys() != was.keys() or any(len(_list(now[k])) != len(_list(was[k])) for k in was):
-                out.append(f"{table} {name}: its fields changed shape")
+                out.append((f"{table} {name}: its fields changed shape", True))
                 continue
             for field in was:
                 for k, (a, b) in enumerate(zip(_list(was[field]), _list(now[field]))):
                     where = f"{table} {name} {field}[{k}]: {a} -> {b}"
-                    if a == b or field in _FREE:
+                    if a == b:
                         continue
-                    if field == "converged":
-                        if not b:
-                            out.append(f"{where}, converged turned False")
+                    if field in _FREE:
+                        out.append((f"{where}, moves freely", False))
+                    elif field == "converged":
+                        out.append((f"{where}, converged turned {b}", not b))
                     elif field not in _BARS:
-                        out.append(f"{where}, a field with no bar")
+                        out.append((f"{where}, a field with no bar", True))
                     else:
                         bar_field, bar_of = _BARS[field]
                         bar = bar_of(float.fromhex(_list(was[bar_field])[k]), float.fromhex(_list(now[bar_field])[k]))
                         moved = abs(float.fromhex(b) - float.fromhex(a))
-                        if not moved <= bar:
-                            out.append(f"{where}, moved {moved:.3g} beyond its bar {bar:.3g} ({bar_field})")
+                        refused = not moved <= bar
+                        verdict = "beyond" if refused else "within"
+                        out.append((f"{where}, moved {moved:.3g} {verdict} its bar {bar:.3g} ({bar_field})", refused))
     return out
 
 
@@ -197,15 +200,25 @@ def dumps(pins: dict) -> str:
     return json.dumps(pins, indent=1, sort_keys=True) + "\n"
 
 
-def record(path: Path = PATH, cases: dict = CASES) -> list[str]:
+def record(path: Path = PATH, cases: dict = CASES) -> list[tuple[str, bool]]:
     """Recompute every case and write the records to ``path`` unless a move leaves its bar.
-    Returns the refusals; a refused run leaves ``path`` as it was."""
+    Returns the ``moves``; a refused run leaves ``path`` as it was."""
     old = json.loads(path.read_text()) if path.exists() else {}
     new = {table: {name: case() for name, case in named.items()} for table, named in cases.items()}
-    refused = refusals(old, new)
-    if not refused:
+    moved = moves(old, new)
+    if not any(refused for _, refused in moved):
         path.write_text(dumps(new))
-    return refused
+    return moved
+
+
+def main(path: Path = PATH, cases: dict = CASES) -> int:
+    """``record``, printing each move to stderr as "moved: " or "refused: " and its line; 1 if refused."""
+    moved = record(path, cases)
+    for line, refused in moved:
+        print(f"{'refused' if refused else 'moved'}: {line}", file=sys.stderr)
+    refused = any(r for _, r in moved)
+    print(f"{path.name}: {'nothing written' if refused else 'recorded'}", file=sys.stderr)
+    return 1 if refused else 0
 
 
 @cache
@@ -218,8 +231,4 @@ def stored(table: str, name: str) -> dict:
 
 
 if __name__ == "__main__":
-    refused = record()
-    for line in refused:
-        print(f"refused: {line}", file=sys.stderr)
-    print(f"{PATH.name}: {'nothing written' if refused else 'recorded'}", file=sys.stderr)
-    sys.exit(1 if refused else 0)
+    sys.exit(main())

@@ -202,7 +202,7 @@ def test_samplers_follow_the_documented_recipe(n, P, ranks, m):
     # the recipe fixes the streams, whatever the sampler computes internally:
     # the true rank from rng.choice(n, p=row) (mixed rows only), then
     # np.sort(rng.random((m, n)), axis=1), then the selection; n runs across
-    # _NETWORK_MAX_N and m across a _BLOCK boundary.  Each rank of the widest
+    # _NETWORK_MAX_N and m across a block boundary.  Each rank of the widest
     # network, and rows with zero entries, get their own pruned network
     dist = Exponential(1.0)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
@@ -271,8 +271,8 @@ def test_sampler_never_holds_the_whole_draw(n, mixed):
     ids=["entropy-irss4-blend", "renyi-rss3", "kl-rss3"],
 )
 def test_estimators_keep_one_array_per_component(estimate):
-    # each component scores its draws a block at a time into one m-long array of
-    # 8-byte values; a mixed row adds its true ranks at one byte each
+    # each component scores its draws a block at a time into one reused buffer and
+    # reduces each block at once: only a mixed row keeps m values, its true ranks at one byte each
     mc.mc_entropy(Design("srs", 2), Normal(0.0, 1.0), mc.SimConfig(replications=100))  # imports scipy
     m = 200_000  # both runs span at least two whole blocks, whose temporaries do not grow with m
 
@@ -284,7 +284,7 @@ def test_estimators_keep_one_array_per_component(estimate):
         finally:
             tracemalloc.stop()
 
-    assert peak(2 * m) - peak(m) < 16 * m
+    assert peak(2 * m) - peak(m) < 2 * m
 
 
 def test_small_runs_take_their_error_from_twenty_batches():
@@ -294,14 +294,49 @@ def test_small_runs_take_their_error_from_twenty_batches():
     rss2, exp1 = Design("rss", 2), Exponential(1.0)
     runs = [mc.mc_entropy(rss2, exp1, mc.SimConfig(1000, seed=s)) for s in range(1, 41)]
     assert sum(abs(r.estimate - truth) <= 2.0 * r.std_error for r in runs) >= 36
-    # batch_size is the longest batch: the default 10^6 draws keep 100 of 10 000
+    # batch_size is the longest batch: the default 10^6 draws keep 100 of 10 000.  A
+    # batch within one block is summed as the full array's batch means were: the same bits
     values = np.random.default_rng(0).random(1_005_000)
     cases = ((1_000_000, 10_000, 100), (1000, 1000, 20), (25_000, 10_000, 20), (1_005_000, 10_000, 101))
     for m, batch_size, batches in cases:
         v = values[:m]
         means = v[: m // batches * batches].reshape(batches, -1).mean(axis=1)
         se = float(means.std(ddof=1) / math.sqrt(batches))
-        assert mc._batch_stats(v, batch_size) == (float(v.mean()), se)
+        mean, got, _, _ = mc._reduce([(0, v.copy())], m, batch_size=batch_size)
+        assert got == se and mean == pytest.approx(float(v.mean()), rel=1e-15, abs=0.0)
+
+
+def _full_array(values, log_scale):
+    """The statistics of the whole array at once: mean, batch-means standard error,
+    the two halves' means and, on a log scale, the values' largest."""
+    top = float(values.max()) if log_scale else 0.0
+    v = np.exp(values - top) if log_scale else values
+    m = v.size
+    nb = max(-(-m // mc._BATCH_SIZE), mc._MIN_BATCHES)
+    means = v[: m // nb * nb].reshape(nb, -1).mean(axis=1)
+    return float(v.mean()), float(means.std(ddof=1) / math.sqrt(nb)), (v[: m // 2].mean(), v[m // 2 :].mean()), top
+
+
+@pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log-scale"])
+@pytest.mark.parametrize("m", [1000, mc._BLOCK + 1001, 10**6])
+def test_reducer_matches_the_full_array(m, log_scale):
+    # the sampler's own blocks, blocks that straddle batches and the halves' cut, and one
+    # m-long block; _BLOCK + 1001 draws leave 17 past the last of 20 batches.  Exp(1)
+    # scores are unbounded, so the log scale's top rises from block to block
+    levels = list(mc._levels(re.blend(3, 0.5).row(2), np.random.default_rng(1), m))
+    values = Exponential(1.0).quantile(np.concatenate([u for _, u in levels]))
+    want = _full_array(values, log_scale)
+    chunkings = {
+        "levels": [start for start, _ in levels],
+        "straddling": range(0, m, 4099),
+        "whole": [0],
+    }
+    for name, starts in chunkings.items():
+        ends = [*starts[1:], m]
+        got = mc._reduce(((a, values[a:b].copy()) for a, b in zip(starts, ends)), m, log_scale)
+        assert np.allclose(np.hstack(got), np.hstack(want), rtol=1e-13, atol=0.0), name
+        if name == "levels" and not log_scale:  # whole batches in each block: the same batch means
+            assert got[1] == want[1]
 
 
 def test_vasicek_battery():

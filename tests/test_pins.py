@@ -23,7 +23,7 @@ def _moved(record, field, by, k=0):
 
 
 def _refused(table, was, now):
-    return pins.refusals({table: {"case": was}}, {table: {"case": now}})
+    return [line for line, refused in pins.moves({table: {"case": was}}, {table: {"case": now}}) if refused]
 
 
 def test_a_scan_value_may_move_one_ulp_but_not_ten_times_its_error():
@@ -65,6 +65,30 @@ def test_a_refused_run_leaves_the_pins_as_they_were(tmp_path):
     assert path.read_bytes() == pins.PATH.read_bytes()
     assert pins.record(path, {"first_call": {"scalar-converges": lambda: case}}) == []
     assert json.loads(path.read_text()) == {"first_call": {"scalar-converges": case}}
+
+
+def test_a_run_prints_each_moved_field_with_its_move_and_bar(tmp_path, capsys):
+    # a value moved within its bar, which moves too: a line each, and the file written;
+    # then a value moved beyond its bar: its refusal, and the file kept
+    path = tmp_path / "pins.json"
+    path.write_bytes(pins.PATH.read_bytes())
+    case = pins.stored("first_call", "scalar-converges")
+    value, error = float.fromhex(case["value"][0]), float.fromhex(case["error"][0])
+    moved = _moved(_moved(case, "value", error), "error", error)
+    assert pins.main(path, {"first_call": {"scalar-converges": lambda: moved}}) == 0
+    move = abs(float.fromhex(moved["value"][0]) - value)
+    head = "moved: first_call scalar-converges"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{head} error[0]: {case['error'][0]} -> {moved['error'][0]}, moves freely",
+        f"{head} value[0]: {case['value'][0]} -> {moved['value'][0]}, moved {move:.3g} within its bar {3 * error:.3g} (error)",
+        "pins.json: recorded",
+    ]
+    assert pins.stored("first_call", "scalar-converges") != moved == json.loads(path.read_text())["first_call"]["scalar-converges"]
+    written = path.read_bytes()
+    assert pins.main(path, {"first_call": {"scalar-converges": lambda: _moved(moved, "value", 10 * error)}}) == 1
+    refusal, last = capsys.readouterr().err.splitlines()
+    assert refusal.startswith("refused: first_call scalar-converges value[0]: ") and "beyond its bar" in refusal
+    assert last == "pins.json: nothing written" and path.read_bytes() == written
 
 
 def test_the_pins_hold_every_case_in_the_recorders_format():

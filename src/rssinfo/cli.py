@@ -4,7 +4,9 @@ Subcommands: table-k, dn, psi, measure, figure, conjecture-scan, errata.
 Outputs CSV (default) or JSON to stdout or ``--out``.  Exit codes: 0 success,
 2 parse error, 3 quadrature non-convergence, 4 inequality violation found.
 The argument parser is built once per process and shared by every ``main``
-call, which dispatches subcommand ``x-y`` to the module's ``cmd_x_y``.
+call, which dispatches subcommand ``x-y`` to the module's ``cmd_x_y``: each
+returns (rows, exit code), rows None where nothing is written, and ``main``
+writes the rows.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _emit(rows: list[dict], args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_table_k(args) -> int:
+def cmd_table_k(args) -> tuple[list[dict] | None, int]:
     check_count("--n-max", args.n_max, 2)
     rows = []
     for n in range(2, args.n_max + 1):
@@ -153,31 +155,27 @@ def cmd_table_k(args) -> int:
                 f"({direct!r} vs {recursive!r})",
                 file=sys.stderr,
             )
-            return EXIT_NO_CONVERGENCE
+            return None, EXIT_NO_CONVERGENCE
         rows.append({"n": n, "k": direct})
-    _emit(rows, args)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_dn(args) -> int:
+def cmd_dn(args) -> tuple[list[dict], int]:
     check_count("--n-max", args.n_max, 1)
-    rows = [{"n": n, "d_n": closed_form.d_n(n)} for n in range(1, args.n_max + 1)]
-    _emit(rows, args)
-    return EXIT_OK
+    return [{"n": n, "d_n": closed_form.d_n(n)} for n in range(1, args.n_max + 1)], EXIT_OK
 
 
-def cmd_psi(args) -> int:
+def cmd_psi(args) -> tuple[list[dict], int]:
     check_count("--n-max", args.n_max, 2)
     rows = [
         {"alpha": a, "n": n, "psi": closed_form.psi_bound(a, n)}
         for a in args.alphas
         for n in range(2, args.n_max + 1)
     ]
-    _emit(rows, args)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> tuple[list[dict], int]:
     cfg = _quad_config(args)
     design = parse_design(args.design, args.error_matrix)
     dist = parse_distribution(args.dist)
@@ -204,25 +202,21 @@ def cmd_measure(args) -> int:
         est = oracle(sim)
         rec["oracle"] = est.estimate
         rec["oracle_std_error"] = est.std_error
-    _emit([rec], args)
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    return [rec], EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> tuple[list[dict], int]:
     cfg = _quad_config(args)
     if args.figure_id == "1":
         _reject(args, "by figure 1", "alpha_min", "alpha_max")
-    rows = figure_curve(args.figure_id, args.points, cfg=cfg, **_given(args, "alpha_min", "alpha_max"))
-    _emit(rows, args)
-    return EXIT_OK
+    return figure_curve(args.figure_id, args.points, cfg=cfg, **_given(args, "alpha_min", "alpha_max")), EXIT_OK
 
 
-def cmd_conjecture_scan(args) -> int:
+def cmd_conjecture_scan(args) -> tuple[list[dict], int]:
     cfg = _quad_config(args)
     axes = _given(args, "families", "ns", "alphas", "matrices")
     grid = ScanGrid(**{axis: tuple(v) for axis, v in axes.items()})
     report = run_conjecture_scan(grid, cfg)
-    _emit(report.records, args)
     if report.violations:
         print(
             f"{len(report.violations)} ordering violation(s) beyond numerical slack:",
@@ -230,19 +224,17 @@ def cmd_conjecture_scan(args) -> int:
         )
         for v in report.violations:
             print(f"  {v}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return report.records, EXIT_VIOLATION
     print(
         f"conjecture scan: no violations at {len(report.records)} grid points "
         "(this supports, but does not prove, the alpha > 1 ordering)",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return report.records, EXIT_OK
 
 
-def cmd_errata(args) -> int:
-    rows = run_errata_checks(_quad_config(args))
-    _emit(rows, args)
-    return EXIT_OK
+def cmd_errata(args) -> tuple[list[dict], int]:
+    return run_errata_checks(_quad_config(args)), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +326,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         # looked up per call, so a rebound cmd_* (a tracer's wrapper) runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        rows, code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        if rows is not None:
+            _emit(rows, args)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -66,20 +66,20 @@ class EstimateResult:
     replications: int
 
 
-def _batches(m: int, batch_size: int = _BATCH_SIZE) -> tuple[int, int]:
+def _batches(m: int) -> tuple[int, int]:
     """(count, length) of the batches behind the standard error of m draws: at least
-    _MIN_BATCHES, each at most ``batch_size`` long; the draws past the last enter the mean only."""
-    count = max(-(-m // batch_size), _MIN_BATCHES)
+    _MIN_BATCHES, each at most _BATCH_SIZE long; the draws past the last enter the mean only."""
+    count = max(-(-m // _BATCH_SIZE), _MIN_BATCHES)
     return count, m // count
 
 
-def _reduce(blocks, m: int, log_scale: bool = False, batch_size: int = _BATCH_SIZE):
+def _reduce(blocks, m: int, log_scale: bool = False):
     """(mean, std_error, halves, top) of the m values that ``blocks`` yields in order as (start,
-    block), blocks of any length: each adds its batches' sums and its shares of the sums of the
-    two halves, the first m // 2 values and the rest.  A batch within one block is summed as
-    ``values[a:b].sum()``.  On a log scale the values are logs and the statistics are those of
-    exp(value - top), top the largest value; the running sums are rescaled whenever it rises."""
-    nb, size = _batches(m, batch_size)
+    block), blocks of any length: each adds its ``_batches(m)`` batches' sums and its shares of the
+    sums of the two halves, the first m // 2 values and the rest.  A batch within one block is
+    summed as ``values[a:b].sum()``.  On a log scale the values are logs and the statistics are
+    those of exp(value - top), top the largest value; the running sums are rescaled as it rises."""
+    nb, size = _batches(m)
     sums, top = np.zeros(nb + 2), -math.inf if log_scale else 0.0  # the batches', then the halves'
     for start, v in blocks:
         if log_scale:
@@ -220,15 +220,15 @@ def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, *st
     """m times the sum over components i of ``summary(i, *stats)``, an
     (estimate, std_error) pair from the ``_reduce`` stats of the per-draw values
     that ``value(i, row)``, called as (u, out), writes at the levels drawn from
-    the component's own spawned stream; errors add in quadrature.  Each block is
-    scored into the one reused buffer, or its own array if longer, and reduced
+    the component's own spawned stream; errors add in quadrature.  Each block,
+    at most _BLOCK draws, is scored into the one reused buffer and reduced
     before the next is drawn."""
     P, m = design.matrix, sim.replications
     buf = np.empty(min(m, _BLOCK))
     total = var = 0.0
     for i, seed in enumerate(np.random.SeedSequence(sim.seed).spawn(design.n), start=1):
         score, levels = value(i, P.row(i)), _levels(P.row(i), np.random.Generator(np.random.PCG64(seed)), m)
-        scored = ((start, score(u, buf[: u.size] if u.size <= buf.size else None)) for start, u in levels)
+        scored = ((start, score(u, buf[: u.size])) for start, u in levels)
         est, se = summary(i, *_reduce(scored, m, log_scale))
         total += est
         var += se * se

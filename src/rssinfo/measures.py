@@ -188,7 +188,8 @@ def shannon(
     stochastic P sum to 1, so the judged weights w_i sum to n at every u and
     sum_i int w_i log f(F^-1(u)) du = -n H(f); what is left,
     D(P) = sum_i int_0^1 w_i log w_i du = K(design || SRS) >= 0, reads the
-    matrix alone, and its error is the value's.  ``mode='x'`` integrates the
+    matrix alone; its error, with one ulp each of n H(f) and of the
+    difference, is the value's.  ``mode='x'`` integrates the
     component densities directly in x-space as a cross-check, never a closed
     form.
     """
@@ -202,7 +203,9 @@ def shannon(
     else:
         term, what = lambda lw, F, S: np.exp(lw) * lw, "shannon integrand is not finite"
         (d,) = _route([design.matrix], None if force_numeric else _shannon_closed_form, term, cfg, what)
-        res = replace(d, value=design.n * std.entropy() - d.value)
+        h = design.n * std.entropy()
+        value = h - d.value
+        res = replace(d, value=value, error_estimate=d.error_estimate + math.ulp(h) + math.ulp(value))
     return res.scaled(design.m, design.n * math.log(dist.scale))
 
 

@@ -9,9 +9,9 @@ in one call of the integrand, until every component meets its tolerance.
 The first call may evaluate a fixed partition instead of one panel: the
 ``breaks`` of ``integrate``, capped at the subdivision budget, each counted as
 one subdivision.  Per-component running totals drive the stop test; it is
-confirmed, and the result taken, with math.fsum over the panels, and a panel
-leaving with an infinite error resets the totals the same way.  No
-randomness anywhere; identical inputs give bit-identical results.
+confirmed with math.fsum over the panels, whose fsum is always the result,
+and a panel leaving with an infinite error resets the totals the same way.
+No randomness anywhere; identical inputs give bit-identical results.
 
 Endpoint singularities need no inset: nodes lie strictly inside their panel,
 and a panel narrower than _MIN_SPLIT_ULPS ulps (of its endpoints, or of
@@ -233,45 +233,44 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
     twice the sum of its panels' rounding floors, so a tolerance out of reach
     stops the loop near that floor, not converged.  A first call that meets
     the tolerance or spends the budget is the result, and builds no heap.
+    Each split updates running sums; a stop they pass is confirmed on math.fsum
+    over the heap's panels, and the result is the fsum of the final heap.
     """
     edges = tuple(map(float, (a, *breaks[: cfg.max_subdivisions], b)))  # the nodes' memo key
     if not (math.isfinite(a) and math.isfinite(b) and all(p < q for p, q in zip(edges, edges[1:]))):
         raise InputError(f"need finite a < b, with increasing breaks between them, got {edges}")
 
     panels, vector = _panels(f, edges, a, b)
-    sums = _sums(panels)  # running per-component values, errors and floors
-    exact = True  # sums are the fsums of the panels in the heap
+    sums = _sums(panels)  # per-component values, errors and floors
     tol = _tolerance(sums[0], cfg, sums[2])
     nsub = len(edges) - 2
-    seq = itertools.count()  # heap of (key, seq, a, b, panel); seq breaks ties deterministically
-    # a first call that meets the tolerance or spends the budget is the result: the loop stops at once
-    decided = nsub >= cfg.max_subdivisions or _within(sums[1], tol)
-    heap = [] if decided else [(_key(s[1], tol), next(seq), pa, pb, s) for pa, pb, s in zip(edges, edges[1:], panels)]
-    heapq.heapify(heap)
-    while nsub < cfg.max_subdivisions:
-        if _within(sums[1], tol):
-            if not exact:  # stop on exact sums, not running ones
-                sums, exact = _sums([p[4] for p in heap]), True
-                tol = _tolerance(sums[0], cfg, sums[2])
-            if _within(sums[1], tol):
+    # a first call that meets the tolerance or spends the budget is the result: no heap is built
+    if nsub < cfg.max_subdivisions and not _within(sums[1], tol):
+        seq = itertools.count()  # heap of (key, seq, a, b, panel); seq breaks ties deterministically
+        heap = [(_key(s[1], tol), next(seq), pa, pb, s) for pa, pb, s in zip(edges, edges[1:], panels)]
+        heapq.heapify(heap)
+        while True:
+            key, _, pa, pb, old = heap[0]
+            # the budget spent, or the worst panel at float resolution (tolerance out of reach)
+            if nsub >= cfg.max_subdivisions or pb - pa < _MIN_SPLIT_ULPS * math.ulp(max(abs(pa), abs(pb), _MIN_SPLIT_SCALE)):
+                sums = _sums([p[4] for p in heap])
                 break
-        key, _, pa, pb, old = heap[0]
-        if pb - pa < _MIN_SPLIT_ULPS * math.ulp(max(abs(pa), abs(pb), _MIN_SPLIT_SCALE)):
-            break  # the worst panel is at float resolution: tolerance out of reach
-        pm = 0.5 * (pa + pb)
-        (left, right), _ = _panels(f, (pa, pm, pb), a, b)
-        sums = [[t + (l + r - p) for t, l, r, p in zip(*c)] for c in zip(sums, left, right, old)]
-        exact = False
-        tol = _tolerance(sums[0], cfg, sums[2])
-        heapq.heapreplace(heap, (_key(left[1], tol), next(seq), pa, pm, left))
-        heapq.heappush(heap, (_key(right[1], tol), next(seq), pm, pb, right))
-        nsub += 1
-        if key == -math.inf:  # an infinite error left: the running error is NaN
-            sums, exact = _sums([p[4] for p in heap]), True
+            pm = 0.5 * (pa + pb)
+            (left, right), _ = _panels(f, (pa, pm, pb), a, b)
+            sums = [[t + (l + r - p) for t, l, r, p in zip(*c)] for c in zip(sums, left, right, old)]
             tol = _tolerance(sums[0], cfg, sums[2])
+            heapq.heapreplace(heap, (_key(left[1], tol), next(seq), pa, pm, left))
+            heapq.heappush(heap, (_key(right[1], tol), next(seq), pm, pb, right))
+            nsub += 1
+            # a stop on running sums is confirmed on the heap's fsums, which also reset
+            # the running error an infinite one leaves NaN
+            if key == -math.inf or _within(sums[1], tol):
+                sums = _sums([p[4] for p in heap])
+                tol = _tolerance(sums[0], cfg, sums[2])
+                if _within(sums[1], tol):
+                    break
 
-    # fsum is correctly rounded in any order, so exact sums are the heap's
-    value, error, _ = sums if exact else _sums([p[4] for p in heap])
+    value, error, _ = sums
     converged = _within(error, _tolerance(value, cfg))
     if vector:
         return QuadratureResult(np.array(value), np.array(error), nsub, converged)

@@ -559,7 +559,7 @@ ONE_SHOT = (
 @pytest.mark.parametrize(
     "dist, value, needs_scipy, call",
     [
-        # Shannon is n H(f) - D(P): rss:2 is a closed form with error 0 for every family
+        # Shannon is n H(f) - D(P): rss:2's D is a closed form for every family
         ("exp:1", 1.6137056388801094, False, "shannon --design rss:2"),
         ("norm:0,1", 2.4515827052894545, False, "shannon --design rss:2"),
         # and no Shannon integrand reads the parent; 3 H(norm) - D(blend(3, 0.5)) from 30-digit mpmath
@@ -574,7 +574,7 @@ def test_one_shot_measure_imports_scipy_only_for_the_normal_family(dist, value, 
     res = json.loads(proc.stdout)
     assert res["code"] == cli.EXIT_OK
     (rec,) = res["records"]
-    assert abs(rec["value"] - value) <= rec["error"]  # a closed form has error 0
+    assert abs(rec["value"] - value) <= rec["error"]  # a Shannon closed form's error is the rounding of n H(f) - D
     assert bool(res["scipy"]) == needs_scipy, res["scipy"]
 
 

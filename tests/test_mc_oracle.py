@@ -134,7 +134,8 @@ def test_mc_kl_unstable_running_mean_raises(monkeypatch):
     def halves(row, rng, m):
         u = 0.5 * rng.random(m)
         u[m // 2 :] += 0.5
-        yield 0, u
+        for start in range(0, m, mc._BLOCK):
+            yield start, u[start : start + mc._BLOCK]
 
     monkeypatch.setattr(mc, "_levels", halves)
     with pytest.raises(mc.DivergentEstimateError, match="failed to stabilize"):
@@ -294,15 +295,15 @@ def test_small_runs_take_their_error_from_twenty_batches():
     rss2, exp1 = Design("rss", 2), Exponential(1.0)
     runs = [mc.mc_entropy(rss2, exp1, mc.SimConfig(1000, seed=s)) for s in range(1, 41)]
     assert sum(abs(r.estimate - truth) <= 2.0 * r.std_error for r in runs) >= 36
-    # batch_size is the longest batch: the default 10^6 draws keep 100 of 10 000.  A
+    # _BATCH_SIZE is the longest batch: the default 10^6 draws keep 100 of 10 000.  A
     # batch within one block is summed as the full array's batch means were: the same bits
     values = np.random.default_rng(0).random(1_005_000)
-    cases = ((1_000_000, 10_000, 100), (1000, 1000, 20), (25_000, 10_000, 20), (1_005_000, 10_000, 101))
-    for m, batch_size, batches in cases:
+    cases = ((1_000_000, 100), (1000, 20), (25_000, 20), (1_005_000, 101))
+    for m, batches in cases:
         v = values[:m]
         means = v[: m // batches * batches].reshape(batches, -1).mean(axis=1)
         se = float(means.std(ddof=1) / math.sqrt(batches))
-        mean, got, _, _ = mc._reduce([(0, v.copy())], m, batch_size=batch_size)
+        mean, got, _, _ = mc._reduce([(0, v.copy())], m)
         assert got == se and mean == pytest.approx(float(v.mean()), rel=1e-15, abs=0.0)
 
 

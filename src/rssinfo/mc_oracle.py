@@ -202,9 +202,7 @@ def _ordered(block: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray]:
 def _log_weight(row: np.ndarray):
     """u -> log weight of the judged law on ``row`` relative to the parent at
     the level u: the kernel read at u and 1 - u, both exact, as ``rng.random``
-    gives multiples of 2**-53.  A uniform row weighs 0 and builds no kernel."""
-    if np.all(row == row[0]):
-        return lambda u: 0.0
+    gives multiples of 2**-53; a uniform row's is exactly 0."""
     log_weight = judged_log_weight(row)
     return lambda u: log_weight(u, 1.0 - u)
 

@@ -1,14 +1,15 @@
 """Shannon, Renyi and Kullback-Leibler measures for (distribution, design)
 pairs.
 
-A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
-uniform matrix, perfect RSS the identity.  Every u-space measure hands one
-route, ``_route``, its designs' matrices, a closed form keyed on the matrix's
-``name`` (never on the design's kind) or None for the integral
-(``force_numeric``, to compare the paths), its term g(log w, F, S) in the
-judged log weight and a ``finish``.  The matrices without a closed form share
-one integral, and so ``subdivisions_used``, over their distinct rows, each
-weighted by its count: ``_of_term``, which analyses the rows once per integral.
+A design is its ranking-error matrix (Dell & Clutter 1972) and cycle count:
+SRS is the uniform matrix, perfect RSS the identity, and ``srs:n`` and
+``rss:n`` are spellings of them.  Every u-space measure hands one route,
+``_route``, its designs' matrices, a closed form keyed on the matrix's
+``name`` or None for the integral (``force_numeric``, to compare the
+paths), its term g(log w, F, S) in the judged log weight and a ``finish``.
+The matrices without a closed form share one integral, and so
+``subdivisions_used``, over their distinct rows, each weighted by its count:
+``_of_term``, which analyses the rows once per integral.
 
 Shannon is n H(f) - D(P), with D(P) = K(design || SRS) an integral of the
 judged weights alone: closed for the uniform matrix, the identity and every
@@ -44,7 +45,7 @@ Only the memo knows its byte bound; no entry keeps a large kernel alive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,53 +57,50 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, entr
 from .ranking_error import RankingErrorMatrix
 
 
-SRS = "srs"
-PERFECT_RSS = "rss"
-IMPERFECT_RSS = "irss"
-
-_KINDS = (SRS, PERFECT_RSS, IMPERFECT_RSS)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Design:
-    """Sampling design: SRS(n), perfect RSS(n), or imperfect RSS(n, P).
+    """Sampling design: its ranking-error matrix and its cycle count ``m``.
 
-    ``m`` is the cycle count; measures scale additively in m.  ``matrix`` is
-    the ranking-error matrix, set once: uniform for SRS, identity for perfect
-    RSS, P for imperfect RSS.  Designs compare and hash by kind, n, P and m.
+    ``Design(kind, n, P=None, m=1)`` spells the matrix: "srs" the uniform
+    matrix, "rss" the identity and "irss" P, which it alone takes and needs.
+    So a design is its sampling law: ``rss:n`` is ``irss:n:identity`` and
+    ``srs:n`` is ``irss:n:uniform``, and designs compare and hash by (matrix,
+    m).  n is the matrix's size; measures scale additively in m.
     """
 
-    kind: str
-    n: int
-    P: RankingErrorMatrix | None = None
+    matrix: RankingErrorMatrix
     m: int = 1
-    matrix: RankingErrorMatrix = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown design kind {self.kind!r}")
-        check_count("set size", self.n, 1)
-        check_count("cycle count", self.m, 1)
-        if self.kind == IMPERFECT_RSS:
-            if self.P is None:
-                raise InputError("imperfect RSS needs a ranking error matrix")
-            check_dimension(self.P.n, self.n)
-        elif self.P is not None:
-            raise InputError(f"design kind {self.kind!r} takes no error matrix")
-        build = ranking_error.uniform if self.kind == SRS else ranking_error.identity
-        object.__setattr__(self, "matrix", self.P if self.kind == IMPERFECT_RSS else build(self.n))
+    def __init__(self, kind: str, n: int, P: RankingErrorMatrix | None = None, m: int = 1):
+        if kind not in ("srs", "rss", "irss"):
+            raise InputError(f"unknown design kind {kind!r}")
+        check_count("set size", n, 1)
+        check_count("cycle count", m, 1)
+        if (P is None) == (kind == "irss"):
+            raise InputError("imperfect RSS needs a ranking error matrix" if P is None else f"design kind {kind!r} takes no error matrix")
+        if P is None:
+            P = (ranking_error.uniform if kind == "srs" else ranking_error.identity)(n)
+        check_dimension(P.n, n)
+        object.__setattr__(self, "matrix", P)
+        object.__setattr__(self, "m", m)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
 
     def spec_string(self) -> str:
-        base = f"{self.kind}:{self.n}"
-        return base if self.m == 1 else f"{base} (m={self.m})"
+        kind = {"uniform": "srs", "identity": "rss"}.get(self.matrix.name, "irss")
+        return f"{kind}:{self.n}" if self.m == 1 else f"{kind}:{self.n} (m={self.m})"
 
 
 MeasureResult = QuadratureResult  # the measures' one result type is the engine's
 
 
 def _closed(value: float | None) -> QuadratureResult | None:
-    """A closed form's value as a result, or None where the closed form declines."""
-    return None if value is None else QuadratureResult(value, 0.0, 0, True, "closed-form")
+    """A closed form's value as a result, its error a stated rounding bound,
+    1e-13 max(1, |value|), above the 3.1e-14 relative error 40-digit checks
+    observe; or None where the closed form declines."""
+    return None if value is None else QuadratureResult(value, 1e-13 * max(1.0, abs(value)), 0, True, "closed-form")
 
 
 def _joined(a: QuadratureResult, b: QuadratureResult, sign: float) -> QuadratureResult:
@@ -307,7 +305,7 @@ def renyi_gap_binomial(
     if n == 1:
         return _closed(0.0)
     # the gap is scale-free
-    rss, srs = renyi_designs([Design(PERFECT_RSS, n), Design(SRS, n)], dist.standard(), alpha, cfg, True)
+    rss, srs = renyi_designs([Design("rss", n), Design("srs", n)], dist.standard(), alpha, cfg, True)
     return replace(rss, value=rss.value - srs.value, error_estimate=rss.error_estimate + srs.error_estimate)
 
 
@@ -323,7 +321,7 @@ def kl_srs_vs_design(
     force_numeric: bool = False,
     mode: str = "u",
 ) -> QuadratureResult:
-    """K(SRS, design) for an RSS-kind design of the same size and law.
+    """K(SRS, design) for a design of the same size and law: 0 for SRS itself.
 
     The value is distribution-free; the default path is closed for the
     uniform matrix, the identity and every 2x2 and otherwise computes it
@@ -332,8 +330,6 @@ def kl_srs_vs_design(
     ``dist``.
     """
     _check_mode(mode, ("u", "x"))
-    if design.kind == SRS:
-        raise InputError("K(SRS, design) needs an rss or irss design, got srs")
     if mode == "x":
         if dist is None:
             raise InputError("x-space verification mode needs a distribution")
@@ -419,7 +415,7 @@ def a_n(
         r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
         c = n * (n - 1)
         return QuadratureResult(-0.5 * c - c * r.value, c * r.error_estimate, r.subdivisions_used, r.converged)
-    rss, srs = (kl_two_sample(Design(kind, n), dist_f, Design(kind, n), dist_g, cfg) for kind in (PERFECT_RSS, SRS))
+    rss, srs = (kl_two_sample(Design(kind, n), dist_f, Design(kind, n), dist_g, cfg) for kind in ("rss", "srs"))
     return _joined(rss, srs, -1.0)
 
 

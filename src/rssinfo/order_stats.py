@@ -9,9 +9,10 @@ the log density of the judged unit relative to the parent.  Each call takes
 log F and log S once each, and only if a rank reads it (rank 1 reads S alone,
 rank n F alone), and builds the Beta log kernel (r-1) log F + (n-r) log S of
 every rank the rows use.  A row is read by its least entry f.  A uniform row
-weighs 0.  As the n Beta densities B_r sum to n, f > 0 gives a sum of positive
-terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one matmul, or a
-product where the rows read one rank.
+weighs exactly 0; uniform rows alone give a read-only broadcast 0, which
+allocates nothing.  As the n Beta densities B_r sum to n, f > 0 gives a sum of
+positive terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one
+matmul, or a product where the rows read one rank.
 With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
 max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
 exact integers, tabled per n under ``ranking_error.memo``'s bound; 0**0 = 1 at
@@ -103,6 +104,8 @@ def _kernel(rows):
         if F.shape != S.shape:
             F, S = np.broadcast_arrays(F, S)
         shape = rows.shape[:-1] + F.shape
+        if not parts:  # uniform rows alone
+            return np.broadcast_to(0.0, shape)
         beta = np.empty((ranks.size, F.size))
         with np.errstate(divide="ignore", invalid="ignore"):
             if a.size:

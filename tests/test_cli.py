@@ -117,6 +117,14 @@ def test_measure_kl_distribution_free(capsys):
     assert abs(float(rows_of(out)[0]["value"]) - 2.0110) < 5e-4
 
 
+def test_measure_kl_of_srs_is_zero(capsys):
+    # srs:3 is the uniform matrix: K(SRS || srs:3) is closed at 0, as for irss:3:uniform
+    code, out, _ = run(capsys, "measure", "kl", "--design", "srs:3", "--dist", "exp:1")
+    assert code == cli.EXIT_OK
+    row = rows_of(out)[0]
+    assert (float(row["value"]), row["method"]) == (0.0, "closed-form")
+
+
 def test_measure_renyi_srs(capsys):
     code, out, _ = run(
         capsys, "measure", "renyi", "--alpha", "2", "--design", "srs:2", "--dist", "exp:1"
@@ -258,7 +266,6 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--config", "{missing}"),
         ("measure", "shannon", "--design", "irss:2", "--dist", "exp:1", "--error-matrix", "{missing}"),
         ("measure", "shannon", "--design", "irss:2", "--dist", "exp:1", "--error-matrix", "{malformed}"),
-        ("measure", "kl", "--design", "srs:2", "--dist", "exp:1"),
         ("measure", "renyi", "--alpha", "1", "--design", "rss:2", "--dist", "exp:1"),
         ("measure", "renyi", "--alpha", "-1", "--design", "rss:2", "--dist", "exp:1"),
         ("measure", "shannon", "--design", "rss:0", "--dist", "exp:1"),
@@ -295,7 +302,7 @@ def test_parse_errors_exit_two(capsys):
         ("conjecture-scan", "--family", "unif", "--n-values", "2,5-3", "--alphas", "2"),
     ],
     ids=[
-        "config-missing", "matrix-missing", "matrix-malformed", "kl-srs", "alpha-one",
+        "config-missing", "matrix-missing", "matrix-malformed", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
         "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",

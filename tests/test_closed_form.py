@@ -289,3 +289,60 @@ def test_xlogy_equals_scipy_bit_for_bit():
     assert got.tobytes() == expected.tobytes()
     for a, b, e in zip(x.ravel(), y.ravel(), expected.ravel()):
         assert np.float64(cf.xlogy(a, b)).tobytes() == e.tobytes(), (a, b)
+
+
+def test_closed_form_measures_lie_within_their_error_of_a_40_digit_oracle():
+    # a closed-form measure states a relative rounding bound, and a scaled one
+    # adds the rounding of its n log(scale) shift: both must cover the value's
+    # distance to a 40-digit reference, at every scale from 1e-6 to 1e6
+    mp = pytest.importorskip("mpmath")
+    from rssinfo import measures as M
+    from rssinfo.measures import Design
+
+    misses = []
+
+    def check(res, ref, case):
+        assert res.method == "closed-form" and res.converged, case
+        gap = abs(mp.mpf(res.value) - ref)
+        if not gap <= res.error_estimate:
+            misses.append((case, float(gap), res.error_estimate))
+
+    def k(n):  # the sum of the uniform order-statistic entropies
+        dn = mp.digamma(n + 1)
+        return mp.fsum(mp.log(mp.beta(i, n - i + 1)) - (i - 1) * (mp.digamma(i) - dn) - (n - i) * (mp.digamma(n - i + 1) - dn)
+                       for i in range(1, n + 1))
+
+    def rss_renyi(n, a, tail):  # perfect RSS on a standard uniform (tail 1) or exponential (tail alpha) parent
+        return mp.fsum(a * mp.log(n * mp.binomial(n - 1, i)) + mp.log(mp.beta(a * i + 1, a * (n - 1 - i) + tail))
+                       for i in range(n)) / (1 - a)
+
+    def u_log_u(u):
+        return u * mp.log(u) if u > 0 else 0
+
+    def sq_log(u):
+        return u * u * mp.log(u) if u > 0 else 0
+
+    with mp.workdps(40):
+        for lam in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            dist = Exponential(lam)
+            log_scale = mp.log(mp.mpf(dist.scale))
+            for n in (2, 3, 5):
+                check(M.shannon(Design("rss", n), dist), n * (1 + log_scale) + k(n), ("shannon rss", n, lam))
+                for alpha in (0.5, 2.0, 3.0):
+                    a = mp.mpf(alpha)
+                    ref = n * (log_scale - mp.log(a) / (1 - a))
+                    check(M.renyi(Design("srs", n), dist, alpha), ref, ("renyi srs", n, alpha, lam))
+        for n in (8, 20, 50):
+            for alpha in (0.5, 2.0):
+                a = mp.mpf(alpha)
+                check(M.renyi(Design("rss", n), Uniform(), alpha), rss_renyi(n, a, 1), ("renyi rss unif", n, alpha))
+                check(M.renyi(Design("rss", n), Exponential(1.0), alpha), rss_renyi(n, a, a), ("renyi rss exp", n, alpha))
+        for p12 in (0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.7, 1.0):
+            P = re.two_by_two(p12)
+            b = mp.mpf(float(P.entries[0, 0]))
+            eta = mp.log(2) if 2 * b == 1 else mp.mpf(1) / 2 + (sq_log(b) - sq_log(1 - b)) / (1 - 2 * b)
+            mean_log = -mp.log(2) if 2 * b == 1 else (u_log_u(b) - u_log_u(1 - b)) / (2 * b - 1) - 1
+            design = Design("irss", 2, P)
+            check(M.shannon(design, Exponential(1.0)), 2 - (2 * mp.log(2) - 2 * eta), ("shannon 2x2", p12))
+            check(M.kl_srs_vs_design(design), -2 * (mp.log(2) + mean_log), ("kl 2x2", p12))
+    assert not misses, misses

@@ -121,6 +121,10 @@ def test_mc_kl_distribution_free_constant():
 def test_mc_kl_identical_laws_vanish():
     est = mc.mc_kl(Design("rss", 2), Exponential(1.0), Design("rss", 2), Exponential(1.0), FAST)
     assert abs(est.estimate) < 3.0 * max(est.std_error, 1e-12)
+    # SRS against itself: each draw's two kernels read 0, so the estimate is exactly 0
+    for dist in (Exponential(1.0), Normal(0.0, 1.0)):
+        est = mc.mc_kl(Design("srs", 3), dist, Design("srs", 3), dist, FAST)
+        assert (est.estimate, est.std_error) == (0.0, 0.0)
 
 
 def test_mc_kl_support_mismatch_raises():

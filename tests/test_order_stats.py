@@ -191,6 +191,9 @@ def test_judged_log_weight_stack_matches_rows():
     assert np.all(stacked[0] == 0.0)
     for row, lw in zip(rows, stacked):
         np.testing.assert_array_equal(lw, judged_log_weight(row)(u, 1.0 - u))
+    # uniform rows alone weigh exactly 0, as a read-only broadcast of the stack's shape
+    zero = judged_log_weight(np.full((2, n), 1.0 / n))(u, 1.0 - u)
+    assert zero.shape == (2, u.size) and not zero.any() and not zero.flags.writeable
     # a scalar survival broadcasts against the cdf's grid
     half = judged_log_weight(rows)(u, 0.5)
     np.testing.assert_array_equal(half, judged_log_weight(rows)(u, np.full_like(u, 0.5)))

@@ -195,7 +195,7 @@ def cmd_measure(args) -> tuple[list[dict], int]:
         oracle = functools.partial(mc_oracle.mc_renyi, design, dist, args.alpha)
     else:
         res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
-        oracle = functools.partial(mc_oracle.mc_kl, Design("srs", design.n, m=design.m), dist, design, dist)
+        oracle = functools.partial(mc_oracle.mc_kl, Design("srs", design.n), dist, design, dist)
     spec = args.design if args.error_matrix is None else f"{args.design}:{args.error_matrix}"
     rec = measures.result_record(args.measure, spec, args.dist, res, args.alpha)
     if args.oracle:

@@ -33,7 +33,7 @@ def check_unit(what: str, x: float) -> None:
 
 
 def check_count(what: str, value, least: int) -> None:
-    """A count (size, cycle count, budget, seed, window) is an integer >= ``least``, not a bool; an int skips the slow ABC test."""
+    """A count (size, budget, seed, window) is an integer >= ``least``, not a bool; an int skips the slow ABC test."""
     if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)) or value < least:
         raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
 
@@ -51,9 +51,7 @@ def check_dimension(dim: int, n: int) -> None:
         raise InputError(f"error matrix dimension {dim} does not match n = {n}")
 
 
-def check_shared(designs, cycles: bool = True) -> None:
-    """Designs measured together share the set size n and, when ``cycles``, the cycle count m."""
+def check_shared(designs) -> None:
+    """Designs measured together share the set size n."""
     if len({d.n for d in designs}) > 1:
         raise InputError("designs must share the set size n")
-    if cycles and len({d.m for d in designs}) > 1:
-        raise InputError("designs must share the cycle count m")

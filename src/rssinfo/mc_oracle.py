@@ -215,7 +215,7 @@ def _log_pdf(dist: Distribution, row: np.ndarray):
 
 
 def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, *stats: stats[:2], log_scale=False):
-    """m times the sum over components i of ``summary(i, *stats)``, an
+    """The sum over components i of ``summary(i, *stats)``, an
     (estimate, std_error) pair from the ``_reduce`` stats of the per-draw values
     that ``value(i, row)``, called as (u, out), writes at the levels drawn from
     the component's own spawned stream; errors add in quadrature.  Each block,
@@ -230,7 +230,7 @@ def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, *st
         est, se = summary(i, *_reduce(scored, m, log_scale))
         total += est
         var += se * se
-    return EstimateResult(design.m * total, design.m * math.sqrt(var), m)
+    return EstimateResult(total, math.sqrt(var), m)
 
 
 def mc_entropy(design: Design, dist: Distribution, sim: SimConfig = SimConfig()) -> EstimateResult:

@@ -1,12 +1,12 @@
 """Shannon, Renyi and Kullback-Leibler measures for (distribution, design)
 pairs.
 
-A design is its ranking-error matrix (Dell & Clutter 1972) and cycle count:
-SRS is the uniform matrix, perfect RSS the identity, and ``srs:n`` and
-``rss:n`` are spellings of them.  Every u-space measure hands one route,
-``_route``, its designs' matrices, a closed form keyed on the matrix's
-``name`` or None for the integral (``force_numeric``, to compare the
-paths), its term g(log w, F, S) in the judged log weight and a ``finish``.
+A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
+uniform matrix, perfect RSS the identity, and ``srs:n`` and ``rss:n`` are
+spellings of them.  Every u-space measure hands one route, ``_route``, its
+designs' matrices, a closed form keyed on the matrix's ``name`` or None
+for the integral (``force_numeric``, to compare the paths), its term
+g(log w, F, S) in the judged log weight and a ``finish``.
 The matrices without a closed form share one integral, and so
 ``subdivisions_used``, over their distinct rows, each weighted by its count:
 ``_of_term``, which analyses the rows once per integral.
@@ -27,9 +27,9 @@ integrand of the judged log weights.
 
 The one-law measures compute on the standard law ``dist.standard()``
 (location 0, scale 1).  Location and scale enter only in
-``QuadratureResult.scaled``, which adds n log(scale) per cycle to a Shannon or
-Renyi value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.
-All values are in nats and scale additively with the cycle count m.
+``QuadratureResult.scaled``, which adds n log(scale) to a Shannon or Renyi
+value, as H(aX + b) = H(X) + n log a; KL is invariant and gets nothing.  All
+values are in nats, for one set of n units; k sets hold k times as much.
 
 The distinct rows of a set of matrices read neither the parent law nor alpha,
 so ``_distinct_rows`` is memoized on the matrices' values by
@@ -59,30 +59,27 @@ from .ranking_error import RankingErrorMatrix
 
 @dataclass(frozen=True, init=False)
 class Design:
-    """Sampling design: its ranking-error matrix and its cycle count ``m``.
+    """Sampling design: its ranking-error matrix.
 
-    ``Design(kind, n, P=None, m=1)`` spells the matrix: "srs" the uniform
-    matrix, "rss" the identity and "irss" P, which it alone takes and needs.
-    So a design is its sampling law: ``rss:n`` is ``irss:n:identity`` and
-    ``srs:n`` is ``irss:n:uniform``, and designs compare and hash by (matrix,
-    m).  n is the matrix's size; measures scale additively in m.
+    ``Design(kind, n, P=None)`` spells the matrix: "srs" the uniform matrix,
+    "rss" the identity and "irss" P, which it alone takes and needs.  So a
+    design is its sampling law: ``rss:n`` is ``irss:n:identity`` and
+    ``srs:n`` is ``irss:n:uniform``, and designs compare and hash by their
+    matrix.  n is the matrix's size.
     """
 
     matrix: RankingErrorMatrix
-    m: int = 1
 
-    def __init__(self, kind: str, n: int, P: RankingErrorMatrix | None = None, m: int = 1):
+    def __init__(self, kind: str, n: int, P: RankingErrorMatrix | None = None):
         if kind not in ("srs", "rss", "irss"):
             raise InputError(f"unknown design kind {kind!r}")
         check_count("set size", n, 1)
-        check_count("cycle count", m, 1)
         if (P is None) == (kind == "irss"):
             raise InputError("imperfect RSS needs a ranking error matrix" if P is None else f"design kind {kind!r} takes no error matrix")
         if P is None:
             P = (ranking_error.uniform if kind == "srs" else ranking_error.identity)(n)
         check_dimension(P.n, n)
         object.__setattr__(self, "matrix", P)
-        object.__setattr__(self, "m", m)
 
     @property
     def n(self) -> int:
@@ -90,7 +87,7 @@ class Design:
 
     def spec_string(self) -> str:
         kind = {"uniform": "srs", "identity": "rss"}.get(self.matrix.name, "irss")
-        return f"{kind}:{self.n}" if self.m == 1 else f"{kind}:{self.n} (m={self.m})"
+        return f"{kind}:{self.n}"
 
 
 MeasureResult = QuadratureResult  # the measures' one result type is the engine's
@@ -135,7 +132,7 @@ def _weighted(values, errors, counts, r: QuadratureResult) -> QuadratureResult:
 
 
 def _route(matrices, closed, term, cfg, what, *, at=None, finish=None) -> list[QuadratureResult]:
-    """Each ranking-error matrix's one-cycle value: ``closed(P)``, unless ``closed`` is
+    """Each ranking-error matrix's value: ``closed(P)``, unless ``closed`` is
     None; those it leaves None share one ``_of_term`` integral over their distinct rows,
     whose (value, error) arrays ``finish`` maps before each row is weighted by its count."""
     results = [None if closed is None else closed(P) for P in matrices]
@@ -204,7 +201,7 @@ def shannon(
         h = design.n * std.entropy()
         value = h - d.value
         res = replace(d, value=value, error_estimate=d.error_estimate + math.ulp(h) + math.ulp(value))
-    return res.scaled(design.m, design.n * math.log(dist.scale))
+    return res.scaled(design.n * math.log(dist.scale))
 
 
 def _divergence_closed_form(identity, two_by_two):
@@ -257,7 +254,7 @@ def renyi_designs(
     """``renyi`` of each design, all of one set size n: those without a closed
     form share one integral over the distinct rows of their matrices."""
     check_alpha(alpha)
-    check_shared(designs, cycles=False)
+    check_shared(designs)
     std, om = dist.standard(), 1.0 - alpha
 
     def finish(value, error):
@@ -271,7 +268,7 @@ def renyi_designs(
         lambda lw, F, S: np.exp(alpha * lw - om * _log_pdf_at_quantile(std, F, S)),
         cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=finish,
     )
-    return [res.scaled(d.m, d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
+    return [res.scaled(d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
 
 
 def _renyi_closed_form(P: RankingErrorMatrix, std: Distribution, alpha: float) -> QuadratureResult | None:
@@ -295,18 +292,22 @@ def renyi_gap_binomial(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
     """H_a(RSS) - H_a(SRS) for alpha > 1 in the binomial representation
-    1/(1-a) sum_i log E[b_i(F(W))^alpha], with b_i the Beta(i, n-i+1) density
-    (n times the Binomial(n-1, F(W)) pmf at i-1) and W distributed as
-    f^alpha / int f^alpha.  Its integrals are the identity and uniform rows
-    of ``renyi``'s, so this is the same route, not a second one; Monte Carlo
-    is Renyi's independent check."""
+    1/(1-a) sum_i log E[b_i(F(W))^alpha], b_i the Beta(i, n-i+1) density and W
+    distributed as f^alpha / int f^alpha: (sum_i log I_i - n log I) / (1 - a), a second
+    route beside ``renyi``'s, with I_i = int f_i^alpha dx on the n identity rows and
+    I = int f^alpha dx on a uniform row in one x-space integral."""
     check_alpha(alpha, 1)
     check_count("n", n, 1)
     if n == 1:
         return _closed(0.0)
-    # the gap is scale-free
-    rss, srs = renyi_designs([Design("rss", n), Design("srs", n)], dist.standard(), alpha, cfg, True)
-    return replace(rss, value=rss.value - srs.value, error_estimate=rss.error_estimate + srs.error_estimate)
+    std = dist.standard()  # the gap is scale-free; a uniform row's judged weight is exactly 1
+    log_pdf = judged_log_pdf(std, np.vstack([ranking_error.identity(n).entries, ranking_error.uniform(n).entries[:1]]))
+    r = integrate_support(lambda x: np.exp(alpha * log_pdf(x)), std.support, cfg)
+    (I, e), om = (r.value, r.error_estimate), 1.0 - alpha
+    if not np.all(I > 0):
+        raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
+    value, error = np.log(I[:n]).sum() - n * math.log(I[n]), np.sum(e[:n] / I[:n]) + n * e[n] / I[n]
+    return replace(r, value=float(value / om), error_estimate=float(error / -om))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def kl_srs_vs_design(
     else:
         term, what = lambda lw, F, S: -lw, "KL integrand is not finite"
         (res,) = _route([design.matrix], None if force_numeric else _kl_closed_form, term, cfg, what)
-    return res.scaled(design.m)
+    return res
 
 
 def kl_two_sample(
@@ -373,7 +374,7 @@ def kl_two_sample(
         return np.where(wx > 0.0, wx * bracket, 0.0)
 
     r = _of_term(term, rows_x, cfg, "two-sample KL integrand is not integrable")
-    return _weighted(r.value, r.error_estimate, counts, r).scaled(design_x.m)
+    return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def kld_symmetric(

@@ -116,14 +116,14 @@ class QuadratureResult:
     converged: bool
     method: str = "quadrature"
 
-    def scaled(self, m: int, shift: float = 0.0) -> "QuadratureResult":
-        """m cycles of this one-cycle result, each moved by ``shift``: the
-        n log(scale) a Shannon or Renyi value of the standard law lacks.  The
-        error gains one ulp each of the shift and of the moved value."""
-        if m == 1 and shift == 0.0:
+    def scaled(self, shift: float) -> "QuadratureResult":
+        """This result moved by ``shift``: the n log(scale) a Shannon or Renyi
+        value of the standard law lacks.  The error gains one ulp each of the
+        shift and of the moved value."""
+        if shift == 0.0:
             return self
         value = self.value + shift
-        return replace(self, value=value * m, error_estimate=(self.error_estimate + math.ulp(shift) + math.ulp(value)) * m)
+        return replace(self, value=value, error_estimate=self.error_estimate + math.ulp(shift) + math.ulp(value))
 
 
 _WK_FLOOR = 50.0 * np.finfo(float).eps * _WK  # rounding floor: 50 eps * K15 integral of |f|

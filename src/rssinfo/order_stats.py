@@ -12,7 +12,8 @@ every rank the rows use.  A row is read by its least entry f.  A uniform row
 weighs exactly 0; uniform rows alone give a read-only broadcast 0, which
 allocates nothing.  As the n Beta densities B_r sum to n, f > 0 gives a sum of
 positive terms, each B_r at most n: log(n f + sum_r (p_r - f) B_r), one
-matmul, or a product where the rows read one rank.
+matmul, or where each row reads one rank (a blend, a 2x2) that rank's B_r
+picked by index and scaled, which is the matmul bit for bit and calls no BLAS.
 With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
 max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
 exact integers, tabled per n under ``ranking_error.memo``'s bound; 0**0 = 1 at
@@ -92,8 +93,12 @@ def _kernel(rows):
     if floored.size:  # n f + sum_r (p_r - f) B_r: each Beta density B_r is at most n
         f = floor[floored]
         Q, nf = p[floored] - f, n * f
-        mul = np.multiply if Q.shape[1] == 1 else np.matmul  # one rank: a product, bit for bit the matmul
-        parts.append((floored, lambda beta: np.log(mul(Q, np.exp(beta + log_c)) + nf)))
+        if (kind[floored] == 4).all():  # one rank a row: its B_r picked by index and scaled, bit for bit the matmul
+            at, q = Q.argmax(axis=1), Q.max(axis=1, keepdims=True)
+            pick = slice(None) if len(r) == 1 or at.tolist() == list(range(len(r))) else at
+            parts.append((floored, lambda beta: np.log(q * np.exp(beta + log_c)[pick] + nf)))
+        else:
+            parts.append((floored, lambda beta: np.log(np.matmul(Q, np.exp(beta + log_c)) + nf)))
     if one_hot.size:  # the kernel plus each row's coefficient, in place on a view of it: so it comes last
         true = p[one_hot].argmax(axis=1)  # the kernel row of each one's true rank
         hot, hot_c = slice(None) if true.tolist() == list(range(len(r))) else true, log_c[true]

@@ -32,8 +32,9 @@ Every mapped integral is folded: ``integrate_unit`` takes int_0^1 g(F, S) du,
 F = u, S = 1 - u, onto (0, 1/2) as g(s, 1-s) + g(1-s, s), both ends at s -> 0
 where floats are dense, through s = (t/T)^4 / 2, which turns s^-p into
 t^(3-4p), bounded for p <= 3/4.  It puts u in (0.158, 1/2), the bulk of
-every law, in t > 3T/4, so its first call evaluates the four panels split at
-T (1/2, 3/4, 7/8), the splits bisection would make first.  The half line,
+every law, in t > 3T/4, so its first call evaluates the six panels split at
+T (1/4, 1/2, 5/8, 3/4, 7/8), 180 u points: the four split at T (1/2, 3/4, 7/8)
+and the splits of (0, T/2) and (T/2, 3T/4) that bisection makes first.  The half line,
 the real line and a finite (a, b) are the maps x = a + F/S, (F - S) / (4 F S)
 and a S + b F of u; near an end other than 0, x rounds onto that end and f is
 evaluated there.
@@ -281,7 +282,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
 
 # T = 2^-764 keeps s = (t/T)^4 / 2 a normal float at the engine's smallest t, near 2^-1018.87
 _T = 2.0**-764
-_BREAKS = (0.5 * _T, 0.75 * _T, 0.875 * _T)  # where bisection from (0, T) splits first
+_BREAKS = (0.25 * _T, 0.5 * _T, 0.625 * _T, 0.75 * _T, 0.875 * _T)  # where bisection from (0, T) splits first
 
 
 @memo(lambda t: 5 * t.nbytes)
@@ -295,9 +296,9 @@ def _fold(t):
 def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureResult:
     """int_0^1 g(F, S) du, folded; g takes both halves in one call and
     returns (m,) or (k, m), and any other shape raises InputError.  The first
-    call evaluates the panels of (0, T) split at T (1/2, 3/4, 7/8), 120 u
-    points; a subdivision budget below 3 keeps a prefix of those splits, and
-    each split counts as a subdivision.
+    call evaluates the six panels of (0, T) split at T (1/4, 1/2, 5/8, 3/4, 7/8),
+    180 u points; a subdivision budget below 5 keeps a prefix of those splits,
+    and each split counts as a subdivision.
     F and S are read-only arrays shared by every integral on the same panels.
 
     The engine integrates against 2 (t/T)^3 = T ds/dt, which cannot overflow:

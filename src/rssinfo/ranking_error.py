@@ -13,8 +13,8 @@ MEMO_BYTES; ``two_by_two`` and ``from_csv`` are not.  Entries are read-only and 
 ``order_stats`` and ``measures``, of ``quadrature``'s panel tables and of the alpha-free
 integrand values on them: keyed by value, read-only values, the last MEMO_SIZE entries,
 each of at most MEMO_BYTES of data, so at most 8 MiB a memo.  The default scan fills 35
-blends, 14 row sets, 14 kernels, 6 panel sets and, on them, 49 row sets' log weights and
-19 parent laws' log densities.
+blends, 14 row sets, 14 kernels, 4 panel sets and, on them, 21 row sets' log weights and
+11 parent laws' log densities; 4 more row sets' log weights pass over the bound.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InputError, check_count, check_rank, check_unit
 
 _TOL = 1e-12
-MEMO_SIZE = 256  # entries a memo keeps; the default scan needs at most 49, its log weights
+MEMO_SIZE = 256  # entries a memo keeps; the default scan needs at most 35, its blends
 MEMO_BYTES = 1 << 15  # the most data an entry keeps: a 64 x 64 matrix or 256 panels' nodes; larger ones are built anew
 
 

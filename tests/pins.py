@@ -6,6 +6,8 @@ case's record with its entry in pins.json, bit for bit.  ``python tests/pins.py`
 recomputes every case, prints one line per moved field (``moves``) and rewrites
 pins.json only if each moved field stays within its bar; a case new to the table
 is added and one gone from it dropped.  Otherwise it writes nothing and exits 1.
+A moved field with no bar names the table/case entry to delete from pins.json, so
+that the next run records the case anew.
 """
 
 import json
@@ -185,7 +187,7 @@ def moves(old: dict, new: dict) -> list[tuple[str, bool]]:
                     elif field == "converged":
                         out.append((f"{where}, converged turned {b}", not b))
                     elif field not in _BARS:
-                        out.append((f"{where}, a field with no bar", True))
+                        out.append((f"{where}, a field with no bar: delete the {table}/{name} entry to re-record the case", True))
                     else:
                         bar_field, bar_of = _BARS[field]
                         bar = bar_of(float.fromhex(_list(was[bar_field])[k]), float.fromhex(_list(now[bar_field])[k]))

@@ -877,20 +877,24 @@ def test_each_kernel_is_built_once_per_scan_and_figure():
 
 
 def test_alpha_free_values_are_computed_once_per_panel_set():
-    # the default scan's 168 integrals make 266 integrand calls (168 first calls on one
-    # shared panel set, 98 splits on 5 more), each reading the kernel values and the
-    # parent's once: 266 lookups each of 49 (row set, panel set) pairs (14 row sets on the
-    # first panel set, 35 on split ones) and of 19 (family, panel set) pairs (4 first, 15 split)
+    # the default scan's 168 integrals make 187 integrand calls (168 first calls on one
+    # shared panel set, 19 splits on 3 more), each reading the kernel values and the
+    # parent's once: 187 lookups of 11 (family, panel set) pairs (4 first, 7 split), and
+    # of (row set, panel set) pairs.  On the first panel set's 180 points four row sets
+    # pass over MEMO_BYTES and are computed anew, not kept: 4n rows for n = 6, 7, 8 on
+    # norm and weibull (4n x 180 x 8 B > 32 KiB from n = 6) and 3n rows for n = 8 on unif
+    # and exp, whose identity leg is closed, in 48 lookups.  The other 139 lookups read 21
+    # pairs (10 row sets on the first panel set, 11 on split ones)
     M._log_weights.cache_clear()
     M._log_pdf_at_quantile.cache_clear()
     run_conjecture_scan(ScanGrid(), DEFAULT_CONFIG)
-    assert M._log_weights.cache_info()[:2] == (266 - 49, 49)  # hits, misses
-    assert M._log_pdf_at_quantile.cache_info()[:2] == (266 - 19, 19)
-    # figure 2a: one row set and one law over 48 integrals, 104 calls on 24 panel sets
+    assert M._log_weights.cache_info()[:2] == (187 - 48 - 21, 21)  # hits, misses
+    assert M._log_pdf_at_quantile.cache_info()[:2] == (187 - 11, 11)
+    # figure 2a: one row set and one law over 48 integrals, 96 calls on 23 panel sets
     M._log_weights.cache_clear()
     M._log_pdf_at_quantile.cache_clear()
     figure_curve("2a", 48)
-    assert M._log_weights.cache_info()[:2] == M._log_pdf_at_quantile.cache_info()[:2] == (104 - 24, 24)
+    assert M._log_weights.cache_info()[:2] == M._log_pdf_at_quantile.cache_info()[:2] == (96 - 23, 23)
 
 
 def _fold_tables():

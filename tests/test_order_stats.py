@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,6 +198,61 @@ def test_judged_log_weight_stack_matches_rows():
     # a scalar survival broadcasts against the cdf's grid
     half = judged_log_weight(rows)(u, 0.5)
     np.testing.assert_array_equal(half, judged_log_weight(rows)(u, np.full_like(u, 0.5)))
+
+
+def _dense_reference(rows, B):
+    """log(n f + (p - f) . B) of each row p with least entry f, by an explicit dense np.matmul
+    over every rank; B holds each rank's Beta density exp(beta + log c) at the levels."""
+    rows = np.atleast_2d(rows)
+    f = rows.min(axis=1, keepdims=True)
+    return np.log(np.matmul(rows - f, B) + rows.shape[1] * f)
+
+
+def _beta_densities(n, F, S):
+    """exp(beta + log c) of every rank: the identity's kernel adds each coefficient to the same Beta log kernel."""
+    return np.exp(judged_log_weight(np.eye(n))(F, S))
+
+
+FLOORED_ONE_RANK = {
+    **{f"blend-{n}": (lambda n=n: re.blend(n, 0.3).entries) for n in (2, 3, 8, 50, 65)},
+    # the scan's distinct rows of three blends: each rank's row read three times, picked by index
+    **{f"blends-{n}": (lambda n=n: np.vstack([re.blend(n, w).entries for w in (0.75, 0.5, 0.25)])) for n in (3, 8, 50)},
+    "2x2": lambda: re.two_by_two(0.3).entries,
+}
+
+
+@pytest.mark.parametrize("case", list(FLOORED_ONE_RANK))
+def test_floored_rows_reading_one_rank_pick_it_bit_for_bit_as_the_matmul(case):
+    # each such row has one non-zero term, so picking its rank's Beta density and scaling it is
+    # the dense matmul bit for bit, with no BLAS call: on the first panel set's levels, and on a
+    # Monte Carlo block whole (up to n = 8) and one row at a time, as the oracle reads it (ranks
+    # 1, n // 2 + 1 and n: the S-only, two-sided and F-only kernel rows)
+    from rssinfo import quadrature as Q
+
+    rows = FLOORED_ONE_RANK[case]()
+    n = rows.shape[1]
+    panels = Q._fold(Q._nodes((0.0, *Q._BREAKS, Q._T))[1])[:2]
+    u = np.random.default_rng(2024).random(mc_oracle._BLOCK)
+    block = (u, 1.0 - u)
+    B_panels, B_block = _beta_densities(n, *panels), _beta_densities(n, *block)
+    checks = [(rows, panels, B_panels)] + [(rows[i], block, B_block) for i in (0, n // 2, n - 1)]
+    if n <= 8:
+        checks.append((rows, block, B_block))
+    for part, (F, S), B in checks:
+        expected = _dense_reference(part, B)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+            got = order_stats._kernel.__wrapped__(np.asarray(part, dtype=float))(F, S)
+        assert not matmul.called, case
+        assert got.tobytes() == expected.reshape(got.shape).tobytes(), case
+
+
+def test_floored_rows_reading_several_ranks_keep_the_matmul():
+    P = re.RankingErrorMatrix(np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]]))
+    u = np.random.default_rng(7).random(1000)
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+        got = order_stats._kernel.__wrapped__(P.entries)(u, 1.0 - u)
+    assert matmul.call_count == 1
+    assert got.tobytes() == _dense_reference(P.entries, _beta_densities(3, u, 1.0 - u)).tobytes()
 
 
 KERNEL_U = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])

@@ -41,11 +41,12 @@ def test_a_monte_carlo_estimate_may_move_three_sigma_but_not_six():
 
 
 def test_a_value_with_no_bar_may_not_move():
+    # each refusal names the entry whose deletion lets the next run record the case anew
     for field in _ROW:
         (line,) = _refused("identity_row", _ROW, _moved(_ROW, field, math.ulp(1.5)))
-        assert line.endswith("a field with no bar"), line
+        assert line.endswith("a field with no bar: delete the identity_row/case entry to re-record the case"), line
     (line,) = _refused("scan", _SCAN, _SCAN | {"matrix": ["blend=0.25"]})
-    assert line.endswith("a field with no bar"), line
+    assert line.endswith("a field with no bar: delete the scan/case entry to re-record the case"), line
     assert _refused("scan", _SCAN, _SCAN | {"matrix": ["blend=0.5", "uniform"]}) == ["scan case: its fields changed shape"]
 
 

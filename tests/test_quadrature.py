@@ -1,16 +1,19 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import pins
+from rssinfo import measures as M
 from rssinfo import quadrature as Q
-from rssinfo.closed_form import d_n, k_direct
+from rssinfo.closed_form import d_n, h_uniform_order, k_direct
 from rssinfo.distributions import Exponential, Normal, Support, Uniform
 from rssinfo.errors import DivergentIntegralError, InputError
 from rssinfo import ranking_error as re
 from rssinfo.measures import Design, kl_srs_vs_design, renyi, shannon
+from rssinfo.order_stats import beta_order_pdf
 from rssinfo.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -275,14 +278,14 @@ def _first_call(cfg):
     return sizes, integrate_unit(g, cfg, "test")
 
 
-def test_folded_first_call_evaluates_four_panels():
-    # the panels between 0, T/2, 3T/4, 7T/8 and T, 15 nodes each, every node
-    # a u in both fold halves; each later call splits one panel
+def test_folded_first_call_evaluates_six_panels():
+    # the panels between 0, T/4, T/2, 5T/8, 3T/4, 7T/8 and T, 15 nodes each, every
+    # node a u in both fold halves (180 u points); each later call splits one panel
     sizes, r = _first_call(DEFAULT_CONFIG)
-    assert sizes[0] == 4 * 15 * 2 and set(sizes[1:]) <= {2 * 15 * 2}
-    assert r.subdivisions_used == 3 + len(sizes) - 1  # leaves - 1
+    assert sizes[0] == 6 * 15 * 2 and set(sizes[1:]) <= {2 * 15 * 2}
+    assert r.subdivisions_used == 5 + len(sizes) - 1  # leaves - 1
     # the breaks are a prefix capped by the budget, each one a subdivision
-    for budget, panels in ((1, 2), (2, 3), (3, 4)):
+    for budget, panels in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)):
         sizes, r = _first_call(QuadratureConfig(max_subdivisions=budget))
         assert sizes == [panels * 15 * 2] and r.subdivisions_used == budget, (budget, sizes)
     # a direct call starts from the one panel (a, b)
@@ -330,6 +333,25 @@ def test_engine_cases_are_pinned_bit_for_bit(case):
     assert pins.CASES["engine"][case]() == pins.stored("engine", case)
 
 
+def test_tight_order_stat_entropies_take_one_integrand_call():
+    # the first call's six panels hold the splits bisection makes first, so every
+    # term H(U(i:n)) of k(n), n = 2..8, meets the TIGHT tolerance on that call alone
+    tight = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
+    for n in range(2, 9):
+        for i in range(1, n + 1):
+            calls = []
+            r = entropy_integral(lambda u: calls.append(u.size) or beta_order_pdf(n, i, u), Uniform.support, tight)
+            assert len(calls) == 1 and r.converged, (n, i, calls, r)
+            assert abs(r.value - h_uniform_order(n, i)) <= r.error_estimate, (n, i, r)
+    # forced u-space d_2 splits at most four panels after the first call
+    calls = []
+    unit = M.integrate_unit
+    with mock.patch.object(M, "integrate_unit", lambda g, *a, **k: unit(lambda F, S: calls.append(F.size) or g(F, S), *a, **k)):
+        r = kl_srs_vs_design(Design("rss", 2), cfg=tight, force_numeric=True)
+    assert r.converged and 1 <= len(calls) <= 5 and r.subdivisions_used == 5 + len(calls) - 1, (calls, r)
+    assert abs(r.value - d_n(2)) <= r.error_estimate, r
+
+
 def test_smooth_unit_integral_calls_g_once_and_builds_its_tables_once():
     calls = []
 
@@ -338,10 +360,10 @@ def test_smooth_unit_integral_calls_g_once_and_builds_its_tables_once():
         return F * S * (1.0 + F)
 
     first = integrate_unit(g, DEFAULT_CONFIG, "test")
-    assert calls == [120] and first.subdivisions_used == 3 and first.converged
+    assert calls == [180] and first.subdivisions_used == 5 and first.converged
     nodes, fold = Q._nodes.cache_info(), Q._fold.cache_info()
     again = integrate_unit(g, DEFAULT_CONFIG, "test")
-    assert calls == [120, 120] and again == first
+    assert calls == [180, 180] and again == first
     for before, after in ((nodes, Q._nodes.cache_info()), (fold, Q._fold.cache_info())):
         assert after.misses == before.misses and after.hits > before.hits
 

@@ -15,7 +15,7 @@ from .distributions import (
     Weibull,
     parse_distribution,
 )
-from .measures import Design, MeasureResult
+from .measures import Design
 from .quadrature import QuadratureConfig, QuadratureResult
 from .ranking_error import RankingErrorMatrix
 
@@ -23,7 +23,6 @@ __all__ = [
     "Design",
     "Distribution",
     "Exponential",
-    "MeasureResult",
     "Normal",
     "QuadratureConfig",
     "QuadratureResult",

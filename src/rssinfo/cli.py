@@ -21,9 +21,8 @@ import sys
 from . import closed_form, measures, mc_oracle, ranking_error
 from .distributions import parse_distribution
 from .errors import InputError, check_count
-from .measures import Design
 from .quadrature import QuadratureConfig
-from .ranking_error import parse_matrix
+from .ranking_error import RankingErrorMatrix, parse_matrix
 from .reports import DEFAULT_SCAN_ALPHAS, DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, DEFAULT_SCAN_NS  # noqa: F401  (perfbench reads cli.DEFAULT_SCAN_*)
 from .reports import ScanGrid, figure_curve, run_conjecture_scan, run_errata_checks
 
@@ -44,13 +43,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def parse_design(spec: str, matrix_path: str | None = None) -> Design:
-    """Parse ``kind:N[:matrix]`` design specs, e.g. ``rss:3`` or ``irss:2:p12=0.25``.
+def parse_design(spec: str, matrix_path: str | None = None) -> RankingErrorMatrix:
+    """The ranking-error matrix of a ``kind:N[:matrix]`` design spec, e.g.
+    ``rss:3`` or ``irss:2:p12=0.25``.
 
     The matrix segment is a builtin (identity, uniform, blend=W, p12=V) or a
     CSV path; ``--error-matrix`` supplies it instead, never as well.
-    ``Design`` decides which kinds take a matrix: irss needs one, srs and rss
-    take none.
+    ``measures.Design`` decides which kinds take a matrix: irss needs one,
+    srs and rss take none.
     """
     kind, *parts = spec.strip().split(":", 2)
     if not parts:
@@ -67,7 +67,7 @@ def parse_design(spec: str, matrix_path: str | None = None) -> Design:
         P = ranking_error.from_csv(matrix_path)
     else:
         P = None
-    return Design(kind, n, P)
+    return measures.Design(kind, n, P)
 
 
 # config-file key quad.x_y and its flag --quad-x-y: (QuadratureConfig field, also the flag's dest; type)
@@ -195,7 +195,7 @@ def cmd_measure(args) -> tuple[list[dict], int]:
         oracle = functools.partial(mc_oracle.mc_renyi, design, dist, args.alpha)
     else:
         res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
-        oracle = functools.partial(mc_oracle.mc_kl, Design("srs", design.n), dist, design, dist)
+        oracle = functools.partial(mc_oracle.mc_kl, ranking_error.uniform(design.n), dist, design, dist)
     spec = args.design if args.error_matrix is None else f"{args.design}:{args.error_matrix}"
     rec = measures.result_record(args.measure, spec, args.dist, res, args.alpha)
     if args.oracle:

@@ -51,7 +51,7 @@ def check_dimension(dim: int, n: int) -> None:
         raise InputError(f"error matrix dimension {dim} does not match n = {n}")
 
 
-def check_shared(designs) -> None:
-    """Designs measured together share the set size n."""
-    if len({d.n for d in designs}) > 1:
+def check_shared(matrices) -> None:
+    """Ranking-error matrices measured together share the set size n."""
+    if len({P.n for P in matrices}) > 1:
         raise InputError("designs must share the set size n")

@@ -1,14 +1,14 @@
 """Independent Monte Carlo verification layer.
 
 Simulates SRS / RSS / imperfect-RSS draws and estimates every measure
-without touching the quadrature engine.  A design is read only through its
-ranking-error matrix (SRS is the uniform matrix, perfect RSS the identity):
-the sampler takes its uniform level from the judged rank's row, and the
-plug-in estimators score each level where it is drawn: the ``order_stats``
-kernel read at the level u and 1 - u themselves, plus the parent's log density
-at the draw x = Q(u), so no cdf or survival is taken of x.  The Vasicek
-spacing estimator is the formula-free cross-check that shares no density code
-with the rest of the package.
+without touching the quadrature engine.  Every estimator takes a design as
+its ranking-error matrix (SRS is the uniform matrix, perfect RSS the
+identity): the sampler takes its uniform level from the judged rank's row,
+and the plug-in estimators score each level where it is drawn: the
+``order_stats`` kernel read at the level u and 1 - u themselves, plus the
+parent's log density at the draw x = Q(u), so no cdf or survival is taken of
+x.  The Vasicek spacing estimator is the formula-free cross-check that shares
+no density code with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
 own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe
@@ -34,7 +34,6 @@ import numpy as np
 from . import ranking_error
 from .distributions import Distribution
 from .errors import InputError, check_alpha, check_count, check_dimension, check_shared
-from .measures import Design
 from .order_stats import judged_log_pdf, judged_log_weight
 from .ranking_error import RankingErrorMatrix
 
@@ -214,18 +213,18 @@ def _log_pdf(dist: Distribution, row: np.ndarray):
     return lambda u, out: np.add(log_weight(u), dist.log_pdf(dist.quantile(u)), out=out)
 
 
-def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, *stats: stats[:2], log_scale=False):
+def _sum_components(design: RankingErrorMatrix, sim: SimConfig, value, summary=lambda i, *stats: stats[:2], log_scale=False):
     """The sum over components i of ``summary(i, *stats)``, an
     (estimate, std_error) pair from the ``_reduce`` stats of the per-draw values
     that ``value(i, row)``, called as (u, out), writes at the levels drawn from
     the component's own spawned stream; errors add in quadrature.  Each block,
     at most _BLOCK draws, is scored into the one reused buffer and reduced
     before the next is drawn."""
-    P, m = design.matrix, sim.replications
+    m = sim.replications
     buf = np.empty(min(m, _BLOCK))
     total = var = 0.0
     for i, seed in enumerate(np.random.SeedSequence(sim.seed).spawn(design.n), start=1):
-        score, levels = value(i, P.row(i)), _levels(P.row(i), np.random.Generator(np.random.PCG64(seed)), m)
+        score, levels = value(i, design.row(i)), _levels(design.row(i), np.random.Generator(np.random.PCG64(seed)), m)
         scored = ((start, score(u, buf[: u.size])) for start, u in levels)
         est, se = summary(i, *_reduce(scored, m, log_scale))
         total += est
@@ -233,14 +232,14 @@ def _sum_components(design: Design, sim: SimConfig, value, summary=lambda i, *st
     return EstimateResult(total, math.sqrt(var), m)
 
 
-def mc_entropy(design: Design, dist: Distribution, sim: SimConfig = SimConfig()) -> EstimateResult:
+def mc_entropy(design: RankingErrorMatrix, dist: Distribution, sim: SimConfig = SimConfig()) -> EstimateResult:
     """Plug-in Shannon estimate: minus the mean log-density at simulated draws,
     summed over sample components."""
     mean_log_f = _sum_components(design, sim, lambda i, row: _log_pdf(dist, row))
     return EstimateResult(-mean_log_f.estimate, mean_log_f.std_error, mean_log_f.replications)
 
 
-def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:
+def mc_renyi(design: RankingErrorMatrix, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:
     """Renyi estimate via E[g^(alpha-1)] per component (delta-method errors), on a
     log scale: each draw keeps (alpha - 1) log g, less the largest so far."""
     check_alpha(alpha)
@@ -257,9 +256,9 @@ def mc_renyi(design: Design, dist: Distribution, alpha: float, sim: SimConfig = 
 
 
 def mc_kl(
-    design_x: Design,
+    design_x: RankingErrorMatrix,
     dist_f: Distribution,
-    design_y: Design,
+    design_y: RankingErrorMatrix,
     dist_g: Distribution,
     sim: SimConfig = SimConfig(),
 ) -> EstimateResult:
@@ -268,14 +267,13 @@ def mc_kl(
     the two kernels read the same level; otherwise g's reads G and its
     survival at the draw."""
     check_shared((design_x, design_y))
-    P_y = design_y.matrix
 
     def value(i, row):
         log_w = _log_weight(row)
         if dist_f == dist_g:
-            log_v = _log_weight(P_y.row(i))
+            log_v = _log_weight(design_y.row(i))
             return lambda u, out: np.subtract(log_w(u), log_v(u), out=out)
-        log_g = judged_log_pdf(dist_g, P_y.row(i))
+        log_g = judged_log_pdf(dist_g, design_y.row(i))
 
         def log_ratio(u, out):
             x = dist_f.quantile(u)

@@ -1,12 +1,13 @@
 """Shannon, Renyi and Kullback-Leibler measures for (distribution, design)
 pairs.
 
-A design is its ranking-error matrix (Dell & Clutter 1972): SRS is the
-uniform matrix, perfect RSS the identity, and ``srs:n`` and ``rss:n`` are
-spellings of them.  Every u-space measure hands one route, ``_route``, its
-designs' matrices, a closed form keyed on the matrix's ``name`` or None
-for the integral (``force_numeric``, to compare the paths), its term
-g(log w, F, S) in the judged log weight and a ``finish``.
+A design is its ranking-error matrix (Dell & Clutter 1972), and every
+measure takes the matrix: SRS is the uniform matrix, perfect RSS the
+identity, and ``Design`` spells them ``srs:n`` and ``rss:n``.  Every u-space
+measure hands one route, ``_route``, its matrices, a closed form keyed on
+the matrix's ``name`` or None for the integral (``force_numeric``, to
+compare the paths), its term g(log w, F, S) in the judged log weight and a
+``finish``.
 The matrices without a closed form share one integral, and so
 ``subdivisions_used``, over their distinct rows, each weighted by its count:
 ``_of_term``, which analyses the rows once per integral.
@@ -45,7 +46,7 @@ Only the memo knows its byte bound; no entry keeps a large kernel alive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,40 +58,19 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult, entr
 from .ranking_error import RankingErrorMatrix
 
 
-@dataclass(frozen=True, init=False)
-class Design:
-    """Sampling design: its ranking-error matrix.
-
-    ``Design(kind, n, P=None)`` spells the matrix: "srs" the uniform matrix,
-    "rss" the identity and "irss" P, which it alone takes and needs.  So a
-    design is its sampling law: ``rss:n`` is ``irss:n:identity`` and
-    ``srs:n`` is ``irss:n:uniform``, and designs compare and hash by their
-    matrix.  n is the matrix's size.
-    """
-
-    matrix: RankingErrorMatrix
-
-    def __init__(self, kind: str, n: int, P: RankingErrorMatrix | None = None):
-        if kind not in ("srs", "rss", "irss"):
-            raise InputError(f"unknown design kind {kind!r}")
-        check_count("set size", n, 1)
-        if (P is None) == (kind == "irss"):
-            raise InputError("imperfect RSS needs a ranking error matrix" if P is None else f"design kind {kind!r} takes no error matrix")
-        if P is None:
-            P = (ranking_error.uniform if kind == "srs" else ranking_error.identity)(n)
-        check_dimension(P.n, n)
-        object.__setattr__(self, "matrix", P)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def spec_string(self) -> str:
-        kind = {"uniform": "srs", "identity": "rss"}.get(self.matrix.name, "irss")
-        return f"{kind}:{self.n}"
-
-
-MeasureResult = QuadratureResult  # the measures' one result type is the engine's
+def Design(kind: str, n: int, P: RankingErrorMatrix | None = None) -> RankingErrorMatrix:
+    """The ranking-error matrix a design spells, which is the design: "srs" the
+    uniform matrix, "rss" the identity and "irss" P, which it alone takes and
+    needs, of size n.  So ``Design("rss", n)`` is ``ranking_error.identity(n)``."""
+    if kind not in ("srs", "rss", "irss"):
+        raise InputError(f"unknown design kind {kind!r}")
+    check_count("set size", n, 1)
+    if (P is None) == (kind == "irss"):
+        raise InputError("imperfect RSS needs a ranking error matrix" if P is None else f"design kind {kind!r} takes no error matrix")
+    if P is None:
+        return (ranking_error.uniform if kind == "srs" else ranking_error.identity)(n)
+    check_dimension(P.n, n)
+    return P
 
 
 def _closed(value: float | None) -> QuadratureResult | None:
@@ -171,7 +151,7 @@ def _log_pdf_at_quantile(law: Distribution, F, S):
 
 
 def shannon(
-    design: Design,
+    design: RankingErrorMatrix,
     dist: Distribution,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
@@ -191,13 +171,13 @@ def shannon(
     _check_mode(mode, ("u", "x"))
     std = dist.standard()
     if mode == "x":
-        rows, (counts,) = _distinct_rows(design.matrix.entries)
+        rows, (counts,) = _distinct_rows(design.entries)
         log_pdf = judged_log_pdf(std, rows)
         r = entropy_integral(lambda x: np.exp(log_pdf(x)), std.support, cfg)
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         term, what = lambda lw, F, S: np.exp(lw) * lw, "shannon integrand is not finite"
-        (d,) = _route([design.matrix], None if force_numeric else _shannon_closed_form, term, cfg, what)
+        (d,) = _route([design], None if force_numeric else _shannon_closed_form, term, cfg, what)
         h = design.n * std.entropy()
         value = h - d.value
         res = replace(d, value=value, error_estimate=d.error_estimate + math.ulp(h) + math.ulp(value))
@@ -234,7 +214,7 @@ _kl_closed_form = _divergence_closed_form(
 
 
 def renyi(
-    design: Design,
+    design: RankingErrorMatrix,
     dist: Distribution,
     alpha: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -245,7 +225,7 @@ def renyi(
 
 
 def renyi_designs(
-    designs: list[Design],
+    designs: list[RankingErrorMatrix],
     dist: Distribution,
     alpha: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -264,7 +244,7 @@ def renyi_designs(
 
     # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du of the standard law; an error names x in ``dist``'s coordinates
     results = _route(
-        [d.matrix for d in designs], None if force_numeric else lambda P: _renyi_closed_form(P, std, alpha),
+        designs, None if force_numeric else lambda P: _renyi_closed_form(P, std, alpha),
         lambda lw, F, S: np.exp(alpha * lw - om * _log_pdf_at_quantile(std, F, S)),
         cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=finish,
     )
@@ -316,7 +296,7 @@ def renyi_gap_binomial(
 
 
 def kl_srs_vs_design(
-    design: Design,
+    design: RankingErrorMatrix,
     dist: Distribution | None = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
@@ -335,7 +315,7 @@ def kl_srs_vs_design(
         if dist is None:
             raise InputError("x-space verification mode needs a distribution")
         std = dist.standard()
-        rows, (counts,) = _distinct_rows(design.matrix.entries)
+        rows, (counts,) = _distinct_rows(design.entries)
         log_weight = judged_log_weight(rows)
 
         def integrand(x):
@@ -346,41 +326,47 @@ def kl_srs_vs_design(
         res = _weighted(r.value, r.error_estimate, counts, r)
     else:
         term, what = lambda lw, F, S: -lw, "KL integrand is not finite"
-        (res,) = _route([design.matrix], None if force_numeric else _kl_closed_form, term, cfg, what)
+        (res,) = _route([design], None if force_numeric else _kl_closed_form, term, cfg, what)
     return res
 
 
 def kl_two_sample(
-    design_x: Design,
+    design_x: RankingErrorMatrix,
     dist_f: Distribution,
-    design_y: Design,
+    design_y: RankingErrorMatrix,
     dist_g: Distribution,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
     """K between the joint laws of two same-size samples.
 
     Componentwise: sum_i int px_i log(px_i / py_i), computed in the u-space
-    of the X-side law.  Raises DivergentIntegralError on support mismatch.
+    of the X-side law; on one law both sides' judged weights read the same
+    (F, S), with no round trip through x.  Raises DivergentIntegralError on
+    support mismatch.
     """
     check_shared((design_x, design_y))
     # each distinct pair of rows, the X side's then the Y side's, is one component
-    rows, (counts,) = _distinct_rows(np.hstack([design_x.matrix.entries, design_y.matrix.entries]))
+    rows, (counts,) = _distinct_rows(np.hstack([design_x.entries, design_y.entries]))
     rows_x, rows_y = np.hsplit(rows, [design_x.n])
-    log_py = judged_log_pdf(dist_g, rows_y)
+    if dist_f == dist_g:  # one law: its density cancels, and both kernels read the one (F, S)
+        log_wy = judged_log_weight(rows_y)
+        bracket = lambda lx, F, S: lx - _log_weights(log_wy, rows_y, F, S)
+    else:
+        log_py = judged_log_pdf(dist_g, rows_y)
+        bracket = lambda lx, F, S: lx + _log_pdf_at_quantile(dist_f, F, S) - log_py(dist_f.quantile(F, S))
 
     def term(lx, F, S):
         wx = np.exp(lx)
-        bracket = lx + _log_pdf_at_quantile(dist_f, F, S) - log_py(dist_f.quantile(F, S))
-        return np.where(wx > 0.0, wx * bracket, 0.0)
+        return np.where(wx > 0.0, wx * bracket(lx, F, S), 0.0)
 
     r = _of_term(term, rows_x, cfg, "two-sample KL integrand is not integrable")
     return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def kld_symmetric(
-    design_x: Design,
+    design_x: RankingErrorMatrix,
     dist_f: Distribution,
-    design_y: Design,
+    design_y: RankingErrorMatrix,
     dist_g: Distribution,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
@@ -416,7 +402,7 @@ def a_n(
         r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
         c = n * (n - 1)
         return QuadratureResult(-0.5 * c - c * r.value, c * r.error_estimate, r.subdivisions_used, r.converged)
-    rss, srs = (kl_two_sample(Design(kind, n), dist_f, Design(kind, n), dist_g, cfg) for kind in ("rss", "srs"))
+    rss, srs = (kl_two_sample(P, dist_f, P, dist_g, cfg) for P in (ranking_error.identity(n), ranking_error.uniform(n)))
     return _joined(rss, srs, -1.0)
 
 

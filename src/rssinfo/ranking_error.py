@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_count, check_rank, check_unit
+from .errors import InputError, check_count, check_dimension, check_rank, check_unit
 
 _TOL = 1e-12
 MEMO_SIZE = 256  # entries a memo keeps; the default scan needs at most 35, its blends
@@ -87,7 +87,8 @@ class RankingErrorMatrix:
     summing to 1; construction checks the copy it freezes and names it, as
     ``parse_matrix`` spells the two every measure has closed forms for:
     "uniform" (1 x 1 included), "identity" or "".  It compares and hashes by
-    its entries' shape and values."""
+    its entries' shape and values.  A matrix is a design: SRS is the uniform
+    matrix and perfect RSS the identity."""
 
     entries: np.ndarray
     name: str = field(init=False, repr=False)
@@ -123,6 +124,11 @@ class RankingErrorMatrix:
         """Mixture weights for judged rank i (1-based)."""
         check_rank(self.n, i)
         return self.entries[i - 1]
+
+    def spec_string(self) -> str:
+        """The design's spelling read from the name: ``srs:n``, ``rss:n`` or ``irss:n``."""
+        kind = {"uniform": "srs", "identity": "rss"}.get(self.name, "irss")
+        return f"{kind}:{self.n}"
 
 
 validate = RankingErrorMatrix  # the constructor is the check, under the name that says so
@@ -180,7 +186,7 @@ def from_csv(path) -> RankingErrorMatrix:
 
 def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
     """An n x n matrix from a spec: ``identity``, ``uniform``, ``blend=W``,
-    ``p12=V`` (2 x 2), or a CSV path; ``Design`` checks its size."""
+    ``p12=V`` (2 x 2), or a CSV path; a ``p12`` or CSV matrix of another size is an error."""
     spec = spec.strip()
     try:
         if spec == "identity":
@@ -189,8 +195,9 @@ def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
             return uniform(n)
         if spec.startswith("blend="):
             return blend(n, float(spec[len("blend=") :]))
-        if spec.startswith("p12="):
-            return two_by_two(float(spec[len("p12=") :]))
+        P = two_by_two(float(spec[len("p12=") :])) if spec.startswith("p12=") else None
     except ValueError as exc:
         raise MatrixValidationError(f"bad matrix spec {spec!r}: {exc}") from exc
-    return from_csv(spec)
+    P = from_csv(spec) if P is None else P
+    check_dimension(P.n, n)
+    return P

@@ -12,7 +12,6 @@ import numpy as np
 from . import closed_form, measures, ranking_error
 from .distributions import Exponential, parse_distribution
 from .errors import InputError, check_alpha, check_count
-from .measures import Design
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, integrate_unit
 
 DEFAULT_SCAN_FAMILIES = ("unif", "exp:1", "norm:0,1", "weibull:2,1")
@@ -62,7 +61,7 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
     report = ScanReport()
     for family, dist in zip(grid.families, dists):
         for n in grid.ns:
-            designs = [Design("irss", n, ranking_error.parse_matrix(spec, n)) for spec in specs]
+            designs = [ranking_error.parse_matrix(spec, n) for spec in specs]
             for alpha in grid.alphas:
                 leg = dict(zip(specs, measures.renyi_designs(designs, dist, alpha, cfg)))
                 srs, rss = leg["uniform"], leg["identity"]
@@ -122,8 +121,7 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     #    limit misses d_n; without it the limit is exact.  The identity's
     #    closed form is d_n itself, so the limit is integrated.
     n = 3
-    design = Design("irss", n, ranking_error.identity(n))
-    base = measures.kl_srs_vs_design(design, cfg=cfg, force_numeric=True).value
+    base = measures.kl_srs_vs_design(ranking_error.identity(n), cfg=cfg, force_numeric=True).value
     rows.append(_errata_row("kl_minus_n_prefactor", n * base, base, closed_form.d_n(n), tol))
 
     # 4. A_n reduced form at n = 2: the printed -1 - 2 int_0^1 [u log G +
@@ -192,9 +190,9 @@ def figure_curve(
     if figure_id not in ("2a", "2b"):
         raise InputError(f"unknown figure id {figure_id!r}")
     dist = Exponential(1.0)
-    reference = Design("srs" if figure_id == "2a" else "rss", 2)  # a closed form
+    reference = (ranking_error.uniform if figure_id == "2a" else ranking_error.identity)(2)  # a closed form
     p11s = (0.8, 0.9, 0.95, 1.0)
-    designs = [reference, *(Design("irss", 2, ranking_error.two_by_two(1.0 - p11)) for p11 in p11s)]
+    designs = [reference, *(ranking_error.two_by_two(1.0 - p11) for p11 in p11s)]
     rows = []
     for alpha in np.linspace(alpha_min, alpha_max, points):
         alpha = float(alpha)

@@ -5,6 +5,7 @@ a name or changes those fields breaks ``perfbench/run.py``; these tests catch
 it without running the benchmark, reading perfbench/ and changing nothing there."""
 
 import importlib.util
+import math
 import re
 import sys
 from pathlib import Path
@@ -76,6 +77,21 @@ def test_traced_measure_runs_and_counts():
     assert tracer.counts["quadrature.integrals"] == 1
     assert tracer.counts["quadrature.integrand_points"] > 0
     assert not hasattr(rssinfo.quadrature.integrate, "_perfbench_traced")  # uninstalled
+
+
+def test_traced_monte_carlo_counts_its_draws():
+    # the tracer's mc_oracle hook binds ``design`` or ``design_x`` by name and reads its ``n``
+    mc, law, rss = rssinfo.mc_oracle, Exponential(1.0), Design("rss", 3)
+    sim = mc.SimConfig(replications=10_000, seed=1)
+    tracer = _tracer_module().Tracer(rssinfo)
+    tracer.install()
+    try:
+        entropy = mc.mc_entropy(rss, law, sim)
+        kl = mc.mc_kl(design_x=Design("srs", 3), dist_f=law, design_y=rss, dist_g=law, sim=sim)
+    finally:
+        tracer.uninstall()
+    assert math.isfinite(entropy.estimate) and math.isfinite(kl.estimate)
+    assert tracer.counts["mc_oracle.draws"] == 2 * sim.replications * rss.n
 
 
 def test_tracer_wraps_the_cached_parser(capsys):

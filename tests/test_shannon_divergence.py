@@ -17,10 +17,11 @@ from rssinfo import measures as M
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential, Normal, Uniform, Weibull, parse_distribution
 from rssinfo.measures import Design
+from rssinfo.quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureResult
 from rssinfo.ranking_error import RankingErrorMatrix
 
 
-def divergence(P: RankingErrorMatrix, force_numeric: bool) -> M.MeasureResult:
+def divergence(P: RankingErrorMatrix, force_numeric: bool) -> QuadratureResult:
     res = M.shannon(Design("irss", P.n, P), Uniform(), force_numeric=force_numeric)
     return replace(res, value=-res.value)
 
@@ -61,9 +62,9 @@ def test_blend_divergence_matches_a_30_digit_oracle(n, w):
 
 
 @st.composite
-def birkhoff_mixtures(draw):
-    """A doubly stochastic matrix as a convex mixture of permutation matrices."""
-    n = draw(st.integers(2, 8))
+def birkhoff_mixtures(draw, max_n=8):
+    """A doubly stochastic matrix of size 2..max_n as a convex mixture of permutation matrices."""
+    n = draw(st.integers(2, max_n))
     perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(perms), max_size=len(perms))))
     weights /= weights.sum()
@@ -81,6 +82,31 @@ def test_divergence_on_birkhoff_mixtures(P, dist):
     x = M.shannon(design, dist, mode="x")
     assert u.converged and x.converged
     assert abs(u.value - x.value) <= u.error_estimate + x.error_estimate
+
+
+TIGHT = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
+ORDERING_LAWS = [parse_distribution(s) for s in ("exp:1", "norm:0,1", "weibull:2,1", "unif", "norm:1e6,1e-6", "exp:1e6")]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(P=birkhoff_mixtures(max_n=50))
+def test_provable_orderings_hold_on_birkhoff_mixtures(P):
+    # for every doubly stochastic P: H(RSS) <= H(IRSS) <= n H(f), the same for H_a at a < 1,
+    # and 0 <= K(SRS || IRSS) <= K(SRS || RSS), each within the summed errors of its two sides
+    identity, uniform = re.identity(P.n), re.uniform(P.n)
+
+    def ordered(*results):
+        assert all(r.converged for r in results), results
+        for lo, hi in zip(results, results[1:]):
+            assert lo.value <= hi.value + lo.error_estimate + hi.error_estimate, (P.entries, lo, hi)
+
+    for cfg in (DEFAULT_CONFIG, TIGHT):
+        kl_rss, kl_irss = M.kl_srs_vs_design(identity, cfg=cfg), M.kl_srs_vs_design(P, cfg=cfg)
+        ordered(QuadratureResult(0.0, 0.0, 0, True), kl_irss, kl_rss)
+        for dist in ORDERING_LAWS:
+            ordered(*(M.shannon(D, dist, cfg) for D in (identity, P, uniform)))
+            for alpha in (0.3, 0.7, 0.95):
+                ordered(*M.renyi_designs([identity, P, uniform], dist, alpha, cfg))
 
 
 @pytest.mark.parametrize("a", [1e-6, 1e6])

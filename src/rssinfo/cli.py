@@ -194,7 +194,7 @@ def cmd_measure(args) -> tuple[list[dict], int]:
         res = measures.renyi(design, dist, args.alpha, cfg, force_numeric=args.force_numeric)
         oracle = functools.partial(mc_oracle.mc_renyi, design, dist, args.alpha)
     else:
-        res = measures.kl_srs_vs_design(design, dist, cfg, force_numeric=args.force_numeric)
+        res = measures.kl_srs_vs_design(design, cfg, force_numeric=args.force_numeric)
         oracle = functools.partial(mc_oracle.mc_kl, ranking_error.uniform(design.n), dist, design, dist)
     spec = args.design if args.error_matrix is None else f"{args.design}:{args.error_matrix}"
     rec = measures.result_record(args.measure, spec, args.dist, res, args.alpha)

@@ -179,6 +179,8 @@ def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None) -> f
     (p22 - p11) term of the printed formula vanishes).
     """
     Exponential(lam)  # checks the rate
+    if kind in ("srs", "rss") and P is not None:
+        raise InputError(f"design kind {kind!r} takes no error matrix")
     if kind == "srs":
         return 2.0 - 2.0 * math.log(lam)
     if kind == "rss":

@@ -11,14 +11,15 @@ x.  The Vasicek spacing estimator is the formula-free cross-check that shares
 no density code with the rest of the package.
 
 Estimates are deterministic given the seed: each sample component gets its
-own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe
-fixes what is drawn from it: a mixed row's true ranks as ``rng.choice`` draws
-them, then rows of n uniforms, ordered as ``np.sort`` orders them.  The levels
-are drawn and scored in blocks of whole batches, at most _BLOCK rows.  A block
-selects only the order statistics its row reads, by min, max and a bitwise
-select, which return their inputs, so each level is bitwise the recipe's.  Each
-block is scored into one reused buffer and reduced at once, so a component
-keeps no m-long array: only a mixed row's true ranks, one byte per draw.
+own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe,
+on a row of the n x n matrix, fixes what is drawn from it: a mixed row's true
+ranks as ``rng.choice`` draws them, then rows of n uniforms, ordered as
+``np.sort`` orders them.  The levels are drawn and scored in blocks of whole
+batches, at most _BLOCK rows.  A block selects only the order statistics its
+row reads, by min, max and a bitwise select, which return their inputs, so each
+level is bitwise the recipe's.  Each block is scored into one reused buffer and
+reduced at once, so a component keeps no m-long array: only a mixed row's true
+ranks, one byte per draw.
 Standard errors are batch means over at least 20 batches of at most 10 000
 draws, so the default 10^6 draws give 100 of 10 000.
 """
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import ranking_error
 from .distributions import Distribution
-from .errors import InputError, check_alpha, check_count, check_dimension, check_shared
+from .errors import InputError, check_alpha, check_count, check_shared
 from .order_stats import judged_log_pdf, judged_log_weight
 from .ranking_error import RankingErrorMatrix
 
@@ -100,17 +101,9 @@ def sample_order_stat(dist: Distribution, n: int, i: int, rng: np.random.Generat
     return _sample(dist, ranking_error.identity_row(n, i), rng, size)
 
 
-def sample_judged(
-    dist: Distribution,
-    n: int,
-    P: RankingErrorMatrix,
-    i: int,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
+def sample_judged(dist: Distribution, P: RankingErrorMatrix, i: int, rng: np.random.Generator, size: int | None = None):
     """Draw from the judged rank-i law: true rank r ~ row i of P, then X_(r),
     the quantile of the levels ``_levels`` draws on row i."""
-    check_dimension(P.n, n)
     return _sample(dist, P.row(i), rng, size)
 
 

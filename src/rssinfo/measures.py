@@ -20,11 +20,12 @@ n H_a(f), wherever int f^alpha is finite, and for the identity on a uniform
 or exponential parent, a sum of Beta integrals at every real alpha.
 ``kl_two_sample`` has no closed form, and its paired rows are no ranking-error
 matrix, so it hands ``_of_term`` their X sides itself.  The derived measures
-keep no integrand of their own: ``a_n(mode="sum")`` is K(RSS_F || RSS_G) less
-K(SRS_F || SRS_G), two ``kl_two_sample`` calls, and ``kld_symmetric`` the sum
-of two.  The ``mode="x"`` verification routes integrate over x instead:
-Shannon is ``entropy_integral`` of the judged densities, KL its own
-integrand of the judged log weights.
+keep no integrand of their own: ``kld_symmetric`` is the sum of two
+``kl_two_sample`` calls, and ``a_n`` keeps only its reduced form, whose
+definition, K(RSS_F || RSS_G) less K(SRS_F || SRS_G), is two more.  Two second
+routes integrate over x instead: ``shannon_x`` is ``entropy_integral`` of the
+judged densities, ``kl_srs_vs_design_x`` its own integrand of the judged log
+weights; neither takes a closed form.
 
 The one-law measures compute on the standard law ``dist.standard()``
 (location 0, scale 1).  Location and scale enter only in
@@ -78,20 +79,6 @@ def _closed(value: float | None) -> QuadratureResult | None:
     1e-13 max(1, |value|), above the 3.1e-14 relative error 40-digit checks
     observe; or None where the closed form declines."""
     return None if value is None else QuadratureResult(value, 1e-13 * max(1.0, abs(value)), 0, True, "closed-form")
-
-
-def _joined(a: QuadratureResult, b: QuadratureResult, sign: float) -> QuadratureResult:
-    """a + sign * b of two quadrature results: errors and subdivisions add,
-    and it converged only if both did."""
-    return QuadratureResult(
-        a.value + sign * b.value, a.error_estimate + b.error_estimate,
-        a.subdivisions_used + b.subdivisions_used, a.converged and b.converged,
-    )
-
-
-def _check_mode(mode: str, modes: tuple[str, ...]) -> None:
-    if mode not in modes:
-        raise InputError(f"unknown mode {mode!r}; expected one of {', '.join(modes)}")
 
 
 @ranking_error.memo()
@@ -155,33 +142,36 @@ def shannon(
     dist: Distribution,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
-    mode: str = "u",
 ) -> QuadratureResult:
-    """Shannon entropy of the full sample under the given design.
+    """Shannon entropy of the full sample under the given design: n H(f) - D(P).
 
-    ``mode='u'`` (default) is n H(f) - D(P).  The columns of a doubly
-    stochastic P sum to 1, so the judged weights w_i sum to n at every u and
-    sum_i int w_i log f(F^-1(u)) du = -n H(f); what is left,
-    D(P) = sum_i int_0^1 w_i log w_i du = K(design || SRS) >= 0, reads the
-    matrix alone; its error, with one ulp each of n H(f) and of the
-    difference, is the value's.  ``mode='x'`` integrates the
-    component densities directly in x-space as a cross-check, never a closed
-    form.
+    The columns of a doubly stochastic P sum to 1, so the judged weights w_i
+    sum to n at every u and sum_i int w_i log f(F^-1(u)) du = -n H(f); what is
+    left, D(P) = sum_i int_0^1 w_i log w_i du = K(design || SRS) >= 0, reads
+    the matrix alone; its error, with one ulp each of n H(f) and of the
+    difference, is the value's.
     """
-    _check_mode(mode, ("u", "x"))
     std = dist.standard()
-    if mode == "x":
-        rows, (counts,) = _distinct_rows(design.entries)
-        log_pdf = judged_log_pdf(std, rows)
-        r = entropy_integral(lambda x: np.exp(log_pdf(x)), std.support, cfg)
-        res = _weighted(r.value, r.error_estimate, counts, r)
-    else:
-        term, what = lambda lw, F, S: np.exp(lw) * lw, "shannon integrand is not finite"
-        (d,) = _route([design], None if force_numeric else _shannon_closed_form, term, cfg, what)
-        h = design.n * std.entropy()
-        value = h - d.value
-        res = replace(d, value=value, error_estimate=d.error_estimate + math.ulp(h) + math.ulp(value))
+    term, what = lambda lw, F, S: np.exp(lw) * lw, "shannon integrand is not finite"
+    (d,) = _route([design], None if force_numeric else _shannon_closed_form, term, cfg, what)
+    h = design.n * std.entropy()
+    value = h - d.value
+    res = replace(d, value=value, error_estimate=d.error_estimate + math.ulp(h) + math.ulp(value))
     return res.scaled(design.n * math.log(dist.scale))
+
+
+def shannon_x(
+    design: RankingErrorMatrix,
+    dist: Distribution,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> QuadratureResult:
+    """``shannon`` by a second route, never a closed form: the component
+    densities' entropies integrated directly in x-space."""
+    std = dist.standard()
+    rows, (counts,) = _distinct_rows(design.entries)
+    log_pdf = judged_log_pdf(std, rows)
+    r = entropy_integral(lambda x: np.exp(log_pdf(x)), std.support, cfg)
+    return _weighted(r.value, r.error_estimate, counts, r).scaled(design.n * math.log(dist.scale))
 
 
 def _divergence_closed_form(identity, two_by_two):
@@ -297,37 +287,37 @@ def renyi_gap_binomial(
 
 def kl_srs_vs_design(
     design: RankingErrorMatrix,
-    dist: Distribution | None = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     force_numeric: bool = False,
-    mode: str = "u",
 ) -> QuadratureResult:
     """K(SRS, design) for a design of the same size and law: 0 for SRS itself.
 
-    The value is distribution-free; the default path is closed for the
-    uniform matrix, the identity and every 2x2 and otherwise computes it
-    entirely in u-space (``dist`` is ignored there).  ``mode='x'`` runs the
-    x-space verification integral on ``dist.standard()`` and requires
-    ``dist``.
+    The value is distribution-free, so no law is taken: closed for the
+    uniform matrix, the identity and every 2x2, and otherwise computed
+    entirely in u-space.
     """
-    _check_mode(mode, ("u", "x"))
-    if mode == "x":
-        if dist is None:
-            raise InputError("x-space verification mode needs a distribution")
-        std = dist.standard()
-        rows, (counts,) = _distinct_rows(design.entries)
-        log_weight = judged_log_weight(rows)
-
-        def integrand(x):
-            f = std.pdf(x)  # below ~1e-300 it kills any log factor; avoid 0 * inf
-            return np.where(f > 1e-300, -f * log_weight(std.cdf(x), std.survival(x)), 0.0)
-
-        r = integrate_support(integrand, std.support, cfg)
-        res = _weighted(r.value, r.error_estimate, counts, r)
-    else:
-        term, what = lambda lw, F, S: -lw, "KL integrand is not finite"
-        (res,) = _route([design], None if force_numeric else _kl_closed_form, term, cfg, what)
+    term, what = lambda lw, F, S: -lw, "KL integrand is not finite"
+    (res,) = _route([design], None if force_numeric else _kl_closed_form, term, cfg, what)
     return res
+
+
+def kl_srs_vs_design_x(
+    design: RankingErrorMatrix,
+    dist: Distribution,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> QuadratureResult:
+    """``kl_srs_vs_design`` by a second route, never a closed form: an
+    x-space integral of the judged log weights on ``dist.standard()``."""
+    std = dist.standard()
+    rows, (counts,) = _distinct_rows(design.entries)
+    log_weight = judged_log_weight(rows)
+
+    def integrand(x):
+        f = std.pdf(x)  # below ~1e-300 it kills any log factor; avoid 0 * inf
+        return np.where(f > 1e-300, -f * log_weight(std.cdf(x), std.survival(x)), 0.0)
+
+    r = integrate_support(integrand, std.support, cfg)
+    return _weighted(r.value, r.error_estimate, counts, r)
 
 
 def kl_two_sample(
@@ -370,9 +360,14 @@ def kld_symmetric(
     dist_g: Distribution,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
-    """Symmetrized divergence K(X, Y) + K(Y, X)."""
-    fwd = kl_two_sample(design_x, dist_f, design_y, dist_g, cfg)
-    return _joined(fwd, kl_two_sample(design_y, dist_g, design_x, dist_f, cfg), 1.0)
+    """Symmetrized divergence K(X, Y) + K(Y, X): errors and subdivisions add,
+    and it converged only if both did."""
+    a = kl_two_sample(design_x, dist_f, design_y, dist_g, cfg)
+    b = kl_two_sample(design_y, dist_g, design_x, dist_f, cfg)
+    return QuadratureResult(
+        a.value + b.value, a.error_estimate + b.error_estimate,
+        a.subdivisions_used + b.subdivisions_used, a.converged and b.converged,
+    )
 
 
 def a_n(
@@ -380,30 +375,22 @@ def a_n(
     dist_g: Distribution,
     n: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    mode: str = "reduced",
 ) -> QuadratureResult:
-    """Correction term with K(RSS_F, RSS_G) = n K(f, g) + A_n(F, G).
-
-    ``mode='reduced'`` (default) evaluates
-    -n(n-1)/2 - n(n-1) int_0^1 [u log G(F^-1(u)) + (1-u) log Gbar(F^-1(u))] du;
-    ``mode='sum'`` evaluates the definition, K(RSS_F, RSS_G) - K(SRS_F, SRS_G),
-    by two ``kl_two_sample`` calls as a verification route.  Both vanish at
-    F = G and at n = 1.
+    """Correction term with K(RSS_F, RSS_G) = n K(f, g) + A_n(F, G), in its
+    reduced form -n(n-1)/2 - n(n-1) int_0^1 [u log G(F^-1(u)) + (1-u) log Gbar(F^-1(u))] du;
+    it vanishes at F = G and at n = 1.
     """
-    _check_mode(mode, ("reduced", "sum"))
     check_count("n", n, 1)
     if n == 1:
         return _closed(0.0)
-    if mode == "reduced":
-        def integrand(F, S):
-            x = dist_f.quantile(F, S)
-            return closed_form.xlogy(F, dist_g.cdf(x)) + closed_form.xlogy(S, dist_g.survival(x))
 
-        r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
-        c = n * (n - 1)
-        return QuadratureResult(-0.5 * c - c * r.value, c * r.error_estimate, r.subdivisions_used, r.converged)
-    rss, srs = (kl_two_sample(P, dist_f, P, dist_g, cfg) for P in (ranking_error.identity(n), ranking_error.uniform(n)))
-    return _joined(rss, srs, -1.0)
+    def integrand(F, S):
+        x = dist_f.quantile(F, S)
+        return closed_form.xlogy(F, dist_g.cdf(x)) + closed_form.xlogy(S, dist_g.survival(x))
+
+    r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
+    c = n * (n - 1)
+    return QuadratureResult(-0.5 * c - c * r.value, c * r.error_estimate, r.subdivisions_used, r.converged)
 
 
 def result_record(

@@ -18,6 +18,7 @@ With f = 0 a one-hot row adds its coefficient to the kernel, the others take a
 max-shifted log-sum-exp, so large n stays finite.  Coefficients are the logs of
 exact integers, tabled per n under ``ranking_error.memo``'s bound; 0**0 = 1 at
 the rank extremes, whose zero exponent is dropped when the rows are analysed.
+``judged_pdf`` takes a matrix and a rank, and reads the set size from the matrix.
 
 The analysis reads neither the parent law nor alpha, so it is memoized on the
 values of the float64 rows by ``ranking_error.memo``: every alpha and every
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from .distributions import Distribution, Uniform
-from .errors import check_count, check_dimension, check_rank
+from .errors import check_count, check_rank
 from .ranking_error import RankingErrorMatrix, identity_row, memo
 
 
@@ -167,13 +168,12 @@ def order_stat_log_pdf(dist: Distribution, n: int, i: int, x):
     return judged_log_pdf(dist, identity_row(n, i))(x)
 
 
-def judged_pdf(dist: Distribution, n: int, P: RankingErrorMatrix, i: int, x):
+def judged_pdf(dist: Distribution, P: RankingErrorMatrix, i: int, x):
     """Density of the unit judged to have rank i: the p[i, r] mixture of the
     true order-statistic densities."""
-    check_dimension(P.n, n)
     return np.exp(judged_log_pdf(dist, P.row(i))(x))
 
 
-def judged_beta_mixture_pdf(n: int, P: RankingErrorMatrix, i: int, u):
+def judged_beta_mixture_pdf(P: RankingErrorMatrix, i: int, u):
     """``judged_pdf`` on the uniform law: sum_r p[i, r] Beta(r, n-r+1)(u) on [0, 1], 0 outside."""
-    return judged_pdf(Uniform(), n, P, i, u)
+    return judged_pdf(Uniform(), P, i, u)

@@ -131,9 +131,6 @@ class RankingErrorMatrix:
         return f"{kind}:{self.n}"
 
 
-validate = RankingErrorMatrix  # the constructor is the check, under the name that says so
-
-
 def identity(n: int) -> RankingErrorMatrix:
     """Perfect ranking: the blend of weight 1, exactly the identity."""
     return blend(n, 1.0)
@@ -177,7 +174,7 @@ def from_csv(path) -> RankingErrorMatrix:
     """Load an n x n matrix from a headerless CSV file."""
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
-        return validate(arr)
+        return RankingErrorMatrix(arr)
     except OSError as exc:
         raise MatrixValidationError(f"cannot read matrix file {path!r}: {exc}") from exc
     except ValueError as exc:

@@ -215,7 +215,7 @@ def test_criterion_06_kl_suite(report):
     # x-space distribution-freeness
     for dist in [Exponential(1.0), Normal(0.0, 1.0), Uniform()]:
         for n in range(2, 7):
-            v = track(M.kl_srs_vs_design, Design("rss", n), dist, mode="x", force_numeric=True)
+            v = track(M.kl_srs_vs_design_x, Design("rss", n), dist)
             if abs(v.value - cf.d_n(n)) > 1e-6:
                 failures.append(("x-space", dist.spec_string(), n))
     dn = [cf.d_n(n) for n in range(1, 12)]

@@ -7,6 +7,7 @@ import pytest
 from rssinfo import closed_form as cf
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential, Normal, Uniform, Weibull
+from rssinfo.errors import InputError
 from rssinfo.order_stats import log_order_coeff
 from rssinfo.quadrature import integrate
 
@@ -143,6 +144,9 @@ def test_exp_shannon_validation():
         cf.exp_shannon("srs", -1.0)
     with pytest.raises(ValueError):
         cf.exp_shannon("bogus", 1.0)
+    for kind in ("srs", "rss"):  # each is its own matrix: a given one would go unread, so it is refused as Design does
+        with pytest.raises(InputError, match=f"design kind '{kind}' takes no error matrix"):
+            cf.exp_shannon(kind, 1.0, re.two_by_two(0.3))
 
 
 def test_exp_renyi_values():

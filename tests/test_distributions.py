@@ -217,9 +217,9 @@ def test_edges_give_the_limits_and_nan_gives_nan(members):
         for fn in (dist.log_pdf, dist.pdf, dist.cdf, dist.survival):
             assert np.isnan(fn(np.nan)), (dist, fn.__name__)
         for i in (1, 2, 3):
-            for density in (order_stat_pdf(dist, 3, i, EDGES), judged_pdf(dist, 3, P, i, EDGES)):
+            for density in (order_stat_pdf(dist, 3, i, EDGES), judged_pdf(dist, P, i, EDGES)):
                 assert np.array_equal(density[far], np.zeros(far.sum())), (dist, i)
-            assert np.isnan(order_stat_pdf(dist, 3, i, np.nan)) and np.isnan(judged_pdf(dist, 3, P, i, np.nan))
+            assert np.isnan(order_stat_pdf(dist, 3, i, np.nan)) and np.isnan(judged_pdf(dist, P, i, np.nan))
 
 
 def test_parse_round_trip():

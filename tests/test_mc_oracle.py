@@ -45,7 +45,7 @@ def test_sample_judged_ks_against_mixture_cdf():
     # judged rank 1 under a 2x2 error matrix: F_[1] = p11 F_(1) + p12 F_(2)
     dist, P, m = Exponential(1.0), re.two_by_two(0.3), 100_000
     rng = np.random.default_rng(11)
-    x = np.sort(mc.sample_judged(dist, 2, P, 1, rng, size=m))
+    x = np.sort(mc.sample_judged(dist, P, 1, rng, size=m))
     F = dist.cdf(x)
     truth = 0.7 * (1.0 - (1.0 - F) ** 2) + 0.3 * F**2
     emp_hi = np.arange(1, m + 1) / m
@@ -57,7 +57,7 @@ def test_sample_judged_ks_against_mixture_cdf():
 def test_sample_judged_uniform_matrix_is_parent_law():
     dist, m = Exponential(1.0), 100_000
     rng = np.random.default_rng(13)
-    x = np.sort(mc.sample_judged(dist, 3, re.uniform(3), 2, rng, size=m))
+    x = np.sort(mc.sample_judged(dist, re.uniform(3), 2, rng, size=m))
     ks = np.max(np.abs(np.arange(1, m + 1) / m - dist.cdf(x)))
     assert ks < 1.628 / math.sqrt(m)
 
@@ -191,7 +191,7 @@ def test_seed_reproducibility_is_bitwise():
     assert other.estimate != a.estimate
 
 
-_ZERO_ENTRIES = re.validate([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+_ZERO_ENTRIES = re.RankingErrorMatrix([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
 
 
 @pytest.mark.parametrize("m", [1000, mc._BLOCK + 1001, None])
@@ -216,7 +216,7 @@ def test_samplers_follow_the_documented_recipe(n, P, ranks, m):
         x = mc.sample_order_stat(dist, n, i, rng, size=m)
         want = dist.quantile(np.sort(ref.random((k, n)), axis=1)[:, i - 1])
         assert np.array_equal(x, want[0] if m is None else want)
-        x = mc.sample_judged(dist, n, P, i, rng, size=m)
+        x = mc.sample_judged(dist, P, i, rng, size=m)
         if n == 1:  # blend(1, w) is the uniform row: the parent itself
             want = dist.quantile(ref.random(k))
         else:
@@ -258,7 +258,7 @@ def test_sampler_never_holds_the_whole_draw(n, mixed):
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            mc.sample_judged(Exponential(1.0), n, P, 2, rng, size=size)
+            mc.sample_judged(Exponential(1.0), P, 2, rng, size=size)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -105,18 +105,18 @@ def test_shannon_closed_vs_numeric_both_modes():
     ]:
         closed = M.shannon(design, dist)
         assert closed.method == "closed-form"
-        for mode in ("u", "x"):
-            numeric = M.shannon(design, dist, force_numeric=True, mode=mode)
+        for route in (lambda: M.shannon(design, dist, force_numeric=True), lambda: M.shannon_x(design, dist)):
+            numeric = route()
             assert numeric.method == "quadrature"
-            assert abs(numeric.value - closed.value) < 1e-7, (design.spec_string(), mode)
+            assert abs(numeric.value - closed.value) < 1e-7, design.spec_string()
 
 
 def test_shannon_u_and_x_modes_agree_without_closed_form():
     # Weibull(0.52)'s density has an x^-0.48 singularity at 0
     for dist in (Normal(0.0, 1.0), Weibull(0.52, 1.0)):
         for design in [Design("rss", 3), Design("irss", 3, re.blend(3, 0.5)), Design("rss", 8)]:
-            u = M.shannon(design, dist, force_numeric=True, mode="u")
-            x = M.shannon(design, dist, force_numeric=True, mode="x")
+            u = M.shannon(design, dist, force_numeric=True)
+            x = M.shannon_x(design, dist)
             assert abs(u.value - x.value) < 1e-7, (dist.spec_string(), design.spec_string())
 
 
@@ -260,9 +260,9 @@ def test_scale_defects_are_right(measure, design, law, alpha, truth):
     if measure == "renyi":
         res = M.renyi(design, dist, alpha)
     elif measure == "shannon":
-        res = M.shannon(design, dist, force_numeric=True, mode="x")
+        res = M.shannon_x(design, dist)
     else:
-        res = M.kl_srs_vs_design(design, dist, force_numeric=True, mode="x")
+        res = M.kl_srs_vs_design_x(design, dist)
     assert res.converged
     printed = 0.5 * 10.0 ** -len(truth.partition(".")[2])
     assert abs(res.value - float(truth)) <= res.error_estimate + printed
@@ -297,8 +297,9 @@ def test_location_scale_equivariance(family, magnitude, loc, k, n, blend, alpha,
     def run(d):
         if measure == "renyi":
             return M.renyi(design, d, alpha, force_numeric=True)
-        call = M.shannon if measure == "shannon" else M.kl_srs_vs_design
-        return call(design, d, force_numeric=True, mode=mode)
+        if measure == "kl":
+            return M.kl_srs_vs_design_x(design, d)
+        return M.shannon_x(design, d) if mode == "x" else M.shannon(design, d, force_numeric=True)
 
     res, ref = run(dist), run(unit)
     expected = ref.value + (0.0 if measure == "kl" else n * math.log(magnitude))
@@ -414,8 +415,8 @@ def test_kl_perfect_is_distribution_free(families):
         numeric = M.kl_srs_vs_design(Design("rss", n), force_numeric=True)
         assert abs(numeric.value - expected) < 1e-8
         for dist in families:
-            x_mode = M.kl_srs_vs_design(Design("rss", n), dist, mode="x", force_numeric=True)
-            assert abs(x_mode.value - expected) < 1e-6, dist.spec_string()
+            x_route = M.kl_srs_vs_design_x(Design("rss", n), dist)
+            assert abs(x_route.value - expected) < 1e-6, dist.spec_string()
 
 
 def test_kl_imperfect_limits():
@@ -496,7 +497,7 @@ def test_kl_srs_of_srs_is_zero_on_every_route():
     for n in (1, 2, 3, 8):
         for design in (Design("srs", n), Design("irss", n, re.uniform(n))):
             for res in (M.kl_srs_vs_design(design), M.kl_srs_vs_design(design, force_numeric=True),
-                        M.kl_srs_vs_design(design, Normal(1.0, 2.0), mode="x")):
+                        M.kl_srs_vs_design_x(design, Normal(1.0, 2.0))):
                 assert res.value == 0.0 and res.converged, (design.spec_string(), res)
 
 
@@ -567,24 +568,27 @@ def test_a_n_reduced_equals_sum_and_vanishes_at_equal_laws():
     f, g = Exponential(1.0), Exponential(2.0)
     for n in (2, 3, 4):
         reduced = M.a_n(f, g, n)
-        summed = M.a_n(f, g, n, mode="sum")
-        assert abs(reduced.value - summed.value) < 1e-8, n
+        rss, srs = (M.kl_two_sample(P, f, P, g) for P in (re.identity(n), re.uniform(n)))
+        assert abs(reduced.value - (rss.value - srs.value)) < 1e-8, n
     assert abs(M.a_n(f, f, 3).value) < 1e-9
     assert M.a_n(f, g, 1).value == 0.0
 
 
-def test_a_n_sum_is_two_two_sample_kls():
+def test_kld_symmetric_is_two_two_sample_kls():
     f, g = Exponential(1.0), Exponential(2.0)
     for cfg in (DEFAULT_CONFIG, QuadratureConfig(max_subdivisions=1)):
         for n in (2, 3, 8):
-            rss, srs = (M.kl_two_sample(Design(kind, n), f, Design(kind, n), g, cfg) for kind in ("rss", "srs"))
-            summed = M.a_n(f, g, n, cfg, mode="sum")
-            assert summed.value == rss.value - srs.value, (cfg, n)
-            assert summed.error_estimate == rss.error_estimate + srs.error_estimate
-            assert summed.converged == (rss.converged and srs.converged)
-            assert summed.subdivisions_used == rss.subdivisions_used + srs.subdivisions_used
-    # a starved leg makes the difference not converged
-    assert not M.a_n(f, g, 3, QuadratureConfig(max_subdivisions=1), mode="sum").converged
+            x, y = Design("rss", n), Design("irss", n, re.blend(n, 0.5))
+            fwd, bwd = M.kl_two_sample(x, f, y, g, cfg), M.kl_two_sample(y, g, x, f, cfg)
+            joined = M.kld_symmetric(x, f, y, g, cfg)
+            assert joined.value == fwd.value + bwd.value, (cfg, n)
+            assert joined.error_estimate == fwd.error_estimate + bwd.error_estimate
+            assert joined.converged == (fwd.converged and bwd.converged)
+            assert joined.subdivisions_used == fwd.subdivisions_used + bwd.subdivisions_used
+    # a starved leg makes the sum not converged
+    x, y = Design("rss", 3), Design("srs", 3)
+    assert not M.kl_two_sample(x, f, y, g, QuadratureConfig(max_subdivisions=1)).converged
+    assert not M.kld_symmetric(x, f, y, g, QuadratureConfig(max_subdivisions=1)).converged
 
 
 def test_a_n_decomposes_rss_vs_rss():
@@ -596,23 +600,11 @@ def test_a_n_decomposes_rss_vs_rss():
 
 
 def test_mode_means_the_same_in_every_measure():
-    # mode="x" runs the x-space route even where a closed form exists, as
-    # force_numeric does; an unknown mode is an input error, not u-space
+    # the x-space routes integrate even where a closed form exists, as force_numeric does
     exp1 = Exponential(1.0)
     for spec in ("srs:3", "rss:2"):
-        design = parse_design(spec)
-        x = M.shannon(design, exp1, mode="x")
-        assert x.method == "quadrature", spec
-        assert x == M.shannon(design, exp1, force_numeric=True, mode="x")
-    assert M.kl_srs_vs_design(Design("rss", 2), exp1, mode="x").method == "quadrature"
-    for call in (
-        lambda: M.shannon(Design("rss", 2), exp1, mode="bogus"),
-        lambda: M.kl_srs_vs_design(Design("rss", 2), exp1, mode="bogus"),
-        lambda: M.a_n(exp1, exp1, 2, mode="bogus"),
-        lambda: M.a_n(exp1, exp1, 1, mode="bogus"),
-    ):
-        with pytest.raises(InputError, match="unknown mode"):
-            call()
+        assert M.shannon_x(parse_design(spec), exp1).method == "quadrature", spec
+        assert M.kl_srs_vs_design_x(parse_design(spec), exp1).method == "quadrature", spec
 
 
 EXP1 = Exponential(1.0)
@@ -624,7 +616,6 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
     "call",
     [
         lambda: M.a_n(EXP1, EXP1, 0),
-        lambda: M.kl_srs_vs_design(Design("rss", 2), mode="x"),
         lambda: M.kl_two_sample(Design("rss", 2), EXP1, Design("rss", 3), EXP1),
         lambda: M.renyi_gap_binomial(EXP1, 3, 0.8),
         lambda: M.renyi_gap_binomial(EXP1, 0, 2.0),
@@ -644,7 +635,6 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
         lambda: cf.exp_renyi("bogus", 1.0, 2.0),
         lambda: log_order_coeff(0, 1),
         lambda: log_order_coeff(3, 0),
-        lambda: mc.sample_judged(EXP1, 3, re.identity(2), 1, np.random.default_rng(0)),
         lambda: re.identity(0),
         lambda: re.uniform(0),
         lambda: re.blend(3, 1.5),
@@ -664,7 +654,7 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
         lambda: mc.vasicek_entropy(np.arange(10.0), 2.5),
         *(lambda v=v: mc.vasicek_entropy(np.r_[np.arange(10.0), v], 1) for v in (math.nan, math.inf, -math.inf)),
         lambda: mc.SimConfig(replications=1000.5),
-        lambda: mc.sample_judged(EXP1, 2, re.identity(2), 1, np.random.default_rng(0), size=-1),
+        lambda: mc.sample_judged(EXP1, re.identity(2), 1, np.random.default_rng(0), size=-1),
         lambda: integrate_support(np.exp, Support(-math.inf, 0.0)),
         lambda: figure_curve("3", 5),
         lambda: M.a_n(EXP1, Exponential(2.0), 2.5),
@@ -682,7 +672,7 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
         lambda: log_order_coeff(3, 2.5),
         lambda: beta_order_log_pdf(3, 1.5, 0.5),
         lambda: re.identity(3).row(1.5),
-        lambda: mc.sample_judged(EXP1, 3, re.identity(3), 1.5, np.random.default_rng(0)),
+        lambda: mc.sample_judged(EXP1, re.identity(3), 1.5, np.random.default_rng(0)),
         lambda: mc.sample_order_stat(EXP1, 3, 1.5, np.random.default_rng(0)),
         *(lambda lam=lam: cf.exp_shannon("srs", lam) for lam in (math.inf, math.nan, 0.0, -1.0)),
         *(lambda lam=lam: cf.exp_renyi("srs", lam, 2.0) for lam in (math.inf, math.nan, 0.0, -1.0)),
@@ -695,13 +685,13 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
         *(lambda g=g: integrate_unit(g, DEFAULT_CONFIG, "g") for g in _WRONG_SHAPES),
     ],
     ids=[
-        "a_n-n0", "kl-x-no-law", "kl2-n",
+        "a_n-n0", "kl2-n",
         "gap-alpha", "gap-n0", "mc_kl-n", "renyi_designs-n",
         "mc_renyi-alpha-nan", "mc_renyi-alpha-inf", "mc_renyi-alpha-1",
         "exp_renyi-alpha-nan", "exp_renyi-alpha-inf",
         "h_uniform_order-rank", "k_direct-n0", "k_recursive-n0", "d_n-n0", "eta-range",
         "exp_shannon-rate", "exp_shannon-no-matrix", "exp_shannon-kind", "exp_renyi-rate",
-        "exp_renyi-component", "order_coeff-n0", "order_coeff-rank", "sample_judged-n",
+        "exp_renyi-component", "order_coeff-n0", "order_coeff-rank",
         "identity-n0", "uniform-n0", "blend-w-high", "blend-w-low", "blend-n0",
         "two_by_two-high", "two_by_two-low", "row-low", "row-high",
         "integrate-reversed", "integrate-inf-upper", "integrate-inf-lower",
@@ -862,6 +852,24 @@ def test_the_lower_alpha_above_one_ordering_fails_off_the_blend_path():
         rss, irss = M.renyi_designs([Design("rss", 3), P], EXP1, alpha)
         margin, error = irss.value - rss.value, irss.error_estimate + rss.error_estimate
         assert rss.converged and irss.converged
+        assert abs(margin - exact) <= error and margin < -error, (alpha, margin, error)
+    # n = 5, rows (e3, (e1 + e5)/2, (e1 + e5)/2, e2, e4), which confuse the smallest unit with the
+    # largest: the lower margin on exp:1, by the same method, as exact Fraction integrals of
+    # w_i(u)^a (1 - u)^(a - 1) over [0, 1] whose logs are taken in mpmath at 40 digits
+    e = np.eye(5)
+    P5 = re.RankingErrorMatrix([e[2], (e[0] + e[4]) / 2, (e[0] + e[4]) / 2, e[1], e[3]])
+    for alpha, exact in ((3.0, -0.1908620604017957084), (5.0, -0.5851911116533523463)):
+        rss, irss = M.renyi_designs([Design("rss", 5), P5], EXP1, alpha)
+        margin, error = irss.value - rss.value, irss.error_estimate + rss.error_estimate
+        assert rss.converged and irss.converged
+        assert abs(margin - exact) <= error and margin < -error, (alpha, margin, error)
+    # the n = 3 matrix breaks the upper ordering H_a(IRSS) <= H_a(SRS) on norm:0,1: H_a(SRS) - H_a(IRSS)
+    # from 35-digit mpmath.quad of (w_i(Phi(x)) phi(x))^a over x, split at (-3, -1, 0, 1, 3) and at
+    # (-4, -2, -0.5, 0.5, 2, 4), which agree to 22 digits, against the closed n H_a(phi)
+    for alpha, exact in ((10.0, -0.0352850322353773953), (20.0, -0.0750509767835581879)):
+        srs, irss = M.renyi_designs([Design("srs", 3), P], Normal(0.0, 1.0), alpha)
+        margin, error = srs.value - irss.value, irss.error_estimate + srs.error_estimate
+        assert srs.converged and irss.converged
         assert abs(margin - exact) <= error and margin < -error, (alpha, margin, error)
 
 

@@ -73,7 +73,7 @@ def test_judged_mixture_identity(families):
     P = re.blend(4, 0.4)
     for dist in families:
         x = dist.quantile(np.linspace(0.05, 0.95, 19))
-        total = sum(judged_pdf(dist, 4, P, i, x) for i in range(1, 5))
+        total = sum(judged_pdf(dist, P, i, x) for i in range(1, 5))
         np.testing.assert_allclose(total / 4.0, dist.pdf(x), rtol=0, atol=1e-10)
 
 
@@ -108,10 +108,10 @@ def test_judged_pdf_limits():
     for n in (2, 5, 8):
         for i in range(1, n + 1):
             # identity matrix: judged = true order statistic, through the same kernel
-            ident = judged_pdf(dist, n, re.identity(n), i, x)
+            ident = judged_pdf(dist, re.identity(n), i, x)
             assert np.array_equal(ident, order_stat_pdf(dist, n, i, x))
             # uniform matrix: judged = parent, whose log density is used as is
-            rand = judged_pdf(dist, n, re.uniform(n), i, x)
+            rand = judged_pdf(dist, re.uniform(n), i, x)
             assert np.array_equal(rand, np.exp(dist.log_pdf(x)))
             np.testing.assert_allclose(rand, dist.pdf(x), rtol=0, atol=1e-12)
 
@@ -122,8 +122,8 @@ def test_judged_beta_mixture_matches_x_space():
     u = np.linspace(0.05, 0.95, 19)
     x = dist.quantile(u)
     for i in range(1, 4):
-        mixture = judged_beta_mixture_pdf(3, P, i, u)
-        np.testing.assert_allclose(mixture * dist.pdf(x), judged_pdf(dist, 3, P, i, x), rtol=1e-10)
+        mixture = judged_beta_mixture_pdf(P, i, u)
+        np.testing.assert_allclose(mixture * dist.pdf(x), judged_pdf(dist, P, i, x), rtol=1e-10)
         reference = sum(P.row(i)[r - 1] * stats.beta.pdf(u, r, 3 - r + 1) for r in range(1, 4))
         np.testing.assert_allclose(mixture, reference, rtol=1e-12)
 
@@ -133,8 +133,8 @@ def test_judged_beta_mixture_vanishes_outside_the_unit_interval():
     P = re.blend(3, 0.5)
     outside = np.array([-np.inf, -0.1, -1e-300, 1.0 + 2**-52, 1.1, np.inf])
     for i in range(1, 4):
-        assert np.array_equal(judged_beta_mixture_pdf(3, P, i, outside), np.zeros(outside.size)), i
-        assert judged_beta_mixture_pdf(3, P, i, -0.1) == 0.0 == judged_beta_mixture_pdf(3, P, i, 1.1)
+        assert np.array_equal(judged_beta_mixture_pdf(P, i, outside), np.zeros(outside.size)), i
+        assert judged_beta_mixture_pdf(P, i, -0.1) == 0.0 == judged_beta_mixture_pdf(P, i, 1.1)
 
 
 def test_judged_log_weight_large_n_tails_stay_finite():
@@ -158,7 +158,7 @@ def test_rank_validation():
     with pytest.raises(ValueError):
         beta_order_pdf(0, 1, 0.5)
     with pytest.raises(ValueError):
-        judged_pdf(dist, 3, re.identity(2), 1, 0.5)
+        judged_pdf(dist, re.identity(2), 3, 0.5)
 
 
 @pytest.mark.parametrize("n, i", pins.IDENTITY_ROWS)

@@ -116,10 +116,9 @@ def test_tracer_wraps_the_cached_parser(capsys):
 
 
 def _label_kind(label: str) -> str:
-    """An operation label's words before the first that holds a digit:
-    'scan', 'tight', 'measure kl --design', 'crosscheck renyi', 'vasicek uniform'."""
-    words = label.split()
-    return " ".join(words[: next((i for i, w in enumerate(words) if re.search(r"\d", w)), len(words))])
+    """An operation label up to its first digit: 'tight H(U(', 'tight d_',
+    'measure kl --design rss:', 'crosscheck renyi irss:', 'vasicek uniform n='."""
+    return re.split(r"\d", label, maxsplit=1)[0]
 
 
 def test_every_workload_builds_warms_up_and_runs_one_op_of_each_kind(monkeypatch):

@@ -48,7 +48,7 @@ def test_entries_are_read_only():
         P.entries[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("build", [re.validate, re.RankingErrorMatrix], ids=["validate", "RankingErrorMatrix"])
+@pytest.mark.parametrize("build", [re.RankingErrorMatrix], ids=["RankingErrorMatrix"])
 def test_the_callers_array_stays_writable(build):
     a = np.array([[0.75, 0.25], [0.25, 0.75]])
     P = build(a)
@@ -59,21 +59,18 @@ def test_the_callers_array_stays_writable(build):
 
 
 def test_validate_rejects_bad_matrices():
-    for build in (re.validate, re.RankingErrorMatrix):  # the constructor checks too: there is no unchecked path
+    # the constructor is the check: there is no unchecked path
+    for bad in (
+        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],  # not square
+        [[1.2, -0.2], [-0.2, 1.2]],  # negative entry
+        [[0.7, 0.2], [0.3, 0.8]],  # row sums off
+        [[0.7, 0.3], [0.7, 0.3]],  # column sums off
+        [[0.7, 0.7], [0.3, 0.3]],  # rows sum to 1.4 and 0.6; the 2x2 closed forms read only the diagonal
+        [[np.nan, 0.0], [0.0, 1.0]],  # NaN entry
+        np.zeros((0, 0)),  # empty
+    ):
         with pytest.raises(re.MatrixValidationError):
-            build([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])  # not square
-        with pytest.raises(re.MatrixValidationError):
-            build([[1.2, -0.2], [-0.2, 1.2]])  # negative entry
-        with pytest.raises(re.MatrixValidationError):
-            build([[0.7, 0.2], [0.3, 0.8]])  # row sums off
-        with pytest.raises(re.MatrixValidationError):
-            build([[0.7, 0.3], [0.7, 0.3]])  # column sums off
-        with pytest.raises(re.MatrixValidationError):
-            build([[0.7, 0.7], [0.3, 0.3]])  # rows sum to 1.4 and 0.6; the 2x2 closed forms read only the diagonal
-        with pytest.raises(re.MatrixValidationError):
-            build([[np.nan, 0.0], [0.0, 1.0]])  # NaN entry
-        with pytest.raises(re.MatrixValidationError):
-            build(np.zeros((0, 0)))  # empty
+            re.RankingErrorMatrix(bad)
 
 
 def test_from_csv_round_trip(tmp_path):

@@ -79,7 +79,7 @@ def test_divergence_on_birkhoff_mixtures(P, dist):
     assert d.value >= -d.error_estimate
     design = Design("irss", P.n, P)
     u = M.shannon(design, dist, force_numeric=True)
-    x = M.shannon(design, dist, mode="x")
+    x = M.shannon_x(design, dist)
     assert u.converged and x.converged
     assert abs(u.value - x.value) <= u.error_estimate + x.error_estimate
 

@@ -10,14 +10,14 @@ fully erased at p12 = 1/2 and recovers symmetrically beyond it.
 from rssinfo import closed_form as cf
 from rssinfo import ranking_error as re
 
-h_srs = cf.exp_shannon("srs", 1.0)
-h_rss = cf.exp_shannon("rss", 1.0)
+h_srs = cf.exp_shannon(re.uniform(2), 1.0)
+h_rss = cf.exp_shannon(re.identity(2), 1.0)
 print(f"H(SRS) = {h_srs:.6f}  H(RSS) = {h_rss:.6f}  advantage = {h_srs - h_rss:.6f}\n")
 
 print("p12     H(imperfect)   advantage retained")
 for k in range(11):
     p12 = k / 10.0
-    h = cf.exp_shannon("irss", 1.0, re.two_by_two(p12))
+    h = cf.exp_shannon(re.two_by_two(p12), 1.0)
     retained = (h_srs - h) / (h_srs - h_rss)
     print(f"{p12:4.2f}   {h:12.6f}   {retained:18.1%}")
 

@@ -4,7 +4,8 @@ Everything here is exact up to floating point: entropies of uniform order
 statistics, the distribution-free Shannon gap k(n) (direct and recursive), the
 distribution-free KL constant d_n and its 2 x 2 rows, perfect-RSS Renyi
 information on a uniform or exponential parent, the alpha > 1 Renyi gap lower
-bound, and the exponential set-size-2 Shannon/Renyi formulas.  At integer arguments
+bound, and the exponential set-size-2 Shannon/Renyi formulas, the Shannon ones
+read from the design's 2 x 2 matrix.  At integer arguments
 log-gamma is the log of an exact factorial or binomial, and digamma differences
 are harmonic sums, psi(m) - psi(k) = sum_{j=k}^{m-1} 1/j, taken with fsum.
 
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from .distributions import Exponential
-from .errors import InputError, check_alpha, check_count, check_unit
+from .errors import InputError, check_alpha, check_count, check_dimension, check_unit
 from .order_stats import _log_coeffs, beta_order_log_pdf, log_order_coeff
 from .ranking_error import RankingErrorMatrix
 
@@ -171,27 +172,20 @@ def kl_row_2x2(a: float) -> float:
     return float(1.0 - math.log(2.0) - (xlogy(1.0 - a, 1.0 - a) - xlogy(a, a)) / d)
 
 
-def exp_shannon(kind: str, lam: float, P: RankingErrorMatrix | None = None) -> float:
-    """Shannon entropy of an exponential(lam) sample of set size 2.
-
-    ``kind`` is 'srs', 'rss' or 'irss'; the imperfect case needs the 2x2
-    ranking error matrix (whose double stochasticity makes p22 = p11, so the
-    (p22 - p11) term of the printed formula vanishes).
+def exp_shannon(design: RankingErrorMatrix, lam: float) -> float:
+    """Shannon entropy of an exponential(lam) sample of set size 2 under the
+    design's 2x2 matrix, in the paper's printed form its name picks: SRS's for
+    the uniform matrix, perfect RSS's for the identity, and otherwise the eta
+    form, where double stochasticity makes p22 = p11, so (p22 - p11) vanishes.
     """
     Exponential(lam)  # checks the rate
-    if kind in ("srs", "rss") and P is not None:
-        raise InputError(f"design kind {kind!r} takes no error matrix")
-    if kind == "srs":
+    check_dimension(design.n, 2)
+    if design.name == "uniform":
         return 2.0 - 2.0 * math.log(lam)
-    if kind == "rss":
+    if design.name == "identity":
         return 3.0 - 2.0 * math.log(2.0 * lam)
-    if kind == "irss":
-        if P is None or P.n != 2:
-            raise InputError("imperfect case needs a 2x2 ranking error matrix")
-        p11 = float(P.entries[0, 0])
-        p22 = float(P.entries[1, 1])
-        return 2.0 - 2.0 * math.log(2.0 * lam) + (p22 - p11) + eta(p11) + eta(p22)
-    raise InputError(f"unknown design kind {kind!r}")
+    p11, p22 = design.entries.diagonal().tolist()
+    return 2.0 - 2.0 * math.log(2.0 * lam) + (p22 - p11) + eta(p11) + eta(p22)
 
 
 def exp_renyi(component: str, lam: float, alpha: float) -> float | None:

@@ -25,7 +25,9 @@ keep no integrand of their own: ``kld_symmetric`` is the sum of two
 definition, K(RSS_F || RSS_G) less K(SRS_F || SRS_G), is two more.  Two second
 routes integrate over x instead: ``shannon_x`` is ``entropy_integral`` of the
 judged densities, ``kl_srs_vs_design_x`` its own integrand of the judged log
-weights; neither takes a closed form.
+weights, -f log w, read as 0 where log w is -inf: for a doubly stochastic
+matrix only where F or S rounded to 0, a log singularity one ulp wide.
+Neither takes a closed form.
 
 The one-law measures compute on the standard law ``dist.standard()``
 (location 0, scale 1).  Location and scale enter only in
@@ -313,8 +315,8 @@ def kl_srs_vs_design_x(
     log_weight = judged_log_weight(rows)
 
     def integrand(x):
-        f = std.pdf(x)  # below ~1e-300 it kills any log factor; avoid 0 * inf
-        return np.where(f > 1e-300, -f * log_weight(std.cdf(x), std.survival(x)), 0.0)
+        lw = log_weight(std.cdf(x), std.survival(x))  # -inf only where F or S rounded to 0: a one-ulp log singularity
+        return np.where(np.isneginf(lw), 0.0, -std.pdf(x) * lw)
 
     r = integrate_support(integrand, std.support, cfg)
     return _weighted(r.value, r.error_estimate, counts, r)

@@ -173,11 +173,11 @@ def figure_curve(
     check_count("points", points, 1)
     if figure_id == "1":
         rows = []
-        h_srs = closed_form.exp_shannon("srs", 1.0)
-        h_rss = closed_form.exp_shannon("rss", 1.0)
+        h_srs = closed_form.exp_shannon(ranking_error.uniform(2), 1.0)
+        h_rss = closed_form.exp_shannon(ranking_error.identity(2), 1.0)
         for p12 in np.linspace(0.0, 1.0, points):
             p12 = float(p12)
-            h_irss = closed_form.exp_shannon("irss", 1.0, ranking_error.two_by_two(p12))
+            h_irss = closed_form.exp_shannon(ranking_error.two_by_two(p12), 1.0)
             rows.append(
                 {
                     "p12": p12,

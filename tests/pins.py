@@ -103,6 +103,9 @@ _ENGINE = {
     ),
     "half line": lambda: integrate_half_line(lambda x: x**2 * np.exp(-x) / (1 + x), 1.0),
     "full line": lambda: integrate_full_line(lambda x: np.exp(-0.5 * x * x) * np.cos(x) ** 2),
+    "x shannon": lambda: measures.shannon_x(re.blend(4, 0.5), parse_distribution("norm:0,1")),
+    "tight x kl unif": lambda: measures.kl_srs_vs_design_x(Design("rss", 3), Uniform(), _TIGHT),
+    "x kl weibull": lambda: measures.kl_srs_vs_design_x(re.blend(3, 0.5), parse_distribution("weibull:0.7,1")),
 }
 # a first call that converges or spends the budget is the result, with the bits the loop gave
 _FIRST_CALL = {

@@ -125,28 +125,21 @@ def test_eta_series_branch_is_continuous():
 
 
 def test_exp_shannon_values():
-    assert cf.exp_shannon("srs", 1.0) == pytest.approx(2.0)
-    assert cf.exp_shannon("rss", 1.0) == pytest.approx(3.0 - 2.0 * math.log(2.0))
-    # identity matrix collapses to the perfect-RSS value
-    assert cf.exp_shannon("irss", 1.0, re.identity(2)) == pytest.approx(
-        cf.exp_shannon("rss", 1.0), abs=1e-12
-    )
-    # random ranking collapses to the SRS value
-    assert cf.exp_shannon("irss", 1.0, re.uniform(2)) == pytest.approx(2.0, abs=1e-12)
-    # rate scaling: entropy shifts by -2 log(lam)
-    assert cf.exp_shannon("srs", 2.0) == pytest.approx(2.0 - 2.0 * math.log(2.0))
+    for lam in (1.0, 2.0):  # the exact forms: rate scaling shifts each by -2 log(lam)
+        assert cf.exp_shannon(re.uniform(2), lam) == 2.0 - 2.0 * math.log(lam)
+        assert cf.exp_shannon(re.identity(2), lam) == 3.0 - 2.0 * math.log(2.0 * lam)
+        # coin-flip ranking is the uniform matrix, so it takes the SRS form
+        assert cf.exp_shannon(re.two_by_two(0.5), lam) == cf.exp_shannon(re.uniform(2), lam)
+    # the eta form meets the SRS value at p12 = 1/2 and the perfect-RSS one at swapped ranks, p12 = 1
+    assert cf.exp_shannon(re.two_by_two(0.5 - 1e-9), 1.0) == pytest.approx(2.0, abs=1e-12)
+    assert cf.exp_shannon(re.two_by_two(1.0), 1.0) == pytest.approx(3.0 - 2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_exp_shannon_validation():
     with pytest.raises(ValueError):
-        cf.exp_shannon("irss", 1.0)  # needs a matrix
-    with pytest.raises(ValueError):
-        cf.exp_shannon("srs", -1.0)
-    with pytest.raises(ValueError):
-        cf.exp_shannon("bogus", 1.0)
-    for kind in ("srs", "rss"):  # each is its own matrix: a given one would go unread, so it is refused as Design does
-        with pytest.raises(InputError, match=f"design kind '{kind}' takes no error matrix"):
-            cf.exp_shannon(kind, 1.0, re.two_by_two(0.3))
+        cf.exp_shannon(re.uniform(2), -1.0)
+    with pytest.raises(InputError, match="dimension 3 does not match n = 2"):
+        cf.exp_shannon(re.blend(3, 0.5), 1.0)
 
 
 def test_exp_renyi_values():

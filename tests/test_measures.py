@@ -501,6 +501,26 @@ def test_kl_srs_of_srs_is_zero_on_every_route():
                 assert res.value == 0.0 and res.converged, (design.spec_string(), res)
 
 
+_TIGHT = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
+
+
+@pytest.mark.parametrize("law", ["unif", "exp:1", "exp:1e-6", "norm:0,1", "norm:1e6,1e-6", "weibull:2,1", "weibull:0.7,1"])
+def test_kl_x_route_meets_d_n_at_tight_tolerance(law):
+    # where F or S rounds to 0 at a support end (x = 1 on unif), the rows' log weight is -inf
+    # over one ulp of x, and the x route drops that term
+    dist = parse_distribution(law)
+    for n in (*range(2, 9), 20, 50):
+        res = M.kl_srs_vs_design_x(Design("rss", n), dist, _TIGHT)
+        assert res.converged and abs(res.value - cf.d_n(n)) <= res.error_estimate, (n, res)
+
+
+def test_kl_x_route_meets_the_u_route_on_a_zero_entry_design():
+    P = re.RankingErrorMatrix([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    x, u = M.kl_srs_vs_design_x(P, Uniform(), _TIGHT), M.kl_srs_vs_design(P, _TIGHT, force_numeric=True)
+    assert x.converged and u.converged
+    assert abs(x.value - u.value) <= x.error_estimate + u.error_estimate, (x, u)
+
+
 def test_kl_two_sample_identical_laws_vanish():
     dist = Exponential(1.0)
     for design in [Design("srs", 2), Design("rss", 2), Design("irss", 2, re.two_by_two(0.2))]:
@@ -628,9 +648,8 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
         lambda: cf.k_recursive(0),
         lambda: cf.d_n(0),
         lambda: cf.eta(1.5),
-        lambda: cf.exp_shannon("srs", 0.0),
-        lambda: cf.exp_shannon("irss", 1.0),
-        lambda: cf.exp_shannon("bogus", 1.0),
+        lambda: cf.exp_shannon(re.uniform(2), 0.0),
+        lambda: cf.exp_shannon(re.blend(3, 0.5), 1.0),
         lambda: cf.exp_renyi("srs", -1.0, 2.0),
         lambda: cf.exp_renyi("bogus", 1.0, 2.0),
         lambda: log_order_coeff(0, 1),
@@ -674,7 +693,7 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
         lambda: re.identity(3).row(1.5),
         lambda: mc.sample_judged(EXP1, re.identity(3), 1.5, np.random.default_rng(0)),
         lambda: mc.sample_order_stat(EXP1, 3, 1.5, np.random.default_rng(0)),
-        *(lambda lam=lam: cf.exp_shannon("srs", lam) for lam in (math.inf, math.nan, 0.0, -1.0)),
+        *(lambda lam=lam: cf.exp_shannon(re.uniform(2), lam) for lam in (math.inf, math.nan, 0.0, -1.0)),
         *(lambda lam=lam: cf.exp_renyi("srs", lam, 2.0) for lam in (math.inf, math.nan, 0.0, -1.0)),
         lambda: ScanGrid(alphas=(math.nan,)),
         lambda: cf.psi_bound(math.nan, 3),
@@ -690,7 +709,7 @@ _WRONG_SHAPES = (lambda F, S: 1.0, lambda F, S: [1.0, 2.0], lambda F, S: np.ones
         "mc_renyi-alpha-nan", "mc_renyi-alpha-inf", "mc_renyi-alpha-1",
         "exp_renyi-alpha-nan", "exp_renyi-alpha-inf",
         "h_uniform_order-rank", "k_direct-n0", "k_recursive-n0", "d_n-n0", "eta-range",
-        "exp_shannon-rate", "exp_shannon-no-matrix", "exp_shannon-kind", "exp_renyi-rate",
+        "exp_shannon-rate", "exp_shannon-size", "exp_renyi-rate",
         "exp_renyi-component", "order_coeff-n0", "order_coeff-rank",
         "identity-n0", "uniform-n0", "blend-w-high", "blend-w-low", "blend-n0",
         "two_by_two-high", "two_by_two-low", "row-low", "row-high",

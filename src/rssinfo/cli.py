@@ -3,6 +3,8 @@
 Subcommands: table-k, dn, psi, measure, figure, conjecture-scan, errata.
 Outputs CSV (default) or JSON to stdout or ``--out``.  Exit codes: 0 success,
 2 parse error, 3 quadrature non-convergence, 4 inequality violation found.
+Every subcommand takes ``--out`` and ``--format``; only the four that integrate
+take ``--config`` and the ``--quad-*`` flags, which the others reject as unknown.
 The argument parser is built once per process and shared by every ``main``
 call, which dispatches subcommand ``x-y`` to the module's ``cmd_x_y``: each
 returns (rows, exit code), rows None where nothing is written, and ``main``
@@ -267,9 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="write output to this path instead of stdout")
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
-    shared.add_argument("--config", help="key=value config file (quad.* keys)")
+    quad = argparse.ArgumentParser(add_help=False)  # for the subcommands that integrate
+    quad.add_argument("--config", help="key=value config file (quad.* keys)")
     for key, (name, convert) in _QUAD_KEYS.items():
-        shared.add_argument("--" + key.replace(".", "-").replace("_", "-"), type=convert, dest=name)
+        quad.add_argument("--" + key.replace(".", "-").replace("_", "-"), type=convert, dest=name)
     parser = _Parser(
         prog="rssinfo",
         description=(
@@ -279,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     add = functools.partial(sub.add_parser, parents=[shared])
+    add_quad = functools.partial(sub.add_parser, parents=[shared, quad])
 
     p = add("table-k", help="distribution-free Shannon gap k(n)")
     p.add_argument("--n-max", type=int, default=10)
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=float_list, default="1.5,2,5", help="comma list, e.g. 1.5,2")
     p.add_argument("--n-max", type=int, default=10)
 
-    p = add("measure", help="compute one measure for a design/dist pair")
+    p = add_quad("measure", help="compute one measure for a design/dist pair")
     p.add_argument("measure", choices=("shannon", "renyi", "kl"))
     p.add_argument("--design", required=True, help="srs:N | rss:N | irss:N:<matrix>")
     p.add_argument("--dist", required=True, help="e.g. exp:1, unif, norm:0,1, weibull:2,1")
@@ -301,19 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="--oracle only")
     p.add_argument("--replications", type=int, help="--oracle only")
 
-    p = add("figure", help="emit curve data for the entropy/Renyi figures")
+    p = add_quad("figure", help="emit curve data for the entropy/Renyi figures")
     p.add_argument("--id", dest="figure_id", required=True, choices=("1", "2a", "2b"))
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--alpha-min", type=float, help="figures 2a and 2b only")
     p.add_argument("--alpha-max", type=float, help="figures 2a and 2b only")
 
-    p = add("conjecture-scan", help="scan the alpha > 1 Renyi ordering")
+    p = add_quad("conjecture-scan", help="scan the alpha > 1 Renyi ordering")
     p.add_argument("--family", action="append", dest="families", help="repeatable distribution spec")
     p.add_argument("--n-values", type=int_list, dest="ns", help="comma list / ranges, e.g. 2-8")
     p.add_argument("--alphas", type=float_list, help="comma list of alpha > 1 values")
     p.add_argument("--matrix", action="append", dest="matrices", help="repeatable matrix spec")
 
-    add("errata", help="oracle checks of the suspect printed formulas")
+    add_quad("errata", help="oracle checks of the suspect printed formulas")
 
     return parser
 

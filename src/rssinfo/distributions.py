@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_alpha
 
 
 class DistributionParseError(InputError):
@@ -93,7 +93,8 @@ class Distribution:
         return self._entropy() + math.log(self.scale)
 
     def renyi_entropy(self, alpha: float) -> float | None:
-        """Renyi entropy of order alpha, or None where int f^alpha diverges or overflows a float."""
+        """Renyi entropy of an order ``check_alpha`` takes, or None where int f^alpha diverges or overflows a float."""
+        check_alpha(alpha)
         try:
             h = self._renyi_entropy(alpha)
         except OverflowError:

@@ -34,10 +34,10 @@ where floats are dense, through s = (t/T)^4 / 2, which turns s^-p into
 t^(3-4p), bounded for p <= 3/4.  It puts u in (0.158, 1/2), the bulk of
 every law, in t > 3T/4, so its first call evaluates the six panels split at
 T (1/4, 1/2, 5/8, 3/4, 7/8), 180 u points: the four split at T (1/2, 3/4, 7/8)
-and the splits of (0, T/2) and (T/2, 3T/4) that bisection makes first.  The half line,
-the real line and a finite (a, b) are the maps x = a + F/S, (F - S) / (4 F S)
-and a S + b F of u; near an end other than 0, x rounds onto that end and f is
-evaluated there.
+and the splits of (0, T/2) and (T/2, 3T/4) that bisection makes first.  Only
+``integrate_support`` maps a support onto u, as x = a S + b F for a finite (a, b),
+a + F/S for (a, inf) and (F - S) / (4 F S) for the real line; near an end other
+than 0, x rounds onto that end and f is evaluated there.
 """
 
 from __future__ import annotations
@@ -171,11 +171,9 @@ def _panels(f, edges, lo: float, hi: float):
     output is (k, m)."""
     x, nodes, half = _nodes(edges)
     fx = np.asarray(f(nodes), dtype=float)
+    if fx.ndim not in (1, 2) or fx.shape[-1] != x.size:
+        raise InputError(f"integrand shape {fx.shape} at {x.size} points is not (m,) or (k, m)")
     vector = fx.ndim == 2
-    if fx.shape[-1:] != (x.size,):  # a constant integrand
-        if fx.ndim and fx.shape[1:] != (1,):
-            raise InputError(f"integrand shape {fx.shape} at {x.size} points is not (m,), (k, m), a constant scalar or (k, 1)")
-        fx = np.broadcast_to(fx, (fx.shape[0] if vector else 1, x.size))
     fx = fx.reshape(-1, *x.shape)
     if not np.isfinite(fx).all():
         c, p, j = np.argwhere(~np.isfinite(fx))[0]
@@ -224,8 +222,8 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
 
     ``f`` takes a read-only 1-D array of m points, shared by every call on
     the same panels, and returns shape (m,), or (k, m) for k integrands on
-    shared panels; a constant may return a scalar or (k, 1), and any other
-    shape raises InputError.  ``value`` and ``error_estimate`` are floats for
+    shared panels; any other shape, a constant's included, raises
+    InputError.  ``value`` and ``error_estimate`` are floats for
     an (m,) output and (k,) arrays for a (k, m) one; ``converged`` holds only
     if every component meets max(abs_tol, rel_tol * |I_c|).
     The first call of ``f`` evaluates the panels between a, the increasing
@@ -311,7 +309,7 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
     def integrand(t):
         F, S, jacobian = _fold(t)
         v = np.asarray(g(F, S), dtype=float)
-        if v.shape[-1:] != F.shape:
+        if v.ndim not in (1, 2) or v.shape[-1] != F.size:
             raise InputError(f"integrand shape {v.shape} at {F.size} points is not (m,) or (k, m)")
         folded = (v[..., : t.size] + v[..., t.size :]) * jacobian
         if not np.isfinite(folded).all() and not np.isfinite(v).all():
@@ -328,38 +326,34 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
     return QuadratureResult(r.value / _T, r.error_estimate / _T, r.subdivisions_used, r.converged)
 
 
-def _integrate_x(f, x, dx_dF, cfg: QuadratureConfig) -> QuadratureResult:
-    """Integral of ``f`` over x((0, 1)) as the folded one of f(x(F, S)) dx/dF;
-    where f is 0 so is that, even where dx/dF overflows at an end."""
+def integrate_half_line(f, a: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+    """Integral of ``f`` over (a, inf): ``integrate_support`` on that support."""
+    return integrate_support(f, Support(a, math.inf), cfg)
+
+
+def integrate_full_line(f, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+    """Integral of ``f`` over the real line: ``integrate_support`` on that support."""
+    return integrate_support(f, Support(-math.inf, math.inf), cfg)
+
+
+def integrate_support(f, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+    """Integral of ``f`` over the support, folded as f(x(F, S)) dx/dF, x the map its ends pick;
+    other ends, NaN ones included, raise.  Where f is 0 so is that, even where dx/dF overflows."""
+    a, b = support.lower, support.upper
+    if -math.inf < a < b < math.inf:
+        x, dx_dF = (lambda F, S: a * S + b * F), (lambda F, S: b - a)
+    elif -math.inf < a < b == math.inf:
+        x, dx_dF = (lambda F, S: a + F / S), (lambda F, S: 1.0 / (S * S))
+    elif a == -math.inf and b == math.inf:
+        x, dx_dF = (lambda F, S: (F - S) / (4 * F * S)), (lambda F, S: (F * F + S * S) / (2 * F * S) ** 2)
+    else:
+        raise InputError(f"unsupported support {support}: not a finite (a, b), an (a, inf) or the real line")
 
     def g(F, S):
         fx = np.asarray(f(x(F, S)), dtype=float)
         return np.where(fx == 0.0, 0.0, fx * dx_dF(F, S))
 
     return integrate_unit(g, cfg, "integrand is not finite", at=x)
-
-
-def integrate_half_line(f, a: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integral of ``f`` over (a, inf) via x = a + F/S."""
-    return _integrate_x(f, lambda F, S: a + F / S, lambda F, S: 1.0 / (S * S), cfg)
-
-
-def integrate_full_line(f, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integral of ``f`` over the real line via x = (F - S) / (4 F S)."""
-    return _integrate_x(f, lambda F, S: (F - S) / (4 * F * S), lambda F, S: (F * F + S * S) / (2 * F * S) ** 2, cfg)
-
-
-def integrate_support(f, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integral of ``f`` over the support, mapped as its ends say: a finite (a, b) as
-    x = a S + b F, (a, inf) or the real line; other ends, NaN ones included, raise."""
-    a, b = support.lower, support.upper
-    if -math.inf < a < b < math.inf:
-        return _integrate_x(f, lambda F, S: a * S + b * F, lambda F, S: b - a, cfg)
-    if -math.inf < a < b == math.inf:
-        return integrate_half_line(f, a, cfg)
-    if a == -math.inf and b == math.inf:
-        return integrate_full_line(f, cfg)
-    raise InputError(f"unsupported support {support}: not a finite (a, b), an (a, inf) or the real line")
 
 
 def entropy_integral(density, support: Support, cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:

@@ -300,6 +300,9 @@ def test_parse_errors_exit_two(capsys):
         ("measure", "shannon", "--design", "rss:3", "--dist", "exp:1", "--force-numeric",
          "--quad-abs-tol", "inf", "--quad-rel-tol", "inf"),
         ("conjecture-scan", "--family", "unif", "--n-values", "2,5-3", "--alphas", "2"),
+        ("dn", "--quad-abs-tol", "1e-3"),  # tolerances only where something integrates
+        ("psi", "--config", "{missing}"),
+        ("table-k", "--quad-max-subdiv", "5"),
     ],
     ids=[
         "config-missing", "matrix-missing", "matrix-malformed", "alpha-one",
@@ -311,7 +314,7 @@ def test_parse_errors_exit_two(capsys):
         "psi-empty-alphas", "scan-empty-n-values", "design-missing-set-size", "config-bad-value",
         "shannon-alpha", "kl-alpha", "seed-without-oracle", "replications-without-oracle",
         "figure-1-alpha-min", "figure-1-alpha-max", "figure-alpha-grid-only-one", "infinite-tolerance",
-        "scan-inverted-n-range",
+        "scan-inverted-n-range", "dn-tolerance", "psi-config", "table-k-max-subdiv",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
@@ -351,12 +354,48 @@ def test_shared_parser_leaks_no_state_between_calls(capsys):
     assert float(rows_of(out)[0]["value"]) == pytest.approx(3.0 - 2.0 * math.log(2.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("command", ["table-k", "dn", "psi", "measure", "figure", "conjecture-scan", "errata"])
+# each subcommand once, on minimal arguments: the four that integrate, and the
+# three that read closed forms alone
+MINIMAL_ARGV = {
+    "table-k": ("--n-max", "2"),
+    "dn": ("--n-max", "1"),
+    "psi": ("--alphas", "2", "--n-max", "2"),
+    "measure": ("shannon", "--design", "rss:2", "--dist", "exp:1"),
+    "figure": ("--id", "1", "--points", "2"),
+    "conjecture-scan": ("--family", "unif", "--n-values", "2", "--alphas", "2", "--matrix", "identity"),
+    "errata": (),
+}
+INTEGRATING = ("measure", "figure", "conjecture-scan", "errata")
+
+
+@pytest.mark.parametrize("command", list(MINIMAL_ARGV))
 def test_every_subcommand_takes_the_shared_options(capsys, command):
     code, out, _ = run(capsys, command, "--help")
     assert code == cli.EXIT_OK
-    for flag in ("--out", "--format", "--config", "--quad-abs-tol", "--quad-rel-tol", "--quad-max-subdiv"):
+    for flag in ("--out", "--format"):
         assert flag in out, flag
+    for flag in ("--config", "--quad-abs-tol", "--quad-rel-tol", "--quad-max-subdiv"):
+        assert (flag in out) == (command in INTEGRATING), flag
+
+
+def test_a_subcommand_takes_tolerances_only_if_it_reads_them(capsys, monkeypatch):
+    # the subcommands that build a QuadratureConfig are exactly those whose
+    # --help lists --config: none takes a tolerance it never reads
+    commands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    assert commands == set(MINIMAL_ARGV)
+    read, real = set(), cli._quad_config
+
+    def counted(args):
+        read.add(args.command)
+        return real(args)
+
+    monkeypatch.setattr(cli, "_quad_config", counted)
+    listed = set()
+    for command, argv in MINIMAL_ARGV.items():
+        assert run(capsys, command, *argv)[0] == cli.EXIT_OK, command
+        if "--config" in run(capsys, command, "--help")[1]:
+            listed.add(command)
+    assert read == listed == set(INTEGRATING)
 
 
 def test_options_not_given_parse_to_none_so_the_library_defaults_hold():

@@ -280,6 +280,15 @@ def test_invalid_parameters():
             Weibull(k, theta)
 
 
+def test_renyi_entropy_checks_its_order(families):
+    # as every other Renyi entry point: once the uniform gave 0.0 at any order,
+    # and the others NaN, None, or a bare ZeroDivisionError or ValueError
+    for dist in families:
+        for alpha in (1.0, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="alpha"):
+                dist.renyi_entropy(alpha)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_exponential_round_trip_property(u):

@@ -116,18 +116,17 @@ def test_result_shape_follows_the_integrand():
     assert type(vector.converged) is bool and type(vector.subdivisions_used) is int
 
 
-def test_constant_integrand_is_broadcast_over_the_nodes():
-    scalar = integrate(lambda u: 2.0, 0.0, 1.0)
-    assert scalar.converged and abs(scalar.value - 2.0) <= scalar.error_estimate
-    vector = integrate(lambda u: np.array([[1.0], [2.0]]), 0.0, 1.0)
-    assert vector.converged
-    np.testing.assert_allclose(vector.value, [1.0, 2.0], rtol=1e-14)
-
-
-@pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 1, 1)])
+# None stands for m, the number of points; a constant, scalar or (k, 1), is
+# no accepted shape, and a (2, 2, m) output was once read as its first component
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 1, 1), (), (2, 1), (2, 2, None)])
 def test_integrand_of_no_accepted_shape_raises_input_error(shape):
-    with pytest.raises(InputError, match=r"\(m,\), \(k, m\), a constant scalar or \(k, 1\)"):
-        integrate(lambda u: np.ones(shape), 0.0, 1.0)
+    def ones(points):
+        return np.ones([points.size if s is None else s for s in shape])
+
+    with pytest.raises(InputError, match=r"is not \(m,\) or \(k, m\)$"):
+        integrate(ones, 0.0, 1.0)
+    with pytest.raises(InputError, match=r"is not \(m,\) or \(k, m\)$"):
+        integrate_unit(lambda F, S: ones(F), DEFAULT_CONFIG, "w")
 
 
 def test_infinite_panel_error_does_not_stall_the_loop():
@@ -417,6 +416,20 @@ def test_integrate_support_dispatch():
     assert abs(finite.value - 1.0) < 1e-9
     assert abs(half.value - 1.0) < 1e-9
     assert abs(full.value - 1.0) < 1e-9
+
+
+def test_half_line_reads_its_end_as_integrate_support_does():
+    # from -inf the half line is the real line (it once returned 0.0 +- 0.0,
+    # converged); an end of +inf or NaN is no support
+    def f(x):
+        return np.exp(-np.abs(x))
+
+    half, full = integrate_half_line(f, -math.inf), integrate_full_line(f)
+    assert half == full and full.converged
+    assert abs(full.value - 2.0) <= full.error_estimate
+    for a in (math.inf, math.nan):
+        with pytest.raises(InputError, match="unsupported support"):
+            integrate_half_line(f, a)
 
 
 def test_entropy_integral_zero_log_zero_convention():

@@ -3,8 +3,10 @@
 Subcommands: table-k, dn, psi, measure, figure, conjecture-scan, errata.
 Outputs CSV (default) or JSON to stdout or ``--out``.  Exit codes: 0 success,
 2 parse error, 3 quadrature non-convergence, 4 inequality violation found.
-Every subcommand takes ``--out`` and ``--format``; only the four that integrate
-take ``--config`` and the ``--quad-*`` flags, which the others reject as unknown.
+Every input has one spelling: a design spec alone carries its matrix, a CSV
+path among them, and the ``--quad-*`` flags alone set tolerances.  Every
+subcommand takes ``--out`` and ``--format``; only the four that integrate take
+the ``--quad-*`` flags, which the others reject as unknown.
 The argument parser is built once per process and shared by every ``main``
 call, which dispatches subcommand ``x-y`` to the module's ``cmd_x_y``: each
 returns (rows, exit code), rows None where nothing is written, and ``main``
@@ -45,12 +47,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def parse_design(spec: str, matrix_path: str | None = None) -> RankingErrorMatrix:
+def parse_design(spec: str) -> RankingErrorMatrix:
     """The ranking-error matrix of a ``kind:N[:matrix]`` design spec, e.g.
-    ``rss:3`` or ``irss:2:p12=0.25``.
+    ``rss:3``, ``irss:2:p12=0.25`` or ``irss:2:P.csv``.
 
     The matrix segment is a builtin (identity, uniform, blend=W, p12=V) or a
-    CSV path; ``--error-matrix`` supplies it instead, never as well.
+    headerless CSV path, the one way to give a matrix from a file.
     ``measures.Design`` decides which kinds take a matrix: irss needs one,
     srs and rss take none.
     """
@@ -61,52 +63,16 @@ def parse_design(spec: str, matrix_path: str | None = None) -> RankingErrorMatri
         n = int(parts[0])
     except ValueError:
         raise InputError(f"bad set size {parts[0]!r} in design spec {spec!r}")
-    if len(parts) > 1:
-        if matrix_path is not None:
-            raise InputError(f"design spec {spec!r} has a matrix segment, so --error-matrix would be ignored")
-        P = parse_matrix(parts[1], n)
-    elif matrix_path is not None:
-        P = ranking_error.from_csv(matrix_path)
-    else:
-        P = None
-    return measures.Design(kind, n, P)
+    return measures.Design(kind, n, parse_matrix(parts[1], n) if len(parts) > 1 else None)
 
 
-# config-file key quad.x_y and its flag --quad-x-y: (QuadratureConfig field, also the flag's dest; type)
-_QUAD_KEYS = {
-    "quad.abs_tol": ("abs_tol", float),
-    "quad.rel_tol": ("rel_tol", float),
-    "quad.max_subdiv": ("max_subdivisions", int),
-}
+# each --quad-* flag's dest, and the QuadratureConfig field it sets
+_QUAD_FIELDS = {"quad_abs_tol": "abs_tol", "quad_rel_tol": "rel_tol", "quad_max_subdiv": "max_subdivisions"}
 
 
 def _quad_config(args) -> QuadratureConfig:
-    """QuadratureConfig's defaults, overridden by the config file, then by
-    each --quad-* flag."""
-    cfg = {}
-    if path := args.config:
-        try:
-            with open(path) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise InputError(f"cannot read config file {path!r}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _QUAD_KEYS:
-                raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            name, convert = _QUAD_KEYS[key]
-            try:
-                cfg[name] = convert(value)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    cfg.update(_given(args, *(name for name, _ in _QUAD_KEYS.values())))
-    return QuadratureConfig(**cfg)
+    """The QuadratureConfig of the --quad-* flags given; its defaults hold for the others."""
+    return QuadratureConfig(**{_QUAD_FIELDS[dest]: v for dest, v in _given(args, *_QUAD_FIELDS).items()})
 
 
 def _given(args, *dests: str) -> dict:
@@ -115,6 +81,7 @@ def _given(args, *dests: str) -> dict:
 
 
 def _reject(args, why: str, *dests: str) -> None:
+    """Raise, naming each option of ``dests`` given: every dest is its flag's spelling."""
     if given := _given(args, *dests):
         raise InputError(" and ".join("--" + d.replace("_", "-") for d in given) + f" would be ignored {why}")
 
@@ -179,7 +146,7 @@ def cmd_psi(args) -> tuple[list[dict], int]:
 
 def cmd_measure(args) -> tuple[list[dict], int]:
     cfg = _quad_config(args)
-    design = parse_design(args.design, args.error_matrix)
+    design = parse_design(args.design)
     dist = parse_distribution(args.dist)
     if args.measure != "renyi":
         _reject(args, f"by {args.measure}", "alpha")
@@ -198,8 +165,7 @@ def cmd_measure(args) -> tuple[list[dict], int]:
     else:
         res = measures.kl_srs_vs_design(design, cfg, force_numeric=args.force_numeric)
         oracle = functools.partial(mc_oracle.mc_kl, ranking_error.uniform(design.n), dist, design, dist)
-    spec = args.design if args.error_matrix is None else f"{args.design}:{args.error_matrix}"
-    rec = measures.result_record(args.measure, spec, args.dist, res, args.alpha)
+    rec = measures.result_record(args.measure, args.design, args.dist, res, args.alpha)
     if args.oracle:
         est = oracle(sim)
         rec["oracle"] = est.estimate
@@ -210,7 +176,7 @@ def cmd_measure(args) -> tuple[list[dict], int]:
 def cmd_figure(args) -> tuple[list[dict], int]:
     cfg = _quad_config(args)
     if args.figure_id == "1":
-        _reject(args, "by figure 1", "alpha_min", "alpha_max")
+        _reject(args, "by figure 1", "alpha_min", "alpha_max", *_QUAD_FIELDS)
     return figure_curve(args.figure_id, args.points, cfg=cfg, **_given(args, "alpha_min", "alpha_max")), EXIT_OK
 
 
@@ -270,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="write output to this path instead of stdout")
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
     quad = argparse.ArgumentParser(add_help=False)  # for the subcommands that integrate
-    quad.add_argument("--config", help="key=value config file (quad.* keys)")
-    for key, (name, convert) in _QUAD_KEYS.items():
-        quad.add_argument("--" + key.replace(".", "-").replace("_", "-"), type=convert, dest=name)
+    quad.add_argument("--quad-abs-tol", type=float)
+    quad.add_argument("--quad-rel-tol", type=float)
+    quad.add_argument("--quad-max-subdiv", type=int)
     parser = _Parser(
         prog="rssinfo",
         description=(
@@ -296,10 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_quad("measure", help="compute one measure for a design/dist pair")
     p.add_argument("measure", choices=("shannon", "renyi", "kl"))
-    p.add_argument("--design", required=True, help="srs:N | rss:N | irss:N:<matrix>")
+    p.add_argument("--design", required=True, help="srs:N | rss:N | irss:N:<matrix or CSV path>")
     p.add_argument("--dist", required=True, help="e.g. exp:1, unif, norm:0,1, weibull:2,1")
     p.add_argument("--alpha", type=float, help="renyi only")
-    p.add_argument("--error-matrix", help="CSV matrix file for irss designs only")
     p.add_argument("--force-numeric", action="store_true")
     p.add_argument("--oracle", action="store_true", help="add a Monte Carlo column")
     p.add_argument("--seed", type=int, help="--oracle only")

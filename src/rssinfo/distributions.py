@@ -3,10 +3,11 @@ integral consumes: density, log-density, cdf, survival, quantile, and
 density-at-quantile.
 
 Each family is a standard shape moved by a location and stretched by a
-scale, and only ``Distribution`` applies that affine map; ``standard()``
-gives the same shape at location 0 and scale 1, the law every measure
-integrates.  All operations accept scalars or numpy arrays and are pure;
-instances are immutable after construction.  ``log_pdf``, ``pdf``, ``cdf`` and
+scale, and only ``Distribution`` applies that affine map; ``moved(loc, scale)``
+gives the same shape at another location and scale, and ``standard()`` the one
+at location 0 and scale 1, the law every measure integrates.  All operations
+accept scalars or numpy arrays and are pure; instances are immutable after
+construction.  ``log_pdf``, ``pdf``, ``cdf`` and
 ``survival`` give NaN at a NaN x, and their limit, without a warning, at +-inf
 and where z = x / scale, a normal's z * z or a Weibull's z**k overflows.
 """
@@ -102,13 +103,22 @@ class Distribution:
         return None if h is None else h + math.log(self.scale)
 
     def standard(self) -> "Distribution":
-        """The same shape at location 0 and scale 1: the law itself if standard (instances
-        are immutable), else a copy with the same fields, equal to the standard member."""
-        if self.loc == 0.0 and self.scale == 1.0:
+        """The same shape at location 0 and scale 1, equal to the standard member."""
+        return self.moved(0.0, 1.0)
+
+    def moved(self, loc: float, scale: float) -> "Distribution | None":
+        """The same shape at ``loc`` and ``scale``: the law itself if already there
+        (instances are immutable), else a copy with the same other fields; None where
+        that needs a location or scale the family lacks (``unif`` has neither)."""
+        if self.loc == loc and self.scale == scale:
             return self
-        std = copy.copy(self)
-        vars(std).update((f, v) for f, v in (("loc", 0.0), ("scale", 1.0)) if f in vars(self))
-        return std
+        law = copy.copy(self)
+        for field, value in (("loc", loc), ("scale", scale)):
+            if field in vars(law):
+                setattr(law, field, value)
+            elif value != getattr(law, field):
+                return None
+        return law
 
     def __eq__(self, other):
         """One law: the same family and fields (a location of -0.0 is 0.0)."""

@@ -322,6 +322,18 @@ def kl_srs_vs_design_x(
     return _weighted(r.value, r.error_estimate, counts, r)
 
 
+def _relative_to(dist_f: Distribution, dist_g: Distribution) -> tuple[Distribution, Distribution]:
+    """(F.standard(), G'), with G' the law G moved by F's inverse affine map: location
+    (G.loc - F.loc) / F.scale and scale G.scale / F.scale.  K and A_n are invariant
+    under a common affine map, so the pair is read where X's law is standard, at
+    every magnitude.  A G' that needs a location or scale its family lacks has
+    another support than F's, and raises."""
+    g = dist_g.moved((dist_g.loc - dist_f.loc) / dist_f.scale, dist_g.scale / dist_f.scale)
+    if g is None:
+        raise DivergentIntegralError(f"{dist_f} and {dist_g} have different supports")
+    return dist_f.standard(), g
+
+
 def kl_two_sample(
     design_x: RankingErrorMatrix,
     dist_f: Distribution,
@@ -333,8 +345,8 @@ def kl_two_sample(
 
     Componentwise: sum_i int px_i log(px_i / py_i), computed in the u-space
     of the X-side law; on one law both sides' judged weights read the same
-    (F, S), with no round trip through x.  Raises DivergentIntegralError on
-    support mismatch.
+    (F, S), with no round trip through x, and two laws are read relative to
+    X's (``_relative_to``).  Raises DivergentIntegralError on support mismatch.
     """
     check_shared((design_x, design_y))
     # each distinct pair of rows, the X side's then the Y side's, is one component
@@ -344,8 +356,9 @@ def kl_two_sample(
         log_wy = judged_log_weight(rows_y)
         bracket = lambda lx, F, S: lx - _log_weights(log_wy, rows_y, F, S)
     else:
-        log_py = judged_log_pdf(dist_g, rows_y)
-        bracket = lambda lx, F, S: lx + _log_pdf_at_quantile(dist_f, F, S) - log_py(dist_f.quantile(F, S))
+        std, g = _relative_to(dist_f, dist_g)
+        log_py = judged_log_pdf(g, rows_y)
+        bracket = lambda lx, F, S: lx + _log_pdf_at_quantile(std, F, S) - log_py(std.quantile(F, S))
 
     def term(lx, F, S):
         wx = np.exp(lx)
@@ -380,15 +393,16 @@ def a_n(
 ) -> QuadratureResult:
     """Correction term with K(RSS_F, RSS_G) = n K(f, g) + A_n(F, G), in its
     reduced form -n(n-1)/2 - n(n-1) int_0^1 [u log G(F^-1(u)) + (1-u) log Gbar(F^-1(u))] du;
-    it vanishes at F = G and at n = 1.
+    it vanishes at F = G and at n = 1, and reads the pair relative to F (``_relative_to``).
     """
     check_count("n", n, 1)
     if n == 1:
         return _closed(0.0)
+    std, g = _relative_to(dist_f, dist_g)
 
     def integrand(F, S):
-        x = dist_f.quantile(F, S)
-        return closed_form.xlogy(F, dist_g.cdf(x)) + closed_form.xlogy(S, dist_g.survival(x))
+        x = std.quantile(F, S)
+        return closed_form.xlogy(F, g.cdf(x)) + closed_form.xlogy(S, g.survival(x))
 
     r = integrate_unit(integrand, cfg, "A_n integrand is not integrable")
     c = n * (n - 1)

@@ -142,14 +142,15 @@ def test_measure_irss_matrix_grammar(capsys):
 
 
 def test_measure_error_matrix_file(capsys, tmp_path):
+    # a CSV path is the design spec's matrix segment: the record names the spec as typed
     path = tmp_path / "P.csv"
     path.write_text("0.8,0.2\n0.2,0.8\n")
-    code, out, _ = run(
-        capsys, "measure", "shannon", "--design", "irss:2", "--dist", "exp:1",
-        "--error-matrix", str(path),
-    )
+    code, out, _ = run(capsys, "measure", "shannon", "--design", f"irss:2:{path}", "--dist", "exp:1")
     assert code == cli.EXIT_OK
-    assert rows_of(out)[0]["design"] == f"irss:2:{path}"
+    (row,) = rows_of(out)
+    assert row["design"] == f"irss:2:{path}"
+    builtin = rows_of(run(capsys, "measure", "shannon", "--design", "irss:2:p12=0.2", "--dist", "exp:1")[1])
+    assert row["value"] == builtin[0]["value"]
 
 
 def test_measure_record_names_its_matrix(capsys):
@@ -260,83 +261,100 @@ def test_parse_errors_exit_two(capsys):
         assert err.startswith("error:"), argv
 
 
+INPUT_ERRORS = [
+    ("measure", "shannon", "--design", "irss:2:{missing}", "--dist", "exp:1"),
+    ("measure", "shannon", "--design", "irss:2:{malformed}", "--dist", "exp:1"),
+    ("measure", "renyi", "--alpha", "1", "--design", "rss:2", "--dist", "exp:1"),
+    ("measure", "renyi", "--alpha", "-1", "--design", "rss:2", "--dist", "exp:1"),
+    ("measure", "shannon", "--design", "rss:0", "--dist", "exp:1"),
+    ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--quad-abs-tol", "-1"),
+    ("conjecture-scan", "--family", "exp:1", "--n-values", "0", "--alphas", "2"),
+    ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--replications", "10"),
+    ("figure", "--id", "2a", "--rate", "-1"),  # no such flag: argparse rejects it
+    ("figure", "--id", "1", "--points", "-3"),
+    ("figure", "--id", "2a", "--alpha-min", "0"),
+    ("dn", "--out", "{missing_dir}"),
+    ("conjecture-scan", "--family", "exp:1", "--n-values", "2", "--alphas", "2", "--matrix", "{identity3}"),
+    ("measure", "renyi", "--alpha", "inf", "--design", "rss:2", "--dist", "exp:1"),
+    ("psi", "--alphas", "inf"),
+    ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--seed", "-1"),
+    ("measure", "shannon", "--design", "rss:3:blend=0.5", "--dist", "exp:1"),
+    ("measure", "shannon", "--design", "srs:2:identity", "--dist", "exp:1"),
+    ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--error-matrix", "{two_by_two}"),  # no such flag
+    ("conjecture-scan", "--n-values", "2-x"),
+    ("psi", "--alphas", "1,x"),
+    ("psi", "--alphas", ","),
+    ("conjecture-scan", "--n-values", ""),
+    ("measure", "shannon", "--design", "rss", "--dist", "exp:1"),
+    ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--alpha", "2"),
+    ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--alpha", "2"),
+    ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--seed", "5"),
+    ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--replications", "1000"),
+    ("figure", "--id", "1", "--alpha-min", "0.5"),
+    ("figure", "--id", "1", "--alpha-max", "3"),
+    ("figure", "--id", "2a", "--points", "1", "--alpha-min", "1", "--alpha-max", "1"),
+    ("measure", "shannon", "--design", "rss:3", "--dist", "exp:1", "--force-numeric",
+     "--quad-abs-tol", "inf", "--quad-rel-tol", "inf"),
+    ("conjecture-scan", "--family", "unif", "--n-values", "2,5-3", "--alphas", "2"),
+    ("dn", "--quad-abs-tol", "1e-3"),  # tolerances only where something integrates
+    ("psi", "--config", "{missing}"),  # no such flag
+    ("table-k", "--quad-max-subdiv", "5"),
+    ("figure", "--id", "1", "--points", "2", "--quad-abs-tol", "1e-3"),  # a closed form reads no tolerance
+]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--config", "{missing}"),
-        ("measure", "shannon", "--design", "irss:2", "--dist", "exp:1", "--error-matrix", "{missing}"),
-        ("measure", "shannon", "--design", "irss:2", "--dist", "exp:1", "--error-matrix", "{malformed}"),
-        ("measure", "renyi", "--alpha", "1", "--design", "rss:2", "--dist", "exp:1"),
-        ("measure", "renyi", "--alpha", "-1", "--design", "rss:2", "--dist", "exp:1"),
-        ("measure", "shannon", "--design", "rss:0", "--dist", "exp:1"),
-        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--quad-abs-tol", "-1"),
-        ("conjecture-scan", "--family", "exp:1", "--n-values", "0", "--alphas", "2"),
-        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--replications", "10"),
-        ("figure", "--id", "2a", "--rate", "-1"),  # no such flag: argparse rejects it
-        ("figure", "--id", "1", "--points", "-3"),
-        ("figure", "--id", "2a", "--alpha-min", "0"),
-        ("dn", "--out", "{missing_dir}"),
-        ("conjecture-scan", "--family", "exp:1", "--n-values", "2", "--alphas", "2", "--matrix", "{identity3}"),
-        ("measure", "renyi", "--alpha", "inf", "--design", "rss:2", "--dist", "exp:1"),
-        ("psi", "--alphas", "inf"),
-        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--oracle", "--seed", "-1"),
-        ("measure", "shannon", "--design", "rss:3:blend=0.5", "--dist", "exp:1"),
-        ("measure", "shannon", "--design", "srs:2:identity", "--dist", "exp:1"),
-        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--error-matrix", "{two_by_two}"),
-        ("conjecture-scan", "--n-values", "2-x"),
-        ("psi", "--alphas", "1,x"),
-        ("measure", "shannon", "--design", "irss:2:identity", "--dist", "exp:1", "--error-matrix", "{two_by_two}"),
-        ("psi", "--alphas", ","),
-        ("conjecture-scan", "--n-values", ""),
-        ("measure", "shannon", "--design", "rss", "--dist", "exp:1"),
-        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--config", "{bad_value_config}"),
-        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--alpha", "2"),
-        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--alpha", "2"),
-        ("measure", "shannon", "--design", "rss:2", "--dist", "exp:1", "--seed", "5"),
-        ("measure", "kl", "--design", "rss:2", "--dist", "exp:1", "--replications", "1000"),
-        ("figure", "--id", "1", "--alpha-min", "0.5"),
-        ("figure", "--id", "1", "--alpha-max", "3"),
-        ("figure", "--id", "2a", "--points", "1", "--alpha-min", "1", "--alpha-max", "1"),
-        ("measure", "shannon", "--design", "rss:3", "--dist", "exp:1", "--force-numeric",
-         "--quad-abs-tol", "inf", "--quad-rel-tol", "inf"),
-        ("conjecture-scan", "--family", "unif", "--n-values", "2,5-3", "--alphas", "2"),
-        ("dn", "--quad-abs-tol", "1e-3"),  # tolerances only where something integrates
-        ("psi", "--config", "{missing}"),
-        ("table-k", "--quad-max-subdiv", "5"),
-    ],
+    INPUT_ERRORS,
     ids=[
-        "config-missing", "matrix-missing", "matrix-malformed", "alpha-one",
+        "matrix-missing", "matrix-malformed", "alpha-one",
         "alpha-negative", "set-size-zero", "negative-tolerance", "scan-set-size-zero",
         "oracle-few-replications", "figure-negative-rate", "figure-negative-points",
         "figure-alpha-min-zero", "out-missing-dir", "scan-matrix-wrong-size", "alpha-inf",
         "psi-alpha-inf", "oracle-negative-seed", "rss-matrix-segment", "srs-matrix-segment",
-        "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list", "irss-segment-and-error-matrix",
-        "psi-empty-alphas", "scan-empty-n-values", "design-missing-set-size", "config-bad-value",
+        "rss-error-matrix", "scan-bad-range", "psi-bad-alpha-list",
+        "psi-empty-alphas", "scan-empty-n-values", "design-missing-set-size",
         "shannon-alpha", "kl-alpha", "seed-without-oracle", "replications-without-oracle",
         "figure-1-alpha-min", "figure-1-alpha-max", "figure-alpha-grid-only-one", "infinite-tolerance",
         "scan-inverted-n-range", "dn-tolerance", "psi-config", "table-k-max-subdiv",
+        "figure-1-tolerance",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *with_paths(argv, tmp_path))
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error:")
+
+
+def test_a_flag_that_would_be_ignored_is_named_as_typed(capsys, tmp_path):
+    # every flag an ignored-flag message names is an option string of the subcommand given
+    named = set()
+    for argv in INPUT_ERRORS:
+        err = run(capsys, *with_paths(argv, tmp_path))[2]
+        if "would be ignored" in err:
+            flags = set(re.findall(r"--[a-z][a-z-]*", err.partition("would be ignored")[0]))
+            options = set(re.findall(r"--[a-z][a-z-]*", run(capsys, argv[0], "--help")[1]))
+            assert flags and flags <= options, (argv, err)
+            named |= flags
+    assert named == {"--alpha", "--seed", "--replications", "--alpha-min", "--alpha-max", "--quad-abs-tol"}
+
+
+def with_paths(argv, tmp_path):
+    """``argv`` with each ``{name}`` field filled by a file of that kind under ``tmp_path``."""
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("0.8,zero\n0.2,0.8\n")
     identity3 = tmp_path / "identity3.csv"
     identity3.write_text("1,0,0\n0,1,0\n0,0,1\n")
     two_by_two = tmp_path / "two_by_two.csv"
     two_by_two.write_text("0.8,0.2\n0.2,0.8\n")
-    bad_value_config = tmp_path / "bad_value.cfg"
-    bad_value_config.write_text("quad.abs_tol = x\n")
     paths = {
-        "bad_value_config": str(bad_value_config),
         "identity3": str(identity3),
         "two_by_two": str(two_by_two),
         "missing": str(tmp_path / "absent.csv"),
         "malformed": str(malformed),
         "missing_dir": str(tmp_path / "absent" / "out.csv"),
     }
-    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
-    assert code == cli.EXIT_PARSE
-    assert err.startswith("error:")
+    return [a.format(**paths) for a in argv]
 
 
 def test_shared_parser_leaks_no_state_between_calls(capsys):
@@ -374,13 +392,16 @@ def test_every_subcommand_takes_the_shared_options(capsys, command):
     assert code == cli.EXIT_OK
     for flag in ("--out", "--format"):
         assert flag in out, flag
-    for flag in ("--config", "--quad-abs-tol", "--quad-rel-tol", "--quad-max-subdiv"):
+    for flag in ("--quad-abs-tol", "--quad-rel-tol", "--quad-max-subdiv"):
         assert (flag in out) == (command in INTEGRATING), flag
+    for flag in ("--config", "--error-matrix"):  # one spelling each: the --quad-* flags, the design spec
+        assert flag not in out, flag
+        assert run(capsys, command, *MINIMAL_ARGV[command], flag, "x")[0] == cli.EXIT_PARSE, flag
 
 
 def test_a_subcommand_takes_tolerances_only_if_it_reads_them(capsys, monkeypatch):
     # the subcommands that build a QuadratureConfig are exactly those whose
-    # --help lists --config: none takes a tolerance it never reads
+    # --help lists --quad-abs-tol: none takes a tolerance it never reads
     commands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
     assert commands == set(MINIMAL_ARGV)
     read, real = set(), cli._quad_config
@@ -393,7 +414,7 @@ def test_a_subcommand_takes_tolerances_only_if_it_reads_them(capsys, monkeypatch
     listed = set()
     for command, argv in MINIMAL_ARGV.items():
         assert run(capsys, command, *argv)[0] == cli.EXIT_OK, command
-        if "--config" in run(capsys, command, "--help")[1]:
+        if "--quad-abs-tol" in run(capsys, command, "--help")[1]:
             listed.add(command)
     assert read == listed == set(INTEGRATING)
 
@@ -417,32 +438,6 @@ def test_non_convergence_exits_three(capsys):
         "--quad-rel-tol", "1e-14",
     )
     assert code == cli.EXIT_NO_CONVERGENCE
-
-
-def test_config_file_and_flag_override(capsys, tmp_path):
-    path = tmp_path / "quad.cfg"
-    path.write_text("# scan manifest\nquad.abs_tol = 1e-9\nquad.rel_tol = 1e-7\nquad.max_subdiv = 500\n")
-    code, out, _ = run(
-        capsys, "measure", "kl", "--design", "rss:2", "--dist", "exp:1",
-        "--force-numeric", "--config", str(path),
-    )
-    assert code == cli.EXIT_OK
-    assert abs(float(rows_of(out)[0]["value"]) - cf.d_n(2)) < 1e-6
-    # the flags override the file's budget and tolerances
-    code, _, _ = run(
-        capsys, "measure", "shannon", "--design", "rss:3", "--dist", "norm:0,1",
-        "--force-numeric", "--config", str(path), "--quad-max-subdiv", "1",
-        "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14",
-    )
-    assert code == cli.EXIT_NO_CONVERGENCE
-
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("quad.unknown = 3\n")
-    measure_argv = ("measure", "kl", "--design", "rss:2", "--dist", "exp:1")
-    assert run(capsys, *measure_argv, "--config", str(bad))[0] == cli.EXIT_PARSE
-    malformed = tmp_path / "malformed.cfg"
-    malformed.write_text("quad.abs_tol\n")
-    assert run(capsys, *measure_argv, "--config", str(malformed))[0] == cli.EXIT_PARSE
 
 
 def test_out_file_and_json_format(capsys, tmp_path):

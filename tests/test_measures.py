@@ -308,6 +308,31 @@ def test_location_scale_equivariance(family, magnitude, loc, k, n, blend, alpha,
     assert abs(res.value - expected) <= res.error_estimate + ref.error_estimate + slack
 
 
+# (X law, Y law) at scale a and location 3e5 where the family has one: K and A_n are invariant
+TWO_LAW_PAIRS = {
+    "norm-scale": lambda a: (Normal(3e5, a), Normal(3e5, 2.0 * a)),
+    "exp-rate": lambda a: (Exponential(1.0 / a), Exponential(0.5 / a)),
+    "weibull-shape": lambda a: (Weibull(2.0, a), Weibull(1.5, 2.0 * a)),
+    "weibull-exp": lambda a: (Weibull(2.0, a), Exponential(1.0 / a)),
+}
+
+
+@pytest.mark.parametrize("magnitude", [1e-6, 1e6])
+@pytest.mark.parametrize("pair", list(TWO_LAW_PAIRS))
+@pytest.mark.parametrize("route", ["kl_two_sample", "kld_symmetric", "a_n"])
+def test_two_law_routes_are_location_scale_invariant(route, pair, magnitude):
+    # read relative to X's law, a pair far from unit scale converges as the unit pair does
+    def run(f, g):
+        if route == "a_n":
+            return M.a_n(f, g, 3)
+        return getattr(M, route)(Design("irss", 4, re.blend(4, 0.5)), f, Design("rss", 4), g)
+
+    res, ref = run(*TWO_LAW_PAIRS[pair](magnitude)), run(*TWO_LAW_PAIRS[pair](1.0))
+    assert res.converged and ref.converged
+    assert res.subdivisions_used <= 64, res
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
 def test_renyi_far_from_unit_scale():
     # x-space Renyi at large scale: the half-line map squeezes the mass
     # against t = 1, where an unresolved end panel used to pass as converged
@@ -572,8 +597,12 @@ def test_kl_convexity_ordering_srs_vs_rss_target():
 
 
 def test_kl_two_sample_support_mismatch_diverges():
-    with pytest.raises(DivergentIntegralError):
-        M.kl_two_sample(Design("srs", 2), Normal(0.0, 1.0), Design("srs", 2), Exponential(1.0))
+    # a Y law moved relative to X's that needs a location or scale its family lacks has another support
+    for f, g in [(Normal(0.0, 1.0), Exponential(1.0)), (Normal(5.0, 1.0), Exponential(1.0)), (Exponential(0.5), Uniform())]:
+        with pytest.raises(DivergentIntegralError):
+            M.kl_two_sample(Design("srs", 2), f, Design("srs", 2), g)
+        with pytest.raises(DivergentIntegralError):
+            M.a_n(f, g, 3)
 
 
 def test_kld_symmetric_known_values():

@@ -109,6 +109,34 @@ def test_provable_orderings_hold_on_birkhoff_mixtures(P):
                 ordered(*M.renyi_designs([identity, P, uniform], dist, alpha, cfg))
 
 
+# (f, g) changed in location, scale, shape, family, and a scale pair far from 1
+SANDWICH_PAIRS = [
+    tuple(map(parse_distribution, pair))
+    for pair in (
+        ("norm:0,1", "norm:0.5,1"),
+        ("norm:0,1", "norm:0,2"),
+        ("weibull:2,1", "weibull:1.5,1"),
+        ("weibull:2,1", "exp:1"),
+        ("norm:1e6,1e-6", "norm:1e6,2e-6"),
+    )
+]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(P=birkhoff_mixtures(max_n=50))
+def test_two_sample_sandwich_holds_on_birkhoff_mixtures(P):
+    # row i's judged densities are the mixtures sum_j p_ij f_(j) and sum_j p_ij g_(j), so joint
+    # convexity of KL (Cover & Thomas, Thm 2.7.2) over the columns, then over the rows, gives
+    # n K(f || g) = K(SRS_F || SRS_G) <= K(IRSS_F || IRSS_G) <= K(RSS_F || RSS_G) for every doubly stochastic P
+    designs = (re.uniform(P.n), P, re.identity(P.n))
+    for cfg in (DEFAULT_CONFIG, TIGHT):
+        for f, g in SANDWICH_PAIRS:
+            srs, irss, rss = (M.kl_two_sample(D, f, D, g, cfg) for D in designs)
+            assert srs.converged and irss.converged and rss.converged, (f, g, srs, irss, rss)
+            assert srs.value <= irss.value + srs.error_estimate + irss.error_estimate, (P.entries, f, g, srs, irss)
+            assert irss.value <= rss.value + irss.error_estimate + rss.error_estimate, (P.entries, f, g, irss, rss)
+
+
 @pytest.mark.parametrize("a", [1e-6, 1e6])
 @pytest.mark.parametrize("family", [lambda loc, a: Normal(loc, a), lambda loc, a: Weibull(2.0, a)], ids=["norm", "weibull"])
 def test_shannon_scale_equivariance_is_exact(family, a):

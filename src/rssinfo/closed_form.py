@@ -4,8 +4,8 @@ Everything here is exact up to floating point: entropies of uniform order
 statistics, the distribution-free Shannon gap k(n) (direct and recursive), the
 distribution-free KL constant d_n and its 2 x 2 rows, perfect-RSS Renyi
 information on a uniform or exponential parent, the alpha > 1 Renyi gap lower
-bound, and the exponential set-size-2 Shannon/Renyi formulas, the Shannon ones
-read from the design's 2 x 2 matrix.  At integer arguments
+bound, and the exponential set-size-2 Shannon/Renyi formulas, each read from
+the design's 2 x 2 matrix.  At integer arguments
 log-gamma is the log of an exact factorial or binomial, and digamma differences
 are harmonic sums, psi(m) - psi(k) = sum_{j=k}^{m-1} 1/j, taken with fsum.
 
@@ -188,26 +188,21 @@ def exp_shannon(design: RankingErrorMatrix, lam: float) -> float:
     return 2.0 - 2.0 * math.log(2.0 * lam) + (p22 - p11) + eta(p11) + eta(p22)
 
 
-def exp_renyi(component: str, lam: float, alpha: float) -> float | None:
-    """Renyi information pieces for an exponential(lam) sample of set size 2.
-
-    ``component`` is 'srs' (total over both draws), 'order1', 'order2', or
-    'rss' (sum of the two order-statistic pieces).  'order2', and so 'rss',
-    is None where its log Gamma overflows the float range (alpha near 1e306)."""
+def exp_renyi(design: RankingErrorMatrix, lam: float, alpha: float) -> float | None:
+    """Renyi information of an exponential(lam) sample of set size 2 in the printed form its 2x2
+    matrix's name picks: SRS's for the uniform matrix, perfect RSS's order-1 plus order-2 pieces
+    for the identity (None where the order-2 log Gamma overflows, alpha near 1e306); no other matrix has one."""
     Exponential(lam)  # checks the rate
     check_alpha(alpha)
+    check_dimension(design.n, 2)
     om = 1.0 - alpha
-    if component == "srs":
+    if design.name == "uniform":
         return -2.0 * math.log(lam) - 2.0 / om * math.log(alpha)
-    if component == "order1":
-        return -math.log(lam) - math.log(2.0) - math.log(alpha) / om
-    if component == "order2":
-        try:
-            log_beta = math.lgamma(alpha + 1.0) + math.lgamma(alpha) - math.lgamma(2.0 * alpha + 1.0)
-        except OverflowError:
-            return None
-        return -math.log(lam) + alpha / om * math.log(2.0) + log_beta / om
-    if component == "rss":
-        order2 = exp_renyi("order2", lam, alpha)
-        return None if order2 is None else exp_renyi("order1", lam, alpha) + order2
-    raise InputError(f"unknown component {component!r}")
+    if design.name != "identity":
+        raise InputError("the printed Renyi forms are SRS's and perfect RSS's: the uniform matrix or the identity")
+    order1 = -math.log(lam) - math.log(2.0) - math.log(alpha) / om
+    try:
+        log_beta = math.lgamma(alpha + 1.0) + math.lgamma(alpha) - math.lgamma(2.0 * alpha + 1.0)
+    except OverflowError:
+        return None
+    return order1 + (-math.log(lam) + alpha / om * math.log(2.0) + log_beta / om)

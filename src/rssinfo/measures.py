@@ -7,7 +7,7 @@ identity, and ``Design`` spells them ``srs:n`` and ``rss:n``.  Every u-space
 measure hands one route, ``_route``, its matrices, a closed form keyed on
 the matrix's ``name`` or None for the integral (``force_numeric``, to
 compare the paths), its term g(log w, F, S) in the judged log weight and a
-``finish``.
+``finish``: Renyi's, ``_renyi_finish``, also finishes ``renyi_gap_binomial``.
 The matrices without a closed form share one integral, and so
 ``subdivisions_used``, over their distinct rows, each weighted by its count:
 ``_of_term``, which analyses the rows once per integral.
@@ -228,19 +228,20 @@ def renyi_designs(
     check_alpha(alpha)
     check_shared(designs)
     std, om = dist.standard(), 1.0 - alpha
-
-    def finish(value, error):
-        if np.any(value <= 0):
-            raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
-        return np.log(value) / om, error / (abs(om) * value)
-
     # f_i^alpha dx = w_i^alpha f(F^-1(u))^(alpha-1) du of the standard law; an error names x in ``dist``'s coordinates
     results = _route(
         designs, None if force_numeric else lambda P: _renyi_closed_form(P, std, alpha),
         lambda lw, F, S: np.exp(alpha * lw - om * _log_pdf_at_quantile(std, F, S)),
-        cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=finish,
+        cfg, "renyi integrand exceeds the float range", at=dist.quantile, finish=lambda v, e: _renyi_finish(v, e, alpha),
     )
     return [res.scaled(d.n * math.log(dist.scale)) for d, res in zip(designs, results)]
+
+
+def _renyi_finish(value, error, alpha: float):
+    """Per row, log I / (1 - alpha) of I = int f_i^alpha, and its error err / (|1 - alpha| I); I <= 0 raises."""
+    if not np.all(value > 0):
+        raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
+    return np.log(value) / (1.0 - alpha), error / (abs(1.0 - alpha) * value)
 
 
 def _renyi_closed_form(P: RankingErrorMatrix, std: Distribution, alpha: float) -> QuadratureResult | None:
@@ -265,9 +266,8 @@ def renyi_gap_binomial(
 ) -> QuadratureResult:
     """H_a(RSS) - H_a(SRS) for alpha > 1 in the binomial representation
     1/(1-a) sum_i log E[b_i(F(W))^alpha], b_i the Beta(i, n-i+1) density and W
-    distributed as f^alpha / int f^alpha: (sum_i log I_i - n log I) / (1 - a), a second
-    route beside ``renyi``'s, with I_i = int f_i^alpha dx on the n identity rows and
-    I = int f^alpha dx on a uniform row in one x-space integral."""
+    distributed as f^alpha / int f^alpha: sum_i h_i - n h, each h ``renyi``'s finish of
+    I_i = int f_i^alpha dx on the n identity rows or I = int f^alpha dx on a uniform row, one x-space integral."""
     check_alpha(alpha, 1)
     check_count("n", n, 1)
     if n == 1:
@@ -275,11 +275,8 @@ def renyi_gap_binomial(
     std = dist.standard()  # the gap is scale-free; a uniform row's judged weight is exactly 1
     log_pdf = judged_log_pdf(std, np.vstack([ranking_error.identity(n).entries, ranking_error.uniform(n).entries[:1]]))
     r = integrate_support(lambda x: np.exp(alpha * log_pdf(x)), std.support, cfg)
-    (I, e), om = (r.value, r.error_estimate), 1.0 - alpha
-    if not np.all(I > 0):
-        raise DivergentIntegralError("renyi integral evaluated to a non-positive value")
-    value, error = np.log(I[:n]).sum() - n * math.log(I[n]), np.sum(e[:n] / I[:n]) + n * e[n] / I[n]
-    return replace(r, value=float(value / om), error_estimate=float(error / -om))
+    h, e = _renyi_finish(r.value, r.error_estimate, alpha)
+    return replace(r, value=float(h[:n].sum() - n * h[n]), error_estimate=float(e[:n].sum() + n * e[n]))
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,10 @@ _HALF_WG = (
 _XK = np.array([-x for x in _HALF_XK[:-1]] + list(_HALF_XK[::-1]))  # the centre node is +0.0
 _WK = np.array(_HALF_WK + _HALF_WK[-2::-1])
 _WG = np.array(_HALF_WG + _HALF_WG[-2::-1])
-# Gauss nodes sit at the odd Kronrod slots; one matmul with _KG gives a
-# panel's K15 sum and its K15 - G7 sum
-_KG = np.stack([_WK, _WK], axis=1)
-_KG[1::2, 1] -= _WG
+# Gauss nodes sit at the odd Kronrod slots; one matmul with _KG gives half a panel's
+# K15 sum and half its K15 - G7 sum, as K15's weights sum to 2: finite up to the float maximum
+_KG = 0.5 * np.stack([_WK, _WK], axis=1)
+_KG[1::2, 1] -= 0.5 * _WG
 
 
 @dataclass(frozen=True)
@@ -170,35 +170,41 @@ def _panels(f, edges, lo: float, hi: float):
     per-component lists (k15, err, rounding floor); vector is True when f's
     output is (k, m)."""
     x, nodes, half = _nodes(edges)
-    fx = np.asarray(f(nodes), dtype=float)
-    if fx.ndim not in (1, 2) or fx.shape[-1] != x.size:
-        raise InputError(f"integrand shape {fx.shape} at {x.size} points is not (m,) or (k, m)")
-    vector = fx.ndim == 2
-    fx = fx.reshape(-1, *x.shape)
-    if not np.isfinite(fx).all():
-        c, p, j = np.argwhere(~np.isfinite(fx))[0]
-        at, c = float(x[p, j]), int(c) if vector else None
-        where = "" if c is None else f" (component {c})"
-        raise DivergentIntegralError(f"integrand is not finite at x = {at!r}{where}", at, c)
-    s = fx @ _KG
-    s_half = s * half[:, None]
-    k15, err = s_half[..., 0], np.abs(s_half[..., 1])
-    ends = [(j, end) for j, end in ((0, lo), (-1, hi)) if edges[j] == end]
-    if ends:
-        # a panel at a or b with K15 - G7 above a tenth of resasc may hide an
-        # endpoint power law; only those panels are tested, as a slice of one or both
-        at = slice(0 if edges[0] == lo else -1, None if edges[-1] == hi else 1, max(len(half) - 1, 1))
-        unresolved = 10.0 * err[:, at] > (np.abs(fx[:, at] - 0.5 * s[:, at, :1]) @ _WK) * half[at]
-        for j, end in ends:
-            for c in unresolved[:, j].nonzero()[0]:
-                err[c, j] = max(err[c, j], 2.0 * _power_law_error(x[j], fx[c, j], end, 2.0 * half[j]))
-    floor = (np.abs(fx) @ _WK_FLOOR) * half
+    with np.errstate(all="ignore"):  # a non-finite value or panel is raised, not warned of
+        fx = np.asarray(f(nodes), dtype=float)
+        if fx.ndim not in (1, 2) or fx.shape[-1] != x.size:
+            raise InputError(f"integrand shape {fx.shape} at {x.size} points is not (m,) or (k, m)")
+        vector = fx.ndim == 2
+        fx = fx.reshape(-1, *x.shape)
+        if not np.isfinite(fx).all():
+            c, p, j = np.argwhere(~np.isfinite(fx))[0]
+            at, c = float(x[p, j]), int(c) if vector else None
+            where = "" if c is None else f" (component {c})"
+            raise DivergentIntegralError(f"integrand is not finite at x = {at!r}{where}", at, c)
+        s = fx @ _KG  # the panels' means and half their K15 - G7
+        s_width = s * (2.0 * half)[:, None]
+        k15, err = s_width[..., 0], np.abs(s_width[..., 1])
+        if not np.isfinite(k15).all():
+            raise DivergentIntegralError(f"integral on ({lo!r}, {hi!r}) exceeds the float range")
+        ends = [(j, end) for j, end in ((0, lo), (-1, hi)) if edges[j] == end]
+        if ends:
+            # a panel at a or b with K15 - G7 above a tenth of resasc may hide an
+            # endpoint power law; only those panels are tested, as a slice of one or both
+            at = slice(0 if edges[0] == lo else -1, None if edges[-1] == hi else 1, max(len(half) - 1, 1))
+            unresolved = 10.0 * err[:, at] > (np.abs(fx[:, at] - s[:, at, :1]) @ _WK) * half[at]
+            for j, end in ends:
+                for c in unresolved[:, j].nonzero()[0]:
+                    err[c, j] = max(err[c, j], 2.0 * _power_law_error(x[j], fx[c, j], end, 2.0 * half[j]))
+        floor = (np.abs(fx) @ _WK_FLOOR) * half
     return list(zip(k15.T.tolist(), np.maximum(err, floor).T.tolist(), floor.T.tolist())), vector
 
 
-def _sums(panels):
-    """Per-component math.fsum of the panels' values, errors and floors."""
-    return [[math.fsum(c) for c in zip(*column)] for column in zip(*panels)]
+def _sums(panels, a: float, b: float):
+    """Per-component math.fsum of the panels' values, errors and floors on (a, b); one beyond the float range raises."""
+    try:
+        return [[math.fsum(c) for c in zip(*column)] for column in zip(*panels)]
+    except OverflowError:
+        raise DivergentIntegralError(f"integral on ({a!r}, {b!r}) exceeds the float range") from None
 
 
 def _tolerance(total, cfg: QuadratureConfig, floor=()):
@@ -236,13 +242,14 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
     the tolerance or spends the budget is the result, and builds no heap.
     Each split updates running sums; a stop they pass is confirmed on math.fsum
     over the heap's panels, and the result is the fsum of the final heap.
+    f runs with warnings off; a non-finite value, panel or total raises DivergentIntegralError.
     """
     edges = tuple(map(float, (a, *breaks[: cfg.max_subdivisions], b)))  # the nodes' memo key
     if not (math.isfinite(a) and math.isfinite(b) and all(p < q for p, q in zip(edges, edges[1:]))):
         raise InputError(f"need finite a < b, with increasing breaks between them, got {edges}")
 
     panels, vector = _panels(f, edges, a, b)
-    sums = _sums(panels)  # per-component values, errors and floors
+    sums = _sums(panels, a, b)  # per-component values, errors and floors
     tol = _tolerance(sums[0], cfg, sums[2])
     nsub = len(edges) - 2
     # a first call that meets the tolerance or spends the budget is the result: no heap is built
@@ -254,7 +261,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
             key, _, pa, pb, old = heap[0]
             # the budget spent, or the worst panel at float resolution (tolerance out of reach)
             if nsub >= cfg.max_subdivisions or pb - pa < _MIN_SPLIT_ULPS * math.ulp(max(abs(pa), abs(pb), _MIN_SPLIT_SCALE)):
-                sums = _sums([p[4] for p in heap])
+                sums = _sums([p[4] for p in heap], a, b)
                 break
             pm = 0.5 * (pa + pb)
             (left, right), _ = _panels(f, (pa, pm, pb), a, b)
@@ -266,7 +273,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, *, 
             # a stop on running sums is confirmed on the heap's fsums, which also reset
             # the running error an infinite one leaves NaN
             if key == -math.inf or _within(sums[1], tol):
-                sums = _sums([p[4] for p in heap])
+                sums = _sums([p[4] for p in heap], a, b)
                 tol = _tolerance(sums[0], cfg, sums[2])
                 if _within(sums[1], tol):
                     break
@@ -301,9 +308,9 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
 
     The engine integrates against 2 (t/T)^3 = T ds/dt, which cannot overflow:
     it sees T times the integral and takes abs_tol times T, both exactly.
-    g runs with floating-point warnings off.  A non-finite folded value raises
-    DivergentIntegralError: where g is not finite, ``what`` at the u of its first
-    such value, or at x = ``at(F, S)``; where g's finite halves' sum overflows, the engine's.
+    g runs with warnings off.  A non-finite folded value raises DivergentIntegralError:
+    ``what`` at the u of g's first non-finite value, or else of the first fold whose
+    finite halves overflow (its u below 1/2), or at x = ``at(F, S)`` there.
     """
 
     def integrand(t):
@@ -312,8 +319,8 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
         if v.ndim not in (1, 2) or v.shape[-1] != F.size:
             raise InputError(f"integrand shape {v.shape} at {F.size} points is not (m,) or (k, m)")
         folded = (v[..., : t.size] + v[..., t.size :]) * jacobian
-        if not np.isfinite(folded).all() and not np.isfinite(v).all():
-            *row, j = np.argwhere(~np.isfinite(v))[0]
+        if not np.isfinite(folded).all():  # at g's first non-finite value, or else the first fold that overflows
+            *row, j = np.argwhere(~np.isfinite(folded) if np.isfinite(v).all() else ~np.isfinite(v))[0]
             x = None if at is None else float(at(F[j], S[j]))
             msg = f"{what} at {f'u = {F[j]}' if x is None else f'x = {x}'}; the integral may be divergent or out of range"
             raise DivergentIntegralError(msg, x, *map(int, row))
@@ -321,8 +328,7 @@ def integrate_unit(g, cfg: QuadratureConfig, what: str, at=None) -> QuadratureRe
 
     # an abs_tol below 2^-310 has no float at this scale: the rel_tol alone decides
     scaled = QuadratureConfig(max(cfg.abs_tol * _T, math.ulp(0.0)), cfg.rel_tol, cfg.max_subdivisions)
-    with np.errstate(all="ignore"):  # a non-finite value is raised, not warned of
-        r = integrate(integrand, 0.0, _T, scaled, breaks=_BREAKS)
+    r = integrate(integrand, 0.0, _T, scaled, breaks=_BREAKS)
     return QuadratureResult(r.value / _T, r.error_estimate / _T, r.subdivisions_used, r.converged)
 
 

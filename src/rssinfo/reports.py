@@ -113,7 +113,8 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     printed = alpha / (1 - alpha) * (1 - math.log(2)) + (
         math.lgamma(alpha + 1) + math.lgamma(alpha) - math.lgamma(2 * alpha + 1)
     ) / (1 - alpha)
-    corrected = closed_form.exp_renyi("rss", lam, alpha) - closed_form.exp_renyi("srs", lam, alpha)
+    rss, srs = (closed_form.exp_renyi(P, lam, alpha) for P in (ranking_error.identity(2), ranking_error.uniform(2)))
+    corrected = rss - srs
     oracle = measures.renyi_gap_binomial(Exponential(lam), 2, alpha, cfg).value
     rows.append(_errata_row("renyi_gap_display", printed, corrected, oracle, tol))
 

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from rssinfo import cli, measures
+from rssinfo import cli, measures, ranking_error
 from rssinfo import closed_form as cf
+from rssinfo.distributions import Normal, Weibull
+from rssinfo.errors import DivergentIntegralError
 from rssinfo.quadrature import QuadratureConfig
 
 
@@ -231,6 +233,18 @@ def test_divergent_integral_exits_three_without_traceback(capsys):
         assert code == cli.EXIT_NO_CONVERGENCE, argv
         assert err.startswith(f"error: renyi {message}"), (argv, err)
         assert "Traceback" not in err
+
+
+def test_both_renyi_routes_raise_the_one_non_positive_error():
+    # the case above, and the binomial gap on the normal at alpha = 1e4, whose int f^alpha
+    # underflows to 0: both routes finish through one rule, so both raise its one error
+    calls = [
+        lambda: measures.renyi(measures.Design("srs", 2), Weibull(2.0), 1e306),
+        lambda: measures.renyi_gap_binomial(Normal(), 2, 1e4),
+    ]
+    for call in calls:
+        with pytest.raises(DivergentIntegralError, match="^renyi integral evaluated to a non-positive value$"):
+            call()
 
 
 def test_measure_oracle_runs_below_one_default_batch(capsys):
@@ -472,7 +486,7 @@ def test_figure_two_a_perfect_column_matches_gap(capsys):
     assert code == cli.EXIT_OK
     for row in rows_of(out):
         alpha = float(row["alpha"])
-        gap = cf.exp_renyi("rss", 1.0, alpha) - cf.exp_renyi("srs", 1.0, alpha)
+        gap = cf.exp_renyi(ranking_error.identity(2), 1.0, alpha) - cf.exp_renyi(ranking_error.uniform(2), 1.0, alpha)
         assert abs(float(row["p11_1"]) - gap) < 1e-6
 
 

@@ -143,32 +143,35 @@ def test_exp_shannon_validation():
 
 
 def test_exp_renyi_values():
-    assert cf.exp_renyi("srs", 1.0, 2.0) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-    assert cf.exp_renyi("rss", 1.0, 2.0) == pytest.approx(math.log(3.0), abs=1e-12)
+    assert cf.exp_renyi(re.uniform(2), 1.0, 2.0) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+    assert cf.exp_renyi(re.identity(2), 1.0, 2.0) == pytest.approx(math.log(3.0), abs=1e-12)
     # the alpha = 2 gap is log(3/4)
-    gap = cf.exp_renyi("rss", 1.0, 2.0) - cf.exp_renyi("srs", 1.0, 2.0)
+    gap = cf.exp_renyi(re.identity(2), 1.0, 2.0) - cf.exp_renyi(re.uniform(2), 1.0, 2.0)
     assert gap == pytest.approx(math.log(0.75), abs=1e-12)
-    assert cf.exp_renyi("rss", 1.0, 2.0) == pytest.approx(
-        cf.exp_renyi("order1", 1.0, 2.0) + cf.exp_renyi("order2", 1.0, 2.0)
-    )
+    # the 2x2 matrix decides, not how it was spelled: p12 = 1/2 is the uniform matrix, blend 1 the identity
+    for lam, alpha in ((0.5, 0.2), (3.0, 10.0)):
+        assert cf.exp_renyi(re.two_by_two(0.5), lam, alpha) == cf.exp_renyi(re.uniform(2), lam, alpha)
+        assert cf.exp_renyi(re.blend(2, 1.0), lam, alpha) == cf.exp_renyi(re.identity(2), lam, alpha)
 
 
 def test_closed_forms_decline_where_their_float_evaluation_overflows():
     # a log Gamma at alpha near 1e306, or the Beta sum near 1e305, leaves the float range
-    assert cf.exp_renyi("rss", 1.0, 1e308) is None and cf.exp_renyi("order2", 1.0, 1e308) is None
+    assert cf.exp_renyi(re.identity(2), 1.0, 1e308) is None
     assert cf.rss_renyi(2, 1e308, 1.0) is None
     assert cf.rss_renyi(3, 1e305, 1.0) is None
     assert Weibull(2.0).renyi_entropy(1e306) is None
-    assert cf.exp_renyi("order1", 1.0, 1e308) == -math.log(2.0)
+    assert cf.exp_renyi(re.uniform(2), 1.0, 1e308) == pytest.approx(0.0, abs=1e-300)
 
 
 def test_exp_renyi_validation():
     with pytest.raises(ValueError):
-        cf.exp_renyi("srs", 1.0, 1.0)
+        cf.exp_renyi(re.uniform(2), 1.0, 1.0)
     with pytest.raises(ValueError):
-        cf.exp_renyi("srs", 1.0, -0.5)
-    with pytest.raises(ValueError):
-        cf.exp_renyi("nope", 1.0, 2.0)
+        cf.exp_renyi(re.uniform(2), 1.0, -0.5)
+    # only SRS and perfect RSS have a printed form, and only at set size 2
+    for P in (re.two_by_two(0.2), re.blend(2, 0.75), re.identity(3)):
+        with pytest.raises(InputError):
+            cf.exp_renyi(P, 1.0, 2.0)
 
 
 def test_closed_forms_match_a_40_digit_oracle():
@@ -217,9 +220,9 @@ def test_closed_forms_match_a_40_digit_oracle():
                 log_lam = mp.log(lam)
                 order1 = -log_lam - mp.log(2) - mp.log(a) / om
                 order2 = -log_lam + a / om * mp.log(2) + (mp.loggamma(a + 1) + mp.loggamma(a) - mp.loggamma(2 * a + 1)) / om
-                refs = {"srs": -2 * log_lam - 2 / om * mp.log(a), "order1": order1, "order2": order2, "rss": order1 + order2}
-                for component, ref in refs.items():
-                    check(cf.exp_renyi(component, lam, alpha), ref, ("exp_renyi", component, lam, alpha))
+                refs = {"srs": (re.uniform(2), -2 * log_lam - 2 / om * mp.log(a)), "rss": (re.identity(2), order1 + order2)}
+                for kind, (P, ref) in refs.items():
+                    check(cf.exp_renyi(P, lam, alpha), ref, ("exp_renyi", kind, lam, alpha))
 
         def u2_log_u(u):
             return u * u * mp.log(u) if u > 0 else 0

@@ -195,9 +195,32 @@ def test_folded_non_finite_g_is_located_without_a_warning():
     with pytest.raises(DivergentIntegralError, match=r"^w at x = ") as err:
         integrate_unit(lambda F, S: np.exp(800.0 * F), DEFAULT_CONFIG, "w", at=lambda F, S: F / S)
     assert err.value.x > 1e10 and err.value.component is None
-    # finite halves whose sum overflows are the engine's own non-finite integrand
-    with pytest.raises(DivergentIntegralError, match="^integrand is not finite at x = "):
+    # finite halves whose sum overflows are named at their u below 1/2, not at the engine's t
+    with pytest.raises(DivergentIntegralError, match=r"^w at u = ") as err:
         integrate_unit(lambda F, S: np.full(F.shape, 1.5e308), DEFAULT_CONFIG, "w")
+    assert (err.value.x, err.value.component) == (None, None)
+
+
+# near the float maximum, (k, m) with a tame first row, and each on a mapped support
+_HUGE = {
+    "scalar": lambda c: lambda x: np.full(np.shape(x), c),
+    "stacked": lambda c: lambda x: np.stack([np.exp(-np.asarray(x)), np.full(np.shape(x), c)]),
+}
+
+
+@pytest.mark.parametrize("shape", list(_HUGE))
+def test_an_integral_near_the_float_maximum_is_exact_or_raises(shape):
+    # a panel's sums at half weight keep 1e308 on (0, 1) finite, as its 15 nodes' full-weight sum is not
+    r = integrate(_HUGE[shape](1e308), 0.0, 1.0)
+    assert r.converged and np.all(np.atleast_1d(r.value)[-1] == 1e308)
+    # a total, or one panel, beyond the float range raises on the caller's interval
+    for breaks in ((1.0,), ()):
+        with pytest.raises(DivergentIntegralError, match=r"^integral on \(0\.0, 1\.9\) exceeds the float range"):
+            integrate(_HUGE[shape](1.7e308), 0.0, 1.9, breaks=breaks)
+    # a representable integral whose folded halves overflow is named at the caller's x
+    with pytest.raises(DivergentIntegralError, match="^integrand is not finite at x = ") as err:
+        integrate_support(_HUGE[shape](1e308), Support(3.0, 4.0))
+    assert 3.0 < err.value.x < 3.5 and err.value.component == (1 if shape == "stacked" else None)
 
 
 def test_smallest_folded_node_keeps_s_a_normal_float():

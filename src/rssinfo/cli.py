@@ -1,16 +1,18 @@
 """Command-line surface.
 
 Subcommands: table-k, dn, psi, measure, figure, conjecture-scan, errata.
-Outputs CSV (default) or JSON to stdout or ``--out``.  Exit codes: 0 success,
-2 parse error, 3 quadrature non-convergence, 4 inequality violation found.
+Outputs CSV (default) or JSON to stdout or ``--out``.  Exit codes, the same for
+every subcommand: 0 success, 2 bad input (``InputError``), 3 a value that cannot
+be trusted (``DivergentIntegralError``, or a written row with ``converged``
+false), 4 inequality violation found.
 Every input has one spelling: a design spec alone carries its matrix, a CSV
 path among them, and the ``--quad-*`` flags alone set tolerances.  Every
 subcommand takes ``--out`` and ``--format``; only the four that integrate take
 the ``--quad-*`` flags, which the others reject as unknown.
 The argument parser is built once per process and shared by every ``main``
 call, which dispatches subcommand ``x-y`` to the module's ``cmd_x_y``: each
-returns (rows, exit code), rows None where nothing is written, and ``main``
-writes the rows.
+returns (rows, exit code), and ``main`` alone writes the rows and turns the
+result into the exit code.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 from . import closed_form, measures, mc_oracle, ranking_error
 from .distributions import parse_distribution
-from .errors import InputError, check_count
+from .errors import DivergentIntegralError, InputError, check_count
 from .quadrature import QuadratureConfig
 from .ranking_error import RankingErrorMatrix, parse_matrix
 from .reports import DEFAULT_SCAN_ALPHAS, DEFAULT_SCAN_FAMILIES, DEFAULT_SCAN_MATRICES, DEFAULT_SCAN_NS  # noqa: F401  (perfbench reads cli.DEFAULT_SCAN_*)
@@ -90,21 +92,21 @@ def _emit(rows: list[dict], args) -> None:
     path = args.out
     try:
         out = sys.stdout if path in (None, "-") else open(path, "w")
-    except OSError as exc:
+        try:
+            if args.format == "json":  # RFC 8259 has no Infinity or NaN: a non-finite float is null
+                finite = [{c: None if isinstance(v, float) and not math.isfinite(v) else v for c, v in row.items()} for row in rows]
+                json.dump(finite, out, indent=2)
+                out.write("\n")
+            elif rows:
+                writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                for row in rows:
+                    writer.writerow({c: _fmt(v) if isinstance(v, float) else str(v) for c, v in row.items()})
+        finally:
+            if out is not sys.stdout:
+                out.close()
+    except OSError as exc:  # from the open, a write or the close's flush
         raise InputError(f"cannot write output file {path!r}: {exc}") from exc
-    try:
-        if args.format == "json":  # RFC 8259 has no Infinity or NaN: a non-finite float is null
-            finite = [{c: None if isinstance(v, float) and not math.isfinite(v) else v for c, v in row.items()} for row in rows]
-            json.dump(finite, out, indent=2)
-            out.write("\n")
-        elif rows:
-            writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({c: _fmt(v) if isinstance(v, float) else str(v) for c, v in row.items()})
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +114,14 @@ def _emit(rows: list[dict], args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_table_k(args) -> tuple[list[dict] | None, int]:
+def cmd_table_k(args) -> tuple[list[dict], int]:
     check_count("--n-max", args.n_max, 2)
     rows = []
     for n in range(2, args.n_max + 1):
         direct = closed_form.k_direct(n)
         recursive = closed_form.k_recursive(n)
         if abs(direct - recursive) > 1e-9 * max(1.0, abs(direct)):
-            print(
-                f"k({n}): direct and recursive paths disagree "
-                f"({direct!r} vs {recursive!r})",
-                file=sys.stderr,
-            )
-            return None, EXIT_NO_CONVERGENCE
+            raise DivergentIntegralError(f"k({n}): direct and recursive paths disagree ({direct!r} vs {recursive!r})")
         rows.append({"n": n, "k": direct})
     return rows, EXIT_OK
 
@@ -170,7 +167,7 @@ def cmd_measure(args) -> tuple[list[dict], int]:
         est = oracle(sim)
         rec["oracle"] = est.estimate
         rec["oracle_std_error"] = est.std_error
-    return [rec], EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    return [rec], EXIT_OK
 
 
 def cmd_figure(args) -> tuple[list[dict], int]:
@@ -193,11 +190,9 @@ def cmd_conjecture_scan(args) -> tuple[list[dict], int]:
         for v in report.violations:
             print(f"  {v}", file=sys.stderr)
         return report.records, EXIT_VIOLATION
-    print(
-        f"conjecture scan: no violations at {len(report.records)} grid points "
-        "(this supports, but does not prove, the alpha > 1 ordering)",
-        file=sys.stderr,
-    )
+    unconverged = sum(not rec["converged"] for rec in report.records)
+    why = f", but {unconverged} did not converge" if unconverged else " (this supports, but does not prove, the alpha > 1 ordering)"
+    print(f"conjecture scan: no violations at {len(report.records)} grid points{why}", file=sys.stderr)
     return report.records, EXIT_OK
 
 
@@ -296,15 +291,15 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a rebound cmd_* (a tracer's wrapper) runs
         rows, code = globals()["cmd_" + args.command.replace("-", "_")](args)
-        if rows is not None:
-            _emit(rows, args)
-        return code
+        _emit(rows, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except measures.DivergentIntegralError as exc:
+    except DivergentIntegralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    # a value that did not converge cannot be trusted, whichever subcommand wrote it
+    return EXIT_NO_CONVERGENCE if code == EXIT_OK and not all(row.get("converged", True) for row in rows) else code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ accept scalars or numpy arrays and are pure; instances are immutable after
 construction.  ``log_pdf``, ``pdf``, ``cdf`` and
 ``survival`` give NaN at a NaN x, and their limit, without a warning, at +-inf
 and where z = x / scale, a normal's z * z or a Weibull's z**k overflows.
+A bad spec or parameter raises ``errors.InputError``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, check_alpha
-
-
-class DistributionParseError(InputError):
-    """Raised when a textual distribution spec cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -320,15 +317,10 @@ def parse_distribution(spec: str) -> Distribution:
         try:
             params = [float(p) for p in rest.split(",")]
         except ValueError as exc:
-            raise DistributionParseError(
-                f"bad parameter list {rest!r} in distribution spec {spec!r}"
-            ) from exc
+            raise InputError(f"bad parameter list {rest!r} in distribution spec {spec!r}") from exc
     if name not in _FAMILIES:
-        raise DistributionParseError(f"unknown distribution family {name!r} in {spec!r}")
+        raise InputError(f"unknown distribution family {name!r} in {spec!r}")
     family, _, counts, usage = _FAMILIES[name]
     if len(params) not in counts:
-        raise DistributionParseError(f"{name} takes {usage}")
-    try:
-        return family(*params)
-    except ValueError as exc:
-        raise DistributionParseError(str(exc)) from exc
+        raise InputError(f"{name} takes {usage}")
+    return family(*params)

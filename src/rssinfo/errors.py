@@ -1,4 +1,8 @@
-"""The errors the library raises, and the input rules shared by several modules."""
+"""The library's two kinds of failure, the only exception classes it defines, and the
+input rules shared by several modules: ``InputError``, a bad argument, spec, file or
+matrix (the CLI's exit 2), and ``DivergentIntegralError``, a value that cannot be
+trusted (exit 3): a divergent or unrepresentable integral, a divergent Monte Carlo
+estimate, or two exact paths that disagree."""
 
 import math
 import numbers
@@ -9,8 +13,9 @@ class InputError(ValueError):
 
 
 class DivergentIntegralError(ValueError):
-    """An integrand is NaN or +/-inf, at ``x`` and in row ``component`` of a (k, m) one when known:
-    the integral diverges (e.g. support mismatch) or is not representable in floats."""
+    """A value cannot be trusted.  For an integrand that is NaN or +/-inf, ``x`` and the row
+    ``component`` of a (k, m) one say where when known: the integral diverges (e.g. support
+    mismatch) or is not representable in floats."""
 
     def __init__(self, message: str, x: float | None = None, component: int | None = None):
         super().__init__(message)

@@ -21,7 +21,9 @@ level is bitwise the recipe's.  Each block is scored into one reused buffer and
 reduced at once, so a component keeps no m-long array: only a mixed row's true
 ranks, one byte per draw.
 Standard errors are batch means over at least 20 batches of at most 10 000
-draws, so the default 10^6 draws give 100 of 10 000.
+draws, so the default 10^6 draws give 100 of 10 000.  A KL estimate whose
+log-ratio is not finite, or whose running mean fails to stabilize,
+raises ``errors.DivergentIntegralError``: its value cannot be trusted.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import ranking_error
 from .distributions import Distribution
-from .errors import InputError, check_alpha, check_count, check_shared
+from .errors import DivergentIntegralError, InputError, check_alpha, check_count, check_shared
 from .order_stats import judged_log_pdf, judged_log_weight
 from .ranking_error import RankingErrorMatrix
 
@@ -43,10 +45,6 @@ _BLOCK = 65_536  # draws per kernel evaluation and per ordered block
 _NETWORK_MAX_N = 6  # widest block ordered by the network, not numpy's sort
 _MIN_BATCHES = 20  # batch means behind every standard error
 _BATCH_SIZE = 10_000  # longest batch
-
-
-class DivergentEstimateError(RuntimeError):
-    """Running mean failed to stabilize (likely non-integrable log-ratio)."""
 
 
 @dataclass(frozen=True)
@@ -277,9 +275,9 @@ def mc_kl(
     def summary(i, est, se, halves, top):
         m1, m2 = halves
         if not math.isfinite(m1 + m2):  # a NaN or an infinite log-ratio among the draws
-            raise DivergentEstimateError(f"log-ratio is not finite for component {i} (support mismatch?)")
+            raise DivergentIntegralError(f"log-ratio is not finite for component {i} (support mismatch?)")
         if se > 0 and abs(m1 - m2) > 10.0 * se * math.sqrt(2.0):
-            raise DivergentEstimateError(f"running mean failed to stabilize for component {i}")
+            raise DivergentIntegralError(f"running mean failed to stabilize for component {i}")
         return est, se
 
     return _sum_components(design_x, sim, value, summary)

@@ -110,7 +110,10 @@ def _route(matrices, closed, term, cfg, what, *, at=None, finish=None) -> list[Q
         rows, counts = _distinct_rows(*numeric)
         r = _of_term(term, rows, cfg, what, at)
         values, errors = (r.value, r.error_estimate) if finish is None else finish(r.value, r.error_estimate)
-        legs = (_weighted(values, errors, c, r) for c in counts)
+        if np.isfinite(values).all() and np.isfinite(errors).all():
+            legs = (_weighted(values, errors, c, r) for c in counts)
+        else:  # a row a design lacks adds nothing: its count 0 times inf would be NaN
+            legs = (_weighted(values[c > 0], errors[c > 0], c[c > 0], r) for c in counts)
         results = [next(legs) if res is None else res for res in results]
     return results
 

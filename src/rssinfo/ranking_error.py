@@ -3,7 +3,8 @@
 Rows index the judged rank i, columns the true rank r; entry p[i, r] is the
 probability that the unit judged to have rank i is truly the r-th order
 statistic.  Every matrix is doubly stochastic: construction checks it, so
-each builder here hands out a checked matrix.
+each builder here hands out a checked matrix; a matrix, spec or file that is
+not one raises ``errors.InputError``.
 
 ``blend`` (so ``identity`` and ``uniform``) is memoized on (n, w) for n <= 64, under
 MEMO_BYTES; ``two_by_two`` and ``from_csv`` are not.  Entries are read-only and shared.
@@ -76,11 +77,6 @@ def _read_only(value):
     return value
 
 
-class MatrixValidationError(InputError):
-    """Raised when a matrix spec, file or raw matrix is not a valid
-    ranking-error matrix."""
-
-
 @dataclass(frozen=True)
 class RankingErrorMatrix:
     """A non-empty square matrix with entries in [0, 1], every row and column
@@ -96,15 +92,15 @@ class RankingErrorMatrix:
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)  # a copy: freezing must not reach the caller's array
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
-            raise MatrixValidationError(f"matrix must be square and non-empty, got shape {arr.shape}")
+            raise InputError(f"matrix must be square and non-empty, got shape {arr.shape}")
         outside = np.argwhere(~((arr >= 0.0) & (arr <= 1.0 + _TOL)))  # NaN included
         if outside.size:
             i, r = outside[0]
-            raise MatrixValidationError(f"entry ({i + 1}, {r + 1}) is {float(arr[i, r])}, outside [0, 1]")
+            raise InputError(f"entry ({i + 1}, {r + 1}) is {float(arr[i, r])}, outside [0, 1]")
         for what, sums in (("row", arr.sum(axis=1)), ("column", arr.sum(axis=0))):
             bad = np.flatnonzero(np.abs(sums - 1.0) > _TOL)
             if bad.size:
-                raise MatrixValidationError(f"{what} {bad[0] + 1} sums to {float(sums[bad[0]])}, expected 1")
+                raise InputError(f"{what} {bad[0] + 1} sums to {float(sums[bad[0]])}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         name = "uniform" if (arr == arr[0, 0]).all() else "identity" if (arr == np.eye(len(arr))).all() else ""
@@ -176,9 +172,9 @@ def from_csv(path) -> RankingErrorMatrix:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
         return RankingErrorMatrix(arr)
     except OSError as exc:
-        raise MatrixValidationError(f"cannot read matrix file {path!r}: {exc}") from exc
+        raise InputError(f"cannot read matrix file {path!r}: {exc}") from exc
     except ValueError as exc:
-        raise MatrixValidationError(f"bad matrix file {path!r}: {exc}") from exc
+        raise InputError(f"bad matrix file {path!r}: {exc}") from exc
 
 
 def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
@@ -194,7 +190,7 @@ def parse_matrix(spec: str, n: int) -> RankingErrorMatrix:
             return blend(n, float(spec[len("blend=") :]))
         P = two_by_two(float(spec[len("p12=") :])) if spec.startswith("p12=") else None
     except ValueError as exc:
-        raise MatrixValidationError(f"bad matrix spec {spec!r}: {exc}") from exc
+        raise InputError(f"bad matrix spec {spec!r}: {exc}") from exc
     P = from_csv(spec) if P is None else P
     check_dimension(P.n, n)
     return P

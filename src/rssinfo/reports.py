@@ -94,7 +94,8 @@ def run_conjecture_scan(grid: ScanGrid, cfg: QuadratureConfig, jobs: int = 1) ->
 
 def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     """Compare each suspect printed formula, computed here, against its
-    corrected form and an oracle value; one row per check with ok flags."""
+    corrected form and an oracle value; one row per check with ok flags, and
+    ``converged`` when every integral the row read converged."""
     rows = []
     tol = 1e-6
 
@@ -105,7 +106,7 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     corrected = closed_form.eta(a)
     raw = integrate(lambda u: u * np.log(u), a, 1 - a, cfg)
     oracle = -2.0 / (1.0 - 2.0 * a) * raw.value
-    rows.append(_errata_row("eta_sign", printed, corrected, oracle, tol))
+    rows.append(_errata_row("eta_sign", printed, corrected, oracle, tol, raw.converged))
 
     # 2. combined Renyi gap display vs the sum of its own components,
     #    against the force-numeric quadrature gap (exponential, n=2, alpha=2).
@@ -115,15 +116,15 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     ) / (1 - alpha)
     rss, srs = (closed_form.exp_renyi(P, lam, alpha) for P in (ranking_error.identity(2), ranking_error.uniform(2)))
     corrected = rss - srs
-    oracle = measures.renyi_gap_binomial(Exponential(lam), 2, alpha, cfg).value
-    rows.append(_errata_row("renyi_gap_display", printed, corrected, oracle, tol))
+    gap = measures.renyi_gap_binomial(Exponential(lam), 2, alpha, cfg)
+    rows.append(_errata_row("renyi_gap_display", printed, corrected, gap.value, tol, gap.converged))
 
     # 3. imperfect-KL prefactor: with the printed leading -n the P=identity
     #    limit misses d_n; without it the limit is exact.  The identity's
     #    closed form is d_n itself, so the limit is integrated.
     n = 3
-    base = measures.kl_srs_vs_design(ranking_error.identity(n), cfg=cfg, force_numeric=True).value
-    rows.append(_errata_row("kl_minus_n_prefactor", n * base, base, closed_form.d_n(n), tol))
+    base = measures.kl_srs_vs_design(ranking_error.identity(n), cfg=cfg, force_numeric=True)
+    rows.append(_errata_row("kl_minus_n_prefactor", n * base.value, base.value, closed_form.d_n(n), tol, base.converged))
 
     # 4. A_n reduced form at n = 2: the printed -1 - 2 int_0^1 [u log G +
     #    (1-u) Gbar] du, G and Gbar at F^-1(u), with a bare survival term (no
@@ -134,9 +135,9 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
         x = f.quantile(F, S)
         return closed_form.xlogy(F, f.cdf(x)) + S * f.survival(x)
 
-    printed = -1.0 - 2.0 * integrate_unit(printed_integrand, cfg, "printed A_n integrand is not finite").value
-    corrected = measures.a_n(f, f, 2, cfg).value
-    rows.append(_errata_row("a_n_missing_log", printed, corrected, 0.0, tol))
+    raw = integrate_unit(printed_integrand, cfg, "printed A_n integrand is not finite")
+    printed, corrected = -1.0 - 2.0 * raw.value, measures.a_n(f, f, 2, cfg)
+    rows.append(_errata_row("a_n_missing_log", printed, corrected.value, 0.0, tol, raw.converged and corrected.converged))
 
     # 5. Psi(alpha, 2) display: the printed 2a/(1-a) omits the log 2 factor
     #    carried by the definition (oracle: direct evaluation of the sum).
@@ -144,11 +145,11 @@ def run_errata_checks(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[dict]:
     printed = 2 * alpha / (1 - alpha)
     corrected = closed_form.psi_bound(alpha, 2)
     oracle = alpha / (1 - alpha) * 2 * math.log(2)
-    rows.append(_errata_row("psi_alpha_2_display", printed, corrected, oracle, tol))
+    rows.append(_errata_row("psi_alpha_2_display", printed, corrected, oracle, tol, True))
     return rows
 
 
-def _errata_row(check, printed, corrected, oracle, tol) -> dict:
+def _errata_row(check, printed, corrected, oracle, tol, converged) -> dict:
     return {
         "check": check,
         "printed": printed,
@@ -156,6 +157,7 @@ def _errata_row(check, printed, corrected, oracle, tol) -> dict:
         "oracle": oracle,
         "printed_ok": str(abs(printed - oracle) <= tol),
         "corrected_ok": str(abs(corrected - oracle) <= tol),
+        "converged": converged,
     }
 
 
@@ -168,7 +170,8 @@ def figure_curve(
 ) -> list[dict]:
     """Curve data for figure 1 (Shannon gaps against the 2x2 misranking
     p12) or figure 2a / 2b (the 2x2 imperfect Renyi value less the SRS /
-    perfect-RSS one, against alpha, one column per p11), exponential parent.
+    perfect-RSS one, against alpha, one column per p11, and ``converged`` when the
+    reference and every leg did), exponential parent.
     Every column is a difference of two set-size-2 values, in which the
     exponential's rate cancels, so the parent has rate 1."""
     check_count("points", points, 1)
@@ -200,7 +203,8 @@ def figure_curve(
         if abs(alpha - 1.0) <= 1e-9:
             continue
         ref, *legs = measures.renyi_designs(designs, dist, alpha, cfg)
-        rows.append({"alpha": alpha, **{f"p11_{p11:g}": leg.value - ref.value for p11, leg in zip(p11s, legs)}})
+        columns = {f"p11_{p11:g}": leg.value - ref.value for p11, leg in zip(p11s, legs)}
+        rows.append({"alpha": alpha, **columns, "converged": ref.converged and all(leg.converged for leg in legs)})
     if not rows:
         raise InputError(f"figure {figure_id}'s alpha grid holds no alpha other than 1")
     return rows

@@ -314,6 +314,7 @@ INPUT_ERRORS = [
     ("psi", "--config", "{missing}"),  # no such flag
     ("table-k", "--quad-max-subdiv", "5"),
     ("figure", "--id", "1", "--points", "2", "--quad-abs-tol", "1e-3"),  # a closed form reads no tolerance
+    ("measure", "shannon", "--design", "rss:3", "--dist", "exp:1", "--out", "/dev/full"),  # the open passes, the writes fail
 ]
 
 
@@ -331,10 +332,12 @@ INPUT_ERRORS = [
         "shannon-alpha", "kl-alpha", "seed-without-oracle", "replications-without-oracle",
         "figure-1-alpha-min", "figure-1-alpha-max", "figure-alpha-grid-only-one", "infinite-tolerance",
         "scan-inverted-n-range", "dn-tolerance", "psi-config", "table-k-max-subdiv",
-        "figure-1-tolerance",
+        "figure-1-tolerance", "out-write-fails",
     ],
 )
 def test_input_errors_exit_two_without_traceback(capsys, tmp_path, argv):
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
     code, _, err = run(capsys, *with_paths(argv, tmp_path))
     assert code == cli.EXIT_PARSE
     assert err.startswith("error:")
@@ -514,11 +517,29 @@ def test_conjecture_scan_clean_grid_exits_zero(capsys):
 
 
 def test_conjecture_scan_records_flag_a_leg_that_did_not_converge(capsys):
-    _, out, _ = run(
+    code, out, _ = run(
         capsys, "conjecture-scan", "--family", "norm:0,1", "--n-values", "3",
         "--alphas", "2", "--matrix", "blend=0.5", "--quad-max-subdiv", "1",
     )
+    assert code == cli.EXIT_NO_CONVERGENCE
     assert rows_of(out)[0]["converged"] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "--id", "2b", "--points", "2", "--alpha-min", "1e-3", "--alpha-max", "2"),
+        ("figure", "--id", "2a", "--points", "3", "--quad-max-subdiv", "1"),  # its three 2x2 legs
+        ("errata", "--quad-max-subdiv", "1"),  # rows 2-4 read unconverged integrals
+        ("conjecture-scan", "--family", "exp:1", "--n-values", "3", "--alphas", "2", "--quad-max-subdiv", "1"),
+    ],
+    ids=["figure-2b-small-alpha", "figure-2a-one-subdivision", "errata-one-subdivision", "scan-one-subdivision"],
+)
+def test_every_subcommand_exits_three_on_a_row_that_did_not_converge(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert "False" in {row["converged"] for row in rows_of(out)}
+    assert "supports" not in err
 
 
 def test_conjecture_scan_reports_found_violation(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rssinfo import ranking_error as re
 from rssinfo.distributions import (
     Distribution,
-    DistributionParseError,
     Exponential,
     Normal,
     Support,
@@ -258,13 +257,13 @@ def test_spec_string_reads_back_as_the_same_law():
     ],
 )
 def test_parse_errors_name_the_family_usage(spec, message):
-    with pytest.raises(DistributionParseError, match=message):
+    with pytest.raises(InputError, match=message):
         parse_distribution(spec)
 
 
 def test_parse_errors():
     for bad in ["gamma:1", "exp", "exp:a", "exp:1,2", "unif:3", "norm:1", "weibull:", "exp:-1"]:
-        with pytest.raises(DistributionParseError):
+        with pytest.raises(InputError):
             parse_distribution(bad)
 
 

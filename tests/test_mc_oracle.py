@@ -11,7 +11,7 @@ from rssinfo import mc_oracle as mc
 from rssinfo import measures as M
 from rssinfo import ranking_error as re
 from rssinfo.distributions import Exponential, Normal, Uniform
-from rssinfo.errors import InputError
+from rssinfo.errors import DivergentIntegralError, InputError
 from rssinfo.measures import Design
 
 FAST = mc.SimConfig(replications=200_000, seed=42)
@@ -128,7 +128,7 @@ def test_mc_kl_identical_laws_vanish():
 
 
 def test_mc_kl_support_mismatch_raises():
-    with pytest.raises(mc.DivergentEstimateError):
+    with pytest.raises(DivergentIntegralError):
         mc.mc_kl(Design("srs", 2), Normal(0.0, 1.0), Design("srs", 2), Exponential(1.0), FAST)
 
 
@@ -142,7 +142,7 @@ def test_mc_kl_unstable_running_mean_raises(monkeypatch):
             yield start, u[start : start + mc._BLOCK]
 
     monkeypatch.setattr(mc, "_levels", halves)
-    with pytest.raises(mc.DivergentEstimateError, match="failed to stabilize"):
+    with pytest.raises(DivergentIntegralError, match="failed to stabilize"):
         mc.mc_kl(Design("srs", 2), Exponential(1.0), Design("rss", 2), Exponential(1.0), mc.SimConfig(10**6))
 
 

@@ -334,8 +334,8 @@ def test_two_law_routes_are_location_scale_invariant(route, pair, magnitude):
 
 
 def test_renyi_far_from_unit_scale():
-    # x-space Renyi at large scale: the half-line map squeezes the mass
-    # against t = 1, where an unresolved end panel used to pass as converged
+    # Renyi integrates the standard law in folded u-space and adds n log(scale):
+    # a far scale must match the closed form and the unit scale shifted by it
     res = M.renyi(Design("rss", 2), Exponential(1e-6), 2.0, force_numeric=True)
     truth = cf.exp_renyi(re.identity(2), 1e-6, 2.0)
     assert res.converged
@@ -381,6 +381,16 @@ def test_renyi_designs_give_a_repeated_design_its_own_equal_leg():
         assert first == again == bits(M.renyi(d, dist, 2.0, force_numeric=force))
         assert first[2] == method
         assert (first, other) == tuple(map(bits, M.renyi_designs([d, e], dist, 2.0, force_numeric=force)))
+
+
+def test_renyi_designs_add_nothing_for_a_row_a_design_lacks():
+    # at alpha = 1e-20 each 2x2 row's error is inf: a row only another design
+    # holds has count 0 here, and 0 * inf would be NaN (and a RuntimeWarning)
+    dist, designs = Exponential(1.0), [re.two_by_two(p12) for p12 in (0.2, 0.1, 0.05)]
+    _, *legs = M.renyi_designs([re.identity(2), *designs], dist, 1e-20)
+    for design, leg in zip(designs, legs):
+        assert leg.error_estimate == M.renyi(design, dist, 1e-20).error_estimate == math.inf
+        assert math.isfinite(leg.value) and not leg.converged
 
 
 def test_renyi_gap_binomial_matches_direct_route():

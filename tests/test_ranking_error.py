@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rssinfo import ranking_error as re
+from rssinfo.errors import InputError
 
 
 def test_identity_and_uniform():
@@ -69,7 +70,7 @@ def test_validate_rejects_bad_matrices():
         [[np.nan, 0.0], [0.0, 1.0]],  # NaN entry
         np.zeros((0, 0)),  # empty
     ):
-        with pytest.raises(re.MatrixValidationError):
+        with pytest.raises(InputError):
             re.RankingErrorMatrix(bad)
 
 

@@ -208,6 +208,9 @@ class Exponential(Distribution):
     def _quantile(self, F, S):
         return -_log_survival(F, S)
 
+    def _log_pdf_at_quantile(self, F, S):
+        return _log_survival(F, S)
+
     def _entropy(self) -> float:
         return 1.0
 

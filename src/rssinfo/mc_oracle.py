@@ -6,20 +6,21 @@ its ranking-error matrix (SRS is the uniform matrix, perfect RSS the
 identity): the sampler takes its uniform level from the judged rank's row,
 and the plug-in estimators score each level where it is drawn: the
 ``order_stats`` kernel read at the level u and 1 - u themselves, plus the
-parent's log density at the draw x = Q(u), so no cdf or survival is taken of
-x.  The Vasicek spacing estimator is the formula-free cross-check that shares
-no density code with the rest of the package.
+parent's own log density at that level, ``log_pdf_at_quantile(u)``; only a
+KL against another law forms the draw x = Q(u), where that law's kernel reads
+its cdf and survival.  The Vasicek spacing estimator is the formula-free
+cross-check that shares no density code with the rest of the package.
 
-Estimates are deterministic given the seed: each sample component gets its
-own stream spawned from a single SeedSequence, and ``sample_judged``'s recipe,
-on a row of the n x n matrix, fixes what is drawn from it: a mixed row's true
-ranks as ``rng.choice`` draws them, then rows of n uniforms, ordered as
-``np.sort`` orders them.  The levels are drawn and scored in blocks of whole
-batches, at most _BLOCK rows.  A block selects only the order statistics its
-row reads, by min, max and a bitwise select, which return their inputs, so each
-level is bitwise the recipe's.  Each block is scored into one reused buffer and
-reduced at once, so a component keeps no m-long array: only a mixed row's true
-ranks, one byte per draw.
+Estimates are deterministic given the seed: each sample component draws from
+its own SFC64 stream, a child spawned from a single SeedSequence, and
+``sample_judged``'s recipe, on a row of the n x n matrix, fixes what is drawn
+from it: a mixed row's true ranks as ``rng.choice`` draws them, then rows of n
+uniforms, ordered as ``np.sort`` orders them.  The levels are drawn and scored
+in blocks of whole batches, at most _BLOCK rows.  A block selects only the
+order statistics its row reads, by min, max and a bitwise select, which
+return their inputs, so each level is bitwise the recipe's.  Each block is
+scored into one reused buffer and reduced at once, so a component keeps no
+m-long array: only a mixed row's true ranks, one byte per draw.
 Standard errors are batch means over at least 20 batches of at most 10 000
 draws, so the default 10^6 draws give 100 of 10 000.  A KL estimate whose
 log-ratio is not finite, or whose running mean fails to stabilize,
@@ -61,7 +62,6 @@ class SimConfig:
 class EstimateResult:
     estimate: float
     std_error: float
-    replications: int
 
 
 def _batches(m: int) -> tuple[int, int]:
@@ -199,35 +199,34 @@ def _log_weight(row: np.ndarray):
 
 def _log_pdf(dist: Distribution, row: np.ndarray):
     """(u, out) -> out, holding the log density of the judged law on ``row``
-    at its draw x = Q(u)."""
+    at the level u: the weight plus the parent's ``log_pdf_at_quantile(u)``."""
     log_weight = _log_weight(row)
-    return lambda u, out: np.add(log_weight(u), dist.log_pdf(dist.quantile(u)), out=out)
+    return lambda u, out: np.add(log_weight(u), dist.log_pdf_at_quantile(u), out=out)
 
 
 def _sum_components(design: RankingErrorMatrix, sim: SimConfig, value, summary=lambda i, *stats: stats[:2], log_scale=False):
     """The sum over components i of ``summary(i, *stats)``, an
     (estimate, std_error) pair from the ``_reduce`` stats of the per-draw values
     that ``value(i, row)``, called as (u, out), writes at the levels drawn from
-    the component's own spawned stream; errors add in quadrature.  Each block,
-    at most _BLOCK draws, is scored into the one reused buffer and reduced
-    before the next is drawn."""
+    the component's own SFC64 stream, spawned from the seed; errors add in
+    quadrature.  Each block, at most _BLOCK draws, is scored into the one
+    reused buffer and reduced before the next is drawn."""
     m = sim.replications
     buf = np.empty(min(m, _BLOCK))
     total = var = 0.0
     for i, seed in enumerate(np.random.SeedSequence(sim.seed).spawn(design.n), start=1):
-        score, levels = value(i, design.row(i)), _levels(design.row(i), np.random.Generator(np.random.PCG64(seed)), m)
+        score, levels = value(i, design.row(i)), _levels(design.row(i), np.random.Generator(np.random.SFC64(seed)), m)
         scored = ((start, score(u, buf[: u.size])) for start, u in levels)
         est, se = summary(i, *_reduce(scored, m, log_scale))
         total += est
         var += se * se
-    return EstimateResult(total, math.sqrt(var), m)
+    return EstimateResult(total, math.sqrt(var))
 
 
 def mc_entropy(design: RankingErrorMatrix, dist: Distribution, sim: SimConfig = SimConfig()) -> EstimateResult:
     """Plug-in Shannon estimate: minus the mean log-density at simulated draws,
     summed over sample components."""
-    mean_log_f = _sum_components(design, sim, lambda i, row: _log_pdf(dist, row))
-    return EstimateResult(-mean_log_f.estimate, mean_log_f.std_error, mean_log_f.replications)
+    return _sum_components(design, sim, lambda i, row: _log_pdf(dist, row), lambda i, mean, se, *_: (-mean, se))
 
 
 def mc_renyi(design: RankingErrorMatrix, dist: Distribution, alpha: float, sim: SimConfig = SimConfig()) -> EstimateResult:

@@ -80,6 +80,19 @@ def test_pdf_at_quantile_matches_composition(members, interior_u):
         )
 
 
+def test_log_pdf_at_quantile_matches_composition_at_drawn_levels(members):
+    # the Monte Carlo oracle scores each level rng.random draws, a multiple of 2**-53, with S
+    # omitted: the extreme levels it can draw, and one block of them, against log f(Q(u))
+    u = np.concatenate([[2.0**-53, 2.0**-40, 1.0 - 2.0**-40, 1.0 - 2.0**-53], np.random.default_rng(1).random(10_000)])
+    for dist in members:
+        # the rule above, on the log scale: a relative tolerance on f is an absolute one on
+        # log f, which also holds where log f crosses 0.  |z| < 8.3 at these levels
+        tol = 1e-12 + 8.3 * np.finfo(float).eps * abs(dist.loc) / dist.scale
+        np.testing.assert_allclose(
+            dist.log_pdf_at_quantile(u), dist.log_pdf(dist.quantile(u)), rtol=0.0, atol=tol, err_msg=repr(dist)
+        )
+
+
 def test_upper_tail_is_read_from_the_survival(members):
     # F = 1 - S rounds to 1; the quantile and the log density there come from S
     for dist in members:

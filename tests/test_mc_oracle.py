@@ -226,6 +226,27 @@ def test_samplers_follow_the_documented_recipe(n, P, ranks, m):
         assert np.array_equal(x, want[0] if m is None else want)
 
 
+def test_estimators_draw_each_component_from_its_sfc64_child(monkeypatch):
+    # component i's levels come from SeedSequence(seed).spawn(n)[i - 1] seeded into SFC64: its
+    # first block is rank i's column of that stream's first rows, sorted, bit for bit
+    firsts, real = [], mc._levels
+
+    def first_block(row, rng, m):
+        levels = real(row, rng, m)
+        start, u = next(levels)
+        firsts.append(u.copy())
+        yield start, u
+        yield from levels
+
+    monkeypatch.setattr(mc, "_levels", first_block)
+    n, sim = 3, mc.SimConfig(replications=20_000, seed=11)
+    mc.mc_entropy(Design("rss", n), Exponential(1.0), sim)
+    assert len(firsts) == n
+    for i, (u, child) in enumerate(zip(firsts, np.random.SeedSequence(sim.seed).spawn(n)), start=1):
+        block = np.random.Generator(np.random.SFC64(child)).random((u.size, n))
+        assert np.array_equal(u, np.sort(block, axis=1)[:, i - 1])
+
+
 @pytest.mark.parametrize("case", list(pins.CASES["mc"]))
 def test_estimates_are_pinned_bit_for_bit(case):
     assert pins.CASES["mc"][case]() == pins.stored("mc", case)
